@@ -187,7 +187,7 @@ class CHSolver:
         x0 = np.concatenate([phi_n, mu_n])
         res = newton_solve(
             residual, jacobian, x0, tol=tol * max(np.linalg.norm(x0), 1.0),
-            rtol=1e-8, maxiter=20,
+            rtol=1e-8, maxiter=20, linear_tol=1e-10,
         )
         phi, mu = split(res.x)
         return CHResult(phi=phi, mu=mu, newton=res)

@@ -305,6 +305,15 @@ class CHNSTimeStepper:
                 self.iteration_counts["krylov_ns"] += it_ns
                 self.iteration_counts["krylov_pp"] += it_pp
                 self.iteration_counts["krylov_vu"] += it_vu
+                # Per-block Krylov counters: the pooled krylov.* ones also
+                # hold the CH inner solves (perf.model reads these instead).
+                for blk, its, n_solves in (
+                    ("ns", it_ns, len(ns_res.solves)),
+                    ("pp", it_pp, 1),
+                    ("vu", it_vu, len(vu_res.solves)),
+                ):
+                    obs.incr(f"krylov.iterations.{blk}", its)
+                    obs.incr(f"krylov.solves.{blk}", n_solves)
                 timers.ch += sw_ch.elapsed
                 timers.ns += sw_ns.elapsed
                 timers.pp += sw_pp.elapsed

@@ -104,8 +104,8 @@ def bicgstab(
     r = b - mv(x)
     r0 = r.copy()
     # Divergence on ill-conditioned systems shows up as overflow before the
-    # breakdown checks trip; the caller (e.g. Newton's LU fallback) handles
-    # the non-converged result, so the intermediate warnings are noise.
+    # breakdown checks trip; the caller (e.g. Newton's re-factorization)
+    # handles the non-converged result, so the intermediate warnings are noise.
     _old_err = np.seterr(over="ignore", invalid="ignore")
     try:
         with obs.span("krylov.bicgstab"):
@@ -125,6 +125,7 @@ def _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b):
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
+    it = 0
     for it in range(1, maxiter + 1):
         rho_new = float(r0 @ r)
         if rho_new == 0.0:
@@ -158,7 +159,8 @@ def _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b):
     res = float(np.linalg.norm(b - mv(x))) / bnorm
     if not np.isfinite(res):
         res = np.inf
-    return SolveResult(x, maxiter, res, False)
+    # ``it`` is the iteration a breakdown stopped in, maxiter otherwise.
+    return SolveResult(x, it, res, False)
 
 
 def gmres(

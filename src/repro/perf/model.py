@@ -50,15 +50,18 @@ def phase_profile(report, blocks=("ch", "ns", "pp", "vu", "remesh")) -> dict:
 
 def iter_profile_from_obs(report) -> dict:
     """Measured iteration counts for :func:`paper_fig5_solvers` from obs
-    counters of a traced CHNS run: mean Krylov iterations per solve for the
-    linear blocks, and Newton (outer) iterations per step for CH — the
-    quantity its :class:`SolverCosts` profile scales with.  Empty dict when
-    the run recorded no solves (profile stays at paper defaults)."""
-    solves = report.counter_total("krylov.solves")
-    if not solves:
-        return {}
-    mean_krylov = report.counter_total("krylov.iterations") / solves
-    out = {k: mean_krylov for k in ("ns", "pp", "vu")}
+    counters of a traced CHNS run: mean Krylov iterations per solve for each
+    linear block, read from the per-block ``krylov.iterations.<blk>`` /
+    ``krylov.solves.<blk>`` counters ``CHNSTimeStepper.step`` emits (the
+    pooled ``krylov.*`` counters also hold the CH inner solves), and Newton
+    (outer) iterations per step for CH — the quantity its
+    :class:`SolverCosts` profile scales with.  A block the run never solved
+    is left out (its profile stays at paper defaults)."""
+    out = {}
+    for blk in ("ns", "pp", "vu"):
+        solves = report.counter_total(f"krylov.solves.{blk}")
+        if solves:
+            out[blk] = report.counter_total(f"krylov.iterations.{blk}") / solves
     steps = report.counter_total("chns.steps")
     newton = report.counter_total("newton.iterations")
     if steps and newton:

@@ -164,6 +164,11 @@ class TestNewton:
         res = newton_solve(F, J, np.array([1.0, 1.0]), tol=1e-12)
         assert res.converged
         assert np.allclose(F(res.x), 0.0, atol=1e-9)
+        # A healthy solve factors the first iterate's Jacobian once and runs
+        # every later iterate through LU-preconditioned BiCGStab.
+        assert res.iterations > 1
+        assert res.factorizations == 1 and res.fallbacks == 0
+        assert 0 < res.linear_iterations <= 8 * (res.iterations - 1)
 
     def test_already_converged(self):
         def F(x):
@@ -175,6 +180,72 @@ class TestNewton:
         res = newton_solve(F, J, np.ones(2), tol=1e-10)
         assert res.converged
         assert res.iterations == 0
+        assert res.factorizations == res.fallbacks == 0
+
+    def test_tiny_diagonal_goes_through_fallback(self):
+        """Static diagonal pivoting on [[1e-20, 1], [1, 1e-20]] returns a
+        dx with relative residual ~0.45 (an exact zero would be pivoted
+        away by SuperLU and prove nothing): the residual check must reject
+        it and the partial-pivoting fallback must solve the step."""
+        from repro import obs
+
+        A = sp.csr_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
+        b = np.array([1.0, 2.0])
+        obs.enable()
+        try:
+            res = newton_solve(
+                lambda x: A @ x - b, lambda x: A, np.zeros(2), tol=1e-12
+            )
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert res.converged and res.iterations == 1
+        assert np.allclose(res.x, [2.0, 1.0], atol=1e-12)
+        assert res.fallbacks >= 1
+        assert res.factorizations == res.fallbacks + 1
+        # the result's health fields are what the obs counters say
+        assert counters["newton.iterations"] == res.iterations
+        assert counters["newton.lu_factorizations"] == res.factorizations
+        assert counters["newton.lu_fallbacks"] == res.fallbacks
+        assert "newton.lu_solves" not in counters
+
+    def test_refactors_when_old_factors_stop_preconditioning(self):
+        """x^3 = b over four decades of b: between the first iterates the
+        diagonal Jacobian 3x^2 changes by factors from ~0.5 to ~1e3, the
+        old factors leave BiCGStab a spectrum it cannot finish in its few
+        allowed iterations, so Newton factors the current Jacobian."""
+        b = np.logspace(-2, 2, 40)
+
+        def F(x):
+            return x**3 - b
+
+        def J(x):
+            return sp.diags(3 * x**2).tocsr()
+
+        res = newton_solve(F, J, np.ones(40), tol=1e-10, maxiter=40)
+        assert res.converged
+        assert np.allclose(res.x, np.cbrt(b), rtol=1e-8)
+        assert res.factorizations >= 2 and res.fallbacks == 0
+        assert res.factorizations < res.iterations  # reuse still happened
+
+    def test_singular_jacobian_stops_without_a_step(self):
+        """Pinned outcome for a Jacobian SuperLU finds exactly singular in
+        both factorizations: converged=False at the iterate it was handed,
+        counted as a fallback, no step taken."""
+
+        def F(x):
+            return np.array([x[0] + x[1] - 1.0, x[0] + x[1] - 3.0])
+
+        def J(x):
+            return sp.csr_matrix(np.ones((2, 2)))
+
+        x0 = np.array([0.5, 0.25])
+        res = newton_solve(F, J, x0, tol=1e-12)
+        assert not res.converged
+        assert res.iterations == 0
+        assert np.array_equal(res.x, x0)
+        assert res.residual == pytest.approx(np.linalg.norm(F(x0)))
+        assert res.factorizations == 2 and res.fallbacks == 1
 
 
 class TestBlockMatrix:

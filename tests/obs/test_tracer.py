@@ -269,56 +269,30 @@ class TestSpmdCollection:
 
 
 class TestOverhead:
-    def test_disabled_overhead_under_5_percent(self):
-        """Tracing disabled must add <5% to the 32x32 assembly-plan numeric
-        update (the hottest instrumented kernel).  Compares the instrumented
-        ``plan.assemble`` against an inline replica of its numeric update
-        with no span entry at all."""
-        import scipy.sparse as sp
-
+    def test_disabled_tracer_is_the_shared_noop(self):
+        """The disabled-path contract is structural: every ``obs.span`` is
+        the one shared no-op object and an instrumented hot kernel (the
+        assembly-plan numeric update) records nothing.  What that costs in
+        wall-clock is measured by ``benchmarks/bench_obs_phases.py``
+        (``measure_disabled_overhead``), not asserted in tier-1."""
         from repro.fem.plan import AssemblyPlan
         from repro.mesh.mesh import Mesh
         from repro.octree.build import uniform_tree
 
         assert not obs.is_enabled()
-        mesh = Mesh.from_tree(uniform_tree(2, 5))  # 32x32
-        plan = AssemblyPlan(mesh)
-        rng = np.random.default_rng(0)
-        Ke = rng.standard_normal(plan.ke_shape)
+        plan = AssemblyPlan(Mesh.from_tree(uniform_tree(2, 3)))
+        Ke = np.random.default_rng(0).standard_normal(plan.ke_shape)
+        plan.assemble(Ke)
+        obs.incr("some.counter")
+        obs.gauge("some.gauge", 1.0)
+        assert obs.span("assembly.numeric") is obs.NULL_SPAN
+        with obs.span("outer") as sp_outer:
+            assert obs.span("inner") is sp_outer is obs.NULL_SPAN
+        assert obs.current() is None and obs.snapshot() is None
 
-        def raw_assemble():
-            vals = Ke.ravel()[plan._src] * plan._weight
-            data = np.bincount(plan._slot, weights=vals, minlength=plan.nnz)
-            A = sp.csr_matrix(
-                (plan.n_dofs, plan.n_dofs), dtype=np.float64
-            )
-            A.data = data
-            A.indices = plan.indices
-            A.indptr = plan.indptr
-            return A
-
-        def instrumented():
-            plan.assemble(Ke)
-
-        def best_of(f, repeats=7, inner=5):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    f()
-                best = min(best, (time.perf_counter() - t0) / inner)
-            return best
-
-        raw_assemble()  # warm both paths
-        instrumented()
-        overhead = float("inf")
-        for _ in range(3):  # timing-noise retries: assert on the best attempt
-            t_raw = best_of(raw_assemble)
-            t_instrumented = best_of(instrumented)
-            overhead = min(overhead, t_instrumented / t_raw - 1.0)
-            if overhead < 0.05:
-                break
-        assert overhead < 0.05, (
-            f"disabled tracing overhead {overhead:.1%} >= 5% "
-            f"({t_instrumented * 1e6:.1f}us vs {t_raw * 1e6:.1f}us)"
-        )
+        # Same kernel traced: the span and counter the disabled run skipped.
+        obs.enable()
+        plan.assemble(Ke)
+        snap = obs.snapshot()
+        assert [n["name"] for n in snap["spans"]] == ["assembly.numeric"]
+        assert snap["counters"]["assembly.numeric"] == 1

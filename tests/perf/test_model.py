@@ -132,8 +132,11 @@ class TestObsCalibration:
             with obs.span("chns.pp"):
                 time.sleep(0.001)
         obs.incr("chns.steps")
+        # pooled counters: 3 PP solves + 1 CH inner solve of 60 iterations
         obs.incr("krylov.solves", 4)
-        obs.incr("krylov.iterations", 120)
+        obs.incr("krylov.iterations", 150)
+        obs.incr("krylov.solves.pp", 3)
+        obs.incr("krylov.iterations.pp", 90)
         obs.incr("newton.iterations", 5)
         snap = obs.end_rank()
         obs.disable()
@@ -147,8 +150,10 @@ class TestObsCalibration:
 
     def test_iter_profile_from_obs(self):
         prof = iter_profile_from_obs(self._traced_report())
-        assert prof["pp"] == pytest.approx(30.0)  # 120 iters / 4 solves
+        # 90 PP iters / 3 PP solves; the CH inner solve stays out of it
+        assert prof["pp"] == pytest.approx(30.0)
         assert prof["ch"] == pytest.approx(5.0)  # Newton iters per step
+        assert "ns" not in prof and "vu" not in prof  # never solved
         # And it plugs straight into the Fig. 5 profile override.
         solvers = paper_fig5_solvers(prof)
         assert solvers["pp"].iterations == pytest.approx(30.0)
@@ -160,3 +165,33 @@ class TestObsCalibration:
         snap = obs.end_rank()
         obs.disable()
         assert iter_profile_from_obs(obs.world_report([snap])) == {}
+
+    def test_iter_profile_is_per_block_on_a_traced_run(self):
+        """Traced quick ``rising_bubble_2d``: each linear block reports its
+        own iterations per solve (the stepper's ``iteration_counts`` are
+        the oracle) and the CH inner BiCGStab solves, present in the
+        pooled counters, leak into none of them."""
+        from repro import obs
+        from repro.scenarios import build, run_scenario
+
+        cfg = build("rising_bubble_2d", quick=True)
+        seen = []
+        obs.begin_rank()
+        try:
+            result = run_scenario(cfg, on_step=seen.append)
+            snap = obs.end_rank()
+        finally:
+            obs.disable()
+        assert result.status == "succeeded"
+        report = obs.world_report([snap])
+        prof = iter_profile_from_obs(report)
+        counts = seen[-1].stepper.iteration_counts
+        blocks = cfg.time.n_steps * cfg.time.n_blocks
+        dim = cfg.domain.dim  # NS and VU solve one system per component
+        assert prof["ns"] == pytest.approx(counts["krylov_ns"] / (dim * blocks))
+        assert prof["pp"] == pytest.approx(counts["krylov_pp"] / blocks)
+        assert prof["vu"] == pytest.approx(counts["krylov_vu"] / (dim * blocks))
+        assert len({prof["ns"], prof["pp"], prof["vu"]}) == 3
+        assert prof["ch"] == pytest.approx(counts["newton"] / cfg.time.n_steps)
+        pooled = report.counter_total("krylov.iterations")
+        assert pooled > counts["krylov"]  # CH inner solves are in the pool

@@ -140,6 +140,24 @@ class TestSolverContracts:
         A = np.zeros((3, 3))
         res = bicgstab(lambda x: A @ x, np.ones(3), maxiter=10)
         assert not res.converged
+        # denom == 0 breakdown in the first iteration, not "ran to maxiter"
+        assert res.iterations == 1
+
+    def test_bicgstab_overflow_reports_iteration_reached(self):
+        """An operator that overflows from its third iteration on: x turns
+        non-finite there and that iteration is what the result reports."""
+        A = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.5 * np.eye(4, k=1)
+        calls = []
+
+        def mv(x):
+            calls.append(1)
+            # call 1 is the initial residual, then two per iteration
+            return A @ x if len(calls) <= 5 else np.full_like(x, np.inf)
+
+        res = bicgstab(mv, np.ones(4), tol=1e-30, maxiter=50)
+        assert not res.converged
+        assert res.iterations == 3
+        assert res.residual == np.inf
 
     def test_newton_nonconvergence_reported(self):
         import scipy.sparse as sp
