@@ -1,23 +1,23 @@
-"""JIT-compiled fused element kernels vs the interpreted plan path (PR 9).
+"""JIT-compiled fused element kernels vs the NumPy GEMM path (PR 9).
 
-Two measurements feed ``BENCH_PR9.json``:
+Two measurements feed ``BENCH_PR9.json``, both on hosts where Numba is
+installed; elsewhere only the NumPy column exists and the ratio is
+reported ``"unmeasured"``:
 
 * ``fused_update``: one full operator numeric update (elemental batch +
   plan CSR scatter) through :mod:`repro.fem.kernels` with the JIT path on,
-  against the identical call under ``kernels.fallback_only()`` (the seed
-  einsum + bincount path).  The CI gate **fails if the JIT path is not
-  >= 5x faster** on the 64x64 mesh — but only on hosts where Numba is
-  installed: without it both timings are the same fallback code, the run
-  is recorded honestly (``jit_available: false``) and the gate is waived.
+  against the identical call under ``kernels.fallback_only()`` (the
+  :mod:`repro.fem.operators` reference-tensor GEMM + bincount path).
 * ``matvec``: :meth:`repro.fem.matvec.MatrixFreeOperator.matvec` (fused
-  gather/GEMV/scatter kernel) vs the same call under ``fallback_only``;
-  gate >= 3x, same availability rule.
+  gather/GEMV/scatter kernel) vs the same call under ``fallback_only``.
 
-Every report embeds :func:`repro.fem.kernels.provenance` (Numba presence
-and version, selection counters) so a number can never silently come from
-the wrong path.
+``jit_vs_numpy`` (NumPy ms / JIT ms on the 64x64 mesh) is a measurement,
+not a gate: it is the kernel-survival number ROADMAP item 3 asks for, now
+taken against a baseline that is itself BLAS.  Every report embeds
+:func:`repro.fem.kernels.provenance` (Numba presence and version, selection
+counters) so a number can never silently come from the wrong path.
 
-Run standalone (exits non-zero if an enforced gate fails)::
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick
 
@@ -47,8 +47,8 @@ from repro.octree.build import uniform_tree
 DEFAULT_OUT = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_PR9.json"
 )
-UPDATE_GATE = 5.0
-MATVEC_GATE = 3.0
+REFERENCE_MESH = "uniform_64x64"
+UNMEASURED = "unmeasured"
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -75,10 +75,39 @@ def _meshes(quick: bool) -> dict:
     return meshes
 
 
+def _jit_live() -> bool:
+    return kernels.HAVE_NUMBA and kernels.jit_enabled()
+
+
+def _compare(call) -> dict:
+    """Time ``call`` on the NumPy path and, where the JIT path is live, on
+    it too; without Numba there is nothing to compare with."""
+
+    def numpy_call():
+        with kernels.fallback_only():
+            return call()
+
+    repeats = 30
+    numpy_call()  # warm
+    row = {
+        "numpy_ms": round(_best_of(numpy_call, repeats) * 1e3, 4),
+        "jit_ms": None,
+        "jit_vs_numpy": UNMEASURED,
+        "max_abs_diff_jit_vs_numpy": None,
+    }
+    if _jit_live():  # pragma: no cover - needs numba
+        call()  # warm (compiles)
+        row["jit_ms"] = round(_best_of(call, repeats) * 1e3, 4)
+        row["jit_vs_numpy"] = round(row["numpy_ms"] / row["jit_ms"], 2)
+        row["max_abs_diff_jit_vs_numpy"] = float(
+            np.abs(call() - numpy_call()).max()
+        )
+    return row
+
+
 def bench_fused_update(quick: bool) -> dict:
     """Full convection numeric update (corner-fused Ke + CSR scatter):
-    JIT kernels vs the seed einsum + bincount path."""
-    repeats = 20 if quick else 40
+    JIT kernels vs the reference-tensor GEMM + bincount path."""
     out: dict = {}
     for name, mesh in _meshes(quick).items():
         plan = get_plan(mesh)
@@ -92,29 +121,17 @@ def bench_fused_update(quick: bool) -> dict:
                 kernels.convection_ke_corners(h, mesh.dim, vel_c)
             )
 
-        def fallback_update():
-            with kernels.fallback_only():
-                return update()
-
-        update()  # warm (compiles on Numba hosts; no-op otherwise)
-        t_jit = _best_of(update, repeats)
-        t_fb = _best_of(fallback_update, repeats)
-        err = float(np.abs(update() - fallback_update()).max())
         out[name] = {
             "n_elems": int(mesh.n_elems),
             "n_dofs": int(mesh.n_dofs),
             "hanging_nodes": int(mesh.nodes.is_hanging.sum()),
-            "fallback_ms": round(t_fb * 1e3, 4),
-            "jit_ms": round(t_jit * 1e3, 4),
-            "speedup": round(t_fb / t_jit, 2),
-            "max_abs_diff_jit_vs_fallback": err,
+            **_compare(update),
         }
     return out
 
 
 def bench_matvec(quick: bool) -> dict:
     """Matrix-free MATVEC: fused JIT gather/GEMV/scatter vs einsum+add.at."""
-    repeats = 30 if quick else 60
     out: dict = {}
     for name, mesh in _meshes(quick).items():
         rng = np.random.default_rng(1)
@@ -123,58 +140,45 @@ def bench_matvec(quick: bool) -> dict:
         )
         op = MatrixFreeOperator(mesh, Ke)
         u = rng.standard_normal(mesh.n_dofs)
-
-        def mv():
-            return op.matvec(u)
-
-        def fallback_mv():
-            with kernels.fallback_only():
-                return op.matvec(u)
-
-        mv()  # warm
-        t_jit = _best_of(mv, repeats)
-        t_fb = _best_of(fallback_mv, repeats)
-        err = float(np.abs(mv() - fallback_mv()).max())
         out[name] = {
             "n_elems": int(mesh.n_elems),
             "n_dofs": int(mesh.n_dofs),
-            "fallback_ms": round(t_fb * 1e3, 4),
-            "jit_ms": round(t_jit * 1e3, 4),
-            "speedup": round(t_fb / t_jit, 2),
-            "max_abs_diff_jit_vs_fallback": err,
+            **_compare(lambda: op.matvec(u)),
         }
     return out
 
 
 def run(quick: bool) -> dict:
-    """All sections + the gate verdict (used by run_all.py).
-
-    The >=5x/>=3x gates are *enforced* only where the JIT path is live
-    (Numba installed, REPRO_JIT not 0).  On fallback-only hosts the same
-    numbers are recorded with ``gate_enforced: false`` — an honest ~1.0x,
-    never a fake pass.
-    """
+    """All sections (used by run_all.py).  ``jit_vs_numpy`` is the ratio on
+    the reference mesh per section, ``"unmeasured"`` where the JIT path is
+    not live (no Numba, or REPRO_JIT=0)."""
     kernels.reset_stats()
     out = {
         "fused_update": bench_fused_update(quick),
         "matvec": bench_matvec(quick),
-        "update_gate": UPDATE_GATE,
-        "matvec_gate": MATVEC_GATE,
-        "gate_mesh": "uniform_64x64",
+        "reference_mesh": REFERENCE_MESH,
         "provenance": kernels.provenance(),
+        "jit_available": _jit_live(),
     }
-    jit_live = bool(out["provenance"]["have_numba"]) and bool(
-        out["provenance"]["jit_enabled"]
-    )
-    out["jit_available"] = jit_live
-    out["gate_enforced"] = jit_live
-    out["update_speedup"] = out["fused_update"]["uniform_64x64"]["speedup"]
-    out["matvec_speedup"] = out["matvec"]["uniform_64x64"]["speedup"]
-    out["gate_passed"] = (not jit_live) or (
-        out["update_speedup"] >= UPDATE_GATE
-        and out["matvec_speedup"] >= MATVEC_GATE
-    )
+    out["jit_vs_numpy"] = {
+        kind: out[kind][REFERENCE_MESH]["jit_vs_numpy"]
+        for kind in ("fused_update", "matvec")
+    }
     return out
+
+
+def summary(section: dict) -> str:
+    """One line for console output and the text report."""
+    ratio = section["jit_vs_numpy"]
+    if not section["jit_available"]:
+        return (
+            f"jit_vs_numpy on {section['reference_mesh']}: {UNMEASURED} "
+            "(Numba unavailable or REPRO_JIT=0; NumPy column only)"
+        )
+    return (
+        f"jit_vs_numpy on {section['reference_mesh']}: fused update "
+        f"{ratio['fused_update']}x, matvec {ratio['matvec']}x (measured)"
+    )
 
 
 def write_report(section: dict, quick: bool, output: str = DEFAULT_OUT) -> None:
@@ -186,11 +190,10 @@ def write_report(section: dict, quick: bool, output: str = DEFAULT_OUT) -> None:
             **host_provenance(),
             "quick": quick,
             "note": (
-                "JIT fused element kernels vs the interpreted plan path; "
-                "single-process timings.  jit_available records whether "
-                "Numba was importable — without it both columns run the "
-                "same NumPy fallback and the speedup gates are waived "
-                "(enforced in CI where Numba is installed)."
+                "JIT fused element kernels vs the NumPy reference-tensor "
+                "GEMM path; single-process timings.  jit_available records "
+                "whether the JIT path was live — without it only the NumPy "
+                "column is timed and jit_vs_numpy is 'unmeasured'."
             ),
         },
         "kernels": section,
@@ -203,43 +206,31 @@ def write_report(section: dict, quick: bool, output: str = DEFAULT_OUT) -> None:
     from _report import format_table, report as text_report
 
     prov = section["provenance"]
-    rows = [
-        (
-            "update:" + name,
-            row["n_elems"],
-            row.get("hanging_nodes", 0),
-            row["fallback_ms"],
-            row["jit_ms"],
-            f"{row['speedup']}x",
+
+    def cells(row):
+        ratio = row["jit_vs_numpy"]
+        return (
+            row["numpy_ms"],
+            "-" if row["jit_ms"] is None else row["jit_ms"],
+            ratio if ratio == UNMEASURED else f"{ratio}x",
         )
+
+    rows = [
+        ("update:" + name, row["n_elems"], row["hanging_nodes"], *cells(row))
         for name, row in section["fused_update"].items()
     ] + [
-        (
-            "matvec:" + name,
-            row["n_elems"],
-            "-",
-            row["fallback_ms"],
-            row["jit_ms"],
-            f"{row['speedup']}x",
-        )
+        ("matvec:" + name, row["n_elems"], "-", *cells(row))
         for name, row in section["matvec"].items()
     ]
     body = format_table(
-        ["path", "elems", "hanging", "fallback ms", "jit ms", "speedup"],
+        ["path", "elems", "hanging", "numpy ms", "jit ms", "jit_vs_numpy"],
         rows,
     ) + (
         f"\n\nnumba: {'yes ' + str(prov['numba_version']) if prov['have_numba'] else 'not installed'}"
         f" | jit_enabled: {prov['jit_enabled']}"
         f" | selections: jit_hits={prov['stats']['jit_hits']}"
         f" fallback={prov['stats']['fallback']}\n"
-        f"gates on {section['gate_mesh']}: fused update >= "
-        f"{section['update_gate']}x ({section['update_speedup']}x), matvec >= "
-        f"{section['matvec_gate']}x ({section['matvec_speedup']}x) — "
-        + (
-            f"{'PASS' if section['gate_passed'] else 'FAIL'}"
-            if section["gate_enforced"]
-            else "not enforced (NumPy fallback on both sides; honest ~1x)"
-        )
+        + summary(section)
     )
     text_report(
         "kernels",
@@ -256,31 +247,7 @@ def main(argv=None) -> int:
 
     section = run(args.quick)
     write_report(section, args.quick, args.output)
-
-    for kind in ("fused_update", "matvec"):
-        for name, row in section[kind].items():
-            print(
-                f"  {kind}:{name}: fallback {row['fallback_ms']}ms -> jit "
-                f"{row['jit_ms']}ms ({row['speedup']}x)"
-            )
-    if not section["gate_enforced"]:
-        print(
-            "gates not enforced: Numba unavailable or REPRO_JIT=0 "
-            "(fallback timings recorded honestly)"
-        )
-        return 0
-    if not section["gate_passed"]:
-        print(
-            f"ERROR: kernel speedups update {section['update_speedup']}x / "
-            f"matvec {section['matvec_speedup']}x below the "
-            f"{UPDATE_GATE}x/{MATVEC_GATE}x gates",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"gate ok: update {section['update_speedup']}x >= {UPDATE_GATE}x, "
-        f"matvec {section['matvec_speedup']}x >= {MATVEC_GATE}x"
-    )
+    print(summary(section))
     return 0
 
 

@@ -31,11 +31,10 @@ fails the run unless PCD reduces NS+PP Krylov iterations per step at
 matched tolerance (standalone report: ``results/BENCH_PR8.json``).
 
 The kernels section (``bench_kernels.py``) times the JIT fused element
-kernels against the NumPy fallback (full operator numeric update and
-matrix-free MATVEC) and fails the run if the >= 5x / >= 3x speedup gates
-miss on hosts where Numba is installed; without Numba the identical
-fallback timings are recorded honestly and the gates are waived
-(standalone report: ``results/BENCH_PR9.json``).
+kernels against the NumPy reference-tensor GEMM path (full operator numeric
+update and matrix-free MATVEC) and records the ratio as a measurement,
+``jit_vs_numpy``; without Numba only the NumPy column is timed and the
+ratio is ``"unmeasured"`` (standalone report: ``results/BENCH_PR9.json``).
 """
 
 from __future__ import annotations
@@ -374,25 +373,7 @@ def main(argv=None) -> int:
         f"precond: PCD {pc_sec['iteration_reduction']}x fewer NS+PP "
         f"iterations/step vs Jacobi on {pc_sec['scenario']}"
     )
-    kn_sec = report["kernels"]
-    if not kn_sec["gate_passed"]:
-        print(
-            f"ERROR: kernel speedups update {kn_sec['update_speedup']}x / "
-            f"matvec {kn_sec['matvec_speedup']}x below the "
-            f"{kn_sec['update_gate']}x/{kn_sec['matvec_gate']}x gates on "
-            f"{kn_sec['gate_mesh']}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"kernels: update {kn_sec['update_speedup']}x, matvec "
-        f"{kn_sec['matvec_speedup']}x vs NumPy fallback "
-        + (
-            "(gates enforced)"
-            if kn_sec["gate_enforced"]
-            else "(Numba unavailable; gates waived, fallback recorded)"
-        )
-    )
+    print("kernels: " + bench_kernels.summary(report["kernels"]))
     return 0
 
 

@@ -13,8 +13,8 @@ slow reference path lives in :func:`repro.fem.assembly.assemble_matrix`.
 The elemental batches route through :mod:`repro.fem.kernels`: with Numba
 the quadrature contraction runs as a fused JIT loop (convection evaluates
 the advecting velocity from its corner values *inside* the element loop),
-without it the original :mod:`repro.fem.operators` einsum path runs
-unchanged.
+without it each batch is one :mod:`repro.fem.operators` reference-tensor
+GEMM.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ functions (Sec. II-A, third remark); so do we.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,12 +77,51 @@ def shape_gradients(xi: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """Cached tables are handed out by reference: an in-place write by one
+    caller would corrupt every later assembly in the process."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def tabulate(dim: int, order: int = 2):
     """Quadrature tables: ``(points, weights, N, dN)`` with shapes
-    (nq, dim), (nq,), (nq, nc), (nq, nc, dim)."""
+    (nq, dim), (nq,), (nq, nc), (nq, nc, dim).  Read-only."""
     pts, w = gauss_points(dim, order)
-    return pts, w, shape_functions(pts, dim), shape_gradients(pts, dim)
+    return _read_only(pts, w, shape_functions(pts, dim), shape_gradients(pts, dim))
+
+
+class ReferenceTensors(NamedTuple):
+    """Per-``dim`` factor of each elemental operator: rows are quad points
+    ``q`` (or ``(q, d)`` pairs), columns ``(i, j)`` pairs (or corners)."""
+
+    mass: np.ndarray  # (nq, nc*nc)      w_q N_qi N_qj
+    stiffness: np.ndarray  # (nq, nc*nc)      w_q sum_d dN_qid dN_qjd
+    convection: np.ndarray  # (nq*dim, nc*nc)  w_q N_qi dN_qjd
+    load: np.ndarray  # (nq, nc)         w_q N_qi
+    grad_load: np.ndarray  # (nq*dim, nc)     w_q dN_qid
+    grad: np.ndarray  # (nq*dim, nc)     dN_qid
+
+
+@lru_cache(maxsize=None)
+def reference_tensors(dim: int) -> ReferenceTensors:
+    """Everything but the coefficient, contracted once so that each function
+    of :mod:`repro.fem.operators` is one matrix product.  Read-only."""
+    _, w, N, dN = tabulate(dim)
+    nq, nc = N.shape
+    grad = dN.transpose(0, 2, 1)  # (nq, dim, nc)
+    load = w[:, None] * N
+    grad_load = w[:, None, None] * grad
+    return ReferenceTensors(*_read_only(
+        (load[:, :, None] * N[:, None, :]).reshape(nq, nc * nc),
+        (grad_load.transpose(0, 2, 1) @ grad).reshape(nq, nc * nc),
+        (load[:, None, :, None] * grad[:, :, None, :]).reshape(nq * dim, nc * nc),
+        load,
+        grad_load.reshape(nq * dim, nc),
+        grad.reshape(nq * dim, nc),
+    ))
 
 
 def quad_point_coords(anchors, sizes, dim: int, order: int = 2) -> np.ndarray:

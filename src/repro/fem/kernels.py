@@ -2,9 +2,9 @@
 
 PR 2 made assembly *structurally* amortized (the :class:`~repro.fem.plan.
 AssemblyPlan` scatter permutations are precomputed per ``Mesh.generation``),
-but every per-call numeric update still ran as interpreted NumPy: an einsum
-building the elemental batch, a ``bincount`` scatter, an einsum + ``add.at``
-matrix-free MATVEC.  Following the lbmpy/pystencils code-generation line
+but every per-call numeric update still ran as interpreted NumPy: a batched
+contraction building the elemental batch, a ``bincount`` scatter, an einsum +
+``add.at`` matrix-free MATVEC.  Following the lbmpy/pystencils code-generation line
 (PAPERS.md), this module compiles those loops as fused, type-specialized
 Numba ``njit`` kernels — coefficients are evaluated *inside* the element
 loop (no materialized quad-point arrays for the fused-from-corner variants)
@@ -13,16 +13,16 @@ interpreter round-trips.
 
 Contract (DESIGN.md §10):
 
-* **Transparent fallback.**  Every kernel has a pure-NumPy fallback — the
-  exact pre-existing code path.  Without Numba, or with ``REPRO_JIT=0``,
-  selection silently returns the fallback; results are identical to the
-  seed implementation bit-for-bit because the fallback *is* the seed
-  implementation.
+* **Transparent fallback.**  Every kernel has a pure-NumPy fallback.
+  Without Numba, or with ``REPRO_JIT=0``, selection silently returns it:
+  the elemental batches are the :mod:`repro.fem.operators` reference-tensor
+  GEMMs (one BLAS product per operator), the scatter is ``np.bincount``,
+  the MATVEC a 2-operand einsum + ``add.at``.
 * **Determinism.**  The CSR scatter kernel accumulates in the same order as
   ``np.bincount`` (ascending expanded-entry index), so JIT and fallback
   scatters are **bit-identical** given the same ``Ke``.  Elemental-batch
   and MATVEC kernels reassociate the quadrature/corner sums, so they agree
-  with the einsum path to round-off (1e-14 for float64, enforced by
+  with the NumPy path to round-off (1e-14 for float64, enforced by
   ``tests/fem/test_kernels.py``).
 * **Observability.**  Every selection bumps ``STATS`` and the obs counters
   ``kernels.jit_hits`` / ``kernels.fallback``; benchmarks record
@@ -501,7 +501,7 @@ def provenance() -> dict:
 
 def _coeff_q_like(coeff, n_elems: int, nq: int, dtype) -> np.ndarray:
     """Broadcast a coefficient spec to a contiguous (n_elems, nq) array of
-    the kernel dtype (mirrors ``operators._coeff_q``)."""
+    the kernel dtype (the specs :mod:`repro.fem.operators` accepts)."""
     if np.isscalar(coeff):
         return np.full((n_elems, nq), coeff, dtype=dtype)
     coeff = np.asarray(coeff, dtype=dtype)
@@ -512,7 +512,7 @@ def _coeff_q_like(coeff, n_elems: int, nq: int, dtype) -> np.ndarray:
 
 def mass_ke(h, dim: int, coeff=1.0, dtype=np.float64) -> np.ndarray:
     """Elemental mass batch ``∫ c N_i N_j`` — JIT fused loop or the
-    :func:`repro.fem.operators.mass_matrix` einsum fallback."""
+    :func:`repro.fem.operators.mass_matrix` GEMM fallback."""
     fn = select("ke_mass")
     if fn is None:
         from .operators import mass_matrix
@@ -528,7 +528,7 @@ def mass_ke(h, dim: int, coeff=1.0, dtype=np.float64) -> np.ndarray:
 
 
 def stiffness_ke(h, dim: int, coeff=1.0, dtype=np.float64) -> np.ndarray:
-    """Elemental stiffness batch ``∫ c ∇N_i · ∇N_j`` (JIT or einsum)."""
+    """Elemental stiffness batch ``∫ c ∇N_i · ∇N_j`` (JIT or GEMM)."""
     fn = select("ke_stiffness")
     if fn is None:
         from .operators import stiffness_matrix
@@ -545,7 +545,7 @@ def stiffness_ke(h, dim: int, coeff=1.0, dtype=np.float64) -> np.ndarray:
 
 def convection_ke(h, dim: int, vel_q: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Elemental convection batch ``∫ N_i (v · ∇N_j)`` from quad-point
-    velocities (JIT or einsum)."""
+    velocities (JIT or GEMM)."""
     fn = select("ke_convection")
     if fn is None:
         from .operators import convection_matrix

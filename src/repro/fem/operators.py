@@ -2,9 +2,12 @@
 
 Following the paper's Sec. II-D strategy (extending Saurabh et al. [10]),
 each elemental assembly is written as a dense matrix-matrix or matrix-vector
-product over the whole batch of elements — ``einsum`` dispatches these to
-vendor BLAS.  Because octree elements are axis-aligned cubes, the geometric
-factors reduce to powers of the element size ``h``:
+product over the whole batch of elements: everything but the coefficient
+(``w``, ``N``, ``dN``) is pre-contracted once per ``dim`` into a reference
+tensor (:func:`repro.fem.basis.reference_tensors`), so each call is one
+``samples @ table`` BLAS product.  Because octree elements are axis-aligned
+cubes, the geometric factors reduce to powers of the element size ``h``,
+applied as a broadcast multiply:
 
 * mass terms scale as ``h**dim``
 * stiffness terms as ``h**(dim-2)``
@@ -20,62 +23,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import tabulate
+from .basis import reference_tensors, tabulate
 
 
-def _coeff_q(coeff, n_elems: int, nq: int) -> np.ndarray:
-    """Broadcast a coefficient spec to (n_elems, nq)."""
-    if np.isscalar(coeff):
-        return np.full((n_elems, nq), float(coeff))
-    coeff = np.asarray(coeff, dtype=np.float64)
-    if coeff.ndim == 1:  # per element
-        return np.repeat(coeff[:, None], nq, axis=1)
-    return coeff
+def _contract(samples, table: np.ndarray, h, power: int) -> np.ndarray:
+    """``h**power * (samples @ table)``, one row per element: the one GEMM
+    of every operator.  ``samples`` holds ``len(table)`` quad-point values
+    per element; a scalar or per-element vector is constant over them."""
+    h = np.asarray(h, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim < 2:
+        x = np.broadcast_to(x.reshape(-1, 1), (len(h), len(table)))
+    out = x.reshape(len(h), len(table)) @ table
+    out *= (h**power)[:, None]
+    return out
 
 
 def mass_matrix(h: np.ndarray, dim: int, coeff=1.0) -> np.ndarray:
     """``∫ c N_i N_j`` per element."""
-    _, w, N, _ = tabulate(dim)
-    h = np.asarray(h, dtype=np.float64)
-    c = _coeff_q(coeff, len(h), len(w))
-    ref = np.einsum("q,eq,qi,qj->eij", w, c, N, N)
-    return ref * (h**dim)[:, None, None]
+    Ke = _contract(coeff, reference_tensors(dim).mass, h, dim)
+    return Ke.reshape(len(Ke), 1 << dim, 1 << dim)
 
 
 def stiffness_matrix(h: np.ndarray, dim: int, coeff=1.0) -> np.ndarray:
     """``∫ c ∇N_i · ∇N_j`` per element."""
-    _, w, _, dN = tabulate(dim)
-    h = np.asarray(h, dtype=np.float64)
-    c = _coeff_q(coeff, len(h), len(w))
-    ref = np.einsum("q,eq,qid,qjd->eij", w, c, dN, dN)
-    return ref * (h ** (dim - 2))[:, None, None]
+    Ke = _contract(coeff, reference_tensors(dim).stiffness, h, dim - 2)
+    return Ke.reshape(len(Ke), 1 << dim, 1 << dim)
 
 
 def convection_matrix(h: np.ndarray, dim: int, vel_q: np.ndarray) -> np.ndarray:
     """``∫ N_i (v · ∇N_j)`` per element; ``vel_q`` has shape
     (n_elems, nq, dim)."""
-    _, w, N, dN = tabulate(dim)
-    h = np.asarray(h, dtype=np.float64)
-    ref = np.einsum("q,qi,eqd,qjd->eij", w, N, np.asarray(vel_q), dN)
-    return ref * (h ** (dim - 1))[:, None, None]
-
-
-def gradient_matrix(h: np.ndarray, dim: int, axis: int, coeff=1.0) -> np.ndarray:
-    """``∫ c N_i ∂N_j/∂x_axis`` per element."""
-    _, w, N, dN = tabulate(dim)
-    h = np.asarray(h, dtype=np.float64)
-    c = _coeff_q(coeff, len(h), len(w))
-    ref = np.einsum("q,eq,qi,qj->eij", w, c, N, dN[:, :, axis])
-    return ref * (h ** (dim - 1))[:, None, None]
+    Ke = _contract(vel_q, reference_tensors(dim).convection, h, dim - 1)
+    return Ke.reshape(len(Ke), 1 << dim, 1 << dim)
 
 
 def load_vector(h: np.ndarray, dim: int, f_q) -> np.ndarray:
     """``∫ f N_i`` per element (GEMV formulation: ``b_e = B q_e``)."""
-    _, w, N, _ = tabulate(dim)
-    h = np.asarray(h, dtype=np.float64)
-    f = _coeff_q(f_q, len(h), len(w))
-    ref = np.einsum("q,eq,qi->ei", w, f, N)
-    return ref * (h**dim)[:, None]
+    return _contract(f_q, reference_tensors(dim).load, h, dim)
 
 
 def gradient_load_vector(h: np.ndarray, dim: int, flux_q: np.ndarray) -> np.ndarray:
@@ -84,10 +69,7 @@ def gradient_load_vector(h: np.ndarray, dim: int, flux_q: np.ndarray) -> np.ndar
     Used for weak divergence terms, e.g. the capillary stress
     ``(Cn/We) ∂_j(∂_iφ ∂_jφ)`` integrated by parts.
     """
-    _, w, _, dN = tabulate(dim)
-    h = np.asarray(h, dtype=np.float64)
-    ref = np.einsum("q,eqd,qid->ei", w, np.asarray(flux_q), dN)
-    return ref * (h ** (dim - 1))[:, None]
+    return _contract(flux_q, reference_tensors(dim).grad_load, h, dim - 1)
 
 
 def value_at_quad(elem_vals: np.ndarray, dim: int) -> np.ndarray:
@@ -95,16 +77,19 @@ def value_at_quad(elem_vals: np.ndarray, dim: int) -> np.ndarray:
     (n_elems, nc[, k]) -> (n_elems, nq[, k])."""
     _, _, N, _ = tabulate(dim)
     if elem_vals.ndim == 3:
-        return np.einsum("qi,eik->eqk", N, elem_vals)
-    return np.einsum("qi,ei->eq", N, elem_vals)
+        return np.matmul(N, elem_vals)
+    return elem_vals @ N.T
 
 
 def gradient_at_quad(elem_vals: np.ndarray, h: np.ndarray, dim: int) -> np.ndarray:
     """Field gradients at quadrature points, (n_elems, nq, dim[, k])."""
-    _, _, _, dN = tabulate(dim)
+    D = reference_tensors(dim).grad
     h = np.asarray(h, dtype=np.float64)
+    nq = len(D) // dim
     if elem_vals.ndim == 3:
-        g = np.einsum("qid,eik->eqdk", dN, elem_vals)
-        return g / h[:, None, None, None]
-    g = np.einsum("qid,ei->eqd", dN, elem_vals)
-    return g / h[:, None, None]
+        g = np.matmul(D, elem_vals)
+        g /= h[:, None, None]
+        return g.reshape(len(h), nq, dim, elem_vals.shape[2])
+    g = elem_vals @ D.T
+    g /= h[:, None]
+    return g.reshape(len(h), nq, dim)

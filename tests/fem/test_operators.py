@@ -8,6 +8,7 @@ from repro.fem.basis import (
     corner_bits,
     gauss_points,
     quad_point_coords,
+    reference_tensors,
     shape_functions,
     shape_gradients,
     tabulate,
@@ -16,6 +17,7 @@ from repro.fem.matvec import MatrixFreeOperator, apply_elemental
 from repro.fem.operators import (
     convection_matrix,
     gradient_at_quad,
+    gradient_load_vector,
     load_vector,
     mass_matrix,
     stiffness_matrix,
@@ -142,6 +144,216 @@ class TestElementalOperators:
         pts, _, _, _ = tabulate(2)
         expect = 3.0 * pts[:, 0] * 0.5 - 2.0 * pts[:, 1] * 0.5
         assert np.allclose(vq[0], expect)
+
+
+# ---------------------------------------------------------------- oracles
+# Explicit per-element, per-quad-point loops: what every batched GEMM in
+# ``repro.fem.operators`` must reproduce.  All arithmetic is float64; the
+# tolerance is a few ulps of the largest entry of the batch.
+
+ULPS = 64 * np.finfo(np.float64).eps
+
+
+def assert_batch_close(out, ref):
+    assert out.dtype == np.float64 and out.shape == ref.shape
+    np.testing.assert_allclose(out, ref, rtol=0, atol=ULPS * np.abs(ref).max())
+
+
+def coeff_at(coeff, e, q):
+    c = np.asarray(coeff, dtype=np.float64)
+    return float(c if c.ndim == 0 else c[e] if c.ndim == 1 else c[e, q])
+
+
+def loop_matrix(kind, h, dim, sample):
+    """``kind`` in mass/stiffness/convection; ``sample`` is the coefficient
+    (scalar, (e,), (e, nq)) or, for convection, velocities (e, nq, dim)."""
+    _, w, N, dN = tabulate(dim)
+    nq, nc = N.shape
+    out = np.zeros((len(h), nc, nc))
+    for e in range(len(h)):
+        for q in range(nq):
+            for i in range(nc):
+                for j in range(nc):
+                    if kind == "mass":
+                        v = coeff_at(sample, e, q) * N[q, i] * N[q, j] * h[e] ** dim
+                    elif kind == "stiffness":
+                        v = coeff_at(sample, e, q) * sum(
+                            dN[q, i, d] * dN[q, j, d] for d in range(dim)
+                        ) * h[e] ** (dim - 2)
+                    else:
+                        v = N[q, i] * sum(
+                            float(sample[e, q, d]) * dN[q, j, d] for d in range(dim)
+                        ) * h[e] ** (dim - 1)
+                    out[e, i, j] += w[q] * v
+    return out
+
+
+def loop_load(h, dim, f):
+    _, w, N, _ = tabulate(dim)
+    out = np.zeros((len(h), N.shape[1]))
+    for e in range(len(h)):
+        for q in range(len(w)):
+            for i in range(N.shape[1]):
+                out[e, i] += w[q] * coeff_at(f, e, q) * N[q, i] * h[e] ** dim
+    return out
+
+
+def loop_gradient_load(h, dim, flux):
+    _, w, _, dN = tabulate(dim)
+    out = np.zeros((len(h), dN.shape[1]))
+    for e in range(len(h)):
+        for q in range(len(w)):
+            for i in range(dN.shape[1]):
+                out[e, i] += w[q] * h[e] ** (dim - 1) * sum(
+                    float(flux[e, q, d]) * dN[q, i, d] for d in range(dim)
+                )
+    return out
+
+
+def loop_value(vals, dim):
+    """(e, nc[, k]) -> (e, nq[, k])."""
+    _, _, N, _ = tabulate(dim)
+    out = np.zeros((vals.shape[0], N.shape[0]) + vals.shape[2:])
+    for e in range(vals.shape[0]):
+        for q in range(N.shape[0]):
+            for i in range(N.shape[1]):
+                out[e, q] += N[q, i] * vals[e, i].astype(np.float64)
+    return out
+
+
+def loop_gradient(vals, h, dim):
+    """(e, nc[, k]) -> (e, nq, dim[, k])."""
+    _, _, _, dN = tabulate(dim)
+    out = np.zeros((vals.shape[0], dN.shape[0], dim) + vals.shape[2:])
+    for e in range(vals.shape[0]):
+        for q in range(dN.shape[0]):
+            for d in range(dim):
+                for i in range(dN.shape[1]):
+                    out[e, q, d] += dN[q, i, d] * vals[e, i].astype(np.float64) / h[e]
+    return out
+
+
+H = np.array([0.5, 0.25, 0.25, 0.125, 1.0])
+N_ELEMS = len(H)
+
+
+def coefficient(kind, dim, rng):
+    nq = 1 << dim
+    if kind == "scalar":
+        return 2.75
+    if kind == "per_element":
+        return rng.standard_normal(N_ELEMS) * 1e3
+    return rng.standard_normal((N_ELEMS, nq)) * 1e3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+class TestOperatorsAgainstLoopOracle:
+    @pytest.mark.parametrize("coeff_kind", ["scalar", "per_element", "quad"])
+    def test_coefficient_operators(self, dim, coeff_kind):
+        c = coefficient(coeff_kind, dim, np.random.default_rng(dim))
+        assert_batch_close(mass_matrix(H, dim, c), loop_matrix("mass", H, dim, c))
+        assert_batch_close(
+            stiffness_matrix(H, dim, c), loop_matrix("stiffness", H, dim, c)
+        )
+        assert_batch_close(load_vector(H, dim, c), loop_load(H, dim, c))
+
+    def test_vector_sampled_operators(self, dim):
+        vq = np.random.default_rng(10 + dim).standard_normal((N_ELEMS, 1 << dim, dim))
+        assert_batch_close(
+            convection_matrix(H, dim, vq), loop_matrix("convection", H, dim, vq)
+        )
+        assert_batch_close(
+            gradient_load_vector(H, dim, vq), loop_gradient_load(H, dim, vq)
+        )
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_fields_at_quad(self, dim, k):
+        shape = (N_ELEMS, 1 << dim) + (() if k is None else (k,))
+        vals = np.random.default_rng(20 + dim).standard_normal(shape) * 50.0
+        assert_batch_close(value_at_quad(vals, dim), loop_value(vals, dim))
+        assert_batch_close(gradient_at_quad(vals, H, dim), loop_gradient(vals, H, dim))
+
+    def test_non_contiguous_inputs(self, dim):
+        """NS and VU pass ``grad_p_q[..., i]`` slices to ``load_vector``;
+        strided batches and fields must contract like their copies."""
+        nq = nc = 1 << dim
+        rng = np.random.default_rng(30 + dim)
+        grad_q = rng.standard_normal((N_ELEMS, nq, dim))
+        for i in range(dim):
+            f = grad_q[..., i]
+            assert not f.flags.c_contiguous
+            assert_batch_close(load_vector(H, dim, f), loop_load(H, dim, f.copy()))
+            assert_batch_close(
+                mass_matrix(H, dim, f), loop_matrix("mass", H, dim, f.copy())
+            )
+        vq = rng.standard_normal((dim, nq, 2 * N_ELEMS)).T[::2]  # (e, nq, dim)
+        assert not vq.flags.c_contiguous
+        assert_batch_close(
+            convection_matrix(H, dim, vq),
+            loop_matrix("convection", H, dim, vq.copy()),
+        )
+        assert_batch_close(
+            gradient_load_vector(H, dim, vq), loop_gradient_load(H, dim, vq.copy())
+        )
+        for vals in (
+            rng.standard_normal((nc, N_ELEMS)).T,
+            rng.standard_normal((N_ELEMS, nc, 4))[..., ::2],
+        ):
+            assert not vals.flags.c_contiguous
+            assert_batch_close(value_at_quad(vals, dim), loop_value(vals.copy(), dim))
+            assert_batch_close(
+                gradient_at_quad(vals, H, dim), loop_gradient(vals.copy(), H, dim)
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_narrow_dtypes_compute_in_float64(self, dim, dtype):
+        """float32 / integer samples are exact in float64, so the result is
+        the float64 oracle's, not a float32-precision one."""
+        nq = nc = 1 << dim
+        rng = np.random.default_rng(40 + dim)
+
+        def draw(*shape):
+            return (rng.standard_normal(shape) * 100).astype(dtype)
+
+        c, vq = draw(N_ELEMS, nq), draw(N_ELEMS, nq, dim)
+        h_in = H.astype(np.float32) if dtype == np.float32 else H
+        assert_batch_close(mass_matrix(h_in, dim, c), loop_matrix("mass", H, dim, c))
+        assert_batch_close(
+            stiffness_matrix(h_in, dim, c), loop_matrix("stiffness", H, dim, c)
+        )
+        assert_batch_close(load_vector(h_in, dim, c), loop_load(H, dim, c))
+        assert_batch_close(
+            convection_matrix(h_in, dim, vq), loop_matrix("convection", H, dim, vq)
+        )
+        assert_batch_close(
+            gradient_load_vector(h_in, dim, vq), loop_gradient_load(H, dim, vq)
+        )
+        for vals in (draw(N_ELEMS, nc), draw(N_ELEMS, nc, 2)):
+            assert_batch_close(value_at_quad(vals, dim), loop_value(vals, dim))
+            assert_batch_close(
+                gradient_at_quad(vals, h_in, dim), loop_gradient(vals, H, dim)
+            )
+
+    def test_empty_batch(self, dim):
+        h0, nq = np.zeros(0), 1 << dim
+        assert mass_matrix(h0, dim).shape == (0, nq, nq)
+        assert convection_matrix(h0, dim, np.zeros((0, nq, dim))).shape == (0, nq, nq)
+        assert load_vector(h0, dim, np.zeros((0, nq))).shape == (0, nq)
+        assert gradient_at_quad(np.zeros((0, nq, 2)), h0, dim).shape == (0, nq, dim, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cached_tables_are_read_only(dim):
+    """``tabulate`` and ``reference_tensors`` are ``lru_cache``d and handed
+    out by reference: one caller must not be able to corrupt every later
+    assembly in the process."""
+    for table in (*tabulate(dim), *reference_tensors(dim)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+    assert reference_tensors(dim) is reference_tensors(dim)
+    ones = np.ones(1 << dim)
+    assert np.allclose(stiffness_matrix(np.array([0.5]), dim)[0] @ ones, 0.0, atol=1e-14)
 
 
 class TestAssemblyAndMatvec:
