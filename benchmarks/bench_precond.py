@@ -1,15 +1,20 @@
-"""PCD vs Jacobi: NS/PP Krylov iterations per step on a registry scenario.
+"""PCD vs Jacobi: NS Krylov iterations per step on a registry scenario.
 
 Runs the same quick ``rising_bubble_2d`` job twice — once with the
-historical Jacobi inner preconditioner and once with the GMG-backed PCD
+historical Jacobi NS inner preconditioner and once with the GMG-backed PCD
 block preconditioner (``precond="pcd"``) — at identical solver tolerances,
 and compares the per-step NS and PP Krylov iteration counts recorded by the
-time stepper's ``iteration_counts`` plumbing.
+time stepper's ``iteration_counts`` plumbing.  ``precond`` reaches the NS
+solve only: PP picks Jacobi or GMG from the mesh size by itself
+(``repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS``; this mesh is below it), so
+the PP column is the same in both runs and the NS iterations carry the
+difference.
 
-Gate: PCD must reduce the *combined* NS+PP iterations per step.  Wall time
-is reported but not gated (on CI-sized meshes the V-cycle setup can eat the
-iteration savings; the paper-scale argument is about iteration growth with
-mesh size, which the iteration counts capture).
+Gate: PCD must reduce the NS iterations per step, counted (as before) in
+the *combined* NS+PP iterations per step.  Wall time is reported but not
+gated (on CI-sized meshes the V-cycle setup can eat the iteration savings;
+the paper-scale argument is about iteration growth with mesh size, which
+the iteration counts capture).
 
 Artifacts: ``benchmarks/results/BENCH_PR8.json`` (standalone) and the
 ``precond`` section of the run_all report; text table in
@@ -95,7 +100,7 @@ def write_report(section: dict, quick: bool) -> None:
         fh.write("\n")
     j, p = section["runs"]["jacobi"], section["runs"]["pcd"]
     lines = [
-        "PCD vs Jacobi — NS+PP Krylov iterations/step "
+        "PCD vs Jacobi on the NS solve — NS+PP Krylov iterations/step "
         f"({section['scenario']})",
         f"{'precond':<10}{'ns/step':>10}{'pp/step':>10}"
         f"{'ns+pp':>10}{'wall_s':>10}",
@@ -119,8 +124,8 @@ def main(argv=None) -> int:
     write_report(section, args.quick)
     if not section["gate_passed"]:
         print(
-            "ERROR: PCD did not reduce NS+PP Krylov iterations/step vs "
-            "Jacobi",
+            "ERROR: PCD did not reduce NS Krylov iterations/step (counted "
+            "in NS+PP) vs Jacobi",
             file=sys.stderr,
         )
         return 1

@@ -26,9 +26,9 @@ path.  It drops a Chrome trace of the CHNS run into
 ``benchmarks/results/obs_chns_trace.json``.
 
 The precond section (``bench_precond.py``) reruns the quick
-``rising_bubble_2d`` scenario with Jacobi vs PCD inner preconditioning and
-fails the run unless PCD reduces NS+PP Krylov iterations per step at
-matched tolerance (standalone report: ``results/BENCH_PR8.json``).
+``rising_bubble_2d`` scenario with Jacobi vs PCD preconditioning of the NS
+solve and fails the run unless PCD reduces NS+PP Krylov iterations per step
+at matched tolerance (standalone report: ``results/BENCH_PR8.json``).
 
 The kernels section (``bench_kernels.py``) times the JIT fused element
 kernels against the NumPy reference-tensor GEMM path (full operator numeric

@@ -10,9 +10,15 @@ discretized weakly (no-penetration boundaries make the flux term vanish):
 
     K_{1/rho} p = -(We/dt) ∫ N div(v*)  →  +(We/dt) ∫ grad N · v*
 
-The operator has the constant nullspace; we solve with CG + Jacobi and a
-mean-zero projection, the iterative-solver choice the paper lands on after
-finding AMG setup too expensive at scale (Sec. III footnote).
+The operator has the constant nullspace; we solve with CG and a mean-zero
+projection.  Below a measured mesh size the preconditioner is Jacobi, the
+iterative-solver choice the paper lands on after finding AMG setup too
+expensive at scale (Sec. III footnote); above it, one geometric-multigrid
+V-cycle on ``K_{1/rho}`` — the solver the paper names as future work for
+this block.  Jacobi-CG iterations grow like ``n_dofs ** (1/dim)``, V-cycle-CG
+stays at 6-13, so the choice is a pure function of the mesh
+(:data:`GMG_MIN_DOFS_PER_AXIS`): no option, and a restarted run takes the
+same path as the uninterrupted one.
 
 The variable-coefficient stiffness is re-assembled every step (the density
 field moves), but only numerically: the symbolic scatter/projection pattern
@@ -35,6 +41,16 @@ from . import forms
 from .params import CHNSParams
 
 
+#: PP preconditions CG with a GMG V-cycle when
+#: ``mesh.n_dofs ** (1 / mesh.dim)`` reaches this, with Jacobi below.
+#: Measured, ``benchmarks/results/ablation_gmg.txt`` (Jacobi-CG ms over GMG
+#: build + solve ms): 3.8x at 129 (2D level 7), 2.2x at 85 (the 5-7 graded
+#: cavity mesh), 1.16x at 65 (2D level 6, before the one-off hierarchy
+#: build), 0.7x at 60 and 33, 0.25-0.7x on every 3D mesh this repo reaches
+#: (<= 18 per axis).
+GMG_MIN_DOFS_PER_AXIS = 75.0
+
+
 @dataclass
 class PPResult:
     p: np.ndarray
@@ -55,17 +71,11 @@ class PPSolver:
         *,
         p0: np.ndarray | None = None,
         tol: float = 1e-9,
-        precond: str = "jacobi",
         vel_n: np.ndarray | None = None,
         exact_projection: bool = False,
         correction_masks=None,
     ) -> PPResult:
-        """``precond="pcd"`` replaces the Jacobi inner preconditioner with a
-        GMG V-cycle on ``K_{1/rho}`` itself — the exact pressure Schur
-        operator of the projection step — with mean-zero nullspace
-        projection wrapped around the cycle.
-
-        ``vel_n`` switches to the *relative* (incremental) right-hand side
+        """``vel_n`` switches to the *relative* (incremental) right-hand side
         ``div(v* - v^n)``: only the divergence injected by this step's
         momentum update is projected.  The absolute form re-projects the
         O(h^2) weak-divergence residue that the pointwise-gradient velocity
@@ -98,10 +108,12 @@ class PPSolver:
             if exact_projection
             else K
         )
-        if precond == "jacobi":
-            M = JacobiPreconditioner(K.diagonal() + 1e-12)
+        if mesh.n_dofs ** (1.0 / mesh.dim) >= GMG_MIN_DOFS_PER_AXIS:
+            # One V-cycle on K itself, the exact pressure Schur operator of
+            # the projection step, mean-zero projected on both sides.
+            M = make_preconditioner("pcd", K, mesh=mesh, remove_mean=True)
         else:
-            M = make_preconditioner(precond, K, mesh=mesh, remove_mean=True)
+            M = JacobiPreconditioner(K.diagonal() + 1e-12)
         res = cg(
             A_op,
             b,

@@ -77,13 +77,15 @@ class CHNSTimeStepper:
         t0: float = 0.0,
         pp_mode: str = "split",
     ):
-        """``precond`` names the NS/PP inner-solve preconditioner
+        """``precond`` names the NS inner-solve preconditioner
         (``None``/"jacobi" keeps the historical behavior; ``"pcd"`` enables
-        the GMG-backed block preconditioner).  ``ch_theta`` blends the CH
-        block between backward Euler (1.0, default) and Crank-Nicolson
-        (0.5).  ``sources`` holds manufactured forcing callables keyed
-        ``"ch"`` (scalar ``f(x, t)``) and ``"ns"`` (vector ``f(x, t)``) —
-        the MMS hook; ``t0`` anchors the simulated time they see.
+        the GMG-backed block preconditioner); PP picks its own from the
+        mesh size (:data:`repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`).
+        ``ch_theta`` blends the CH block between backward Euler (1.0,
+        default) and Crank-Nicolson (0.5).  ``sources`` holds manufactured
+        forcing callables keyed ``"ch"`` (scalar ``f(x, t)``) and ``"ns"``
+        (vector ``f(x, t)``) — the MMS hook; ``t0`` anchors the simulated
+        time they see.
 
         ``pp_mode`` selects the pressure-splitting flavor:
 
@@ -272,7 +274,6 @@ class CHNSTimeStepper:
                     pp_res = self.pp.solve(
                         self.phi, ns_res.vel_star, dt_b,
                         p0=None if incremental else self.p,
-                        precond=self.precond,
                         # The exact projection re-zeros the full divergence
                         # every step (nothing survives to accumulate), so
                         # it uses the absolute RHS; the approximate form

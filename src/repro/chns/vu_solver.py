@@ -11,6 +11,9 @@ and reused for every direction (and every later step) until the mesh
 changes, with no further Mat_Assembly calls.  (The one-time assembly itself
 rides the per-generation :mod:`repro.fem.plan` symbolic cache, so even the
 post-remesh rebuild shares pattern work with the other block solvers.)
+The Dirichlet-eliminated matrix and its Jacobi preconditioner are constant
+too: built once per distinct mask for the life of the solver (one
+``Mesh.generation``); a step only lifts its right-hand side.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fem.assembly import apply_dirichlet
+from ..fem.assembly import eliminate_dirichlet, lift_dirichlet
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner
 from ..mesh.mesh import Mesh
@@ -39,7 +42,17 @@ class VUSolver:
         self.params = params
         # Assembled once; reused across directions and steps (paper remark).
         self.M = forms.mass(mesh)
-        self._pc = JacobiPreconditioner(self.M)
+        #: (matrix, preconditioner) per Dirichlet mask (None: unconstrained)
+        self._systems: dict = {}
+
+    def _system(self, mask):
+        """The mass matrix with ``mask`` eliminated and its Jacobi
+        preconditioner; both are constant, so built once per mask."""
+        key = None if mask is None else mask.tobytes()
+        if key not in self._systems:
+            M_bc = self.M if mask is None else eliminate_dirichlet(self.M, mask)
+            self._systems[key] = (M_bc, JacobiPreconditioner(M_bc))
+        return self._systems[key]
 
     def solve(
         self,
@@ -64,19 +77,14 @@ class VUSolver:
             rhs = self.M @ vel_star[:, i] - (dt / prm.We) * forms.source(
                 mesh, inv_rho_q * grad_p_q[..., i]
             )
+            mask = None
             if dirichlet_masks is not None:
-                mask = dirichlet_masks[i]
-                vals = (
-                    dirichlet_values[i]
-                    if dirichlet_values is not None
-                    else np.zeros(mesh.n_dofs)
-                )
-                A_i, rhs_i = apply_dirichlet(self.M, rhs, mask, vals)
-                pc = JacobiPreconditioner(A_i)
-            else:
-                A_i, rhs_i, pc = self.M, rhs, self._pc
+                mask = np.asarray(dirichlet_masks[i], dtype=bool)
+                vals = None if dirichlet_values is None else dirichlet_values[i]
+                rhs = lift_dirichlet(self.M, rhs, mask, vals)
+            A_i, pc = self._system(mask)
             res = cg(
-                A_i, rhs_i, x0=vel_star[:, i].copy(), M=pc, tol=tol, maxiter=3000
+                A_i, rhs, x0=vel_star[:, i].copy(), M=pc, tol=tol, maxiter=3000
             )
             solves.append(res)
             vel[:, i] = res.x

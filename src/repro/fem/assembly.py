@@ -47,6 +47,56 @@ def assemble_vector(mesh: Mesh, be: np.ndarray) -> np.ndarray:
     return mesh.elem_scatter(be)
 
 
+def lift_dirichlet(
+    A: sp.csr_matrix,
+    b: np.ndarray,
+    mask: np.ndarray,
+    values: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The right-hand side of :func:`apply_dirichlet` alone: interior
+    equations see the boundary data (``b - A g``), constrained rows hold it.
+    ``A`` is the operator *before* elimination, so a constant matrix can be
+    eliminated once and only its right-hand sides lifted per solve."""
+    mask = np.asarray(mask, dtype=bool)
+    vals = np.zeros(A.shape[0]) if values is None else np.asarray(values)
+    g = np.zeros(A.shape[0])
+    g[mask] = vals[mask] if vals.shape == g.shape else vals
+    b_bc = b - A @ g
+    b_bc[mask] = g[mask]
+    return b_bc
+
+
+def eliminate_dirichlet(A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
+    """The matrix of :func:`apply_dirichlet` alone: constrained rows and
+    columns of ``A`` replaced by identity.  One O(nnz) pass over ``A.data``
+    (entries in a constrained row or column zeroed, unit diagonal on
+    constrained rows, zeros dropped); the result shares no array with
+    ``A``, which is left untouched."""
+    mask = np.asarray(mask, dtype=bool)
+    A = A.tocsr()
+    if not A.has_canonical_format:  # a repeated diagonal entry would sum to 2
+        A = A.copy()
+        A.sum_duplicates()
+    # plan-assembled operands may carry arrays longer than their nnz
+    nnz = int(A.indptr[-1])
+    cols = A.indices[:nnz]
+    per_row = np.diff(A.indptr)
+    rows = np.repeat(np.arange(A.shape[0], dtype=cols.dtype), per_row)
+    in_row = np.repeat(mask, per_row)  # the entry sits in a constrained row
+    data = np.where(in_row | np.take(mask, cols), 0.0, A.data[:nnz])
+    on_diag = in_row & (rows == cols)
+    data[on_diag] = 1.0
+    # eliminate_zeros compacts indices/indptr in place: they must be copies
+    A_bc = sp.csr_matrix((data, cols.copy(), A.indptr.copy()), shape=A.shape)
+    A_bc.eliminate_zeros()
+    if np.count_nonzero(on_diag) != np.count_nonzero(mask):
+        # a constrained row with no stored diagonal entry to overwrite
+        missing = mask.copy()
+        missing[rows[on_diag]] = False
+        A_bc = (A_bc + sp.diags(missing.astype(np.float64))).tocsr()
+    return A_bc
+
+
 def apply_dirichlet(
     A: sp.csr_matrix,
     b: np.ndarray,
@@ -55,20 +105,11 @@ def apply_dirichlet(
 ):
     """Impose Dirichlet conditions by row/column elimination.
 
-    Returns ``(A_bc, b_bc)``; the constrained rows become identity and the
-    RHS is lifted so interior equations see the boundary data.
+    Returns ``(A_bc, b_bc)``; the constrained rows become identity
+    (:func:`eliminate_dirichlet`) and the RHS is lifted so interior
+    equations see the boundary data (:func:`lift_dirichlet`).
     """
-    mask = np.asarray(mask, dtype=bool)
-    vals = np.zeros(A.shape[0]) if values is None else np.asarray(values)
-    g = np.zeros(A.shape[0])
-    g[mask] = vals[mask] if vals.shape == g.shape else vals
-    b_bc = b - A @ g
-    b_bc[mask] = g[mask]
-    keep = sp.diags((~mask).astype(np.float64))
-    ident = sp.diags(mask.astype(np.float64))
-    A_bc = (keep @ A @ keep + ident).tocsr()
-    A_bc.eliminate_zeros()
-    return A_bc, b_bc
+    return eliminate_dirichlet(A, mask), lift_dirichlet(A, b, mask, values)
 
 
 def operator_row_sums(A: sp.csr_matrix) -> np.ndarray:

@@ -4,25 +4,31 @@ The paper's future work: "scalable solvers, like Geometric multigrid (GMG),
 promise to yield a better solve time" for the variable-density PP-solve —
 it used plain iterative solvers after finding AMG setup too costly at scale.
 This module implements the missing piece at laptop scale: a V-cycle on a
-hierarchy of uniform meshes with FE interpolation for prolongation, Galerkin
+hierarchy of uniform grids with FE interpolation for prolongation, Galerkin
 coarse operators (``A_c = P^T A_f P``), damped-Jacobi smoothing and a direct
 coarsest solve.  It is exposed both as a standalone solver and as a
 preconditioner for our CG — the ablation benchmark quantifies the iteration
-savings the paper anticipated.
+savings the paper anticipated, and the PP solve uses it by default past the
+measured crossover.
+
+The hierarchy (:func:`hierarchy_for`) is sparse matrices only: the coarse
+levels are uniform grids that exist as index arithmetic, never as ``Mesh``
+objects.  :func:`prolongation` is the mesh-to-mesh form of the same
+interpolation, kept as the public helper and the tests' oracle.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..mesh.mesh import Mesh
-from ..octree.build import uniform_tree
+from ..octree import morton
 
 
 def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
@@ -61,39 +67,116 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 @dataclass
 class _Level:
     A: sp.csr_matrix
-    P: Optional[sp.csr_matrix]  # to the next finer level (None on finest)
+    P: Optional[sp.csr_matrix]  # from the next coarser level (None on coarsest)
+    R: Optional[sp.csr_matrix]  # its transpose, CSR
     inv_diag: np.ndarray
 
 
-#: Per-mesh-generation hierarchy cache: the coarse uniform meshes and the
-#: prolongation chain depend only on the fine mesh topology, not on the
-#: operator, so per-timestep preconditioner rebuilds (the density field
-#: moves every step) pay only for the Galerkin products.
-_HIER_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_HIER_CACHE_MAX = 4
+def _interp_1d(level: int) -> sp.csr_matrix:
+    """1D linear interpolation from the ``2**(level-1) + 1`` grid points of
+    ``level - 1`` to the ``2**level + 1`` points of ``level``."""
+    cells = 1 << (level - 1)
+    j = np.arange(cells)
+    even = np.arange(cells + 1)
+    rows = np.concatenate([2 * even, 2 * j + 1, 2 * j + 1])
+    cols = np.concatenate([even, j, j + 1])
+    vals = np.concatenate([np.ones(cells + 1), np.full(2 * cells, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * cells + 1, cells + 1))
 
 
-def hierarchy_for(fine_mesh: Mesh, coarsest_level: int):
-    """``(meshes, prolongations)`` below ``fine_mesh``: uniform meshes at
-    every tree level from one below the finest down to ``coarsest_level``,
-    plus the FE interpolation chain between consecutive pairs.  Cached per
-    ``Mesh.generation`` (AMR remeshes invalidate by building a new Mesh)."""
+def _uniform_prolongation(dim: int, level: int) -> sp.csr_matrix:
+    """Multilinear interpolation between the uniform grids of ``level - 1``
+    and ``level``, both numbered lexicographically (x fastest): the
+    Kronecker product of the 1D interpolation with itself."""
+    P1 = _interp_1d(level)
+    P = P1
+    for _ in range(dim - 1):
+        P = sp.kron(P1, P, format="csr")
+    return P
+
+
+def _mesh_prolongation(mesh: Mesh, level: int) -> sp.csr_matrix:
+    """Multilinear interpolation from the lexicographically numbered uniform
+    grid of ``level`` to the DOFs of ``mesh`` (adaptive or not, no octant
+    finer than ``level + 1``), by integer arithmetic on the DOF coordinates:
+    what :func:`prolongation` computes, without a coarse ``Mesh`` to search."""
+    dim = mesh.dim
+    shift = morton.MAX_DEPTH - level
+    n = (1 << level) + 1
+    xyz = mesh.nodes.coords[mesh.nodes.node_of_dof]
+    cell = np.minimum(xyz >> shift, n - 2)
+    xi = (xyz - (cell << shift)) / float(1 << shift)
+    dofs = np.arange(mesh.n_dofs)
+    rows, cols, vals = [], [], []
+    for corner in range(1 << dim):
+        w = np.ones(mesh.n_dofs)
+        col = np.zeros(mesh.n_dofs, dtype=np.int64)
+        for axis in range(dim):
+            bit = (corner >> axis) & 1
+            w *= xi[:, axis] if bit else 1.0 - xi[:, axis]
+            col += (cell[:, axis] + bit) * n**axis
+        keep = w > 0.0
+        rows.append(dofs[keep])
+        cols.append(col[keep])
+        vals.append(w[keep])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_dofs, n**dim),
+    )
+
+
+def _prune_columns(P: sp.csr_matrix):
+    """``P`` without the columns no row interpolates from, and the indices
+    of the columns kept."""
+    used = np.unique(P.indices)
+    renumber = np.empty(P.shape[1], dtype=P.indices.dtype)
+    renumber[used] = np.arange(len(used), dtype=P.indices.dtype)
+    pruned = sp.csr_matrix(
+        (P.data, renumber[P.indices], P.indptr), shape=(P.shape[0], len(used))
+    )
+    return pruned, used
+
+
+#: Per-mesh-generation hierarchy cache: the prolongation chain depends only
+#: on the fine mesh topology, not on the operator, so per-timestep
+#: preconditioner rebuilds (the density field moves every step) pay only
+#: for the Galerkin products.  Entries hold sparse matrices and nothing else
+#: (a cached hierarchy must not keep a retired mesh alive) and are dropped
+#: when their mesh is collected, so the cache is never larger than the set
+#: of live meshes that asked for a hierarchy.
+_HIER_CACHE: "dict[tuple, list]" = {}
+
+
+def hierarchy_for(fine_mesh: Mesh, coarsest_level: int) -> list:
+    """The prolongation chain below ``fine_mesh`` as ``[(P, R), ...]``,
+    finest first: ``P`` interpolates level ``i + 1`` to level ``i`` and
+    ``R = P.T``, both CSR.  Level 0 is the DOFs of ``fine_mesh``; the levels
+    below are the uniform grids from one tree level under its finest octant
+    down to ``coarsest_level``, each restricted to the grid points the level
+    above interpolates from.  A point nothing interpolates from has a zero
+    row and column in every Galerkin product and a zero restricted residual,
+    so it never leaves zero in a V-cycle: dropping it changes no iterate,
+    and keeps every level no larger than the one above on a locally refined
+    mesh.  Cached per ``Mesh.generation`` for the life of the mesh (AMR
+    remeshes invalidate by building a new Mesh)."""
     key = (fine_mesh.generation, int(coarsest_level))
     hit = _HIER_CACHE.get(key)
     if hit is not None:
-        _HIER_CACHE.move_to_end(key)
         return hit
     finest = int(fine_mesh.tree.levels.max())
     if coarsest_level >= finest:
         raise ValueError("coarsest_level must be below the fine level")
-    meshes = [fine_mesh]
-    for lev in range(finest - 1, coarsest_level - 1, -1):
-        meshes.append(Mesh.from_tree(uniform_tree(fine_mesh.dim, lev)))
-    Ps = [prolongation(meshes[i + 1], meshes[i]) for i in range(len(meshes) - 1)]
-    _HIER_CACHE[key] = (meshes, Ps)
-    while len(_HIER_CACHE) > _HIER_CACHE_MAX:
-        _HIER_CACHE.popitem(last=False)
-    return meshes, Ps
+    chain, kept = [], None  # kept: the points of the level above still in use
+    for level in range(finest - 1, coarsest_level - 1, -1):
+        if kept is None:
+            P = _mesh_prolongation(fine_mesh, level)
+        else:
+            P = _uniform_prolongation(fine_mesh.dim, level + 1)[kept]
+        P, kept = _prune_columns(P)
+        chain.append((P, P.T.tocsr()))
+    _HIER_CACHE[key] = chain
+    weakref.finalize(fine_mesh, _HIER_CACHE.pop, key, None)
+    return chain
 
 
 def clear_hierarchy_cache() -> None:
@@ -108,8 +191,8 @@ class GeometricMultigrid:
     exactly.  Usable directly (``solve``) or as a preconditioner (callable).
 
     The fine mesh may be adaptive: the hierarchy below it is built from
-    *uniform* meshes starting one level below the finest octant, and the
-    geometric FE interpolation of :func:`prolongation` handles the
+    *uniform* grids starting one level below the finest octant
+    (:func:`hierarchy_for`), and the geometric FE interpolation handles the
     nonconforming transfer (every fine DOF evaluates the coarse multilinear
     field at its location, wherever it sits).
     """
@@ -128,16 +211,14 @@ class GeometricMultigrid:
         self.pre = pre_smooth
         self.post = post_smooth
 
-        meshes, Ps = hierarchy_for(fine_mesh, coarsest_level)
         self.levels: list[_Level] = []
         A = A_fine.tocsr()
-        for i in range(len(meshes)):
-            P = Ps[i] if i < len(Ps) else None
+        for P, R in [*hierarchy_for(fine_mesh, coarsest_level), (None, None)]:
             d = A.diagonal()
             d = np.where(np.abs(d) > 1e-300, d, 1.0)
-            self.levels.append(_Level(A=A, P=P, inv_diag=1.0 / d))
+            self.levels.append(_Level(A=A, P=P, R=R, inv_diag=1.0 / d))
             if P is not None:
-                A = (P.T @ A @ P).tocsr()
+                A = R @ A @ P
         self._coarse_lu = spla.splu(self.levels[-1].A.tocsc() + 1e-12 * sp.eye(
             self.levels[-1].A.shape[0], format="csc"
         ))
@@ -153,7 +234,7 @@ class GeometricMultigrid:
             return self._coarse_lu.solve(b)
         x = self._smooth(lvl, np.zeros_like(b), b, self.pre)
         r = b - lvl.A @ x
-        rc = lvl.P.T @ r
+        rc = lvl.R @ r
         ec = self.v_cycle(rc, level + 1)
         x = x + lvl.P @ ec
         return self._smooth(lvl, x, b, self.post)

@@ -122,6 +122,9 @@ def bnorm_of(b: np.ndarray) -> float:
 
 
 def _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b):
+    res = float(np.linalg.norm(r)) / bnorm
+    if res < tol:  # nothing to do (e.g. zero RHS and guess): not a breakdown
+        return SolveResult(x, 0, res, True)
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)

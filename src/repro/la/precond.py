@@ -6,12 +6,15 @@ pressure-convection-diffusion block preconditioner the paper's future-work
 section points at: one geometric-multigrid V-cycle on the *elliptic part*
 of the operator.  For the pressure-Poisson solve the elliptic part IS the
 operator (``K_{1/rho}`` is the exact pressure Schur complement of the
-projection step), so PCD there is pure GMG with nullspace handling; for the
-momentum predictor the convection block is dropped under the usual PCD
-commutator argument and the V-cycle runs on ``M_rho/dt + K_eta/(2 Re)``.
+projection step), so PCD there is pure GMG with nullspace handling, and it
+is what :class:`repro.chns.pp_solver.PPSolver` uses by itself on every mesh
+past its measured size crossover (Jacobi below it); for the momentum
+predictor the convection block is dropped under the usual PCD commutator
+argument and the V-cycle runs on ``M_rho/dt + K_eta/(2 Re)``.
 
-:func:`make_preconditioner` resolves the ``precond=`` config knob
-(scenario schema / solver signatures) to a concrete instance.
+:func:`make_preconditioner` resolves a preconditioner name — the NS
+``precond=`` config knob (scenario schema / ``NSSolver.solve``) or the
+fixed ``"pcd"`` of the PP solve — to a concrete instance.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class PCDPreconditioner:
     projected onto the mean-zero subspace, keeping the Krylov iteration in
     the range of the singular operator.
 
-    The coarse-mesh hierarchy is cached per ``Mesh.generation`` inside
+    The prolongation chain is cached per ``Mesh.generation`` inside
     :mod:`repro.la.gmg`, so per-timestep rebuilds (the density coefficient
     moves every step) pay only the Galerkin triple products.
     """
@@ -157,7 +160,7 @@ def make_preconditioner(
     block_size: int = 1,
     remove_mean: bool = False,
 ):
-    """Resolve a ``precond=`` knob to a preconditioner instance (or None).
+    """Resolve a preconditioner name to an instance (or None).
 
     ``name``: ``"jacobi"`` | ``"block_jacobi"`` | ``"ssor"`` | ``"pcd"`` |
     ``"none"``/None.  PCD additionally needs ``mesh`` and, when the operator

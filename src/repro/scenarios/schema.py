@@ -222,8 +222,9 @@ class ScenarioConfig:
     ic: InitialCondition = field(default_factory=InitialCondition)
     bc: Optional[str] = None  # velocity BC name (chns only; None = no_slip)
     bc_params: dict = field(default_factory=dict)
-    #: NS/PP inner-solve preconditioner (None = historical Jacobi; "pcd"
+    #: NS inner-solve preconditioner only (None = historical Jacobi; "pcd"
     #: enables the GMG-backed block preconditioner from repro.la.precond).
+    #: The PP solve picks Jacobi or GMG from the mesh size by itself.
     precond: Optional[str] = None
     refinement: RefinementPolicy = field(default_factory=RefinementPolicy)
     time: TimeConfig = field(default_factory=TimeConfig)

@@ -222,6 +222,56 @@ class TestNSPPVU:
         vu.solve(phi, vel, p, 0.1)
         assert vu.M is M1  # assembled once, never rebuilt
 
+    def test_vu_eliminates_once_per_mask(self, mesh16, monkeypatch):
+        """The mass matrix is constant: its Dirichlet elimination and Jacobi
+        preconditioner are built once per distinct mask, not per direction
+        per step — and the velocities are those of the per-step build, bit
+        for bit."""
+        from repro.chns import vu_solver
+        from repro.fem.assembly import apply_dirichlet, eliminate_dirichlet
+        from repro.la.krylov import cg
+        from repro.la.precond import JacobiPreconditioner
+
+        prm = CHNSParams(We=1.0, rho_minus=0.5)
+        masks, values = lid_driven_bc(mesh16)  # one mask, two sets of values
+        xy = mesh16.dof_xy()
+        phi = np.tanh((xy[:, 0] - 0.5) / 0.1)
+        p = np.sin(3 * xy[:, 0]) * xy[:, 1]
+        builds = {"eliminate": 0, "jacobi": 0}
+
+        def counting(name, fn):
+            def wrapper(*a, **k):
+                builds[name] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(
+            vu_solver, "eliminate_dirichlet",
+            counting("eliminate", eliminate_dirichlet))
+        monkeypatch.setattr(
+            vu_solver, "JacobiPreconditioner",
+            counting("jacobi", JacobiPreconditioner))
+        vu = VUSolver(mesh16, prm)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            vel = rng.standard_normal((mesh16.n_dofs, 2))
+            out = vu.solve(phi, vel, p, 0.05, dirichlet_masks=masks,
+                           dirichlet_values=values)
+            inv_rho_q = 1.0 / prm.rho_clamped(forms.field_at_quad(mesh16, phi))
+            gq = forms.grad_at_quad(mesh16, p)
+            for i in range(2):
+                rhs = vu.M @ vel[:, i] - (0.05 / prm.We) * forms.source(
+                    mesh16, inv_rho_q * gq[..., i])
+                A_i, rhs_i = apply_dirichlet(vu.M, rhs, masks[i], values[i])
+                ref = cg(A_i, rhs_i, x0=vel[:, i].copy(),
+                         M=JacobiPreconditioner(A_i), tol=1e-10, maxiter=3000)
+                assert np.array_equal(out.vel[:, i], ref.x)
+                assert out.solves[i].iterations == ref.iterations
+        assert builds == {"eliminate": 1, "jacobi": 1}
+        vu.solve(phi, vel, p, 0.05)  # unconstrained: one more system, once
+        vu.solve(phi, vel, p, 0.05)
+        assert builds == {"eliminate": 1, "jacobi": 2}
+
     def test_ns_rest_stays_at_rest(self, mesh16):
         prm = CHNSParams()
         ns = NSSolver(mesh16, prm)

@@ -89,6 +89,24 @@ class TestBiCGStab:
         assert res.converged
         assert np.allclose(res.x, x, atol=1e-6)
 
+    def test_zero_rhs_is_converged_not_a_breakdown(self):
+        """Zero RHS, zero guess: the residual is exactly 0 (the step-0
+        y-momentum solve of the lid-driven cavity).  That is a solved
+        system, not the ``rho == 0`` breakdown it used to be reported as."""
+        A, _, _ = nonsym_system()
+        res = bicgstab(A, np.zeros(A.shape[0]))
+        assert res.converged
+        assert res.iterations == 0
+        assert res.residual == 0.0
+        assert np.array_equal(res.x, np.zeros(A.shape[0]))
+
+    def test_exact_initial_guess(self):
+        A, b, x = nonsym_system()
+        res = bicgstab(A, b, x0=x.copy(), tol=1e-12)
+        assert res.converged
+        assert res.iterations == 0
+        assert np.array_equal(res.x, x)
+
 
 class TestGMRES:
     def test_solves_nonsymmetric(self):
