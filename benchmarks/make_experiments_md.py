@@ -13,7 +13,7 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
 
 ORDER = ["fig1", "fig2_3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8",
          "nbx", "ksort", "backend_speedup", "assembly_plan", "obs_phases",
-         "spmd_check_overhead", "scenario_batch", "precond", "kernels",
+         "spmd_check_overhead", "scenario_batch", "precond",
          "ablation_multilevel", "ablation_gmg", "ablation_block_counter",
          "ablation_ccl", "ablation_hilbert"]
 
@@ -43,12 +43,6 @@ assembly-plan measurements (`assembly_plan` below) live in
 span trees across all three SPMD backends and <5% disabled-tracing
 overhead, and drops a Chrome trace
 (`benchmarks/results/obs_chns_trace.json`) for `chrome://tracing`.
-The fused-kernel measurements (`kernels` below, regenerate with
-`python benchmarks/bench_kernels.py --quick`) report the NumPy GEMM path
-and the JIT path side by side from `benchmarks/results/BENCH_PR9.json`;
-the table itself records whether Numba was importable on the producing
-host — without it only the NumPy column is timed and `jit_vs_numpy` reads
-`unmeasured`.  The ratio is a measurement, not a gate.
 
 | Experiment | Paper artifact | Benchmark |
 |---|---|---|
@@ -66,7 +60,6 @@ host — without it only the NumPy column is timed and `jit_vs_numpy` reads
 | — | symbolic/numeric split assembly plans vs per-call COO | `bench_assembly_plan.py` |
 | — | per-phase timings from `repro.obs` tracing (cross-backend gated) | `bench_obs_phases.py` |
 | — | PCD block preconditioning vs Jacobi (NS+PP Krylov iters/step) | `bench_precond.py` |
-| — | JIT fused element kernels vs NumPy fallback (update + MATVEC) | `bench_kernels.py` |
 | A1 | ablation: multi-level vs level-by-level AMR | `bench_ablation_multilevel_refine.py` |
 | A2 | ablation: GMG vs Jacobi-CG pressure Poisson | `bench_ablation_gmg.py` |
 | A3 | ablation: BAIJ vs AIJ storage; level-aware counter | `bench_ablation_block_layout.py` |

@@ -29,12 +29,6 @@ The precond section (``bench_precond.py``) reruns the quick
 ``rising_bubble_2d`` scenario with Jacobi vs PCD preconditioning of the NS
 solve and fails the run unless PCD reduces NS+PP Krylov iterations per step
 at matched tolerance (standalone report: ``results/BENCH_PR8.json``).
-
-The kernels section (``bench_kernels.py``) times the JIT fused element
-kernels against the NumPy reference-tensor GEMM path (full operator numeric
-update and matrix-free MATVEC) and records the ratio as a measurement,
-``jit_vs_numpy``; without Numba only the NumPy column is timed and the
-ratio is ``"unmeasured"`` (standalone report: ``results/BENCH_PR9.json``).
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 import bench_assembly_plan
-import bench_kernels
 import bench_obs_phases
 import bench_precond
 import bench_scenarios
@@ -285,9 +278,6 @@ def main(argv=None) -> int:
     report["precond"] = bench_precond.run(args.quick)
     bench_precond.write_report(report["precond"], args.quick)
     print("  precond done")
-    report["kernels"] = bench_kernels.run(args.quick)
-    bench_kernels.write_report(report["kernels"], args.quick)
-    print("  kernels done")
     report["meta"]["total_wall_s"] = round(time.perf_counter() - t0, 2)
 
     os.makedirs(os.path.dirname(args.output), exist_ok=True)
@@ -373,7 +363,6 @@ def main(argv=None) -> int:
         f"precond: PCD {pc_sec['iteration_reduction']}x fewer NS+PP "
         f"iterations/step vs Jacobi on {pc_sec['scenario']}"
     )
-    print("kernels: " + bench_kernels.summary(report["kernels"]))
     return 0
 
 

@@ -11,8 +11,8 @@ four adjacent ones, into build-time findings.
 The linter is *repo-specific by design*: its rules know this codebase's
 communicator API (:class:`repro.mpi.comm.Comm`), its NBX entry points, its
 assembly-plan generation contract, and its zero-copy thread transport.  See
-:mod:`repro.analysis.rules` for the rule catalogue (R1–R6) and DESIGN.md §7
-for the taint model.
+:mod:`repro.analysis.rules` for the rule catalogue (R1–R5, R7, R8) and
+DESIGN.md §7 for the taint model.
 
 Machinery provided here:
 

@@ -1,4 +1,4 @@
-"""spmdlint rule catalogue (R1–R6).
+"""spmdlint rule catalogue (R1–R5, R7, R8; R6 is retired).
 
 Each rule targets one defect class observed in (or adjacent to) this
 repository's SPMD code; DESIGN.md §7 documents the catalogue with examples.
@@ -36,14 +36,6 @@ R5  in-place mutation of received message buffers
     from the process backend, which copies).  ``.copy()`` launders the
     taint; the runtime twin of this rule is the write-epoch race detector
     in :mod:`repro.analysis.runtime_check`.
-
-R6  kernel application without a generation check
-    Calling ``kernel.apply(Ke, u)`` on a :class:`repro.fem.kernels.
-    BoundKernel` that did not provably come from ``get_kernel``/
-    ``BoundKernel`` in the same scope, with no ``check(mesh)`` or
-    ``apply_for`` in sight: a bound kernel caches connectivity for one
-    ``(Mesh.generation, dtype)`` key and is stale after an AMR remesh —
-    the kernel-cache mirror of R4.
 
 R7  rank-divergent collective through a helper call chain
     The interprocedural extension of R1: a call under rank-dependent
@@ -404,57 +396,6 @@ class StalePlanAssembly(Rule):
         return findings
 
 
-class StaleKernelUse(Rule):
-    id = "R6"
-    title = "BoundKernel.apply without a mesh-generation check"
-
-    def check_function(self, ctx: FunctionContext, path: str) -> list[Finding]:
-        fn = ctx.node
-        fresh: set[str] = set()  # names provably bound to a fresh kernel here
-        checked: set[str] = set()  # receivers with a .check()/.apply_for()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if _call_name(node.value) in ("get_kernel", "BoundKernel"):
-                    for t in node.targets:
-                        if isinstance(t, ast.Name):
-                            fresh.add(t.id)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in ("check", "apply_for"):
-                    recv = _dotted(node.func.value)
-                    if recv:
-                        checked.add(recv)
-        findings: list[Finding] = []
-        for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "apply"
-            ):
-                continue
-            recv = node.func.value
-            if isinstance(recv, ast.Name) and (recv.id == "self" or recv.id in fresh):
-                continue
-            if isinstance(recv, ast.Call) and _call_name(recv) in (
-                "get_kernel",
-                "BoundKernel",
-            ):
-                continue
-            recv_name = _dotted(recv)
-            if recv_name and recv_name in checked:
-                continue
-            findings.append(
-                self.finding(
-                    path, node,
-                    "`.apply(...)` on a kernel compiled/bound for a "
-                    "`(Mesh.generation, dtype)` key that may be stale — use "
-                    "`kernel.apply_for(mesh, Ke, u)`, call "
-                    "`kernel.check(mesh)` first, or fetch via "
-                    "`get_kernel(mesh, ...)`",
-                )
-            )
-        return findings
-
-
 class MutatedReceiveBuffer(Rule):
     id = "R5"
     title = "in-place mutation of a received (zero-copy) message buffer"
@@ -619,7 +560,6 @@ RULES = [
     NondeterminismInSpmd,
     StalePlanAssembly,
     MutatedReceiveBuffer,
-    StaleKernelUse,
     RankDivergentCollectiveViaHelpers,
     UnmatchedPointToPoint,
 ]

@@ -9,12 +9,6 @@ All matrix assembly routes through :func:`repro.fem.plan.plan_assemble`:
 the COO pattern and hanging-node projection are precomputed once per mesh
 generation, and each call here only performs the cheap numeric update.  The
 slow reference path lives in :func:`repro.fem.assembly.assemble_matrix`.
-
-The elemental batches route through :mod:`repro.fem.kernels`: with Numba
-the quadrature contraction runs as a fused JIT loop (convection evaluates
-the advecting velocity from its corner values *inside* the element loop),
-without it each batch is one :mod:`repro.fem.operators` reference-tensor
-GEMM.
 """
 
 from __future__ import annotations
@@ -24,13 +18,15 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..fem import kernels
 from ..fem.assembly import assemble_vector
 from ..fem.plan import plan_assemble
 from ..fem.operators import (
+    convection_matrix,
     gradient_at_quad,
     gradient_load_vector,
     load_vector,
+    mass_matrix,
+    stiffness_matrix,
     value_at_quad,
 )
 from ..mesh.mesh import Mesh
@@ -48,34 +44,29 @@ def grad_at_quad(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
 def mass(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     """Global (weighted) mass matrix; ``coeff`` may be a quad-point array."""
-    return plan_assemble(mesh, kernels.mass_ke(mesh.elem_h(), mesh.dim, coeff))
+    return plan_assemble(mesh, mass_matrix(mesh.elem_h(), mesh.dim, coeff))
 
 
 def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     return plan_assemble(
-        mesh, kernels.stiffness_ke(mesh.elem_h(), mesh.dim, coeff)
+        mesh, stiffness_matrix(mesh.elem_h(), mesh.dim, coeff)
     )
 
 
 def convection(mesh: Mesh, vel_dofs: np.ndarray, rho_q=None) -> sp.csr_matrix:
-    """``∫ c N_i (v · grad N_j)`` with velocity given as (n_dofs, dim).
-
-    The velocity quad-point evaluation is fused into the element loop
-    (corner-valued kernel) — no (n_elems, nq, dim) intermediate on the JIT
-    path.
-    """
-    vel_c = mesh.elem_gather(vel_dofs)  # (e, nc, dim)
-    return plan_assemble(
-        mesh,
-        kernels.convection_ke_corners(mesh.elem_h(), mesh.dim, vel_c, rho_q),
-    )
+    """``∫ c N_i (v · grad N_j)`` with velocity given as (n_dofs, dim) and
+    the optional density weight ``c`` at quadrature points."""
+    vq = field_at_quad(mesh, vel_dofs)  # (e, nq, dim)
+    if rho_q is not None:
+        vq = vq * np.asarray(rho_q)[..., None]
+    return convection_from_quad(mesh, vq)
 
 
 def convection_from_quad(mesh: Mesh, vq: np.ndarray) -> sp.csr_matrix:
     """Convection by an advecting field already sampled at quadrature points
     (e.g. the NS diffusive mass flux), shape (n_elems, nq, dim)."""
     return plan_assemble(
-        mesh, kernels.convection_ke(mesh.elem_h(), mesh.dim, vq)
+        mesh, convection_matrix(mesh.elem_h(), mesh.dim, vq)
     )
 
 

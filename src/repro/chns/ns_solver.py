@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import obs
 from ..fem.assembly import apply_dirichlet
-from ..la.krylov import SolveResult, bicgstab
+from ..la.krylov import bicgstab
 from ..la.precond import JacobiPreconditioner, make_preconditioner
 from ..mesh.mesh import Mesh
 from . import forms
@@ -46,7 +45,6 @@ class NSSolver:
     def __init__(self, mesh: Mesh, params: CHNSParams):
         self.mesh = mesh
         self.params = params
-        self.M = forms.mass(mesh)
 
     def solve(
         self,

@@ -1,14 +1,6 @@
-"""FEM kernels: basis, GEMM-expressed operators, assembly plans, zip/unzip,
-JIT-compiled fused element kernels (repro.fem.kernels)."""
+"""FEM kernels: basis, GEMM-expressed operators, assembly plans, zip/unzip."""
 
-from . import kernels  # noqa: F401
 from .assembly import apply_dirichlet, assemble_matrix, assemble_vector  # noqa: F401
-from .kernels import (  # noqa: F401
-    BoundKernel,
-    StaleKernelError,
-    get_kernel,
-    jit_enabled,
-)
 from .matvec import MatrixFreeOperator, apply_elemental  # noqa: F401
 from .plan import (  # noqa: F401
     AssemblyPlan,

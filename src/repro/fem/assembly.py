@@ -111,6 +111,3 @@ def apply_dirichlet(
     """
     return eliminate_dirichlet(A, mask), lift_dirichlet(A, b, mask, values)
 
-
-def operator_row_sums(A: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(A.sum(axis=1)).ravel()

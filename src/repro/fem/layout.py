@@ -92,20 +92,8 @@ def assemble_vector_zipped(coeff_q: np.ndarray, h: np.ndarray, dim: int) -> np.n
     """Vector assembly in the zipped layout + one unzip pass (paper's way).
 
     The per-block product is a single batched GEMV: ``b = (w ⊙ c) @ N``.
-    With Numba the GEMV and the unzip fuse into one JIT loop writing the
-    interleaved layout directly (no ``bz`` intermediate, no transpose copy).
     """
-    from . import kernels
-
     _, w, N, _ = tabulate(dim)
-    n_elems, ndof, nq = coeff_q.shape
-    fn = kernels.select("vec_zipped")
-    if fn is not None:  # pragma: no cover - needs numba
-        nn = N.shape[1]
-        out = np.empty((n_elems, nn * ndof))
-        hpow = np.asarray(h, dtype=np.float64) ** dim
-        fn(w, N, np.ascontiguousarray(coeff_q, dtype=np.float64), hpow, out)
-        return out
     scale = (np.asarray(h, dtype=np.float64) ** dim)[:, None, None]
     # One GEMM over all elements and DOF blocks at once: contiguous writes.
     bz = (coeff_q * w[None, None, :]) @ N  # (e, ndof, nn)
@@ -136,25 +124,12 @@ def assemble_matrix_zipped(
     coeff_q: np.ndarray, h: np.ndarray, dim: int
 ) -> np.ndarray:
     """Matrix assembly as pure GEMM per DOF block in zipped layout, with a
-    single final unzip (no explicit zip — paper's remark).  With Numba the
-    per-block GEMM and the unzip fuse into one JIT loop writing the
-    interleaved elemental matrix directly."""
-    from . import kernels
-
+    single final unzip (no explicit zip — paper's remark)."""
     _, w, N, _ = tabulate(dim)
-    n_elems, ndof, _, nq = coeff_q.shape
-    fn = kernels.select("mat_zipped")
-    if fn is not None:  # pragma: no cover - needs numba
-        nn = N.shape[1]
-        out = np.empty((n_elems, nn * ndof, nn * ndof))
-        hpow = np.asarray(h, dtype=np.float64) ** dim
-        fn(w, N, np.ascontiguousarray(coeff_q, dtype=np.float64), hpow, out)
-        return out
     scale = (np.asarray(h, dtype=np.float64) ** dim)[:, None, None, None, None]
     # (e, di, dj, q) x (q, i) x (q, j): batched GEMM via matmul on the last
     # two axes: first scale N rows by the coefficient, then N^T @ (...).
     weighted = coeff_q * w[None, None, None, :]  # (e, di, dj, q)
-    # (e,di,dj,q,i) would blow memory; contract with matmul instead:
     left = weighted[..., :, None] * N[None, None, None, :, :]  # (e,di,dj,q,i)
     Az = np.swapaxes(left, -1, -2) @ N  # (e,di,dj,i,j)
     Az = Az * scale

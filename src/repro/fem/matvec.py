@@ -4,12 +4,9 @@ The paper's erosion/dilation identifiers and its scaling study (Fig. 4) are
 built on this kernel: one pass over local elements with gather (GhostRead) /
 scatter (GhostWrite), no assembled global matrix.  Here the gather/scatter
 run through the hanging-node interpolation ``P``, so the kernel is exact on
-adaptive meshes.
-
-The hot loop dispatches through :mod:`repro.fem.kernels`: with Numba the
-gather / elemental GEMV / scatter run as one fused JIT pass, otherwise the
-original einsum + ``add.at`` fallback (results agree to 1e-14, enforced by
-``tests/fem/test_kernels.py``).
+adaptive meshes.  :func:`elemental_pass` is the one gather / batched GEMV /
+scatter-add pass; :class:`repro.mesh.distributed.DistributedField` runs the
+same function over its local element chunk.
 """
 
 from __future__ import annotations
@@ -19,8 +16,19 @@ from typing import Optional
 import numpy as np
 
 from ..mesh.mesh import Mesh
-from . import kernels
 from .plan import get_plan
+
+
+def elemental_pass(
+    Ke: np.ndarray, conn: np.ndarray, nv: np.ndarray
+) -> np.ndarray:
+    """Gather ``nv`` through the connectivity ``conn`` (n_elems, nc), apply
+    the elemental matrices ``Ke`` (n_elems, nc, nc) as one batched GEMV, and
+    scatter-add the results back (element-major, corner-minor order)."""
+    ve = np.einsum("eij,ej->ei", Ke, nv[conn])
+    acc = np.zeros(len(nv))
+    np.add.at(acc, conn.ravel(), ve.ravel())
+    return acc
 
 
 def apply_elemental(mesh: Mesh, Ke: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -28,7 +36,10 @@ def apply_elemental(mesh: Mesh, Ke: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``Ke`` is the batch of elemental matrices (n_elems, nc, nc).
     """
-    return kernels.get_kernel(mesh, "elem_matvec").apply_for(mesh, Ke, u)
+    nodes = mesh.nodes
+    return nodes.accumulate(
+        elemental_pass(Ke, nodes.elem_nodes, nodes.node_values(u))
+    )
 
 
 class MatrixFreeOperator:
@@ -46,14 +57,13 @@ class MatrixFreeOperator:
         self.mask = dirichlet_mask
         self.shape = (mesh.n_dofs, mesh.n_dofs)
         self.dtype = np.float64
-        self._kernel = kernels.get_kernel(mesh, "elem_matvec")
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         if self.mask is None:
-            return self._kernel.apply_for(self.mesh, self.Ke, u)
+            return apply_elemental(self.mesh, self.Ke, u)
         uu = u.copy()
         uu[self.mask] = 0.0
-        v = self._kernel.apply_for(self.mesh, self.Ke, uu)
+        v = apply_elemental(self.mesh, self.Ke, uu)
         v[self.mask] = u[self.mask]
         return v
 

@@ -41,7 +41,6 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..mesh.mesh import Mesh
-from . import kernels
 
 #: Numeric-update counters, cumulative per process: how many times each plan
 #: phase ran.  Benchmarks and tests read these to prove the symbolic phase is
@@ -131,10 +130,6 @@ class AssemblyPlan:
         # Lazily-built diagonal sub-plan (see :meth:`diagonal`).
         self._diag_plan = None
 
-        # Warm the JIT kernels for this element signature once per plan, so
-        # the numeric phase never pays a compile.
-        self.kernel_key = kernels.warm(mesh.dim)
-
     # ------------------------------------------------------------- numeric
 
     def check(self, mesh: Mesh) -> None:
@@ -156,8 +151,10 @@ class AssemblyPlan:
                 f"Ke shape {Ke.shape} does not match plan {self.ke_shape}"
             )
         with obs.span("assembly.numeric"):
-            data = kernels.scatter_csr(
-                Ke.ravel(), self._src, self._weight, self._slot, self.nnz
+            data = np.bincount(
+                self._slot,
+                weights=Ke.ravel()[self._src] * self._weight,
+                minlength=self.nnz,
             )
         STATS["numeric"] += 1
         obs.incr("assembly.numeric")
@@ -208,8 +205,9 @@ class AssemblyPlan:
             )
         d_src, d_weight, d_row = self._diag_plan
         with obs.span("assembly.diagonal"):
-            return kernels.scatter_csr(
-                Ke.ravel(), d_src, d_weight, d_row, self.n_dofs
+            return np.bincount(
+                d_row, weights=Ke.ravel()[d_src] * d_weight,
+                minlength=self.n_dofs,
             )
 
 

@@ -212,28 +212,13 @@ class DistributedField:
     def matvec(self, Ke: np.ndarray, owned_values: np.ndarray) -> np.ndarray:
         """Distributed elemental MATVEC: GhostRead -> local pass -> GhostWrite.
 
-        ``Ke``: elemental matrices for the *local* element chunk.  The local
-        pass dispatches through :mod:`repro.fem.kernels` (fused JIT
-        gather/GEMV/scatter, or the einsum + ``add.at`` fallback).
+        ``Ke``: elemental matrices for the *local* element chunk; the local
+        pass is :func:`repro.fem.matvec.elemental_pass` over ``local_conn``.
         """
-        from ..fem import kernels
+        from ..fem.matvec import elemental_pass
 
-        nv = self.ghost_read(owned_values)
-        acc = np.zeros(len(self.needed))
-        fn = kernels.select("elem_matvec")
-        if fn is None:
-            ue = nv[self.local_conn]
-            ve = np.einsum("eij,ej->ei", Ke, ue)
-            np.add.at(acc, self.local_conn.ravel(), ve.ravel())
-        else:  # pragma: no cover - needs numba
-            fn(
-                np.ascontiguousarray(np.asarray(Ke, dtype=np.float64)),
-                self.local_conn,
-                nv,
-                acc,
-            )
-        local_part = acc[self.plan.own_pos]
-        return self.ghost_write(acc, local_part, mode="add")
+        acc = elemental_pass(Ke, self.local_conn, self.ghost_read(owned_values))
+        return self.ghost_write(acc, acc[self.plan.own_pos], mode="add")
 
     def matvec_matrix_free(
         self, owned_values: np.ndarray, coeff=1.0
@@ -242,42 +227,24 @@ class DistributedField:
         stiffness on the fly inside an explicit per-element loop, the way
         the paper's production kernel trades FLOPs for memory.
 
-        On the NumPy fallback path this is numerically identical to
-        precomputing the ``Ke`` batch and calling :meth:`matvec` (same
-        accumulation order — pinned under ``kernels.fallback_only()`` in
+        This is numerically identical to precomputing the ``Ke`` batch and
+        calling :meth:`matvec` (same accumulation order — pinned bitwise in
         ``tests/mesh/test_distributed.py``), so it doubles as the
-        validation reference for the batched GEMM path.  With Numba the
-        on-the-fly elemental stiffness fuses into a serial JIT loop
-        (scalar ``coeff`` only) that agrees with the fallback to round-off.
-        Unlike the batched path, the fallback's per-element work runs in
-        the interpreter — compute-dense ranks like these are what backend
-        scaling studies must exercise, since a fully vectorized kernel
-        spends microseconds per rank and measures only transport overhead.
+        validation reference for the batched GEMM path.  Unlike the batched
+        path, the per-element work runs in the interpreter — compute-dense
+        ranks like these are what backend scaling studies must exercise,
+        since a fully vectorized kernel spends microseconds per rank and
+        measures only transport overhead.
         """
-        from ..fem import kernels
-        from ..fem.basis import tabulate
         from ..fem.operators import stiffness_matrix
 
         nv = self.ghost_read(owned_values)
         h = self.mesh.elem_h()[self.elem_lo : self.elem_hi]
         dim = self.mesh.dim
         acc = np.zeros(len(self.needed))
-        fn = kernels.select("mf_stiffness") if np.isscalar(coeff) else None
-        if fn is None:
-            for conn, he in zip(self.local_conn, h):
-                Ke = stiffness_matrix(he[None], dim, coeff)[0]
-                acc[conn] += Ke @ nv[conn]
-        else:  # pragma: no cover - needs numba
-            _, w, _, dN = tabulate(dim)
-            fn(
-                self.local_conn,
-                nv,
-                w,
-                dN,
-                np.asarray(h, dtype=np.float64) ** (dim - 2),
-                float(coeff),
-                acc,
-            )
+        for conn, he in zip(self.local_conn, h):
+            Ke = stiffness_matrix(he[None], dim, coeff)[0]
+            acc[conn] += Ke @ nv[conn]
         return self.ghost_write(acc, acc[self.plan.own_pos], mode="add")
 
     def erode_dilate_step(

@@ -501,76 +501,6 @@ class TestR4StalePlanAssembly:
         assert fs == []
 
 
-class TestR6StaleKernelUse:
-    def test_cached_kernel_attribute(self):
-        fs = lint(
-            """
-            def f(solver, Ke, u):
-                return solver.kernel.apply(Ke, u)
-            """
-        )
-        assert rules_of(fs) == ["R6"]
-        assert "generation" in fs[0].message
-
-    def test_fresh_kernel_from_get_kernel(self):
-        fs = lint(
-            """
-            def f(mesh, Ke, u):
-                kern = get_kernel(mesh, "elem_matvec")
-                return kern.apply(Ke, u)
-            """
-        )
-        assert fs == []
-
-    def test_fresh_kernel_from_constructor(self):
-        fs = lint(
-            """
-            def f(mesh, Ke, u):
-                kern = BoundKernel(mesh, "elem_matvec")
-                return kern.apply(Ke, u)
-            """
-        )
-        assert fs == []
-
-    def test_checked_kernel_is_clean(self):
-        fs = lint(
-            """
-            def f(solver, mesh, Ke, u):
-                solver.kernel.check(mesh)
-                return solver.kernel.apply(Ke, u)
-            """
-        )
-        assert fs == []
-
-    def test_apply_for_is_clean(self):
-        fs = lint(
-            """
-            def f(solver, mesh, Ke, u):
-                return solver.kernel.apply_for(mesh, Ke, u)
-            """
-        )
-        assert fs == []
-
-    def test_direct_call_receiver_is_clean(self):
-        fs = lint(
-            """
-            def f(mesh, Ke, u):
-                return get_kernel(mesh, "elem_matvec").apply(Ke, u)
-            """
-        )
-        assert fs == []
-
-    def test_self_receiver_is_clean(self):
-        fs = lint(
-            """
-            def apply_for(self, mesh, Ke, u):
-                self.check(mesh)
-                return self.apply(Ke, u)
-            """
-        )
-        assert fs == []
-
-
 class TestR5MutatedReceiveBuffer:
     def test_subscript_write_to_recv(self):
         fs = lint(
@@ -661,7 +591,7 @@ class TestSuppressions:
 class TestDriverAndCli:
     def test_rule_catalogue_has_all_eight(self):
         assert set(rule_catalogue()) == {
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+            "R1", "R2", "R3", "R4", "R5", "R7", "R8",
         }
 
     def test_rule_filter(self):

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from repro.chns.free_energy import mobility, psi, psi_prime
 from repro.fem.layout import (
+    assemble_matrix_strided,
+    assemble_matrix_zipped,
+    assemble_vector_strided,
+    assemble_vector_zipped,
     unzip_matrix,
     unzip_vector,
     zip_matrix,
@@ -48,6 +52,25 @@ def test_zip_unzip_matrix_roundtrip(seed, ndof, nn):
     for di in range(ndof):
         for dj in range(ndof):
             assert np.array_equal(z[:, di, dj], A[:, di::ndof, dj::ndof])
+
+
+@pytest.mark.parametrize("dim,ndof", [(2, 1), (2, 3), (3, 2)])
+def test_zipped_assembly_matches_strided(dim, ndof):
+    """Figs. 2-3 compare the speed of the two layouts, never their values."""
+    rng = np.random.default_rng(51)
+    h = rng.uniform(0.1, 1.0, 6)
+    cv = rng.standard_normal((6, ndof, 1 << dim))
+    cm = rng.standard_normal((6, ndof, ndof, 1 << dim))
+    np.testing.assert_allclose(
+        assemble_vector_zipped(cv, h, dim),
+        assemble_vector_strided(cv, h, dim),
+        atol=1e-14,
+    )
+    np.testing.assert_allclose(
+        assemble_matrix_zipped(cm, h, dim),
+        assemble_matrix_strided(cm, h, dim),
+        atol=1e-14,
+    )
 
 
 @settings(max_examples=40, deadline=None)
