@@ -1,15 +1,8 @@
-"""``python -m repro.analysis [paths...]`` — run spmdlint and the schedule
-analyzer.
+"""``python -m repro.analysis paths...`` — run spmdlint.
 
-Lint mode (default): exit status 0 when clean, 1 when any finding survives
-suppression (this is what the CI gate keys on), 2 on usage errors.
-``--baseline FILE`` gates on *new* findings only (``--write-baseline`` to
-record the current state).
-
-Schedule mode: ``--schedule out.json`` extracts the CommSchedule of every
-registered SPMD entry point (plus any ``module:function`` names given as
-paths) and writes the JSON export; ``--check`` additionally model-checks
-each schedule for ``--nranks`` concrete ranks and reports R7/R8 findings.
+Exit status 0 when clean, 1 when any finding survives suppression (this is
+what the CI gate keys on), 2 on usage errors and on a path that is neither a
+directory nor a readable file.
 """
 
 from __future__ import annotations
@@ -18,23 +11,21 @@ import argparse
 import json
 import sys
 
-from .lint import Finding, lint_paths_ex, rule_catalogue
+from .lint import lint_paths_ex, rule_catalogue
 
 
 def main(argv: list[str] | None = None) -> int:
     catalogue = rule_catalogue()
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="spmdlint: AST-based SPMD correctness linter + "
-        "whole-program comm-schedule analyzer.",
+        description="spmdlint: AST-based SPMD correctness linter.",
         epilog="rules: "
         + "; ".join(f"{rid}: {title}" for rid, title in sorted(catalogue.items())),
     )
     parser.add_argument(
         "paths",
-        nargs="*",
-        help="files or directory trees to lint (schedule mode: optional "
-        "extra entry points as module:function)",
+        nargs="+",
+        help="files or directory trees to lint",
     )
     parser.add_argument(
         "--rules",
@@ -47,44 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         default="text",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of accepted findings: exit 1 only on findings "
-        "not in the baseline (CI ratchet)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--schedule",
-        default=None,
-        metavar="FILE",
-        help="schedule mode: extract every registered SPMD entry point's "
-        "CommSchedule and write the JSON export here ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="schedule mode: model-check each extracted schedule "
-        "(deadlocks, R7/R8) for --nranks concrete ranks",
-    )
-    parser.add_argument(
-        "--nranks",
-        type=int,
-        default=4,
-        help="schedule mode: concrete rank count for --check (default 4)",
-    )
     args = parser.parse_args(argv)
-
-    if args.schedule is not None or args.check:
-        return _schedule_mode(args, parser)
-    if not args.paths:
-        parser.error("lint mode needs at least one path")
 
     rules = None
     if args.rules:
@@ -99,34 +53,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"spmdlint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline is not None:
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            json.dump([f.as_dict() for f in findings], fh, indent=2)
-        print(
-            f"spmdlint: wrote baseline with {len(findings)} finding"
-            f"{'s' if len(findings) != 1 else ''} to {args.write_baseline}"
-        )
-        return 0
-
-    gated = findings
-    if args.baseline is not None:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as fh:
-                baseline_raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"spmdlint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        gated = _subtract_baseline(findings, baseline_raw)
-
     if args.format == "json":
-        print(json.dumps([f.as_dict() for f in gated], indent=2))
+        print(json.dumps([f.as_dict() for f in findings], indent=2))
     else:
-        for f in gated:
+        for f in findings:
             print(f.format())
-        n = len(gated)
+        n = len(findings)
         summary = f"spmdlint: {n} finding{'s' if n != 1 else ''}"
-        if args.baseline is not None:
-            summary += f" ({len(findings) - n} in baseline)"
         if sup_counts:
             per_rule = ", ".join(
                 f"{rule}: {count}" for rule, count in sorted(sup_counts.items())
@@ -137,94 +70,7 @@ def main(argv: list[str] | None = None) -> int:
                 f" ({per_rule})"
             )
         print(summary)
-    return 1 if gated else 0
-
-
-def _subtract_baseline(
-    findings: list[Finding], baseline_raw: list[dict]
-) -> list[Finding]:
-    """Findings not accounted for by the baseline.
-
-    Keyed on (path, rule, message) — deliberately *not* the line number, so
-    unrelated edits that shift an accepted finding do not wake the gate.
-    Multiset semantics: the baseline covers as many identical findings as it
-    recorded, no more.
-    """
-    budget: dict[tuple, int] = {}
-    for item in baseline_raw:
-        key = (item.get("path"), item.get("rule"), item.get("message"))
-        budget[key] = budget.get(key, 0) + 1
-    out: list[Finding] = []
-    for f in findings:
-        key = (f.path, f.rule, f.message)
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-        else:
-            out.append(f)
-    return out
-
-
-def _schedule_mode(args, parser: argparse.ArgumentParser) -> int:
-    """Extract (and optionally model-check) all registered entry points."""
-    from .schedule import check_schedule, count_ops, extract_callable
-
-    from repro.runtime.entry_points import load_default_entry_points
-
-    entries = dict(load_default_entry_points())
-    for spec in args.paths:
-        if ":" not in spec:
-            parser.error(
-                f"schedule mode takes module:function entry points, got {spec!r}"
-            )
-        mod_name, fn_name = spec.split(":", 1)
-        import importlib
-
-        try:
-            fn = getattr(importlib.import_module(mod_name), fn_name)
-        except (ImportError, AttributeError) as exc:
-            print(f"schedule: cannot load {spec}: {exc}", file=sys.stderr)
-            return 2
-        entries[spec] = fn
-
-    export: dict[str, dict] = {}
-    all_findings = []
-    for name in sorted(entries):
-        try:
-            sched = extract_callable(entries[name])
-        except (OSError, TypeError, ValueError) as exc:
-            print(f"schedule: cannot extract {name}: {exc}", file=sys.stderr)
-            return 2
-        record = sched.to_dict()
-        record["ops"] = count_ops(sched)
-        if args.check:
-            findings = check_schedule(sched, nranks=args.nranks)
-            record["findings"] = [
-                f.as_finding(sched.path).as_dict() for f in findings
-            ]
-            for f in findings:
-                all_findings.append((name, f))
-        export[name] = record
-
-    payload = json.dumps(
-        {"nranks": args.nranks if args.check else None, "entry_points": export},
-        indent=2,
-    )
-    if args.schedule in (None, "-"):
-        print(payload)
-    else:
-        with open(args.schedule, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-
-    for name, f in all_findings:
-        print(f"{name}: {f.format()}", file=sys.stderr)
-    n = len(entries)
-    print(
-        f"schedule: {n} entry point{'s' if n != 1 else ''}, "
-        f"{len(all_findings)} finding{'s' if len(all_findings) != 1 else ''}"
-        + (f" at nranks={args.nranks}" if args.check else " (extract only)"),
-        file=sys.stderr,
-    )
-    return 1 if all_findings else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ four adjacent ones, into build-time findings.
 The linter is *repo-specific by design*: its rules know this codebase's
 communicator API (:class:`repro.mpi.comm.Comm`), its NBX entry points, its
 assembly-plan generation contract, and its zero-copy thread transport.  See
-:mod:`repro.analysis.rules` for the rule catalogue (R1–R5, R7, R8) and
+:mod:`repro.analysis.rules` for the rule catalogue (R1–R5) and
 DESIGN.md §7 for the taint model.
 
 Machinery provided here:
@@ -23,6 +23,8 @@ Machinery provided here:
   exempt from the named rules.  The justification after ``--`` is
   **mandatory**: a bare ``ignore[..]`` is itself reported (rule R0), so
   every suppression in the tree documents why the code is actually safe.
+  Naming a rule id that is not in the catalogue is reported the same way,
+  so a suppression cannot outlive its rule.
 * :class:`FunctionContext` — per-function fact base shared by the rules:
   which functions are SPMD-executed, which names are rank-tainted, which
   names hold unordered containers, which hold received (possibly aliased)
@@ -34,9 +36,11 @@ Machinery provided here:
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
-from dataclasses import dataclass, field
+import tokenize
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 #: Comm methods that are collective (every rank of the communicator must
@@ -164,14 +168,17 @@ class Suppression:
     rules: frozenset
     justification: str
     line: int
-    used: bool = False
 
 
 def _collect_suppressions(source: str) -> dict[int, Suppression]:
+    """Suppressions by line, from real comments only: the grammar quoted in
+    a docstring or a message string is neither a suppression nor a finding.
+    (``source`` already parsed, so it tokenizes.)"""
     out: dict[int, Suppression] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        m = _SUPPRESS_RE.search(text)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        m = _SUPPRESS_RE.search(tok.string) if tok.type == tokenize.COMMENT else None
         if m:
+            lineno = tok.start[0]
             rules = frozenset(r.strip() for r in m.group(1).split(",") if r.strip())
             out[lineno] = Suppression(rules, (m.group(2) or "").strip(), lineno)
     return out
@@ -229,20 +236,12 @@ def _flatten_target_names(target: ast.AST) -> Iterable[str]:
 class FunctionContext:
     """Facts about one function body, computed once and shared by the rules."""
 
-    def __init__(
-        self,
-        fn: ast.AST,
-        class_name: Optional[str] = None,
-        seed_tainted: Optional[Iterable[str]] = None,
-    ):
+    def __init__(self, fn: ast.AST, class_name: Optional[str] = None):
         self.node = fn
         self.class_name = class_name
         self.name = getattr(fn, "name", "<lambda>")
         self.is_spmd = self._detect_spmd(fn)
-        # ``seed_tainted`` lets interprocedural callers (the schedule
-        # extractor, R7) mark parameters whose *actual arguments* were
-        # rank-tainted at the call site before the fixpoint runs.
-        self.rank_tainted: set[str] = set(seed_tainted or ())
+        self.rank_tainted: set[str] = set()
         self.unordered: set[str] = set()
         self.received: set[str] = set()
         self._compute_taints(fn)
@@ -556,12 +555,14 @@ def lint_source_ex(
     for f in sorted(raw, key=lambda f: (f.line, f.col, f.rule)):
         sup = suppressions.get(f.line)
         if sup is not None and f.rule in sup.rules:
-            sup.used = True
             suppressed[f.rule] = suppressed.get(f.rule, 0) + 1
             continue
         kept.append(f)
     # A suppression without a justification is itself a finding (R0):
     # the acceptance contract is that every escape hatch documents *why*.
+    # So is one naming a rule outside the full catalogue (whatever ``rules``
+    # selected): it suppresses nothing and would outlive the rule it names.
+    known = sorted(rule_catalogue())
     for sup in suppressions.values():
         if not sup.justification:
             kept.append(
@@ -569,6 +570,16 @@ def lint_source_ex(
                     "R0", path, sup.line, 0,
                     "suppression without justification — write "
                     "`# spmdlint: ignore[RULE] -- <why this is safe>`",
+                )
+            )
+        unknown = sorted(sup.rules.difference(known))
+        if unknown:
+            kept.append(
+                Finding(
+                    "R0", path, sup.line, 0,
+                    f"suppression names unknown rule {', '.join(unknown)} "
+                    f"(known: {', '.join(known)}) — delete it or "
+                    "name the rule it is meant to silence",
                 )
             )
     kept.sort(key=lambda f: (f.line, f.col, f.rule))
@@ -591,7 +602,8 @@ def lint_paths_ex(
     paths: Iterable[str], rules: Optional[Iterable[str]] = None
 ) -> tuple[list[Finding], dict[str, int]]:
     """Like :func:`lint_paths` but also returns per-rule used-suppression
-    counts aggregated over all files."""
+    counts aggregated over all files.  A path that is neither a directory
+    nor a readable file raises :class:`OSError` naming it."""
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -607,11 +619,8 @@ def lint_paths_ex(
     out: list[Finding] = []
     counts: dict[str, int] = {}
     for fname in files:
-        try:
-            with open(fname, "r", encoding="utf-8") as fh:
-                source = fh.read()
-        except OSError:
-            continue
+        with open(fname, "r", encoding="utf-8") as fh:
+            source = fh.read()
         findings, sup = lint_source_ex(source, fname, rules)
         out.extend(findings)
         for rule, n in sup.items():

@@ -1,4 +1,4 @@
-"""spmdlint rule catalogue (R1–R5, R7, R8; R6 is retired).
+"""spmdlint rule catalogue (R1–R5).
 
 Each rule targets one defect class observed in (or adjacent to) this
 repository's SPMD code; DESIGN.md §7 documents the catalogue with examples.
@@ -36,25 +36,6 @@ R5  in-place mutation of received message buffers
     from the process backend, which copies).  ``.copy()`` launders the
     taint; the runtime twin of this rule is the write-epoch race detector
     in :mod:`repro.analysis.runtime_check`.
-
-R7  rank-divergent collective through a helper call chain
-    The interprocedural extension of R1: a call under rank-dependent
-    control flow whose *callee* (resolved through the module call graph)
-    transitively reaches a collective — invisible to R1's syntactic
-    collective-name list.  The AST pass resolves helpers within the linted
-    module; the whole-program variant (cross-module chains, loop trip
-    divergence, collective *sequence* mismatches between concrete ranks)
-    is emitted by the schedule model checker
-    (:func:`repro.analysis.schedule.check_schedule`) under the same rule id.
-
-R8  send with no statically matching receive
-    A point-to-point send whose (dest, tag) rendezvous has no matching
-    receive in the whole-program schedule — the sender blocks forever (or
-    the receive blocks, for the orphan-recv dual).  Matching requires the
-    model checker's concrete-rank symbolic execution, so this rule has no
-    AST pass: findings come exclusively from
-    :func:`repro.analysis.schedule.check_schedule`; the class below only
-    anchors the rule id in the catalogue.
 """
 
 from __future__ import annotations
@@ -69,7 +50,6 @@ from .lint import (
     _call_name,
     _dotted,
     is_collective_call,
-    iter_functions,
 )
 
 #: ndarray methods that mutate in place.
@@ -456,110 +436,10 @@ class MutatedReceiveBuffer(Rule):
         )
 
 
-class RankDivergentCollectiveViaHelpers(Rule):
-    id = "R7"
-    title = "rank-divergent collective through a helper call chain"
-
-    def check_module(self, tree: ast.Module, path: str) -> list[Finding]:
-        from .callgraph import Program
-
-        program = Program()
-        program.add_tree(path, tree)
-        out: list[Finding] = []
-        for fn, class_name in iter_functions(tree):
-            ctx = FunctionContext(fn, class_name)
-            out.extend(self._check(ctx, path, program))
-        return out
-
-    def _check(self, ctx: FunctionContext, path: str, program) -> list[Finding]:
-        comm_names = _comm_param_names(ctx.node)
-        if not comm_names:
-            return []
-        findings: list[Finding] = []
-        self._walk(getattr(ctx.node, "body", []), 0, ctx, path, program,
-                   comm_names, findings)
-        return findings
-
-    def _walk(self, body, depth, ctx, path, program, comm_names, findings):
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.If):
-                d = depth + (1 if ctx._expr_rank_tainted(stmt.test) else 0)
-                self._walk(stmt.body, d, ctx, path, program, comm_names, findings)
-                self._walk(stmt.orelse, d, ctx, path, program, comm_names, findings)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                guard = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) else stmt.test
-                d = depth + (1 if ctx._expr_rank_tainted(guard) else 0)
-                self._walk(stmt.body, d, ctx, path, program, comm_names, findings)
-                self._walk(stmt.orelse, d, ctx, path, program, comm_names, findings)
-            elif isinstance(stmt, ast.Try):
-                for part in (stmt.body, stmt.orelse, stmt.finalbody):
-                    self._walk(part, depth, ctx, path, program, comm_names, findings)
-                for h in stmt.handlers:
-                    self._walk(h.body, depth, ctx, path, program, comm_names, findings)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._walk(stmt.body, depth, ctx, path, program, comm_names, findings)
-            else:
-                if depth > 0:
-                    self._calls(stmt, ctx, path, program, comm_names, findings)
-
-    def _calls(self, stmt, ctx, path, program, comm_names, findings):
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call) or is_collective_call(node):
-                continue  # direct collectives are R1's finding, not ours
-            info = program.resolve_call(node, comm_names)
-            if info is None or not program.may_collective(info):
-                continue
-            chain = " -> ".join(program.collective_chain(info))
-            findings.append(
-                self.finding(
-                    path, node,
-                    f"`{_call_name(node)}(...)` under rank-dependent control "
-                    f"flow reaches a collective through its helper chain "
-                    f"{chain} — some ranks may skip the rendezvous",
-                )
-            )
-
-
-def _comm_param_names(fn: ast.AST) -> set[str]:
-    """Names holding communicators in this function: comm-ish parameters
-    plus results of ``split``/``split_cached``."""
-    out: set[str] = set()
-    args = getattr(fn, "args", None)
-    if args is not None:
-        for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            ann = _dotted(a.annotation) if a.annotation is not None else None
-            if a.arg in ("comm", "world", "cur", "sub") or (
-                ann is not None and ann.rsplit(".", 1)[-1] == "Comm"
-            ):
-                out.add(a.arg)
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if _call_name(node.value) in ("split", "split_cached"):
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        out.add(t.id)
-    return out
-
-
-class UnmatchedPointToPoint(Rule):
-    id = "R8"
-    title = "send with no statically matching receive"
-
-    # Whole-program only: rendezvous matching needs the schedule model
-    # checker's concrete-rank execution (see check_schedule); the AST pass
-    # contributes nothing, this class anchors the id in the catalogue.
-    def check_function(self, ctx: FunctionContext, path: str) -> list[Finding]:
-        return []
-
-
 RULES = [
     RankDivergentCollective,
     UnorderedIterationOrder,
     NondeterminismInSpmd,
     StalePlanAssembly,
     MutatedReceiveBuffer,
-    RankDivergentCollectiveViaHelpers,
-    UnmatchedPointToPoint,
 ]

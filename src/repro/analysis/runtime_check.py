@@ -146,11 +146,6 @@ def verify_collective(comm, op: str, value: Any, symmetric: bool) -> None:
     """
     if not checks_enabled():
         return
-    monitor = getattr(comm, "_schedule_monitor", None)
-    if monitor is not None:
-        # Conformance first (pure local): the static schedule must be able
-        # to produce this collective before we even rendezvous for it.
-        monitor.advance(op)
     with obs.span("spmdcheck.collective"):
         fp = collective_fingerprint(op, value, symmetric)
         all_fps = comm._world.exchange(comm.rank, fp, list)

@@ -33,8 +33,6 @@ from .stats import CommStats, payload_bytes
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-_DEFAULT_TIMEOUT = 120.0  # see repro.runtime.base.resolve_timeout
-
 
 class SpmdError(RuntimeError):
     """Raised when any rank of an SPMD run fails or the run deadlocks."""
@@ -220,13 +218,7 @@ class Comm:
         # the subworld by (member tuple, call number) makes successive splits
         # with identical groups produce fresh worlds.
         sub = self._world.subworld((tuple(ranks), self._n_splits), ranks)
-        sub_comm = Comm(sub, my_new_rank)
-        # Sub-communicator collectives feed the same per-rank conformance
-        # stream (repro.analysis.conformance), so the monitor rides along.
-        monitor = getattr(self, "_schedule_monitor", None)
-        if monitor is not None:
-            sub_comm._schedule_monitor = monitor
-        return sub_comm
+        return Comm(sub, my_new_rank)
 
     def split_cached(self, color: int, key: int = 0, cache_tag: Any = None):
         """Memoized ``split`` — the paper caches communicator sequences in an
@@ -296,17 +288,10 @@ def run_spmd(
     timeout: Optional[float] = None,
     stats: Optional[CommStats] = None,
     backend: Optional[Any] = None,
-    schedule: Optional[Any] = None,
 ) -> list:
     """Run ``fn(comm, *args)`` on ``nprocs`` simulated ranks; return per-rank
     results.  Any rank exception (or a deadlock past ``timeout``) raises
     :class:`SpmdError` with the failing rank identified.
-
-    ``schedule`` (a :class:`repro.analysis.schedule.CommSchedule`) arms the
-    conformance monitor: with ``REPRO_SPMD_CHECK=1``, every collective each
-    rank executes must refine the static schedule, else
-    :class:`~repro.analysis.conformance.ScheduleConformanceError` is raised
-    inside that rank.  Without the check env the argument is free.
 
     ``backend`` selects how ranks execute: ``"thread"`` (default, zero-copy,
     GIL-bound), ``"process"`` (forked OS processes + shared-memory payloads,
@@ -324,10 +309,6 @@ def run_spmd(
     # Imported lazily: repro.runtime's backends import Comm from this module.
     from repro.runtime import resolve_backend, resolve_timeout
 
-    if schedule is not None:
-        from repro.analysis.conformance import MonitoredEntry
-
-        fn = MonitoredEntry(fn, schedule)
     b = resolve_backend(backend)
     timeout_s = resolve_timeout(timeout)
     stats = stats if stats is not None else CommStats()

@@ -26,12 +26,14 @@ def kway_stage_comms(comm: Comm, k: int) -> list[tuple[Comm, int, int]]:
     if k < 2:
         raise ValueError("k must be >= 2")
     cached = comm.get_attr(("kway_ladder", k, comm.rank))
-    if cached is not None:  # spmdlint: ignore[R7] -- hit/miss is collectively consistent: the cache is only populated after every rank of `comm` ran the full (collective) ladder build below, so all ranks take the same arm
+    # Hit/miss is collectively consistent: the cache is only populated after
+    # every rank of `comm` ran the full (collective) ladder build below.
+    if cached is not None:
         return cached
     ladder: list[tuple[Comm, int, int]] = []
     cur = comm
     depth = 0
-    while cur.size > k:  # spmdlint: ignore[R7] -- every rank of `cur` sees the same cur.size, so the ladder descends the same number of stages on all ranks
+    while cur.size > k:
         ngroups = k  # k-way: k superpartitions per stage (cur.size > k here)
         # Contiguous blocks of near-equal size.
         base = cur.size // ngroups

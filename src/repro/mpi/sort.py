@@ -56,7 +56,9 @@ def sample_sort(
     """Flat sample sort across all ranks of ``comm``.
 
     Returns ``sorted_keys`` (and ``sorted_payload`` if given), globally
-    sorted: every key on rank r precedes every key on rank r+1.
+    sorted: every key on rank r precedes every key on rank r+1.  Either every
+    rank of ``comm`` passes a ``payload`` or none does: the payload arm issues
+    its own ``alltoallv``.
     """
     keys = np.asarray(keys)
     order = np.argsort(keys, kind="stable")
@@ -66,7 +68,7 @@ def sample_sort(
     slices = _split_by_splitters(keys, splitters)
     out_k = comm.alltoallv([keys[s] for s in slices])
     merged_k = np.concatenate(out_k) if out_k else keys[:0]
-    if payload is not None:  # spmdlint: ignore[R7] -- payload uniformity is an API contract: every rank of `comm` passes a payload or none does, so all ranks agree on this arm (and its alltoallv)
+    if payload is not None:
         out_p = comm.alltoallv([payload[s] for s in slices])
         merged_p = np.concatenate(out_p)
     order = np.argsort(merged_k, kind="stable")
@@ -88,7 +90,8 @@ def kway_sort(
     current (memoized) stage communicator, then recurses within the
     superpartition.  For ``p <= k`` this degenerates to one flat sample sort,
     matching the paper's default ``k = 128`` needing at most three stages up
-    to 2M processes.
+    to 2M processes.  ``payload`` is all-ranks-or-none, as in
+    :func:`sample_sort`.
     """
     keys = np.asarray(keys)
     order = np.argsort(keys, kind="stable")
@@ -119,7 +122,7 @@ def kway_sort(
                 sends_p[dest] = payload[s]
         recv = cur.alltoallv(sends)
         keys = np.concatenate(recv)
-        if payload is not None:  # spmdlint: ignore[R7] -- payload uniformity is an API contract (see sample_sort): all ranks agree on this arm's alltoallv
+        if payload is not None:
             recv_p = cur.alltoallv(
                 [p if p is not None else payload[:0] for p in sends_p]
             )
@@ -131,7 +134,7 @@ def kway_sort(
     # Final stage: flat sample sort within the last (<= k ranks) block...
     # which alone does not yield a *global* order across blocks; the staged
     # routing above already ensured block g holds only keys below block g+1.
-    if payload is not None:  # spmdlint: ignore[R7] -- payload uniformity is an API contract (see sample_sort): both arms run one sample_sort; only the uniform payload alltoallv differs
+    if payload is not None:
         return sample_sort(cur, keys, payload)
     return sample_sort(cur, keys)
 

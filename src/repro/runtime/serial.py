@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Optional
 
-from .base import Backend
+from .base import Backend, format_rank_states
 from .thread import ANY_SOURCE, ANY_TAG
 
 
@@ -117,15 +117,17 @@ class _Scheduler:
             return
         raise self._deadlock("all ranks blocked")
 
+    def rank_table(self) -> str:
+        """The per-rank state table every backend emits (``self.cv`` held)."""
+        return format_rank_states(
+            {
+                r: "finished" if self.finished[r] else self.blocked[r]
+                for r in range(self.n)
+            }
+        )
+
     def _deadlock(self, why: str) -> DeadlockError:
-        lines = [f"SPMD deadlock ({why}); per-rank state:"]
-        for r in range(self.n):
-            if self.finished[r]:
-                state = "finished"
-            else:
-                state = self.blocked[r] or "polling (runnable)"
-            lines.append(f"  rank {r}: {state}")
-        self.abort = "\n".join(lines)
+        self.abort = f"SPMD deadlock ({why}); {self.rank_table()}"
         self.cv.notify_all()
         return DeadlockError(self.abort)
 
@@ -300,19 +302,10 @@ class SerialBackend(Backend):
         while any(t.is_alive() for t in threads):
             if time.monotonic() > deadline:
                 with sched.cv:
-                    states = [
-                        f"  rank {r}: "
-                        + (
-                            "finished"
-                            if sched.finished[r]
-                            else sched.blocked[r] or "running/polling"
-                        )
-                        for r in range(nprocs)
-                    ]
+                    table = sched.rank_table()
                 sched.fail("wall timeout")
                 raise SpmdError(
-                    f"SPMD run timed out after {timeout}s (deadlock?)\n"
-                    + "\n".join(states)
+                    f"SPMD run timed out after {timeout}s (deadlock?)\n{table}"
                 )
             for t in threads:
                 t.join(0.05)

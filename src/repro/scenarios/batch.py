@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..mpi.comm import SpmdError, run_spmd
-from ..runtime.entry_points import spmd_entry_point
 from .runner import JobResult, run_scenario
 from .schema import ScenarioConfig
 from .store import ResultsStore
@@ -122,17 +121,16 @@ def _run_assigned(jobs: List[BatchJob], store: ResultsStore,
     return out
 
 
-@spmd_entry_point("scenarios.batch_worker")
 def _batch_worker(
     comm, todo: Sequence[BatchJob], store: ResultsStore,
     backend_label: Optional[str],
 ) -> List[dict]:
     """One batch worker rank: run this rank's round-robin share of the jobs.
 
-    Module-level (not a closure) so the schedule extractor can compile it
-    and the process backend can pickle it.  Deliberately communication-free:
-    its CommSchedule is empty, so worker ranks never deadlock on each other
-    and a dead rank only loses its own unfinished jobs.
+    Module-level (not a closure) so the process backend can pickle it.
+    Deliberately communication-free (``tests/scenarios/test_batch.py`` pins
+    every ``CommStats`` counter at zero), so worker ranks never deadlock on
+    each other and a dead rank only loses its own unfinished jobs.
     """
     mine = list(todo)[comm.rank :: comm.size]
     return _run_assigned(mine, store, backend_label)

@@ -1,7 +1,11 @@
 """REPRO_SPMD_CHECK runtime checkers: seeded collective mismatches are caught
 on every backend with rank/call-site attribution, seeded ghost-buffer races
 are caught on the zero-copy thread backend, enabling checks never perturbs
-CommStats, and the deadlock reporters agree structurally across backends."""
+CommStats (including on the equivalence-suite programs: ``split``
+sub-communicators, NBX, the k-way sort), and the deadlock reporters agree
+structurally across backends."""
+
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from repro.analysis.runtime_check import (
 from repro.mpi.comm import SpmdError, run_spmd
 from repro.mpi.stats import CommStats
 from repro.runtime import ProcessBackend
+
+from ..runtime.spmd_programs import EQUIVALENCE_PROGRAMS
 
 BACKENDS = ["thread", "serial"] + (
     ["process"] if ProcessBackend.is_available() else []
@@ -48,6 +54,53 @@ def _matched(comm):
     comm.barrier()
     total = comm.allreduce(comm.rank)
     return comm.allgather(total)
+
+
+def _program_args(name, nranks, seed=0):
+    """The same input shapes the equivalence suite feeds each program."""
+    rng = np.random.default_rng(seed)
+    if name == "tests.p2p_ring":
+        return (
+            {
+                (s, d): rng.standard_normal(int(rng.integers(1, 200)))
+                for s in range(nranks)
+                for d in range(nranks)
+                if s != d
+            },
+        )
+    if name == "tests.collectives_battery":
+        return ([rng.standard_normal(8) for _ in range(nranks)],)
+    if name == "tests.nbx_dense_exchange":
+        return (
+            [
+                {
+                    int(d): rng.standard_normal(int(rng.integers(1, 100)))
+                    for d in rng.choice(
+                        nranks, size=int(rng.integers(0, nranks)), replace=False
+                    )
+                }
+                for _ in range(nranks)
+            ],
+        )
+    if name == "tests.distributed_sort":
+        data = [
+            rng.integers(0, 2**60, 200).astype(np.uint64)
+            for _ in range(nranks)
+        ]
+        return (data, "kway", 2)
+    if name == "tests.split_subcomm_traffic":
+        return ()
+    raise AssertionError(f"no args builder for {name}")
+
+
+def _equivalence_runs():
+    """``(program, nranks, args)`` for the five equivalence-suite programs:
+    the only inputs here that drive the fingerprint checker through
+    ``split`` sub-communicators, NBX and the k-way sort."""
+    return [
+        (fn, nranks, _program_args(name, nranks))
+        for name, (fn, nranks) in sorted(EQUIVALENCE_PROGRAMS.items())
+    ]
 
 
 class TestCollectiveMatching:
@@ -86,6 +139,10 @@ class TestCollectiveMatching:
         with force_checks(True):
             res = run_spmd(3, _matched, backend=backend, timeout=30)
         assert res == [[3, 3, 3]] * 3
+        for fn, nranks, args in _equivalence_runs():
+            with force_checks(True):
+                res = run_spmd(nranks, fn, *args, backend=backend, timeout=120)
+            assert len(res) == nranks, fn.__name__
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_asymmetric_payloads_allowed(self, backend):
@@ -104,12 +161,16 @@ class TestCollectiveMatching:
     def test_stats_invariant_under_checks(self, backend):
         # The fingerprint rendezvous bypasses CommStats: enabling checks
         # must not move any counter the equivalence tests pin down.
-        s_off, s_on = CommStats(), CommStats()
-        with force_checks(False):
-            run_spmd(3, _matched, backend=backend, stats=s_off, timeout=30)
-        with force_checks(True):
-            run_spmd(3, _matched, backend=backend, stats=s_on, timeout=30)
-        assert s_off.snapshot() == s_on.snapshot()
+        for fn, nranks, args in [(_matched, 3, ())] + _equivalence_runs():
+            snaps = []
+            for enabled in (False, True):
+                stats = CommStats()
+                with force_checks(enabled):
+                    run_spmd(
+                        nranks, fn, *args, backend=backend, stats=stats, timeout=120
+                    )
+                snaps.append(stats.snapshot())
+            assert snaps[0] == snaps[1], fn.__name__
 
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(CHECK_ENV, raising=False)
@@ -219,6 +280,12 @@ def _hang(comm):
     comm.barrier()
 
 
+def _sleeper(comm):
+    # Never blocks on communication: only the wall timeout can stop it.  Long
+    # enough to outlast the process backend's timeout + 2 s parent backstop.
+    time.sleep(3.0)
+
+
 class TestDeadlockReporterParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_per_rank_state_table(self, backend):
@@ -229,3 +296,9 @@ class TestDeadlockReporterParity:
         assert "rank 0:" in msg and "rank 1:" in msg
         # Rank 0 is blocked in the unmatched recv; the table names it.
         assert "recv(source=1, tag=99)" in msg
+        # The wall-timeout path (no rank blocked) emits the same table.
+        with pytest.raises(SpmdError) as ei:
+            run_spmd(2, _sleeper, backend=backend, timeout=0.2)
+        msg = str(ei.value)
+        assert "timed out after 0.2s" in msg
+        assert "per-rank state:\n  rank 0: " in msg and "\n  rank 1: " in msg

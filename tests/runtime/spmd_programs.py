@@ -1,13 +1,11 @@
 """The cross-backend equivalence-suite SPMD programs, as module-level
-registered entry points.
+functions.
 
-Lifted out of ``test_backends.py`` closures so that (a) the process backend
-can pickle them, (b) the comm-schedule extractor
-(:mod:`repro.analysis.schedule`) can compile each one, and (c) the CI
-``spmd-schedule`` job can model-check and conformance-check the exact
-programs the equivalence suite executes.  Inputs are passed as ``run_spmd``
-args (never captured), keeping every program a pure function of
-``(comm, data)``.
+Lifted out of ``test_backends.py`` closures so that the process backend can
+pickle them and ``tests/analysis/test_runtime_checkers.py`` can run the exact
+programs the equivalence suite executes under ``REPRO_SPMD_CHECK``.  Inputs
+are passed as ``run_spmd`` args (never captured), keeping every program a
+pure function of ``(comm, data)``.
 """
 
 import numpy as np
@@ -15,10 +13,8 @@ import numpy as np
 from repro.mpi.comm import MAX
 from repro.mpi.sort import is_globally_sorted, kway_sort, sample_sort
 from repro.mpi.sparse_exchange import dense_exchange, nbx_exchange
-from repro.runtime.entry_points import spmd_entry_point
 
 
-@spmd_entry_point("tests.p2p_ring")
 def p2p_ring_program(comm, payloads):
     """All-pairs p2p: send to every peer (tag = dest), receive from every
     peer (tag = my rank), accumulate payload sums in source order."""
@@ -32,7 +28,6 @@ def p2p_ring_program(comm, payloads):
     return acc
 
 
-@spmd_entry_point("tests.collectives_battery")
 def collectives_battery_program(comm, vecs):
     """One of every blocking collective, fixed roots, then a barrier."""
     v = vecs[comm.rank]
@@ -55,7 +50,6 @@ def collectives_battery_program(comm, vecs):
     return out
 
 
-@spmd_entry_point("tests.nbx_dense_exchange")
 def nbx_dense_program(comm, outgoing):
     """NBX sparse exchange, then the dense reference, same sparsity."""
     got_nbx = nbx_exchange(comm, outgoing[comm.rank])
@@ -66,7 +60,6 @@ def nbx_dense_program(comm, outgoing):
     return {s: got_nbx[s].sum() for s in sorted(got_nbx)}
 
 
-@spmd_entry_point("tests.distributed_sort")
 def distributed_sort_program(comm, data, sorter, k):
     """Distributed sort (``sorter`` in {"sample", "kway"}) + global check.
 
@@ -82,7 +75,6 @@ def distributed_sort_program(comm, data, sorter, k):
     return out
 
 
-@spmd_entry_point("tests.split_subcomm_traffic")
 def split_subcomm_program(comm):
     """Split into parity groups; collective + p2p ring inside each group."""
     sub = comm.split(comm.rank % 2)
@@ -92,7 +84,7 @@ def split_subcomm_program(comm):
     return (sub.size, tot, int(got[0]))
 
 
-#: name -> (program, nranks) for the schedule/conformance sweeps.
+#: name -> (program, nranks) for the cross-backend and runtime-checker sweeps.
 EQUIVALENCE_PROGRAMS = {
     "tests.p2p_ring": (p2p_ring_program, 4),
     "tests.collectives_battery": (collectives_battery_program, 4),

@@ -1,13 +1,15 @@
-"""Batch-service tests: failure isolation, resume-only-unfinished, and the
-results store's crash tolerance."""
+"""Batch-service tests: failure isolation, resume-only-unfinished, the
+results store's crash tolerance, and the communication-free worker."""
 
 import json
 import os
 
 import pytest
 
+from repro.mpi.comm import run_spmd
+from repro.mpi.stats import CommStats
 from repro.scenarios import ResultsStore, build, make_jobs, run_batch
-from repro.scenarios.batch import BatchJob
+from repro.scenarios.batch import BatchJob, _batch_worker
 
 
 def _quick(name, **override):
@@ -130,6 +132,26 @@ class TestConcurrency:
         store = ResultsStore(str(tmp_path))
         report = run_batch(jobs, store, concurrency=4, backend="thread")
         assert report.statuses == {"succeeded": 4}
+
+    def test_worker_is_communication_free(self, tmp_path):
+        # Measured, not proved: two worker ranks run a job each and no p2p,
+        # collective, barrier or split counter moves — so ranks cannot
+        # deadlock on each other and a dead rank loses only its own jobs.
+        todo = [
+            BatchJob("a", _quick("drop_2d")),
+            BatchJob("b", _quick("coalescence_2d")),
+        ]
+        store = ResultsStore(str(tmp_path))
+        store.prepare()
+        s = CommStats()
+        out = run_spmd(
+            2, _batch_worker, todo, store, None, stats=s, backend="serial"
+        )
+        assert [[r["status"] for r in rank] for rank in out] == [
+            ["succeeded"], ["succeeded"]
+        ]
+        snap = s.snapshot()
+        assert snap == dict.fromkeys(snap, 0)
 
     def test_concurrency_capped_at_job_count(self, tmp_path):
         store = ResultsStore(str(tmp_path))
