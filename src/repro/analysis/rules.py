@@ -25,10 +25,10 @@ R3  wall-clock / unseeded randomness inside SPMD-executed functions
     contract (DESIGN.md §6).  ``time.sleep`` is allowed (no value).
 
 R4  assembly without a generation check
-    Calling ``plan.assemble(Ke)`` on a plan that did not provably come from
-    ``get_plan``/``AssemblyPlan`` in the same scope, with no ``check(mesh)``
-    or ``assemble_for`` in sight: a cached plan can be stale against
-    ``Mesh.generation`` after an AMR remesh.
+    Calling ``plan.assemble(Ke)`` (or ``scatter_loads`` / ``eliminate``) on a
+    plan that did not provably come from ``get_plan``/``AssemblyPlan`` in the
+    same scope, with no ``check(mesh)`` or ``assemble_for`` in sight: a
+    cached plan can be stale against ``Mesh.generation`` after an AMR remesh.
 
 R5  in-place mutation of received message buffers
     The thread backend's transport is zero-copy: a received payload *is*
@@ -328,7 +328,7 @@ class NondeterminismInSpmd(Rule):
 
 class StalePlanAssembly(Rule):
     id = "R4"
-    title = "AssemblyPlan.assemble without a mesh-generation check"
+    title = "AssemblyPlan numeric method without a mesh-generation check"
 
     def check_function(self, ctx: FunctionContext, path: str) -> list[Finding]:
         fn = ctx.node
@@ -350,7 +350,7 @@ class StalePlanAssembly(Rule):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "assemble"
+                and node.func.attr in ("assemble", "scatter_loads", "eliminate")
             ):
                 continue
             recv = node.func.value
@@ -367,10 +367,10 @@ class StalePlanAssembly(Rule):
             findings.append(
                 self.finding(
                     path, node,
-                    "`.assemble(...)` on a plan that may be stale against "
-                    "`Mesh.generation` — use `plan.assemble_for(mesh, Ke)`, "
-                    "call `plan.check(mesh)` first, or fetch via "
-                    "`get_plan(mesh)`",
+                    f"`.{node.func.attr}(...)` on a plan that may be stale "
+                    "against `Mesh.generation` — call `plan.check(mesh)` "
+                    "first, fetch via `get_plan(mesh)`, or use "
+                    "`plan.assemble_for(mesh, Ke)`",
                 )
             )
         return findings

@@ -9,6 +9,12 @@ All matrix assembly routes through :func:`repro.fem.plan.plan_assemble`:
 the COO pattern and hanging-node projection are precomputed once per mesh
 generation, and each call here only performs the cheap numeric update.  The
 slow reference path lives in :func:`repro.fem.assembly.assemble_matrix`.
+
+The ``*_ke`` / ``*_be`` functions stop before the scatter and return the
+elemental batch, so a block solver can sum its operator (and its loads) at
+the element level and scatter once; :func:`phase_at_quad` evaluates the
+phase field and the mixture properties at the quadrature points once per
+distinct ``phi`` for all of NS, PP and VU.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from ..fem.operators import (
     stiffness_matrix,
     value_at_quad,
 )
+from ..la.newton import IterateCache
 from ..mesh.mesh import Mesh
+from .params import CHNSParams, PhaseQuad
 
 
 def field_at_quad(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -42,15 +50,56 @@ def grad_at_quad(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return gradient_at_quad(mesh.elem_gather(u), mesh.elem_h(), mesh.dim)
 
 
+def phase_at_quad(mesh: Mesh, prm: CHNSParams, phi: np.ndarray) -> PhaseQuad:
+    """``phi`` and its mixture properties at the quadrature points, evaluated
+    once per distinct ``phi`` per ``Mesh.generation``: a single
+    :class:`repro.la.newton.IterateCache` slot (exact array equality, so a
+    ``phi`` changed in place or rebound misses) in ``mesh.memo``, freed with
+    the mesh.  NS, PP and VU of one step all read it.  The arrays are shared
+    between callers and therefore read-only; a hit is bit for bit what a
+    rebuild returns."""
+
+    def build() -> PhaseQuad:
+        phi_e = mesh.elem_gather(phi)
+        phi_q = value_at_quad(phi_e, mesh.dim)
+        rho_q = prm.rho_clamped(phi_q)
+        out = PhaseQuad(
+            phi_q, rho_q, 1.0 / rho_q, prm.eta_clamped(phi_q),
+            gradient_at_quad(phi_e, mesh.elem_h(), mesh.dim),
+        )
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    cache = mesh.memo.setdefault("phase", IterateCache())
+    key = (prm.rho_plus, prm.rho_minus, prm.eta_plus, prm.eta_minus)
+    return cache.get(np.asarray(phi), key, build)
+
+
+def mass_ke(mesh: Mesh, coeff=1.0) -> np.ndarray:
+    """Elemental (weighted) mass matrices (n_elems, nc, nc); ``coeff`` may be
+    a quad-point array."""
+    return mass_matrix(mesh.elem_h(), mesh.dim, coeff)
+
+
+def stiffness_ke(mesh: Mesh, coeff=1.0) -> np.ndarray:
+    return stiffness_matrix(mesh.elem_h(), mesh.dim, coeff)
+
+
+def convection_ke(mesh: Mesh, vq: np.ndarray) -> np.ndarray:
+    """Elemental ``∫ N_i (v · grad N_j)`` for an advecting field sampled at
+    the quadrature points, shape (n_elems, nq, dim).  Linear in ``vq``: the
+    sum of two convection operators is the operator of the summed fields."""
+    return convection_matrix(mesh.elem_h(), mesh.dim, vq)
+
+
 def mass(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     """Global (weighted) mass matrix; ``coeff`` may be a quad-point array."""
-    return plan_assemble(mesh, mass_matrix(mesh.elem_h(), mesh.dim, coeff))
+    return plan_assemble(mesh, mass_ke(mesh, coeff))
 
 
 def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
-    return plan_assemble(
-        mesh, stiffness_matrix(mesh.elem_h(), mesh.dim, coeff)
-    )
+    return plan_assemble(mesh, stiffness_ke(mesh, coeff))
 
 
 def convection(mesh: Mesh, vel_dofs: np.ndarray, rho_q=None) -> sp.csr_matrix:
@@ -65,14 +114,18 @@ def convection(mesh: Mesh, vel_dofs: np.ndarray, rho_q=None) -> sp.csr_matrix:
 def convection_from_quad(mesh: Mesh, vq: np.ndarray) -> sp.csr_matrix:
     """Convection by an advecting field already sampled at quadrature points
     (e.g. the NS diffusive mass flux), shape (n_elems, nq, dim)."""
-    return plan_assemble(
-        mesh, convection_matrix(mesh.elem_h(), mesh.dim, vq)
-    )
+    return plan_assemble(mesh, convection_ke(mesh, vq))
+
+
+def source_be(mesh: Mesh, f_q) -> np.ndarray:
+    """Elemental load vectors (n_elems, nc[, k]) of a quad-point (or
+    constant) source; ``k`` sources at once as (n_elems, nq, k)."""
+    return load_vector(mesh.elem_h(), mesh.dim, f_q)
 
 
 def source(mesh: Mesh, f_q) -> np.ndarray:
-    """Global load vector of a quad-point (or constant) source."""
-    return assemble_vector(mesh, load_vector(mesh.elem_h(), mesh.dim, f_q))
+    """Global load vector(s) of a quad-point (or constant) source."""
+    return assemble_vector(mesh, source_be(mesh, f_q))
 
 
 def quad_xy(mesh: Mesh) -> np.ndarray:
@@ -99,21 +152,19 @@ def source_at(mesh: Mesh, f: Callable, t: float = 0.0) -> np.ndarray:
     xq = quad_xy(mesh)
     e, q, dim = xq.shape
     fv = np.asarray(f(xq.reshape(-1, dim), t), dtype=float)
-    if fv.ndim == 1:
-        return source(mesh, fv.reshape(e, q))
-    return np.stack(
-        [source(mesh, fv[:, j].reshape(e, q)) for j in range(fv.shape[1])],
-        axis=1,
-    )
+    return source(mesh, fv.reshape(e, q, *fv.shape[1:]))
+
+
+def flux_divergence_be(mesh: Mesh, flux_q: np.ndarray) -> np.ndarray:
+    """Elemental ``∫ F · grad N_i`` (n_elems, nc) of a quad-point flux."""
+    return gradient_load_vector(mesh.elem_h(), mesh.dim, flux_q)
 
 
 def flux_divergence_load(mesh: Mesh, flux_q: np.ndarray) -> np.ndarray:
     """Weak divergence of a quad-point flux: ``-∫ F · grad N_i`` appears in
     the equations as ``+∫ N_i div F`` integrated by parts; the caller picks
     the sign.  Returns ``∫ F · grad N_i``."""
-    return assemble_vector(
-        mesh, gradient_load_vector(mesh.elem_h(), mesh.dim, flux_q)
-    )
+    return assemble_vector(mesh, flux_divergence_be(mesh, flux_q))
 
 
 def divergence_of(mesh: Mesh, vel_dofs: np.ndarray) -> np.ndarray:

@@ -10,13 +10,22 @@ remark applied one block earlier.
 
 Momentum weak form per component i (all terms non-dimensional, Eq. 1):
 
-  [M_rho/dt + (C_rho(v*) + C_J)/2 + K_eta/(2 Re)] v_i^{n+1}
-      = [M_rho/dt - (C_rho(v*) + C_J)/2 - K_eta/(2 Re)] v_i^n
-        - (1/We) G_i p^n + (Cn/We) S_i(phi) + (rho g_i / Fr) M 1
+  A_imp v_i^{n+1} = (2 M_rho/dt - A_imp) v_i^n - (1/We) G_i p^n
+                    + (Cn/We) S_i(phi) + (rho g_i / Fr) M 1
+  A_imp = M_rho/dt + C(rho v* + J/Pe)/2 + K_eta/(2 Re)
 
 with S_i the capillary term ``∫ (d_i phi)(grad phi) · grad N`` (integration
-by parts of the paper's div(grad phi ⊗ grad phi)), and C_J the convection by
-the diffusive flux ``J = J_coeff * m(phi) grad mu`` scaled by 1/Pe.
+by parts of the paper's div(grad phi ⊗ grad phi)) and ``J = J_coeff *
+m(phi) grad mu`` the diffusive mass flux; convection is linear in its
+advecting field, so ``rho v*`` and ``J/Pe`` share one operator.
+
+Everything is summed at the element level: ``A_imp`` is one ``Ke`` sum and
+one scatter (a second one, of its elliptic part, under ``precond="pcd"``);
+the explicit operator is never assembled — ``Ke_exp = 2 Ke_M/dt - Ke_imp``
+multiplies the gathered ``v^n`` as a batched GEMV inside the same elemental
+load as the pressure-gradient, capillary and gravity terms, and all ``dim``
+right-hand sides leave through one scatter.  Components with the same
+Dirichlet mask share one eliminated matrix and one preconditioner.
 """
 
 from __future__ import annotations
@@ -26,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..fem.assembly import apply_dirichlet
+from ..fem.assembly import assemble_vector, lift_dirichlet
+from ..fem.plan import get_plan
 from ..la.krylov import bicgstab
-from ..la.precond import JacobiPreconditioner, make_preconditioner
+from ..la.precond import make_preconditioner
 from ..mesh.mesh import Mesh
 from . import forms
 from .free_energy import mobility
@@ -69,88 +79,80 @@ class NSSolver:
         each component RHS — the MMS manufactured-solution hook."""
         mesh, prm = self.mesh, self.params
         dim = mesh.dim
+        plan = get_plan(mesh)
+        masks = [None] * dim
+        if dirichlet_masks is not None:
+            masks = [np.asarray(m, dtype=bool) for m in dirichlet_masks]
 
         with obs.span("ns.assemble"):
-            phi_q = forms.field_at_quad(mesh, phi)
-            rho_q = prm.rho_clamped(phi_q)
-            eta_q = prm.eta_clamped(phi_q)
+            ph = forms.phase_at_quad(mesh, prm, phi)
+            # Advecting field: rho times the extrapolated velocity (CN
+            # linearization) plus the diffusive mass flux J = J_coeff *
+            # m(phi) grad(mu) (paper Eq. 1) with coefficient 1/Pe.
+            vq = forms.field_at_quad(mesh, 2.0 * vel_n - vel_nm1)  # (e, q, dim)
+            J_q = (
+                prm.J_coeff()
+                * mobility(ph.phi_q)[..., None]
+                * forms.grad_at_quad(mesh, mu)
+            )
+            adv_q = ph.rho_q[..., None] * vq + (1.0 / prm.Pe) * J_q
 
-            # Extrapolated advecting velocity (CN linearization).
-            v_star = 2.0 * vel_n - vel_nm1
-            vq = forms.field_at_quad(mesh, v_star)  # (e, q, dim)
-            # Diffusive mass flux J = J_coeff * m(phi) grad(mu) (paper Eq. 1),
-            # advected with coefficient 1/Pe.
-            grad_mu_q = forms.grad_at_quad(mesh, mu)
-            J_q = prm.J_coeff() * mobility(phi_q)[..., None] * grad_mu_q
-            adv_q = rho_q[..., None] * vq + (1.0 / prm.Pe) * J_q
+            # Every Ke batch is fresh, so the sums run in place.
+            Ke_M = forms.mass_ke(mesh, ph.rho_q)
+            Ke_M /= dt
+            # PCD drops the convection block: its V-cycle runs on the
+            # symmetric reactive-diffusive part M_rho/dt + K_eta/(2 Re).
+            Ke_ell = forms.stiffness_ke(mesh, ph.eta_q)
+            Ke_ell *= 0.5 / prm.Re
+            Ke_ell += Ke_M
+            Ke_imp = forms.convection_ke(mesh, adv_q)
+            Ke_imp *= 0.5
+            Ke_imp += Ke_ell
+            A_imp = plan.assemble(Ke_imp)
+            A_ell = plan.assemble(Ke_ell) if precond == "pcd" else None
 
-            M_rho = forms.mass(mesh, rho_q)
-            C = forms.convection(mesh, v_star, rho_q)  # rho v* · grad
-            C_J = forms.convection_from_quad(mesh, (1.0 / prm.Pe) * J_q)
-            K_eta = forms.stiffness(mesh, eta_q)
-
-            A_imp = (M_rho / dt + 0.5 * (C + C_J) + (0.5 / prm.Re) * K_eta).tocsr()
-            A_exp = (M_rho / dt - 0.5 * (C + C_J) - (0.5 / prm.Re) * K_eta).tocsr()
-
-            # Capillary force (Cn/We) div(grad phi ⊗ grad phi), by parts:
-            # F_i = -(Cn/We) ∫ (d_i phi) grad phi · grad N.
-            grad_phi_q = forms.grad_at_quad(mesh, phi)  # (e, q, dim)
-            grad_p_q = forms.grad_at_quad(mesh, p_n)
-
-            if precond == "pcd":
-                # PCD drops the convection block: the V-cycle runs on the
-                # symmetric reactive-diffusive part only.
-                A_ell = (M_rho / dt + (0.5 / prm.Re) * K_eta).tocsr()
+            # Elemental load of all components at once, (e, nc, dim):
+            # Ke_exp v^n, the explicit pressure gradient -(1/We) d_i p^n,
+            # gravity rho g_i / Fr, and the capillary stress — Eq. 1 carries
+            # +(Cn/We) d_j(d_i phi d_j phi) on the LHS; moved to the RHS and
+            # integrated by parts it is +(Cn/We) ∫ (d_i phi grad phi) · grad N.
+            Ke_M *= 2.0
+            Ke_M -= Ke_imp  # Ke_exp
+            be = np.matmul(Ke_M, mesh.elem_gather(vel_n))
+            src_q = (-1.0 / prm.We) * forms.grad_at_quad(mesh, p_n)
+            gcoef = prm.gravity_coeff()
+            for i, g_i in enumerate(prm.gravity_dir[:dim]):
+                if gcoef and g_i:
+                    src_q[..., i] += (gcoef * g_i) * ph.rho_q
+            be += forms.source_be(mesh, src_q)
+            for i in range(dim):
+                flux = ph.grad_phi_q[..., i : i + 1] * ph.grad_phi_q  # (e,q,dim)
+                be[..., i] += (prm.Cn / prm.We) * forms.flux_divergence_be(
+                    mesh, flux
+                )
+            rhs = assemble_vector(mesh, be)  # (n_dofs, dim)
+            if forcing is not None:
+                rhs += forcing
 
         vel_new = np.zeros_like(vel_n)
         solves = []
-        pcd_cache: dict = {}
-        for i in range(dim):
-            rhs = A_exp @ vel_n[:, i]
-            if forcing is not None:
-                rhs = rhs + forcing[:, i]
-            # Pressure gradient (1/We) d_i p, explicit at t^n.
-            rhs -= (1.0 / prm.We) * forms.source(mesh, grad_p_q[..., i])
-            # Capillary stress: Eq. 1 carries +(Cn/We) d_j(d_i phi d_j phi)
-            # on the LHS; moved to the RHS and integrated by parts it
-            # becomes +(Cn/We) ∫ (d_i phi grad phi) · grad N.
-            flux = grad_phi_q[..., i : i + 1] * grad_phi_q  # (e,q,dim)
-            rhs += (prm.Cn / prm.We) * forms.flux_divergence_load(mesh, flux)
-            # Gravity rho g_i / Fr.
-            gcoef = prm.gravity_coeff()
-            if gcoef and i < len(prm.gravity_dir) and prm.gravity_dir[i]:
-                rhs += gcoef * prm.gravity_dir[i] * forms.source(mesh, rho_q)
-
-            if dirichlet_masks is not None:
-                mask = dirichlet_masks[i]
-                vals = (
-                    dirichlet_values[i]
-                    if dirichlet_values is not None
-                    else np.zeros(mesh.n_dofs)
+        systems: dict = {}  # (matrix, preconditioner) per distinct mask
+        for i, mask in enumerate(masks):
+            key = None if mask is None else mask.tobytes()
+            if key not in systems:
+                A_i, A_e = A_imp, A_ell
+                if mask is not None:
+                    A_i = plan.eliminate(A_imp, mask)
+                    if A_ell is not None:
+                        A_e = plan.eliminate(A_ell, mask)
+                systems[key] = A_i, make_preconditioner(
+                    precond, A_i, mesh=mesh, elliptic=A_e
                 )
-                A_i, rhs_i = apply_dirichlet(A_imp, rhs, mask, vals)
-            else:
-                mask = None
-                A_i, rhs_i = A_imp, rhs
-            if precond == "jacobi":
-                M_i = JacobiPreconditioner(A_i)
-            elif precond == "pcd":
-                # Components sharing a Dirichlet mask (the common case)
-                # share one GMG hierarchy + Galerkin chain.
-                key = None if mask is None else mask.tobytes()
-                M_i = pcd_cache.get(key)
-                if M_i is None:
-                    if mask is None:
-                        A_e = A_ell
-                    else:
-                        A_e, _ = apply_dirichlet(
-                            A_ell, np.zeros(mesh.n_dofs), mask,
-                            np.zeros(mesh.n_dofs),
-                        )
-                    M_i = make_preconditioner("pcd", A_i, mesh=mesh, elliptic=A_e)
-                    pcd_cache[key] = M_i
-            else:
-                M_i = make_preconditioner(precond, A_i)
+            A_i, M_i = systems[key]
+            rhs_i = rhs[:, i].copy()
+            if mask is not None:
+                vals = None if dirichlet_values is None else dirichlet_values[i]
+                rhs_i = lift_dirichlet(A_imp, rhs_i, mask, vals)
             res = bicgstab(
                 A_i,
                 rhs_i,

@@ -10,8 +10,21 @@ rho_-/rho_+``.  The degenerate mobility is ``m(phi) = sqrt(1 - phi^2)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+
+class PhaseQuad(NamedTuple):
+    """The phase field and its mixture properties at the quadrature points
+    (what :func:`repro.chns.forms.phase_at_quad` returns; all (n_elems, nq)
+    except ``grad_phi_q`` (n_elems, nq, dim))."""
+
+    phi_q: np.ndarray
+    rho_q: np.ndarray  # rho_clamped(phi_q)
+    inv_rho_q: np.ndarray
+    eta_q: np.ndarray  # eta_clamped(phi_q)
+    grad_phi_q: np.ndarray
 
 
 @dataclass

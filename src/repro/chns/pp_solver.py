@@ -23,7 +23,9 @@ same path as the uninterrupted one.
 The variable-coefficient stiffness is re-assembled every step (the density
 field moves), but only numerically: the symbolic scatter/projection pattern
 comes from the per-generation :mod:`repro.fem.plan` cache shared by all
-four block solvers.
+four block solvers, ``1/rho`` at the quadrature points from the
+:func:`repro.chns.forms.phase_at_quad` slot the NS solve of the same step
+filled, and the right-hand side leaves through the planned load scatter.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class PPSolver:
     def __init__(self, mesh: Mesh, params: CHNSParams):
         self.mesh = mesh
         self.params = params
-        self.M_lumped = np.asarray(forms.mass(mesh).sum(axis=1)).ravel()
 
     def solve(
         self,
@@ -94,8 +95,7 @@ class PPSolver:
         residue per step.  ``K`` still serves as the CG preconditioner."""
         mesh, prm = self.mesh, self.params
         with obs.span("pp.assemble"):
-            phi_q = forms.field_at_quad(mesh, phi)
-            inv_rho_q = 1.0 / prm.rho_clamped(phi_q)
+            inv_rho_q = forms.phase_at_quad(mesh, prm, phi).inv_rho_q
             K = forms.stiffness(mesh, inv_rho_q)
 
             dv = vel_star if vel_n is None else vel_star - vel_n

@@ -13,7 +13,10 @@ rides the per-generation :mod:`repro.fem.plan` symbolic cache, so even the
 post-remesh rebuild shares pattern work with the other block solvers.)
 The Dirichlet-eliminated matrix and its Jacobi preconditioner are constant
 too: built once per distinct mask for the life of the solver (one
-``Mesh.generation``); a step only lifts its right-hand side.
+``Mesh.generation``); a step only lifts its right-hand side.  The right-hand
+sides of all directions are assembled at once (one ``M @ v*`` on the
+``(n_dofs, dim)`` array, one ``dim``-column load scatter), with ``1/rho`` at
+the quadrature points read from :func:`repro.chns.forms.phase_at_quad`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..fem.assembly import eliminate_dirichlet, lift_dirichlet
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner
@@ -67,16 +71,17 @@ class VUSolver:
     ) -> VUResult:
         mesh, prm = self.mesh, self.params
         dim = mesh.dim
-        phi_q = forms.field_at_quad(mesh, phi)
-        inv_rho_q = 1.0 / prm.rho_clamped(phi_q)
-        grad_p_q = forms.grad_at_quad(mesh, p)  # (e, q, dim)
+        with obs.span("vu.assemble"):
+            inv_rho_q = forms.phase_at_quad(mesh, prm, phi).inv_rho_q
+            grad_p_q = forms.grad_at_quad(mesh, p)  # (e, q, dim)
+            rhs_all = self.M @ vel_star - (dt / prm.We) * forms.source(
+                mesh, inv_rho_q[..., None] * grad_p_q
+            )
 
         vel = np.zeros_like(vel_star)
         solves = []
         for i in range(dim):
-            rhs = self.M @ vel_star[:, i] - (dt / prm.We) * forms.source(
-                mesh, inv_rho_q * grad_p_q[..., i]
-            )
+            rhs = rhs_all[:, i].copy()
             mask = None
             if dirichlet_masks is not None:
                 mask = np.asarray(dirichlet_masks[i], dtype=bool)

@@ -11,7 +11,9 @@ sparse matmuls, duplicate summation) on every call.  The solver hot path
 goes through :mod:`repro.fem.plan` instead, which precomputes all of that
 once per mesh generation; this module stays as the slow, obviously-correct
 reference the plan is validated against (``tests/fem/test_assembly_plan.py``
-cross-checks them at 1e-14)."""
+cross-checks them at 1e-14).  The same holds for :func:`eliminate_dirichlet`
+(reference of :meth:`repro.fem.plan.AssemblyPlan.eliminate`);
+:func:`assemble_vector` is the one function here that is the fast path."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..mesh.mesh import Mesh
+from .plan import get_plan
 
 
 def assemble_matrix(mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
@@ -43,8 +46,10 @@ def assemble_matrix(mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_vector(mesh: Mesh, be: np.ndarray) -> np.ndarray:
-    """Assemble elemental load vectors (n_elems, nc) into a DOF vector."""
-    return mesh.elem_scatter(be)
+    """Assemble elemental load vectors (n_elems, nc[, k]) into DOF vector(s)
+    (n_dofs[, k]) through the per-generation planned scatter;
+    :meth:`repro.mesh.mesh.Mesh.elem_scatter` is its reference."""
+    return get_plan(mesh).scatter_loads(be)
 
 
 def lift_dirichlet(

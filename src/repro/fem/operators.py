@@ -59,7 +59,12 @@ def convection_matrix(h: np.ndarray, dim: int, vel_q: np.ndarray) -> np.ndarray:
 
 
 def load_vector(h: np.ndarray, dim: int, f_q) -> np.ndarray:
-    """``∫ f N_i`` per element (GEMV formulation: ``b_e = B q_e``)."""
+    """``∫ f N_i`` per element (GEMV formulation: ``b_e = B q_e``); ``k``
+    sources at once as (n_elems, nq, k) -> (n_elems, nc, k)."""
+    if np.ndim(f_q) == 3:
+        be = np.matmul(reference_tensors(dim).load.T, f_q)
+        be *= (np.asarray(h, dtype=np.float64) ** dim)[:, None, None]
+        return be
     return _contract(f_q, reference_tensors(dim).load, h, dim)
 
 

@@ -19,6 +19,11 @@ i.e. for every operator of every Newton iteration of every timestep.
   one multiply, one ``bincount`` — no COO construction, no sparse matmul, no
   ``sum_duplicates``.  The returned matrices share the plan's ``indptr`` /
   ``indices`` arrays; only ``data`` is fresh per call.
+* built lazily on first use (as ``assembly.symbolic`` time): the
+  **load-vector scatter** (:meth:`AssemblyPlan.scatter_loads`, ``P^T`` folded
+  into one CSR mat-vec) and one **Dirichlet plan** per distinct mask
+  (:meth:`AssemblyPlan.eliminate`: the ``data`` slots to zero and to set to
+  one, so elimination is a copy that keeps the shared structure).
 
 Plans are keyed on :attr:`repro.mesh.mesh.Mesh.generation`.  AMR remeshes
 build a new ``Mesh`` (new generation), so :func:`get_plan` transparently
@@ -41,12 +46,6 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..mesh.mesh import Mesh
-
-#: Numeric-update counters, cumulative per process: how many times each plan
-#: phase ran.  Benchmarks and tests read these to prove the symbolic phase is
-#: amortized (``symbolic`` stays flat while ``numeric`` grows).
-STATS = {"symbolic": 0, "numeric": 0}
-
 
 class StaleAssemblyPlanError(RuntimeError):
     """An :class:`AssemblyPlan` was applied to a mesh of another generation."""
@@ -77,7 +76,6 @@ class AssemblyPlan:
     def __init__(self, mesh: Mesh):
         with obs.span("assembly.symbolic"):
             self._build(mesh)
-        STATS["symbolic"] += 1
         obs.incr("assembly.symbolic")
 
     def _build(self, mesh: Mesh) -> None:
@@ -127,8 +125,13 @@ class AssemblyPlan:
         self.indices = proto.indices
         self.indptr = proto.indptr
 
-        # Lazily-built diagonal sub-plan (see :meth:`diagonal`).
+        # Lazily-built sub-plans: :meth:`diagonal`, :meth:`scatter_loads`
+        # (from the node table's ``P`` / ``elem_nodes``, kept until then),
+        # one :meth:`eliminate` plan per mask.
         self._diag_plan = None
+        self._P, self._en = P, en
+        self._scatter = None
+        self._dirichlet: dict = {}
 
     # ------------------------------------------------------------- numeric
 
@@ -145,24 +148,35 @@ class AssemblyPlan:
     def assemble(self, Ke: np.ndarray) -> sp.csr_matrix:
         """Numeric update: scatter a coefficient batch into the precomputed
         CSR layout.  ``Ke`` has shape ``(n_elems, nc, nc)``."""
-        Ke = np.asarray(Ke, dtype=np.float64)
-        if Ke.shape != self.ke_shape:
-            raise ValueError(
-                f"Ke shape {Ke.shape} does not match plan {self.ke_shape}"
-            )
+        Ke = self._checked(Ke, self.ke_shape)
         with obs.span("assembly.numeric"):
             data = np.bincount(
                 self._slot,
                 weights=Ke.ravel()[self._src] * self._weight,
                 minlength=self.nnz,
             )
-        STATS["numeric"] += 1
         obs.incr("assembly.numeric")
-        # Assign the precomputed structure directly: the validating
-        # constructor copies index arrays (scipy >= 1.17), which would break
-        # both the zero-copy contract and the structure-sharing property the
-        # tests pin down.  The layout is canonical by construction (rows
-        # sorted, columns sorted within rows, duplicates summed).
+        return self._matrix(data)
+
+    @staticmethod
+    def _checked(batch: np.ndarray, shape: tuple) -> np.ndarray:
+        """The elemental batch as float64, refused unless it leads with
+        ``shape``: a batch of another topology never reaches a scatter."""
+        batch = np.asarray(batch, dtype=np.float64)
+        if batch.shape[: len(shape)] != shape or batch.ndim > 3:
+            raise ValueError(
+                f"elemental batch shape {batch.shape} does not match plan "
+                f"{shape}"
+            )
+        return batch
+
+    def _matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """``data`` in the plan's CSR layout.  The precomputed structure is
+        assigned directly: the validating constructor copies index arrays
+        (scipy >= 1.17), which would break both the zero-copy contract and
+        the structure-sharing property the tests pin down.  The layout is
+        canonical by construction (rows sorted, columns sorted within rows,
+        duplicates summed)."""
         A = sp.csr_matrix((self.n_dofs, self.n_dofs), dtype=np.float64)
         A.data = data
         A.indices = self.indices
@@ -170,6 +184,62 @@ class AssemblyPlan:
         A.has_sorted_indices = True
         A.has_canonical_format = True
         return A
+
+    def _slot_rows(self) -> np.ndarray:
+        """The row of every ``data`` slot of the plan's CSR layout."""
+        return np.repeat(
+            np.arange(self.n_dofs, dtype=np.int64), np.diff(self.indptr)
+        )
+
+    def scatter_loads(self, be: np.ndarray) -> np.ndarray:
+        """Elemental loads ``(n_elems, nc[, k])`` -> DOF vector(s)
+        ``(n_dofs[, k])``: :meth:`repro.mesh.mesh.Mesh.elem_scatter` as one
+        CSR mat-vec with the hanging-node projection ``P^T`` folded in.  Each
+        DOF sums its contributions in element-major order, so repeated calls
+        are bitwise identical."""
+        be = self._checked(be, self.ke_shape[:2])
+        if self._scatter is None:
+            with obs.span("assembly.symbolic"):
+                # column j of S = row elem_nodes.ravel()[j] of P
+                self._scatter = self._P[self._en.ravel()].T.tocsr()
+                self._P = self._en = None  # a retired plan pins neither
+        obs.incr("assembly.vector")
+        return self._scatter @ be.reshape(-1, *be.shape[2:])
+
+    def eliminate(self, A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
+        """:func:`repro.fem.assembly.eliminate_dirichlet` for a matrix of
+        this plan: a copy of ``A.data`` with the slots in a constrained row
+        or column zeroed and the constrained diagonal set to one.  The zeros
+        stay stored, so the result shares the plan's ``indptr`` / ``indices``
+        and ``A_bc @ x`` adds ``0.0 * x_j`` where the compacted matrix adds
+        nothing — the same bits for finite ``x``.  The slot lists are built
+        once per distinct mask."""
+        if A.indptr is not self.indptr or A.indices is not self.indices:
+            raise StaleAssemblyPlanError(
+                "eliminate() needs a matrix assembled by this plan (shared "
+                "indptr / indices); use repro.fem.assembly."
+                "eliminate_dirichlet for any other"
+            )
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n_dofs,):
+            raise ValueError(
+                f"mask shape {mask.shape} does not match plan ({self.n_dofs},)"
+            )
+        key = mask.tobytes()
+        if key not in self._dirichlet:
+            with obs.span("assembly.symbolic"):
+                rows = self._slot_rows()
+                hit = mask[rows] | mask[self.indices]
+                self._dirichlet[key] = (
+                    np.flatnonzero(hit),
+                    np.flatnonzero(hit & (rows == self.indices)),
+                )
+        zero, diag = self._dirichlet[key]
+        data = A.data.copy()
+        data[zero] = 0.0
+        data[diag] = 1.0
+        obs.incr("assembly.dirichlet")
+        return self._matrix(data)
 
     def assemble_for(self, mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
         """Generation-checked :meth:`assemble` (the safe entry point for
@@ -187,16 +257,9 @@ class AssemblyPlan:
         equal to the assembled diagonal — exact on hanging-node meshes,
         where the naive per-element ``Ke[:, i, i]`` scatter is not.
         """
-        Ke = np.asarray(Ke, dtype=np.float64)
-        if Ke.shape != self.ke_shape:
-            raise ValueError(
-                f"Ke shape {Ke.shape} does not match plan {self.ke_shape}"
-            )
+        Ke = self._checked(Ke, self.ke_shape)
         if self._diag_plan is None:
-            rows_of_pos = np.repeat(
-                np.arange(self.n_dofs, dtype=np.int64), np.diff(self.indptr)
-            )
-            dest_row = rows_of_pos[self._slot]
+            dest_row = self._slot_rows()[self._slot]
             on_diag = dest_row == self.indices[self._slot]
             self._diag_plan = (
                 self._src[on_diag],
@@ -214,7 +277,8 @@ class AssemblyPlan:
 # ------------------------------------------------------------------- cache
 
 #: Most-recently-used plans, keyed on mesh generation.  Bounded so long AMR
-#: runs do not pin retired topologies; plans hold no reference to the Mesh.
+#: runs do not pin retired topologies; plans hold no reference to the Mesh
+#: (the node table's ``P`` / ``elem_nodes`` only until the scatter is built).
 _PLAN_CACHE: "OrderedDict[int, AssemblyPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = 4
 

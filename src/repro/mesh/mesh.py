@@ -39,6 +39,9 @@ class Mesh:
         self._scale = float(1 << morton.MAX_DEPTH)
         self.generation = next(Mesh._generation_counter)
         self._elem_h: Optional[np.ndarray] = None
+        #: data derived from this generation that must die with it
+        #: (``repro.chns.forms.phase_at_quad`` keeps its slot here)
+        self.memo: dict = {}
 
     # ------------------------------------------------------------- factory
 

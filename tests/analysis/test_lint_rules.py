@@ -441,6 +441,44 @@ class TestR4StalePlanAssembly:
         )
         assert fs == []
 
+    def test_every_numeric_method_on_a_cached_plan(self):
+        """The load scatter and the Dirichlet plan apply per-generation
+        symbolic state exactly as ``assemble`` does."""
+        fs = lint(
+            """
+            def f(solver, A, be, mask):
+                b = solver.plan.scatter_loads(be)
+                return solver.plan.eliminate(A, mask), b
+            """
+        )
+        assert rules_of(fs) == ["R4", "R4"]
+        assert "scatter_loads" in fs[0].message
+        assert "eliminate" in fs[1].message
+
+    def test_new_numeric_methods_fresh_or_checked_are_clean(self):
+        fs = lint(
+            """
+            def f(solver, mesh, A, be, mask):
+                plan = get_plan(mesh)
+                A_bc = plan.eliminate(A, mask)
+                solver.plan.check(mesh)
+                return A_bc, solver.plan.scatter_loads(be)
+
+            def g(mesh, be):
+                return get_plan(mesh).scatter_loads(be)
+            """
+        )
+        assert fs == []
+
+    def test_unrelated_scatter_is_not_a_plan_method(self):
+        fs = lint(
+            """
+            def f(comm, chunks):
+                return comm.scatter(chunks, root=0)
+            """
+        )
+        assert fs == []
+
 
 class TestR5MutatedReceiveBuffer:
     def test_subscript_write_to_recv(self):

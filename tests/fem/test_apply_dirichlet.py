@@ -5,6 +5,10 @@ old three-line ``keep @ A @ keep + ident``.  Same pattern, same values bit
 for bit, operand untouched — on plan-assembled operators of 2D/3D
 hanging-node meshes (whose index arrays are shared with every other matrix
 of the plan) and on operands the mask cannot take the shortcut for.
+
+``AssemblyPlan.eliminate`` — the same elimination with the slot lists
+precomputed per mask and the zeros left stored — is in turn checked against
+``eliminate_dirichlet`` (second half of the file).
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from repro.fem.assembly import (
     eliminate_dirichlet,
     lift_dirichlet,
 )
+from repro.fem.plan import AssemblyPlan, StaleAssemblyPlanError, get_plan
 from repro.mesh.mesh import Mesh
 from repro.octree.build import uniform_tree
 from repro.octree.refine import refine
@@ -61,7 +66,7 @@ def test_matches_sparse_product_oracle_bitwise(dim, operator):
         A = forms.mass(mesh)
     elif operator == "stiffness":
         A = forms.stiffness(mesh)
-    else:  # a sum, as NSSolver builds A_imp: not a plan matrix any more
+    else:  # a CSR sum: fresh index arrays, not a plan matrix any more
         vel = rng.standard_normal((mesh.n_dofs, dim))
         A = (forms.mass(mesh) / 0.01 + 0.5 * forms.convection(mesh, vel)
              + 0.05 * forms.stiffness(mesh)).tocsr()
@@ -142,3 +147,90 @@ def test_operands_without_the_shortcut():
         A_bc.toarray(), [[1.0, 0, 0], [0, 4.0, 5.0], [0, 0, 6.0]]
     )
     assert dup.nnz == 5  # the operand kept its duplicates
+
+
+# ------------------------------------------------- AssemblyPlan.eliminate
+
+
+def plan_operator(mesh, operator, rng):
+    """A matrix in the plan's shared CSR layout, as the block solvers build
+    them: one ``Ke`` sum, one scatter."""
+    if operator == "mass":
+        Ke = forms.mass_ke(mesh)
+    elif operator == "stiffness":
+        Ke = forms.stiffness_ke(mesh)
+    else:  # the NS implicit operator
+        vq = rng.standard_normal((mesh.n_elems, 1 << mesh.dim, mesh.dim))
+        rho_q = rng.uniform(0.3, 1.0, (mesh.n_elems, 1 << mesh.dim))
+        Ke = (forms.mass_ke(mesh, rho_q) / 0.01
+              + 0.5 * forms.convection_ke(mesh, vq)
+              + 0.05 * forms.stiffness_ke(mesh, rho_q))
+    return get_plan(mesh).assemble(Ke)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("operator", ["mass", "stiffness", "momentum"])
+def test_planned_elimination_is_the_reference_elimination(dim, operator):
+    mesh = hanging_mesh(dim)
+    plan = get_plan(mesh)
+    rng = np.random.default_rng(20 + dim)
+    A = plan_operator(mesh, operator, rng)
+    before = A.data.copy()
+    for mask in (mesh.boundary_dof_mask(), mesh.face_dof_mask(0, 0),
+                 np.zeros(mesh.n_dofs, dtype=bool)):
+        A_ref = eliminate_dirichlet(A, mask)
+        A_bc = plan.eliminate(A, mask)
+
+        assert np.array_equal(A_bc.toarray(), A_ref.toarray())
+        # the zeros stay stored: same structure as every matrix of the plan
+        assert A_bc.indices is plan.indices and A_bc.indptr is plan.indptr
+        assert A_bc.data is not A.data and np.array_equal(A.data, before)
+        compact = A_bc.copy()
+        compact.eliminate_zeros()
+        assert_same_csr(compact, A_ref)
+        assert A_bc.indices is plan.indices  # the copy was compacted, not us
+        for x in (rng.standard_normal(mesh.n_dofs),
+                  rng.standard_normal((mesh.n_dofs, dim))):
+            assert np.array_equal(A_bc @ x, A_ref @ x)  # bit for bit
+        assert np.array_equal(A_bc.diagonal(), A_ref.diagonal())
+
+
+def test_one_dirichlet_plan_per_distinct_mask():
+    """Keyed on the coerced mask bytes: an int 0/1 mask or a list reuses the
+    slot lists of its bool twin (no second symbolic build)."""
+    from repro import obs
+
+    mesh = hanging_mesh(2)
+    plan = AssemblyPlan(mesh)
+    A = plan.assemble(forms.stiffness_ke(mesh))
+    mask = mesh.boundary_dof_mask()
+    with obs.tracing():
+        first = plan.eliminate(A, mask)
+        for twin in (mask.copy(), mask.astype(np.int64), mask.tolist()):
+            assert np.array_equal(plan.eliminate(A, twin).data, first.data)
+        plan.eliminate(A, ~mask)
+        snap = obs.snapshot()
+    assert obs.flatten_spans(snap)["assembly.symbolic"]["count"] == 2
+    assert snap["counters"]["assembly.dirichlet"] == 5
+
+
+def test_planned_elimination_refuses_foreign_matrices():
+    """The slot lists index ``data`` of *this* plan's layout: a matrix of
+    another topology, a CSR sum (fresh index arrays) or a compacted matrix
+    must raise, never be scattered into."""
+    mesh, other = hanging_mesh(2), Mesh.from_tree(uniform_tree(2, 3))
+    plan = AssemblyPlan(mesh)
+    mask = mesh.boundary_dof_mask()
+    A = plan.assemble(forms.mass_ke(mesh))
+    foreign = (
+        AssemblyPlan(other).assemble(forms.mass_ke(other)),
+        (A + A).tocsr(),
+        eliminate_dirichlet(A, mask),
+        AssemblyPlan(mesh).assemble(forms.mass_ke(mesh)),  # equal, not shared
+    )
+    for B in foreign:
+        with pytest.raises(StaleAssemblyPlanError):
+            plan.eliminate(B, mask)
+    for bad_mask in (mask[:-1], other.boundary_dof_mask(), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            plan.eliminate(A, bad_mask)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.chns import forms
-from repro.fem.assembly import assemble_matrix
+from repro.fem.assembly import assemble_matrix, assemble_vector
 from repro.fem.operators import convection_matrix, mass_matrix, stiffness_matrix
 from repro.fem.plan import (
     AssemblyPlan,
@@ -153,3 +153,64 @@ class TestGenerationInvalidation:
         got = plan_assemble(m2, Ke)
         ref = assemble_matrix(m2, Ke)
         assert np.abs(got - ref).max() < 1e-14
+
+
+class TestLoadScatter:
+    """``AssemblyPlan.scatter_loads`` (behind ``assemble_vector``) against
+    its reference ``Mesh.elem_scatter``."""
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_matches_elem_scatter(self, mesh2d, mesh3d, k):
+        rng = np.random.default_rng(3)
+        for mesh in (mesh2d, mesh3d):
+            shape = (mesh.n_elems, 1 << mesh.dim) + (() if k is None else (k,))
+            be = rng.standard_normal(shape)
+            ref = mesh.elem_scatter(be)
+            plan = AssemblyPlan(mesh)
+            got = plan.scatter_loads(be)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(got, plan.scatter_loads(be))  # bitwise
+            assert np.array_equal(got, assemble_vector(mesh, be))
+            if k is not None:  # columns are independent of their neighbours
+                assert np.array_equal(got[:, 0], plan.scatter_loads(be[..., 0]))
+
+    def test_assemble_vector_routes_through_the_plan(self, mesh2d, monkeypatch):
+        calls = []
+        real = AssemblyPlan.scatter_loads
+
+        def counted(self, be):
+            calls.append(self.generation)
+            return real(self, be)
+
+        monkeypatch.setattr(AssemblyPlan, "scatter_loads", counted)
+        forms.source(mesh2d, np.ones((mesh2d.n_elems, 4)))
+        forms.flux_divergence_load(mesh2d, np.ones((mesh2d.n_elems, 4, 2)))
+        assert calls == [mesh2d.generation] * 2
+
+    def test_built_lazily_and_counted_as_symbolic_time(self, mesh2d):
+        from repro import obs
+
+        be = np.ones((mesh2d.n_elems, 4))
+        with obs.tracing():
+            plan = AssemblyPlan(mesh2d)
+            plan.assemble(mass_matrix(mesh2d.elem_h(), 2))
+            flat = obs.flatten_spans(obs.snapshot())
+            assert flat["assembly.symbolic"]["count"] == 1
+            plan.scatter_loads(be)
+            plan.scatter_loads(be)
+            snap = obs.snapshot()
+        assert obs.flatten_spans(snap)["assembly.symbolic"]["count"] == 2
+        assert snap["counters"]["assembly.symbolic"] == 1  # plans built
+        assert snap["counters"]["assembly.vector"] == 2
+
+    def test_loads_of_another_topology_rejected(self, mesh2d, mesh3d):
+        plan = AssemblyPlan(mesh2d)
+        for bad in (
+            np.zeros((mesh2d.n_elems + 1, 4)),
+            np.zeros((mesh3d.n_elems, 8)),
+            np.zeros((mesh2d.n_elems, 4, 2, 2)),
+            np.zeros(mesh2d.n_elems * 4),
+        ):
+            with pytest.raises(ValueError):
+                plan.scatter_loads(bad)
