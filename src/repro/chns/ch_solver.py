@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..fem.operators import value_at_quad
-from ..la.newton import IterateCache, NewtonResult, newton_solve
+from ..la.newton import Factors, IterateCache, NewtonResult, newton_solve
 from ..mesh.mesh import Mesh
 from . import forms
 from .free_energy import mobility, psi_double_prime, psi_prime
@@ -45,6 +45,11 @@ class CHSolver:
     on the phi component shares them, so each iterate pays for exactly one
     mobility-stiffness assembly and one ``field_at_quad`` instead of two
     (``self.counters`` records both, pinned down by the tests).
+
+    The Newton LU factors live as long as the solver, i.e. one
+    ``Mesh.generation``: every ``solve`` starts from the factors the last
+    one left, as a preconditioner behind the true-residual stopping test,
+    so a ``dt``, ``theta`` or velocity change needs no invalidation.
     """
 
     def __init__(self, mesh: Mesh, params: CHNSParams):
@@ -53,6 +58,7 @@ class CHSolver:
         self.M = forms.mass(mesh)
         self.K = forms.stiffness(mesh)
         self._iterate = IterateCache()
+        self._factors = Factors()
         self.counters = {
             "mobility_assemblies": 0,
             "phi_quad_evals": 0,
@@ -187,10 +193,14 @@ class CHSolver:
         x0 = np.concatenate([phi_n, mu_n])
         res = newton_solve(
             residual, jacobian, x0, tol=tol * max(np.linalg.norm(x0), 1.0),
-            rtol=1e-8, maxiter=20, linear_tol=1e-10,
+            rtol=1e-8, maxiter=20, linear_tol=1e-10, factors=self._factors,
         )
         phi, mu = split(res.x)
         return CHResult(phi=phi, mu=mu, newton=res)
+
+    def drop_factors(self) -> None:
+        """Make the next ``solve`` factor afresh, as on a new solver."""
+        self._factors.drop()
 
     def initial_mu(self, phi: np.ndarray) -> np.ndarray:
         """Consistent chemical potential for an initial phi (solve R_mu=0)."""

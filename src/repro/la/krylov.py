@@ -62,7 +62,7 @@ def _cg_body(A, b, x0, M, tol, maxiter) -> SolveResult:
     mv = _as_matvec(A)
     pc = _as_matvec(M) if M is not None else (lambda r: r)
     x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - mv(x)
+    r = b.copy() if x0 is None else b - mv(x)  # A @ 0 is not worth a mat-vec
     z = pc(r)
     p = z.copy()
     rz = float(r @ z)
@@ -101,7 +101,7 @@ def bicgstab(
     mv = _as_matvec(A)
     pc = _as_matvec(M) if M is not None else (lambda r: r)
     x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - mv(x)
+    r = b.copy() if x0 is None else b - mv(x)
     r0 = r.copy()
     # Divergence on ill-conditioned systems shows up as overflow before the
     # breakdown checks trip; the caller (e.g. Newton's re-factorization)

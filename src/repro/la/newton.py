@@ -2,10 +2,11 @@
 
 Used by the fully-implicit Cahn-Hilliard block solve (paper Sec. II-A,
 step 1).  The residual/Jacobian callbacks assemble sparse operators.  The
-inner linear solve factors the first iterate's Jacobian once (sparse LU,
-symmetric ordering, diagonal pivots) and reuses those factors as the
-BiCGStab preconditioner for the later iterates of the same solve
-(DESIGN.md section 12).
+inner linear solve factors a Jacobian (sparse LU, symmetric ordering,
+diagonal pivots) and reuses those factors as the BiCGStab preconditioner
+for every later iterate - of the same solve and, when the caller keeps the
+:class:`Factors` holder, of later solves - until an amortised-cost rule
+refreshes them (DESIGN.md section 12).
 
 :class:`IterateCache` is the per-iterate operator cache the CH block plugs
 its callbacks into: Newton evaluates ``residual`` and ``jacobian`` at the
@@ -68,6 +69,10 @@ class IterateCache:
 #: preconditioner before the current Jacobian is re-factored (CH: 2-4).
 _PRECOND_MAXITER = 8
 
+#: One factorization in LU-preconditioned BiCGStab iterations: measured 8 to
+#: 13 on the benchmark CH Jacobians (DESIGN.md section 12).
+FACTOR_COST = 10
+
 #: All CH Jacobian blocks share the mesh pattern, so the symmetric-pattern
 #: ordering with diagonal pivots has 2-4x less fill than COLAMD + partial
 #: pivoting.  Diagonal pivoting is not backward stable: these factors are
@@ -85,12 +90,75 @@ class NewtonResult:
     iterations: int
     residual: float
     converged: bool
-    #: BiCGStab iterations of the LU-preconditioned later iterates
+    #: BiCGStab iterations of the LU-preconditioned iterates
     linear_iterations: int = 0
     #: sparse LU factorizations, static-pivot and fallback together
     factorizations: int = 0
     #: factorizations that were the partial-pivoting safety net
     fallbacks: int = 0
+
+
+class Factors:
+    """The state of the Newton linear solve: sparse LU factors of an earlier
+    Jacobian and the iteration counts their refresh rule reads.  It lives as
+    long as whoever holds it: one ``newton_solve`` call by default, one mesh
+    generation on :class:`~repro.chns.ch_solver.CHSolver`."""
+
+    def __init__(self):
+        self.drop()
+
+    def drop(self) -> None:
+        self.lu = None
+        self.spent = 0  # BiCGStab iterations since the factorization
+        self.solves = 0  # linear solves since then, the factoring one included
+        self.last = 0  # BiCGStab iterations of the previous solve
+
+    def stale(self) -> bool:
+        """The previous solve cost at least the running average of this
+        factorization's solves, the factorization included: a fresh one
+        pays for itself.  Iteration counts only, never a clock."""
+        return self.last * self.solves >= FACTOR_COST + self.spent
+
+    def _factor(self, Jc, b, out: NewtonResult, **opts):
+        """``dx`` from a fresh sparse LU of ``Jc``, kept as ``self.lu``;
+        None when SuperLU reports an exactly singular factor or the solve
+        is not finite."""
+        self.drop()
+        self.solves = 1
+        out.factorizations += 1
+        obs.incr("newton.lu_factorizations")
+        try:
+            self.lu = spla.splu(Jc, **opts)
+        except RuntimeError:
+            return None
+        dx = self.lu.solve(b)
+        return dx if np.all(np.isfinite(dx)) else None
+
+    def solve(self, J, F, norm_F, linear_tol, out: NewtonResult):
+        """``dx`` with ``||J dx + F|| <= linear_tol ||F||``, None when ``J``
+        is singular."""
+        b = -F
+        if self.lu is not None and not self.stale():
+            res = bicgstab(
+                J, b, M=self.lu.solve, tol=linear_tol, maxiter=_PRECOND_MAXITER
+            )
+            out.linear_iterations += res.iterations
+            self.spent += res.iterations
+            self.solves += 1
+            self.last = res.iterations
+            if res.converged:
+                return res.x
+            # J moved too far from the factored iterate: factor the current one.
+        Jc = J.tocsc()
+        dx = self._factor(Jc, b, out, **_STATIC_PIVOT)
+        if (
+            dx is not None
+            and float(np.linalg.norm(J @ dx + F)) <= linear_tol * norm_F
+        ):
+            return dx
+        out.fallbacks += 1
+        obs.incr("newton.lu_fallbacks")
+        return self._factor(Jc, b, out)
 
 
 def newton_solve(
@@ -102,65 +170,36 @@ def newton_solve(
     rtol: float = 1e-8,
     maxiter: int = 25,
     linear_tol: float = 1e-8,
+    factors: Optional[Factors] = None,
 ) -> NewtonResult:
     """Newton with a backtracking line search and LU-based inner solves.
 
     Converges when ``||F(x)|| < tol`` or drops by ``rtol`` relative to the
     initial residual.  Every Newton step ``dx`` satisfies
-    ``||J dx + F|| <= linear_tol ||F||``: the first iterate by a direct
-    solve with static-pivot LU factors (checked, partial-pivoting LU as the
-    fallback), later iterates by BiCGStab preconditioned with the factors
-    already held, re-factoring when that stops converging.  The factors die
-    with the call.
+    ``||J dx + F|| <= linear_tol ||F||``: by BiCGStab preconditioned with
+    the LU factors ``factors`` holds, or - when it holds none, they stopped
+    converging or :meth:`Factors.stale` says a refresh pays - by a direct
+    solve with static-pivot factors of the current Jacobian (checked,
+    partial-pivoting LU as the fallback).  ``factors`` outlives the call
+    when the caller passes one; it comes back empty from a solve that does
+    not converge.
 
     A Jacobian SuperLU finds exactly singular ends the solve at the current
     iterate with ``converged=False``; no step is taken from it.
     """
+    if factors is None:
+        factors = Factors()
     with obs.span("newton"):
-        return _newton_body(
-            residual, jacobian, x0, tol, rtol, maxiter, linear_tol
+        out = _newton_body(
+            residual, jacobian, x0, tol, rtol, maxiter, linear_tol, factors
         )
-
-
-def _factor_solve(Jc, b, out: NewtonResult, **opts):
-    """``(lu, dx)`` from a fresh sparse LU of ``Jc``; ``dx`` is None when
-    SuperLU reports an exactly singular factor or the solve is not finite."""
-    out.factorizations += 1
-    obs.incr("newton.lu_factorizations")
-    try:
-        lu = spla.splu(Jc, **opts)
-    except RuntimeError:
-        return None, None
-    dx = lu.solve(b)
-    return lu, dx if np.all(np.isfinite(dx)) else None
-
-
-def _linear_step(J, F, norm_F, lu, linear_tol, out: NewtonResult):
-    """Solve ``J dx = -F`` to ``linear_tol``; returns ``(lu, dx)`` with the
-    factors to precondition the next iterate, ``dx`` None when singular."""
-    b = -F
-    if lu is not None:
-        res = bicgstab(
-            J, b, M=lu.solve, tol=linear_tol, maxiter=_PRECOND_MAXITER
-        )
-        out.linear_iterations += res.iterations
-        if res.converged:
-            return lu, res.x
-        # J moved too far from the factored iterate: factor the current one.
-    Jc = J.tocsc()
-    lu, dx = _factor_solve(Jc, b, out, **_STATIC_PIVOT)
-    if (
-        dx is not None
-        and float(np.linalg.norm(J @ dx + F)) <= linear_tol * norm_F
-    ):
-        return lu, dx
-    out.fallbacks += 1
-    obs.incr("newton.lu_fallbacks")
-    return _factor_solve(Jc, b, out)
+    if not out.converged:
+        factors.drop()
+    return out
 
 
 def _newton_body(
-    residual, jacobian, x0, tol, rtol, maxiter, linear_tol
+    residual, jacobian, x0, tol, rtol, maxiter, linear_tol, factors
 ) -> NewtonResult:
     x = x0.copy()
     with obs.span("newton.residual"):
@@ -170,12 +209,11 @@ def _newton_body(
     out = NewtonResult(x, 0, norm0, norm0 < tol)
     if out.converged:
         return out
-    lu = None
     for it in range(1, maxiter + 1):
         with obs.span("newton.jacobian"):
             J = jacobian(x).tocsr()
         with obs.span("newton.linear"):
-            lu, dx = _linear_step(J, F, norm_F, lu, linear_tol, out)
+            dx = factors.solve(J, F, norm_F, linear_tol, out)
         if dx is None:
             return out
         obs.incr("newton.iterations")

@@ -168,12 +168,14 @@ def cmd_report(args) -> int:
         f = by_family.setdefault(
             r.family,
             {"jobs": 0, "succeeded": 0, "wall_s": 0.0, "newton": 0,
-             "krylov": 0, "steps": 0},
+             "ch_linear": 0, "ch_factorizations": 0, "krylov": 0, "steps": 0},
         )
         f["jobs"] += 1
         f["succeeded"] += r.status == "succeeded"
         f["wall_s"] += r.wall_s
         f["newton"] += r.newton_iterations
+        f["ch_linear"] += r.ch_linear
+        f["ch_factorizations"] += r.ch_factorizations
         f["krylov"] += r.krylov_iterations
         f["steps"] += r.steps_done
     total_wall = sum(f["wall_s"] for f in by_family.values())

@@ -9,8 +9,11 @@ Executes one :class:`~repro.scenarios.schema.ScenarioConfig` to completion
 * ``solver="chns"`` runs the full two-block projection stepper.
 
 Determinism contract: a run resumed from a checkpoint produces bit-identical
-final state to an uninterrupted run (serial numerics carry no cross-step
-solver state; the scenario tests pin this down).  Checkpoints record a
+final state and work counts to an uninterrupted run.  The one piece of
+solver state the serial numerics carry across steps, the CH block's LU
+factors, is dropped at every multiple of ``control.checkpoint_every``
+whether or not a file is written, so where factors exist is a function of
+the config alone (the scenario tests pin this down).  Checkpoints record a
 config digest and refuse to resume a *different* scenario.
 
 Failure semantics: any exception inside the stepping loop — divergence,
@@ -80,7 +83,9 @@ class JobResult:
     n_steps: int = 0
     wall_s: float = 0.0
     newton_iterations: int = 0
-    krylov_iterations: int = 0
+    krylov_iterations: int = 0  # NS + PP + VU
+    ch_linear: int = 0  # BiCGStab iterations inside the CH Newton solves
+    ch_factorizations: int = 0
     n_elems_final: int = 0
     diagnostics: dict = field(default_factory=dict)
     error: Optional[str] = None
@@ -227,7 +232,8 @@ def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
                 f"(digest {meta.get('config_digest')} != {digest})"
             )
         start_step = int(meta["step"])
-        sim.restore(Mesh(tree, check_balance=False), fields, start_step)
+        sim.restore(Mesh(tree, check_balance=False), fields, start_step,
+                    meta.get("counts", {}))
         result.resumed_from_step = start_step
     else:
         sim.fresh_start()
@@ -246,18 +252,25 @@ def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
         if config.outputs.vtk and workdir:
             _write_vtk(config, sim, workdir, done)
         ck_every = config.control.checkpoint_every
-        if ckpt_path and ck_every and done % ck_every == 0:
-            save_checkpoint(
-                ckpt_path, sim.mesh.tree, sim.checkpoint_fields(),
-                nprocs=config.control.nprocs,
-                meta={"step": done, "config_digest": digest},
-            )
+        if ck_every and done % ck_every == 0:
+            # A resumed run starts here without factors; so does this one.
+            sim.drop_solver_state()
+            if ckpt_path:
+                save_checkpoint(
+                    ckpt_path, sim.mesh.tree, sim.checkpoint_fields(),
+                    nprocs=config.control.nprocs,
+                    meta={"step": done, "config_digest": digest,
+                          "counts": sim.counts},
+                )
         if interrupt_after_step is not None and done >= interrupt_after_step:
             raise ScenarioInterrupt(f"injected interrupt after step {done}")
 
     result.n_elems_final = sim.mesh.n_elems
-    result.newton_iterations = sim.newton_iterations
-    result.krylov_iterations = sim.krylov_iterations
+    counts = sim.counts
+    result.newton_iterations = counts["newton"]
+    result.krylov_iterations = counts["krylov"]
+    result.ch_linear = counts["ch_linear"]
+    result.ch_factorizations = counts["ch_factorizations"]
     result.diagnostics = sim.diagnostics()
 
 
@@ -278,8 +291,8 @@ class _ChState:
         self.config = config
         self.params = config.build_params()
         self.remesh_cfg = config.refinement.build()
-        self.newton_iterations = 0
-        self.krylov_iterations = 0
+        self.counts = {"newton": 0, "krylov": 0, "ch_linear": 0,
+                       "ch_factorizations": 0}
 
     def fresh_start(self) -> None:
         phi0 = self.config.build_ic()
@@ -292,11 +305,15 @@ class _ChState:
         self.phi = self.mesh.interpolate(phi0)
         self.mu = self.solver.initial_mu(self.phi)
 
-    def restore(self, mesh: Mesh, fields: dict, step: int) -> None:
+    def restore(self, mesh: Mesh, fields: dict, step: int, counts: dict) -> None:
         self.mesh = mesh
         self.solver = CHSolver(mesh, self.params)
         self.phi = np.asarray(fields["phi"], dtype=float)
         self.mu = np.asarray(fields["mu"], dtype=float)
+        self.counts.update(counts)
+
+    def drop_solver_state(self) -> None:
+        self.solver.drop_factors()
 
     def advance(self, step: int) -> None:
         cfg = self.config
@@ -310,7 +327,9 @@ class _ChState:
             self.solver = CHSolver(new_mesh, self.params)
         res = self.solver.solve(self.phi, self.mu, None, cfg.time.dt)
         self.phi, self.mu = res.phi, res.mu
-        self.newton_iterations += res.newton.iterations
+        self.counts["newton"] += res.newton.iterations
+        self.counts["ch_linear"] += res.newton.linear_iterations
+        self.counts["ch_factorizations"] += res.newton.factorizations
         if not res.newton.converged:
             raise SolverDivergence(
                 f"CH Newton failed to converge at step {step} "
@@ -366,7 +385,7 @@ class _ChnsState:
         self.stepper = self._make_stepper(mesh)
         self.stepper.initialize(phi0)
 
-    def restore(self, mesh: Mesh, fields: dict, step: int) -> None:
+    def restore(self, mesh: Mesh, fields: dict, step: int, counts: dict) -> None:
         self.stepper = self._make_stepper(mesh)
         dim = mesh.dim
         self.stepper.restore(
@@ -376,6 +395,7 @@ class _ChnsState:
             vel=np.stack([fields[f"v{i}"] for i in range(dim)], axis=1),
             vel_old=np.stack([fields[f"vold{i}"] for i in range(dim)], axis=1),
             step_count=step,
+            iteration_counts=counts,
         )
 
     @property
@@ -387,12 +407,11 @@ class _ChnsState:
         return self.stepper.phi
 
     @property
-    def newton_iterations(self) -> int:
-        return self.stepper.iteration_counts["newton"]
+    def counts(self) -> dict:
+        return self.stepper.iteration_counts
 
-    @property
-    def krylov_iterations(self) -> int:
-        return self.stepper.iteration_counts["krylov"]
+    def drop_solver_state(self) -> None:
+        self.stepper.drop_solver_state()
 
     def advance(self, step: int) -> None:
         self.stepper.step(self.config.time.dt)

@@ -1,6 +1,8 @@
-"""The CH Newton linear solve (one static-pivot LU per solve, reused as the
-BiCGStab preconditioner) against an exact-LU Newton oracle: same iterates,
-same iteration count, one factorization, no fallback."""
+"""The CH Newton linear solve (a static-pivot LU reused as the BiCGStab
+preconditioner, within a solve and from step to step on one ``CHSolver``)
+against an exact-LU Newton oracle: same iterates, same iteration count, one
+factorization for a single solve and fewer than one per step over a run,
+no fallback."""
 
 import numpy as np
 import pytest
@@ -97,3 +99,50 @@ def test_ch_step_matches_exact_lu_oracle(case):
     assert np.linalg.norm(
         np.concatenate([out.phi, out.mu]) - want[-1]
     ) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("halve_dt_at", [None, 3])
+@pytest.mark.parametrize("case", [hanging_2d, uniform_3d])
+def test_factors_carried_across_steps_match_the_oracle(case, halve_dt_at):
+    """Six steps through one ``CHSolver``: every step's iterates are those
+    of an exact-LU Newton started from the same state, although most steps
+    factor nothing - also when ``dt`` halves mid-run and the held factors
+    are those of a different operator."""
+    mesh, prm, phi, vel = case()
+    ch = CHSolver(mesh, prm)
+    mu = ch.initial_mu(phi)
+    seen = []
+    operators = ch.operators
+
+    def recording_operators(*args, **kwargs):
+        residual, jacobian, split = operators(*args, **kwargs)
+
+        def recording_jacobian(x):
+            seen.append(x.copy())
+            return jacobian(x)
+
+        return residual, recording_jacobian, split
+
+    ch.operators = recording_operators
+    factorizations = reusing_steps = 0
+    for step in range(6):
+        dt = 1e-3 if halve_dt_at is None or step < halve_dt_at else 5e-4
+        x0 = np.concatenate([phi, mu])
+        scale = np.linalg.norm(x0)
+        residual, jacobian, _ = operators(phi, mu, vel, dt)
+        want = oracle_newton(
+            residual, jacobian, x0, 1e-9 * max(scale, 1.0), 1e-8, 20
+        )
+        del seen[:]
+        out = ch.solve(phi, mu, vel, dt)
+        got = seen + [out.newton.x]
+        assert out.newton.converged
+        assert out.newton.iterations == len(want) - 1 > 0
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-9 * scale
+        assert out.newton.fallbacks == 0
+        factorizations += out.newton.factorizations
+        reusing_steps += out.newton.factorizations == 0
+        phi, mu = out.phi, out.mu
+    assert 1 <= factorizations < 6
+    assert reusing_steps >= 3

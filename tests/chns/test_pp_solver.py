@@ -152,9 +152,12 @@ def test_stepper_builds_one_hierarchy_per_mesh(monkeypatch):
 def test_restored_stepper_takes_the_same_pp_path(monkeypatch):
     """The rule reads only the mesh: a stepper restored onto a rebuilt mesh
     (new generation, no warm caches) reproduces the uninterrupted step bit
-    for bit, PP iteration count included."""
+    for bit, PP iteration count included.  The uninterrupted stepper drops
+    its CH factors where the state is captured, as the runner does at every
+    checkpoint step: a restored stepper has none."""
     ts = drop_stepper(drop_mesh(7))
     ts.step(1e-3)
+    ts.drop_solver_state()
     state = {k: getattr(ts, k).copy()
              for k in ("phi", "mu", "vel", "vel_old", "p")}
     pp_before = ts.iteration_counts["krylov_pp"]

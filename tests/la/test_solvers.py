@@ -11,8 +11,9 @@ from repro.la.bsr import (
     deinterleave_fields,
     interleave_fields,
 )
-from repro.la.krylov import bicgstab, cg, gmres
-from repro.la.newton import newton_solve
+from repro.la import newton
+from repro.la.krylov import SolveResult, bicgstab, cg, gmres
+from repro.la.newton import Factors, newton_solve
 from repro.la.precond import (
     BlockJacobiPreconditioner,
     JacobiPreconditioner,
@@ -106,6 +107,32 @@ class TestBiCGStab:
         assert res.converged
         assert res.iterations == 0
         assert np.array_equal(res.x, x)
+
+
+class CountingOperator:
+    def __init__(self, A):
+        self.A, self.calls = A, 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return self.A @ x
+
+
+@pytest.mark.parametrize(
+    "solve, system", [(cg, spd_system), (bicgstab, nonsym_system)]
+)
+def test_zero_guess_skips_the_initial_matvec(solve, system):
+    """``x0=None`` starts from ``r = b`` without applying the operator to
+    zeros: same iterates as an explicit zero guess (which keeps its
+    mat-vec), one ``matvec`` call fewer."""
+    A, b, _ = system()
+    implicit, explicit = CountingOperator(A), CountingOperator(A)
+    got = solve(implicit, b, tol=1e-12, maxiter=500)
+    want = solve(explicit, b, x0=np.zeros_like(b), tol=1e-12, maxiter=500)
+    assert got.converged and got.iterations == want.iterations > 0
+    assert np.array_equal(got.x, want.x)
+    assert got.residual == want.residual
+    assert implicit.calls == explicit.calls - 1
 
 
 class TestGMRES:
@@ -264,6 +291,107 @@ class TestNewton:
         assert np.array_equal(res.x, x0)
         assert res.residual == pytest.approx(np.linalg.norm(F(x0)))
         assert res.factorizations == 2 and res.fallbacks == 1
+
+
+class TestFactors:
+    """The holder of the Newton linear-solve state and its refresh rule."""
+
+    def scripted(self, monkeypatch, script):
+        """Run one linear solve per entry of ``script`` (the BiCGStab
+        iteration count that solve would take with the held factors, read
+        only when the holder goes to BiCGStab) and return ``F`` or the
+        iteration count per solve."""
+        A = sp.identity(3, format="csr")
+        todo = list(script)
+
+        def fake_bicgstab(J, b, *, M, tol, maxiter):
+            its = todo[0]
+            assert maxiter == newton._PRECOND_MAXITER
+            return SolveResult(M(b), min(its, maxiter), 0.0, its <= maxiter)
+
+        monkeypatch.setattr(newton, "bicgstab", fake_bicgstab)
+        factors, seen = Factors(), []
+        out = newton.NewtonResult(np.zeros(3), 0, 1.0, False)
+        for _ in script:
+            before = out.factorizations
+            dx = factors.solve(A, -np.ones(3), np.sqrt(3.0), 1e-10, out)
+            assert np.allclose(dx, 1.0)
+            factored = out.factorizations > before
+            seen.append("F" if factored else todo[0])
+            if factored:
+                assert (factors.spent, factors.solves, factors.last) == (0, 1, 0)
+            todo.pop(0)
+        assert out.fallbacks == 0
+        return seen, out
+
+    def test_no_refresh_while_counts_are_flat(self, monkeypatch):
+        seen, out = self.scripted(monkeypatch, [0] + [3] * 60)
+        assert seen == ["F"] + [3] * 60
+        assert out.factorizations == 1 and out.linear_iterations == 180
+
+    def test_refresh_on_the_first_uptick_once_amortised(self, monkeypatch):
+        """An early up-tick (solve 3) is cheaper than a factorization spread
+        over two solves and is ridden out; the same up-tick after nine flat
+        solves is not, and the counts start over behind the new factors."""
+        script = [0, 2, 3, 2, 2, 2, 2, 2, 2, 2, 3, 9, 2, 2]
+        seen, out = self.scripted(monkeypatch, script)
+        assert seen == ["F", 2, 3, 2, 2, 2, 2, 2, 2, 2, 3, "F", 2, 2]
+        assert out.factorizations == 2
+
+    def test_rule_is_the_documented_inequality(self):
+        f = Factors()
+        assert not f.stale()  # empty: solve() factors without asking
+        f.spent, f.solves, f.last = 20, 10, 3
+        assert f.last * f.solves >= newton.FACTOR_COST + f.spent and f.stale()
+        f.last = 2
+        assert not f.stale()
+
+    def test_hard_stop_is_unchanged(self, monkeypatch):
+        """More than ``_PRECOND_MAXITER`` iterations: the attempt is
+        charged and the current Jacobian is factored in the same solve."""
+        seen, out = self.scripted(monkeypatch, [0, 2, 99, 2])
+        assert seen == ["F", 2, "F", 2]
+        assert out.linear_iterations == 2 + newton._PRECOND_MAXITER + 2
+
+    def test_held_factors_precondition_the_first_iterate(self):
+        """A second solve through the same holder factors nothing and lands
+        on the same root; without ``factors=`` each call factors once."""
+        n = 30
+        A = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+        b = np.linspace(1.0, 2.0, n)
+        args = (lambda x: A @ x + 0.01 * x**3 - b,
+                lambda x: (A + sp.diags(0.03 * x**2)).tocsr())
+        factors = Factors()
+        first = newton_solve(*args, np.full(n, 2.0), tol=1e-12, factors=factors)
+        again = newton_solve(*args, np.full(n, 2.1), tol=1e-12, factors=factors)
+        alone = newton_solve(*args, np.full(n, 2.1), tol=1e-12)
+        assert first.factorizations == alone.factorizations == 1
+        assert again.converged and again.factorizations == 0
+        assert again.linear_iterations > alone.linear_iterations > 0
+        assert again.iterations == alone.iterations
+        assert np.allclose(again.x, alone.x, rtol=1e-12, atol=0)
+        assert factors.solves == first.iterations + again.iterations
+
+    def test_failed_solves_leave_the_holder_empty(self):
+        factors = Factors()
+        b = np.array([8.0, 27.0, 1.0])
+        cubic = (lambda x: x**3 - b, lambda x: sp.diags(3 * x**2).tocsr())
+        res = newton_solve(*cubic, np.full(3, 9.0), tol=1e-12, maxiter=2,
+                           factors=factors)
+        assert not res.converged and res.factorizations == 1
+        assert factors.lu is None and factors.solves == 0
+
+        assert newton_solve(*cubic, np.full(3, 2.0), tol=1e-12,
+                            factors=factors).converged
+        assert factors.lu is not None
+        res = newton_solve(  # singular Jacobian behind healthy factors
+            lambda x: np.array([x[0] + x[1] - 1.0, x[0] + x[1] - 3.0, x[2]]),
+            lambda x: sp.csr_matrix(np.array(
+                [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+            np.array([0.5, 0.25, 1.0]), tol=1e-12, factors=factors,
+        )
+        assert not res.converged and res.iterations == 0
+        assert factors.lu is None and factors.solves == 0
 
 
 class TestBlockMatrix:

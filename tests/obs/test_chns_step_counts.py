@@ -1,5 +1,6 @@
 """What one coupled 2D step records in ``repro.obs``: the assembly counters
-per block and the ``{ns,pp,vu}.assemble`` spans.
+per block and the ``{ns,pp,vu}.assemble`` spans; what four record of the CH
+block's linear work.
 
 The CH block's share follows its Newton iteration count, so it is expressed
 through the solver's own per-iterate counters; what NS, PP and VU add is
@@ -8,6 +9,7 @@ NS, PP and VU, one Dirichlet elimination per distinct velocity mask.
 """
 
 import numpy as np
+import pytest
 
 from repro import obs
 from repro.chns.initial_conditions import drop
@@ -16,7 +18,8 @@ from repro.chns.timestepper import CHNSTimeStepper, no_slip_bc
 from repro.mesh.mesh import mesh_from_field
 
 
-def test_assembly_counters_of_one_coupled_step():
+@pytest.fixture
+def stepper():
     prm = CHNSParams(Re=40.0, We=2.0, Pe=100.0, Cn=0.08, Fr=1.0,
                      rho_minus=0.4, eta_minus=0.5)
 
@@ -27,6 +30,29 @@ def test_assembly_counters_of_one_coupled_step():
     assert mesh.nodes.is_hanging.any()
     ts = CHNSTimeStepper(mesh, prm, velocity_bc=no_slip_bc)
     ts.initialize(phi0)
+    return ts
+
+
+def test_ch_linear_work_of_four_static_mesh_steps(stepper):
+    """One mesh generation, one factorization: the first step's LU
+    preconditions every later CH solve, and the stepper's cumulative counts
+    say what the obs counters say."""
+    with obs.tracing():
+        for _ in range(4):
+            stepper.step(5e-4)
+        counters = obs.snapshot()["counters"]
+    counts = stepper.iteration_counts
+    assert counters["newton.lu_factorizations"] == 1
+    assert "newton.lu_fallbacks" not in counters
+    assert counts["ch_factorizations"] == 1
+    assert counts["newton"] == counters["newton.iterations"]
+    # every Newton iterate but the factoring one is a BiCGStab solve
+    assert counts["ch_linear"] >= counts["newton"] - 1 > 0
+    assert counts["ch_linear"] + counts["krylov"] == counters["krylov.iterations"]
+
+
+def test_assembly_counters_of_one_coupled_step(stepper):
+    ts = stepper
     ts.step(1e-3)  # pays the lazy per-generation builds
 
     ch_before = dict(ts.ch.counters)

@@ -89,3 +89,7 @@ class TestStatusReport:
         assert payload["n_jobs"] == 2
         assert set(payload["families"]) == {"drop", "coalescence"}
         assert payload["statuses"] == {"succeeded": 2}
+        for family in payload["families"].values():
+            # CH-only jobs: no NS/PP/VU solve, but the CH linear work shows
+            assert family["krylov"] == 0 < family["ch_linear"]
+            assert 0 < family["ch_factorizations"] <= family["newton"]

@@ -59,6 +59,9 @@ class TestRun:
 
         res = run_scenario(build("drop_2d", quick=True))
         assert JobResult.from_dict(res.to_dict()) == res
+        old = res.to_dict()  # a store written before the CH counts existed
+        assert old.pop("ch_linear") > 0 and old.pop("ch_factorizations") > 0
+        assert JobResult.from_dict(old).ch_factorizations == 0
 
 
 class TestInterruptRestart:
@@ -73,18 +76,26 @@ class TestInterruptRestart:
         cfg.control.backend = "serial"
         return cfg
 
-    def test_bit_identical_resume(self, tmp_path):
-        cfg = self._config()
+    COUNTS = ("newton_iterations", "krylov_iterations", "ch_linear",
+              "ch_factorizations", "n_elems_final", "diagnostics")
+
+    def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
+        """An uninterrupted run *without* a workdir against one cut at
+        ``interrupt_after`` and resumed: every field bit-identical, every
+        work count of the job record equal.  Returns the straight result."""
         final = {}
 
         def capture(tag):
             def cb(state):
                 if state.step == cfg.time.n_steps:
-                    final[tag] = dict(
-                        phi=state.phi.copy(), mu=state.mu.copy(),
-                        vel=state.vel.copy(), p=state.p.copy(),
-                        vel_old=state.stepper.vel_old.copy(),
-                    )
+                    final[tag] = {
+                        k: v.copy()
+                        for k, v in (
+                            ("phi", state.phi), ("mu", state.mu),
+                            ("vel", state.vel), ("p", state.p),
+                            ("vel_old", getattr(state.stepper, "vel_old", None)),
+                        ) if v is not None
+                    }
             return cb
 
         straight = run_scenario(cfg, on_step=capture("straight"))
@@ -92,21 +103,59 @@ class TestInterruptRestart:
 
         wd = str(tmp_path / "wd")
         cut = run_scenario(cfg, workdir=wd, on_step=capture("cut"),
-                           interrupt_after_step=2)
+                           interrupt_after_step=interrupt_after)
         assert cut.status == "interrupted"
-        assert cut.steps_done == 2
+        assert cut.steps_done == interrupt_after
         assert "cut" not in final  # never reached the last step
 
         resumed = run_scenario(cfg, workdir=wd, on_step=capture("resumed"))
         assert resumed.status == "succeeded"
-        assert resumed.resumed_from_step == 2
+        assert resumed.resumed_from_step == interrupt_after
         assert resumed.steps_done == cfg.time.n_steps
 
         a, b = final["straight"], final["resumed"]
-        for key in ("phi", "mu", "vel", "p", "vel_old"):
+        assert a.keys() == b.keys() and "phi" in a
+        for key in a:
             assert np.array_equal(a[key], b[key]), (
                 f"{key} not bit-identical after resume"
             )
+        for name in self.COUNTS:
+            assert getattr(resumed, name) == getattr(straight, name), name
+        return straight
+
+    def test_bit_identical_resume(self, tmp_path):
+        straight = self._straight_and_resumed(self._config(), tmp_path, 2)
+        # a checkpoint step is a factor boundary: one factorization a step
+        assert straight.ch_factorizations == straight.n_steps
+        assert straight.ch_linear > 0 and straight.krylov_iterations > 0
+
+    @pytest.mark.parametrize("name", ["rising_bubble_2d", "spinodal_2d"])
+    def test_factors_cross_the_steps_between_checkpoints(self, tmp_path, name):
+        """``checkpoint_every = 2``: factors are dropped at steps 2, 4, 6
+        whether or not a file is written, and carried across the steps in
+        between - on the coupled stepper and on the CH-only path."""
+        cfg = build(name, quick=True)
+        cfg.time.n_steps = 6
+        cfg.control.checkpoint_every = 2
+        cfg.control.backend = "serial"
+        straight = self._straight_and_resumed(cfg, tmp_path, 4)
+        assert 3 <= straight.ch_factorizations < cfg.time.n_steps
+
+    def test_checkpoint_without_counts_still_loads(self, tmp_path):
+        """A checkpoint written before the counts were carried resumes with
+        zeros: the record then counts the steps after the resume only."""
+        from repro.amr.checkpoint import load_checkpoint_meta, save_checkpoint
+
+        cfg = self._config()
+        wd = tmp_path / "wd"
+        run_scenario(cfg, workdir=str(wd), interrupt_after_step=2)
+        path = str(wd / "checkpoint.npz")
+        tree, fields, nprocs, meta = load_checkpoint_meta(path)
+        assert meta.pop("counts")["newton"] > 0
+        save_checkpoint(path, tree, fields, nprocs=nprocs, meta=meta)
+        resumed = run_scenario(cfg, workdir=str(wd))
+        assert resumed.status == "succeeded" and resumed.resumed_from_step == 2
+        assert 0 < resumed.newton_iterations < run_scenario(cfg).newton_iterations
 
     def test_checkpoint_refuses_foreign_config(self, tmp_path):
         wd = str(tmp_path / "wd")
@@ -119,6 +168,52 @@ class TestInterruptRestart:
         res = run_scenario(other, workdir=wd)
         assert res.status == "failed"
         assert "digest" in res.error
+
+
+@pytest.mark.slow
+def test_refresh_rule_end_to_end(monkeypatch):
+    """40 quick ``spinodal_2d`` steps: the ``F``/iteration sequence is a
+    function of the config alone, the amortised rule refreshes at least
+    once, and in its own units the run costs no more than one that drops
+    its factors every step (the per-call lifetime, ``checkpoint_every=1``)."""
+    import repro.chns.ch_solver as ch_solver
+    from repro.la.newton import FACTOR_COST
+
+    solves = []
+    newton_solve = ch_solver.newton_solve
+
+    def recording(*args, **kwargs):
+        res = newton_solve(*args, **kwargs)
+        solves.append((res.factorizations, res.linear_iterations,
+                       res.iterations, res.fallbacks))
+        return res
+
+    monkeypatch.setattr(ch_solver, "newton_solve", recording)
+
+    def run(checkpoint_every):
+        cfg = build("spinodal_2d", quick=True)
+        cfg.time.n_steps = 40
+        cfg.control.checkpoint_every = checkpoint_every
+        del solves[:]
+        res = run_scenario(cfg)
+        assert res.status == "succeeded"
+        assert res.ch_factorizations == sum(s[0] for s in solves)
+        assert res.ch_linear == sum(s[1] for s in solves)
+        return res, list(solves)
+
+    carried, sequence = run(0)
+    again, sequence_again = run(0)
+    per_call, per_call_sequence = run(1)
+    assert sequence == sequence_again and len(sequence) == 40
+    assert 2 <= carried.ch_factorizations < 40 // 4
+    assert [s[0] for s in per_call_sequence] == [1] * 40
+    assert not any(s[3] for s in sequence)
+    assert carried.newton_iterations == per_call.newton_iterations
+
+    def cost(res):
+        return FACTOR_COST * res.ch_factorizations + res.ch_linear
+
+    assert cost(carried) <= cost(per_call)
 
 
 @pytest.mark.slow
