@@ -13,6 +13,7 @@ beyond.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chns.initial_conditions import rising_bubble
 from repro.chns.params import CHNSParams
 from repro.chns.timestepper import CHNSTimeStepper, no_slip_bc
@@ -47,15 +48,15 @@ def test_small_application_step(benchmark):
 
 
 def test_fig5_application_scaling(benchmark):
-    ts = benchmark.pedantic(small_chns_run, kwargs={"n_steps": 3}, rounds=1)
-    t = ts.timers
+    with obs.tracing():
+        ts = benchmark.pedantic(small_chns_run, kwargs={"n_steps": 3}, rounds=1)
+        spans = obs.flatten_spans(obs.snapshot())
     measured = format_table(
         ["block", "measured s (3 steps, laptop 2D)"],
         [
-            ["CH-solve", round(t.ch, 3)],
-            ["NS-solve", round(t.ns, 3)],
-            ["PP-solve", round(t.pp, 3)],
-            ["VU-solve", round(t.vu, 3)],
+            [f"{b.upper()}-solve",
+             round(spans[f"chns.step/chns.{b}"]["inclusive"], 3)]
+            for b in ("ch", "ns", "pp", "vu")
         ],
     )
 
@@ -101,4 +102,4 @@ def test_fig5_application_scaling(benchmark):
     # PP is the most expensive solve until remeshing dominates (paper III-B).
     assert b["pp"][0] == max(b[n][0] for n in ("ch", "ns", "pp", "vu"))
     # The real solver's PP block is nontrivial too.
-    assert t.pp > 0
+    assert ts.iteration_counts["krylov_pp"] > 0

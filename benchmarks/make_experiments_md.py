@@ -14,8 +14,8 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
 ORDER = ["fig1", "fig2_3", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8",
          "nbx", "ksort", "backend_speedup", "assembly_plan", "obs_phases",
          "spmd_check_overhead", "scenario_batch", "precond",
-         "ablation_multilevel", "ablation_gmg", "ablation_block_counter",
-         "ablation_ccl", "ablation_hilbert"]
+         "ablation_multilevel", "ablation_gmg", "ablation_erosion_counter",
+         "ablation_ccl"]
 
 HEADER = """# EXPERIMENTS — paper vs. reproduced
 
@@ -62,9 +62,8 @@ overhead, and drops a Chrome trace
 | — | PCD block preconditioning vs Jacobi (NS+PP Krylov iters/step) | `bench_precond.py` |
 | A1 | ablation: multi-level vs level-by-level AMR | `bench_ablation_multilevel_refine.py` |
 | A2 | ablation: GMG vs Jacobi-CG pressure Poisson | `bench_ablation_gmg.py` |
-| A3 | ablation: BAIJ vs AIJ storage; level-aware counter | `bench_ablation_block_layout.py` |
+| A3 | ablation: level-aware erosion counter on/off | `bench_ablation_erosion_counter.py` |
 | A4 | ablation: erosion/dilation vs connected components | `bench_ablation_ccl_baseline.py` |
-| A5 | ablation: Hilbert vs Morton partition locality | `bench_ablation_hilbert.py` |
 """
 
 

@@ -2,8 +2,9 @@
 
 Each block performs the four solves in order — CH, NS, PP, VU — and each
 timestep runs ``n_blocks`` blocks (the paper's scheme, from Khanwale et al.,
-uses two).  Per-solver wall times are recorded; the application-scaling
-benchmark (Fig. 5) feeds on these timers.
+uses two).  Built with ``flow=False`` the stepper is the same loop without
+its flow blocks — a Cahn-Hilliard-only run.  Per-block wall time is the
+:mod:`repro.obs` span tree ``chns.step/{remesh,ch,ns,pp,vu}``.
 
 Optional AMR: every ``remesh_every`` steps the local-Cahn identifier and the
 multi-level refine/coarsen/balance/transfer pipeline rebuild the mesh, after
@@ -12,13 +13,14 @@ which the block solvers are reconstructed (operators depend on the mesh).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from .. import obs
 from ..amr.driver import RemeshConfig, remesh
+from ..la.newton import NewtonResult
 from ..mesh.mesh import Mesh
 from . import forms
 from .ch_solver import CHSolver
@@ -27,26 +29,6 @@ from .ns_solver import NSSolver
 from .params import CHNSParams
 from .pp_solver import PPSolver
 from .vu_solver import VUSolver
-
-
-@dataclass
-class StepTimers:
-    ch: float = 0.0
-    ns: float = 0.0
-    pp: float = 0.0
-    vu: float = 0.0
-    remesh: float = 0.0
-
-    def total(self) -> float:
-        return self.ch + self.ns + self.pp + self.vu + self.remesh
-
-    def __iadd__(self, other: "StepTimers") -> "StepTimers":
-        self.ch += other.ch
-        self.ns += other.ns
-        self.pp += other.pp
-        self.vu += other.vu
-        self.remesh += other.remesh
-        return self
 
 
 @dataclass
@@ -60,13 +42,14 @@ class Diagnostics:
 
 
 class CHNSTimeStepper:
-    """Owns the mesh, the field state, and the four block solvers."""
+    """Owns the mesh, the field state, and the block solvers."""
 
     def __init__(
         self,
         mesh: Mesh,
         params: CHNSParams,
         *,
+        flow: bool = True,
         n_blocks: int = 1,
         velocity_bc: Optional[Callable[[Mesh], tuple]] = None,
         remesh_config: Optional[RemeshConfig] = None,
@@ -77,7 +60,11 @@ class CHNSTimeStepper:
         t0: float = 0.0,
         pp_mode: str = "split",
     ):
-        """``precond`` names the NS inner-solve preconditioner
+        """``flow=False`` is a Cahn-Hilliard-only run: no NS/PP/VU solvers
+        are built, ``vel``, ``vel_old`` and ``p`` stay ``None`` and each
+        block is the CH solve with no advecting velocity.
+
+        ``precond`` names the NS inner-solve preconditioner
         (``None``/"jacobi" keeps the historical behavior; ``"pcd"`` enables
         the GMG-backed block preconditioner); PP picks its own from the
         mesh size (:data:`repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`).
@@ -108,6 +95,7 @@ class CHNSTimeStepper:
           measure; too expensive per step for production scenarios.
         """
         self.params = params
+        self.flow = flow
         self.n_blocks = n_blocks
         self.velocity_bc = velocity_bc
         self.remesh_config = remesh_config
@@ -121,7 +109,11 @@ class CHNSTimeStepper:
         self.t0 = float(t0)
         self.t = float(t0)
         self.step_count = 0
-        self.timers = StepTimers()
+        self.vel = self.vel_old = self.p = None
+        #: :class:`~repro.la.newton.NewtonResult` of the most recent CH
+        #: solve (the last block's when ``n_blocks > 1``); callers decide
+        #: what a non-converged one means.
+        self.last_newton: Optional[NewtonResult] = None
         #: cumulative nonlinear/linear work: Newton iterations (CH block),
         #: its BiCGStab iterations and LU factorizations, and Krylov
         #: iterations (NS/PP/VU solves) — the scenario results store reads
@@ -144,9 +136,10 @@ class CHNSTimeStepper:
     def _bind_mesh(self, mesh: Mesh) -> None:
         self.mesh = mesh
         self.ch = CHSolver(mesh, self.params)
-        self.ns = NSSolver(mesh, self.params)
-        self.pp = PPSolver(mesh, self.params)
-        self.vu = VUSolver(mesh, self.params)
+        if self.flow:
+            self.ns = NSSolver(mesh, self.params)
+            self.pp = PPSolver(mesh, self.params)
+            self.vu = VUSolver(mesh, self.params)
         if self.velocity_bc is not None:
             self.v_masks, self.v_values = self.velocity_bc(mesh)
         else:
@@ -159,6 +152,8 @@ class CHNSTimeStepper:
         self.t = self.t0
         self.phi = mesh.interpolate(phi0)
         self.mu = self.ch.initial_mu(self.phi)
+        if not self.flow:
+            return
         self.vel = np.zeros((mesh.n_dofs, mesh.dim))
         self.vel_old = np.zeros_like(self.vel)
         self.p = np.zeros(mesh.n_dofs)
@@ -167,14 +162,38 @@ class CHNSTimeStepper:
                 self.vel[self.v_masks[i], i] = self.v_values[i][self.v_masks[i]]
                 self.vel_old[:, i] = self.vel[:, i]
 
+    def fields(self) -> Dict[str, np.ndarray]:
+        """The state as a flat ``name -> nodal vector`` dict of views:
+        ``phi``, ``mu`` and, with flow, ``p``, ``v{i}``, ``vold{i}`` — the
+        form remesh transfers and checkpoints store."""
+        out = {"phi": self.phi, "mu": self.mu}
+        if self.flow:
+            out["p"] = self.p
+            for i in range(self.mesh.dim):
+                out[f"v{i}"] = self.vel[:, i]
+                out[f"vold{i}"] = self.vel_old[:, i]
+        return out
+
+    def set_fields(self, fields: Dict[str, np.ndarray]) -> None:
+        """Replace the state with ``fields`` (the keys of :meth:`fields`,
+        vectors on the current mesh; extra keys are ignored)."""
+        n, dim = self.mesh.n_dofs, self.mesh.dim
+        self.phi, self.mu = np.empty(n), np.empty(n)
+        if self.flow:
+            self.p = np.empty(n)
+            self.vel, self.vel_old = np.empty((n, dim)), np.empty((n, dim))
+        for name, view in self.fields().items():  # writes through the views
+            if np.shape(fields[name]) != (n,):
+                raise ValueError(
+                    f"set_fields: {name} has shape {np.shape(fields[name])}, "
+                    f"expected {(n,)} for this mesh"
+                )
+            view[:] = fields[name]
+
     def restore(
         self,
+        fields: Dict[str, np.ndarray],
         *,
-        phi: np.ndarray,
-        mu: np.ndarray,
-        vel: np.ndarray,
-        vel_old: np.ndarray,
-        p: np.ndarray,
         step_count: int,
         t: Optional[float] = None,
         iteration_counts: Optional[Dict[str, int]] = None,
@@ -183,30 +202,14 @@ class CHNSTimeStepper:
 
         The only solver state the evolution carries across steps is the
         CH block's LU factors (assembly plans are pure functions of the
-        mesh), and a restored stepper starts without any: restoring these
-        six items reproduces, bit for bit, an uninterrupted run that
-        called :meth:`drop_solver_state` after the step they were captured
-        at — the contract the scenario checkpoint/restart test pins down.
-        ``iteration_counts`` carries the cumulative work counts over.
+        mesh), and a restored stepper starts without any: restoring
+        :meth:`fields` and the step count reproduces, bit for bit, an
+        uninterrupted run that called :meth:`drop_solver_state` after the
+        step they were captured at — the contract the scenario
+        checkpoint/restart test pins down.  ``iteration_counts`` carries
+        the cumulative work counts over.
         """
-        n, dim = self.mesh.n_dofs, self.mesh.dim
-        for name, vec, shape in (
-            ("phi", phi, (n,)),
-            ("mu", mu, (n,)),
-            ("p", p, (n,)),
-            ("vel", vel, (n, dim)),
-            ("vel_old", vel_old, (n, dim)),
-        ):
-            if np.shape(vec) != shape:
-                raise ValueError(
-                    f"restore: {name} has shape {np.shape(vec)}, expected "
-                    f"{shape} for this mesh"
-                )
-        self.phi = np.asarray(phi, dtype=float)
-        self.mu = np.asarray(mu, dtype=float)
-        self.vel = np.asarray(vel, dtype=float)
-        self.vel_old = np.asarray(vel_old, dtype=float)
-        self.p = np.asarray(p, dtype=float)
+        self.set_fields(fields)
         self.step_count = int(step_count)
         if t is not None:
             self.t = float(t)
@@ -219,12 +222,9 @@ class CHNSTimeStepper:
 
     # -------------------------------------------------------------- step
 
-    def step(self, dt: float) -> StepTimers:
-        """One timestep.  Per-solver wall times land both in the returned
-        :class:`StepTimers` (the stable public surface) and — when
-        :mod:`repro.obs` tracing is enabled — in the span tree under
-        ``chns.step/{remesh,ch,ns,pp,vu}``: one measurement, two views."""
-        timers = StepTimers()
+    def step(self, dt: float) -> None:
+        """One timestep: remesh when due, then ``n_blocks`` blocks of CH
+        (followed by NS -> PP -> VU with flow)."""
         with obs.span("chns.step"):
             if (
                 self.remesh_every
@@ -232,115 +232,115 @@ class CHNSTimeStepper:
                 and self.step_count > 0
                 and self.step_count % self.remesh_every == 0
             ):
-                with obs.stopwatch("chns.remesh") as sw:
-                    self._do_remesh()
-                timers.remesh += sw.elapsed
+                with obs.span("chns.remesh"):
+                    new_mesh, new_fields, _ = remesh(
+                        self.mesh, self.fields(), self.remesh_config
+                    )
+                    self._bind_mesh(new_mesh)
+                    self.set_fields(new_fields)
 
             dt_b = dt / self.n_blocks
             for k in range(self.n_blocks):
                 t_n = self.t + k * dt_b
                 s_phi, ns_forcing = self._block_sources(t_n, dt_b)
-                with obs.stopwatch("chns.ch") as sw_ch:
+                with obs.span("chns.ch"):
                     # CN (theta<1) advects phi with the midpoint-extrapolated
                     # velocity so the whole block stays second order; BE
                     # keeps the historical v^n.
-                    ch_vel = (
-                        self.vel
-                        if self.ch_theta == 1.0
-                        else 1.5 * self.vel - 0.5 * self.vel_old
-                    )
+                    ch_vel = self.vel
+                    if self.flow and self.ch_theta != 1.0:
+                        ch_vel = 1.5 * self.vel - 0.5 * self.vel_old
                     ch_res = self.ch.solve(
                         self.phi, self.mu, ch_vel, dt_b,
                         theta=self.ch_theta, source_phi=s_phi,
                     )
                     self.phi, self.mu = ch_res.phi, ch_res.mu
-                with obs.stopwatch("chns.ns") as sw_ns:
-                    ns_res = self.ns.solve(
-                        self.phi,
-                        self.mu,
-                        self.vel,
-                        self.vel_old,
-                        self.p,
-                        dt_b,
-                        dirichlet_masks=self.v_masks,
-                        dirichlet_values=self.v_values,
-                        precond=self.precond,
-                        forcing=ns_forcing,
-                    )
-                with obs.stopwatch("chns.pp") as sw_pp:
-                    # Splitting note ("split" mode): the momentum predictor
-                    # carried grad p^n explicitly and the correction applies
-                    # grad p^{n+1}, so the *effective* pressure of the
-                    # scheme is p^n + p^{n+1} ~ 2 p — the stored field is
-                    # the splitting variable, half the physical pressure.
-                    # Naive accumulation (p += delta) on the absolute RHS is
-                    # NOT an option: the pointwise-gradient correction and
-                    # the weak-divergence Poisson RHS are not discrete
-                    # adjoints, and the O(h^2) mismatch re-amplified by the
-                    # 1/dt Poisson scaling makes an accumulated pressure
-                    # drift without bound.  "incremental" mode avoids both
-                    # problems by projecting only div(v* - v^n), which makes
-                    # the increment O(dt) and cancels the residue history.
-                    incremental = self.pp_mode != "split"
-                    schur = self.pp_mode == "schur"
-                    pp_res = self.pp.solve(
-                        self.phi, ns_res.vel_star, dt_b,
-                        p0=None if incremental else self.p,
-                        # The exact projection re-zeros the full divergence
-                        # every step (nothing survives to accumulate), so
-                        # it uses the absolute RHS; the approximate form
-                        # must go relative to keep the residue out.
-                        vel_n=self.vel if incremental and not schur else None,
-                        exact_projection=schur,
-                        correction_masks=self.v_masks if schur else None,
-                    )
-                    if incremental:
-                        self.p = self.p + pp_res.p
-                        self.p -= self.p.mean()
-                    else:
-                        self.p = pp_res.p
-                with obs.stopwatch("chns.vu") as sw_vu:
-                    vu_res = self.vu.solve(
-                        self.phi,
-                        ns_res.vel_star,
-                        pp_res.p,
-                        dt_b,
-                        dirichlet_masks=self.v_masks,
-                        dirichlet_values=self.v_values,
-                    )
-                self.vel_old = self.vel
-                self.vel = vu_res.vel
-                newton = ch_res.newton
+                self.last_newton = newton = ch_res.newton
                 self.iteration_counts["newton"] += newton.iterations
                 self.iteration_counts["ch_linear"] += newton.linear_iterations
                 self.iteration_counts["ch_factorizations"] += newton.factorizations
-                it_ns = sum(s.iterations for s in ns_res.solves)
-                it_pp = pp_res.solve.iterations
-                it_vu = sum(s.iterations for s in vu_res.solves)
-                self.iteration_counts["krylov"] += it_ns + it_pp + it_vu
-                self.iteration_counts["krylov_ns"] += it_ns
-                self.iteration_counts["krylov_pp"] += it_pp
-                self.iteration_counts["krylov_vu"] += it_vu
-                # Per-block Krylov counters: the pooled krylov.* ones also
-                # hold the CH inner solves (perf.model reads these instead).
-                for blk, its, n_solves in (
-                    ("ns", it_ns, len(ns_res.solves)),
-                    ("pp", it_pp, 1),
-                    ("vu", it_vu, len(vu_res.solves)),
-                ):
-                    obs.incr(f"krylov.iterations.{blk}", its)
-                    obs.incr(f"krylov.solves.{blk}", n_solves)
-                timers.ch += sw_ch.elapsed
-                timers.ns += sw_ns.elapsed
-                timers.pp += sw_pp.elapsed
-                timers.vu += sw_vu.elapsed
+                if self.flow:
+                    self._flow_block(dt_b, ns_forcing)
             obs.incr("chns.steps")
             obs.gauge("chns.n_elems", self.mesh.n_elems)
 
         self.t += dt
         self.step_count += 1
-        self.timers += timers
-        return timers
+
+    def _flow_block(self, dt_b: float, ns_forcing) -> None:
+        """NS -> PP -> VU of one block, from the block's new ``phi``/``mu``."""
+        with obs.span("chns.ns"):
+            ns_res = self.ns.solve(
+                self.phi,
+                self.mu,
+                self.vel,
+                self.vel_old,
+                self.p,
+                dt_b,
+                dirichlet_masks=self.v_masks,
+                dirichlet_values=self.v_values,
+                precond=self.precond,
+                forcing=ns_forcing,
+            )
+        with obs.span("chns.pp"):
+            # Splitting note ("split" mode): the momentum predictor
+            # carried grad p^n explicitly and the correction applies
+            # grad p^{n+1}, so the *effective* pressure of the
+            # scheme is p^n + p^{n+1} ~ 2 p — the stored field is
+            # the splitting variable, half the physical pressure.
+            # Naive accumulation (p += delta) on the absolute RHS is
+            # NOT an option: the pointwise-gradient correction and
+            # the weak-divergence Poisson RHS are not discrete
+            # adjoints, and the O(h^2) mismatch re-amplified by the
+            # 1/dt Poisson scaling makes an accumulated pressure
+            # drift without bound.  "incremental" mode avoids both
+            # problems by projecting only div(v* - v^n), which makes
+            # the increment O(dt) and cancels the residue history.
+            incremental = self.pp_mode != "split"
+            schur = self.pp_mode == "schur"
+            pp_res = self.pp.solve(
+                self.phi, ns_res.vel_star, dt_b,
+                p0=None if incremental else self.p,
+                # The exact projection re-zeros the full divergence
+                # every step (nothing survives to accumulate), so
+                # it uses the absolute RHS; the approximate form
+                # must go relative to keep the residue out.
+                vel_n=self.vel if incremental and not schur else None,
+                exact_projection=schur,
+                correction_masks=self.v_masks if schur else None,
+            )
+            if incremental:
+                self.p = self.p + pp_res.p
+                self.p -= self.p.mean()
+            else:
+                self.p = pp_res.p
+        with obs.span("chns.vu"):
+            vu_res = self.vu.solve(
+                self.phi,
+                ns_res.vel_star,
+                pp_res.p,
+                dt_b,
+                dirichlet_masks=self.v_masks,
+                dirichlet_values=self.v_values,
+            )
+        self.vel_old = self.vel
+        self.vel = vu_res.vel
+        it_ns = sum(s.iterations for s in ns_res.solves)
+        it_pp = pp_res.solve.iterations
+        it_vu = sum(s.iterations for s in vu_res.solves)
+        self.iteration_counts["krylov"] += it_ns + it_pp + it_vu
+        self.iteration_counts["krylov_ns"] += it_ns
+        self.iteration_counts["krylov_pp"] += it_pp
+        self.iteration_counts["krylov_vu"] += it_vu
+        # Per-block Krylov counters: the pooled krylov.* ones also
+        # hold the CH inner solves (perf.model reads these instead).
+        for blk, its, n_solves in (
+            ("ns", it_ns, len(ns_res.solves)),
+            ("pp", it_pp, 1),
+            ("vu", it_vu, len(vu_res.solves)),
+        ):
+            obs.incr(f"krylov.iterations.{blk}", its)
+            obs.incr(f"krylov.solves.{blk}", n_solves)
 
     def _block_sources(self, t_n: float, dt_b: float):
         """Assembled manufactured-forcing loads for one block starting at
@@ -363,34 +363,13 @@ class CHNSTimeStepper:
             )
         return s_phi, ns_forcing
 
-    def _do_remesh(self) -> None:
-        fields = {
-            "phi": self.phi,
-            "mu": self.mu,
-            "p": self.p,
-        }
-        for i in range(self.mesh.dim):
-            fields[f"v{i}"] = self.vel[:, i]
-            fields[f"vold{i}"] = self.vel_old[:, i]
-        new_mesh, new_fields, _ = remesh(self.mesh, fields, self.remesh_config)
-        self._bind_mesh(new_mesh)
-        self.phi = new_fields["phi"]
-        self.mu = new_fields["mu"]
-        self.p = new_fields["p"]
-        self.vel = np.stack(
-            [new_fields[f"v{i}"] for i in range(new_mesh.dim)], axis=1
-        )
-        self.vel_old = np.stack(
-            [new_fields[f"vold{i}"] for i in range(new_mesh.dim)], axis=1
-        )
-
     # -------------------------------------------------------- diagnostics
 
     def diagnostics(self) -> Diagnostics:
         return Diagnostics(
             mass=total_mass(self.mesh, self.phi),
             energy=ginzburg_landau_energy(self.mesh, self.phi, self.params.Cn),
-            div_l2=forms.divergence_l2(self.mesh, self.vel),
+            div_l2=forms.divergence_l2(self.mesh, self.vel) if self.flow else 0.0,
             phi_min=float(self.phi.min()),
             phi_max=float(self.phi.max()),
             n_elems=self.mesh.n_elems,

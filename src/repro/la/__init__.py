@@ -1,6 +1,5 @@
-"""Linear algebra substrate (PETSc KSP/SNES/BAIJ substitute)."""
+"""Linear algebra substrate (PETSc KSP/SNES substitute)."""
 
-from .bsr import ADD_VALUES, INSERT_VALUES, BlockMatrixBuilder  # noqa: F401
 from .gmg import GeometricMultigrid, prolongation  # noqa: F401
 from .krylov import SolveResult, bicgstab, cg, gmres  # noqa: F401
 from .newton import NewtonResult, newton_solve  # noqa: F401

@@ -55,7 +55,6 @@ from .tracer import (  # noqa: F401
     rank_armed,
     snapshot,
     span,
-    stopwatch,
     tracing,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "is_enabled",
     "current",
     "span",
-    "stopwatch",
     "incr",
     "gauge",
     "snapshot",

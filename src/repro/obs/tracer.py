@@ -41,7 +41,6 @@ __all__ = [
     "is_enabled",
     "current",
     "span",
-    "stopwatch",
     "incr",
     "gauge",
     "snapshot",
@@ -74,12 +73,11 @@ class _Node:
 class _Span:
     """Active span handle (context manager).  One per ``span()`` entry."""
 
-    __slots__ = ("_tracer", "_node", "_t0", "elapsed")
+    __slots__ = ("_tracer", "_node", "_t0")
 
     def __init__(self, tracer: "Tracer", node: _Node) -> None:
         self._tracer = tracer
         self._node = node
-        self.elapsed = 0.0
 
     def __enter__(self) -> "_Span":
         self._tracer._stack.append(self._node)
@@ -89,7 +87,6 @@ class _Span:
     def __exit__(self, *exc) -> bool:
         t1 = perf_counter()
         dt = t1 - self._t0
-        self.elapsed = dt
         node = self._node
         node.count += 1
         node.total += dt
@@ -103,14 +100,9 @@ class _Span:
 
 
 class _NullSpan:
-    """Shared no-op span: what ``span()`` returns while tracing is off.
-
-    Carries ``elapsed = 0.0`` so code written against :func:`stopwatch`
-    (which always times) can also consume a plain disabled span safely.
-    """
+    """Shared no-op span: what ``span()`` returns while tracing is off."""
 
     __slots__ = ()
-    elapsed = 0.0
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -120,29 +112,6 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
-
-
-class _Stopwatch:
-    """Always-times context manager that *also* records a span when tracing
-    is enabled.  Lets callers keep their own timer fields (e.g. the CHNS
-    stepper's public ``timers``) as views of the same measurement."""
-
-    __slots__ = ("_name", "_inner", "_t0", "elapsed")
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_Stopwatch":
-        self._inner = span(self._name)
-        self._inner.__enter__()
-        self._t0 = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.elapsed = perf_counter() - self._t0
-        self._inner.__exit__(*exc)
-        return False
 
 
 class Tracer:
@@ -251,12 +220,6 @@ def span(name: str):
     if tr is None:
         return NULL_SPAN
     return tr.span(name)
-
-
-def stopwatch(name: str) -> _Stopwatch:
-    """A span that always measures: ``sw.elapsed`` is valid after exit even
-    with tracing disabled (then nothing is recorded)."""
-    return _Stopwatch(name)
 
 
 def incr(name: str, amount: float = 1) -> None:

@@ -10,7 +10,6 @@ from .build import (  # noqa: F401
 )
 from .coarsen import coarsen, coarsen_recursive  # noqa: F401
 from .domain import BoxDomain, ComplementDomain, Domain, SphereDomain  # noqa: F401
-from .hilbert import hilbert_keys, hilbert_sort  # noqa: F401
 from .level_by_level import (  # noqa: F401
     coarsen_level_by_level,
     refine_level_by_level,

@@ -8,6 +8,10 @@ Executes one :class:`~repro.scenarios.schema.ScenarioConfig` to completion
   dynamics without flow — coalescence, spinodal, drop relaxation);
 * ``solver="chns"`` runs the full two-block projection stepper.
 
+Both are one :class:`~repro.chns.timestepper.CHNSTimeStepper`, built with or
+without its flow blocks; it owns the mesh, the fields, the solvers and the
+work counts, and this module only drives it.
+
 Determinism contract: a run resumed from a checkpoint produces bit-identical
 final state and work counts to an uninterrupted run.  The one piece of
 solver state the serial numerics carry across steps, the CH block's LU
@@ -20,7 +24,8 @@ Failure semantics: any exception inside the stepping loop — divergence,
 non-finite state, solver errors — is caught and reported as a ``failed``
 result with the exception text; only :class:`ScenarioInterrupt` (and a real
 ``KeyboardInterrupt``) escape differently, leaving an ``interrupted`` record
-that the batch driver re-runs on resume.
+that the batch driver re-runs on resume.  Whatever ends the loop, the record
+keeps the work counts, element count and diagnostics of the state it ended in.
 """
 
 from __future__ import annotations
@@ -37,9 +42,6 @@ import numpy as np
 
 from .. import obs
 from ..amr.checkpoint import load_checkpoint_meta, save_checkpoint
-from ..amr.driver import remesh
-from ..chns.ch_solver import CHSolver
-from ..chns.free_energy import ginzburg_landau_energy, total_mass
 from ..chns.timestepper import CHNSTimeStepper
 from ..mesh.mesh import Mesh, mesh_from_field
 from .schema import ScenarioConfig, ScenarioError
@@ -66,9 +68,9 @@ class StepState:
     mesh: Mesh
     phi: np.ndarray
     mu: np.ndarray
-    vel: Optional[np.ndarray]
-    p: Optional[np.ndarray]
-    stepper: Optional[CHNSTimeStepper]
+    vel: Optional[np.ndarray]  # None for solver="ch"
+    p: Optional[np.ndarray]  # None for solver="ch"
+    stepper: CHNSTimeStepper
 
 
 @dataclass
@@ -214,14 +216,26 @@ def run_scenario(
 
 
 # --------------------------------------------------------------------------
-# The stepping loop (shared scaffolding, per-solver state advance)
+# The stepping loop: one stepper, built fresh or restored, driven to n_steps
 # --------------------------------------------------------------------------
+
+
+def _make_stepper(config: ScenarioConfig, mesh: Mesh) -> CHNSTimeStepper:
+    return CHNSTimeStepper(
+        mesh,
+        config.build_params(),
+        flow=config.solver == "chns",
+        n_blocks=config.time.n_blocks,
+        velocity_bc=config.build_bc(),
+        remesh_config=config.refinement.build(),
+        remesh_every=config.refinement.remesh_every,
+        precond=config.precond,
+    )
 
 
 def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
     ckpt_path = os.path.join(workdir, "checkpoint.npz") if workdir else None
     digest = config_digest(config)
-    sim = _ChState(config) if config.solver == "ch" else _ChnsState(config)
 
     start_step = 0
     if ckpt_path and os.path.exists(ckpt_path):
@@ -232,213 +246,81 @@ def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
                 f"(digest {meta.get('config_digest')} != {digest})"
             )
         start_step = int(meta["step"])
-        sim.restore(Mesh(tree, check_balance=False), fields, start_step,
-                    meta.get("counts", {}))
+        ts = _make_stepper(config, Mesh(tree, check_balance=False))
+        ts.restore(fields, step_count=start_step,
+                   iteration_counts=meta.get("counts", {}))
         result.resumed_from_step = start_step
     else:
-        sim.fresh_start()
+        phi0 = config.build_ic()
+        dom = config.domain
+        ts = _make_stepper(config, mesh_from_field(
+            phi0, dom.dim, max_level=dom.max_level, min_level=dom.min_level,
+            threshold=dom.threshold,
+        ))
+        ts.initialize(phi0)
 
-    for step in range(start_step, config.time.n_steps):
-        clock.check(step)
-        sim.advance(step)
-        done = step + 1
-        result.steps_done = done
-        phi = sim.phi
-        _check_finite(step, *sim.state_arrays())
-        _phi_sane(step, phi)
-        every = config.outputs.diagnostics_every
-        if on_step is not None and every and done % every == 0:
-            on_step(sim.step_state(done))
-        if config.outputs.vtk and workdir:
-            _write_vtk(config, sim, workdir, done)
-        ck_every = config.control.checkpoint_every
-        if ck_every and done % ck_every == 0:
-            # A resumed run starts here without factors; so does this one.
-            sim.drop_solver_state()
-            if ckpt_path:
-                save_checkpoint(
-                    ckpt_path, sim.mesh.tree, sim.checkpoint_fields(),
-                    nprocs=config.control.nprocs,
-                    meta={"step": done, "config_digest": digest,
-                          "counts": sim.counts},
+    try:
+        for step in range(start_step, config.time.n_steps):
+            clock.check(step)
+            ts.step(config.time.dt)
+            if not ts.last_newton.converged:
+                raise SolverDivergence(
+                    f"CH Newton failed to converge at step {step} "
+                    f"(residual {ts.last_newton.residual:.2e})"
                 )
-        if interrupt_after_step is not None and done >= interrupt_after_step:
-            raise ScenarioInterrupt(f"injected interrupt after step {done}")
+            done = step + 1
+            result.steps_done = done
+            _check_finite(step, ts.phi, ts.mu, ts.vel, ts.p)
+            _phi_sane(step, ts.phi)
+            every = config.outputs.diagnostics_every
+            if on_step is not None and every and done % every == 0:
+                on_step(StepState(done, ts.mesh, ts.phi, ts.mu, ts.vel, ts.p,
+                                  ts))
+            if config.outputs.vtk and workdir:
+                _write_vtk(config, ts, workdir, done)
+            ck_every = config.control.checkpoint_every
+            if ck_every and done % ck_every == 0:
+                # A resumed run starts here without factors; so does this one.
+                ts.drop_solver_state()
+                if ckpt_path:
+                    save_checkpoint(
+                        ckpt_path, ts.mesh.tree, ts.fields(),
+                        nprocs=config.control.nprocs,
+                        meta={"step": done, "config_digest": digest,
+                              "counts": ts.iteration_counts},
+                    )
+            if interrupt_after_step is not None and done >= interrupt_after_step:
+                raise ScenarioInterrupt(f"injected interrupt after step {done}")
+    finally:
+        _record_work(result, ts)
 
-    result.n_elems_final = sim.mesh.n_elems
-    counts = sim.counts
+
+def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
+    """Work counts, element count and diagnostics of the state the loop
+    ended in — on success and on the way out of a failed, timed-out or
+    interrupted job alike."""
+    counts = ts.iteration_counts
+    result.n_elems_final = ts.mesh.n_elems
     result.newton_iterations = counts["newton"]
     result.krylov_iterations = counts["krylov"]
     result.ch_linear = counts["ch_linear"]
     result.ch_factorizations = counts["ch_factorizations"]
-    result.diagnostics = sim.diagnostics()
+    d = ts.diagnostics()
+    result.diagnostics = {
+        "mass": float(d.mass),
+        "energy": float(d.energy),
+        "phi_min": float(d.phi_min),
+        "phi_max": float(d.phi_max),
+    }
+    if ts.vel is not None:
+        result.diagnostics["vel_max"] = float(np.abs(ts.vel).max())
 
 
-def _write_vtk(config, sim, workdir, done):
+def _write_vtk(config, ts, workdir, done):
     from ..io.vtk import write_time_series
 
     write_time_series(
-        os.path.join(workdir, "vtk"), config.name, done, sim.mesh,
-        point_data={"phi": sim.phi},
-        cell_data={"level": sim.mesh.tree.levels.astype(float)},
+        os.path.join(workdir, "vtk"), config.name, done, ts.mesh,
+        point_data={"phi": ts.phi},
+        cell_data={"level": ts.mesh.tree.levels.astype(float)},
     )
-
-
-class _ChState:
-    """Cahn-Hilliard-only evolution (no flow): phi/mu + optional remesh."""
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.params = config.build_params()
-        self.remesh_cfg = config.refinement.build()
-        self.counts = {"newton": 0, "krylov": 0, "ch_linear": 0,
-                       "ch_factorizations": 0}
-
-    def fresh_start(self) -> None:
-        phi0 = self.config.build_ic()
-        dom = self.config.domain
-        self.mesh = mesh_from_field(
-            phi0, dom.dim, max_level=dom.max_level, min_level=dom.min_level,
-            threshold=dom.threshold,
-        )
-        self.solver = CHSolver(self.mesh, self.params)
-        self.phi = self.mesh.interpolate(phi0)
-        self.mu = self.solver.initial_mu(self.phi)
-
-    def restore(self, mesh: Mesh, fields: dict, step: int, counts: dict) -> None:
-        self.mesh = mesh
-        self.solver = CHSolver(mesh, self.params)
-        self.phi = np.asarray(fields["phi"], dtype=float)
-        self.mu = np.asarray(fields["mu"], dtype=float)
-        self.counts.update(counts)
-
-    def drop_solver_state(self) -> None:
-        self.solver.drop_factors()
-
-    def advance(self, step: int) -> None:
-        cfg = self.config
-        every = cfg.refinement.remesh_every
-        if every and step > 0 and step % every == 0:
-            new_mesh, new_fields, _ = remesh(
-                self.mesh, {"phi": self.phi, "mu": self.mu}, self.remesh_cfg
-            )
-            self.mesh = new_mesh
-            self.phi, self.mu = new_fields["phi"], new_fields["mu"]
-            self.solver = CHSolver(new_mesh, self.params)
-        res = self.solver.solve(self.phi, self.mu, None, cfg.time.dt)
-        self.phi, self.mu = res.phi, res.mu
-        self.counts["newton"] += res.newton.iterations
-        self.counts["ch_linear"] += res.newton.linear_iterations
-        self.counts["ch_factorizations"] += res.newton.factorizations
-        if not res.newton.converged:
-            raise SolverDivergence(
-                f"CH Newton failed to converge at step {step} "
-                f"(residual {res.newton.residual:.2e})"
-            )
-
-    def state_arrays(self):
-        return (self.phi, self.mu)
-
-    def checkpoint_fields(self) -> dict:
-        return {"phi": self.phi, "mu": self.mu}
-
-    def step_state(self, done: int) -> StepState:
-        return StepState(done, self.mesh, self.phi, self.mu, None, None, None)
-
-    def diagnostics(self) -> dict:
-        return {
-            "mass": float(total_mass(self.mesh, self.phi)),
-            "energy": float(
-                ginzburg_landau_energy(self.mesh, self.phi, self.params.Cn)
-            ),
-            "phi_min": float(self.phi.min()),
-            "phi_max": float(self.phi.max()),
-        }
-
-
-class _ChnsState:
-    """Full two-block CHNS projection evolution via the time stepper."""
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.params = config.build_params()
-
-    def _make_stepper(self, mesh: Mesh) -> CHNSTimeStepper:
-        cfg = self.config
-        return CHNSTimeStepper(
-            mesh,
-            self.params,
-            n_blocks=cfg.time.n_blocks,
-            velocity_bc=cfg.build_bc(),
-            remesh_config=cfg.refinement.build(),
-            remesh_every=cfg.refinement.remesh_every,
-            precond=cfg.precond,
-        )
-
-    def fresh_start(self) -> None:
-        phi0 = self.config.build_ic()
-        dom = self.config.domain
-        mesh = mesh_from_field(
-            phi0, dom.dim, max_level=dom.max_level, min_level=dom.min_level,
-            threshold=dom.threshold,
-        )
-        self.stepper = self._make_stepper(mesh)
-        self.stepper.initialize(phi0)
-
-    def restore(self, mesh: Mesh, fields: dict, step: int, counts: dict) -> None:
-        self.stepper = self._make_stepper(mesh)
-        dim = mesh.dim
-        self.stepper.restore(
-            phi=fields["phi"],
-            mu=fields["mu"],
-            p=fields["p"],
-            vel=np.stack([fields[f"v{i}"] for i in range(dim)], axis=1),
-            vel_old=np.stack([fields[f"vold{i}"] for i in range(dim)], axis=1),
-            step_count=step,
-            iteration_counts=counts,
-        )
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.stepper.mesh
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.stepper.phi
-
-    @property
-    def counts(self) -> dict:
-        return self.stepper.iteration_counts
-
-    def drop_solver_state(self) -> None:
-        self.stepper.drop_solver_state()
-
-    def advance(self, step: int) -> None:
-        self.stepper.step(self.config.time.dt)
-
-    def state_arrays(self):
-        s = self.stepper
-        return (s.phi, s.mu, s.vel, s.p)
-
-    def checkpoint_fields(self) -> dict:
-        s = self.stepper
-        fields = {"phi": s.phi, "mu": s.mu, "p": s.p}
-        for i in range(self.mesh.dim):
-            fields[f"v{i}"] = s.vel[:, i]
-            fields[f"vold{i}"] = s.vel_old[:, i]
-        return fields
-
-    def step_state(self, done: int) -> StepState:
-        s = self.stepper
-        return StepState(done, s.mesh, s.phi, s.mu, s.vel, s.p, s)
-
-    def diagnostics(self) -> dict:
-        s = self.stepper
-        d = s.diagnostics()
-        return {
-            "mass": float(d.mass),
-            "energy": float(d.energy),
-            "phi_min": float(d.phi_min),
-            "phi_max": float(d.phi_max),
-            "vel_max": float(np.abs(s.vel).max()),
-        }

@@ -256,6 +256,8 @@ class ScenarioConfig:
             )
         if self.precond is not None and self.solver != "chns":
             raise ScenarioError("precond only applies to solver='chns'")
+        if self.time.n_blocks != 1 and self.solver != "chns":
+            raise ScenarioError("time.n_blocks != 1 requires solver='chns'")
         self.build_params()  # CHNSParams validates positivity
         rm = self.refinement.build()
         if rm is not None and rm.feature_level < self.domain.max_level:

@@ -222,17 +222,10 @@ def _ns_stepper(level: int, dt: float, prm, mms) -> CHNSTimeStepper:
     n = mesh.n_dofs
     xy = mesh.dof_xy()
     p0 = mms.p(xy, 0.0)
-    ts.restore(
-        phi=np.ones(n),
-        mu=np.zeros(n),
-        vel=mms.vel(xy, 0.0),
-        vel_old=mms.vel(xy, -dt),
-        p=p0 - p0.mean(),
-        step_count=0,
-        t=0.0,
-    )
-    ts.vel = _project_div_free(ts, ts.vel)
-    ts.vel_old = _project_div_free(ts, ts.vel_old)
+    ts.phi, ts.mu = np.ones(n), np.zeros(n)
+    ts.p = p0 - p0.mean()
+    ts.vel = _project_div_free(ts, mms.vel(xy, 0.0))
+    ts.vel_old = _project_div_free(ts, mms.vel(xy, -dt))
     _equilibrate_pressure(ts, dt, mms)
     return ts
 

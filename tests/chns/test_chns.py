@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chns import forms
 from repro.chns.ch_solver import CHSolver
 from repro.chns.free_energy import (
@@ -347,12 +348,62 @@ class TestTimeStepper:
         assert d.div_l2 < 1.0
 
     def test_timers_populated(self, mesh8):
+        """The per-block timers are the obs span tree: one ``chns.step``
+        with each block once per projection block, and nothing else."""
+        prm = CHNSParams(Pe=50.0, Cn=0.1, rho_minus=0.5, eta_minus=0.5)
+        for n_blocks in (1, 2):
+            ts = CHNSTimeStepper(mesh8, prm, n_blocks=n_blocks,
+                                 velocity_bc=no_slip_bc)
+            ts.initialize(lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn))
+            with obs.tracing():
+                assert ts.step(1e-3) is None
+                snap = obs.snapshot()
+            (step,) = snap["spans"]
+            assert (step["name"], step["count"]) == ("chns.step", 1)
+            assert [(c["name"], c["count"]) for c in step["children"]] == [
+                (f"chns.{b}", n_blocks) for b in ("ch", "ns", "pp", "vu")
+            ]
+            assert snap["counters"]["chns.steps"] == 1
+
+    def test_ch_only_step(self, mesh8):
+        """Built without flow the stepper is the CH block alone: no flow
+        solvers, no velocity or pressure, ``chns.step/chns.ch`` only."""
+        prm = CHNSParams(Pe=50.0, Cn=0.1)
+        ts = CHNSTimeStepper(mesh8, prm, flow=False)
+        ts.initialize(lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn))
+        m0 = ts.diagnostics().mass
+        with obs.tracing():
+            assert ts.step(1e-3) is None
+            (step,) = obs.snapshot()["spans"]
+        assert [(c["name"], c["count"]) for c in step["children"]] == [
+            ("chns.ch", 1)
+        ]
+        assert ts.vel is None and ts.vel_old is None and ts.p is None
+        assert not hasattr(ts, "ns") and sorted(ts.fields()) == ["mu", "phi"]
+        assert ts.last_newton.converged
+        assert ts.iteration_counts["newton"] == ts.last_newton.iterations > 0
+        assert ts.iteration_counts["krylov"] == 0
+        d = ts.diagnostics()
+        assert np.isclose(d.mass, m0, atol=1e-10) and d.div_l2 == 0.0
+
+    def test_fields_roundtrip_through_restore(self, mesh8):
+        """``fields()`` is the flat checkpoint form; ``restore`` on a fresh
+        stepper takes it back and rejects a vector of the wrong length."""
         prm = CHNSParams(Pe=50.0, Cn=0.1, rho_minus=0.5, eta_minus=0.5)
         ts = CHNSTimeStepper(mesh8, prm, velocity_bc=no_slip_bc)
         ts.initialize(lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn))
-        t = ts.step(1e-3)
-        assert t.ch > 0 and t.ns > 0 and t.pp > 0 and t.vu > 0
-        assert ts.timers.total() >= t.total()
+        ts.step(1e-3)
+        fields = ts.fields()
+        assert sorted(fields) == ["mu", "p", "phi", "v0", "v1", "vold0", "vold1"]
+        ts2 = CHNSTimeStepper(mesh8, prm, velocity_bc=no_slip_bc)
+        ts2.restore(fields, step_count=1,
+                    iteration_counts=ts.iteration_counts)
+        for name in ("phi", "mu", "p", "vel", "vel_old"):
+            assert np.array_equal(getattr(ts2, name), getattr(ts, name)), name
+        assert ts2.step_count == 1
+        assert ts2.iteration_counts == ts.iteration_counts
+        with pytest.raises(ValueError, match="v1 has shape"):
+            ts2.restore({**fields, "v1": fields["v1"][:-1]}, step_count=1)
 
     def test_two_blocks_per_step(self, mesh8):
         prm = CHNSParams(Pe=50.0, Cn=0.1, rho_minus=0.5, eta_minus=0.5)

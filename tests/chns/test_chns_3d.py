@@ -7,6 +7,7 @@ at small scale (the 2D suite carries the detailed physics checks).
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chns.ch_solver import CHSolver
 from repro.chns.free_energy import total_mass
 from repro.chns.initial_conditions import drop
@@ -94,9 +95,15 @@ class TestCHNS3D:
                          eta_minus=0.5, gravity_dir=(0.0, 0.0, -1.0))
         ts = CHNSTimeStepper(mesh, prm, velocity_bc=no_slip_bc)
         ts.initialize(lambda x: drop(x, (0.5, 0.5, 0.5), 0.3, prm.Cn))
-        t = ts.step(1e-3)
+        with obs.tracing():
+            assert ts.step(1e-3) is None
+            spans = obs.flatten_spans(obs.snapshot())
         d = ts.diagnostics()
-        assert t.ch > 0 and t.ns > 0 and t.pp > 0 and t.vu > 0
+        assert {p: n["count"] for p, n in spans.items()
+                if p.count("/") <= 1} == {
+            "chns.step": 1, "chns.step/chns.ch": 1, "chns.step/chns.ns": 1,
+            "chns.step/chns.pp": 1, "chns.step/chns.vu": 1,
+        }
         assert ts.vel.shape == (mesh.n_dofs, 3)
         assert np.all(np.isfinite(ts.vel))
         assert d.phi_min > -1.5 and d.phi_max < 1.5

@@ -1,16 +1,9 @@
-"""Tests for Krylov solvers, preconditioners, Newton, and block storage."""
+"""Tests for Krylov solvers, preconditioners and Newton."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.la.bsr import (
-    ADD_VALUES,
-    INSERT_VALUES,
-    BlockMatrixBuilder,
-    deinterleave_fields,
-    interleave_fields,
-)
 from repro.la import newton
 from repro.la.krylov import SolveResult, bicgstab, cg, gmres
 from repro.la.newton import Factors, newton_solve
@@ -392,48 +385,3 @@ class TestFactors:
         )
         assert not res.converged and res.iterations == 0
         assert factors.lu is None and factors.solves == 0
-
-
-class TestBlockMatrix:
-    def test_insert_vs_add(self):
-        b = BlockMatrixBuilder(2, 2)
-        blk = np.eye(2)
-        b.set_block(0, 0, blk, ADD_VALUES)
-        b.set_block(0, 0, blk, ADD_VALUES)
-        b.set_block(1, 1, 5 * blk, INSERT_VALUES)
-        b.set_block(1, 1, 5 * blk, INSERT_VALUES)  # idempotent overwrite
-        A = b.assemble().toarray()
-        assert np.allclose(A[:2, :2], 2 * np.eye(2))
-        assert np.allclose(A[2:, 2:], 5 * np.eye(2))
-
-    def test_assemble_freezes(self):
-        b = BlockMatrixBuilder(1, 2)
-        b.set_block(0, 0, np.eye(2))
-        A1 = b.assemble()
-        A2 = b.assemble()
-        assert A1 is A2  # reused, no re-assembly (the paper's VU-solve trick)
-        with pytest.raises(RuntimeError):
-            b.set_block(0, 0, np.eye(2))
-
-    def test_matvec_matches_dense(self):
-        rng = np.random.default_rng(8)
-        b = BlockMatrixBuilder(3, 2)
-        dense = np.zeros((6, 6))
-        for i in range(3):
-            for j in range(3):
-                if rng.random() < 0.6:
-                    blk = rng.standard_normal((2, 2))
-                    b.set_block(i, j, blk)
-                    dense[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blk
-        A = b.assemble()
-        x = rng.standard_normal(6)
-        assert np.allclose(A @ x, dense @ x)
-
-    def test_interleave_roundtrip(self):
-        u = np.arange(5.0)
-        v = np.arange(5.0) + 10
-        x = interleave_fields([u, v])
-        assert np.allclose(x[:4], [0, 10, 1, 11])
-        uu, vv = deinterleave_fields(x, 2)
-        assert np.allclose(uu, u)
-        assert np.allclose(vv, v)

@@ -3,7 +3,6 @@
 Randomized structural properties of the SFC/octree layer:
 
 * Morton key encode/decode round-trips exactly at every level and dimension.
-* Hilbert ranks invert (``hilbert_index_inverse`` is a true inverse).
 * ``refine`` followed by ``coarsen`` voting the original levels is the
   identity — multi-level refinement emits complete descendant blocks and
   coarsening's consensus rule merges exactly those blocks back.
@@ -22,7 +21,6 @@ from repro.octree import morton
 from repro.octree.balance import balance, is_balanced
 from repro.octree.build import build_tree, uniform_tree
 from repro.octree.coarsen import coarsen
-from repro.octree.hilbert import hilbert_index_inverse, hilbert_index_single
 from repro.octree.parbalance import par_balance
 from repro.octree.partition import scatter_tree
 from repro.octree.refine import refine
@@ -80,33 +78,6 @@ def test_morton_key_roundtrip(seed):
     a_back, l_back = morton.decode_key(k, dim)
     np.testing.assert_array_equal(a_back, anchors)
     np.testing.assert_array_equal(l_back, levels)
-
-
-@seed_cases(n=25)
-def test_hilbert_index_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    dim = 2 + seed % 2
-    level = int(rng.integers(1, 11))
-    for _ in range(16):
-        cell = rng.integers(0, 1 << level, size=dim)
-        h = hilbert_index_single(cell, level, dim)
-        np.testing.assert_array_equal(
-            hilbert_index_inverse(h, level, dim), cell
-        )
-
-
-@seed_cases(n=10)
-def test_hilbert_rank_is_bijection(seed):
-    """All cells of a small grid map to distinct ranks covering the range."""
-    rng = np.random.default_rng(seed)
-    dim = 2 + seed % 2
-    level = int(rng.integers(1, 4 if dim == 3 else 5))
-    n = 1 << level
-    cells = np.stack(
-        np.meshgrid(*[np.arange(n)] * dim, indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    ranks = {hilbert_index_single(c, level, dim) for c in cells}
-    assert ranks == set(range(n**dim))
 
 
 # ------------------------------------------------------- refine <-> coarsen

@@ -106,6 +106,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="chns"):
             cfg.validate()
 
+    def test_n_blocks_requires_chns(self):
+        """Projection blocks without a projection were accepted and
+        ignored; every registry variant carries ``n_blocks == 1``."""
+        cfg = self._base(solver="ch", time=TimeConfig(n_blocks=2))
+        with pytest.raises(ScenarioError, match="n_blocks.*chns"):
+            cfg.validate()
+        self._base(solver="chns", time=TimeConfig(n_blocks=2)).validate()
+        from repro.scenarios import build, variants
+
+        for name in variants():
+            for quick in (True, False):
+                assert build(name, quick=quick).time.n_blocks == 1
+
     def test_unknown_backend_rejected(self):
         cfg = self._base(control=JobControl(backend="gpu"))
         with pytest.raises(ScenarioError, match="gpu"):

@@ -16,7 +16,6 @@ from repro.fem.layout import (
     zip_matrix,
     zip_vector,
 )
-from repro.la.bsr import deinterleave_fields, interleave_fields
 from repro.mesh.nodes import pack_points, unpack_points
 from repro.octree import morton
 
@@ -71,16 +70,6 @@ def test_zipped_assembly_matches_strided(dim, ndof):
         assemble_matrix_strided(cm, h, dim),
         atol=1e-14,
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), ndof=st.integers(1, 6))
-def test_interleave_roundtrip(seed, ndof):
-    rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal(7) for _ in range(ndof)]
-    back = deinterleave_fields(interleave_fields(fields), ndof)
-    for a, b in zip(fields, back):
-        assert np.array_equal(a, b)
 
 
 @settings(max_examples=50, deadline=None)

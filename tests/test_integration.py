@@ -9,6 +9,7 @@ rather than per-module behavior.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.amr.checkpoint import load_checkpoint, save_checkpoint
 from repro.amr.driver import RemeshConfig, level_fractions, remesh
 from repro.chns.free_energy import total_mass
@@ -50,13 +51,19 @@ class TestFullAMRLoop:
         )
         ts.initialize(phi0)
         m0 = ts.diagnostics().mass
-        for _ in range(5):
-            ts.step(1e-3)
+        with obs.tracing():
+            for _ in range(5):
+                ts.step(1e-3)
+            spans = obs.flatten_spans(obs.snapshot())
         d = ts.diagnostics()
         # Mass survives remeshing-induced transfers to interpolation accuracy.
         assert abs(d.mass - m0) < 5e-3
         assert is_balanced(ts.mesh.tree)
-        assert ts.timers.remesh > 0
+        # remesh_every=2: steps 2 and 4 remesh, every step runs every block
+        assert spans["chns.step"]["count"] == 5
+        assert spans["chns.step/chns.remesh"]["count"] == 2
+        for block in ("ch", "ns", "pp", "vu"):
+            assert spans[f"chns.step/chns.{block}"]["count"] == 5
 
         # Checkpoint and VTK round-trip from the evolved state.
         p = str(tmp_path / "state")
