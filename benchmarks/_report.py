@@ -1,40 +1,18 @@
 """Shared reporting helpers for the figure-reproduction benchmarks.
 
 Every benchmark regenerates one of the paper's figures as a text table and
-writes it to ``benchmarks/results/<experiment>.txt`` (and stdout), recording
-paper-reported values next to our measured/modeled values.
-``make_experiments_md.py`` collates these into EXPERIMENTS.md.
+writes it to ``benchmarks/results/<experiment>.txt`` (untracked driver output)
+and stdout, recording paper-reported values next to our measured/modeled
+values.  ``make_experiments_md.py`` collates these into EXPERIMENTS.md, the
+one committed copy.
 """
 
 from __future__ import annotations
 
 import os
-import platform as _platform
-import time as _time
 from typing import Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def host_provenance() -> dict:
-    """Machine-readable measurement provenance, embedded in the meta of
-    every ``BENCH_*.json``: CPU count, platform, python, and the default
-    SPMD backend.  ``single_core_host`` makes the ROADMAP's "all timings so
-    far are from a 1-core host" caveat a queryable fact instead of tribal
-    knowledge: consumers comparing thread-vs-process speedups must check it.
-    """
-    from repro.runtime import default_backend_name
-
-    ncpu = os.cpu_count()
-    return {
-        "generated_unix": int(_time.time()),
-        "host_cpus": ncpu,
-        "single_core_host": ncpu == 1,
-        "platform": _platform.platform(),
-        "machine": _platform.machine(),
-        "python": _platform.python_version(),
-        "default_spmd_backend": default_backend_name(),
-    }
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

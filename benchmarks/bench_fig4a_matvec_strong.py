@@ -13,7 +13,6 @@ Two layers, per the documented substitution:
    the paper's 2.87 s -> 0.027 s and 81% parallel efficiency.
 """
 
-import os
 import time
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.mpi.comm import run_spmd
 from repro.mpi.stats import CommStats
 from repro.perf.machine import MachineModel, parallel_efficiency
 from repro.perf.model import fit_ghost_coeff
-from repro.runtime import ProcessBackend
 
 from _report import format_table, report
 
@@ -134,75 +132,3 @@ def test_fig4a_strong_scaling(mesh, benchmark):
     # Strong scaling monotone decreasing.
     assert np.all(np.diff(times) < 0)
 
-
-def _matrix_free_matvec_run(mesh, nprocs, n_iters, backend):
-    """Wall time of the matrix-free (per-element assembly) MATVEC program."""
-    u = np.ones(mesh.n_nodes)
-
-    def fn(comm):
-        df = DistributedField(comm, mesh)
-        owned = df.from_global(u)
-        comm.barrier()
-        for _ in range(n_iters):
-            owned = df.matvec_matrix_free(owned)
-            owned /= max(np.abs(owned).max(), 1e-30)
-        comm.barrier()
-        return None
-
-    t0 = time.perf_counter()
-    run_spmd(nprocs, fn, backend=backend, timeout=600)
-    return time.perf_counter() - t0
-
-
-@pytest.mark.skipif(
-    not ProcessBackend.is_available(), reason="fork not available"
-)
-def test_backend_speedup_8ranks(benchmark):
-    """Thread vs process backend, 8 simulated ranks, matrix-free MATVEC.
-
-    The workload is the compute-dense matrix-free kernel (per-element
-    on-the-fly assembly): each rank spends ~60 ms/iteration of
-    interpreter-bound work that the GIL serializes on the thread backend
-    but the process backend runs on separate cores.  On a multi-core host
-    the process backend must win by >= 2x wall-clock.  On single-core
-    hosts the number is recorded but not asserted — benchmark honesty
-    requires publishing the host context either way.  (The fully
-    vectorized batched kernel is deliberately *not* used here: it spends
-    microseconds per rank, so it measures transport latency, not
-    scalability; its per-backend numbers live in BENCH_PR1.json.)
-    """
-    cores = os.cpu_count() or 1
-    big_mesh = mesh_from_field(
-        lambda x: np.linalg.norm(x - 0.5, axis=1) - 0.3,
-        2, max_level=9, min_level=4, threshold=0.03,
-    )
-    # Warm both paths once (fork pools, imports) before timing.
-    _matrix_free_matvec_run(big_mesh, 2, 1, "thread")
-    _matrix_free_matvec_run(big_mesh, 2, 1, "process")
-    n_iters = 6
-    wall_thread = _matrix_free_matvec_run(big_mesh, 8, n_iters, "thread")
-    wall_process = _matrix_free_matvec_run(big_mesh, 8, n_iters, "process")
-    benchmark.pedantic(
-        lambda: None, rounds=1
-    )  # keep pytest-benchmark fixture satisfied
-    speedup = wall_thread / wall_process
-    report(
-        "backend_speedup",
-        "thread vs process backend, 8-rank matrix-free MATVEC",
-        format_table(
-            ["backend", "wall s (8 ranks)", "cores", "speedup vs thread"],
-            [
-                ["thread", round(wall_thread, 4), cores, 1.0],
-                ["process", round(wall_process, 4), cores, round(speedup, 3)],
-            ],
-        )
-        + "\n\nEach backend ran the identical SPMD matrix-free MATVEC "
-        f"program ({big_mesh.n_elems} elements, {n_iters} iterations/rank)."
-        "\nThe >=2x acceptance gate applies on hosts with >= 4 cores; on "
-        "fewer cores\nthe ranks serialize either way and the honest number "
-        "is reported unasserted.",
-    )
-    if cores >= 4:
-        assert speedup >= 2.0, (
-            f"process backend speedup {speedup:.2f}x < 2x on {cores} cores"
-        )

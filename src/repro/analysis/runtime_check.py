@@ -26,8 +26,7 @@ buffer from different ranks within one epoch, at least one a write, raise
 keyed on the ndarray *base* buffer, so views alias correctly.
 
 Both checkers are disabled by default; the fast path is one module-level
-function call per collective (gated <5% by ``benchmarks/bench_spmd_check.py``
-on the collective-dense workload).  Overhead of the enabled checkers is
+function call per collective.  Overhead of the enabled checkers is
 visible to the obs layer as ``spmdcheck.*`` spans.
 """
 

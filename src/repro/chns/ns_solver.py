@@ -20,12 +20,12 @@ m(phi) grad mu`` the diffusive mass flux; convection is linear in its
 advecting field, so ``rho v*`` and ``J/Pe`` share one operator.
 
 Everything is summed at the element level: ``A_imp`` is one ``Ke`` sum and
-one scatter (a second one, of its elliptic part, under ``precond="pcd"``);
-the explicit operator is never assembled — ``Ke_exp = 2 Ke_M/dt - Ke_imp``
-multiplies the gathered ``v^n`` as a batched GEMV inside the same elemental
-load as the pressure-gradient, capillary and gravity terms, and all ``dim``
-right-hand sides leave through one scatter.  Components with the same
-Dirichlet mask share one eliminated matrix and one preconditioner.
+one scatter; the explicit operator is never assembled —
+``Ke_exp = 2 Ke_M/dt - Ke_imp`` multiplies the gathered ``v^n`` as a batched
+GEMV inside the same elemental load as the pressure-gradient, capillary and
+gravity terms, and all ``dim`` right-hand sides leave through one scatter.
+Components with the same Dirichlet mask share one eliminated matrix and one
+Jacobi preconditioner (the paper's choice for its blocks, Sec. III footnote).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .. import obs
 from ..fem.assembly import assemble_vector, lift_dirichlet
 from ..fem.plan import get_plan
 from ..la.krylov import bicgstab
-from ..la.precond import make_preconditioner
+from ..la.precond import JacobiPreconditioner
 from ..mesh.mesh import Mesh
 from . import forms
 from .free_energy import mobility
@@ -68,14 +68,9 @@ class NSSolver:
         dirichlet_masks=None,
         dirichlet_values=None,
         tol: float = 1e-9,
-        precond: str = "jacobi",
         forcing: np.ndarray | None = None,
     ) -> NSResult:
-        """``precond`` names the inner-solve preconditioner (see
-        :func:`repro.la.precond.make_preconditioner`); ``"jacobi"`` is the
-        historical default.  ``"pcd"`` runs a GMG V-cycle on the elliptic
-        part ``M_rho/dt + K_eta/(2 Re)`` of the momentum operator.
-        ``forcing`` is a pre-assembled load vector (n_dofs, dim) added to
+        """``forcing`` is a pre-assembled load vector (n_dofs, dim) added to
         each component RHS — the MMS manufactured-solution hook."""
         mesh, prm = self.mesh, self.params
         dim = mesh.dim
@@ -100,8 +95,7 @@ class NSSolver:
             # Every Ke batch is fresh, so the sums run in place.
             Ke_M = forms.mass_ke(mesh, ph.rho_q)
             Ke_M /= dt
-            # PCD drops the convection block: its V-cycle runs on the
-            # symmetric reactive-diffusive part M_rho/dt + K_eta/(2 Re).
+            # reactive-diffusive part M_rho/dt + K_eta/(2 Re), then convection
             Ke_ell = forms.stiffness_ke(mesh, ph.eta_q)
             Ke_ell *= 0.5 / prm.Re
             Ke_ell += Ke_M
@@ -109,7 +103,6 @@ class NSSolver:
             Ke_imp *= 0.5
             Ke_imp += Ke_ell
             A_imp = plan.assemble(Ke_imp)
-            A_ell = plan.assemble(Ke_ell) if precond == "pcd" else None
 
             # Elemental load of all components at once, (e, nc, dim):
             # Ke_exp v^n, the explicit pressure gradient -(1/We) d_i p^n,
@@ -140,14 +133,8 @@ class NSSolver:
         for i, mask in enumerate(masks):
             key = None if mask is None else mask.tobytes()
             if key not in systems:
-                A_i, A_e = A_imp, A_ell
-                if mask is not None:
-                    A_i = plan.eliminate(A_imp, mask)
-                    if A_ell is not None:
-                        A_e = plan.eliminate(A_ell, mask)
-                systems[key] = A_i, make_preconditioner(
-                    precond, A_i, mesh=mesh, elliptic=A_e
-                )
+                A_i = A_imp if mask is None else plan.eliminate(A_imp, mask)
+                systems[key] = A_i, JacobiPreconditioner(A_i)
             A_i, M_i = systems[key]
             rhs_i = rhs[:, i].copy()
             if mask is not None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..fem.assembly import apply_dirichlet
+from ..fem.assembly import eliminate_dirichlet
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner, make_preconditioner
 from ..mesh.mesh import Mesh
@@ -45,7 +45,7 @@ from .params import CHNSParams
 
 #: PP preconditions CG with a GMG V-cycle when
 #: ``mesh.n_dofs ** (1 / mesh.dim)`` reaches this, with Jacobi below.
-#: Measured, ``benchmarks/results/ablation_gmg.txt`` (Jacobi-CG ms over GMG
+#: Measured, ``EXPERIMENTS.md`` (ablation_gmg; Jacobi-CG ms over GMG
 #: build + solve ms): 3.8x at 129 (2D level 7), 2.2x at 85 (the 5-7 graded
 #: cavity mesh), 1.16x at 65 (2D level 6, before the one-off hierarchy
 #: build), 0.7x at 60 and 33, 0.25-0.7x on every 3D mesh this repo reaches
@@ -72,19 +72,10 @@ class PPSolver:
         *,
         p0: np.ndarray | None = None,
         tol: float = 1e-9,
-        vel_n: np.ndarray | None = None,
         exact_projection: bool = False,
         correction_masks=None,
     ) -> PPResult:
-        """``vel_n`` switches to the *relative* (incremental) right-hand side
-        ``div(v* - v^n)``: only the divergence injected by this step's
-        momentum update is projected.  The absolute form re-projects the
-        O(h^2) weak-divergence residue that the pointwise-gradient velocity
-        correction cannot remove, and the ``1/dt`` scaling turns that
-        residue into a pressure mode that random-walks as ``dt`` shrinks;
-        the relative form cancels the accumulated history exactly.
-
-        ``exact_projection`` replaces the assembled Laplacian ``K_{1/rho}``
+        """``exact_projection`` replaces the assembled Laplacian ``K_{1/rho}``
         with the *true* discrete Schur operator ``S = D M^{-1} G`` — the
         matrix-free composition of the consistent-gradient correction the
         VU solve applies (including its Dirichlet clamping, via
@@ -98,8 +89,7 @@ class PPSolver:
             inv_rho_q = forms.phase_at_quad(mesh, prm, phi).inv_rho_q
             K = forms.stiffness(mesh, inv_rho_q)
 
-            dv = vel_star if vel_n is None else vel_star - vel_n
-            vq = forms.field_at_quad(mesh, dv)  # (e, q, dim)
+            vq = forms.field_at_quad(mesh, vel_star)  # (e, q, dim)
             b = (prm.We / dt) * forms.flux_divergence_load(mesh, vq)
             b -= b.mean()  # compatibility with the constant nullspace
 
@@ -153,14 +143,8 @@ class PPSolver:
         def lu_for(mask):
             key = None if mask is None else mask.tobytes()
             if key not in lus:
-                if mask is None:
-                    A = M.tocsc()
-                else:
-                    A, _ = apply_dirichlet(
-                        M, np.zeros(n), mask, np.zeros(n)
-                    )
-                    A = A.tocsc()
-                lus[key] = spla.splu(A)
+                A = M if mask is None else eliminate_dirichlet(M, mask)
+                lus[key] = spla.splu(A.tocsc())
             return lus[key]
 
         def matvec(delta):

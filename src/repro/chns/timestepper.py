@@ -64,10 +64,9 @@ class CHNSTimeStepper:
         are built, ``vel``, ``vel_old`` and ``p`` stay ``None`` and each
         block is the CH solve with no advecting velocity.
 
-        ``precond`` names the NS inner-solve preconditioner
-        (``None``/"jacobi" keeps the historical behavior; ``"pcd"`` enables
-        the GMG-backed block preconditioner); PP picks its own from the
-        mesh size (:data:`repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`).
+        ``precond`` is a vestigial key: ``None`` / ``"jacobi"``, the one NS
+        momentum preconditioner, is its only legal value (PP picks its own
+        from the mesh size, :data:`repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`).
         ``ch_theta`` blends the CH block between backward Euler (1.0,
         default) and Crank-Nicolson (0.5).  ``sources`` holds manufactured
         forcing callables keyed ``"ch"`` (scalar ``f(x, t)``) and ``"ns"``
@@ -81,13 +80,9 @@ class CHNSTimeStepper:
           splitting variable — the momentum predictor's explicit ``grad p^n``
           plus the correction's ``grad p^{n+1}`` make the *effective*
           pressure ``p^n + p^{n+1} ~ 2 p``.
-        * ``"incremental"`` (van Kan): the momentum predictor carries the
-          full accumulated pressure, the Poisson solve projects only the
-          increment driven by ``div(v* - v^n)``, and ``p += delta``.  The
-          per-step correction is then O(dt), which makes the splitting
-          error second order in time.
-        * ``"schur"``: incremental accumulation with the *exact* discrete
-          Schur projection (``PPSolver.solve(exact_projection=True)``) —
+        * ``"schur"``: the momentum predictor carries the full accumulated
+          pressure and ``p += delta``, with the *exact* discrete Schur
+          projection (``PPSolver.solve(exact_projection=True)``) —
           the corrected velocity's weak divergence is pinned to the solver
           tolerance every step, so neither the O(h^2) grad/div adjointness
           residue nor the Dirichlet-clamp leakage can accumulate.  The
@@ -100,9 +95,10 @@ class CHNSTimeStepper:
         self.velocity_bc = velocity_bc
         self.remesh_config = remesh_config
         self.remesh_every = remesh_every
-        self.precond = precond or "jacobi"
+        if precond not in (None, "jacobi"):
+            raise ValueError(f"unknown precond {precond!r}")
         self.ch_theta = float(ch_theta)
-        if pp_mode not in ("split", "incremental", "schur"):
+        if pp_mode not in ("split", "schur"):
             raise ValueError(f"unknown pp_mode {pp_mode!r}")
         self.pp_mode = pp_mode
         self.sources = sources or {}
@@ -117,9 +113,8 @@ class CHNSTimeStepper:
         #: cumulative nonlinear/linear work: Newton iterations (CH block),
         #: its BiCGStab iterations and LU factorizations, and Krylov
         #: iterations (NS/PP/VU solves) — the scenario results store reads
-        #: these as the per-job solver cost.  The per-block
-        #: ``krylov_ns``/``krylov_pp``/``krylov_vu`` split feeds the
-        #: preconditioner ablation benchmark.
+        #: these as the per-job solver cost, with the Krylov count also
+        #: split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``).
         self.iteration_counts = {
             "newton": 0,
             "ch_linear": 0,
@@ -279,7 +274,6 @@ class CHNSTimeStepper:
                 dt_b,
                 dirichlet_masks=self.v_masks,
                 dirichlet_values=self.v_values,
-                precond=self.precond,
                 forcing=ns_forcing,
             )
         with obs.span("chns.pp"):
@@ -293,23 +287,17 @@ class CHNSTimeStepper:
             # the weak-divergence Poisson RHS are not discrete
             # adjoints, and the O(h^2) mismatch re-amplified by the
             # 1/dt Poisson scaling makes an accumulated pressure
-            # drift without bound.  "incremental" mode avoids both
-            # problems by projecting only div(v* - v^n), which makes
-            # the increment O(dt) and cancels the residue history.
-            incremental = self.pp_mode != "split"
+            # drift without bound.  "schur" mode accumulates safely:
+            # its exact projection re-zeros the full divergence every
+            # step, so nothing survives to be re-amplified.
             schur = self.pp_mode == "schur"
             pp_res = self.pp.solve(
                 self.phi, ns_res.vel_star, dt_b,
-                p0=None if incremental else self.p,
-                # The exact projection re-zeros the full divergence
-                # every step (nothing survives to accumulate), so
-                # it uses the absolute RHS; the approximate form
-                # must go relative to keep the residue out.
-                vel_n=self.vel if incremental and not schur else None,
+                p0=None if schur else self.p,
                 exact_projection=schur,
                 correction_masks=self.v_masks if schur else None,
             )
-            if incremental:
+            if schur:
                 self.p = self.p + pp_res.p
                 self.p -= self.p.mean()
             else:

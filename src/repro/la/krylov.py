@@ -5,7 +5,7 @@ with ``matvec(x) -> y`` (or a bare callable / scipy sparse matrix) works,
 so matrix-free elemental operators and assembled CSR matrices share solvers.
 The paper uses PETSc's iterative solvers (it found AMG setup too costly at
 scale, Sec. III footnote 5); we provide CG, BiCGStab and restarted GMRES
-with Jacobi/block-Jacobi preconditioning.
+with Jacobi preconditioning.
 """
 
 from __future__ import annotations

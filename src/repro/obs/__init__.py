@@ -3,13 +3,11 @@
 The instrument panel behind the reproduction's performance claims:
 hierarchical :func:`span` timers with inclusive/exclusive attribution,
 named :func:`incr` counters and :func:`gauge` values, per-rank in-memory
-trace buffers, SPMD-aware reduction of per-rank traces into world-level
-reports (min/max/mean/imbalance per span), and exporters to JSON and the
-Chrome ``chrome://tracing`` format.
+trace buffers, and SPMD-aware reduction of per-rank traces into world-level
+reports (min/max/mean/imbalance per span).
 
 Tracing is **disabled by default** and importing this module never enables
-it; the disabled fast path is a single thread-local read (gated < 5% on the
-hottest instrumented kernel by the benchmark suite).  Typical use::
+it; the disabled fast path is a single thread-local read.  Typical use::
 
     import repro.obs as obs
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .export import chrome_trace_events, to_chrome_trace, to_json  # noqa: F401
 from .report import (  # noqa: F401
     SpanStat,
     WorldReport,
@@ -97,9 +94,6 @@ __all__ = [
     "world_report",
     "gather_world",
     "flatten_spans",
-    "to_json",
-    "to_chrome_trace",
-    "chrome_trace_events",
     "last_spmd_traces",
     "last_spmd_report",
     "begin_rank",

@@ -24,8 +24,7 @@ Design constraints, in order of priority:
 
 The span tree records *inclusive* wall time per node; *exclusive* time is
 derived at snapshot time (inclusive minus the sum of the children's
-inclusive times).  Optional event recording (``enable(events=True)``) keeps
-begin/end timestamps per span entry for Chrome ``chrome://tracing`` export.
+inclusive times).
 """
 
 from __future__ import annotations
@@ -85,17 +84,11 @@ class _Span:
         return self
 
     def __exit__(self, *exc) -> bool:
-        t1 = perf_counter()
-        dt = t1 - self._t0
+        dt = perf_counter() - self._t0
         node = self._node
         node.count += 1
         node.total += dt
-        tr = self._tracer
-        tr._stack.pop()
-        if tr._events is not None:
-            tr._events.append(
-                (node.name, len(tr._stack), self._t0 - tr._epoch, dt)
-            )
+        self._tracer._stack.pop()
         return False
 
 
@@ -117,17 +110,13 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Span/counter/gauge recorder for one rank (one thread of execution)."""
 
-    __slots__ = ("_root", "_stack", "counters", "gauges", "_events", "_epoch")
+    __slots__ = ("_root", "_stack", "counters", "gauges")
 
-    def __init__(self, *, events: bool = False) -> None:
+    def __init__(self) -> None:
         self._root = _Node("")
         self._stack: list[_Node] = [self._root]
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        #: (name, depth, start_rel_s, duration_s) tuples when event recording
-        #: is on; None otherwise (zero cost).
-        self._events: Optional[list] = [] if events else None
-        self._epoch = perf_counter()
 
     # ------------------------------------------------------------- recording
 
@@ -160,7 +149,6 @@ class Tracer:
             "spans": [c.snapshot() for c in self._root.children.values()],
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "events": list(self._events) if self._events is not None else None,
         }
 
 
@@ -173,31 +161,26 @@ class Tracer:
 
 _tls = threading.local()
 _armed = False
-_armed_events = False
 
 
-def enable(*, events: bool = False) -> Tracer:
+def enable() -> Tracer:
     """Turn tracing on for the current thread (and arm SPMD rank capture).
 
     Never called implicitly — importing :mod:`repro.obs` leaves tracing off
-    (asserted by the test-suite).  ``events=True`` additionally records
-    begin/end timestamps per span entry for Chrome-trace export (more memory,
-    slightly more overhead).
+    (asserted by the test-suite).
     """
-    global _armed, _armed_events
-    tr = Tracer(events=events)
+    global _armed
+    tr = Tracer()
     _tls.tracer = tr
     _armed = True
-    _armed_events = events
     return tr
 
 
 def disable() -> None:
     """Turn tracing off for the current thread and disarm rank capture."""
-    global _armed, _armed_events
+    global _armed
     _tls.tracer = None
     _armed = False
-    _armed_events = False
 
 
 def is_enabled() -> bool:
@@ -245,18 +228,15 @@ def snapshot() -> Optional[dict]:
 class tracing:
     """``with obs.tracing() as tr:`` — scoped enable/disable."""
 
-    def __init__(self, *, events: bool = False) -> None:
-        self._events = events
-
     def __enter__(self) -> Tracer:
         self._prev = getattr(_tls, "tracer", None)
-        self._prev_armed = (_armed, _armed_events)
-        return enable(events=self._events)
+        self._prev_armed = _armed
+        return enable()
 
     def __exit__(self, *exc) -> bool:
-        global _armed, _armed_events
+        global _armed
         _tls.tracer = self._prev
-        _armed, _armed_events = self._prev_armed
+        _armed = self._prev_armed
         return False
 
 
@@ -276,7 +256,7 @@ def rank_armed() -> bool:
 
 def begin_rank() -> Tracer:
     """Install a fresh tracer on the calling rank thread/process."""
-    tr = Tracer(events=_armed_events)
+    tr = Tracer()
     _tls.tracer = tr
     return tr
 

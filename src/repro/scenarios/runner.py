@@ -248,6 +248,7 @@ def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
         start_step = int(meta["step"])
         ts = _make_stepper(config, Mesh(tree, check_balance=False))
         ts.restore(fields, step_count=start_step,
+                   t=start_step * config.time.dt,
                    iteration_counts=meta.get("counts", {}))
         result.resumed_from_step = start_step
     else:

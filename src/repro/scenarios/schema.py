@@ -28,7 +28,6 @@ from ..chns.params import CHNSParams
 from ..chns.timestepper import jet_inflow_bc, lid_driven_bc, no_slip_bc
 
 SOLVERS = ("ch", "chns")
-PRECONDS = ("jacobi", "block_jacobi", "ssor", "pcd")
 JOB_STATUSES = ("pending", "running", "succeeded", "failed", "timeout",
                 "interrupted")
 #: statuses the batch driver treats as final — anything else is re-run on
@@ -222,9 +221,8 @@ class ScenarioConfig:
     ic: InitialCondition = field(default_factory=InitialCondition)
     bc: Optional[str] = None  # velocity BC name (chns only; None = no_slip)
     bc_params: dict = field(default_factory=dict)
-    #: NS inner-solve preconditioner only (None = historical Jacobi; "pcd"
-    #: enables the GMG-backed block preconditioner from repro.la.precond).
-    #: The PP solve picks Jacobi or GMG from the mesh size by itself.
+    #: Vestigial key the frozen benchmark specs spell: None / "jacobi", the
+    #: one NS momentum preconditioner, is its only legal value.
     precond: Optional[str] = None
     refinement: RefinementPolicy = field(default_factory=RefinementPolicy)
     time: TimeConfig = field(default_factory=TimeConfig)
@@ -250,9 +248,9 @@ class ScenarioConfig:
             )
         if self.bc is not None and self.solver != "chns":
             raise ScenarioError("velocity BCs require solver='chns'")
-        if self.precond is not None and self.precond not in PRECONDS:
+        if self.precond not in (None, "jacobi"):
             raise ScenarioError(
-                f"unknown precond {self.precond!r}; one of {PRECONDS}"
+                f"unknown precond {self.precond!r}; only 'jacobi' exists"
             )
         if self.precond is not None and self.solver != "chns":
             raise ScenarioError("precond only applies to solver='chns'")

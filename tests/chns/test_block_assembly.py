@@ -1,7 +1,7 @@
 """Each flow block assembles its operator once.
 
 Structural pins (counts and identities, no wall clock) of the block-assembly
-contract: one ``AssemblyPlan.assemble`` per NS solve (two under PCD), one
+contract: one ``AssemblyPlan.assemble`` per NS solve, one
 eliminated system and one preconditioner per *distinct* Dirichlet mask, no
 CSR operator sums, and one quadrature-point evaluation of ``phi`` for NS, PP
 and VU together — with a cache hit bit for bit the recomputed value.
@@ -55,22 +55,21 @@ def cavity():
     return mesh, prm, masks, values, state
 
 
-def ns_solve(mesh, prm, masks, values, state, **kw):
+def ns_solve(mesh, prm, masks, values, state):
     return NSSolver(mesh, prm).solve(
         state["phi"], state["mu"], state["vel"], state["vel"], state["p"], DT,
-        dirichlet_masks=masks, dirichlet_values=values, **kw,
+        dirichlet_masks=masks, dirichlet_values=values,
     )
 
 
-@pytest.mark.parametrize("precond, scatters", [("jacobi", 1), ("pcd", 2)])
-def test_ns_scatters_its_operator_once(monkeypatch, cavity, precond, scatters):
+def test_ns_scatters_its_operator_once(monkeypatch, cavity):
     mesh, prm, masks, values, state = cavity
     get_plan(mesh)  # the symbolic build is not what is counted
     assembles = counting(monkeypatch, AssemblyPlan, "assemble")
     loads = counting(monkeypatch, AssemblyPlan, "scatter_loads")
-    res = ns_solve(mesh, prm, masks, values, state, precond=precond)
+    res = ns_solve(mesh, prm, masks, values, state)
     assert all(s.converged for s in res.solves)
-    assert len(assembles) == scatters
+    assert len(assembles) == 1
     assert len(loads) == 1  # every term of both right-hand sides
 
 

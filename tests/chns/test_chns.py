@@ -310,6 +310,13 @@ class TestNSPPVU:
 
 
 class TestTimeStepper:
+    @pytest.mark.parametrize("kw", [{"pp_mode": "incremental"},
+                                    {"precond": "pcd"}])
+    def test_unknown_option_value_rejected(self, mesh8, kw):
+        with pytest.raises(ValueError, match="unknown"):
+            CHNSTimeStepper(mesh8, CHNSParams(), **kw)
+        CHNSTimeStepper(mesh8, CHNSParams(), precond="jacobi")
+
     def test_quiescent_drop_short_run(self, mesh8):
         """A drop at rest: mass conserved, phi bounded, no velocity blowup."""
         prm = CHNSParams(Re=10.0, We=1.0, Pe=50.0, Cn=0.1, rho_minus=0.5,

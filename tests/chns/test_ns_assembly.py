@@ -48,8 +48,8 @@ def case(dim):
 
 
 def reference_systems(mesh, prm, phi, mu, vel_n, vel_nm1, p_n, forcing=None):
-    """``A_imp``, its elliptic part and the ``dim`` right-hand sides, built
-    operator by operator on the reference assembly path."""
+    """``A_imp`` and the ``dim`` right-hand sides, built operator by
+    operator on the reference assembly path."""
     h, dim = mesh.elem_h(), mesh.dim
     phi_q = forms.field_at_quad(mesh, phi)
     rho_q, eta_q = prm.rho_clamped(phi_q), prm.eta_clamped(phi_q)
@@ -61,7 +61,6 @@ def reference_systems(mesh, prm, phi, mu, vel_n, vel_nm1, p_n, forcing=None):
     K_eta = assemble_matrix(mesh, stiffness_matrix(h, dim, eta_q))
     A_imp = (M_rho / DT + 0.5 * (C + C_J) + (0.5 / prm.Re) * K_eta).tocsr()
     A_exp = (M_rho / DT - 0.5 * (C + C_J) - (0.5 / prm.Re) * K_eta).tocsr()
-    A_ell = (M_rho / DT + (0.5 / prm.Re) * K_eta).tocsr()
     grad_phi_q = forms.grad_at_quad(mesh, phi)
     grad_p_q = forms.grad_at_quad(mesh, p_n)
     rhs = np.empty((mesh.n_dofs, dim))
@@ -80,25 +79,19 @@ def reference_systems(mesh, prm, phi, mu, vel_n, vel_nm1, p_n, forcing=None):
             load_vector(h, dim, rho_q)
         )
         rhs[:, i] = b
-    return A_imp, A_ell, rhs
+    return A_imp, rhs
 
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Record what ``NSSolver.solve`` hands to BiCGStab (and the elliptic
-    operator it hands to PCD) instead of solving."""
-    seen = {"systems": [], "elliptic": []}
+    """Record what ``NSSolver.solve`` hands to BiCGStab instead of solving."""
+    seen = {"systems": []}
 
     def fake_bicgstab(A, b, *, x0, M, tol, maxiter):
         seen["systems"].append((A, b))
         return SolveResult(x0, 0, 0.0, True)
 
-    def fake_preconditioner(name, A, *, mesh=None, elliptic=None):
-        seen["elliptic"].append(elliptic)
-        return None
-
     monkeypatch.setattr(ns_solver, "bicgstab", fake_bicgstab)
-    monkeypatch.setattr(ns_solver, "make_preconditioner", fake_preconditioner)
     return seen
 
 
@@ -112,19 +105,15 @@ def assert_close_matrix(A, A_ref, rtol):
 def test_fused_systems_match_four_operator_reference(captured, dim, with_forcing):
     mesh, prm, state, rng = case(dim)
     forcing = rng.standard_normal((mesh.n_dofs, dim)) if with_forcing else None
-    A_ref, A_ell_ref, rhs_ref = reference_systems(mesh, prm, **state, forcing=forcing)
+    A_ref, rhs_ref = reference_systems(mesh, prm, **state, forcing=forcing)
 
-    NSSolver(mesh, prm).solve(
-        *state.values(), DT, forcing=forcing, precond="pcd"
-    )
+    NSSolver(mesh, prm).solve(*state.values(), DT, forcing=forcing)
 
     assert len(captured["systems"]) == dim
     for i, (A, b) in enumerate(captured["systems"]):
         assert_close_matrix(A, A_ref, 1e-13)
         assert np.abs(b - rhs_ref[:, i]).max() <= 1e-12 * np.abs(rhs_ref).max()
-    # no masks: one shared system, one elliptic operator M_rho/dt + K_eta/(2 Re)
-    assert len(captured["elliptic"]) == 1
-    assert_close_matrix(captured["elliptic"][0], A_ell_ref, 1e-13)
+    # no masks: one shared system
     assert captured["systems"][0][0] is captured["systems"][1][0]
 
 
@@ -136,40 +125,17 @@ def test_eliminated_systems_match_apply_dirichlet(captured, dim):
     masks = [mesh.boundary_dof_mask() for _ in range(dim)]
     masks[0] = masks[0] & ~mesh.face_dof_mask(0, 1)
     values = [rng.standard_normal(mesh.n_dofs) for _ in range(dim)]
-    A_ref, A_ell_ref, rhs_ref = reference_systems(mesh, prm, **state)
+    A_ref, rhs_ref = reference_systems(mesh, prm, **state)
 
     NSSolver(mesh, prm).solve(
-        *state.values(), DT, dirichlet_masks=masks, dirichlet_values=values,
-        precond="pcd",
+        *state.values(), DT, dirichlet_masks=masks, dirichlet_values=values
     )
 
-    zeros = np.zeros(mesh.n_dofs)
     for i, (A, b) in enumerate(captured["systems"]):
         A_bc, b_bc = apply_dirichlet(A_ref, rhs_ref[:, i], masks[i], values[i])
         assert_close_matrix(A, A_bc, 1e-13)
         assert np.array_equal(A.diagonal()[masks[i]], np.ones(masks[i].sum()))
         assert np.abs(b - b_bc).max() <= 1e-12 * np.abs(b_bc).max()
-    assert len(captured["elliptic"]) == 2  # two distinct masks
-    for mask, A_e in zip(masks[:2], captured["elliptic"]):
-        A_e_ref, _ = apply_dirichlet(A_ell_ref, zeros, mask)
-        assert_close_matrix(A_e, A_e_ref, 1e-13)
-
-
-def test_pcd_converges_to_the_jacobi_answer():
-    mesh, prm, state, _ = case(2)
-    masks = [mesh.boundary_dof_mask()] * 2
-    out = {
-        name: NSSolver(mesh, prm).solve(
-            *state.values(), DT, dirichlet_masks=masks, precond=name
-        )
-        for name in ("jacobi", "pcd")
-    }
-    for res in out.values():
-        assert all(s.converged for s in res.solves)
-    scale = np.abs(out["jacobi"].vel_star).max()
-    assert np.abs(out["pcd"].vel_star - out["jacobi"].vel_star).max() < 1e-6 * scale
-    its = {k: sum(s.iterations for s in v.solves) for k, v in out.items()}
-    assert its["pcd"] <= its["jacobi"]
 
 
 def test_int_masks_are_the_bool_masks(monkeypatch):

@@ -7,11 +7,7 @@ import scipy.sparse as sp
 from repro.la import newton
 from repro.la.krylov import SolveResult, bicgstab, cg, gmres
 from repro.la.newton import Factors, newton_solve
-from repro.la.precond import (
-    BlockJacobiPreconditioner,
-    JacobiPreconditioner,
-    SSORPreconditioner,
-)
+from repro.la.precond import JacobiPreconditioner
 
 
 def spd_system(n=80, seed=0):
@@ -148,28 +144,6 @@ class TestGMRES:
 
 
 class TestPreconditioners:
-    def test_block_jacobi_matches_dense_blocks(self):
-        rng = np.random.default_rng(4)
-        nb, nd = 10, 2
-        blocks = rng.standard_normal((nb, nd, nd)) + 3 * np.eye(nd)
-        A = sp.block_diag([sp.csr_matrix(b) for b in blocks]).tocsr()
-        M = BlockJacobiPreconditioner(A, nd)
-        r = rng.standard_normal(nb * nd)
-        # For a block-diagonal matrix, block Jacobi is the exact inverse.
-        assert np.allclose(A @ M(r), r, atol=1e-10)
-
-    def test_block_jacobi_rejects_bad_size(self):
-        A = sp.eye(7).tocsr()
-        with pytest.raises(ValueError):
-            BlockJacobiPreconditioner(A, 2)
-
-    def test_ssor_improves_cg(self):
-        A, b, x = spd_system(seed=11)
-        plain = cg(A, b, tol=1e-10, maxiter=1000)
-        ssor = cg(A, b, M=SSORPreconditioner(A), tol=1e-10, maxiter=1000)
-        assert ssor.converged
-        assert ssor.iterations <= plain.iterations
-
     def test_jacobi_from_diagonal_vector(self):
         d = np.array([2.0, 4.0])
         M = JacobiPreconditioner(d)

@@ -1,5 +1,5 @@
 """Unit tests for the repro.obs tracing core: spans, counters, snapshots,
-world reports, exporters, SPMD rank hooks, and the disabled-by-default and
+world reports, SPMD rank hooks, and the disabled-by-default and
 overhead contracts the hot paths rely on."""
 
 import json
@@ -188,47 +188,15 @@ class TestWorldReport:
 
 
 class TestExport:
-    def test_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         obs.begin_rank()
         with obs.span("a"):
             obs.incr("k", 2)
         snap = obs.end_rank()
         rep = obs.world_report([snap])
-        path = str(tmp_path / "report.json")
-        text = obs.to_json(rep, path)
-        loaded = json.loads(open(path).read())
-        assert json.loads(text) == loaded
+        loaded = json.loads(json.dumps(rep.to_dict()))
         assert loaded["counters"]["k"]["total"] == 2
         assert loaded["spans"][0]["path"] == "a"
-
-    def test_chrome_trace(self, tmp_path):
-        snaps = []
-        for _ in range(2):
-            obs.enable(events=True)
-            obs.begin_rank()
-            with obs.span("outer"):
-                with obs.span("inner"):
-                    pass
-            snaps.append(obs.end_rank())
-            obs.disable()
-        path = str(tmp_path / "trace.json")
-        obs.to_chrome_trace(snaps, path)
-        doc = json.loads(open(path).read())
-        evs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert {e["name"] for e in evs} == {"outer", "inner"}
-        assert {e["tid"] for e in evs} == {0, 1}
-        for e in evs:
-            assert e["ts"] >= 0 and e["dur"] >= 0
-        # Metadata events name the rank rows.
-        metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        assert len(metas) == 2
-
-    def test_chrome_trace_requires_events(self):
-        obs.begin_rank()  # default: no event recording
-        with obs.span("a"):
-            pass
-        snap = obs.end_rank()
-        assert obs.chrome_trace_events([snap]) == []
 
 
 class TestSpmdCollection:
@@ -260,9 +228,8 @@ class TestOverhead:
     def test_disabled_tracer_is_the_shared_noop(self):
         """The disabled-path contract is structural: every ``obs.span`` is
         the one shared no-op object and an instrumented hot kernel (the
-        assembly-plan numeric update) records nothing.  What that costs in
-        wall-clock is measured by ``benchmarks/bench_obs_phases.py``
-        (``measure_disabled_overhead``), not asserted in tier-1."""
+        assembly-plan numeric update) records nothing.  No wall clock is
+        asserted in tier-1."""
         from repro.fem.plan import AssemblyPlan
         from repro.mesh.mesh import Mesh
         from repro.octree.build import uniform_tree

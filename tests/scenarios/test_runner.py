@@ -212,11 +212,13 @@ class TestInterruptRestart:
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
         """An uninterrupted run *without* a workdir against one cut at
         ``interrupt_after`` and resumed: every field bit-identical, every
-        work count of the job record equal.  Returns the straight result."""
-        final = {}
+        work count of the job record equal, the stepper clock the same at
+        every common step.  Returns the straight result."""
+        final, clock = {}, {}
 
         def capture(tag):
             def cb(state):
+                clock.setdefault(tag, {})[state.step] = state.stepper.t
                 if state.step == cfg.time.n_steps:
                     final[tag] = {
                         k: v.copy()
@@ -251,6 +253,9 @@ class TestInterruptRestart:
             )
         for name in self.COUNTS:
             assert getattr(resumed, name) == getattr(straight, name), name
+        assert cfg.time.n_steps in clock["resumed"]
+        for step, t in clock["resumed"].items():  # k * dt vs dt + ... + dt
+            assert t == pytest.approx(clock["straight"][step], rel=1e-12)
         return straight
 
     def test_bit_identical_resume(self, tmp_path):

@@ -1,6 +1,9 @@
 """Schema tests: JSON round-trip fidelity and up-front validation."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,15 @@ class TestValidation:
             for quick in (True, False):
                 assert build(name, quick=quick).time.n_blocks == 1
 
+    def test_precond_is_jacobi_or_nothing(self):
+        """The key stays (the frozen benchmark specs spell it); the NS
+        momentum preconditioner it once selected is the constant Jacobi."""
+        self._base(solver="chns", precond="jacobi").validate()
+        with pytest.raises(ScenarioError, match="pcd"):
+            self._base(solver="chns", precond="pcd").validate()
+        with pytest.raises(ScenarioError, match="chns"):
+            self._base(solver="ch", precond="jacobi").validate()
+
     def test_unknown_backend_rejected(self):
         cfg = self._base(control=JobControl(backend="gpu"))
         with pytest.raises(ScenarioError, match="gpu"):
@@ -157,3 +169,39 @@ class TestBuilders:
             cfg = ScenarioConfig(name="t", family="drop", solver="chns",
                                  bc=name)
             assert callable(cfg.build_bc())
+
+
+class TestRepoBenchmarkContract:
+    """``benchmarks/perf`` is frozen between re-baselines: the scenario
+    dicts of its workload specs must keep loading and every name its tracer
+    wraps must keep resolving, or a simplification here breaks it silently.
+    Read-only: nothing under ``benchmarks/perf`` is run or written."""
+
+    PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+
+    def test_workload_scenarios_load_and_build(self):
+        specs = sorted((self.PERF / "workloads").glob("*.json"))
+        assert specs
+        for path in specs:
+            spec = json.loads(path.read_text())
+            dicts = spec.get("scenarios", [])
+            if "scenario" in spec:
+                dicts = dicts + [spec["scenario"]]
+            assert dicts, path.name
+            for d in dicts:
+                cfg = ScenarioConfig.from_dict(d)
+                cfg.build_params()
+                cfg.build_bc()
+                cfg.refinement.build()
+
+    def test_traced_names_resolve(self):
+        spec = importlib.util.spec_from_file_location(
+            "perf_trace", self.PERF / "trace.py"
+        )
+        trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace)
+        for modname, attr, *_ in trace.FUNCTIONS:
+            assert callable(getattr(importlib.import_module(modname), attr))
+        for modname, clsname, attr, *_ in trace.METHODS:
+            cls = getattr(importlib.import_module(modname), clsname)
+            assert attr in cls.__dict__, (modname, clsname, attr)
