@@ -125,7 +125,7 @@ def test_ablation_gmg_report(benchmark):
         mesh = make()
         K, b = pp_system(mesh)
         t_jac, plain = best_ms(lambda: jacobi_cg(K, b))
-        gmg_build(mesh, K)  # the hierarchy is per generation: build it once
+        gmg_build(mesh, K)  # the hierarchy is per mesh: build it once
         t_build, gmg = best_ms(lambda: gmg_build(mesh, K))
         t_solve, pre = best_ms(lambda: cg(K, b, M=gmg, tol=TOL, maxiter=400))
         assert plain.converged and pre.converged
@@ -152,7 +152,7 @@ def test_ablation_gmg_report(benchmark):
         "(100:1 contrast, pure Neumann, tol 1e-9)",
         table
         + "\n\nTimes are the best of 3; 'GMG build' is the per-step cost "
-        "(Galerkin chain + coarse LU on the cached per-generation "
+        "(Galerkin chain + coarse LU on the cached per-mesh "
         "prolongations).  Jacobi-CG iterations grow like DOFs^(1/dim); "
         "GMG-CG stays nearly mesh-independent — the speedup the paper "
         "anticipates for its dominant PP-solve (it used Jacobi-type "

@@ -6,13 +6,12 @@ iteration, wall-clock entering a supposedly deterministic rank function —
 evade unit tests: every rank passes alone, the ensemble diverges.  PR 3's
 cross-backend determinism sweep flushed out exactly one such bug (unsorted
 peer iteration in ``ghost_write``); ``spmdlint`` turns that bug class, and
-four adjacent ones, into build-time findings.
+three adjacent ones, into build-time findings.
 
 The linter is *repo-specific by design*: its rules know this codebase's
-communicator API (:class:`repro.mpi.comm.Comm`), its NBX entry points, its
-assembly-plan generation contract, and its zero-copy thread transport.  See
-:mod:`repro.analysis.rules` for the rule catalogue (R1–R5) and
-DESIGN.md §7 for the taint model.
+communicator API (:class:`repro.mpi.comm.Comm`), its NBX entry points and
+its zero-copy thread transport.  See :mod:`repro.analysis.rules` for the
+rule catalogue (R1, R2, R3, R5) and DESIGN.md §7 for the taint model.
 
 Machinery provided here:
 

@@ -1,4 +1,4 @@
-"""spmdlint rule catalogue (R1–R5).
+"""spmdlint rule catalogue (R1, R2, R3, R5).
 
 Each rule targets one defect class observed in (or adjacent to) this
 repository's SPMD code; DESIGN.md §7 documents the catalogue with examples.
@@ -23,12 +23,6 @@ R3  wall-clock / unseeded randomness inside SPMD-executed functions
     ``time.time``-family reads and unseeded RNG calls make rank behaviour
     differ between runs and backends, breaking the obs determinism
     contract (DESIGN.md §6).  ``time.sleep`` is allowed (no value).
-
-R4  assembly without a generation check
-    Calling ``plan.assemble(Ke)`` (or ``scatter_loads`` / ``eliminate``) on a
-    plan that did not provably come from ``get_plan``/``AssemblyPlan`` in the
-    same scope, with no ``check(mesh)`` or ``assemble_for`` in sight: a
-    cached plan can be stale against ``Mesh.generation`` after an AMR remesh.
 
 R5  in-place mutation of received message buffers
     The thread backend's transport is zero-copy: a received payload *is*
@@ -326,56 +320,6 @@ class NondeterminismInSpmd(Rule):
         return findings
 
 
-class StalePlanAssembly(Rule):
-    id = "R4"
-    title = "AssemblyPlan numeric method without a mesh-generation check"
-
-    def check_function(self, ctx: FunctionContext, path: str) -> list[Finding]:
-        fn = ctx.node
-        fresh: set[str] = set()  # names provably bound to a fresh plan here
-        checked: set[str] = set()  # receivers with a .check()/.assemble_for()
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if _call_name(node.value) in ("get_plan", "AssemblyPlan"):
-                    for t in node.targets:
-                        if isinstance(t, ast.Name):
-                            fresh.add(t.id)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in ("check", "assemble_for"):
-                    recv = _dotted(node.func.value)
-                    if recv:
-                        checked.add(recv)
-        findings: list[Finding] = []
-        for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("assemble", "scatter_loads", "eliminate")
-            ):
-                continue
-            recv = node.func.value
-            if isinstance(recv, ast.Name) and (recv.id == "self" or recv.id in fresh):
-                continue
-            if isinstance(recv, ast.Call) and _call_name(recv) in (
-                "get_plan",
-                "AssemblyPlan",
-            ):
-                continue
-            recv_name = _dotted(recv)
-            if recv_name and recv_name in checked:
-                continue
-            findings.append(
-                self.finding(
-                    path, node,
-                    f"`.{node.func.attr}(...)` on a plan that may be stale "
-                    "against `Mesh.generation` — call `plan.check(mesh)` "
-                    "first, fetch via `get_plan(mesh)`, or use "
-                    "`plan.assemble_for(mesh, Ke)`",
-                )
-            )
-        return findings
-
-
 class MutatedReceiveBuffer(Rule):
     id = "R5"
     title = "in-place mutation of a received (zero-copy) message buffer"
@@ -440,6 +384,5 @@ RULES = [
     RankDivergentCollective,
     UnorderedIterationOrder,
     NondeterminismInSpmd,
-    StalePlanAssembly,
     MutatedReceiveBuffer,
 ]

@@ -46,10 +46,10 @@ class CHSolver:
     mobility-stiffness assembly and one ``field_at_quad`` instead of two
     (``self.counters`` records both, pinned down by the tests).
 
-    The Newton LU factors live as long as the solver, i.e. one
-    ``Mesh.generation``: every ``solve`` starts from the factors the last
-    one left, as a preconditioner behind the true-residual stopping test,
-    so a ``dt``, ``theta`` or velocity change needs no invalidation.
+    The Newton LU factors live as long as the solver, i.e. one mesh: every
+    ``solve`` starts from the factors the last one left, as a
+    preconditioner behind the true-residual stopping test, so a ``dt``,
+    ``theta`` or velocity change needs no invalidation.
     """
 
     def __init__(self, mesh: Mesh, params: CHNSParams):

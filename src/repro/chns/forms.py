@@ -6,9 +6,9 @@ block needs.  Every operator here is a GEMM-expressed batched elemental
 computation followed by a node-wise scatter (paper Sec. II-D).
 
 All matrix assembly routes through :func:`repro.fem.plan.plan_assemble`:
-the COO pattern and hanging-node projection are precomputed once per mesh
-generation, and each call here only performs the cheap numeric update.  The
-slow reference path lives in :func:`repro.fem.assembly.assemble_matrix`.
+the COO pattern and hanging-node projection are precomputed once per mesh,
+and each call here only performs the cheap numeric update.  The slow
+reference path lives in :func:`repro.fem.assembly.assemble_matrix`.
 
 The ``*_ke`` / ``*_be`` functions stop before the scatter and return the
 elemental batch, so a block solver can sum its operator (and its loads) at
@@ -52,7 +52,7 @@ def grad_at_quad(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
 def phase_at_quad(mesh: Mesh, prm: CHNSParams, phi: np.ndarray) -> PhaseQuad:
     """``phi`` and its mixture properties at the quadrature points, evaluated
-    once per distinct ``phi`` per ``Mesh.generation``: a single
+    once per distinct ``phi`` per mesh: a single
     :class:`repro.la.newton.IterateCache` slot (exact array equality, so a
     ``phi`` changed in place or rebound misses) in ``mesh.memo``, freed with
     the mesh.  NS, PP and VU of one step all read it.  The arrays are shared

@@ -22,8 +22,8 @@ same path as the uninterrupted one.
 
 The variable-coefficient stiffness is re-assembled every step (the density
 field moves), but only numerically: the symbolic scatter/projection pattern
-comes from the per-generation :mod:`repro.fem.plan` cache shared by all
-four block solvers, ``1/rho`` at the quadrature points from the
+comes from the mesh's :mod:`repro.fem.plan`, shared by all four block
+solvers, ``1/rho`` at the quadrature points from the
 :func:`repro.chns.forms.phase_at_quad` slot the NS solve of the same step
 filled, and the right-hand side leaves through the planned load scatter.
 """

@@ -114,7 +114,8 @@ class CHNSTimeStepper:
         #: its BiCGStab iterations and LU factorizations, and Krylov
         #: iterations (NS/PP/VU solves) — the scenario results store reads
         #: these as the per-job solver cost, with the Krylov count also
-        #: split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``).
+        #: split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``), and
+        #: the NS/PP/VU solves that returned ``converged=False``.
         self.iteration_counts = {
             "newton": 0,
             "ch_linear": 0,
@@ -123,6 +124,7 @@ class CHNSTimeStepper:
             "krylov_ns": 0,
             "krylov_pp": 0,
             "krylov_vu": 0,
+            "krylov_unconverged": 0,
         }
         self._bind_mesh(mesh)
 
@@ -320,6 +322,10 @@ class CHNSTimeStepper:
         self.iteration_counts["krylov_ns"] += it_ns
         self.iteration_counts["krylov_pp"] += it_pp
         self.iteration_counts["krylov_vu"] += it_vu
+        self.iteration_counts["krylov_unconverged"] += sum(
+            not s.converged
+            for s in (*ns_res.solves, pp_res.solve, *vu_res.solves)
+        )
         # Per-block Krylov counters: the pooled krylov.* ones also
         # hold the CH inner solves (perf.model reads these instead).
         for blk, its, n_solves in (

@@ -9,14 +9,14 @@ splitting the update per component shrinks the assembled matrix from
 ``N x DIM x k`` to ``N x k`` nonzeros, and the mass matrix is assembled once
 and reused for every direction (and every later step) until the mesh
 changes, with no further Mat_Assembly calls.  (The one-time assembly itself
-rides the per-generation :mod:`repro.fem.plan` symbolic cache, so even the
-post-remesh rebuild shares pattern work with the other block solvers.)
+rides the mesh's :mod:`repro.fem.plan`, so even the post-remesh rebuild
+shares pattern work with the other block solvers.)
 The Dirichlet-eliminated matrix and its Jacobi preconditioner are constant
-too: built once per distinct mask for the life of the solver (one
-``Mesh.generation``); a step only lifts its right-hand side.  The right-hand
-sides of all directions are assembled at once (one ``M @ v*`` on the
-``(n_dofs, dim)`` array, one ``dim``-column load scatter), with ``1/rho`` at
-the quadrature points read from :func:`repro.chns.forms.phase_at_quad`.
+too: built once per distinct mask for the life of the solver (one mesh); a
+step only lifts its right-hand side.  The right-hand sides of all directions
+are assembled at once (one ``M @ v*`` on the ``(n_dofs, dim)`` array, one
+``dim``-column load scatter), with ``1/rho`` at the quadrature points read
+from :func:`repro.chns.forms.phase_at_quad`.
 """
 
 from __future__ import annotations

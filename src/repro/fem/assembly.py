@@ -9,7 +9,7 @@ into the gather/scatter operators.
 :func:`assemble_matrix` redoes the full symbolic work (COO construction,
 sparse matmuls, duplicate summation) on every call.  The solver hot path
 goes through :mod:`repro.fem.plan` instead, which precomputes all of that
-once per mesh generation; this module stays as the slow, obviously-correct
+once per mesh; this module stays as the slow, obviously-correct
 reference the plan is validated against (``tests/fem/test_assembly_plan.py``
 cross-checks them at 1e-14).  The same holds for :func:`eliminate_dirichlet`
 (reference of :meth:`repro.fem.plan.AssemblyPlan.eliminate`);
@@ -47,7 +47,7 @@ def assemble_matrix(mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
 
 def assemble_vector(mesh: Mesh, be: np.ndarray) -> np.ndarray:
     """Assemble elemental load vectors (n_elems, nc[, k]) into DOF vector(s)
-    (n_dofs[, k]) through the per-generation planned scatter;
+    (n_dofs[, k]) through the mesh's planned scatter;
     :meth:`repro.mesh.mesh.Mesh.elem_scatter` is its reference."""
     return get_plan(mesh).scatter_loads(be)
 

@@ -9,7 +9,7 @@ i.e. for every operator of every Newton iteration of every timestep.
 
 :class:`AssemblyPlan` splits that work once and for all per mesh:
 
-* **symbolic phase** (``__init__``, once per mesh ``generation``): expand
+* **symbolic phase** (``__init__``, once per mesh): expand
   every elemental COO entry through the rows of ``P`` touching it, sort the
   expanded entries into the final CSR layout of ``A = P^T A_nodes P``, and
   record for each expanded entry its source slot in the raveled ``Ke`` batch,
@@ -25,11 +25,11 @@ i.e. for every operator of every Newton iteration of every timestep.
   (:meth:`AssemblyPlan.eliminate`: the ``data`` slots to zero and to set to
   one, so elimination is a copy that keeps the shared structure).
 
-Plans are keyed on :attr:`repro.mesh.mesh.Mesh.generation`.  AMR remeshes
-build a new ``Mesh`` (new generation), so :func:`get_plan` transparently
-rebuilds while a plan explicitly applied to a mesh of another generation
-raises :class:`StaleAssemblyPlanError` — stale symbolic state can never
-silently assemble against new topology.
+:func:`get_plan` keeps the plan in its mesh's ``memo``, so it lives exactly
+as long as the mesh: an AMR remesh builds a new ``Mesh``, which builds its
+own plan on first use.  A batch of another topology is refused by shape, and
+:meth:`AssemblyPlan.eliminate` raises :class:`StaleAssemblyPlanError` on a
+matrix the plan did not assemble.
 
 The numeric phase is deterministic (fixed summation order), so repeated
 ``assemble`` calls with the same ``Ke`` are bitwise identical; against the
@@ -39,8 +39,6 @@ reference path the result agrees to round-off (enforced at 1e-14 in
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -48,7 +46,7 @@ from .. import obs
 from ..mesh.mesh import Mesh
 
 class StaleAssemblyPlanError(RuntimeError):
-    """An :class:`AssemblyPlan` was applied to a mesh of another generation."""
+    """An :class:`AssemblyPlan` was applied to a matrix it did not assemble."""
 
 
 def _expand_ragged(indptr: np.ndarray, sel: np.ndarray):
@@ -79,7 +77,6 @@ class AssemblyPlan:
         obs.incr("assembly.symbolic")
 
     def _build(self, mesh: Mesh) -> None:
-        self.generation = int(mesh.generation)
         self.n_dofs = int(mesh.n_dofs)
         en = mesh.nodes.elem_nodes
         n_elems, nc = en.shape
@@ -126,24 +123,14 @@ class AssemblyPlan:
         self.indptr = proto.indptr
 
         # Lazily-built sub-plans: :meth:`diagonal`, :meth:`scatter_loads`
-        # (from the node table's ``P`` / ``elem_nodes``, kept until then),
-        # one :meth:`eliminate` plan per mask.
+        # (from the node table's ``P`` / ``elem_nodes``), one
+        # :meth:`eliminate` plan per mask.
         self._diag_plan = None
         self._P, self._en = P, en
         self._scatter = None
         self._dirichlet: dict = {}
 
     # ------------------------------------------------------------- numeric
-
-    def check(self, mesh: Mesh) -> None:
-        """Raise :class:`StaleAssemblyPlanError` unless ``mesh`` is the
-        generation this plan was built for."""
-        if int(mesh.generation) != self.generation:
-            raise StaleAssemblyPlanError(
-                f"AssemblyPlan built for mesh generation {self.generation} "
-                f"applied to generation {int(mesh.generation)}; rebuild via "
-                "repro.fem.plan.get_plan(mesh)"
-            )
 
     def assemble(self, Ke: np.ndarray) -> sp.csr_matrix:
         """Numeric update: scatter a coefficient batch into the precomputed
@@ -202,7 +189,6 @@ class AssemblyPlan:
             with obs.span("assembly.symbolic"):
                 # column j of S = row elem_nodes.ravel()[j] of P
                 self._scatter = self._P[self._en.ravel()].T.tocsr()
-                self._P = self._en = None  # a retired plan pins neither
         obs.incr("assembly.vector")
         return self._scatter @ be.reshape(-1, *be.shape[2:])
 
@@ -241,12 +227,6 @@ class AssemblyPlan:
         obs.incr("assembly.dirichlet")
         return self._matrix(data)
 
-    def assemble_for(self, mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
-        """Generation-checked :meth:`assemble` (the safe entry point for
-        callers holding both a plan and a mesh across remeshes)."""
-        self.check(mesh)
-        return self.assemble(Ke)
-
     def diagonal(self, Ke: np.ndarray) -> np.ndarray:
         """``assemble(Ke).diagonal()`` without assembling: scatter only the
         expanded entries whose destination sits on the CSR diagonal.
@@ -274,36 +254,16 @@ class AssemblyPlan:
             )
 
 
-# ------------------------------------------------------------------- cache
-
-#: Most-recently-used plans, keyed on mesh generation.  Bounded so long AMR
-#: runs do not pin retired topologies; plans hold no reference to the Mesh
-#: (the node table's ``P`` / ``elem_nodes`` only until the scatter is built).
-_PLAN_CACHE: "OrderedDict[int, AssemblyPlan]" = OrderedDict()
-_PLAN_CACHE_MAX = 4
-
-
 def get_plan(mesh: Mesh) -> AssemblyPlan:
-    """The process-wide :class:`AssemblyPlan` for this mesh generation,
-    building (and caching) it on first use."""
-    key = int(mesh.generation)
-    plan = _PLAN_CACHE.get(key)
+    """The :class:`AssemblyPlan` of ``mesh``, built on first use and kept in
+    ``mesh.memo`` (it holds no reference to the mesh, so it dies with it)."""
+    plan = mesh.memo.get("plan")
     if plan is None:
-        plan = AssemblyPlan(mesh)
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-    else:
-        _PLAN_CACHE.move_to_end(key)
+        plan = mesh.memo["plan"] = AssemblyPlan(mesh)
     return plan
-
-
-def clear_plan_cache() -> None:
-    """Drop all cached plans (tests / memory pressure)."""
-    _PLAN_CACHE.clear()
 
 
 def plan_assemble(mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
     """Fast-path equivalent of :func:`repro.fem.assembly.assemble_matrix`:
-    symbolic work cached per mesh generation, numeric update per call."""
+    symbolic work once per mesh, numeric update per call."""
     return get_plan(mesh).assemble(Ke)

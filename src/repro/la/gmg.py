@@ -11,15 +11,15 @@ preconditioner for our CG — the ablation benchmark quantifies the iteration
 savings the paper anticipated, and the PP solve uses it by default past the
 measured crossover.
 
-The hierarchy (:func:`hierarchy_for`) is sparse matrices only: the coarse
-levels are uniform grids that exist as index arithmetic, never as ``Mesh``
-objects.  :func:`prolongation` is the mesh-to-mesh form of the same
-interpolation, kept as the public helper and the tests' oracle.
+The hierarchy (:func:`hierarchy_for`) is sparse matrices only, kept in the
+fine mesh's ``memo``: the coarse levels are uniform grids that exist as
+index arithmetic, never as ``Mesh`` objects.  :func:`prolongation` is the
+mesh-to-mesh form of the same interpolation, kept as the public helper and
+the tests' oracle.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,16 +137,6 @@ def _prune_columns(P: sp.csr_matrix):
     return pruned, used
 
 
-#: Per-mesh-generation hierarchy cache: the prolongation chain depends only
-#: on the fine mesh topology, not on the operator, so per-timestep
-#: preconditioner rebuilds (the density field moves every step) pay only
-#: for the Galerkin products.  Entries hold sparse matrices and nothing else
-#: (a cached hierarchy must not keep a retired mesh alive) and are dropped
-#: when their mesh is collected, so the cache is never larger than the set
-#: of live meshes that asked for a hierarchy.
-_HIER_CACHE: "dict[tuple, list]" = {}
-
-
 def hierarchy_for(fine_mesh: Mesh, coarsest_level: int) -> list:
     """The prolongation chain below ``fine_mesh`` as ``[(P, R), ...]``,
     finest first: ``P`` interpolates level ``i + 1`` to level ``i`` and
@@ -157,10 +147,11 @@ def hierarchy_for(fine_mesh: Mesh, coarsest_level: int) -> list:
     row and column in every Galerkin product and a zero restricted residual,
     so it never leaves zero in a V-cycle: dropping it changes no iterate,
     and keeps every level no larger than the one above on a locally refined
-    mesh.  Cached per ``Mesh.generation`` for the life of the mesh (AMR
-    remeshes invalidate by building a new Mesh)."""
-    key = (fine_mesh.generation, int(coarsest_level))
-    hit = _HIER_CACHE.get(key)
+    mesh.  The chain depends on the mesh alone, not on the operator, so it
+    is kept in ``fine_mesh.memo`` and dies with the mesh: per-step
+    preconditioner rebuilds pay only for the Galerkin products."""
+    key = ("gmg", int(coarsest_level))
+    hit = fine_mesh.memo.get(key)
     if hit is not None:
         return hit
     finest = int(fine_mesh.tree.levels.max())
@@ -174,13 +165,8 @@ def hierarchy_for(fine_mesh: Mesh, coarsest_level: int) -> list:
             P = _uniform_prolongation(fine_mesh.dim, level + 1)[kept]
         P, kept = _prune_columns(P)
         chain.append((P, P.T.tocsr()))
-    _HIER_CACHE[key] = chain
-    weakref.finalize(fine_mesh, _HIER_CACHE.pop, key, None)
+    fine_mesh.memo[key] = chain
     return chain
-
-
-def clear_hierarchy_cache() -> None:
-    _HIER_CACHE.clear()
 
 
 class GeometricMultigrid:

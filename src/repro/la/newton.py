@@ -102,7 +102,7 @@ class Factors:
     """The state of the Newton linear solve: sparse LU factors of an earlier
     Jacobian and the iteration counts their refresh rule reads.  It lives as
     long as whoever holds it: one ``newton_solve`` call by default, one mesh
-    generation on :class:`~repro.chns.ch_solver.CHSolver`."""
+    on :class:`~repro.chns.ch_solver.CHSolver`."""
 
     def __init__(self):
         self.drop()

@@ -48,9 +48,10 @@ class PCDPreconditioner:
     projected onto the mean-zero subspace, keeping the Krylov iteration in
     the range of the singular operator.
 
-    The prolongation chain is cached per ``Mesh.generation`` inside
-    :mod:`repro.la.gmg`, so per-timestep rebuilds (the density coefficient
-    moves every step) pay only the Galerkin triple products.
+    The prolongation chain lives in the mesh's ``memo``
+    (:func:`repro.la.gmg.hierarchy_for`), so per-timestep rebuilds (the
+    density coefficient moves every step) pay only the Galerkin triple
+    products.
     """
 
     def __init__(

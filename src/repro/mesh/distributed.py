@@ -37,13 +37,12 @@ from .mesh import Mesh
 class ExchangePlan:
     """Precomputed ghost-exchange schedule for one ``DistributedField``.
 
-    Built once per (mesh generation, communicator size, rank); every
-    ``ghost_read``/``ghost_write`` reuses these index arrays.  Message *ids*
+    Built once per (mesh, communicator size, rank); every ``ghost_read`` /
+    ``ghost_write`` reuses these index arrays.  Message *ids*
     still travel with the payloads (the NBX wire format is unchanged), but
     neither side recomputes any map per call.
     """
 
-    generation: int  #: mesh generation this schedule was built against
     own_pos: np.ndarray  #: positions of `owned` within `needed`
     ghost_pos: np.ndarray  #: positions of `ghosts` within `needed`
     #: per-peer owned node ids the peer needs (GhostRead sends, sorted)
@@ -107,7 +106,6 @@ class DistributedField:
     def _build_exchange_plan(self) -> ExchangePlan:
         """Symbolic phase of the ghost exchange: all per-call index maps."""
         plan = ExchangePlan(
-            generation=int(self.mesh.generation),
             own_pos=np.searchsorted(self.needed, self.owned),
             ghost_pos=np.searchsorted(self.needed, self.ghosts),
         )

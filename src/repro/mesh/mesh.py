@@ -7,7 +7,6 @@ boundary masks, and field sampling.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,14 +20,9 @@ from .nodes import NodeTable, enumerate_nodes
 class Mesh:
     """FEM view of a balanced linear octree over the unit cube.
 
-    Every ``Mesh`` instance carries a process-unique ``generation`` token.
-    Symbolic plans precomputed against a mesh (``repro.fem.plan``, the
-    ghost-exchange schedules in ``repro.mesh.distributed``) are keyed on it:
-    an AMR remesh builds a *new* ``Mesh`` with a new generation, so every
-    cached plan bound to the old topology invalidates cleanly.
+    A ``Mesh`` never mutates: an AMR remesh builds a new one.  Everything
+    derived from it lives in its ``memo`` and dies with it.
     """
-
-    _generation_counter = itertools.count()
 
     def __init__(self, tree: Octree, *, check_balance: bool = True):
         if check_balance and not is_balanced(tree):
@@ -37,10 +31,10 @@ class Mesh:
         self.dim = tree.dim
         self.nodes: NodeTable = enumerate_nodes(tree)
         self._scale = float(1 << morton.MAX_DEPTH)
-        self.generation = next(Mesh._generation_counter)
         self._elem_h: Optional[np.ndarray] = None
-        #: data derived from this generation that must die with it
-        #: (``repro.chns.forms.phase_at_quad`` keeps its slot here)
+        #: data derived from this mesh that must die with it: the assembly
+        #: plan (``"plan"``), GMG chains (``("gmg", coarsest)``), the
+        #: quad-point phase slot (``"phase"``)
         self.memo: dict = {}
 
     # ------------------------------------------------------------- factory

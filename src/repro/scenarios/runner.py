@@ -88,6 +88,7 @@ class JobResult:
     krylov_iterations: int = 0  # NS + PP + VU
     ch_linear: int = 0  # BiCGStab iterations inside the CH Newton solves
     ch_factorizations: int = 0
+    krylov_unconverged: int = 0  # NS / PP / VU solves with converged=False
     n_elems_final: int = 0
     diagnostics: dict = field(default_factory=dict)
     error: Optional[str] = None
@@ -306,6 +307,7 @@ def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
     result.krylov_iterations = counts["krylov"]
     result.ch_linear = counts["ch_linear"]
     result.ch_factorizations = counts["ch_factorizations"]
+    result.krylov_unconverged = counts["krylov_unconverged"]
     d = ts.diagnostics()
     result.diagnostics = {
         "mass": float(d.mass),
@@ -315,6 +317,7 @@ def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
     }
     if ts.vel is not None:
         result.diagnostics["vel_max"] = float(np.abs(ts.vel).max())
+        result.diagnostics["div_l2"] = float(d.div_l2)
 
 
 def _write_vtk(config, ts, workdir, done):

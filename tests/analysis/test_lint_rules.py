@@ -401,85 +401,6 @@ class TestR3Nondeterminism:
         assert fs == []
 
 
-class TestR4StalePlanAssembly:
-    def test_cached_plan_attribute(self):
-        fs = lint(
-            """
-            def f(solver, Ke):
-                return solver.plan.assemble(Ke)
-            """
-        )
-        assert rules_of(fs) == ["R4"]
-        assert "generation" in fs[0].message
-
-    def test_fresh_plan_from_get_plan(self):
-        fs = lint(
-            """
-            def f(mesh, Ke):
-                plan = get_plan(mesh)
-                return plan.assemble(Ke)
-            """
-        )
-        assert fs == []
-
-    def test_checked_plan_is_clean(self):
-        fs = lint(
-            """
-            def f(solver, mesh, Ke):
-                solver.plan.check(mesh)
-                return solver.plan.assemble(Ke)
-            """
-        )
-        assert fs == []
-
-    def test_assemble_for_is_clean(self):
-        fs = lint(
-            """
-            def f(solver, mesh, Ke):
-                return solver.plan.assemble_for(mesh, Ke)
-            """
-        )
-        assert fs == []
-
-    def test_every_numeric_method_on_a_cached_plan(self):
-        """The load scatter and the Dirichlet plan apply per-generation
-        symbolic state exactly as ``assemble`` does."""
-        fs = lint(
-            """
-            def f(solver, A, be, mask):
-                b = solver.plan.scatter_loads(be)
-                return solver.plan.eliminate(A, mask), b
-            """
-        )
-        assert rules_of(fs) == ["R4", "R4"]
-        assert "scatter_loads" in fs[0].message
-        assert "eliminate" in fs[1].message
-
-    def test_new_numeric_methods_fresh_or_checked_are_clean(self):
-        fs = lint(
-            """
-            def f(solver, mesh, A, be, mask):
-                plan = get_plan(mesh)
-                A_bc = plan.eliminate(A, mask)
-                solver.plan.check(mesh)
-                return A_bc, solver.plan.scatter_loads(be)
-
-            def g(mesh, be):
-                return get_plan(mesh).scatter_loads(be)
-            """
-        )
-        assert fs == []
-
-    def test_unrelated_scatter_is_not_a_plan_method(self):
-        fs = lint(
-            """
-            def f(comm, chunks):
-                return comm.scatter(chunks, root=0)
-            """
-        )
-        assert fs == []
-
-
 class TestR5MutatedReceiveBuffer:
     def test_subscript_write_to_recv(self):
         fs = lint(
@@ -566,9 +487,9 @@ class TestSuppressions:
         assert rules_of(fs) == ["R0"]
         assert "justification" in fs[0].message
 
-    @pytest.mark.parametrize("stale", ["R7", "R6", "R11"])
+    @pytest.mark.parametrize("stale", ["R7", "R6", "R4", "R11"])
     def test_unknown_rule_id_is_reported(self, stale):
-        # A retired rule's id (R6, R7) or a typo suppresses nothing; it is
+        # A retired rule's id (R4, R6, R7) or a typo suppresses nothing; it is
         # R0 against the full catalogue even when --rules selects a subset.
         code = f"""
             def f(comm):
@@ -585,7 +506,7 @@ class TestSuppressions:
 
 class TestDriverAndCli:
     def test_rule_catalogue_has_all_eight(self):
-        assert set(rule_catalogue()) == {"R1", "R2", "R3", "R4", "R5"}
+        assert set(rule_catalogue()) == {"R1", "R2", "R3", "R5"}
 
     def test_rule_filter(self):
         code = """

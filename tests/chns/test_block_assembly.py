@@ -130,7 +130,7 @@ def test_phase_is_evaluated_once_per_phi_and_generation(monkeypatch, cavity):
     other = CHNSParams(rho_minus=0.5, eta_minus=0.4)  # another mixture law
     flow_blocks(mesh, other, masks, values, state)
     assert len(evals) == 4
-    twin = Mesh.from_tree(uniform_tree(2, 3))  # a new Mesh.generation
+    twin = Mesh.from_tree(uniform_tree(2, 3))  # a new Mesh, the same tree
     flow_blocks(twin, prm, masks, values, state)
     assert len(evals) == 5
 
@@ -167,6 +167,6 @@ def test_coupled_and_remesh_steps_run_clean():
     stepper.initialize(phi0)
     for _ in range(cfg.refinement.remesh_every + 1):
         stepper.step(cfg.time.dt)
-    assert stepper.mesh.generation != mesh.generation  # it did remesh
+    assert stepper.mesh is not mesh  # it did remesh
     assert stepper.iteration_counts["krylov_ns"] > 0
     assert np.all(np.isfinite(stepper.vel)) and np.all(np.isfinite(stepper.p))

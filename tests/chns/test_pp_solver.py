@@ -76,7 +76,7 @@ def count_hierarchy_builds(monkeypatch):
     real = gmg.hierarchy_for
 
     def counted(mesh, coarsest_level):
-        calls.append((mesh.generation, coarsest_level) not in gmg._HIER_CACHE)
+        calls.append(("gmg", coarsest_level) not in mesh.memo)
         return real(mesh, coarsest_level)
 
     monkeypatch.setattr(gmg, "hierarchy_for", counted)
@@ -135,7 +135,7 @@ def drop_stepper(mesh):
 
 def test_stepper_builds_one_hierarchy_per_mesh(monkeypatch):
     calls = count_hierarchy_builds(monkeypatch)
-    ts = drop_stepper(drop_mesh(7))  # a new generation: nothing cached
+    ts = drop_stepper(drop_mesh(7))  # a new mesh: nothing cached
     ts.step(1e-3)
     assert calls == [True]
     ts.step(1e-3)
@@ -151,7 +151,7 @@ def test_stepper_builds_one_hierarchy_per_mesh(monkeypatch):
 
 def test_restored_stepper_takes_the_same_pp_path(monkeypatch):
     """The rule reads only the mesh: a stepper restored onto a rebuilt mesh
-    (new generation, no warm caches) reproduces the uninterrupted step bit
+    (a new mesh, no warm caches) reproduces the uninterrupted step bit
     for bit, PP iteration count included.  The uninterrupted stepper drops
     its CH factors where the state is captured, as the runner does at every
     checkpoint step: a restored stepper has none."""

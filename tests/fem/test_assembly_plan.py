@@ -2,23 +2,27 @@
 
 The plan must reproduce ``assemble_matrix`` to round-off on adaptive meshes
 *with hanging nodes* (where the ``P^T A P`` projection actually mixes
-entries), share its CSR structure across numeric updates, and invalidate
-cleanly across remeshes via the ``Mesh.generation`` token.
+entries), share its CSR structure across numeric updates, and live exactly
+as long as its mesh (it is kept in ``mesh.memo``).
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chns import forms
 from repro.fem.assembly import assemble_matrix, assemble_vector
 from repro.fem.operators import convection_matrix, mass_matrix, stiffness_matrix
 from repro.fem.plan import (
     AssemblyPlan,
     StaleAssemblyPlanError,
-    clear_plan_cache,
     get_plan,
     plan_assemble,
 )
+from repro.la.gmg import hierarchy_for
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
 
@@ -117,33 +121,53 @@ class TestStructureSharing:
             plan.assemble(np.zeros((3, 4, 4)))
 
 
-class TestGenerationInvalidation:
-    def test_mesh_generations_unique(self):
-        m1 = Mesh.from_tree(uniform_tree(2, 3))
-        m2 = Mesh.from_tree(uniform_tree(2, 3))
-        assert m1.generation != m2.generation
+class TestPlanLifetime:
+    """A plan lives in its mesh's ``memo``: the same mesh object gets the
+    same plan, another mesh its own, and a collected mesh takes its plan
+    (and its GMG chain) with it."""
 
     def test_stale_plan_raises(self):
+        """What a plan of another mesh refuses: a batch of the wrong shape,
+        and a matrix it did not assemble - even from a same-shaped twin."""
         m1 = Mesh.from_tree(uniform_tree(2, 3))
-        m2 = Mesh.from_tree(uniform_tree(2, 3))  # "remeshed" twin
-        plan = AssemblyPlan(m1)
-        Ke = mass_matrix(m2.elem_h(), 2)
+        plan = get_plan(m1)
+        finer = Mesh.from_tree(uniform_tree(2, 4))
+        with pytest.raises(ValueError):
+            plan.assemble(mass_matrix(finer.elem_h(), 2))
+        twin = Mesh.from_tree(uniform_tree(2, 3))  # a "remeshed" twin
+        A = get_plan(twin).assemble(mass_matrix(twin.elem_h(), 2))
         with pytest.raises(StaleAssemblyPlanError):
-            plan.assemble_for(m2, Ke)
+            plan.eliminate(A, twin.boundary_dof_mask())
 
-    def test_cache_rebuilds_per_generation(self):
-        clear_plan_cache()
+    def test_cache_rebuilds_per_mesh(self):
         m1 = Mesh.from_tree(uniform_tree(2, 3))
         p1 = get_plan(m1)
-        assert get_plan(m1) is p1  # cached while the generation lives
-        m2 = Mesh.from_tree(uniform_tree(2, 3))
-        p2 = get_plan(m2)
-        assert p2 is not p1
-        assert p2.generation == m2.generation
+        assert get_plan(m1) is p1 and m1.memo["plan"] is p1
+        m2 = Mesh.from_tree(uniform_tree(2, 3))  # same tree, another mesh
+        assert get_plan(m2) is not p1
+
+    def test_live_meshes_keep_their_plans(self):
+        """Five live meshes, five builds; the first plan is still there."""
+        meshes = [Mesh.from_tree(uniform_tree(2, 3)) for _ in range(5)]
+        with obs.tracing():
+            plans = [get_plan(m) for m in meshes]
+            again = get_plan(meshes[0])
+            built = obs.snapshot()["counters"]["assembly.symbolic"]
+        assert built == 5
+        assert again is plans[0]
+
+    def test_plan_and_gmg_chain_die_with_the_mesh(self):
+        mesh = Mesh.from_tree(uniform_tree(2, 4))
+        plan = weakref.ref(get_plan(mesh))
+        prolongation = weakref.ref(hierarchy_for(mesh, 2)[0][0])
+        assert plan() is not None and prolongation() is not None
+        del mesh
+        gc.collect()
+        assert plan() is None
+        assert prolongation() is None
 
     def test_plan_assemble_matches_after_remesh(self):
         """The module-level fast path keeps tracking the live mesh."""
-        clear_plan_cache()
         m1 = mesh_from_field(interface, 2, max_level=4, min_level=2, threshold=0.2)
         _ = plan_assemble(m1, mass_matrix(m1.elem_h(), 2))
         m2 = mesh_from_field(
@@ -180,17 +204,16 @@ class TestLoadScatter:
         real = AssemblyPlan.scatter_loads
 
         def counted(self, be):
-            calls.append(self.generation)
+            calls.append(self)
             return real(self, be)
 
         monkeypatch.setattr(AssemblyPlan, "scatter_loads", counted)
         forms.source(mesh2d, np.ones((mesh2d.n_elems, 4)))
         forms.flux_divergence_load(mesh2d, np.ones((mesh2d.n_elems, 4, 2)))
-        assert calls == [mesh2d.generation] * 2
+        assert len(calls) == 2
+        assert all(plan is get_plan(mesh2d) for plan in calls)
 
     def test_built_lazily_and_counted_as_symbolic_time(self, mesh2d):
-        from repro import obs
-
         be = np.ones((mesh2d.n_elems, 4))
         with obs.tracing():
             plan = AssemblyPlan(mesh2d)

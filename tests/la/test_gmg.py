@@ -117,7 +117,7 @@ class TestVcycle:
 
 
 # ---------------------------------------------------------------------------
-# The lean per-generation hierarchy (no Mesh, pruned levels)
+# The lean per-mesh hierarchy (no Mesh, pruned levels)
 # ---------------------------------------------------------------------------
 
 
@@ -204,8 +204,6 @@ class TestLeanHierarchy:
         import gc
         import weakref
 
-        from repro.la import gmg
-
         fine = _refined(2, 3, 5)
         built = []
         init = Mesh.__init__
@@ -215,16 +213,15 @@ class TestLeanHierarchy:
         )
         chain = hierarchy_for(fine, 2)
         assert built == []
-        assert hierarchy_for(fine, 2) is chain  # cached per generation
-        key = (fine.generation, 2)
-        assert gmg._HIER_CACHE[key] is chain
+        assert hierarchy_for(fine, 2) is chain  # kept for the mesh's life
+        assert fine.memo[("gmg", 2)] is chain
         assert all(sp.issparse(X) for pair in chain for X in pair)
-        # the entry does not hold the mesh, and goes when the mesh goes
-        ref = weakref.ref(fine)
-        del fine
+        # the chain does not hold the mesh, and goes when the mesh goes
+        ref, P = weakref.ref(fine), weakref.ref(chain[0][0])
+        del fine, chain
         gc.collect()
         assert ref() is None
-        assert key not in gmg._HIER_CACHE
+        assert P() is None
 
     @pytest.mark.parametrize("name", ["2d-hanging", "3d-hanging"])
     def test_pruning_leaves_the_vcycle_unchanged(self, name, monkeypatch):

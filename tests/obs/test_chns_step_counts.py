@@ -34,7 +34,7 @@ def stepper():
 
 
 def test_ch_linear_work_of_four_static_mesh_steps(stepper):
-    """One mesh generation, one factorization: the first step's LU
+    """One mesh, one factorization: the first step's LU
     preconditions every later CH solve, and the stepper's cumulative counts
     say what the obs counters say."""
     with obs.tracing():
@@ -53,7 +53,7 @@ def test_ch_linear_work_of_four_static_mesh_steps(stepper):
 
 def test_assembly_counters_of_one_coupled_step(stepper):
     ts = stepper
-    ts.step(1e-3)  # pays the lazy per-generation builds
+    ts.step(1e-3)  # pays the lazy per-mesh builds
 
     ch_before = dict(ts.ch.counters)
     with obs.tracing():
@@ -68,7 +68,7 @@ def test_assembly_counters_of_one_coupled_step(stepper):
     assert counters["assembly.numeric"] == ch_numeric + 2  # + NS, PP
     assert counters["assembly.vector"] == ch["residual_evals"] + 3  # + NS, PP, VU
     assert counters["assembly.dirichlet"] == 1  # no-slip: one shared mask
-    assert "assembly.symbolic" not in counters  # warm generation
+    assert "assembly.symbolic" not in counters  # warm mesh
 
     spans = obs.flatten_spans(snap)
     for block in ("ns", "pp", "vu"):

@@ -32,12 +32,37 @@ class TestRun:
         assert res.newton_iterations > 0
         assert res.n_elems_final > 0
         assert np.isfinite(res.diagnostics["energy"])
+        assert "div_l2" not in res.diagnostics  # no velocity
         assert res.error is None
 
     def test_chns_quick_succeeds(self):
         res = run_scenario(build("rising_bubble_2d", quick=True))
         assert res.status == "succeeded"
         assert res.krylov_iterations > 0  # velocity/pressure solves ran
+        assert 0.0 <= res.diagnostics["div_l2"] < np.inf
+        assert res.krylov_unconverged == 0
+
+    def test_unconverged_flow_solves_are_counted_not_fatal(self, monkeypatch):
+        """A flow solve that reports ``converged=False`` is counted in the
+        record and ends nothing: one unconverged VU solve is ``dim`` CG
+        solves, one per velocity component."""
+        import repro.chns.vu_solver as vu_solver
+
+        cfg = build("rising_bubble_2d", quick=True)
+        dim, cg, calls = cfg.domain.dim, vu_solver.cg, []
+
+        def first_vu_unconverged(*args, **kwargs):
+            calls.append(None)
+            res = cg(*args, **kwargs)
+            return dataclasses.replace(res, converged=len(calls) > dim)
+
+        monkeypatch.setattr(vu_solver, "cg", first_vu_unconverged)
+        res = run_scenario(cfg)
+        assert res.status == "succeeded" and len(calls) > dim
+        assert res.krylov_unconverged == dim
+        old = res.to_dict()  # a store written before the count existed
+        assert old.pop("krylov_unconverged") == dim
+        assert JobResult.from_dict(old).krylov_unconverged == 0
 
     def test_divergence_reported_not_raised(self):
         res = run_scenario(_diverging_drop())
