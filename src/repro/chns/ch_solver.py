@@ -4,13 +4,20 @@
 Unknowns are the mixed pair ``(phi, mu)`` (chemical potential), stacked as
 ``[phi; mu]``.  The nonlinear residual is solved by Newton with an
 analytically assembled Jacobian; the degenerate mobility is evaluated at the
-current Newton iterate (its phi-derivative is dropped from the Jacobian — a
-standard quasi-Newton simplification protected by the line search).
+current Newton iterate.  Its phi-derivative, the block
+``d(K_m(phi) mu)/dphi``, is missing from the Jacobian, so the iteration
+converges linearly, not quadratically: about 1e-3 contraction per iterate on
+``spinodal_2d``, an exact halving per iterate on full ``drop_2d`` (ROADMAP
+item 1 adds the block).
 
 Weak residual (no-flux boundaries are natural):
 
   R_phi = M (phi - phi_n)/dt + C(v) phi + (1/(Pe Cn)) K_m mu = 0
   R_mu  = M mu - P(psi'(phi)) - Cn^2 K phi = 0
+
+Every matrix is a ``data`` vector on the mesh's one assembly-plan pattern,
+and the Jacobian is those vectors placed by the plan's 2x2 block layout
+(:meth:`repro.fem.plan.AssemblyPlan.block_2x2`).
 """
 
 from __future__ import annotations
@@ -18,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import obs
-from ..fem.operators import value_at_quad
+from ..fem.plan import get_plan
 from ..la.newton import Factors, IterateCache, NewtonResult, newton_solve
 from ..mesh.mesh import Mesh
 from . import forms
@@ -39,13 +45,6 @@ class CHResult:
 class CHSolver:
     """Reusable CH block for a fixed mesh (re-created after remeshing).
 
-    ``residual`` and ``jacobian`` at one Newton iterate need the same two
-    expensive mesh-wide products — the quad-point phi evaluation and the
-    mobility-stiffness assembly.  A per-iterate :class:`IterateCache` keyed
-    on the phi component shares them, so each iterate pays for exactly one
-    mobility-stiffness assembly and one ``field_at_quad`` instead of two
-    (``self.counters`` records both, pinned down by the tests).
-
     The Newton LU factors live as long as the solver, i.e. one mesh: every
     ``solve`` starts from the factors the last one left, as a
     preconditioner behind the true-residual stopping test, so a ``dt``,
@@ -57,32 +56,7 @@ class CHSolver:
         self.params = params
         self.M = forms.mass(mesh)
         self.K = forms.stiffness(mesh)
-        self._iterate = IterateCache()
         self._factors = Factors()
-        self.counters = {
-            "mobility_assemblies": 0,
-            "phi_quad_evals": 0,
-            "residual_evals": 0,
-            "jacobian_evals": 0,
-        }
-
-    def _phi_at_quad(self, phi: np.ndarray) -> np.ndarray:
-        def build():
-            self.counters["phi_quad_evals"] += 1
-            obs.incr("ch.phi_quad_evals")
-            return forms.field_at_quad(self.mesh, phi)
-
-        return self._iterate.get(phi, "phi_q", build)
-
-    def _mobility_stiffness(self, phi: np.ndarray) -> sp.csr_matrix:
-        phi_q = self._phi_at_quad(phi)
-
-        def build():
-            self.counters["mobility_assemblies"] += 1
-            obs.incr("ch.mobility_assemblies")
-            return forms.stiffness(self.mesh, mobility(phi_q))
-
-        return self._iterate.get(phi, "Km", build)
 
     def operators(
         self,
@@ -106,70 +80,72 @@ class CHSolver:
         implicit for every theta.  ``source_phi``/``source_mu`` are
         pre-assembled load vectors (manufactured forcing) subtracted from
         the residuals.
+
+        ``residual`` and ``jacobian`` at one Newton iterate need the same
+        two mesh-wide products, the quad-point phi and the mobility
+        stiffness: an :class:`IterateCache` keyed on the phi component
+        builds them once per distinct phi (obs counters
+        ``ch.phi_quad_evals`` / ``ch.mobility_assemblies``).
         """
         mesh, prm = self.mesh, self.params
         n = mesh.n_dofs
         M, K = self.M, self.K
-        Cv = (
-            forms.convection(mesh, vel)
-            if vel is not None
-            else sp.csr_matrix((n, n))
-        )
-        mob_coeff = 1.0 / (prm.Pe * prm.Cn)
+        C = forms.convection(mesh, vel) if vel is not None else None
+        c = 1.0 / (prm.Pe * prm.Cn)
         Cn2 = prm.Cn**2
-        if theta != 1.0:
-            # Old-time flux/advection contributions, assembled once.
-            Km_n = forms.stiffness(
-                mesh, mobility(forms.field_at_quad(mesh, phi_n))
-            )
-            expl = (1.0 - theta) * (
-                Cv @ phi_n + mob_coeff * (Km_n @ mu_n)
-            )
-        else:
-            expl = None
+        cache = IterateCache()
 
         def split(x):
             return x[:n], x[n:]
 
+        def at_quad(phi):
+            def build():
+                obs.incr("ch.phi_quad_evals")
+                obs.incr("ch.mobility_assemblies")
+                phi_q = forms.field_at_quad(mesh, phi)
+                return phi_q, forms.stiffness(mesh, mobility(phi_q))
+
+            return cache.get(phi, "phi_q, Km", build)
+
+        # The Jacobian's constant blocks; a11 is what ``M / dt + theta * C``
+        # computes on the shared pattern.
+        a11 = M.data * (1.0 / dt)
+        if C is not None:
+            a11 = a11 + theta * C.data
+        cn2_K = Cn2 * K.data
+        plan = get_plan(mesh)
+        old = None
+        if theta != 1.0:
+            # Old-time flux/advection load; the first residual, at
+            # phi = phi_n, finds Km in the cache.
+            old = c * (at_quad(phi_n)[1] @ mu_n)
+            if C is not None:
+                old = C @ phi_n + old
+            old = (1.0 - theta) * old
+
         def residual(x):
-            self.counters["residual_evals"] += 1
             phi, mu = split(x)
-            Km = self._mobility_stiffness(phi)
-            if theta == 1.0:
-                r_phi = (
-                    M @ ((phi - phi_n) / dt)
-                    + Cv @ phi
-                    + mob_coeff * (Km @ mu)
-                )
-            else:
-                r_phi = (
-                    M @ ((phi - phi_n) / dt)
-                    + theta * (Cv @ phi + mob_coeff * (Km @ mu))
-                    + expl
-                )
+            phi_q, Km = at_quad(phi)
+            r_phi = M @ ((phi - phi_n) / dt)
+            if C is not None:
+                r_phi += theta * (C @ phi)
+            r_phi += (theta * c) * (Km @ mu)
+            if old is not None:
+                r_phi += old
             if source_phi is not None:
-                r_phi = r_phi - source_phi
-            psi_q = psi_prime(self._phi_at_quad(phi))
-            r_mu = M @ mu - forms.source(mesh, psi_q) - Cn2 * (K @ phi)
+                r_phi -= source_phi
+            psi_load = forms.source(mesh, psi_prime(phi_q))
+            r_mu = M @ mu - psi_load - Cn2 * (K @ phi)
             if source_mu is not None:
-                r_mu = r_mu - source_mu
+                r_mu -= source_mu
             return np.concatenate([r_phi, r_mu])
 
         def jacobian(x):
-            self.counters["jacobian_evals"] += 1
-            phi, mu = split(x)
-            Km = self._mobility_stiffness(phi)
-            if theta == 1.0:
-                J11 = M / dt + Cv
-                J12 = mob_coeff * Km
-            else:
-                J11 = M / dt + theta * Cv
-                J12 = (theta * mob_coeff) * Km
-            psi2_q = psi_double_prime(self._phi_at_quad(phi))
-            M_psi2 = forms.mass(mesh, psi2_q)
-            J21 = -M_psi2 - Cn2 * K
-            J22 = M
-            return sp.bmat([[J11, J12], [J21, J22]], format="csr")
+            phi_q, Km = at_quad(split(x)[0])
+            M_psi2 = forms.mass(mesh, psi_double_prime(phi_q))
+            return plan.block_2x2(
+                a11, (theta * c) * Km.data, -M_psi2.data - cn2_K, M.data
+            )
 
         return residual, jacobian, split
 
@@ -189,7 +165,6 @@ class CHSolver:
             phi_n, mu_n, vel, dt,
             theta=theta, source_phi=source_phi, source_mu=source_mu,
         )
-        self._iterate.clear()
         x0 = np.concatenate([phi_n, mu_n])
         res = newton_solve(
             residual, jacobian, x0, tol=tol * max(np.linalg.norm(x0), 1.0),

@@ -19,7 +19,7 @@ distinct ``phi`` for all of NS, PP and VU.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,15 +165,6 @@ def flux_divergence_load(mesh: Mesh, flux_q: np.ndarray) -> np.ndarray:
     the equations as ``+∫ N_i div F`` integrated by parts; the caller picks
     the sign.  Returns ``∫ F · grad N_i``."""
     return assemble_vector(mesh, flux_divergence_be(mesh, flux_q))
-
-
-def divergence_of(mesh: Mesh, vel_dofs: np.ndarray) -> np.ndarray:
-    """L2-projected divergence of a velocity DOF field (diagnostic)."""
-    vq = grad_at_quad(mesh, vel_dofs)  # (e, q, dim, dim): d v_k / d x_d
-    div_q = np.einsum("eqdd->eq", vq)
-    b = source(mesh, div_q)
-    lumped = np.asarray(mass(mesh).sum(axis=1)).ravel()
-    return b / lumped
 
 
 def divergence_l2(mesh: Mesh, vel_dofs: np.ndarray) -> float:

@@ -111,13 +111,15 @@ class CHNSTimeStepper:
         #: what a non-converged one means.
         self.last_newton: Optional[NewtonResult] = None
         #: cumulative nonlinear/linear work: Newton iterations (CH block),
-        #: its BiCGStab iterations and LU factorizations, and Krylov
-        #: iterations (NS/PP/VU solves) — the scenario results store reads
-        #: these as the per-job solver cost, with the Krylov count also
-        #: split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``), and
-        #: the NS/PP/VU solves that returned ``converged=False``.
+        #: their line-search trials, BiCGStab iterations and LU
+        #: factorizations, and Krylov iterations (NS/PP/VU solves) — the
+        #: scenario results store reads these as the per-job solver cost,
+        #: with the Krylov count also split per block
+        #: (``krylov_ns``/``krylov_pp``/``krylov_vu``), and the NS/PP/VU
+        #: solves that returned ``converged=False``.
         self.iteration_counts = {
             "newton": 0,
+            "line_search_trials": 0,
             "ch_linear": 0,
             "ch_factorizations": 0,
             "krylov": 0,
@@ -254,6 +256,9 @@ class CHNSTimeStepper:
                     self.phi, self.mu = ch_res.phi, ch_res.mu
                 self.last_newton = newton = ch_res.newton
                 self.iteration_counts["newton"] += newton.iterations
+                self.iteration_counts["line_search_trials"] += (
+                    newton.line_search_trials
+                )
                 self.iteration_counts["ch_linear"] += newton.linear_iterations
                 self.iteration_counts["ch_factorizations"] += newton.factorizations
                 if self.flow:

@@ -21,9 +21,12 @@ i.e. for every operator of every Newton iteration of every timestep.
   ``indices`` arrays; only ``data`` is fresh per call.
 * built lazily on first use (as ``assembly.symbolic`` time): the
   **load-vector scatter** (:meth:`AssemblyPlan.scatter_loads`, ``P^T`` folded
-  into one CSR mat-vec) and one **Dirichlet plan** per distinct mask
+  into one CSR mat-vec), one **Dirichlet plan** per distinct mask
   (:meth:`AssemblyPlan.eliminate`: the ``data`` slots to zero and to set to
-  one, so elimination is a copy that keeps the shared structure).
+  one, so elimination is a copy that keeps the shared structure) and the
+  **2x2 block layout** (:meth:`AssemblyPlan.block_2x2`: where each of four
+  ``data`` vectors goes in the block matrix ``sp.bmat`` would build, so a
+  coupled two-field Jacobian is one gather).
 
 :func:`get_plan` keeps the plan in its mesh's ``memo``, so it lives exactly
 as long as the mesh: an AMR remesh builds a new ``Mesh``, which builds its
@@ -47,6 +50,22 @@ from ..mesh.mesh import Mesh
 
 class StaleAssemblyPlanError(RuntimeError):
     """An :class:`AssemblyPlan` was applied to a matrix it did not assemble."""
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """A square CSR matrix on a precomputed canonical layout (rows sorted,
+    columns sorted within rows, duplicates summed).  The structure is
+    assigned directly: the validating constructor copies index arrays
+    (scipy >= 1.17), which would break both the zero-copy contract and the
+    structure-sharing property the tests pin down."""
+    n = len(indptr) - 1
+    A = sp.csr_matrix((n, n), dtype=np.float64)
+    A.data = data
+    A.indices = indices
+    A.indptr = indptr
+    A.has_sorted_indices = True
+    A.has_canonical_format = True
+    return A
 
 
 def _expand_ragged(indptr: np.ndarray, sel: np.ndarray):
@@ -124,11 +143,12 @@ class AssemblyPlan:
 
         # Lazily-built sub-plans: :meth:`diagonal`, :meth:`scatter_loads`
         # (from the node table's ``P`` / ``elem_nodes``), one
-        # :meth:`eliminate` plan per mask.
+        # :meth:`eliminate` plan per mask, the :meth:`block_2x2` layout.
         self._diag_plan = None
         self._P, self._en = P, en
         self._scatter = None
         self._dirichlet: dict = {}
+        self._block_2x2 = None
 
     # ------------------------------------------------------------- numeric
 
@@ -158,19 +178,24 @@ class AssemblyPlan:
         return batch
 
     def _matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """``data`` in the plan's CSR layout.  The precomputed structure is
-        assigned directly: the validating constructor copies index arrays
-        (scipy >= 1.17), which would break both the zero-copy contract and
-        the structure-sharing property the tests pin down.  The layout is
-        canonical by construction (rows sorted, columns sorted within rows,
-        duplicates summed)."""
-        A = sp.csr_matrix((self.n_dofs, self.n_dofs), dtype=np.float64)
-        A.data = data
-        A.indices = self.indices
-        A.indptr = self.indptr
-        A.has_sorted_indices = True
-        A.has_canonical_format = True
-        return A
+        """``data`` in the plan's CSR layout."""
+        return _csr(data, self.indices, self.indptr)
+
+    def block_2x2(self, d11, d12, d21, d22) -> sp.csr_matrix:
+        """``sp.bmat([[A11, A12], [A21, A22]], format="csr")`` of four
+        matrices of this plan, given only their ``data`` vectors: one gather
+        into a ``(2 n, 2 n)`` layout built on first use.  The layout is what
+        ``sp.bmat`` makes of the slot numbers, so the result is bit for bit
+        ``sp.bmat`` of the four matrices."""
+        if self._block_2x2 is None:
+            with obs.span("assembly.symbolic"):
+                slots = np.arange(1, 4 * self.nnz + 1, dtype=np.int64)
+                A = [self._matrix(s) for s in np.split(slots, 4)]
+                B = sp.bmat([A[:2], A[2:]], format="csr")
+                self._block_2x2 = (B.data - 1, B.indices, B.indptr)
+        order, indices, indptr = self._block_2x2
+        data = np.concatenate([d11, d12, d21, d22])[order]
+        return _csr(data, indices, indptr)
 
     def _slot_rows(self) -> np.ndarray:
         """The row of every ``data`` slot of the plan's CSR layout."""

@@ -43,26 +43,12 @@ class IterateCache:
         self._x: Optional[np.ndarray] = None
         self._vals: dict = {}
 
-    def at(self, x: np.ndarray) -> dict:
-        """The value dict for iterate ``x``, cleared if ``x`` is new."""
-        if (
-            self._x is None
-            or self._x.shape != x.shape
-            or not np.array_equal(self._x, x)
-        ):
-            self._x = x.copy()
-            self._vals = {}
-        return self._vals
-
     def get(self, x: np.ndarray, key, build: Callable[[], object]):
-        vals = self.at(x)
-        if key not in vals:
-            vals[key] = build()
-        return vals[key]
-
-    def clear(self) -> None:
-        self._x = None
-        self._vals = {}
+        if self._x is None or not np.array_equal(self._x, x):
+            self._x, self._vals = x.copy(), {}
+        if key not in self._vals:
+            self._vals[key] = build()
+        return self._vals[key]
 
 
 #: BiCGStab iterations allowed with an earlier iterate's LU factors as the
@@ -96,6 +82,8 @@ class NewtonResult:
     factorizations: int = 0
     #: factorizations that were the partial-pivoting safety net
     fallbacks: int = 0
+    #: residual evaluations of the backtracking line search (1 per full step)
+    line_search_trials: int = 0
 
 
 class Factors:
@@ -222,6 +210,7 @@ def _newton_body(
         step = 1.0
         for _ in range(8):
             obs.incr("newton.line_search_trials")
+            out.line_search_trials += 1
             x_new = x + step * dx
             with obs.span("newton.residual"):
                 F_new = residual(x_new)

@@ -168,12 +168,14 @@ def cmd_report(args) -> int:
         f = by_family.setdefault(
             r.family,
             {"jobs": 0, "succeeded": 0, "wall_s": 0.0, "newton": 0,
-             "ch_linear": 0, "ch_factorizations": 0, "krylov": 0, "steps": 0},
+             "line_search_trials": 0, "ch_linear": 0, "ch_factorizations": 0,
+             "krylov": 0, "steps": 0},
         )
         f["jobs"] += 1
         f["succeeded"] += r.status == "succeeded"
         f["wall_s"] += r.wall_s
         f["newton"] += r.newton_iterations
+        f["line_search_trials"] += r.line_search_trials
         f["ch_linear"] += r.ch_linear
         f["ch_factorizations"] += r.ch_factorizations
         f["krylov"] += r.krylov_iterations

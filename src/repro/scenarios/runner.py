@@ -85,6 +85,7 @@ class JobResult:
     n_steps: int = 0
     wall_s: float = 0.0
     newton_iterations: int = 0
+    line_search_trials: int = 0  # residual evaluations of the CH line search
     krylov_iterations: int = 0  # NS + PP + VU
     ch_linear: int = 0  # BiCGStab iterations inside the CH Newton solves
     ch_factorizations: int = 0
@@ -304,6 +305,7 @@ def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
     counts = ts.iteration_counts
     result.n_elems_final = ts.mesh.n_elems
     result.newton_iterations = counts["newton"]
+    result.line_search_trials = counts["line_search_trials"]
     result.krylov_iterations = counts["krylov"]
     result.ch_linear = counts["ch_linear"]
     result.ch_factorizations = counts["ch_factorizations"]

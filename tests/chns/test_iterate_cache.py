@@ -1,10 +1,14 @@
 """Per-iterate operator cache in the CH block: residual + jacobian at the
 same Newton iterate must share one mobility-stiffness assembly and one
-quad-point phi evaluation, instead of assembling each twice."""
+quad-point phi evaluation, instead of assembling each twice.  The counts
+are the ``repro.obs`` counters ``ch.mobility_assemblies`` /
+``ch.phi_quad_evals``."""
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.chns import ch_solver
 from repro.chns.ch_solver import CHSolver
 from repro.chns.params import CHNSParams
 from repro.la.newton import IterateCache
@@ -27,6 +31,10 @@ def drop(mesh):
     return np.tanh(
         (0.25 - np.linalg.norm(x - 0.5, axis=1)) / (np.sqrt(2) * 0.05)
     )
+
+
+def counters():
+    return obs.snapshot()["counters"]
 
 
 class TestIterateCache:
@@ -55,52 +63,56 @@ class TestCHOperatorSharing:
         mu = solver.initial_mu(phi)
         residual, jacobian, _ = solver.operators(phi, mu, None, 1e-3)
         x = np.concatenate([phi, mu])
-        before = dict(solver.counters)
-        residual(x)
-        jacobian(x)
-        assert solver.counters["mobility_assemblies"] - before["mobility_assemblies"] == 1
-        assert solver.counters["phi_quad_evals"] - before["phi_quad_evals"] == 1
+        with obs.tracing():
+            residual(x)
+            jacobian(x)
+            assert counters()["ch.mobility_assemblies"] == 1
+            assert counters()["ch.phi_quad_evals"] == 1
 
-        # A genuinely new iterate assembles again — the cache is per-iterate,
-        # not stale across the Newton trajectory.
-        x2 = x.copy()
-        x2[: mesh.n_dofs] *= 0.9
-        residual(x2)
-        assert solver.counters["mobility_assemblies"] - before["mobility_assemblies"] == 2
+            # A genuinely new iterate assembles again — the cache is
+            # per-iterate, not stale across the Newton trajectory.
+            x2 = x.copy()
+            x2[: mesh.n_dofs] *= 0.9
+            residual(x2)
+            assert counters()["ch.mobility_assemblies"] == 2
 
     def test_full_solve_assembles_only_on_residual_iterates(self, mesh, solver):
         """Across a whole Newton solve the jacobian calls piggyback on the
         residual's assemblies: total mobility assemblies == residual evals
-        (each at a distinct iterate), never residual + jacobian evals."""
+        (each at a distinct iterate: the initial one plus one per
+        line-search trial), never residual + jacobian evals."""
         phi = drop(mesh)
         mu = solver.initial_mu(phi)
-        res = solver.solve(phi, mu, None, 1e-3)
-        assert res.newton.converged
-        c = solver.counters
-        assert c["jacobian_evals"] >= 1
-        assert c["mobility_assemblies"] == c["residual_evals"]
-        assert c["phi_quad_evals"] == c["residual_evals"]
+        with obs.tracing():
+            res = solver.solve(phi, mu, None, 1e-3)
+            c = counters()
+            spans = obs.flatten_spans(obs.snapshot())
+        assert res.newton.converged and res.newton.iterations >= 1
+        residual_evals = 1 + res.newton.line_search_trials
+        assert spans["newton/newton.residual"]["count"] == residual_evals
+        assert spans["newton/newton.jacobian"]["count"] == res.newton.iterations
+        assert c["ch.mobility_assemblies"] == residual_evals
+        assert c["ch.phi_quad_evals"] == residual_evals
 
-    def test_solution_unchanged_by_caching(self, mesh):
+    def test_solution_unchanged_by_caching(self, mesh, monkeypatch):
         """Caching is an evaluation-sharing optimization only: the Newton
         trajectory is identical to recomputing everything."""
         prm = CHNSParams(Cn=0.05, Pe=100.0, Re=10.0)
         phi = drop(mesh)
         s1 = CHSolver(mesh, prm)
         mu = s1.initial_mu(phi)
-        r1 = s1.solve(phi, mu, None, 1e-3)
+        with obs.tracing():
+            r1 = s1.solve(phi, mu, None, 1e-3)
+            cached = counters()["ch.mobility_assemblies"]
 
-        s2 = CHSolver(mesh, prm)
-        s2._iterate = IterateCache()
-        # Defeat the cache by clearing it around every lookup.
-        orig_get = s2._iterate.get
+        class NoCache(IterateCache):
+            def get(self, x, key, build):
+                return build()
 
-        def no_cache_get(x, key, build):
-            s2._iterate.clear()
-            return orig_get(x, key, build)
-
-        s2._iterate.get = no_cache_get
-        r2 = s2.solve(phi, mu, None, 1e-3)
+        monkeypatch.setattr(ch_solver, "IterateCache", NoCache)
+        with obs.tracing():
+            r2 = CHSolver(mesh, prm).solve(phi, mu, None, 1e-3)
+            uncached = counters()["ch.mobility_assemblies"]
         assert np.array_equal(r1.phi, r2.phi)
         assert np.array_equal(r1.mu, r2.mu)
-        assert s2.counters["mobility_assemblies"] > s1.counters["mobility_assemblies"]
+        assert uncached > cached

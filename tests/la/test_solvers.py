@@ -219,6 +219,7 @@ class TestNewton:
         assert counters["newton.iterations"] == res.iterations
         assert counters["newton.lu_factorizations"] == res.factorizations
         assert counters["newton.lu_fallbacks"] == res.fallbacks
+        assert counters["newton.line_search_trials"] == res.line_search_trials
         assert "newton.lu_solves" not in counters
 
     def test_refactors_when_old_factors_stop_preconditioning(self):

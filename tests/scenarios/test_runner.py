@@ -166,12 +166,25 @@ class TestRun:
         counters = res.obs_summary["counters"]
         assert counters["chns.steps"]["total"] == cfg.time.n_steps
 
+    @pytest.mark.parametrize("name", ["coalescence_2d", "rising_bubble_2d"])
+    def test_line_search_trials_are_what_the_tracer_counts(self, name):
+        cfg = build(name, quick=True)
+        cfg.outputs.obs = True
+        res = run_scenario(cfg)
+        assert res.status == "succeeded"
+        counters = res.obs_summary["counters"]
+        assert (res.line_search_trials
+                == counters["newton.line_search_trials"]["total"]
+                >= res.newton_iterations > 0)
+
     def test_result_roundtrips_through_dict(self):
         res = run_scenario(build("drop_2d", quick=True))
         assert JobResult.from_dict(res.to_dict()) == res
         old = res.to_dict()  # a store written before the CH counts existed
         assert old.pop("ch_linear") > 0 and old.pop("ch_factorizations") > 0
-        assert JobResult.from_dict(old).ch_factorizations == 0
+        assert old.pop("line_search_trials") > 0
+        loaded = JobResult.from_dict(old)
+        assert loaded.ch_factorizations == loaded.line_search_trials == 0
 
 
 def _ch_only_by_hand(cfg):
@@ -231,8 +244,8 @@ class TestInterruptRestart:
         cfg.control.backend = "serial"
         return cfg
 
-    COUNTS = ("newton_iterations", "krylov_iterations", "ch_linear",
-              "ch_factorizations", "n_elems_final", "diagnostics")
+    COUNTS = ("newton_iterations", "line_search_trials", "krylov_iterations",
+              "ch_linear", "ch_factorizations", "n_elems_final", "diagnostics")
 
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
         """An uninterrupted run *without* a workdir against one cut at
@@ -288,6 +301,8 @@ class TestInterruptRestart:
         # a checkpoint step is a factor boundary: one factorization a step
         assert straight.ch_factorizations == straight.n_steps
         assert straight.ch_linear > 0 and straight.krylov_iterations > 0
+        # the resumed record counts the trials before the cut too (COUNTS)
+        assert straight.line_search_trials >= straight.newton_iterations > 0
 
     @pytest.mark.parametrize("name", ["rising_bubble_2d", "spinodal_2d"])
     def test_factors_cross_the_steps_between_checkpoints(self, tmp_path, name):
@@ -346,7 +361,10 @@ class TestInterruptRestart:
         for a, b in zip(final["resumed"][1:], final["straight"][1:]):
             assert np.array_equal(a, b)
         for name in self.COUNTS:
-            assert getattr(resumed, name) == getattr(straight, name), name
+            if name != "line_search_trials":
+                assert getattr(resumed, name) == getattr(straight, name), name
+        # not in a checkpoint that old: loads as 0, counted from the resume on
+        assert 0 < resumed.line_search_trials < straight.line_search_trials
 
     def test_checkpoint_refuses_foreign_config(self, tmp_path):
         wd = str(tmp_path / "wd")
