@@ -71,6 +71,7 @@ class RemeshInfo:
     n_coarsened: int
     identifier: Optional[IdentifierResult]
     level_histogram: np.ndarray
+    unchanged: bool  # the new tree is the old one, leaf for leaf
 
 
 def compute_target_levels(
@@ -103,7 +104,10 @@ def remesh(
     *,
     phi_name: str = "phi",
 ):
-    """One adaptation cycle.  Returns ``(new_mesh, new_fields, info)``."""
+    """One adaptation cycle.  Returns ``(new_mesh, new_fields, info)``.
+
+    ``fields`` maps names to DOF vectors ``(n_dofs,)`` on ``mesh``.
+    """
     with obs.span("remesh"):
         phi = fields[phi_name]
         with obs.span("remesh.identify"):
@@ -128,13 +132,17 @@ def remesh(
         with obs.span("remesh.balance"):
             balanced = balance(coarsened)
 
+        unchanged = balanced == tree
+
         with obs.span("remesh.transfer"):
             new_mesh = Mesh(balanced, check_balance=False)
-            new_fields = {
-                name: transfer_node_centered(mesh, vec, new_mesh)
-                for name, vec in fields.items()
-            }
+            # one located, weighted pass for every field
+            block = transfer_node_centered(
+                mesh, np.column_stack(list(fields.values())), new_mesh
+            )
+            new_fields = dict(zip(fields, block.T))
         obs.incr("remesh.cycles")
+        obs.incr("remesh.unchanged_cycles", int(unchanged))
         obs.gauge("remesh.n_refined", n_refined)
         obs.gauge("remesh.n_coarsened", n_coarsened)
         obs.gauge("remesh.n_elems", new_mesh.n_elems)
@@ -145,6 +153,7 @@ def remesh(
             n_coarsened=n_coarsened,
             identifier=ident,
             level_histogram=hist,
+            unchanged=unchanged,
         )
     return new_mesh, new_fields, info
 

@@ -31,15 +31,22 @@ from .mesh import Mesh
 from .nodes import pack_points
 
 
-def _eval_in_elements(
-    tree: Octree,
-    corner_vals: np.ndarray,
-    points: np.ndarray,
-    nudge_ref: np.ndarray,
-) -> np.ndarray:
-    """Evaluate a piecewise-multilinear field at grid points.
+def _dof_probes(mesh: Mesh):
+    """Each DOF node of ``mesh`` (grid coordinates) and, as its nudge
+    target, the centre of one element of ``mesh`` owning it as a corner."""
+    node_elem = np.zeros(mesh.n_nodes, dtype=np.int64)
+    node_elem[mesh.nodes.elem_nodes.ravel()] = np.repeat(
+        np.arange(mesh.n_elems), 1 << mesh.dim
+    )
+    dof_nodes = mesh.nodes.node_of_dof
+    centers = mesh.tree.centers()[node_elem[dof_nodes]].astype(np.int64)
+    return mesh.nodes.coords[dof_nodes], centers
 
-    ``corner_vals``: (n_elems, 2**dim) nodal values per source element.
+
+def _locate(tree: Octree, points: np.ndarray, nudge_ref: np.ndarray):
+    """Source element ``(p,)`` and multilinear weights ``(p, 2**dim)`` of
+    each grid point.
+
     ``nudge_ref``: per point, a reference point strictly inside the cell the
     caller wants the evaluation to come from; the source element is located
     with a one-grid-unit nudge toward it, so points sitting exactly on
@@ -65,29 +72,34 @@ def _eval_in_elements(
         for axis in range(dim):
             bit = (c >> axis) & 1
             w[:, c] *= xi[:, axis] if bit else (1.0 - xi[:, axis])
-    vals = corner_vals[elems]
-    if vals.ndim == 3:
-        return np.einsum("pc,pck->pk", w, vals)
-    return np.einsum("pc,pc->p", w, vals)
+    return elems, w
 
 
 def transfer_node_centered(
     old_mesh: Mesh, u_old: np.ndarray, new_mesh: Mesh
 ) -> np.ndarray:
-    """Transfer a DOF vector between meshes across arbitrary level jumps."""
-    corner_vals = old_mesh.elem_gather(u_old)
-    new_tree = new_mesh.tree
-    # For every new DOF node pick one new element owning it as a corner, and
-    # nudge the evaluation into that element's interior.
-    node_elem = np.zeros(new_mesh.n_nodes, dtype=np.int64)
-    node_elem[new_mesh.nodes.elem_nodes.ravel()] = np.repeat(
-        np.arange(new_mesh.n_elems), 1 << new_mesh.dim
-    )
-    dof_nodes = new_mesh.nodes.node_of_dof
-    pts = new_mesh.nodes.coords[dof_nodes]
-    owner = node_elem[dof_nodes]
-    centers = new_tree.centers()[owner].astype(np.int64)
-    return _eval_in_elements(old_mesh.tree, corner_vals, pts, centers)
+    """Transfer DOF values between meshes across arbitrary level jumps.
+
+    ``u_old`` is one vector ``(n_dofs,)`` or a block ``(n_dofs, k)`` of
+    them.  The new DOF points are located in the old grid and weighted once
+    for the whole block; each column is then evaluated exactly as it would
+    be alone, so a block's columns equal one-vector calls bit for bit.
+    """
+    # For every new DOF node one new element owning it as a corner; the
+    # evaluation is nudged into that element's interior.
+    elems, w = _locate(old_mesh.tree, *_dof_probes(new_mesh))
+    corners = old_mesh.nodes.elem_nodes[elems]  # (p, 2**dim) old node ids
+
+    def column(u: np.ndarray) -> np.ndarray:
+        return np.einsum("pc,pc->p", w, old_mesh.node_values(u)[corners])
+
+    u_old = np.asarray(u_old)
+    if u_old.ndim == 1:
+        return column(u_old)
+    out = np.empty((u_old.shape[1], len(elems)))
+    for j in range(u_old.shape[1]):
+        out[j] = column(u_old[:, j])
+    return out.T  # (p, k) whose columns are contiguous rows of ``out``
 
 
 def transfer_cell_centered(
@@ -200,12 +212,5 @@ def par_transfer_node_centered(
     patch = Octree(patch.anchors[keep], patch.levels[keep], dim, presorted=True)
     corner_vals = corner_vals[order][keep]
 
-    node_elem = np.zeros(new_mesh_local.n_nodes, dtype=np.int64)
-    node_elem[new_mesh_local.nodes.elem_nodes.ravel()] = np.repeat(
-        np.arange(new_mesh_local.n_elems), 1 << dim
-    )
-    dof_nodes = new_mesh_local.nodes.node_of_dof
-    pts = new_mesh_local.nodes.coords[dof_nodes]
-    owner = node_elem[dof_nodes]
-    centers = new_mesh_local.tree.centers()[owner].astype(np.int64)
-    return _eval_in_elements(patch, corner_vals, pts, centers)
+    elems, w = _locate(patch, *_dof_probes(new_mesh_local))
+    return np.einsum("pc,pc->p", w, corner_vals[elems])

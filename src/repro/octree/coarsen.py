@@ -35,9 +35,10 @@ def coarsen(tree: Octree, votes: np.ndarray) -> Octree:
     if len(tree) == 0:
         return Octree.empty(tree.dim)
 
-    anchors = tree.anchors.copy()
-    levels = tree.levels.copy()
-    maxvote = votes.copy()  # per current octant: finest vote among inputs inside
+    # The sorted working set with, per member, its SFC key and the finest
+    # vote among the input leaves inside it.  The keys travel with the set:
+    # the tree's own to start with, the merged parents' from the grouping.
+    anchors, levels, k, maxvote = tree.anchors, tree.levels, tree.keys(), votes
 
     for lev in range(int(levels.max()), 0, -1):
         at = np.nonzero(levels == lev)[0]
@@ -58,7 +59,6 @@ def coarsen(tree: Octree, votes: np.ndarray) -> Octree:
         p_anchors = pa[start]
         p_levels = np.full(len(uniq), lev - 1, dtype=np.int64)
         lo, hi = morton.descendant_key_range(p_anchors, p_levels, tree.dim)
-        k = morton.keys(anchors, levels, tree.dim)  # current set keys (sorted)
         n_under = np.searchsorted(k, hi) - np.searchsorted(k, lo)
         form = n_under == counts
         if not np.any(form):
@@ -72,10 +72,11 @@ def coarsen(tree: Octree, votes: np.ndarray) -> Octree:
         anchors = np.concatenate([anchors[keep], p_anchors[form]])
         levels = np.concatenate([levels[keep], np.full(nform, lev - 1, np.int64)])
         maxvote = np.concatenate([maxvote[keep], grp_max[form]])
-        order = np.argsort(
-            morton.keys(anchors, levels, tree.dim), kind="stable"
+        k = np.concatenate([k[keep], uniq[form]])
+        order = np.argsort(k, kind="stable")
+        anchors, levels, maxvote, k = (
+            anchors[order], levels[order], maxvote[order], k[order]
         )
-        anchors, levels, maxvote = anchors[order], levels[order], maxvote[order]
 
     return Octree(anchors, levels, tree.dim, presorted=True)
 

@@ -6,33 +6,55 @@ octree additionally contains no duplicate and no overlapping (ancestor /
 descendant) pairs, i.e. it is a set of leaves.  Incomplete octrees — leaf sets
 that do not cover the whole root cube, used for carved domains (Sec. II-C1a of
 the paper) — are fully supported; nothing in this module assumes coverage.
+
+An ``Octree`` never mutates: ``anchors`` and ``levels`` are read-only views,
+and the SFC keys every search bisects are computed once per tree (taken from
+the constructor's sort when it sorts) and kept with it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import morton
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (the caller's own handle stays writable)."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class Octree:
     """An SFC-sorted list of octants (possibly a non-leaf multiset before
     :func:`linearize`)."""
 
-    __slots__ = ("anchors", "levels", "dim")
+    __slots__ = ("anchors", "levels", "dim", "_keys")
 
     def __init__(self, anchors, levels, dim: int, *, presorted: bool = False):
         anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, dim)
         levels = np.asarray(levels, dtype=np.int64).reshape(-1)
         if anchors.shape[0] != levels.shape[0]:
             raise ValueError("anchors / levels length mismatch")
+        keys = None
         if not presorted and len(levels) > 1:
-            order = np.argsort(morton.keys(anchors, levels, dim), kind="stable")
-            anchors = anchors[order]
-            levels = levels[order]
-        self.anchors = anchors
-        self.levels = levels
+            keys = morton.keys(anchors, levels, dim)
+            order = np.argsort(keys, kind="stable")
+            anchors, levels, keys = anchors[order], levels[order], keys[order]
+        self.anchors = _frozen(anchors)
+        self.levels = _frozen(levels)
         self.dim = dim
+        self._keys = None if keys is None else _frozen(keys)
+
+    def __reduce__(self):
+        # through the constructor, so a tree shipped between processes is
+        # read-only on arrival as well
+        return functools.partial(Octree, presorted=True), (
+            self.anchors, self.levels, self.dim,
+        )
 
     # ------------------------------------------------------------------ basic
 
@@ -53,21 +75,17 @@ class Octree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Octree):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and len(self) == len(other)
-            and np.array_equal(self.anchors, other.anchors)
-            and np.array_equal(self.levels, other.levels)
-        )
+        # a key is (anchor, level) packed: equal keys are equal octants
+        return self.dim == other.dim and np.array_equal(self.keys(), other.keys())
 
     def __repr__(self) -> str:
         return f"Octree(dim={self.dim}, n={len(self)})"
 
     def keys(self) -> np.ndarray:
-        return morton.keys(self.anchors, self.levels, self.dim)
-
-    def copy(self) -> "Octree":
-        return Octree(self.anchors.copy(), self.levels.copy(), self.dim, presorted=True)
+        """The octants' SFC keys (read-only, computed on first use)."""
+        if self._keys is None:
+            self._keys = _frozen(morton.keys(self.anchors, self.levels, self.dim))
+        return self._keys
 
     def is_sorted(self) -> bool:
         k = self.keys()
@@ -97,7 +115,7 @@ class Octree:
         overlapping pair, the coarser octant is dropped.
         """
         if len(self) < 2:
-            return self.copy()
+            return self
         k = self.keys()
         order = np.argsort(k, kind="stable")
         a = self.anchors[order]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.amr.checkpoint import (
     load_checkpoint,
     rebalance_all,
@@ -17,6 +18,7 @@ from repro.amr.driver import (
     uniform_equivalent_points,
 )
 from repro.core.identifier import IdentifierConfig
+from repro.mesh.intergrid import transfer_node_centered
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.mpi.comm import run_spmd
 from repro.octree.build import uniform_tree
@@ -111,6 +113,52 @@ class TestRemesh:
         m2, f2, _ = remesh(m1, f1, cfg)
         m3, f3, _ = remesh(m2, f2, cfg)
         assert m2.tree == m3.tree
+
+    def test_unchanged_cycles_are_reported(self):
+        m = Mesh.from_tree(uniform_tree(2, 4))
+        phi_f = lambda x: drop_phi(x, (0.5, 0.5), 0.25, eps=0.02)
+        cfg = RemeshConfig(coarse_level=2, interface_level=5, feature_level=5)
+        with obs.tracing():
+            m1, f1, info1 = remesh(m, {"phi": m.interpolate(phi_f)}, cfg)
+            m2, f2, info2 = remesh(m1, f1, cfg)
+            m3, _, info3 = remesh(m2, f2, cfg)
+            counters = obs.snapshot()["counters"]
+        assert not info1.unchanged and m1.tree != m.tree
+        assert info2.unchanged == (m2.tree == m1.tree)
+        assert info3.unchanged and m3.tree == m2.tree
+        assert counters["remesh.cycles"] == 3
+        assert counters["remesh.unchanged_cycles"] == 1 + info2.unchanged
+
+    @pytest.mark.parametrize("dim,n_fields", [(2, 7), (3, 11)])
+    def test_transfer_locates_once_for_every_field(self, monkeypatch, dim,
+                                                   n_fields):
+        m = Mesh.from_tree(uniform_tree(dim, 3))
+        phi = m.interpolate(lambda x: drop_phi(x, [0.5] * dim, 0.25, eps=0.03))
+        rng = np.random.default_rng(dim)
+        fields = {"phi": phi}
+        fields.update(
+            (f"f{i}", rng.standard_normal(m.n_dofs)) for i in range(n_fields - 1)
+        )
+        calls = []
+        locate = Octree.locate_points
+
+        def counting(tree, points):
+            calls.append((tree, len(points)))
+            return locate(tree, points)
+
+        monkeypatch.setattr(Octree, "locate_points", counting)
+        cfg = RemeshConfig(coarse_level=2, interface_level=4, feature_level=4)
+        new_mesh, new_fields, info = remesh(m, fields, cfg)
+        monkeypatch.undo()
+        assert not info.unchanged
+        on_source = [n for tree, n in calls if tree is m.tree]
+        # the source tree is searched for the coarsening votes and, once for
+        # all fields, for the new DOF points
+        assert len(on_source) == 2
+        assert on_source.count(new_mesh.n_dofs) == 1
+        for name, vec in fields.items():
+            one = transfer_node_centered(m, vec, new_mesh)
+            assert np.array_equal(new_fields[name], one)
 
     def test_level_fractions_and_equivalent_points(self):
         def phi_f(x):

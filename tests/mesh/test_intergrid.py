@@ -8,7 +8,7 @@ from repro.mesh.intergrid import (
     transfer_cell_centered,
     transfer_node_centered,
 )
-from repro.mesh.mesh import Mesh
+from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.mpi.comm import run_spmd
 from repro.octree.build import build_tree, uniform_tree
 from repro.octree.partition import partition_endpoints, scatter_tree
@@ -83,6 +83,37 @@ class TestNodeCentered:
         assert np.allclose(
             v, m_uni.interpolate(lambda x: 2 * x[:, 0] + x[:, 1]), atol=1e-12
         )
+
+
+def drop_mesh(dim, center, max_level):
+    """Hanging-node mesh graded from level 2 to ``max_level`` at a sphere."""
+    c = np.asarray(center)
+
+    def phi(x):
+        return np.tanh((np.linalg.norm(x - c, axis=1) - 0.25) / 0.02)
+
+    return mesh_from_field(phi, dim, max_level=max_level, min_level=2,
+                           threshold=0.95)
+
+
+class TestBlockTransfer:
+    @pytest.mark.parametrize("dim,max_level", [(2, 6), (3, 4)])
+    def test_columns_equal_single_vector_calls(self, dim, max_level):
+        coarse = Mesh.from_tree(uniform_tree(dim, 2))
+        a = drop_mesh(dim, [0.4] * dim, max_level)
+        b = drop_mesh(dim, [0.6] * dim, max_level)
+        assert a.tree.levels.max() - coarse.tree.levels.max() >= 2
+        assert a.nodes.is_hanging.any() and b.nodes.is_hanging.any()
+        rng = np.random.default_rng(dim)
+        # coarse -> fine, fine -> coarse, and both ways between two
+        # differently graded meshes
+        for src, dst in [(coarse, a), (a, coarse), (a, b), (b, a)]:
+            u = rng.standard_normal((src.n_dofs, 5))
+            block = transfer_node_centered(src, u, dst)
+            assert block.shape == (dst.n_dofs, 5)
+            for j in range(5):
+                one = transfer_node_centered(src, u[:, j], dst)
+                assert np.array_equal(block[:, j], one)
 
 
 class TestCellCentered:

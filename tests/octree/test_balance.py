@@ -1,5 +1,7 @@
 """Tests for 2:1 balancing and neighbor queries."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.octree import morton
 from repro.octree.balance import balance, is_balanced
 from repro.octree.build import build_tree, uniform_tree
+from repro.octree.domain import BoxDomain
 from repro.octree.neighbors import (
     direction_stencil,
     face_neighbor_anchors,
@@ -138,3 +141,93 @@ def test_property_balance(seed, dim):
     # Only refinement happened.
     idx = t.locate_points(b.centers().astype(np.int64))
     assert np.all(b.levels >= t.levels[idx])
+
+
+# ------------------------------------------- incremental passes vs the oracle
+
+
+def ripple_balance(tree, domain=None):
+    """The full ripple, the oracle: every pass checks every leaf."""
+    current = tree
+    while True:
+        nbr = leaf_neighbors(current)
+        levels = current.levels
+        valid = nbr >= 0
+        nbr_levels = np.where(valid, levels[np.where(valid, nbr, 0)], 10**9)
+        required = levels[:, None] - 1
+        viol = valid & (nbr_levels < required)
+        if not np.any(viol):
+            return current
+        targets = levels.copy()
+        np.maximum.at(
+            targets, nbr[viol], np.broadcast_to(required, viol.shape)[viol]
+        )
+        current = refine(current, np.minimum(targets, levels + 1), domain=domain)
+
+
+def jumpy_tree(seed, dim, domain=None):
+    """A random leaf tree with a few leaves refined 2-4 levels in one go."""
+    rng = np.random.default_rng(seed)
+
+    def pred(anchors, levels):
+        return rng.random(len(levels)) < 0.4
+
+    t = build_tree(dim, pred, max_level=4 if dim == 2 else 3, min_level=1,
+                   domain=domain)
+    targets = t.levels.copy()
+    picks = rng.choice(len(t), size=min(3, len(t)), replace=False)
+    targets[picks] += rng.integers(2, 5, size=len(picks))
+    return refine(t, targets, domain=domain)
+
+
+#: a box whose faces cut octants at every level, so refine drops void children
+CARVED = {2: BoxDomain([0.0, 0.1], [0.7, 0.55]),
+          3: BoxDomain([0.0, 0.1, 0.2], [0.7, 0.55, 0.9])}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]),
+       carved=st.booleans())
+def test_property_balance_equals_full_ripple(seed, dim, carved):
+    domain = CARVED[dim] if carved else None
+    t = jumpy_tree(seed, dim, domain)
+    b = balance(t, domain=domain)
+    oracle = ripple_balance(t, domain=domain)
+    assert np.array_equal(b.anchors, oracle.anchors)
+    assert np.array_equal(b.levels, oracle.levels)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_carved_balance_drops_void_children(dim):
+    """The domain case the key lookup exists for: refinement inside balance
+    drops void children, so the leaf count is not a sum of 2**dim blocks."""
+    domain = CARVED[dim]
+    t = uniform_tree(dim, 2, domain=domain)
+    targets = t.levels.copy()
+    targets[len(t) // 2] = 6 if dim == 2 else 5
+    t = refine(t, targets, domain=domain)
+    b = balance(t, domain=domain)
+    assert is_balanced(b)
+    assert np.all(domain.retain(b.anchors, b.levels))
+    assert b == ripple_balance(t, domain=domain)
+
+
+def test_later_passes_check_only_what_changed(monkeypatch):
+    checked = []
+
+    def counting(tree, indices=None):
+        checked.append((len(tree), len(tree) if indices is None else len(indices)))
+        return leaf_neighbors(tree, indices)
+
+    # (the package re-exports the function under the module's name)
+    module = importlib.import_module("repro.octree.balance")
+    monkeypatch.setattr(module, "leaf_neighbors", counting)
+    t = uniform_tree(2, 3)
+    targets = t.levels.copy()
+    targets[0] = 8  # a 5-level jump: several ripple passes
+    b = balance(refine(t, targets))
+    passes = list(checked)
+    assert len(passes) >= 3
+    assert passes[0][1] == passes[0][0]  # the first pass checks every leaf
+    assert all(n_check < n_leaves for n_leaves, n_check in passes[1:])
+    assert is_balanced(b)

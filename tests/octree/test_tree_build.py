@@ -1,5 +1,7 @@
 """Tests for the Octree container, construction, and domains."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,8 +54,39 @@ class TestOctreeBasics:
 
     def test_eq(self):
         t = uniform_tree(2, 2)
-        assert t == t.copy()
+        assert t == uniform_tree(2, 2)
         assert t != uniform_tree(2, 3)
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_arrays_are_read_only(self, dim):
+        t = random_leaf_tree(np.random.default_rng(1), dim, max_level=4)
+        with pytest.raises(ValueError):
+            t.anchors[0, 0] = 1
+        with pytest.raises(ValueError):
+            t.levels[0] = 1
+        with pytest.raises(ValueError):
+            t.keys()[0] = 1
+
+    def test_caller_array_stays_writable(self):
+        anchors = np.zeros((1, 2), dtype=np.int64)
+        Octree(anchors, [0], 2)
+        anchors[0, 0] = 5  # the tree froze its own view, not the caller's
+
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_keys_are_the_morton_keys(self, presorted):
+        t = random_leaf_tree(np.random.default_rng(2), 3, max_level=4)
+        u = Octree(t.anchors[::-1], t.levels[::-1], 3) if not presorted else t
+        np.testing.assert_array_equal(u.keys(), morton.keys(u.anchors, u.levels, 3))
+        assert u.keys() is u.keys()  # computed once
+
+    def test_pickled_tree_is_read_only(self):
+        t = uniform_tree(2, 2)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t
+        with pytest.raises(ValueError):
+            back.levels[0] = 0
 
 
 class TestLinearize:
