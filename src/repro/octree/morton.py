@@ -89,6 +89,20 @@ def point_keys(points: np.ndarray, dim: int) -> np.ndarray:
     return keys(points, np.full(np.asarray(points).shape[:-1], MAX_DEPTH), dim)
 
 
+def key_contains(octant_keys, pkeys, dim: int) -> np.ndarray:
+    """Elementwise: does the octant with key ``octant_keys`` contain the grid
+    point with key ``pkeys`` (from :func:`point_keys`)?
+
+    A level-``l`` octant's Morton code is that of any point inside it with
+    the low ``dim * (MAX_DEPTH - l)`` bits cleared, so containment is
+    agreement of the two keys above those bits (and the level field).
+    """
+    octant_keys = np.asarray(octant_keys, dtype=_U)
+    levels = octant_keys & _U((1 << LEVEL_BITS) - 1)
+    shift = _U(LEVEL_BITS) + (_U(MAX_DEPTH) - levels) * _U(dim)
+    return ((octant_keys ^ np.asarray(pkeys, dtype=_U)) >> shift) == 0
+
+
 def is_ancestor(a_anchor, a_level, b_anchor, b_level, strict: bool = False):
     """Elementwise test: is octant *a* an ancestor of octant *b*?
 

@@ -32,17 +32,19 @@ def neighbor_sample_points(anchors: np.ndarray, levels: np.ndarray, dim: int):
     single sample per direction suffices for 2:1-balance checks.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
-    levels = np.asarray(levels, dtype=np.int64)
     size = morton.cell_size(levels)
-    dirs = direction_stencil(dim)  # (m, dim)
-    # coordinate per axis: -1 -> anchor-1 ; 0 -> anchor + size//2 ; 1 -> anchor+size
-    lo = anchors[:, None, :] - 1
-    mid = anchors[:, None, :] + (size[:, None, None] // 2)
-    hi = anchors[:, None, :] + size[:, None, None]
-    d = dirs[None, :, :]
-    points = np.where(d < 0, lo, np.where(d == 0, mid, hi))
+    # per octant, the coordinate along an axis whose direction component is
+    # -1 (anchor - 1), 0 (anchor + size//2) or 1 (anchor + size); built one
+    # axis at a time, which keeps NumPy's inner loops long
+    step = np.stack([np.full_like(size, -1), size // 2, size], axis=1)
+    dirs = direction_stencil(dim) + 1  # (m, dim) column of ``step``
     bound = 1 << morton.MAX_DEPTH
-    inside = np.all((points >= 0) & (points < bound), axis=-1)
+    points = np.empty((len(size), len(dirs), dim), dtype=np.int64)
+    inside = np.ones(points.shape[:2], dtype=bool)
+    for axis in range(dim):
+        coord = anchors[:, axis, None] + step[:, dirs[:, axis]]
+        points[..., axis] = coord
+        inside &= (coord >= 0) & (coord < bound)
     return points, inside
 
 

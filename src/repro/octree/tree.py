@@ -187,19 +187,10 @@ class Octree:
         # Candidate: the last leaf with key <= point key.  In pre-order the
         # containing leaf (if any) is exactly this candidate.
         idx = np.searchsorted(k, pk, side="right") - 1
-        valid = idx >= 0
-        out = np.full(len(points), -1, dtype=np.int64)
-        if np.any(valid):
-            cand = idx[valid]
-            contains = morton.is_ancestor(
-                self.anchors[cand],
-                self.levels[cand],
-                points[valid],
-                np.full(int(valid.sum()), morton.MAX_DEPTH),
-            )
-            res = np.where(contains, cand, -1)
-            out[valid] = res
-        return out
+        contains = (idx >= 0) & morton.key_contains(
+            k[np.maximum(idx, 0)], pk, self.dim
+        )
+        return np.where(contains, idx, -1)
 
     def find(self, anchors, levels) -> np.ndarray:
         """Index of each exact octant in the tree, or -1 if absent."""

@@ -174,3 +174,25 @@ def test_key_order_matches_hierarchy_property(data, dim):
     assert k_parent < k_self
     lo, hi = morton.descendant_key_range(pa, pl, dim)
     assert lo[0] <= k_self < hi[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]))
+def test_key_contains_matches_is_ancestor(seed, dim):
+    """Point containment read off the keys alone equals the geometric test,
+    at every level including the root and MAX_DEPTH."""
+    rng = np.random.default_rng(seed)
+    anchors, levels = rand_octants(rng, 200, dim, max_level=morton.MAX_DEPTH)
+    size = morton.cell_size(levels)
+    # half the points inside their octant, half anywhere in the root cube
+    inside = anchors + rng.integers(0, size[:, None], size=(200, dim))
+    anywhere = rng.integers(0, 1 << morton.MAX_DEPTH, size=(200, dim))
+    points = np.where(rng.random(200)[:, None] < 0.5, inside, anywhere)
+    got = morton.key_contains(
+        morton.keys(anchors, levels, dim), morton.point_keys(points, dim), dim
+    )
+    expect = morton.is_ancestor(
+        anchors, levels, points, np.full(200, morton.MAX_DEPTH)
+    )
+    assert np.array_equal(got, expect)
+    assert got.any() and not got.all()
