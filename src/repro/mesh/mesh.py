@@ -41,9 +41,9 @@ class Mesh:
 
     @classmethod
     def from_tree(cls, tree: Octree) -> "Mesh":
-        """Balance (if needed) and build."""
-        b = tree if is_balanced(tree) else balance(tree)
-        return cls(b, check_balance=False)
+        """Balance (if needed) and build.  ``balance`` returns a balanced
+        tree itself after one pass, so it is also the check."""
+        return cls(balance(tree), check_balance=False)
 
     # ------------------------------------------------------------ geometry
 
