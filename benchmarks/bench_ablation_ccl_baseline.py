@@ -40,7 +40,9 @@ def test_ccl_kernel(mesh, benchmark):
 def test_identifier_kernel(mesh, benchmark):
     phi = mesh.interpolate(scene_phi)
     cfg = IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3)
-    benchmark.pedantic(identify_local_cahn, args=(mesh, phi, cfg), rounds=3)
+    base = int(mesh.tree.levels.max())
+    benchmark.pedantic(identify_local_cahn, args=(mesh, phi, cfg, base),
+                       rounds=3)
 
 
 def test_ablation_ccl_report(mesh, benchmark):
@@ -51,8 +53,9 @@ def test_ablation_ccl_report(mesh, benchmark):
     ccl = flag_small_components(mesh, phi, delta=-0.8, volume_threshold=0.015)
     t_ccl = time.perf_counter() - t0
     t0 = time.perf_counter()
+    base = int(mesh.tree.levels.max())
     res = benchmark.pedantic(
-        identify_local_cahn, args=(mesh, phi, cfg), rounds=1
+        identify_local_cahn, args=(mesh, phi, cfg, base), rounds=1
     )
     t_id = time.perf_counter() - t0
 

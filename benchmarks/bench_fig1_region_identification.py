@@ -59,7 +59,9 @@ def test_fig1_octree_identifier(mesh, benchmark):
     phi = mesh.interpolate(scene_phi)
     cfg = IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3)
 
-    res = benchmark(identify_local_cahn, mesh, phi, cfg)
+    res = benchmark(
+        identify_local_cahn, mesh, phi, cfg, int(mesh.tree.levels.max())
+    )
 
     centers = mesh.elem_centers()
     d_small = np.linalg.norm(centers - np.array([0.2, 0.2]), axis=1)

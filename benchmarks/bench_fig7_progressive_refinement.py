@@ -30,11 +30,14 @@ def scene_phi(x):
 def run_remesh():
     mesh = mesh_from_field(scene_phi, 2, max_level=7, min_level=3, threshold=0.9)
     phi = mesh.interpolate(scene_phi)
+    # Sweeps are counted at feature_level 9, where a level-7 element moves
+    # every fourth sweep: 20 / 12 sweeps are 5 / 3 level-7 cells.
     cfg = RemeshConfig(
         coarse_level=3,
         interface_level=7,
         feature_level=9,
-        identifier=IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3),
+        identifier=IdentifierConfig(delta=-0.8, n_erode=20,
+                                    n_extra_dilate=12),
     )
     return remesh(mesh, {"phi": phi}, cfg)
 

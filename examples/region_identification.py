@@ -55,6 +55,7 @@ def main() -> None:
         mesh.interpolate(scene_phi),
         IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3,
                          cn_fine=0.5, cn_coarse=1.0),
+        int(mesh.tree.levels.max()),  # widths counted at the finest level
     )
     centers = mesh.elem_centers()[res.detected]
     print(

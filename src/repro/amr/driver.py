@@ -4,9 +4,11 @@
 This orchestrates the paper's per-timestep adaptation loop: the interface
 region (``|phi| < delta_star``) is resolved at ``interface_level``; elements
 flagged by the local-Cahn identifier get ``feature_level`` (deeper); pure
-phases coarsen toward ``coarse_level``.  Refinement and coarsening may jump
-several levels at once (Algorithms 5-6), after which balance is restored and
-all fields transfer to the new grid in a single multi-level pass.
+phases coarsen toward ``coarse_level``.  The identifier counts its erosion
+widths at ``feature_level``, so it measures the same physical width whatever
+mesh the run is on.  Refinement and coarsening may jump several levels at
+once (Algorithms 5-6), after which balance is restored and all fields
+transfer to the new grid in a single multi-level pass.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ def remesh(
         phi = fields[phi_name]
         with obs.span("remesh.identify"):
             ident = (
-                identify_local_cahn(mesh, phi, cfg.identifier)
+                identify_local_cahn(
+                    mesh, phi, cfg.identifier, cfg.feature_level
+                )
                 if cfg.identifier is not None
                 else None
             )

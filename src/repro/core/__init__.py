@@ -11,5 +11,4 @@ from .identifier import (  # noqa: F401
     IdentifierResult,
     identify_local_cahn,
 )
-from .multilevel import CahnStage, identify_multilevel_cahn  # noqa: F401
 from .threshold import interface_elements, threshold_octree  # noqa: F401

@@ -7,9 +7,11 @@ paper's remark: concurrent identical inserts are race-free, so no element
 ordering matters).
 
 The octree twist is the *level counter*: an element ``b_l - l`` levels
-coarser than the base (finest) level erodes/dilates only every
+coarser than the base level ``b_l`` erodes/dilates only every
 ``b_l - l + 1``-th visit, so the morphological front advances at a uniform
-physical speed across resolution jumps.
+physical speed across resolution jumps.  The base level is the finest level
+the run resolves (``RemeshConfig.feature_level`` inside a remesh): a
+property of the configuration, not of the mesh the field happens to be on.
 """
 
 from __future__ import annotations
@@ -42,16 +44,14 @@ def erode_dilate(
     bw: np.ndarray,
     stage: Stage,
     num_steps: int,
-    base_level: int | None = None,
+    base_level: int,
     stats: ErodeDilateStats | None = None,
 ) -> np.ndarray:
     """Run ``num_steps`` erosion or dilation sweeps on a ±1 nodal DOF vector.
 
-    ``base_level`` defaults to the finest level present in the mesh.
-    Returns the updated DOF vector (a new array).
+    ``base_level`` must be at least the finest level of the mesh.  Returns
+    the updated DOF vector (a new array).
     """
-    if base_level is None:
-        base_level = int(mesh.tree.levels.max())
     val = stage.value
     levels = mesh.tree.levels
     wait = base_level - levels  # visits to skip between triggers

@@ -3,15 +3,18 @@ finds droplets/filaments whose scale approaches the diffuse-interface
 thickness and returns the per-element local Cahn number.
 
 Pipeline: threshold (Eq. 4) → level-aware erosion (Alg. 2) → extra dilation
-(Alg. 2) → elemental Cn (Alg. 3 / Eq. 6) → island removal + padding on the
-Cn field (Alg. 4).  Complexity is O(N) per sweep — each sweep is one
-elemental MATVEC pass — which is the basis of the Fig. 4 scaling claims.
+(Alg. 2) → elemental mask (Alg. 3 / Eq. 6) → island removal + padding on the
+mask (Alg. 4).  Complexity is O(N) per sweep — each sweep is one elemental
+MATVEC pass — which is the basis of the Fig. 4 scaling claims.
+
+Every sweep measures its width from one ``base_level``, the finest level the
+run resolves; :func:`repro.amr.driver.remesh` passes
+``RemeshConfig.feature_level``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +35,10 @@ class IdentifierConfig:
     cn_coarse: float = 1.0  # ambient Cahn (relative)
     cleanup_erode: int = 1  # Alg. 4 island-removal sweeps
     cleanup_dilate: int = 3  # Alg. 4 padding sweeps
-    base_level: Optional[int] = None  # defaults to finest mesh level
+
+    def __post_init__(self):
+        if not self.cn_fine < self.cn_coarse:
+            raise ValueError("cn_fine must be smaller than cn_coarse")
 
 
 @dataclass
@@ -45,40 +51,40 @@ class IdentifierResult:
 
 
 def identify_local_cahn(
-    mesh: Mesh, phi: np.ndarray, config: IdentifierConfig | None = None
+    mesh: Mesh, phi: np.ndarray, config: IdentifierConfig, base_level: int
 ) -> IdentifierResult:
     """Run Algorithm 1 on a phase-field DOF vector.
 
     ``phi`` follows the CHNS convention (immersed phase toward -1 or +1);
     choose ``config.delta`` accordingly: with the immersed phase at -1, use
-    ``delta = -0.8`` so thresholding marks it +1.
+    ``delta = -0.8`` so thresholding marks it +1.  ``base_level`` is the
+    level the erosion widths are counted at; it must be at least the finest
+    level of ``mesh``.
     """
-    cfg = config or IdentifierConfig()
     stats = ErodeDilateStats()
-    base = (
-        int(mesh.tree.levels.max()) if cfg.base_level is None else cfg.base_level
+    bw_o = threshold_octree(phi, config.delta)
+    bw_e = erode_dilate(
+        mesh, bw_o, Stage.EROSION, config.n_erode, base_level, stats
     )
-    bw_o = threshold_octree(phi, cfg.delta)
-    bw_e = erode_dilate(mesh, bw_o, Stage.EROSION, cfg.n_erode, base, stats)
     bw_d = erode_dilate(
         mesh,
         bw_e,
         Stage.DILATION,
-        cfg.n_erode + cfg.n_extra_dilate,
-        base,
+        config.n_erode + config.n_extra_dilate,
+        base_level,
         stats,
     )
-    elem_cn = elemental_cahn(mesh, bw_o, bw_d, cfg.cn_fine, cfg.cn_coarse)
-    elem_cn = erode_dilate_cahn(
+    detected = erode_dilate_cahn(
         mesh,
-        elem_cn,
-        cfg.cn_fine,
-        cfg.cn_coarse,
-        base_level=base,
-        n_erode=cfg.cleanup_erode,
-        n_dilate=cfg.cleanup_dilate,
+        elemental_cahn(mesh, bw_o, bw_d),
+        base_level,
+        n_erode=config.cleanup_erode,
+        n_dilate=config.cleanup_dilate,
     )
-    detected = np.abs(elem_cn - cfg.cn_fine) < 1e-12
     return IdentifierResult(
-        elem_cn=elem_cn, bw_o=bw_o, bw_d=bw_d, detected=detected, stats=stats
+        elem_cn=np.where(detected, config.cn_fine, config.cn_coarse),
+        bw_o=bw_o,
+        bw_d=bw_d,
+        detected=detected,
+        stats=stats,
     )

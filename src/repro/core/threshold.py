@@ -26,10 +26,3 @@ def interface_elements(mesh: Mesh, bw: np.ndarray, tol: float = 1e-9) -> np.ndar
     ev = mesh.elem_gather(bw)  # (n_elems, nc)
     nc = ev.shape[1]
     return np.abs(np.abs(ev.sum(axis=1)) - nc) > tol
-
-
-def pure_phase_elements(mesh: Mesh, bw: np.ndarray, sign: float, tol: float = 1e-9):
-    """Elements whose corners are all at ``sign`` (+1 or -1)."""
-    ev = mesh.elem_gather(bw)
-    nc = ev.shape[1]
-    return np.abs(ev.sum(axis=1) - sign * nc) <= tol

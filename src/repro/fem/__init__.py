@@ -1,13 +1,10 @@
-"""FEM kernels: basis, GEMM-expressed operators, assembly plans, zip/unzip."""
+"""FEM kernels: basis, GEMM-expressed operators, assembly plans, zip/unzip.
 
-from .assembly import apply_dirichlet, assemble_matrix, assemble_vector  # noqa: F401
-from .matvec import MatrixFreeOperator, apply_elemental  # noqa: F401
-from .plan import (  # noqa: F401
-    AssemblyPlan,
-    StaleAssemblyPlanError,
-    get_plan,
-    plan_assemble,
-)
+Only the mesh-free modules are re-exported here, so ``repro.mesh`` can use
+``repro.fem.basis`` without an import cycle; import the mesh-bound ones
+(``assembly``, ``plan``, ``matvec``) from their modules.
+"""
+
 from .operators import (  # noqa: F401
     convection_matrix,
     load_vector,

@@ -2,9 +2,12 @@
 reference element ``[0, 1]**dim``.
 
 Corner ordering matches Morton child order: corner ``c`` has coordinate bit
-``(c >> axis) & 1`` along each axis, the same convention as
-:func:`repro.octree.morton.children` and the mesh node tables — elemental
-arrays line up with no permutation anywhere.
+``(c >> axis) & 1`` along each axis (:func:`repro.octree.morton.corner_bits`,
+shared with :func:`repro.octree.morton.children` and the mesh node tables) —
+elemental arrays line up with no permutation anywhere.
+:func:`shape_functions` is the one multilinear evaluation: quadrature
+tables, hanging-node weights, inter-grid transfer, point evaluation and the
+GMG prolongation all call it.
 
 Octree elements are axis-aligned cubes of side ``h``, so the reference-to-
 physical map is a pure scaling: ``det J = h**dim`` and reference gradients
@@ -19,16 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-@lru_cache(maxsize=None)
-def corner_bits(dim: int) -> np.ndarray:
-    """Corner coordinates (2**dim, dim) in {0,1}, Morton order."""
-    nc = 1 << dim
-    out = np.zeros((nc, dim), dtype=np.int64)
-    for c in range(nc):
-        for axis in range(dim):
-            out[c, axis] = (c >> axis) & 1
-    return out
+from ..octree.morton import corner_bits
 
 
 @lru_cache(maxsize=None)

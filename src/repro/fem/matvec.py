@@ -11,12 +11,9 @@ same function over its local element chunk.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..mesh.mesh import Mesh
-from .plan import get_plan
 
 
 def elemental_pass(
@@ -41,43 +38,3 @@ def apply_elemental(mesh: Mesh, Ke: np.ndarray, u: np.ndarray) -> np.ndarray:
         elemental_pass(Ke, nodes.elem_nodes, nodes.node_values(u))
     )
 
-
-class MatrixFreeOperator:
-    """Callable operator wrapping a batch of elemental matrices, with
-    optional Dirichlet constraints (constrained DOFs act as identity)."""
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        Ke: np.ndarray,
-        dirichlet_mask: Optional[np.ndarray] = None,
-    ):
-        self.mesh = mesh
-        self.Ke = Ke
-        self.mask = dirichlet_mask
-        self.shape = (mesh.n_dofs, mesh.n_dofs)
-        self.dtype = np.float64
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        if self.mask is None:
-            return apply_elemental(self.mesh, self.Ke, u)
-        uu = u.copy()
-        uu[self.mask] = 0.0
-        v = apply_elemental(self.mesh, self.Ke, uu)
-        v[self.mask] = u[self.mask]
-        return v
-
-    __call__ = matvec
-
-    def diagonal(self) -> np.ndarray:
-        """Assembled diagonal (for Jacobi preconditioning) — bitwise equal
-        to ``plan.assemble(Ke).diagonal()`` via the plan's diagonal
-        sub-plan, hence exact on hanging-node meshes (the historical
-        per-element ``Ke[:, i, i]`` scatter was only approximate there)."""
-        d = get_plan(self.mesh).diagonal(self.Ke)
-        if self.mask is not None:
-            d[self.mask] = 1.0
-        # Zero diagonal entries can appear only on degenerate meshes; keep
-        # them invertible for Jacobi.
-        d[d == 0.0] = 1.0
-        return d

@@ -141,10 +141,9 @@ class AssemblyPlan:
         self.indices = proto.indices
         self.indptr = proto.indptr
 
-        # Lazily-built sub-plans: :meth:`diagonal`, :meth:`scatter_loads`
-        # (from the node table's ``P`` / ``elem_nodes``), one
-        # :meth:`eliminate` plan per mask, the :meth:`block_2x2` layout.
-        self._diag_plan = None
+        # Lazily-built sub-plans: :meth:`scatter_loads` (from the node
+        # table's ``P`` / ``elem_nodes``), one :meth:`eliminate` plan per
+        # mask, the :meth:`block_2x2` layout.
         self._P, self._en = P, en
         self._scatter = None
         self._dirichlet: dict = {}
@@ -251,32 +250,6 @@ class AssemblyPlan:
         data[diag] = 1.0
         obs.incr("assembly.dirichlet")
         return self._matrix(data)
-
-    def diagonal(self, Ke: np.ndarray) -> np.ndarray:
-        """``assemble(Ke).diagonal()`` without assembling: scatter only the
-        expanded entries whose destination sits on the CSR diagonal.
-
-        The diagonal sub-plan preserves the full scatter's per-slot
-        summation order (masking keeps relative entry order and bincount
-        accumulates in ascending entry order), so the result is **bitwise**
-        equal to the assembled diagonal — exact on hanging-node meshes,
-        where the naive per-element ``Ke[:, i, i]`` scatter is not.
-        """
-        Ke = self._checked(Ke, self.ke_shape)
-        if self._diag_plan is None:
-            dest_row = self._slot_rows()[self._slot]
-            on_diag = dest_row == self.indices[self._slot]
-            self._diag_plan = (
-                self._src[on_diag],
-                self._weight[on_diag],
-                dest_row[on_diag],
-            )
-        d_src, d_weight, d_row = self._diag_plan
-        with obs.span("assembly.diagonal"):
-            return np.bincount(
-                d_row, weights=Ke.ravel()[d_src] * d_weight,
-                minlength=self.n_dofs,
-            )
 
 
 def get_plan(mesh: Mesh) -> AssemblyPlan:

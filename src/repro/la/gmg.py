@@ -27,6 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..fem.basis import shape_functions
 from ..mesh.mesh import Mesh
 from ..octree import morton
 
@@ -44,20 +45,12 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     a = coarse.tree.anchors[elems]
     s = coarse.tree.sizes()[elems].astype(np.float64)
     xi = np.clip((pts - a) / s[:, None], 0.0, 1.0)
-    nc = 1 << coarse.dim
-    rows, cols, vals = [], [], []
+    w = shape_functions(xi, coarse.dim)
     corner_dofs = coarse.nodes.elem_nodes[elems]  # uniform: nodes == dofs
-    for c in range(nc):
-        w = np.ones(len(pts))
-        for axis in range(coarse.dim):
-            bit = (c >> axis) & 1
-            w *= xi[:, axis] if bit else (1.0 - xi[:, axis])
-        keep = w > 1e-12
-        rows.append(np.nonzero(keep)[0])
-        cols.append(corner_dofs[keep, c])
-        vals.append(w[keep])
+    keep = (w > 1e-12).T  # entries corner-major
+    rows = np.broadcast_to(np.arange(len(pts)), keep.shape)[keep]
     P = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (w.T[keep], (rows, corner_dofs.T[keep])),
         shape=(fine.n_dofs, coarse.n_dofs),
     )
     P.sum_duplicates()
@@ -106,22 +99,13 @@ def _mesh_prolongation(mesh: Mesh, level: int) -> sp.csr_matrix:
     xyz = mesh.nodes.coords[mesh.nodes.node_of_dof]
     cell = np.minimum(xyz >> shift, n - 2)
     xi = (xyz - (cell << shift)) / float(1 << shift)
-    dofs = np.arange(mesh.n_dofs)
-    rows, cols, vals = [], [], []
-    for corner in range(1 << dim):
-        w = np.ones(mesh.n_dofs)
-        col = np.zeros(mesh.n_dofs, dtype=np.int64)
-        for axis in range(dim):
-            bit = (corner >> axis) & 1
-            w *= xi[:, axis] if bit else 1.0 - xi[:, axis]
-            col += (cell[:, axis] + bit) * n**axis
-        keep = w > 0.0
-        rows.append(dofs[keep])
-        cols.append(col[keep])
-        vals.append(w[keep])
+    w = shape_functions(xi, dim)
+    # lexicographic index of each corner's grid point, x fastest
+    col = (cell[:, None, :] + morton.corner_bits(dim)) @ n ** np.arange(dim)
+    keep = (w > 0.0).T  # corner-major
+    rows = np.broadcast_to(np.arange(mesh.n_dofs), keep.shape)[keep]
     return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_dofs, n**dim),
+        (w.T[keep], (rows, col.T[keep])), shape=(mesh.n_dofs, n**dim)
     )
 
 

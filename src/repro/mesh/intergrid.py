@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fem.basis import shape_functions
 from ..mpi.comm import Comm
 from ..mpi.sparse_exchange import nbx_exchange
 from ..octree import morton
@@ -54,7 +55,6 @@ def _locate(tree: Octree, points: np.ndarray, nudge_ref: np.ndarray):
     continuous across faces, so any side gives the same answer — the paper's
     "final value is arbitrarily picked from one of the instances").
     """
-    dim = tree.dim
     probe = points + np.sign(nudge_ref - points).astype(np.int64)
     probe = np.clip(probe, 0, (1 << morton.MAX_DEPTH) - 1)
     elems = tree.locate_points(probe)
@@ -65,14 +65,7 @@ def _locate(tree: Octree, points: np.ndarray, nudge_ref: np.ndarray):
     xi = (points - a) / s[:, None]
     if np.any(xi < -1e-9) or np.any(xi > 1 + 1e-9):
         raise AssertionError("evaluation point left the located element")
-    xi = np.clip(xi, 0.0, 1.0)
-    nc = 1 << dim
-    w = np.ones((len(points), nc))
-    for c in range(nc):
-        for axis in range(dim):
-            bit = (c >> axis) & 1
-            w[:, c] *= xi[:, axis] if bit else (1.0 - xi[:, axis])
-    return elems, w
+    return elems, shape_functions(np.clip(xi, 0.0, 1.0), tree.dim)
 
 
 def transfer_node_centered(

@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..fem.basis import shape_functions
 from ..octree import morton
 from ..octree.balance import balance, is_balanced
 from ..octree.tree import Octree
@@ -145,12 +146,7 @@ class Mesh:
         s = self.tree.sizes()[elems].astype(np.float64)
         xi = np.clip((points * self._scale - a) / s[:, None], 0.0, 1.0)
         corner_vals = self.node_values(u)[self.nodes.elem_nodes[elems]]
-        nc = 1 << self.dim
-        w = np.ones((len(points), nc))
-        for c in range(nc):
-            for axis in range(self.dim):
-                bit = (c >> axis) & 1
-                w[:, c] *= xi[:, axis] if bit else (1.0 - xi[:, axis])
+        w = shape_functions(xi, self.dim)
         if corner_vals.ndim == 3:
             return np.einsum("pc,pck->pk", w, corner_vals)
         return np.einsum("pc,pc->p", w, corner_vals)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ..fem.basis import shape_functions
 from ..octree import morton
 from ..octree.tree import Octree
 
@@ -95,11 +96,7 @@ def enumerate_nodes(tree: Octree) -> NodeTable:
     n_nodes = len(coords)
 
     # --- find touching leaves via probe points p + off, off in {0,-1}^dim ---
-    offsets = np.zeros((nc, dim), dtype=np.int64)
-    for c in range(nc):
-        for axis in range(dim):
-            offsets[c, axis] = -((c >> axis) & 1)
-    probes = coords[:, None, :] + offsets[None, :, :]  # (M, nc, dim)
+    probes = coords[:, None, :] - morton.corner_bits(dim)  # (M, nc, dim)
     bound = 1 << morton.MAX_DEPTH
     valid = np.all((probes >= 0) & (probes < bound), axis=-1)
     touch = np.full((n_nodes, nc), -1, dtype=np.int64)
@@ -149,11 +146,7 @@ def enumerate_nodes(tree: Octree) -> NodeTable:
         s = tree.sizes()[leaf].astype(np.float64)
         xi = (coords[h_idx] - a) / s[:, None]  # in [0,1]^dim
         # Multilinear weights over the leaf's 2**dim corners.
-        w = np.ones((len(h_idx), nc))
-        for c in range(nc):
-            for axis in range(dim):
-                bit = (c >> axis) & 1
-                w[:, c] *= xi[:, axis] if bit else (1.0 - xi[:, axis])
+        w = shape_functions(xi, dim)
         # Corner node ids of the chosen leaves.
         corner_nodes = elem_nodes[leaf]  # works because leaf is an element idx
         keep = w > 1e-12

@@ -91,11 +91,8 @@ def tree_from_function(
     """
     scale = float(1 << morton.MAX_DEPTH)
     nc = 1 << dim
-    corner_off = np.zeros((nc + 1, dim), dtype=np.float64)
-    for c in range(nc):
-        for axis in range(dim):
-            corner_off[c, axis] = (c >> axis) & 1
-    corner_off[nc] = 0.5  # center sample
+    # corners, then the center sample
+    corner_off = np.vstack([morton.corner_bits(dim), np.full((1, dim), 0.5)])
 
     def pred(anchors, levels):
         size = morton.cell_size(levels).astype(np.float64)

@@ -19,6 +19,8 @@ too via NumPy broadcasting.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 #: Deepest admissible refinement level.  The paper's jet atomization run uses
@@ -137,6 +139,17 @@ def parent(anchors, levels):
     return anchors & ~(psize - 1)[..., None], levels - 1
 
 
+@lru_cache(maxsize=None)
+def corner_bits(dim: int) -> np.ndarray:
+    """Corner offsets ``(2**dim, dim)`` in {0, 1}, Morton order: corner
+    ``c`` has bit ``(c >> axis) & 1`` along each axis.  Child order, element
+    corner order and the node tables all follow it.  Read-only."""
+    c = np.arange(1 << dim, dtype=np.int64)
+    out = (c[:, None] >> np.arange(dim, dtype=np.int64)) & 1
+    out.setflags(write=False)
+    return out
+
+
 def children(anchors, levels, dim: int):
     """All ``2**dim`` children of each octant, in Morton order.
 
@@ -149,11 +162,9 @@ def children(anchors, levels, dim: int):
         raise ValueError("cannot refine past MAX_DEPTH")
     half = cell_size(levels + 1)  # child size
     nchild = 1 << dim
-    offsets = np.zeros((nchild, dim), dtype=np.int64)
-    for c in range(nchild):
-        for axis in range(dim):
-            offsets[c, axis] = (c >> axis) & 1
-    child_anchors = anchors[..., None, :] + offsets * half[..., None, None]
+    child_anchors = (
+        anchors[..., None, :] + corner_bits(dim) * half[..., None, None]
+    )
     child_levels = np.broadcast_to(
         (levels + 1)[..., None], levels.shape + (nchild,)
     ).copy()

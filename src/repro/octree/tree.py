@@ -162,13 +162,8 @@ class Octree:
 
     def corners(self) -> np.ndarray:
         """Corner coordinates, shape ``(n, 2**dim, dim)``, in Morton corner order."""
-        n = len(self)
-        nc = 1 << self.dim
-        offsets = np.zeros((nc, self.dim), dtype=np.int64)
-        for c in range(nc):
-            for axis in range(self.dim):
-                offsets[c, axis] = (c >> axis) & 1
-        return self.anchors[:, None, :] + offsets[None, :, :] * self.sizes()[:, None, None]
+        offsets = morton.corner_bits(self.dim)
+        return self.anchors[:, None, :] + offsets * self.sizes()[:, None, None]
 
     # --------------------------------------------------------------- search
 

@@ -88,11 +88,14 @@ class TestRemesh:
 
         m = mesh_from_field(phi_f, 2, max_level=7, min_level=4, threshold=0.9)
         phi = m.interpolate(phi_f)
+        # Sweeps are counted at feature_level 8, where a level-7 element
+        # moves every second sweep: 10 / 6 sweeps are 5 / 3 level-7 cells.
         cfg = RemeshConfig(
             coarse_level=4,
             interface_level=7,
             feature_level=8,
-            identifier=IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3),
+            identifier=IdentifierConfig(delta=-0.8, n_erode=10,
+                                        n_extra_dilate=6),
         )
         new_mesh, _, info = remesh(m, {"phi": phi}, cfg)
         assert info.identifier is not None

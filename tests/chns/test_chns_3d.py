@@ -31,7 +31,7 @@ class TestIdentifier3D:
         phi = mesh3d.interpolate(lambda x: drop(x, (0.5, 0.5, 0.5), 0.2, 0.05))
         bw = threshold_octree(phi, -0.8)
         assert np.any(bw > 0)
-        out = erode_dilate(mesh3d, bw, Stage.EROSION, 2)
+        out = erode_dilate(mesh3d, bw, Stage.EROSION, 2, 3)
         assert np.all(out < 0)
 
     def test_identifier_flags_small_ball_only(self):
@@ -49,6 +49,7 @@ class TestIdentifier3D:
             m,
             m.interpolate(phi_f),
             IdentifierConfig(delta=-0.8, n_erode=3, n_extra_dilate=2),
+            int(m.tree.levels.max()),
         )
         assert res.detected.sum() > 0
         centers = m.elem_centers()[res.detected]
@@ -62,7 +63,7 @@ class TestIdentifier3D:
 
         phi = mesh3d.interpolate(lambda x: drop(x, (0.4, 0.5, 0.5), 0.3, 0.04))
         bw = threshold_octree(phi, -0.8)
-        out = erode_dilate(mesh3d, bw, Stage.EROSION, 1)
+        out = erode_dilate(mesh3d, bw, Stage.EROSION, 1, 3)
         n = round(mesh3d.n_dofs ** (1 / 3))
         coords = mesh3d.nodes.coords[mesh3d.nodes.node_of_dof]
         step = coords.max() // (n - 1)

@@ -99,7 +99,8 @@ class TestSizeFilter:
         assert stats.small_elements.sum() == 0  # CCL finds nothing
 
         res = identify_local_cahn(
-            m, phi, IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3)
+            m, phi, IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3),
+            int(m.tree.levels.max()),
         )
         centers = m.elem_centers()[res.detected]
         on_filament = (

@@ -3,12 +3,15 @@ Fig. 1) — image reference, octree kernels, and their equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import image
 from repro.core.elemental_cahn import elemental_cahn, erode_dilate_cahn
 from repro.core.erode_dilate import ErodeDilateStats, Stage, erode_dilate
 from repro.core.identifier import IdentifierConfig, identify_local_cahn
 from repro.core.threshold import interface_elements, threshold_octree
+from repro.chns.initial_conditions import drop
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
 
@@ -131,7 +134,7 @@ class TestOctreeKernels:
             lambda x: drop_phi(x, (0.4, 0.45), 0.2, eps=0.02)
         )
         bw = threshold_octree(phi, -0.8)
-        out = erode_dilate(m, bw, stage, steps)
+        out = erode_dilate(m, bw, stage, steps, 5)
         grid_in = ((self.node_grid(m, bw) + 1) / 2).astype(np.int8)
         if stage is Stage.EROSION:
             ref = image.erode(grid_in, steps)
@@ -157,12 +160,18 @@ class TestOctreeKernels:
         direct = erode_dilate(m, bw, Stage.EROSION, 1, 4)
         assert np.array_equal(three, direct)
 
+    def test_base_level_below_finest_level_rejected(self):
+        m = self.uniform_mesh(4)
+        bw = np.ones(m.n_dofs)
+        with pytest.raises(ValueError, match="finest mesh level"):
+            erode_dilate(m, bw, Stage.EROSION, 1, 3)
+
     def test_erosion_removes_small_drop_completely(self):
         m = self.uniform_mesh(5)
         phi = m.interpolate(lambda x: drop_phi(x, (0.5, 0.5), 0.04))
         bw = threshold_octree(phi, -0.8)
         assert np.any(bw > 0)
-        out = erode_dilate(m, bw, Stage.EROSION, 3)
+        out = erode_dilate(m, bw, Stage.EROSION, 3, 5)
         assert np.all(out < 0)
 
     def test_insert_values_consistent(self):
@@ -171,7 +180,7 @@ class TestOctreeKernels:
         m = self.uniform_mesh(4)
         phi = m.interpolate(lambda x: drop_phi(x, (0.5, 0.5), 0.2))
         bw = threshold_octree(phi, -0.8)
-        out = erode_dilate(m, bw, Stage.EROSION, 1)
+        out = erode_dilate(m, bw, Stage.EROSION, 1, 4)
         assert set(np.unique(out)) <= {-1.0, 1.0}
 
     def test_stats_counting(self):
@@ -179,7 +188,7 @@ class TestOctreeKernels:
         phi = m.interpolate(lambda x: drop_phi(x, (0.5, 0.5), 0.2))
         bw = threshold_octree(phi, -0.8)
         stats = ErodeDilateStats()
-        erode_dilate(m, bw, Stage.EROSION, 2, None, stats)
+        erode_dilate(m, bw, Stage.EROSION, 2, 4, stats)
         assert stats.steps == 2
         assert stats.elements_visited == 2 * m.n_elems
         assert stats.elements_triggered > 0
@@ -187,40 +196,39 @@ class TestOctreeKernels:
 
 class TestElementalCahn:
     def test_eq6_detection(self):
-        """A region +1 at threshold but -1 after dilation gets reduced Cn."""
+        """A region +1 at threshold but -1 after dilation is marked."""
         m = Mesh.from_tree(uniform_tree(2, 5))
         phi = m.interpolate(lambda x: drop_phi(x, (0.5, 0.5), 0.09))
         bw_o = threshold_octree(phi, -0.8)
-        bw_e = erode_dilate(m, bw_o, Stage.EROSION, 4)
-        bw_d = erode_dilate(m, bw_e, Stage.DILATION, 8)
-        cn = elemental_cahn(m, bw_o, bw_d, 0.5, 1.0)
-        detected = cn == 0.5
+        bw_e = erode_dilate(m, bw_o, Stage.EROSION, 4, 5)
+        bw_d = erode_dilate(m, bw_e, Stage.DILATION, 8, 5)
+        detected = elemental_cahn(m, bw_o, bw_d)
+        assert detected.dtype == bool and detected.shape == (m.n_elems,)
         assert detected.sum() > 0
         centers = m.elem_centers()[detected]
         assert np.all(np.linalg.norm(centers - 0.5, axis=1) < 0.12)
 
     def test_rejects_bad_cn_ordering(self):
-        m = Mesh.from_tree(uniform_tree(2, 2))
-        z = np.ones(m.n_dofs)
-        with pytest.raises(ValueError):
-            elemental_cahn(m, z, z, 1.0, 0.5)
+        with pytest.raises(ValueError, match="cn_fine"):
+            IdentifierConfig(cn_fine=1.0, cn_coarse=0.5)
+        with pytest.raises(ValueError, match="cn_fine"):
+            IdentifierConfig(cn_fine=0.5, cn_coarse=0.5)
 
     def test_island_removal(self):
         """Algorithm 4: a single-element island of reduced Cn is erased."""
         m = Mesh.from_tree(uniform_tree(2, 4))
-        cn = np.full(m.n_elems, 1.0)
-        cn[50] = 0.5  # lone island
-        out = erode_dilate_cahn(m, cn, 0.5, 1.0, n_erode=1, n_dilate=0)
-        assert np.all(out == 1.0)
+        island = np.zeros(m.n_elems, dtype=bool)
+        island[50] = True  # lone island
+        out = erode_dilate_cahn(m, island, 4, n_erode=1, n_dilate=0)
+        assert not out.any()
 
     def test_padding_grows_region(self):
         m = Mesh.from_tree(uniform_tree(2, 4))
-        cn = np.full(m.n_elems, 1.0)
         centers = m.elem_centers()
         blob = np.linalg.norm(centers - 0.5, axis=1) < 0.15
-        cn[blob] = 0.5
-        out = erode_dilate_cahn(m, cn, 0.5, 1.0, n_erode=0, n_dilate=2)
-        assert (out == 0.5).sum() > blob.sum()
+        out = erode_dilate_cahn(m, blob, 4, n_erode=0, n_dilate=2)
+        assert out.sum() > blob.sum()
+        assert np.all(out[blob])
 
 
 class TestIdentifier:
@@ -234,7 +242,8 @@ class TestIdentifier:
         m = mesh_from_field(phi_f, 2, max_level=7, min_level=4, threshold=0.9)
         phi = m.interpolate(phi_f)
         res = identify_local_cahn(
-            m, phi, IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3)
+            m, phi, IdentifierConfig(delta=-0.8, n_erode=5, n_extra_dilate=3),
+            int(m.tree.levels.max()),
         )
         assert res.detected.sum() > 0
         centers = m.elem_centers()[res.detected]
@@ -247,9 +256,9 @@ class TestIdentifier:
     def test_no_features_no_detection(self):
         m = Mesh.from_tree(uniform_tree(2, 4))
         phi = np.ones(m.n_dofs)  # pure bulk phase
-        res = identify_local_cahn(m, phi, IdentifierConfig(delta=-0.8))
+        res = identify_local_cahn(m, phi, IdentifierConfig(delta=-0.8), 4)
         assert res.detected.sum() == 0
-        assert np.all(res.elem_cn == res.elem_cn[0])
+        assert np.all(res.elem_cn == IdentifierConfig().cn_coarse)
 
     def test_adaptive_mesh_detection(self):
         """The identifier works across level jumps (the paper's key claim)."""
@@ -261,13 +270,131 @@ class TestIdentifier:
         assert m.tree.levels.max() - m.tree.levels.min() >= 3
         phi = m.interpolate(phi_f)
         res = identify_local_cahn(
-            m, phi, IdentifierConfig(delta=-0.8, n_erode=4, n_extra_dilate=4)
+            m, phi, IdentifierConfig(delta=-0.8, n_erode=4, n_extra_dilate=4),
+            int(m.tree.levels.max()),
         )
         assert res.detected.sum() > 0
 
     def test_stats_accumulated(self):
         m = Mesh.from_tree(uniform_tree(2, 4))
         phi = m.interpolate(lambda x: drop_phi(x, (0.5, 0.5), 0.05))
-        res = identify_local_cahn(m, phi, IdentifierConfig(delta=-0.8))
+        res = identify_local_cahn(m, phi, IdentifierConfig(delta=-0.8), 4)
         cfg = IdentifierConfig()
         assert res.stats.steps == cfg.n_erode + cfg.n_erode + cfg.n_extra_dilate
+
+
+def cn_field_detected(mesh, phi, cfg, base_level):
+    """Algorithms 3-4 written on a float Cn field that is compared back
+    against ``cn_fine`` after each algorithm: an independent spelling of the
+    mask pipeline, kept as its oracle."""
+    bw_o = threshold_octree(phi, cfg.delta)
+    bw_e = erode_dilate(mesh, bw_o, Stage.EROSION, cfg.n_erode, base_level)
+    bw_d = erode_dilate(
+        mesh, bw_e, Stage.DILATION, cfg.n_erode + cfg.n_extra_dilate,
+        base_level,
+    )
+    nc = 1 << mesh.dim
+    eo = mesh.elem_gather(bw_o).sum(axis=1)
+    ed = mesh.elem_gather(bw_d).sum(axis=1)
+    marked = (np.abs(eo - nc) <= 1e-9) & (np.abs(ed + nc) <= 1e-9)
+    elem_cn = np.where(marked, cfg.cn_fine, cfg.cn_coarse)
+    nodal = np.ones(mesh.n_nodes)
+    local = np.abs(elem_cn - cfg.cn_fine) < 1e-12
+    nodal[mesh.nodes.elem_nodes[local].ravel()] = -1.0
+    vec = nodal[mesh.nodes.node_of_dof]
+    if cfg.cleanup_erode:
+        vec = erode_dilate(
+            mesh, vec, Stage.DILATION, cfg.cleanup_erode, base_level
+        )
+    if cfg.cleanup_dilate:
+        vec = erode_dilate(
+            mesh, vec, Stage.EROSION, cfg.cleanup_dilate, base_level
+        )
+    elem_cn = np.where(
+        np.any(mesh.elem_gather(vec) < 0.0, axis=1), cfg.cn_fine,
+        cfg.cn_coarse,
+    )
+    return np.abs(elem_cn - cfg.cn_fine) < 1e-12
+
+
+def _two_drops(x):
+    return np.minimum(
+        drop_phi(x, (0.25, 0.25), 0.05, eps=0.008),
+        drop_phi(x, (0.7, 0.7), 0.22, eps=0.008),
+    )
+
+
+def _two_balls(x):
+    return np.minimum(
+        drop(x, (0.2, 0.2, 0.2), 0.14, 0.03),
+        drop(x, (0.7, 0.7, 0.7), 0.26, 0.03),
+    )
+
+
+#: (field, dim, max_level, min_level, IdentifierConfig kwargs, detected
+#: count): the adaptive scenes of this file and of the 3D suite.
+SCENES = {
+    "two_drops_2d": (
+        _two_drops, 2, 7, 4, dict(delta=-0.8, n_erode=5, n_extra_dilate=3),
+        172,
+    ),
+    "small_drop_2d": (
+        lambda x: drop_phi(x, (0.5, 0.5), 0.04, eps=0.01), 2, 7, 3,
+        dict(delta=-0.8, n_erode=4, n_extra_dilate=4), 100,
+    ),
+    "two_balls_3d": (
+        _two_balls, 3, 5, 3, dict(delta=-0.8, n_erode=3, n_extra_dilate=2),
+        729,
+    ),
+}
+
+
+class TestMaskPipeline:
+    """``detected`` on hanging-node meshes with the base level at the
+    finest mesh level: the mask pipeline marks exactly what the Cn-field
+    oracle marks, and the pinned counts fix the marked set."""
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_detected_matches_cn_field_oracle(self, scene):
+        field, dim, max_level, min_level, kw, count = SCENES[scene]
+        m = mesh_from_field(
+            field, dim, max_level=max_level, min_level=min_level,
+            threshold=0.9,
+        )
+        assert m.nodes.is_hanging.any()
+        cfg = IdentifierConfig(**kw)
+        base = int(m.tree.levels.max())
+        phi = m.interpolate(field)
+        res = identify_local_cahn(m, phi, cfg, base)
+        assert res.detected.dtype == bool
+        oracle = cn_field_detected(m, phi, cfg, base)
+        assert np.array_equal(res.detected, oracle)
+        assert int(res.detected.sum()) == count
+        assert np.array_equal(
+            res.elem_cn, np.where(res.detected, cfg.cn_fine, cfg.cn_coarse)
+        )
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]),
+       extra=st.integers(0, 2), n_erode=st.integers(2, 4))
+def test_property_mask_pipeline_matches_cn_field_oracle(seed, dim, extra,
+                                                        n_erode):
+    """Random drop scenes (one small drop, two larger) on their adapted
+    hanging-node meshes, any base level at or past the finest: the mask
+    pipeline marks what the Cn-field oracle marks."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.2, 0.8, size=(3, dim))
+    radii = np.r_[rng.uniform(0.05, 0.1), rng.uniform(0.1, 0.25, size=2)]
+
+    def phi_f(x):
+        return np.min([drop(x, c, r, 0.02) for c, r in zip(centers, radii)],
+                      axis=0)
+
+    m = mesh_from_field(phi_f, dim, max_level=6 if dim == 2 else 4,
+                        min_level=2, threshold=0.9)
+    phi = m.interpolate(phi_f)
+    cfg = IdentifierConfig(delta=-0.8, n_erode=n_erode, n_extra_dilate=2)
+    base = int(m.tree.levels.max()) + extra
+    res = identify_local_cahn(m, phi, cfg, base)
+    assert np.array_equal(res.detected, cn_field_detected(m, phi, cfg, base))

@@ -1,17 +1,11 @@
-"""Regression coverage for repro.fem.matvec: the operator diagonal and
-``apply_elemental`` pinned against the assembled matrix.
-
-``MatrixFreeOperator.diagonal`` historically scattered the per-element
-``Ke[:, i, i]`` — correct on uniform meshes but only approximate on
-hanging-node meshes (off-diagonal elemental entries project onto the global
-diagonal through ``P``).  It now routes through the plan's diagonal
-sub-plan, so diag(operator) must equal diag(assembled) **bitwise**.
-"""
+"""Regression coverage for repro.fem.matvec: ``apply_elemental`` (the
+oracle of the distributed MATVEC) pinned against the assembled matrix on
+uniform and hanging-node meshes."""
 
 import numpy as np
 import pytest
 
-from repro.fem.matvec import MatrixFreeOperator, apply_elemental
+from repro.fem.matvec import apply_elemental
 from repro.fem.operators import mass_matrix, stiffness_matrix
 from repro.fem.plan import get_plan
 from repro.mesh.mesh import Mesh
@@ -43,43 +37,6 @@ def example_ke(mesh, seed=5):
 
 
 @pytest.mark.parametrize("mesh_name,mk", MESHES, ids=[m[0] for m in MESHES])
-class TestDiagonal:
-    def test_plan_diagonal_bitwise_equals_assembled(self, mesh_name, mk):
-        mesh = mk()
-        Ke = example_ke(mesh)
-        plan = get_plan(mesh)
-        assert np.array_equal(
-            plan.diagonal(Ke), plan.assemble(Ke).diagonal()
-        )
-
-    def test_operator_diagonal_equals_assembled(self, mesh_name, mk):
-        mesh = mk()
-        Ke = example_ke(mesh)
-        op = MatrixFreeOperator(mesh, Ke)
-        ref = get_plan(mesh).assemble(Ke).diagonal()
-        ref[ref == 0.0] = 1.0
-        assert np.array_equal(op.diagonal(), ref)
-
-    def test_operator_diagonal_with_dirichlet_mask(self, mesh_name, mk):
-        mesh = mk()
-        Ke = example_ke(mesh)
-        mask = mesh.face_dof_mask(axis=0, side=0)
-        op = MatrixFreeOperator(mesh, Ke, dirichlet_mask=mask)
-        d = op.diagonal()
-        assert np.all(d[mask] == 1.0)
-        ref = get_plan(mesh).assemble(Ke).diagonal()
-        free = ~mask & (ref != 0.0)
-        assert np.array_equal(d[free], ref[free])
-
-
-def test_plan_diagonal_rejects_wrong_shape():
-    mesh = random_mesh(6, 2, max_level=2)
-    plan = get_plan(mesh)
-    with pytest.raises(ValueError):
-        plan.diagonal(np.zeros((1, 2, 2)))
-
-
-@pytest.mark.parametrize("mesh_name,mk", MESHES, ids=[m[0] for m in MESHES])
 def test_apply_elemental_matches_assembled_matrix(mesh_name, mk):
     mesh = mk()
     Ke = example_ke(mesh)
@@ -90,19 +47,3 @@ def test_apply_elemental_matches_assembled_matrix(mesh_name, mk):
         apply_elemental(mesh, Ke, u), A @ u, rtol=1e-12, atol=1e-12
     )
 
-
-def test_matvec_with_mask_is_identity_on_constrained_dofs():
-    mesh = random_mesh(8, 2)
-    Ke = example_ke(mesh)
-    mask = mesh.face_dof_mask(axis=1, side=1)
-    op = MatrixFreeOperator(mesh, Ke, dirichlet_mask=mask)
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal(mesh.n_dofs)
-    v = op(u)
-    assert np.array_equal(v[mask], u[mask])
-    A = get_plan(mesh).assemble(Ke)
-    uu = u.copy()
-    uu[mask] = 0.0
-    np.testing.assert_allclose(
-        v[~mask], (A @ uu)[~mask], rtol=1e-12, atol=1e-12
-    )

@@ -13,7 +13,7 @@ from repro.fem.basis import (
     shape_gradients,
     tabulate,
 )
-from repro.fem.matvec import MatrixFreeOperator, apply_elemental
+from repro.fem.matvec import apply_elemental
 from repro.fem.operators import (
     convection_matrix,
     gradient_at_quad,
@@ -400,17 +400,6 @@ class TestAssemblyAndMatvec:
         x = np.linalg.solve(A_bc.toarray(), b_bc)
         assert np.allclose(x[mask], 0.0)
         assert x[~mask].max() > 0  # Poisson with positive source
-
-    def test_matrix_free_operator_with_bc(self):
-        m = random_mesh(5, 2)
-        Ke = stiffness_matrix(m.elem_h(), 2)
-        mask = m.boundary_dof_mask()
-        op = MatrixFreeOperator(m, Ke, dirichlet_mask=mask)
-        u = np.random.default_rng(6).standard_normal(m.n_dofs)
-        v = op(u)
-        assert np.allclose(v[mask], u[mask])  # identity on constrained rows
-        d = op.diagonal()
-        assert np.all(d != 0)
 
 
 class TestPoissonConvergence:

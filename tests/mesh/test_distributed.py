@@ -136,7 +136,7 @@ class TestDistributedErodeDilate:
     def test_matches_serial(self, mesh, nprocs, stage):
         phi = mesh.interpolate(lambda x: drop_phi(x))
         bw = threshold_octree(phi, -0.8)
-        serial = erode_dilate(mesh, bw, stage, 2)
+        serial = erode_dilate(mesh, bw, stage, 2, 4)  # uniform: no waits
 
         def fn(comm):
             df = DistributedField(comm, mesh)
@@ -158,7 +158,7 @@ class TestDistributedErodeDilate:
         neighbor's fresh erosion (INSERT push-mask semantics)."""
         phi = mesh.interpolate(lambda x: drop_phi(x, center=(0.15, 0.15), radius=0.1))
         bw = threshold_octree(phi, -0.8)
-        serial = erode_dilate(mesh, bw, Stage.EROSION, 1)
+        serial = erode_dilate(mesh, bw, Stage.EROSION, 1, 4)
 
         def fn(comm):
             df = DistributedField(comm, mesh)

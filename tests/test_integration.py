@@ -16,8 +16,7 @@ from repro.chns.free_energy import total_mass
 from repro.chns.initial_conditions import drop, jet_column
 from repro.chns.params import CHNSParams
 from repro.chns.timestepper import CHNSTimeStepper, jet_inflow_bc, no_slip_bc
-from repro.core.identifier import IdentifierConfig
-from repro.core.multilevel import CahnStage, identify_multilevel_cahn
+from repro.core.identifier import IdentifierConfig, identify_local_cahn
 from repro.io.vtk import read_vtk_summary, write_vtk
 from repro.mesh.intergrid import transfer_node_centered
 from repro.mesh.mesh import Mesh, mesh_from_field
@@ -76,30 +75,33 @@ class TestFullAMRLoop:
         s = read_vtk_summary(v)
         assert s["cells"] == ts.mesh.n_elems
 
-    def test_jet_with_multilevel_cahn_remesh(self):
-        """Jet + multi-level granulometry feeding target levels directly."""
+    def test_jet_with_local_cahn_remesh(self):
+        """Jet + satellite droplet: the identifier inside ``remesh`` counts
+        its widths at ``feature_level`` (one level past the mesh's finest),
+        flags the droplet only, and its detections become the level-7
+        leaves."""
         CN = 0.03
 
         def phi0(x):
-            return jet_column(x, half_width=0.1, length=0.4, Cn=CN,
-                              perturb_amp=0.2)
+            jet = jet_column(x, half_width=0.1, length=0.4, Cn=CN,
+                             perturb_amp=0.2)
+            return np.minimum(jet, drop(x, (0.75, 0.5), 0.08, CN))
 
         mesh = mesh_from_field(phi0, 2, max_level=6, min_level=3,
                                threshold=0.95)
         phi = mesh.interpolate(phi0)
-        res = identify_multilevel_cahn(
-            mesh, phi,
-            [CahnStage(cn=0.4, n_erode=2), CahnStage(cn=0.7, n_erode=5)],
-            delta=-0.8,
-        )
-        assert res.elem_cn.min() >= 0.4
-        # Feed detections into a remesh as feature flags.
         cfg = RemeshConfig(
             coarse_level=3, interface_level=6, feature_level=7,
-            identifier=IdentifierConfig(delta=-0.8, n_erode=2,
+            identifier=IdentifierConfig(delta=-0.8, n_erode=4,
                                         n_extra_dilate=3),
         )
+        res = identify_local_cahn(mesh, phi, cfg.identifier, 7)
+        assert res.detected.any()
         new_mesh, new_fields, info = remesh(mesh, {"phi": phi}, cfg)
+        assert np.array_equal(info.identifier.detected, res.detected)
+        fine = new_mesh.elem_centers()[new_mesh.tree.levels == 7]
+        assert len(fine) > 0
+        assert np.all(np.linalg.norm(fine - [0.75, 0.5], axis=1) < 0.1)
         assert is_balanced(new_mesh.tree)
         fr = level_fractions(new_mesh)
         assert np.isclose(fr["element_fraction"].sum(), 1.0)
