@@ -3,17 +3,31 @@
 
 Unknowns are the mixed pair ``(phi, mu)`` (chemical potential), stacked as
 ``[phi; mu]``.  The nonlinear residual is solved by Newton with an
-analytically assembled Jacobian; the degenerate mobility is evaluated at the
-current Newton iterate.  Its phi-derivative, the block
-``d(K_m(phi) mu)/dphi``, is missing from the Jacobian, so the iteration
-converges linearly, not quadratically: about 1e-3 contraction per iterate on
-``spinodal_2d``, an exact halving per iterate on full ``drop_2d`` (ROADMAP
-item 1 adds the block).
+analytically assembled Jacobian that is the exact derivative of the
+residual, so the iteration converges quadratically (``||F_{k+1}||`` within
+``2e-3 ||F_k||^2`` on ``spinodal_2d``).  The degenerate mobility is
+evaluated at the current Newton iterate, and its phi-derivative enters the
+``(phi, phi)`` block as
+
+  D_m[i, j] = ∫ m'(phi) N_j grad N_i · grad mu,
+
+the transpose of a convection matrix advected by ``m'(phi) grad mu``.
+``m'`` is the derivative of the *clamped* mobility: ``-phi / m`` where
+``1 - phi^2`` is above ``_MOBILITY_FLOOR``, and 0 on the clamp, where
+discrete over/undershoots of ±1 put the mobility at its floor.
 
 Weak residual (no-flux boundaries are natural):
 
   R_phi = M (phi - phi_n)/dt + C(v) phi + (1/(Pe Cn)) K_m mu = 0
   R_mu  = M mu - P(psi'(phi)) - Cn^2 K phi = 0
+
+and its Jacobian
+
+  [[M/dt + C(v) + (1/(Pe Cn)) D_m,  (1/(Pe Cn)) K_m],
+   [-M_psi'' - Cn^2 K,              M              ]]
+
+with the implicit terms of the first row weighted by ``theta`` under
+Crank-Nicolson.
 
 Every matrix is a ``data`` vector on the mesh's one assembly-plan pattern,
 and the Jacobian is those vectors placed by the plan's 2x2 block layout
@@ -31,7 +45,7 @@ from ..fem.plan import get_plan
 from ..la.newton import Factors, IterateCache, NewtonResult, newton_solve
 from ..mesh.mesh import Mesh
 from . import forms
-from .free_energy import mobility, psi_double_prime, psi_prime
+from .free_energy import mobility, mobility_prime, psi_double_prime, psi_prime
 from .params import CHNSParams
 
 
@@ -82,10 +96,11 @@ class CHSolver:
         the residuals.
 
         ``residual`` and ``jacobian`` at one Newton iterate need the same
-        two mesh-wide products, the quad-point phi and the mobility
-        stiffness: an :class:`IterateCache` keyed on the phi component
-        builds them once per distinct phi (obs counters
-        ``ch.phi_quad_evals`` / ``ch.mobility_assemblies``).
+        mesh-wide products, the quad-point phi, the mobility there and the
+        mobility stiffness: an :class:`IterateCache` keyed on the phi
+        component builds them once per distinct phi (obs counters
+        ``ch.phi_quad_evals`` / ``ch.mobility_assemblies``).  The Jacobian
+        adds one ``psi''`` mass and one ``D_m`` scatter of its own.
         """
         mesh, prm = self.mesh, self.params
         n = mesh.n_dofs
@@ -103,9 +118,10 @@ class CHSolver:
                 obs.incr("ch.phi_quad_evals")
                 obs.incr("ch.mobility_assemblies")
                 phi_q = forms.field_at_quad(mesh, phi)
-                return phi_q, forms.stiffness(mesh, mobility(phi_q))
+                m_q = mobility(phi_q)
+                return phi_q, m_q, forms.stiffness(mesh, m_q)
 
-            return cache.get(phi, "phi_q, Km", build)
+            return cache.get(phi, "phi_q, m, Km", build)
 
         # The Jacobian's constant blocks; a11 is what ``M / dt + theta * C``
         # computes on the shared pattern.
@@ -118,14 +134,14 @@ class CHSolver:
         if theta != 1.0:
             # Old-time flux/advection load; the first residual, at
             # phi = phi_n, finds Km in the cache.
-            old = c * (at_quad(phi_n)[1] @ mu_n)
+            old = c * (at_quad(phi_n)[2] @ mu_n)
             if C is not None:
                 old = C @ phi_n + old
             old = (1.0 - theta) * old
 
         def residual(x):
             phi, mu = split(x)
-            phi_q, Km = at_quad(phi)
+            phi_q, _, Km = at_quad(phi)
             r_phi = M @ ((phi - phi_n) / dt)
             if C is not None:
                 r_phi += theta * (C @ phi)
@@ -141,10 +157,17 @@ class CHSolver:
             return np.concatenate([r_phi, r_mu])
 
         def jacobian(x):
-            phi_q, Km = at_quad(split(x)[0])
+            phi, mu = split(x)
+            phi_q, m_q, Km = at_quad(phi)
             M_psi2 = forms.mass(mesh, psi_double_prime(phi_q))
+            # d(Km mu)/dphi = ∫ m'(phi) N_j grad N_i · grad mu: the transpose
+            # of the convection Ke advected by m'(phi) grad mu.
+            flux = forms.grad_at_quad(mesh, mu)
+            flux *= mobility_prime(phi_q, m_q)[..., None]
+            D_m = plan.assemble(forms.convection_ke(mesh, flux, transpose=True))
             return plan.block_2x2(
-                a11, (theta * c) * Km.data, -M_psi2.data - cn2_K, M.data
+                a11 + (theta * c) * D_m.data, (theta * c) * Km.data,
+                -M_psi2.data - cn2_K, M.data,
             )
 
         return residual, jacobian, split

@@ -86,11 +86,12 @@ def stiffness_ke(mesh: Mesh, coeff=1.0) -> np.ndarray:
     return stiffness_matrix(mesh.elem_h(), mesh.dim, coeff)
 
 
-def convection_ke(mesh: Mesh, vq: np.ndarray) -> np.ndarray:
+def convection_ke(mesh: Mesh, vq: np.ndarray, *, transpose=False) -> np.ndarray:
     """Elemental ``∫ N_i (v · grad N_j)`` for an advecting field sampled at
-    the quadrature points, shape (n_elems, nq, dim).  Linear in ``vq``: the
-    sum of two convection operators is the operator of the summed fields."""
-    return convection_matrix(mesh.elem_h(), mesh.dim, vq)
+    the quadrature points, shape (n_elems, nq, dim), or its transpose
+    ``∫ N_j (v · grad N_i)``.  Linear in ``vq``: the sum of two convection
+    operators is the operator of the summed fields."""
+    return convection_matrix(mesh.elem_h(), mesh.dim, vq, transpose=transpose)
 
 
 def mass(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:

@@ -33,6 +33,14 @@ def mobility(phi: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(1.0 - np.asarray(phi) ** 2, _MOBILITY_FLOOR))
 
 
+def mobility_prime(phi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Exact derivative of the clamped :func:`mobility`, given its values
+    ``m = mobility(phi)`` (no second ``sqrt``): ``-phi / m`` off the clamp,
+    0 where ``_MOBILITY_FLOOR`` is active (Newton Jacobian of the CH
+    block)."""
+    return np.where(m > np.sqrt(_MOBILITY_FLOOR), -np.asarray(phi) / m, 0.0)
+
+
 def ginzburg_landau_energy(mesh: Mesh, phi: np.ndarray, Cn: float) -> float:
     """``E[phi] = ∫ psi(phi) + (Cn^2/2) |grad phi|^2`` — the Lyapunov
     functional our semi-implicit CH discretization should not increase for

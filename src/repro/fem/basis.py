@@ -94,6 +94,7 @@ class ReferenceTensors(NamedTuple):
     mass: np.ndarray  # (nq, nc*nc)      w_q N_qi N_qj
     stiffness: np.ndarray  # (nq, nc*nc)      w_q sum_d dN_qid dN_qjd
     convection: np.ndarray  # (nq*dim, nc*nc)  w_q N_qi dN_qjd
+    convection_t: np.ndarray  # (nq*dim, nc*nc)  w_q dN_qid N_qj
     load: np.ndarray  # (nq, nc)         w_q N_qi
     grad_load: np.ndarray  # (nq*dim, nc)     w_q dN_qid
     grad: np.ndarray  # (nq*dim, nc)     dN_qid
@@ -108,10 +109,12 @@ def reference_tensors(dim: int) -> ReferenceTensors:
     grad = dN.transpose(0, 2, 1)  # (nq, dim, nc)
     load = w[:, None] * N
     grad_load = w[:, None, None] * grad
+    convection = load[:, None, :, None] * grad[:, :, None, :]  # (q, d, i, j)
     return ReferenceTensors(*_read_only(
         (load[:, :, None] * N[:, None, :]).reshape(nq, nc * nc),
         (grad_load.transpose(0, 2, 1) @ grad).reshape(nq, nc * nc),
-        (load[:, None, :, None] * grad[:, :, None, :]).reshape(nq * dim, nc * nc),
+        convection.reshape(nq * dim, nc * nc),
+        convection.transpose(0, 1, 3, 2).reshape(nq * dim, nc * nc),
         load,
         grad_load.reshape(nq * dim, nc),
         grad.reshape(nq * dim, nc),

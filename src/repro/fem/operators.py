@@ -51,10 +51,15 @@ def stiffness_matrix(h: np.ndarray, dim: int, coeff=1.0) -> np.ndarray:
     return Ke.reshape(len(Ke), 1 << dim, 1 << dim)
 
 
-def convection_matrix(h: np.ndarray, dim: int, vel_q: np.ndarray) -> np.ndarray:
-    """``∫ N_i (v · ∇N_j)`` per element; ``vel_q`` has shape
-    (n_elems, nq, dim)."""
-    Ke = _contract(vel_q, reference_tensors(dim).convection, h, dim - 1)
+def convection_matrix(
+    h: np.ndarray, dim: int, vel_q: np.ndarray, *, transpose: bool = False
+) -> np.ndarray:
+    """``∫ N_i (v · ∇N_j)`` per element, or with ``transpose`` its transpose
+    ``∫ N_j (v · ∇N_i)`` (the same GEMM on a transposed table, so the batch
+    comes out contiguous); ``vel_q`` has shape (n_elems, nq, dim)."""
+    ref = reference_tensors(dim)
+    table = ref.convection_t if transpose else ref.convection
+    Ke = _contract(vel_q, table, h, dim - 1)
     return Ke.reshape(len(Ke), 1 << dim, 1 << dim)
 
 

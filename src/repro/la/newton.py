@@ -59,6 +59,14 @@ _PRECOND_MAXITER = 8
 #: 13 on the benchmark CH Jacobians (DESIGN.md section 12).
 FACTOR_COST = 10
 
+#: Inexact-Newton forcing (Eisenstat-Walker choice 2): the first iterate's
+#: linear solve stops at relative residual ``ETA_MAX``, iterate ``k`` at
+#: ``min(ETA_MAX, ETA_GAMMA * (||F_k|| / ||F_{k-1}||)**2)``; the caller's
+#: ``linear_tol`` is the floor.  A solve is only as exact as the quadratic
+#: contraction of the next iterate can use (DESIGN.md section 12).
+ETA_MAX = 1e-4
+ETA_GAMMA = 0.9
+
 #: All CH Jacobian blocks share the mesh pattern, so the symmetric-pattern
 #: ordering with diagonal pivots has 2-4x less fill than COLAMD + partial
 #: pivoting.  Diagonal pivoting is not backward stable: these factors are
@@ -164,7 +172,8 @@ def newton_solve(
 
     Converges when ``||F(x)|| < tol`` or drops by ``rtol`` relative to the
     initial residual.  Every Newton step ``dx`` satisfies
-    ``||J dx + F|| <= linear_tol ||F||``: by BiCGStab preconditioned with
+    ``||J dx + F|| <= max(linear_tol, eta_k) ||F||`` with the forcing term
+    ``eta_k`` of ``ETA_MAX`` / ``ETA_GAMMA``: by BiCGStab preconditioned with
     the LU factors ``factors`` holds, or - when it holds none, they stopped
     converging or :meth:`Factors.stale` says a refresh pays - by a direct
     solve with static-pivot factors of the current Jacobian (checked,
@@ -197,11 +206,12 @@ def _newton_body(
     out = NewtonResult(x, 0, norm0, norm0 < tol)
     if out.converged:
         return out
+    eta = ETA_MAX
     for it in range(1, maxiter + 1):
         with obs.span("newton.jacobian"):
             J = jacobian(x).tocsr()
         with obs.span("newton.linear"):
-            dx = factors.solve(J, F, norm_F, linear_tol, out)
+            dx = factors.solve(J, F, norm_F, max(linear_tol, eta), out)
         if dx is None:
             return out
         obs.incr("newton.iterations")
@@ -218,6 +228,7 @@ def _newton_body(
             if norm_new < (1.0 - 0.1 * step) * norm_F or step < 1e-3:
                 break
             step *= 0.5
+        eta = min(ETA_MAX, ETA_GAMMA * (norm_new / norm_F) ** 2)
         x, F, norm_F = x_new, F_new, norm_new
         out.x, out.iterations, out.residual = x, it, norm_F
         if norm_F < tol or norm_F < rtol * norm0:

@@ -14,8 +14,10 @@ import scipy.sparse as sp
 
 from repro.chns import forms
 from repro.chns.ch_solver import CHSolver
-from repro.chns.free_energy import mobility, psi_double_prime, psi_prime
-from repro.fem.plan import get_plan
+from repro.chns.free_energy import (
+    _MOBILITY_FLOOR, mobility, psi_double_prime, psi_prime,
+)
+from repro.fem.plan import get_plan, plan_assemble
 
 from .test_ch_linear_solve import hanging_2d, uniform_3d
 
@@ -27,7 +29,7 @@ def four_block_operators(ch, phi_n, mu_n, vel, dt, *, theta=1.0,
                          source_phi=None, source_mu=None):
     """The CH residual and Jacobian as CSR sums and one ``sp.bmat``, with
     a separate backward-Euler formula: the construction ``CHSolver`` used
-    before the planned fill."""
+    before the planned fill, with the mobility block ``Dm`` in ``J11``."""
     mesh, prm = ch.mesh, ch.params
     n = mesh.n_dofs
     M, K = ch.M, ch.K
@@ -37,6 +39,18 @@ def four_block_operators(ch, phi_n, mu_n, vel, dt, *, theta=1.0,
 
     def Km_of(phi):
         return forms.stiffness(mesh, mobility(forms.field_at_quad(mesh, phi)))
+
+    def Dm_of(phi, mu):
+        """``d(Km mu)/dphi``: ``∫ m'(phi) N_j grad N_i · grad mu``, with
+        ``m'`` spelled from ``phi`` alone (0 on the mobility clamp)."""
+        phi_q = forms.field_at_quad(mesh, phi)
+        off_clamp = 1.0 - phi_q**2 > _MOBILITY_FLOOR
+        with np.errstate(invalid="ignore"):  # sqrt of < 0 on the clamp
+            dm = np.where(off_clamp, -phi_q / np.sqrt(1.0 - phi_q**2), 0.0)
+        flux = dm[..., None] * forms.grad_at_quad(mesh, mu)
+        return plan_assemble(
+            mesh, np.swapaxes(forms.convection_ke(mesh, flux), 1, 2)
+        )
 
     if theta != 1.0:
         expl = (1.0 - theta) * (Cv @ phi_n + mob_coeff * (Km_of(phi_n) @ mu_n))
@@ -58,12 +72,14 @@ def four_block_operators(ch, phi_n, mu_n, vel, dt, *, theta=1.0,
         return np.concatenate([r_phi, r_mu])
 
     def jacobian(x):
-        phi = x[:n]
-        Km = Km_of(phi)
+        phi, mu = x[:n], x[n:]
+        Km, Dm = Km_of(phi), Dm_of(phi, mu)
         if theta == 1.0:
-            J11, J12 = M / dt + Cv, mob_coeff * Km
+            J11 = M / dt + Cv + mob_coeff * Dm
+            J12 = mob_coeff * Km
         else:
-            J11, J12 = M / dt + theta * Cv, (theta * mob_coeff) * Km
+            J11 = M / dt + theta * Cv + (theta * mob_coeff) * Dm
+            J12 = (theta * mob_coeff) * Km
         psi2_q = psi_double_prime(forms.field_at_quad(mesh, phi))
         J21 = -forms.mass(mesh, psi2_q) - Cn2 * K
         return sp.bmat([[J11, J12], [J21, M]], format="csr")

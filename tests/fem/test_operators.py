@@ -262,6 +262,11 @@ class TestOperatorsAgainstLoopOracle:
         assert_batch_close(
             convection_matrix(H, dim, vq), loop_matrix("convection", H, dim, vq)
         )
+        transposed = convection_matrix(H, dim, vq, transpose=True)
+        assert transposed.flags.c_contiguous
+        assert np.array_equal(
+            transposed, np.swapaxes(convection_matrix(H, dim, vq), 1, 2)
+        )
         assert_batch_close(
             gradient_load_vector(H, dim, vq), loop_gradient_load(H, dim, vq)
         )

@@ -67,9 +67,10 @@ def test_assembly_counters_of_one_coupled_step(stepper):
     assert jacobian_evals == counters["newton.iterations"] > 0
 
     # CH: one convection operator per solve, one mobility stiffness per
-    # iterate, one psi'' mass per Jacobian; one load per residual.
+    # iterate, one psi'' mass and one mobility-derivative block per
+    # Jacobian; one load per residual.
     assert counters["ch.mobility_assemblies"] == residual_evals
-    ch_numeric = 1 + counters["ch.mobility_assemblies"] + jacobian_evals
+    ch_numeric = 1 + counters["ch.mobility_assemblies"] + 2 * jacobian_evals
     assert counters["assembly.numeric"] == ch_numeric + 2  # + NS, PP
     assert counters["assembly.vector"] == residual_evals + 3  # + NS, PP, VU
     assert counters["assembly.dirichlet"] == 1  # no-slip: one shared mask

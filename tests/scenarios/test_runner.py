@@ -78,15 +78,24 @@ class TestRun:
         assert "budget" in res.error
 
     def test_failed_job_keeps_the_work_it_did(self):
-        """Full ``drop_2d`` stalls at its fourth step: the record carries
-        the counts and diagnostics of what ran, not zeros."""
-        res = run_scenario(build("drop_2d", quick=False))
-        assert res.status == "failed" and "step 3" in res.error
-        assert res.steps_done == 3
+        """The diverging drop runs its Newton to ``maxiter`` at step 0 and
+        fails: the record carries the counts and diagnostics of what ran,
+        not zeros."""
+        res = run_scenario(_diverging_drop())
+        assert res.status == "failed" and "step 0" in res.error
+        assert res.steps_done == 0
         assert res.newton_iterations > 0 and res.ch_linear > 0
         assert res.ch_factorizations > 0 and res.n_elems_final > 0
         assert np.isfinite(res.diagnostics["mass"])
         assert JobResult.from_dict(json.loads(json.dumps(res.to_dict()))) == res
+
+    def test_full_drop_succeeds(self):
+        """Full ``drop_2d`` stalled at step 3 while the CH Jacobian lacked
+        its mobility block (the residual halved per iterate and ran out of
+        ``maxiter``)."""
+        res = run_scenario(build("drop_2d", quick=False))
+        assert res.status == "succeeded", res.error
+        assert res.steps_done == res.n_steps
 
     @pytest.mark.parametrize("how", ["failed", "timeout", "interrupted"])
     def test_job_that_dies_early_is_well_formed(self, how):
@@ -423,6 +432,19 @@ def test_refresh_rule_end_to_end(monkeypatch):
         return FACTOR_COST * res.ch_factorizations + res.ch_linear
 
     assert cost(carried) <= cost(per_call)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["drop_2d", "spinodal_2d"])
+def test_full_profile_runs_300_steps(name):
+    """Both failed before the CH Jacobian had its mobility block:
+    ``spinodal_2d`` at step 228, where ``phi_max`` reaches 1 and the
+    mobility's derivative grows without bound, ``drop_2d`` at step 3."""
+    cfg = build(name, quick=False)
+    cfg.time.n_steps = 300
+    res = run_scenario(cfg)
+    assert res.status == "succeeded", res.error
+    assert res.steps_done == 300
 
 
 @pytest.mark.slow
