@@ -1,34 +1,13 @@
-"""repro.analysis — SPMD correctness tooling.
+"""repro.analysis — SPMD runtime checkers.
 
-Two halves, one defect taxonomy:
+:mod:`repro.analysis.runtime_check`, opt-in via ``REPRO_SPMD_CHECK=1``: a
+MUST-style cross-rank collective-matching validator wired into
+:class:`repro.mpi.comm.Comm`, and a write-epoch race detector over the
+thread backend's shared payload buffers.
 
-* **spmdlint** (:mod:`repro.analysis.lint`, :mod:`repro.analysis.rules`) —
-  an AST linter for the SPMD bug classes this codebase is exposed to:
-  rank-divergent collectives, unordered peer iteration, wall-clock /
-  unseeded randomness in rank functions, stale assembly plans, and
-  mutation of zero-copy receive buffers.  Run it with
-  ``python -m repro.analysis src/``.
-
-* **runtime checkers** (:mod:`repro.analysis.runtime_check`) — opt-in via
-  ``REPRO_SPMD_CHECK=1``: a MUST-style cross-rank collective-matching
-  validator wired into :class:`repro.mpi.comm.Comm`, and a write-epoch
-  race detector over the thread backend's shared payload buffers.
-
-DESIGN.md §7 documents the rule catalogue and the checker wire protocol.
+DESIGN.md §7 documents what they check and the checker wire protocol.
 """
 
-from .lint import (
-    COLLECTIVE_FUNCTIONS,
-    COLLECTIVE_METHODS,
-    Finding,
-    FunctionContext,
-    Rule,
-    all_rules,
-    lint_file,
-    lint_paths,
-    lint_source,
-    rule_catalogue,
-)
 from .runtime_check import (
     CHECK_ENV,
     BufferTracker,
@@ -43,16 +22,6 @@ from .runtime_check import (
 )
 
 __all__ = [
-    "COLLECTIVE_FUNCTIONS",
-    "COLLECTIVE_METHODS",
-    "Finding",
-    "FunctionContext",
-    "Rule",
-    "all_rules",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "rule_catalogue",
     "CHECK_ENV",
     "BufferTracker",
     "CollectiveMismatchError",

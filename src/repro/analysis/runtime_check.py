@@ -1,8 +1,8 @@
 """Opt-in SPMD runtime checkers (``REPRO_SPMD_CHECK=1``).
 
-The dynamic half of :mod:`repro.analysis`: what the AST linter cannot prove,
-these checkers verify while the program runs — in the spirit of MUST's
-runtime MPI correctness analysis, riding this repo's own transport.
+These checkers verify SPMD correctness while the program runs, in the
+spirit of MUST's runtime MPI correctness analysis, riding this repo's own
+transport.
 
 **Collective matching.**  Before executing, every blocking collective on
 :class:`repro.mpi.comm.Comm` publishes a *fingerprint* — operation name,
@@ -94,7 +94,6 @@ class SharedBufferRaceError(SpmdCheckError):
 #: Path fragments whose frames are infrastructure, not user call sites.
 _INFRA_FRAGMENTS = (
     os.path.join("repro", "mpi", "comm.py"),
-    os.path.join("repro", "mpi", "collectives.py"),
     os.path.join("repro", "analysis", ""),
     os.path.join("repro", "obs", ""),
     os.path.join("repro", "runtime", ""),

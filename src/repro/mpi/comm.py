@@ -4,10 +4,11 @@ The paper's algorithms are MPI programs.  This module provides a faithful
 shared-nothing-in-spirit simulator: :func:`run_spmd` runs one simulated rank
 per thread, OS process, or scheduler slot (see :mod:`repro.runtime`), and
 each rank talks to the others only through a :class:`Comm` whose semantics
-mirror mpi4py (``send/recv``, ``bcast``, ``allreduce``, ``alltoallv``,
-``split`` with memoization, non-blocking probe/barrier for the NBX sparse
-exchange).  All traffic is metered (:mod:`repro.mpi.stats`) so the
-performance model can extrapolate to the paper's process counts; the
+mirror mpi4py.  It carries what the octree, mesh, batch and obs layers call:
+``send/recv``, ``gather``/``allgather``, ``allreduce``/``exscan``,
+``alltoallv``, ``split`` with memoization, and non-blocking probe/barrier
+for the NBX sparse exchange.  All traffic is metered (:mod:`repro.mpi.stats`)
+so the performance model can extrapolate to the paper's process counts; the
 counters are backend-independent because metering happens here, above the
 transport.
 
@@ -38,19 +39,6 @@ class SpmdError(RuntimeError):
     """Raised when any rank of an SPMD run fails or the run deadlocks."""
 
 
-class Request:
-    """Completed-at-creation request handle (sends are eager)."""
-
-    def __init__(self, result: Any = None) -> None:
-        self._result = result
-
-    def wait(self) -> Any:
-        return self._result
-
-    def test(self) -> tuple[bool, Any]:
-        return True, self._result
-
-
 class Comm:
     """Rank-local view of a simulated communicator.
 
@@ -79,23 +67,9 @@ class Comm:
             _, _, payload = self._world.wait_recv(self.rank, source, tag)
         return payload
 
-    def recv_with_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Like :meth:`recv` but returns ``(payload, source, tag)``."""
-        with obs.span("comm.recv"):
-            s, t, payload = self._world.wait_recv(self.rank, source, tag)
-        return payload, s, t
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return Request()
-
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Non-blocking probe; returns (source, tag) or None."""
         return self._world.probe(self.rank, source, tag)
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        self.send(obj, dest, tag)
-        return self.recv(source, tag)
 
     # ----------------------------------------------------------- collectives
 
@@ -136,29 +110,12 @@ class Comm:
         with obs.span("comm.collective"):
             return self._world.exchange(self.rank, value, combine)
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        return self._collective(
-            obj if self.rank == root else None, lambda xs: xs[root], op="bcast"
-        )
-
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
         all_ = self._collective(obj, list, op="gather")
         return list(all_) if self.rank == root else None
 
     def allgather(self, obj: Any) -> list:
         return list(self._collective(obj, list, op="allgather"))
-
-    def scatter(self, objs: Optional[Sequence], root: int = 0) -> Any:
-        all_ = self._collective(
-            list(objs) if self.rank == root else None,
-            lambda xs: xs[root],
-            op="scatter",
-        )
-        return all_[self.rank]
-
-    def reduce(self, obj: Any, op: Callable = None, root: int = 0) -> Any:
-        out = self.allreduce(obj, op)
-        return out if self.rank == root else None
 
     def allreduce(self, obj: Any, op: Callable = None) -> Any:
         op = op if op is not None else _sum_op
@@ -170,15 +127,6 @@ class Comm:
             return acc
 
         return self._collective(obj, combine, op="allreduce", symmetric=True)
-
-    def scan(self, obj: Any, op: Callable = None) -> Any:
-        """Inclusive prefix reduction."""
-        op = op if op is not None else _sum_op
-        all_ = self._collective(obj, list, op="scan", symmetric=True)
-        acc = all_[0]
-        for x in all_[1 : self.rank + 1]:
-            acc = op(acc, x)
-        return acc
 
     def exscan(self, obj: Any, op: Callable = None) -> Any:
         """Exclusive prefix reduction (None/zero-like on rank 0)."""
@@ -231,7 +179,11 @@ class Comm:
             # Everyone who cached it returns it without communication
             # (including a cached None from an undefined color).
             return cached
-        sub = self.split(color, key)  # spmdlint: ignore[R1] -- split_cached is itself collective: the cache is only populated by a prior collective call with the same (cache_tag, color, key), so hit/miss agrees on every rank and all ranks reach this split together
+        # Not a rank-divergent collective: split_cached is itself collective,
+        # and the cache is only populated by a prior collective call with the
+        # same (cache_tag, color, key), so hit/miss agrees on every rank and
+        # all ranks reach this split together.
+        sub = self.split(color, key)
         self._world.set_attr(ck, sub)
         return sub
 
@@ -265,41 +217,25 @@ def _sum_op(a, b):
     return a + b
 
 
-def MAX(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-
-
-def MIN(a, b):
-    return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
-
-
-def SUM(a, b):
-    return a + b
-
-
-def LOR(a, b):
-    return (a | b) if isinstance(a, np.ndarray) else (a or b)
-
-
 def run_spmd(
     nprocs: int,
     fn: Callable[..., Any],
     *args: Any,
     timeout: Optional[float] = None,
     stats: Optional[CommStats] = None,
-    backend: Optional[Any] = None,
+    backend: Optional[str] = None,
 ) -> list:
     """Run ``fn(comm, *args)`` on ``nprocs`` simulated ranks; return per-rank
     results.  Any rank exception (or a deadlock past ``timeout``) raises
     :class:`SpmdError` with the failing rank identified.
 
-    ``backend`` selects how ranks execute: ``"thread"`` (default, zero-copy,
+    ``backend`` names how ranks execute: ``"thread"`` (default, zero-copy,
     GIL-bound), ``"process"`` (forked OS processes + shared-memory payloads,
     real core parallelism), or ``"serial"`` (deterministic round-robin, for
-    debugging) — or a :class:`repro.runtime.Backend` instance.  When omitted,
-    the ``REPRO_SPMD_BACKEND`` environment variable decides.  ``timeout``
-    defaults to ``REPRO_SPMD_TIMEOUT`` seconds (else 120).  All backends
-    meter traffic into ``stats`` identically.
+    debugging).  When omitted, the ``REPRO_SPMD_BACKEND`` environment
+    variable decides.  ``timeout`` defaults to ``REPRO_SPMD_TIMEOUT`` seconds
+    (else 120; a value that is not a number raises ``ValueError``).  All
+    backends meter traffic into ``stats`` identically.
 
     When the calling thread has :mod:`repro.obs` tracing enabled, every rank
     runs under its own tracer and the per-rank snapshots ride home on the

@@ -45,7 +45,9 @@ def kway_stage_comms(comm: Comm, k: int) -> list[tuple[Comm, int, int]]:
             acc += base + (1 if g < extra else 0)
             bounds.append(acc)
         group = next(g for g, b in enumerate(bounds) if cur.rank < b)
-        sub = cur.split_cached(group, cur.rank, cache_tag=("kway", k, depth))  # spmdlint: ignore[R1] -- every rank of `cur` sees the same cur.size, so the ladder descends in lockstep: all members reach this collective split on every iteration
+        # Every rank of `cur` sees the same cur.size, so the ladder descends
+        # in lockstep: all members reach this collective split every time.
+        sub = cur.split_cached(group, cur.rank, cache_tag=("kway", k, depth))
         ladder.append((sub, group, ngroups))
         cur = sub
         depth += 1

@@ -155,31 +155,3 @@ def is_globally_sorted(comm: Comm, keys: np.ndarray) -> bool:
         prev_last = l if l is not None else prev_last
     return ok
 
-
-def partition_balanced(
-    comm: Comm, keys: np.ndarray, payload: Optional[np.ndarray] = None
-):
-    """Repartition globally sorted data into near-equal chunks per rank.
-
-    This is the load-balance step run after sorting/coarsening; it preserves
-    global order.
-    """
-    keys = np.asarray(keys)
-    counts = np.asarray(comm.allgather(len(keys)), dtype=np.int64)
-    total = int(counts.sum())
-    targets = np.full(comm.size, total // comm.size, dtype=np.int64)
-    targets[: total % comm.size] += 1
-    # Global index range currently held by this rank.
-    my_start = int(counts[: comm.rank].sum())
-    # Destination rank of each global index.
-    bounds = np.concatenate([[0], np.cumsum(targets)])
-    gidx = my_start + np.arange(len(keys), dtype=np.int64)
-    dest = np.searchsorted(bounds, gidx, side="right") - 1
-    sends = [keys[dest == r] for r in range(comm.size)]
-    recv = comm.alltoallv(sends)
-    out_k = np.concatenate(recv)
-    if payload is not None:
-        sends_p = [payload[dest == r] for r in range(comm.size)]
-        out_p = np.concatenate(comm.alltoallv(sends_p))
-        return out_k, out_p
-    return out_k

@@ -29,9 +29,9 @@ def dense_exchange(comm: Comm, outgoing: Mapping[int, Any]) -> dict[int, Any]:
     """
     counts = [1 if dest in outgoing else 0 for dest in range(comm.size)]
     recv_counts = comm.alltoall(counts)
-    # Sorted so message issue order is rank-deterministic (spmdlint R2):
-    # callers build `outgoing` in discovery order, which can differ run to
-    # run, and matched receives below key on the source rank.
+    # Sorted so message issue order is rank-deterministic: callers build
+    # `outgoing` in discovery order, which can differ run to run, and
+    # matched receives below key on the source rank.
     for dest, payload in sorted(outgoing.items()):
         comm.send(payload, dest, tag=_NBX_TAG)
     received: dict[int, Any] = {}
@@ -56,7 +56,7 @@ def nbx_exchange(comm: Comm, outgoing: Mapping[int, Any]) -> dict[int, Any]:
     comm._nbx_seq = getattr(comm, "_nbx_seq", 0) + 1
     key = ("nbx", comm._nbx_seq)
     tag = _NBX_TAG + comm._nbx_seq
-    # Sorted for deterministic issue order (spmdlint R2), like dense_exchange.
+    # Sorted for deterministic issue order, like dense_exchange.
     for dest, payload in sorted(outgoing.items()):
         comm.send(payload, dest, tag=tag)
     # In real NBX the barrier is entered after local sends complete

@@ -91,8 +91,9 @@ def par_balance(comm: Comm, local: Octree) -> Octree:
         # by at most one level per round (minimal +1 ripple, matching the
         # serial balance closure).
         targets = current.levels.copy()
-        # Sorted by querying rank (spmdlint R2): keeps the update order
-        # rank-deterministic even though `maximum` happens to commute.
+        # Sorted by querying rank: NBX arrival order is schedule-dependent,
+        # so this keeps the update order deterministic on every backend
+        # even though `maximum` happens to commute.
         for _, (qpts, qneed) in sorted(incoming.items()):
             if not len(current):
                 continue

@@ -40,15 +40,9 @@ def par_coarsen(comm: Comm, local: Octree, votes: np.ndarray) -> Octree:
     result equals the serial :func:`~repro.octree.coarsen.coarsen` of the
     gathered input (tested property), with duplicates removed.
     """
-    # Validate under names that are never reassigned: the loop below carries
-    # `cur_votes` rebound from exchanged (rank-dependent) data, and the
-    # flow-insensitive linter would read a reuse of the `votes` name as
-    # making this uniform input check a rank-dependent early exit ahead of
-    # the loop's collectives.
-    votes_in = np.asarray(votes, dtype=np.int64).reshape(-1)
-    if len(votes_in) != len(local):
+    cur_votes = np.asarray(votes, dtype=np.int64).reshape(-1)
+    if len(cur_votes) != len(local):
         raise ValueError("votes length mismatch")
-    cur_votes = votes_in
     dim = local.dim
     anchors = local.anchors
     levels = local.levels
@@ -109,8 +103,8 @@ def par_coarsen(comm: Comm, local: Octree, votes: np.ndarray) -> Octree:
                 cur_votes[send_next],
             )
         incoming = nbx_exchange(comm, outgoing)
-        # Indexed by sorted source rank (spmdlint R2): exchange arrival order
-        # is schedule-dependent, and the stable argsort below preserves the
+        # Indexed by sorted source rank: exchange arrival order is
+        # schedule-dependent, and the stable argsort below preserves the
         # concatenation order between equal morton keys.
         pieces = [(anchors[keep], levels[keep], cur_votes[keep])] + [
             incoming[q] for q in sorted(incoming)

@@ -1,7 +1,7 @@
-"""Pluggable SPMD execution backends.
+"""SPMD execution backends.
 
 ``repro.mpi.comm.run_spmd`` delegates rank execution and message transport
-to one of the backends registered here:
+to one of three backends, looked up by name in a fixed table:
 
 ``thread`` (default)
     one thread per rank, zero-copy mailboxes — fastest startup, exact
@@ -18,25 +18,41 @@ Select per call (``run_spmd(..., backend="process")``) or globally via the
 an execution backend") for guidance and caveats.
 """
 
+from typing import Optional
+
 from .base import (  # noqa: F401
     BACKEND_ENV,
     DEFAULT_TIMEOUT,
     TIMEOUT_ENV,
     Backend,
-    available_backends,
     default_backend_name,
-    get_backend,
-    register_backend,
-    resolve_backend,
     resolve_timeout,
 )
 from .process import ProcessBackend
 from .serial import SerialBackend
 from .thread import ThreadBackend
 
-register_backend(ThreadBackend.name, ThreadBackend)
-register_backend(ProcessBackend.name, ProcessBackend)
-register_backend(SerialBackend.name, SerialBackend)
+#: name -> the one instance ``run_spmd`` uses for that name.
+_BACKENDS: dict[str, Backend] = {
+    b.name: b() for b in (ThreadBackend, ProcessBackend, SerialBackend)
+}
+
+
+def available_backends() -> list[str]:
+    """Names ``backend=`` accepts."""
+    return sorted(_BACKENDS)
+
+
+def resolve_backend(name: Optional[str]) -> Backend:
+    """The backend called ``name``; ``None`` means
+    :func:`default_backend_name`."""
+    name = default_backend_name() if name is None else name
+    if name not in _BACKENDS:
+        raise ValueError(
+            f"unknown SPMD backend {name!r}; available: {available_backends()}"
+        )
+    return _BACKENDS[name]
+
 
 __all__ = [
     "Backend",
@@ -45,8 +61,6 @@ __all__ = [
     "SerialBackend",
     "available_backends",
     "default_backend_name",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
     "resolve_timeout",
     "BACKEND_ENV",

@@ -4,7 +4,7 @@ The paper's algorithms are SPMD programs written against :class:`repro.mpi.comm.
 *How* the ranks execute — one thread each, one OS process each, or a
 deterministic single-threaded schedule — is a transport decision, not an
 algorithmic one, so it lives behind the :class:`Backend` interface defined
-here.  ``run_spmd`` picks a backend explicitly (``backend=``) or from the
+here.  ``run_spmd`` picks a backend by name (``backend=``) or from the
 ``REPRO_SPMD_BACKEND`` environment variable, defaulting to the zero-copy
 thread simulator.
 
@@ -69,7 +69,7 @@ def format_rank_states(states: dict[int, Optional[str]]) -> str:
 class Backend:
     """Executes an SPMD program: ``fn(comm)`` on every rank of a world."""
 
-    #: registry name; subclasses set it ("thread", "process", "serial").
+    #: table name; subclasses set it ("thread", "process", "serial").
     name: str = "?"
 
     def run(
@@ -89,58 +89,26 @@ class Backend:
         """
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} ({self.name})>"
-
-
-_REGISTRY: dict[str, Callable[[], Backend]] = {}
-_INSTANCES: dict[str, Backend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends (importing ``repro.runtime`` registers
-    the three built-ins)."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str) -> Backend:
-    """The singleton backend registered under ``name``."""
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown SPMD backend {name!r}; available: {available_backends()}"
-        )
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _REGISTRY[name]()
-    return _INSTANCES[name]
-
 
 def default_backend_name() -> str:
     """The backend ``run_spmd`` uses when none is passed explicitly."""
     return os.environ.get(BACKEND_ENV, "thread")
 
 
-def resolve_backend(backend: Optional[object]) -> Backend:
-    """Map a ``backend=`` argument (None, name, or instance) to an instance."""
-    if backend is None:
-        return get_backend(default_backend_name())
-    if isinstance(backend, Backend):
-        return backend
-    return get_backend(str(backend))
-
-
 def resolve_timeout(timeout: Optional[float]) -> float:
-    """Explicit argument beats ``REPRO_SPMD_TIMEOUT`` beats the default."""
+    """Explicit argument beats ``REPRO_SPMD_TIMEOUT`` beats the default.
+
+    A ``REPRO_SPMD_TIMEOUT`` that is not a number raises ``ValueError``
+    naming the variable and its value.
+    """
     if timeout is not None:
         return float(timeout)
     env = os.environ.get(TIMEOUT_ENV)
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return DEFAULT_TIMEOUT
+    if not env:
+        return DEFAULT_TIMEOUT
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError(
+            f"{TIMEOUT_ENV}={env!r} is not a number of seconds"
+        ) from None

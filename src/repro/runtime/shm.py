@@ -18,7 +18,6 @@ process reaps any stragglers it observes on normal shutdown.
 from __future__ import annotations
 
 import os
-import pickle
 from multiprocessing import shared_memory
 from typing import Any
 
@@ -80,11 +79,3 @@ def decode(enc: tuple) -> Any:
         except FileNotFoundError:  # pragma: no cover - already reaped
             pass
 
-
-def payload_roundtrips(payload: Any) -> bool:
-    """True if a payload survives pickling (diagnostic helper)."""
-    try:
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return True
-    except Exception:
-        return False

@@ -2,8 +2,8 @@
 on every backend with rank/call-site attribution, seeded ghost-buffer races
 are caught on the zero-copy thread backend, enabling checks never perturbs
 CommStats (including on the equivalence-suite programs: ``split``
-sub-communicators, NBX, the k-way sort), and the deadlock reporters agree
-structurally across backends."""
+sub-communicators, NBX, the k-way sort and the ``src/`` SPMD entry points),
+and the deadlock reporters agree structurally across backends."""
 
 import time
 
@@ -22,7 +22,7 @@ from repro.mpi.comm import SpmdError, run_spmd
 from repro.mpi.stats import CommStats
 from repro.runtime import ProcessBackend
 
-from ..runtime.spmd_programs import EQUIVALENCE_PROGRAMS
+from ..runtime.spmd_programs import EQUIVALENCE_PROGRAMS, program_args
 
 BACKENDS = ["thread", "serial"] + (
     ["process"] if ProcessBackend.is_available() else []
@@ -56,49 +56,13 @@ def _matched(comm):
     return comm.allgather(total)
 
 
-def _program_args(name, nranks, seed=0):
-    """The same input shapes the equivalence suite feeds each program."""
-    rng = np.random.default_rng(seed)
-    if name == "tests.p2p_ring":
-        return (
-            {
-                (s, d): rng.standard_normal(int(rng.integers(1, 200)))
-                for s in range(nranks)
-                for d in range(nranks)
-                if s != d
-            },
-        )
-    if name == "tests.collectives_battery":
-        return ([rng.standard_normal(8) for _ in range(nranks)],)
-    if name == "tests.nbx_dense_exchange":
-        return (
-            [
-                {
-                    int(d): rng.standard_normal(int(rng.integers(1, 100)))
-                    for d in rng.choice(
-                        nranks, size=int(rng.integers(0, nranks)), replace=False
-                    )
-                }
-                for _ in range(nranks)
-            ],
-        )
-    if name == "tests.distributed_sort":
-        data = [
-            rng.integers(0, 2**60, 200).astype(np.uint64)
-            for _ in range(nranks)
-        ]
-        return (data, "kway", 2)
-    if name == "tests.split_subcomm_traffic":
-        return ()
-    raise AssertionError(f"no args builder for {name}")
-
-
 def _equivalence_runs():
-    """``(program, nranks, args)`` for the five equivalence-suite programs:
-    the only inputs here that drive the fingerprint checker through
-    ``split`` sub-communicators, NBX and the k-way sort."""
+    """``(program, nranks, args)`` for every equivalence-suite program:
+    the inputs here that drive the fingerprint checker through ``split``
+    sub-communicators, NBX, the k-way sort and each ``src/`` SPMD entry
+    point."""
     return [
-        (fn, nranks, _program_args(name, nranks))
+        (fn, nranks, program_args(name, nranks))
         for name, (fn, nranks) in sorted(EQUIVALENCE_PROGRAMS.items())
     ]
 
@@ -146,10 +110,10 @@ class TestCollectiveMatching:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_asymmetric_payloads_allowed(self, backend):
-        # bcast/gather payloads legitimately differ by rank; only the op and
-        # call site must agree.
+        # allgather/gather payloads legitimately differ by rank; only the op
+        # and call site must agree.
         def program(comm):
-            x = comm.bcast(np.arange(5.0) if comm.rank == 0 else None)
+            x = comm.allgather(np.arange(5.0) if comm.rank == 0 else None)[0]
             comm.gather(np.zeros(comm.rank + 1))
             return float(x.sum())
 
@@ -186,7 +150,7 @@ class TestCollectiveMatching:
 def _seeded_race(comm):
     # Seeded bug: mutate a collective result that every rank aliases on the
     # zero-copy transport, with no barrier separating the accesses.
-    arr = comm.bcast(np.zeros(8) if comm.rank == 0 else None)
+    arr = comm.allreduce(np.zeros(8))
     if comm.rank == 1:
         note_buffer_write(comm, arr)
         arr[0] = 1.0
@@ -209,7 +173,7 @@ def _p2p_race(comm):
 def _barrier_separates(comm):
     # Writing after a barrier is properly synchronized: a new epoch begins,
     # so the earlier reads cannot race the write.
-    arr = comm.bcast(np.zeros(8) if comm.rank == 0 else None)
+    arr = comm.allreduce(np.zeros(8))
     comm.barrier()
     if comm.rank == 1:
         note_buffer_write(comm, arr)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi.comm import MAX, MIN, Comm, SpmdError, run_spmd
+from repro.mpi.comm import SpmdError, run_spmd
 from repro.mpi.stats import CommStats, payload_bytes
 
 
@@ -65,52 +65,24 @@ class TestPointToPoint:
 
         assert run_spmd(4, fn)[0] == [1, 2, 3]
 
-    def test_recv_with_status(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.send("x", 1, tag=5)
-            else:
-                payload, src, tag = comm.recv_with_status()
-                return (payload, src, tag)
-
-        assert run_spmd(2, fn)[1] == ("x", 0, 5)
-
-    def test_sendrecv(self):
-        def fn(comm):
-            partner = comm.size - 1 - comm.rank
-            return comm.sendrecv(comm.rank, partner, partner)
-
-        assert run_spmd(4, fn) == [3, 2, 1, 0]
-
     def test_iprobe(self):
         def fn(comm):
-            if comm.rank == 0:
-                assert comm.iprobe() is None or True  # may be empty initially
-                comm.barrier()
-                st = comm.iprobe(source=1, tag=3)
-                assert st == (1, 3)
-                return comm.recv(1, 3)
-            comm.send(42, 0, tag=3)
+            if comm.rank == 1:
+                comm.send(42, 0, tag=3)
+            # One call site on both ranks: the collective checker compares
+            # call sites, so the barrier must not sit inside the branches.
             comm.barrier()
+            if comm.rank == 0:
+                assert comm.iprobe(source=1, tag=3) == (1, 3)
+                return comm.recv(1, 3)
 
         assert run_spmd(2, fn)[0] == 42
 
 
 class TestCollectives:
-    def test_bcast(self):
-        out = run_spmd(4, lambda c: c.bcast("payload" if c.rank == 2 else None, root=2))
-        assert out == ["payload"] * 4
-
-    def test_gather_scatter(self):
-        def fn(comm):
-            g = comm.gather(comm.rank**2, root=1)
-            s = comm.scatter([10, 11, 12, 13] if comm.rank == 0 else None, root=0)
-            return (g, s)
-
-        out = run_spmd(4, fn)
-        assert out[1][0] == [0, 1, 4, 9]
-        assert out[0][0] is None
-        assert [o[1] for o in out] == [10, 11, 12, 13]
+    def test_gather(self):
+        out = run_spmd(4, lambda c: c.gather(c.rank**2, root=1))
+        assert out == [None, [0, 1, 4, 9], None, None]
 
     def test_allgather(self):
         out = run_spmd(3, lambda c: c.allgather(c.rank + 1))
@@ -125,13 +97,12 @@ class TestCollectives:
             assert np.array_equal(arr, np.full(3, 6))
 
     def test_allreduce_max_min(self):
-        out = run_spmd(4, lambda c: (c.allreduce(c.rank, MAX), c.allreduce(c.rank, MIN)))
+        out = run_spmd(4, lambda c: (c.allreduce(c.rank, max), c.allreduce(c.rank, min)))
         assert out == [(3, 0)] * 4
 
-    def test_scan_exscan(self):
-        out = run_spmd(4, lambda c: (c.scan(c.rank + 1), c.exscan(c.rank + 1)))
-        assert [o[0] for o in out] == [1, 3, 6, 10]
-        assert [o[1] for o in out] == [None, 1, 3, 6]
+    def test_exscan(self):
+        out = run_spmd(4, lambda c: c.exscan(c.rank + 1))
+        assert out == [None, 1, 3, 6]
 
     def test_alltoall(self):
         def fn(comm):
@@ -161,11 +132,6 @@ class TestCollectives:
         out = run_spmd(4, fn)
         assert out[0] == out[3]
         assert out[0][0] == 0 + 1 + 2 + 3
-
-    def test_reduce(self):
-        out = run_spmd(3, lambda c: c.reduce(c.rank + 1, root=2))
-        assert out == [None, None, 6]
-
 
 class TestSplit:
     def test_split_even_odd(self):

@@ -5,21 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.collectives import (
-    allgatherv,
-    allreduce_sum,
-    exscan_sum,
-    gatherv,
-    scatterv,
-)
 from repro.mpi.comm import run_spmd
 from repro.mpi.hierarchical import kway_stage_comms
-from repro.mpi.sort import (
-    is_globally_sorted,
-    kway_sort,
-    partition_balanced,
-    sample_sort,
-)
+from repro.mpi.sort import is_globally_sorted, kway_sort, sample_sort
 from repro.mpi.sparse_exchange import dense_exchange, nbx_exchange
 from repro.mpi.stats import CommStats
 
@@ -116,32 +104,6 @@ class TestKwaySort:
         assert all(d == 2 for d in out)
 
 
-class TestPartitionBalanced:
-    def test_balances_counts(self):
-        data = [np.arange(95, dtype=np.uint64), np.arange(95, 100, dtype=np.uint64),
-                np.zeros(0, np.uint64), np.arange(100, 101, dtype=np.uint64)]
-
-        def fn(comm):
-            out = partition_balanced(comm, data[comm.rank])
-            assert is_globally_sorted(comm, out)
-            return len(out)
-
-        counts = run_spmd(4, fn)
-        assert sum(counts) == 101
-        assert max(counts) - min(counts) <= 1
-
-    def test_payload_preserved(self):
-        data = [np.arange(10, dtype=np.uint64) + 10 * r for r in range(3)]
-
-        def fn(comm):
-            k, p = partition_balanced(comm, data[comm.rank], data[comm.rank] * 3)
-            assert np.array_equal(p, k * 3)
-            return k
-
-        outs = run_spmd(3, fn)
-        assert np.array_equal(np.concatenate(outs), np.arange(30, dtype=np.uint64))
-
-
 class TestSparseExchange:
     @pytest.mark.parametrize("exchange", [dense_exchange, nbx_exchange])
     def test_delivers_same_messages(self, exchange):
@@ -193,34 +155,6 @@ class TestSparseExchange:
         run_spmd(16, fn_n, stats=s_nbx)
         # Dense adds an alltoall collective with p entries per rank.
         assert s_dense.snapshot()["collective_bytes"] > s_nbx.snapshot()["collective_bytes"]
-
-
-class TestCollectiveHelpers:
-    def test_allgatherv_order(self):
-        def fn(comm):
-            return allgatherv(comm, np.full(comm.rank, comm.rank))
-
-        out = run_spmd(3, fn)
-        assert np.array_equal(out[0], np.array([1, 2, 2]))
-
-    def test_gatherv_scatterv_roundtrip(self):
-        def fn(comm):
-            full = gatherv(comm, np.arange(comm.rank + 1, dtype=np.int64), root=0)
-            counts = comm.allgather(comm.rank + 1)
-            back = scatterv(comm, full, counts, root=0)
-            return back
-
-        out = run_spmd(3, fn)
-        assert np.array_equal(out[0], [0])
-        assert np.array_equal(out[2], [0, 1, 2])
-
-    def test_exscan_sum(self):
-        out = run_spmd(4, lambda c: exscan_sum(c, c.rank + 1))
-        assert out == [0, 1, 3, 6]
-
-    def test_allreduce_sum_helper(self):
-        out = run_spmd(3, lambda c: allreduce_sum(c, np.ones(2)))
-        assert np.array_equal(out[0], [3.0, 3.0])
 
 
 @settings(max_examples=15, deadline=None)

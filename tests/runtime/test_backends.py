@@ -8,22 +8,25 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis.runtime_check import force_checks
 from repro.mpi.comm import SpmdError, run_spmd
 from repro.mpi.sparse_exchange import nbx_exchange
 from repro.mpi.stats import CommStats
 from repro.runtime import (
     ProcessBackend,
     available_backends,
-    get_backend,
     resolve_backend,
     resolve_timeout,
 )
 
 from .spmd_programs import (
+    ENTRY_POINT_PROGRAMS,
+    EQUIVALENCE_PROGRAMS,
     collectives_battery_program,
     distributed_sort_program,
     nbx_dense_program,
     p2p_ring_program,
+    program_args,
     split_subcomm_program,
 )
 
@@ -101,6 +104,16 @@ class TestEquivalence:
 
     def test_split_and_subcomm_traffic(self):
         assert_equivalent(run_all_backends(6, split_subcomm_program))
+
+    @pytest.mark.parametrize("name", ENTRY_POINT_PROGRAMS)
+    def test_src_entry_point_under_checks(self, name):
+        # Checks on: a rank-divergent collective inside the entry point
+        # raises on every backend, and the results and CommStats still
+        # agree bit for bit.
+        fn, nranks = EQUIVALENCE_PROGRAMS[name]
+        with force_checks(True):
+            runs = run_all_backends(nranks, fn, *program_args(name, nranks))
+        assert_equivalent(runs)
 
 
 class TestProcessBackend:
@@ -205,8 +218,7 @@ class TestSerialBackend:
             # ANY_SOURCE receive order is schedule-dependent: a determinism
             # probe, not just a value check.
             if comm.rank == 0:
-                order = [comm.recv_with_status()[1] for _ in range(comm.size - 1)]
-                return order
+                return [comm.recv() for _ in range(comm.size - 1)]
             comm.send(comm.rank, 0)
 
         a = run_spmd(4, fn, backend="serial", timeout=30)
@@ -242,7 +254,9 @@ class TestSelection:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMD_BACKEND", "serial")
         assert resolve_backend("process").name == "process"
-        assert resolve_backend(get_backend("thread")).name == "thread"
+        assert resolve_backend("thread").name == "thread"
+        # One instance per name.
+        assert resolve_backend("serial") is resolve_backend(None)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown SPMD backend"):
@@ -252,8 +266,17 @@ class TestSelection:
         monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "11.5")
         assert resolve_timeout(None) == 11.5
         assert resolve_timeout(2.0) == 2.0
-        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "junk")
+        monkeypatch.delenv("REPRO_SPMD_TIMEOUT")
         assert resolve_timeout(None) == 120.0
+
+    def test_malformed_timeout_env_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_TIMEOUT", "abc")
+        with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT='abc'"):
+            resolve_timeout(None)
+        with pytest.raises(ValueError, match="REPRO_SPMD_TIMEOUT"):
+            run_spmd(2, lambda c: c.rank)
+        # An explicit timeout never reads the variable.
+        assert run_spmd(2, lambda c: c.rank, timeout=5) == [0, 1]
 
     def test_thread_timeout_dumps_stacks(self):
         import time
@@ -382,6 +405,28 @@ class TestObsCrossBackend:
                 for a, b in zip(rank_out, rank_ref):
                     np.testing.assert_array_equal(a, b, err_msg=name)
             assert report.span_tree_signature() == ref_sig, name
+
+
+class TestDeterministicPeerOrder:
+    def test_regression_fixed_sites_stay_sorted(self):
+        # NBX delivery order is schedule-dependent, so peer loops in the
+        # exchanges and the octree reductions iterate in sorted order; that
+        # is what keeps results bitwise equal across backends.
+        import inspect
+
+        from repro.mpi import sparse_exchange
+        from repro.octree import parbalance, parcoarsen
+
+        assert "sorted(outgoing.items())" in inspect.getsource(
+            sparse_exchange.dense_exchange
+        )
+        assert "sorted(outgoing.items())" in inspect.getsource(
+            sparse_exchange.nbx_exchange
+        )
+        assert "sorted(incoming.items())" in inspect.getsource(
+            parbalance.par_balance
+        )
+        assert "sorted(incoming)" in inspect.getsource(parcoarsen.par_coarsen)
 
 
 def test_stats_merge():
