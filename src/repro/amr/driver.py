@@ -103,15 +103,14 @@ def remesh(
     mesh: Mesh,
     fields: Dict[str, np.ndarray],
     cfg: RemeshConfig,
-    *,
-    phi_name: str = "phi",
 ):
     """One adaptation cycle.  Returns ``(new_mesh, new_fields, info)``.
 
-    ``fields`` maps names to DOF vectors ``(n_dofs,)`` on ``mesh``.
+    ``fields`` maps names to DOF vectors ``(n_dofs,)`` on ``mesh``; the
+    targets are computed from ``fields["phi"]``.
     """
     with obs.span("remesh"):
-        phi = fields[phi_name]
+        phi = fields["phi"]
         with obs.span("remesh.identify"):
             ident = (
                 identify_local_cahn(

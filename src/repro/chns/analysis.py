@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.connected_components import label_components
-from ..fem.basis import tabulate
 from ..fem.operators import gradient_at_quad, value_at_quad
 from ..mesh.mesh import Mesh
+from .forms import integrate
 from .free_energy import psi
 
 
@@ -34,15 +34,11 @@ class DropletStats:
 
 def phase_volume(mesh: Mesh, phi: np.ndarray, *, immersed_sign: float = -1.0):
     """Volume of the immersed phase, ``∫ (1 - sign*phi)/2``."""
-    ev = mesh.elem_gather(phi)
-    vq = value_at_quad(ev, mesh.dim)
-    _, w, _, _ = tabulate(mesh.dim)
-    h = mesh.elem_h()
+    vq = value_at_quad(mesh.elem_gather(phi), mesh.dim)
     # Fraction of the immersed phase: 1 where phi == immersed_sign, 0 at the
     # other well -> (1 + sign*phi)/2.
     frac = 0.5 * (1.0 + immersed_sign * vq)
-    per_elem = np.einsum("q,eq->e", w, np.clip(frac, 0.0, 1.0)) * h**mesh.dim
-    return float(per_elem.sum())
+    return integrate(mesh, np.clip(frac, 0.0, 1.0))
 
 
 def interface_measure(mesh: Mesh, phi: np.ndarray, Cn: float) -> float:
@@ -52,12 +48,9 @@ def interface_measure(mesh: Mesh, phi: np.ndarray, Cn: float) -> float:
     equals ``(2*sqrt(2)/3) * Cn * |interface|``; inverting gives the measure.
     """
     ev = mesh.elem_gather(phi)
-    h = mesh.elem_h()
     vq = value_at_quad(ev, mesh.dim)
-    gq = gradient_at_quad(ev, h, mesh.dim)
-    _, w, _, _ = tabulate(mesh.dim)
-    dens = 0.5 * Cn**2 * np.sum(gq**2, axis=-1) + psi(vq)
-    total = float((np.einsum("q,eq->e", w, dens) * h**mesh.dim).sum())
+    gq = gradient_at_quad(ev, mesh.elem_h(), mesh.dim)
+    total = integrate(mesh, 0.5 * Cn**2 * np.sum(gq**2, axis=-1) + psi(vq))
     return total / (2.0 * np.sqrt(2.0) / 3.0 * Cn)
 
 

@@ -81,7 +81,6 @@ class CHSolver:
         *,
         theta: float = 1.0,
         source_phi: np.ndarray | None = None,
-        source_mu: np.ndarray | None = None,
     ):
         """The Newton callbacks ``(residual, jacobian, split)`` for one CH
         step (exposed so tests and benchmarks can probe single iterates).
@@ -91,9 +90,8 @@ class CHSolver:
         Crank-Nicolson (``theta=0.5``, second order in time; the MMS
         temporal ladder runs here).  The chemical-potential equation is an
         algebraic constraint, not an evolution equation, so it stays fully
-        implicit for every theta.  ``source_phi``/``source_mu`` are
-        pre-assembled load vectors (manufactured forcing) subtracted from
-        the residuals.
+        implicit for every theta.  ``source_phi`` is a pre-assembled load
+        vector (manufactured forcing) subtracted from the phi residual.
 
         ``residual`` and ``jacobian`` at one Newton iterate need the same
         mesh-wide products, the quad-point phi, the mobility there and the
@@ -152,8 +150,6 @@ class CHSolver:
                 r_phi -= source_phi
             psi_load = forms.source(mesh, psi_prime(phi_q))
             r_mu = M @ mu - psi_load - Cn2 * (K @ phi)
-            if source_mu is not None:
-                r_mu -= source_mu
             return np.concatenate([r_phi, r_mu])
 
         def jacobian(x):
@@ -182,11 +178,9 @@ class CHSolver:
         tol: float = 1e-9,
         theta: float = 1.0,
         source_phi: np.ndarray | None = None,
-        source_mu: np.ndarray | None = None,
     ) -> CHResult:
         residual, jacobian, split = self.operators(
-            phi_n, mu_n, vel, dt,
-            theta=theta, source_phi=source_phi, source_mu=source_mu,
+            phi_n, mu_n, vel, dt, theta=theta, source_phi=source_phi
         )
         x0 = np.concatenate([phi_n, mu_n])
         res = newton_solve(

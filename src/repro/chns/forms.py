@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..fem.assembly import assemble_vector
+from ..fem.basis import tabulate
 from ..fem.plan import plan_assemble
 from ..fem.operators import (
     convection_matrix,
@@ -103,19 +104,9 @@ def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     return plan_assemble(mesh, stiffness_ke(mesh, coeff))
 
 
-def convection(mesh: Mesh, vel_dofs: np.ndarray, rho_q=None) -> sp.csr_matrix:
-    """``∫ c N_i (v · grad N_j)`` with velocity given as (n_dofs, dim) and
-    the optional density weight ``c`` at quadrature points."""
-    vq = field_at_quad(mesh, vel_dofs)  # (e, nq, dim)
-    if rho_q is not None:
-        vq = vq * np.asarray(rho_q)[..., None]
-    return convection_from_quad(mesh, vq)
-
-
-def convection_from_quad(mesh: Mesh, vq: np.ndarray) -> sp.csr_matrix:
-    """Convection by an advecting field already sampled at quadrature points
-    (e.g. the NS diffusive mass flux), shape (n_elems, nq, dim)."""
-    return plan_assemble(mesh, convection_ke(mesh, vq))
+def convection(mesh: Mesh, vel_dofs: np.ndarray) -> sp.csr_matrix:
+    """``∫ N_i (v · grad N_j)`` with velocity given as (n_dofs, dim)."""
+    return plan_assemble(mesh, convection_ke(mesh, field_at_quad(mesh, vel_dofs)))
 
 
 def source_be(mesh: Mesh, f_q) -> np.ndarray:
@@ -168,13 +159,15 @@ def flux_divergence_load(mesh: Mesh, flux_q: np.ndarray) -> np.ndarray:
     return assemble_vector(mesh, flux_divergence_be(mesh, flux_q))
 
 
+def integrate(mesh: Mesh, dens_q: np.ndarray) -> float:
+    """``∫ f`` over the mesh of a density given at the quadrature points,
+    shape (n_elems, nq)."""
+    _, w, _, _ = tabulate(mesh.dim)
+    per_elem = np.einsum("q,eq->e", w, dens_q) * mesh.elem_h() ** mesh.dim
+    return float(per_elem.sum())
+
+
 def divergence_l2(mesh: Mesh, vel_dofs: np.ndarray) -> float:
     """``||div v||_{L2}`` computed at quadrature points."""
-    from ..fem.basis import tabulate
-
-    vq = grad_at_quad(mesh, vel_dofs)
-    div_q = np.einsum("eqdd->eq", vq)
-    _, w, _, _ = tabulate(mesh.dim)
-    h = mesh.elem_h()
-    val = np.einsum("q,eq->e", w, div_q**2) * h**mesh.dim
-    return float(np.sqrt(val.sum()))
+    div_q = np.einsum("eqdd->eq", grad_at_quad(mesh, vel_dofs))
+    return float(np.sqrt(integrate(mesh, div_q**2)))

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..fem.operators import gradient_at_quad, value_at_quad
 from ..mesh.mesh import Mesh
+from .forms import integrate
 
 _MOBILITY_FLOOR = 1e-8
 
@@ -46,24 +47,11 @@ def ginzburg_landau_energy(mesh: Mesh, phi: np.ndarray, Cn: float) -> float:
     functional our semi-implicit CH discretization should not increase for
     pure Cahn-Hilliard dynamics (tested)."""
     ev = mesh.elem_gather(phi)
-    h = mesh.elem_h()
     vq = value_at_quad(ev, mesh.dim)
-    gq = gradient_at_quad(ev, h, mesh.dim)
-    from ..fem.basis import tabulate
-
-    _, w, _, _ = tabulate(mesh.dim)
-    dens = psi(vq) + 0.5 * Cn**2 * np.sum(gq**2, axis=-1)
-    per_elem = np.einsum("q,eq->e", w, dens) * h**mesh.dim
-    return float(per_elem.sum())
+    gq = gradient_at_quad(ev, mesh.elem_h(), mesh.dim)
+    return integrate(mesh, psi(vq) + 0.5 * Cn**2 * np.sum(gq**2, axis=-1))
 
 
 def total_mass(mesh: Mesh, phi: np.ndarray) -> float:
     """``∫ phi`` — conserved by Cahn-Hilliard with no-flux boundaries."""
-    ev = mesh.elem_gather(phi)
-    h = mesh.elem_h()
-    vq = value_at_quad(ev, mesh.dim)
-    from ..fem.basis import tabulate
-
-    _, w, _, _ = tabulate(mesh.dim)
-    per_elem = np.einsum("q,eq->e", w, vq) * h**mesh.dim
-    return float(per_elem.sum())
+    return integrate(mesh, value_at_quad(mesh.elem_gather(phi), mesh.dim))

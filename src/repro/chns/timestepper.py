@@ -55,9 +55,7 @@ class CHNSTimeStepper:
         remesh_config: Optional[RemeshConfig] = None,
         remesh_every: int = 0,
         precond: Optional[str] = None,
-        ch_theta: float = 1.0,
-        sources: Optional[Dict[str, Callable]] = None,
-        t0: float = 0.0,
+        ns_forcing: Optional[Callable] = None,
         pp_mode: str = "split",
     ):
         """``flow=False`` is a Cahn-Hilliard-only run: no NS/PP/VU solvers
@@ -67,11 +65,8 @@ class CHNSTimeStepper:
         ``precond`` is a vestigial key: ``None`` / ``"jacobi"``, the one NS
         momentum preconditioner, is its only legal value (PP picks its own
         from the mesh size, :data:`repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`).
-        ``ch_theta`` blends the CH block between backward Euler (1.0,
-        default) and Crank-Nicolson (0.5).  ``sources`` holds manufactured
-        forcing callables keyed ``"ch"`` (scalar ``f(x, t)``) and ``"ns"``
-        (vector ``f(x, t)``) — the MMS hook; ``t0`` anchors the simulated
-        time they see.
+        ``ns_forcing`` is a manufactured momentum forcing ``f(x, t)`` (vector
+        valued) — the MMS hook; the CH block is backward Euler.
 
         ``pp_mode`` selects the pressure-splitting flavor:
 
@@ -97,13 +92,11 @@ class CHNSTimeStepper:
         self.remesh_every = remesh_every
         if precond not in (None, "jacobi"):
             raise ValueError(f"unknown precond {precond!r}")
-        self.ch_theta = float(ch_theta)
         if pp_mode not in ("split", "schur"):
             raise ValueError(f"unknown pp_mode {pp_mode!r}")
         self.pp_mode = pp_mode
-        self.sources = sources or {}
-        self.t0 = float(t0)
-        self.t = float(t0)
+        self.ns_forcing = ns_forcing
+        self.t = 0.0
         self.step_count = 0
         self.vel = self.vel_old = self.p = None
         #: :class:`~repro.la.newton.NewtonResult` of the most recent CH
@@ -148,7 +141,7 @@ class CHNSTimeStepper:
         """Set phi from a function of unit-cube coordinates; velocity and
         pressure start at rest; mu is made consistent with phi."""
         mesh = self.mesh
-        self.t = self.t0
+        self.t = 0.0
         self.phi = mesh.interpolate(phi0)
         self.mu = self.ch.initial_mu(self.phi)
         if not self.flow:
@@ -241,18 +234,8 @@ class CHNSTimeStepper:
             dt_b = dt / self.n_blocks
             for k in range(self.n_blocks):
                 t_n = self.t + k * dt_b
-                s_phi, ns_forcing = self._block_sources(t_n, dt_b)
                 with obs.span("chns.ch"):
-                    # CN (theta<1) advects phi with the midpoint-extrapolated
-                    # velocity so the whole block stays second order; BE
-                    # keeps the historical v^n.
-                    ch_vel = self.vel
-                    if self.flow and self.ch_theta != 1.0:
-                        ch_vel = 1.5 * self.vel - 0.5 * self.vel_old
-                    ch_res = self.ch.solve(
-                        self.phi, self.mu, ch_vel, dt_b,
-                        theta=self.ch_theta, source_phi=s_phi,
-                    )
+                    ch_res = self.ch.solve(self.phi, self.mu, self.vel, dt_b)
                     self.phi, self.mu = ch_res.phi, ch_res.mu
                 self.last_newton = newton = ch_res.newton
                 self.iteration_counts["newton"] += newton.iterations
@@ -262,7 +245,7 @@ class CHNSTimeStepper:
                 self.iteration_counts["ch_linear"] += newton.linear_iterations
                 self.iteration_counts["ch_factorizations"] += newton.factorizations
                 if self.flow:
-                    self._flow_block(dt_b, ns_forcing)
+                    self._flow_block(dt_b, self._ns_load(t_n, dt_b))
             obs.incr("chns.steps")
             obs.gauge("chns.n_elems", self.mesh.n_elems)
 
@@ -341,26 +324,17 @@ class CHNSTimeStepper:
             obs.incr(f"krylov.iterations.{blk}", its)
             obs.incr(f"krylov.solves.{blk}", n_solves)
 
-    def _block_sources(self, t_n: float, dt_b: float):
-        """Assembled manufactured-forcing loads for one block starting at
-        ``t_n``: the CH load is theta-weighted to match the CH scheme, the
-        NS load is the trapezoidal average matching the CN predictor."""
-        s_phi = ns_forcing = None
-        f_ch = self.sources.get("ch")
-        if f_ch is not None:
-            th = self.ch_theta
-            s_phi = th * forms.source_at(self.mesh, f_ch, t_n + dt_b)
-            if th != 1.0:
-                s_phi = s_phi + (1.0 - th) * forms.source_at(
-                    self.mesh, f_ch, t_n
-                )
-        f_ns = self.sources.get("ns")
-        if f_ns is not None:
-            ns_forcing = 0.5 * (
-                forms.source_at(self.mesh, f_ns, t_n)
-                + forms.source_at(self.mesh, f_ns, t_n + dt_b)
-            )
-        return s_phi, ns_forcing
+    def _ns_load(self, t_n: float, dt_b: float):
+        """Assembled ``ns_forcing`` load for one block starting at ``t_n``
+        (None without forcing): the trapezoidal average matching the CN
+        predictor."""
+        f = self.ns_forcing
+        if f is None:
+            return None
+        return 0.5 * (
+            forms.source_at(self.mesh, f, t_n)
+            + forms.source_at(self.mesh, f, t_n + dt_b)
+        )
 
     # -------------------------------------------------------- diagnostics
 

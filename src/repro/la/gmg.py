@@ -31,6 +31,11 @@ from ..fem.basis import shape_functions
 from ..mesh.mesh import Mesh
 from ..octree import morton
 
+#: Weighted-Jacobi smoother: damping, and sweeps before and after each
+#: coarse-grid correction.
+OMEGA = 2.0 / 3.0
+SMOOTH_STEPS = 2
+
 
 def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     """FE interpolation matrix from coarse DOFs to fine DOFs.
@@ -173,14 +178,7 @@ class GeometricMultigrid:
         A_fine: sp.csr_matrix,
         *,
         coarsest_level: int = 2,
-        omega: float = 2.0 / 3.0,
-        pre_smooth: int = 2,
-        post_smooth: int = 2,
     ):
-        self.omega = omega
-        self.pre = pre_smooth
-        self.post = post_smooth
-
         self.levels: list[_Level] = []
         A = A_fine.tocsr()
         for P, R in [*hierarchy_for(fine_mesh, coarsest_level), (None, None)]:
@@ -195,19 +193,19 @@ class GeometricMultigrid:
 
     def _smooth(self, lvl: _Level, x: np.ndarray, b: np.ndarray, n: int):
         for _ in range(n):
-            x = x + self.omega * lvl.inv_diag * (b - lvl.A @ x)
+            x = x + OMEGA * lvl.inv_diag * (b - lvl.A @ x)
         return x
 
     def v_cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         lvl = self.levels[level]
         if level == len(self.levels) - 1:
             return self._coarse_lu.solve(b)
-        x = self._smooth(lvl, np.zeros_like(b), b, self.pre)
+        x = self._smooth(lvl, np.zeros_like(b), b, SMOOTH_STEPS)
         r = b - lvl.A @ x
         rc = lvl.R @ r
         ec = self.v_cycle(rc, level + 1)
         x = x + lvl.P @ ec
-        return self._smooth(lvl, x, b, self.post)
+        return self._smooth(lvl, x, b, SMOOTH_STEPS)
 
     # Preconditioner protocol.
     def matvec(self, r: np.ndarray) -> np.ndarray:

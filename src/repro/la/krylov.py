@@ -36,10 +36,6 @@ class SolveResult:
     residual: float
     converged: bool
 
-    def __iter__(self):  # allow x, info = solve(...)
-        yield self.x
-        yield self
-
 
 def cg(
     A,
@@ -103,22 +99,19 @@ def bicgstab(
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b.copy() if x0 is None else b - mv(x)
     r0 = r.copy()
+    bnorm = float(np.linalg.norm(b)) or 1.0
     # Divergence on ill-conditioned systems shows up as overflow before the
     # breakdown checks trip; the caller (e.g. Newton's re-factorization)
     # handles the non-converged result, so the intermediate warnings are noise.
     _old_err = np.seterr(over="ignore", invalid="ignore")
     try:
         with obs.span("krylov.bicgstab"):
-            res = _bicgstab_body(mv, pc, x, r, r0, bnorm_of(b), tol, maxiter, b)
+            res = _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b)
     finally:
         np.seterr(**_old_err)
     obs.incr("krylov.solves")
     obs.incr("krylov.iterations", res.iterations)
     return res
-
-
-def bnorm_of(b: np.ndarray) -> float:
-    return float(np.linalg.norm(b)) or 1.0
 
 
 def _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b):

@@ -18,17 +18,13 @@ import scipy.sparse as sp
 
 
 class JacobiPreconditioner:
-    """Diagonal scaling.  Accepts a CSR matrix, a diagonal vector, or any
-    operator exposing ``diagonal()`` (e.g. the matrix-free elemental
-    operator)."""
+    """Diagonal scaling.  Accepts a sparse matrix or a diagonal vector."""
 
     def __init__(self, A):
         if sp.issparse(A):
             d = A.diagonal()
         elif isinstance(A, np.ndarray) and A.ndim == 1:
             d = A
-        elif hasattr(A, "diagonal"):
-            d = np.asarray(A.diagonal())
         else:
             raise TypeError("cannot extract a diagonal")
         d = np.where(np.abs(d) > 1e-300, d, 1.0)
@@ -38,6 +34,11 @@ class JacobiPreconditioner:
         return self.inv_diag * r
 
     __call__ = matvec
+
+
+#: Coarsest GMG level of :class:`PCDPreconditioner` (one below the mesh's
+#: finest level when that is coarser).
+PCD_COARSEST_LEVEL = 2
 
 
 class PCDPreconditioner:
@@ -60,12 +61,11 @@ class PCDPreconditioner:
         A_elliptic: sp.spmatrix,
         *,
         remove_mean: bool = False,
-        coarsest_level: int = 2,
     ):
         from .gmg import GeometricMultigrid
 
         finest = int(mesh.tree.levels.max())
-        coarsest_level = min(int(coarsest_level), finest - 1)
+        coarsest_level = min(PCD_COARSEST_LEVEL, finest - 1)
         self._gmg = GeometricMultigrid(
             mesh, A_elliptic.tocsr(), coarsest_level=coarsest_level
         )

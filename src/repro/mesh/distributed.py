@@ -218,33 +218,6 @@ class DistributedField:
         acc = elemental_pass(Ke, self.local_conn, self.ghost_read(owned_values))
         return self.ghost_write(acc, acc[self.plan.own_pos], mode="add")
 
-    def matvec_matrix_free(
-        self, owned_values: np.ndarray, coeff=1.0
-    ) -> np.ndarray:
-        """Matrix-free reference MATVEC: re-assemble each elemental
-        stiffness on the fly inside an explicit per-element loop, the way
-        the paper's production kernel trades FLOPs for memory.
-
-        This is numerically identical to precomputing the ``Ke`` batch and
-        calling :meth:`matvec` (same accumulation order — pinned bitwise in
-        ``tests/mesh/test_distributed.py``), so it doubles as the
-        validation reference for the batched GEMM path.  Unlike the batched
-        path, the per-element work runs in the interpreter — compute-dense
-        ranks like these are what backend scaling studies must exercise,
-        since a fully vectorized kernel spends microseconds per rank and
-        measures only transport overhead.
-        """
-        from ..fem.operators import stiffness_matrix
-
-        nv = self.ghost_read(owned_values)
-        h = self.mesh.elem_h()[self.elem_lo : self.elem_hi]
-        dim = self.mesh.dim
-        acc = np.zeros(len(self.needed))
-        for conn, he in zip(self.local_conn, h):
-            Ke = stiffness_matrix(he[None], dim, coeff)[0]
-            acc[conn] += Ke @ nv[conn]
-        return self.ghost_write(acc, acc[self.plan.own_pos], mode="add")
-
     def erode_dilate_step(
         self,
         owned_values: np.ndarray,

@@ -110,10 +110,6 @@ class Comm:
         with obs.span("comm.collective"):
             return self._world.exchange(self.rank, value, combine)
 
-    def gather(self, obj: Any, root: int = 0) -> Optional[list]:
-        all_ = self._collective(obj, list, op="gather")
-        return list(all_) if self.rank == root else None
-
     def allgather(self, obj: Any) -> list:
         return list(self._collective(obj, list, op="allgather"))
 
@@ -239,8 +235,7 @@ def run_spmd(
 
     When the calling thread has :mod:`repro.obs` tracing enabled, every rank
     runs under its own tracer and the per-rank snapshots ride home on the
-    result transport; read them afterwards via ``obs.last_spmd_traces()`` /
-    ``obs.last_spmd_report()``.
+    result transport; read them afterwards via ``obs.last_spmd_report()``.
     """
     # Imported lazily: repro.runtime's backends import Comm from this module.
     from repro.runtime import resolve_backend, resolve_timeout

@@ -14,14 +14,13 @@ it; the disabled fast path is a single thread-local read.  Typical use::
     obs.enable()                      # or obs.tracing() as a context manager
     ...                               # instrumented code runs normally
     report = obs.world_report(obs.snapshot())
-    print(report.format())
+    report.to_dict()                  # per-span min/max/mean, counters
 
 Around SPMD runs nothing extra is needed: when the calling thread has
 tracing enabled, ``run_spmd`` gives every rank its own tracer and ships the
 per-rank snapshots home on the existing result transport (thread, process,
 or serial backend alike).  They are available afterwards as
-:func:`last_spmd_traces` / :func:`last_spmd_report`, and SPMD code can also
-reduce in-world with :func:`gather_world`.
+:func:`last_spmd_report`.
 
 Span taxonomy and the relation to ``CommStats`` and ``repro.perf`` are
 documented in DESIGN.md §6; the public API in docs/API.md.
@@ -35,7 +34,6 @@ from .report import (  # noqa: F401
     SpanStat,
     WorldReport,
     flatten_spans,
-    gather_world,
     world_report,
 )
 from .tracer import (  # noqa: F401
@@ -65,13 +63,9 @@ def _set_last_spmd(snaps: Sequence[dict]) -> None:
     _last_spmd = list(snaps)
 
 
-def last_spmd_traces() -> Optional[list]:
-    """Per-rank snapshots collected by the most recent traced SPMD run."""
-    return _last_spmd
-
-
 def last_spmd_report() -> Optional[WorldReport]:
-    """World-level report over :func:`last_spmd_traces` (None if untraced)."""
+    """World-level report over the per-rank snapshots of the most recent
+    traced SPMD run (None if untraced)."""
     if not _last_spmd:
         return None
     return WorldReport(_last_spmd)
@@ -92,9 +86,7 @@ __all__ = [
     "snapshot",
     "tracing",
     "world_report",
-    "gather_world",
     "flatten_spans",
-    "last_spmd_traces",
     "last_spmd_report",
     "begin_rank",
     "end_rank",

@@ -6,14 +6,9 @@ times reduced to min/max/mean plus the *imbalance factor* ``max/mean`` (the
 standard load-balance metric; 1.0 = perfectly balanced), and for every
 counter the per-rank values plus their sum.
 
-Two ways to build one:
-
-* :func:`world_report` — from snapshots already in hand (e.g. the per-rank
-  traces ``run_spmd`` collected automatically, or a single local snapshot).
-* :func:`gather_world` — called *inside* an SPMD program: gathers every
-  rank's local snapshot to ``root`` over the communicator itself, i.e. the
-  reduction rides the existing transport and therefore works identically on
-  the thread, process, and serial backends.
+:func:`world_report` builds one from snapshots already in hand (e.g. the
+per-rank traces ``run_spmd`` collected automatically, or a single local
+snapshot).
 
 Span identity is the slash-joined path from the root (``"chns.step/ch"``),
 so differently-nested spans with the same leaf name stay distinct.
@@ -22,7 +17,7 @@ so differently-nested spans with the same leaf name stay distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def _flatten(nodes: Sequence[dict], prefix: str, out: dict) -> None:
@@ -161,65 +156,9 @@ class WorldReport:
             "gauges": dict(self.gauges),
         }
 
-    def format(self, *, min_seconds: float = 0.0) -> str:
-        """Human-readable per-phase table (benchmarks, EXPERIMENTS.md)."""
-        rows = []
-        for s in self.spans.values():
-            if s.inclusive_mean < min_seconds:
-                continue
-            indent = "  " * s.depth
-            rows.append(
-                (
-                    indent + s.name,
-                    s.count,
-                    f"{s.inclusive_mean * 1e3:.3f}",
-                    f"{s.exclusive_mean * 1e3:.3f}",
-                    f"{s.inclusive_min * 1e3:.3f}",
-                    f"{s.inclusive_max * 1e3:.3f}",
-                    f"{s.imbalance:.2f}",
-                )
-            )
-        headers = (
-            "span", "count", "incl ms", "excl ms", "min ms", "max ms", "imbal"
-        )
-        cols = list(zip(*([headers] + rows))) if rows else [[h] for h in headers]
-        widths = [max(len(str(v)) for v in col) for col in cols]
-
-        def line(vals):
-            out = [str(vals[0]).ljust(widths[0])]
-            out += [str(v).rjust(w) for v, w in zip(vals[1:], widths[1:])]
-            return " | ".join(out)
-
-        text = [line(headers), "-+-".join("-" * w for w in widths)]
-        text += [line(r) for r in rows]
-        if self.counters:
-            text.append("")
-            for k in sorted(self.counters):
-                v = self.counters[k]
-                text.append(f"counter {k}: total={sum(v)} per_rank={v}")
-        return "\n".join(text)
-
-
 def world_report(snapshots) -> WorldReport:
     """Build a :class:`WorldReport` from per-rank snapshots (or one dict)."""
     if isinstance(snapshots, dict):
         snapshots = [snapshots]
     return WorldReport(list(snapshots))
 
-
-def gather_world(comm, root: int = 0) -> Optional[WorldReport]:
-    """SPMD-side reduction: gather every rank's local snapshot to ``root``
-    through the communicator (works on every runtime backend) and return the
-    merged report there (None elsewhere, and everywhere when disabled).
-
-    Collective: every rank must call it, enabled or not.
-    """
-    from . import tracer
-
-    tr = tracer.current()
-    snaps = comm.gather(tr.snapshot() if tr is not None else None, root=root)
-    if comm.rank != root or snaps is None:
-        return None
-    if all(s is None for s in snaps):
-        return None
-    return WorldReport([s for s in snaps if s is not None])

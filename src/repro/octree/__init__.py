@@ -1,13 +1,7 @@
 """Linear octree substrate (paper Sec. II-C)."""
 
 from .balance import balance, is_balanced  # noqa: F401
-from .build import (  # noqa: F401
-    build_tree,
-    complete_region,
-    tree_from_function,
-    tree_from_points,
-    uniform_tree,
-)
+from .build import build_tree, tree_from_function, uniform_tree  # noqa: F401
 from .coarsen import coarsen, coarsen_recursive  # noqa: F401
 from .domain import BoxDomain, ComplementDomain, Domain, SphereDomain  # noqa: F401
 from .level_by_level import (  # noqa: F401

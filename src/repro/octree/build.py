@@ -109,76 +109,3 @@ def tree_from_function(
         dim, pred, max_level=max_level, min_level=min_level, domain=domain
     )
 
-
-def tree_from_points(
-    dim: int,
-    points: np.ndarray,
-    *,
-    max_points_per_leaf: int = 8,
-    max_level: int = morton.MAX_DEPTH,
-    min_level: int = 0,
-) -> Octree:
-    """Refine until no leaf holds more than ``max_points_per_leaf`` samples.
-
-    ``points`` are unit-cube coordinates (n, dim) — e.g. Lagrangian droplet
-    seeds or sensor locations.  The classic point-octree construction used to
-    initialize particle-laden configurations.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != dim:
-        raise ValueError("points must have shape (n, dim)")
-    if np.any(points < 0) or np.any(points >= 1):
-        raise ValueError("points must lie in [0, 1)")
-    grid = (points * (1 << morton.MAX_DEPTH)).astype(np.int64)
-
-    def pred(anchors, levels):
-        lo, hi = morton.descendant_key_range(anchors, levels, dim)
-        pk = np.sort(morton.point_keys(grid, dim))
-        counts = np.searchsorted(pk, hi) - np.searchsorted(pk, lo)
-        return counts > max_points_per_leaf
-
-    return build_tree(dim, pred, max_level=max_level, min_level=min_level)
-
-
-def complete_region(
-    a_anchor, a_level: int, b_anchor, b_level: int, dim: int
-) -> Octree:
-    """Minimal complete linear octree covering the SFC range between two
-    octants ``a < b`` (exclusive of a and b themselves) — the p4est-style
-    ``complete_region`` primitive used when constructing complete trees from
-    scattered seeds."""
-    a_anchor = np.asarray(a_anchor, dtype=np.int64)
-    b_anchor = np.asarray(b_anchor, dtype=np.int64)
-    ka = morton.keys(a_anchor[None], np.asarray([a_level]), dim)[0]
-    kb = morton.keys(b_anchor[None], np.asarray([b_level]), dim)[0]
-    if not ka < kb:
-        raise ValueError("need a < b in SFC order")
-    out_a, out_l = [], []
-
-    def visit(anchor, level):
-        k = morton.keys(anchor[None], np.asarray([level]), dim)[0]
-        lo, hi = morton.descendant_key_range(anchor[None], np.asarray([level]), dim)
-        # Entirely outside the open interval (a, b)?
-        if hi[0] <= ka or k >= kb:
-            return
-        # Inside an endpoint (exclusive): nothing to emit there.
-        if morton.is_ancestor(a_anchor, a_level, anchor, level) or morton.is_ancestor(
-            b_anchor, b_level, anchor, level
-        ):
-            return
-        # Strict ancestor of an endpoint: must descend to carve around it.
-        anc_a = bool(morton.is_ancestor(anchor, level, a_anchor, a_level, strict=True))
-        anc_b = bool(morton.is_ancestor(anchor, level, b_anchor, b_level, strict=True))
-        if not anc_a and not anc_b:
-            if k > ka:
-                out_a.append(anchor.copy())
-                out_l.append(level)
-            return
-        ca, cl = morton.children(anchor, np.int64(level), dim)
-        for c in range(1 << dim):
-            visit(ca[c], int(cl[c]))
-
-    visit(np.zeros(dim, dtype=np.int64), 0)
-    if not out_a:
-        return Octree.empty(dim)
-    return Octree(np.stack(out_a), np.asarray(out_l), dim, presorted=True)

@@ -220,18 +220,6 @@ def _contract(x: np.ndarray, dim: int) -> np.ndarray:
     raise ValueError(f"dim must be 2 or 3, got {dim}")
 
 
-def child_index(anchors, levels, dim: int):
-    """Morton child index (0 .. 2**dim - 1) of each octant within its parent."""
-    anchors = np.asarray(anchors, dtype=np.int64)
-    levels = np.asarray(levels, dtype=np.int64)
-    size = cell_size(levels)
-    idx = np.zeros(levels.shape, dtype=np.int64)
-    for axis in range(dim):
-        bit = (anchors[..., axis] // size) & 1
-        idx |= bit << axis
-    return idx
-
-
 def coarsen_anchor(anchors, from_levels, to_levels):
     """Anchor of the ancestor of each octant at the (coarser) ``to_levels``."""
     anchors = np.asarray(anchors, dtype=np.int64)

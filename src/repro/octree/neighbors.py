@@ -66,18 +66,3 @@ def leaf_neighbors(tree: Octree, indices: np.ndarray | None = None):
         out[ok] = tree.locate_points(flat[ok])
     return out.reshape(points.shape[:2])
 
-
-def face_neighbor_anchors(anchors, levels, dim: int):
-    """Same-level face-neighbor anchors, shape ``(n, 2*dim, dim)``, plus an
-    ``inside`` root-cube mask ``(n, 2*dim)``."""
-    anchors = np.asarray(anchors, dtype=np.int64)
-    levels = np.asarray(levels, dtype=np.int64)
-    size = morton.cell_size(levels)
-    n = len(levels)
-    out = np.repeat(anchors[:, None, :], 2 * dim, axis=1)
-    for axis in range(dim):
-        out[:, 2 * axis, axis] -= size
-        out[:, 2 * axis + 1, axis] += size
-    bound = 1 << morton.MAX_DEPTH
-    inside = np.all((out >= 0) & (out < bound), axis=-1)
-    return out, inside

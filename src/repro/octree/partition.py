@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from ..mpi.comm import Comm
-from ..mpi.sort import kway_sort
 from . import morton
 from .tree import Octree
 
@@ -31,14 +30,6 @@ def scatter_tree(tree: Octree, nparts: int) -> list[Octree]:
         )
         for r in range(nparts)
     ]
-
-
-def gather_tree(comm: Comm, local: Octree) -> Octree:
-    """Allgather a distributed tree into a full copy on every rank."""
-    parts = comm.allgather((local.anchors, local.levels))
-    anchors = np.concatenate([p[0] for p in parts])
-    levels = np.concatenate([p[1] for p in parts])
-    return Octree(anchors, levels, local.dim, presorted=True)
 
 
 def repartition(
@@ -71,23 +62,6 @@ def repartition(
         sends_p = [payload[dest == r] for r in range(comm.size)]
         recv_p = np.concatenate(comm.alltoallv(sends_p))
         return out, recv_p
-    return out
-
-
-def distributed_sort_tree(
-    comm: Comm, local: Octree, payload: Optional[np.ndarray] = None, *, k: int = 128
-):
-    """Globally sort an arbitrarily scattered octant multiset (hierarchical
-    k-way staged sort, paper Sec. II-C3a) and return the local sorted chunk."""
-    keys = local.keys()
-    if payload is not None:
-        skeys, spayload = kway_sort(comm, keys, payload, k=k)
-    else:
-        skeys = kway_sort(comm, keys, k=k)
-    anchors, levels = morton.decode_key(skeys, local.dim)
-    out = Octree(anchors, levels, local.dim, presorted=True)
-    if payload is not None:
-        return out, spayload
     return out
 
 

@@ -87,10 +87,6 @@ class Octree:
             self._keys = _frozen(morton.keys(self.anchors, self.levels, self.dim))
         return self._keys
 
-    def is_sorted(self) -> bool:
-        k = self.keys()
-        return bool(np.all(k[:-1] <= k[1:]))
-
     def is_linear(self) -> bool:
         """True iff sorted, duplicate-free, and overlap-free (a true leaf set)."""
         if len(self) < 2:
@@ -186,19 +182,6 @@ class Octree:
             k[np.maximum(idx, 0)], pk, self.dim
         )
         return np.where(contains, idx, -1)
-
-    def find(self, anchors, levels) -> np.ndarray:
-        """Index of each exact octant in the tree, or -1 if absent."""
-        anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, self.dim)
-        levels = np.asarray(levels, dtype=np.int64).reshape(-1)
-        q = morton.keys(anchors, levels, self.dim)
-        k = self.keys()
-        idx = np.searchsorted(k, q)
-        out = np.full(len(q), -1, dtype=np.int64)
-        ok = (idx < len(k))
-        ok[ok] = k[idx[ok]] == q[ok]
-        out[ok] = idx[ok]
-        return out
 
     def coverage(self) -> float:
         """Total covered volume as a fraction of the root cube."""

@@ -1,7 +1,7 @@
 """Calibration utilities and the full-application scaling model (Fig. 5).
 
-``fit_ghost_coeff``/``fit_t_elem`` turn simulator measurements into model
-constants.  ``ApplicationModel`` composes per-solver models out of measured
+``fit_ghost_coeff`` turns simulator ghost-exchange measurements into a
+model constant.  ``ApplicationModel`` composes per-solver models out of measured
 iteration counts and the machine model; it produces the NS/PP/VU/CH and
 remeshing curves of the paper's application-scaling study.
 """
@@ -24,12 +24,6 @@ def fit_ghost_coeff(
     ghost = np.asarray(ghost_bytes, dtype=np.float64) / bytes_per_dof
     x = grains ** ((dim - 1) / dim)
     return float((x @ ghost) / (x @ x))
-
-
-def fit_t_elem(n_elems: float, p: int, measured_time: float) -> float:
-    """Per-element compute constant from one anchor measurement (the
-    communication share at the anchor is folded in conservatively)."""
-    return measured_time * p / n_elems
 
 
 def phase_profile(report, blocks=("ch", "ns", "pp", "vu", "remesh")) -> dict:

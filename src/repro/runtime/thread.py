@@ -11,13 +11,11 @@ On a deadlock timeout the error carries the serial backend's structural
 shared wait board) followed by the per-rank stack traces, so the blocked
 operation is visible without a debugger.
 
-With ``REPRO_SPMD_CHECK=1`` the world carries a
-:class:`repro.analysis.runtime_check.BufferTracker`: the zero-copy payload
-references this backend shares between ranks are exactly the buffers whose
-unsynchronized cross-rank mutation the write-epoch race detector catches.
-Sends, receives, and collective results record read accesses automatically;
-the epoch advances inside every collective rendezvous (while all ranks are
-blocked in the barrier).
+A rank that breaks that discipline - mutating a payload it sent or
+received, or a collective result - changes what its peers see here but not
+on the copying process backend.  No checker watches for it; the
+cross-backend equivalence suite does, by comparing the two backends'
+results.
 """
 
 from __future__ import annotations
@@ -94,22 +92,17 @@ class _CollectiveContext:
     barrier makes back-to-back collectives safe.
     """
 
-    def __init__(self, size: int, tracker=None) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
         self.slots: list[Any] = [None] * size
         self.result: Any = None
         self.barrier = threading.Barrier(size)
-        self.tracker = tracker
 
     def exchange(self, rank: int, value: Any, combine: Callable[[list], Any]) -> Any:
         self.slots[rank] = value
         idx = self.barrier.wait()
         if idx == 0:
             self.result = combine(self.slots)
-            if self.tracker is not None:
-                # Every peer is blocked in the next barrier.wait() right
-                # now, so this is a true happens-before point: bump here.
-                self.tracker.bump_epoch()
         self.barrier.wait()
         out = self.result
         idx = self.barrier.wait()
@@ -129,7 +122,6 @@ class ThreadWorld:
         stats,
         timeout: float,
         rank_threads: dict | None = None,
-        tracker=None,
         wait_board: dict | None = None,
     ) -> None:
         self.size = size
@@ -143,10 +135,8 @@ class ThreadWorld:
         #: thread ident -> "waiting on" description; shared with subworlds
         #: so the deadlock table covers blocked sub-communicator waits too.
         self.wait_board: dict[int, str] = {} if wait_board is None else wait_board
-        #: REPRO_SPMD_CHECK=1 write-epoch race detector (None when off).
-        self.tracker = tracker
         self.mailboxes = [_Mailbox(self._deadlock_report) for _ in range(size)]
-        self.collective = _CollectiveContext(size, tracker)
+        self.collective = _CollectiveContext(size)
         self.split_lock = threading.Lock()
         self.split_cache: dict = {}
         self.attr_lock = threading.Lock()
@@ -164,9 +154,6 @@ class ThreadWorld:
     # Transport interface (see repro.runtime.base) -------------------------
 
     def post(self, dest: int, src: int, tag: int, payload: Any) -> None:
-        if self.tracker is not None:
-            # Sending is a read of the (shared-by-reference) payload.
-            self.tracker.record_payload(payload, src, "send")
         self.mailboxes[dest].put(src, tag, payload)
 
     def wait_recv(self, rank: int, source: int, tag: int):
@@ -174,12 +161,9 @@ class ThreadWorld:
             f"recv(source={source}, tag={tag}) on comm of size {self.size}"
         )
         try:
-            got = self.mailboxes[rank].get(source, tag, self.timeout)
+            return self.mailboxes[rank].get(source, tag, self.timeout)
         finally:
             self._set_wait(None)
-        if self.tracker is not None:
-            self.tracker.record_payload(got[2], rank, "recv")
-        return got
 
     def probe(self, rank: int, source: int, tag: int):
         return self.mailboxes[rank].probe(source, tag)
@@ -187,13 +171,9 @@ class ThreadWorld:
     def exchange(self, rank: int, value: Any, combine: Callable[[list], Any]) -> Any:
         self._set_wait(f"collective on comm of size {self.size}")
         try:
-            out = self.collective.exchange(rank, value, combine)
+            return self.collective.exchange(rank, value, combine)
         finally:
             self._set_wait(None)
-        if self.tracker is not None and out is not None:
-            # Collective results are shared by reference across all ranks.
-            self.tracker.record_payload(out, rank, "recv")
-        return out
 
     def ibarrier_arrive(self, rank: int, key) -> None:
         with self.ibarrier_lock:
@@ -214,7 +194,6 @@ class ThreadWorld:
                     self.stats,
                     self.timeout,
                     self.rank_threads,
-                    self.tracker,
                     self.wait_board,
                 )
             return self.split_cache[key]
@@ -280,11 +259,9 @@ class ThreadBackend(Backend):
     name = "thread"
 
     def run(self, nprocs, fn, args, timeout, stats) -> list:
-        from repro.analysis.runtime_check import BufferTracker, checks_enabled
         from repro.mpi.comm import Comm, SpmdError
 
-        tracker = BufferTracker() if checks_enabled() else None
-        world = ThreadWorld(nprocs, stats, timeout, tracker=tracker)
+        world = ThreadWorld(nprocs, stats, timeout)
         results: list = [None] * nprocs
         errors: list = [None] * nprocs
 

@@ -37,7 +37,7 @@ from .runner import JobResult, run_scenario
 from .schema import ScenarioConfig
 from .store import ResultsStore
 
-#: Generous default SPMD watchdog: batch workers never block on communication,
+#: Generous SPMD watchdog of a batch: its workers never block on communication,
 #: so this only bounds a wedged worker process, not normal long batches.
 DEFAULT_BATCH_TIMEOUT = 3600.0
 
@@ -143,7 +143,6 @@ def run_batch(
     concurrency: int = 1,
     backend: Optional[str] = None,
     resume: bool = True,
-    spmd_timeout: float = DEFAULT_BATCH_TIMEOUT,
 ) -> BatchReport:
     """Run ``jobs`` with bounded concurrency; returns the consolidated view.
 
@@ -162,7 +161,7 @@ def run_batch(
         try:
             run_spmd(
                 nranks, _batch_worker, todo, store, backend,
-                backend=backend, timeout=spmd_timeout,
+                backend=backend, timeout=DEFAULT_BATCH_TIMEOUT,
             )
         except KeyboardInterrupt:
             interrupted = True

@@ -28,17 +28,11 @@ from ..chns import forms
 from ..chns.ch_solver import CHSolver
 from ..chns.params import CHNSParams
 from ..chns.timestepper import CHNSTimeStepper, no_slip_bc
-from ..fem.basis import tabulate
 from ..mesh.mesh import Mesh
 from ..octree.build import uniform_tree
 from .manufactured import ch_manufactured, ns_manufactured
 
 # ----------------------------------------------------------------- norms
-
-
-def _quad_weights(mesh: Mesh):
-    _, w, _, _ = tabulate(mesh.dim)
-    return w, mesh.elem_h() ** mesh.dim
 
 
 def l2_error(
@@ -55,9 +49,8 @@ def l2_error(
             uq = uq - ex.reshape(uq.shape)
         else:
             uq = uq - forms.field_at_quad(mesh, np.asarray(exact))
-    w, vol = _quad_weights(mesh)
     sq = uq**2 if uq.ndim == 2 else np.sum(uq**2, axis=-1)
-    return float(np.sqrt((np.einsum("q,eq->e", w, sq) * vol).sum()))
+    return float(np.sqrt(forms.integrate(mesh, sq)))
 
 
 def h1_error(
@@ -76,10 +69,9 @@ def h1_error(
         else:  # vector field: exact (npts, k, dim) -> (e, q, dim, k)
             k = gq.shape[-1]
             gq = gq - ex.reshape(e, q, k, dim).transpose(0, 1, 3, 2)
-    w, vol = _quad_weights(mesh)
     axes = tuple(range(2, gq.ndim))
     sq = np.sum(gq**2, axis=axes)
-    return float(np.sqrt((np.einsum("q,eq->e", w, sq) * vol).sum()))
+    return float(np.sqrt(forms.integrate(mesh, sq)))
 
 
 def fit_order(hs, errs) -> float:
@@ -216,7 +208,7 @@ def _project_div_free(ts: CHNSTimeStepper, vel: np.ndarray) -> np.ndarray:
 def _ns_stepper(level: int, dt: float, prm, mms) -> CHNSTimeStepper:
     mesh = Mesh.from_tree(uniform_tree(2, level))
     ts = CHNSTimeStepper(
-        mesh, prm, velocity_bc=no_slip_bc, sources={"ns": mms.forcing},
+        mesh, prm, velocity_bc=no_slip_bc, ns_forcing=mms.forcing,
         pp_mode="schur",
     )
     n = mesh.n_dofs

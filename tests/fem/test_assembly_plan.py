@@ -79,24 +79,18 @@ class TestAgainstReference:
 
     def test_forms_route_through_plan(self, mesh2d, mesh3d):
         """forms.mass/stiffness/convection hit the plan path and match the
-        reference assembly; the density weight multiplies the velocity
-        *after* its evaluation at the quadrature points."""
+        reference assembly."""
         rng = np.random.default_rng(2)
         for mesh in (mesh2d, mesh3d):
             h, dim = mesh.elem_h(), mesh.dim
             vel = rng.standard_normal((mesh.n_dofs, dim))
-            rho_q = rng.uniform(0.5, 2.0, (mesh.n_elems, 1 << dim))
             ref_m = assemble_matrix(mesh, mass_matrix(h, dim))
             ref_k = assemble_matrix(mesh, stiffness_matrix(h, dim))
             vq = forms.field_at_quad(mesh, vel)
             ref_c = assemble_matrix(mesh, convection_matrix(h, dim, vq))
-            wq = rho_q[..., None] * vq
-            ref_cw = assemble_matrix(mesh, convection_matrix(h, dim, wq))
             assert np.abs(forms.mass(mesh) - ref_m).max() < 1e-14
             assert np.abs(forms.stiffness(mesh) - ref_k).max() < 1e-14
             assert np.abs(forms.convection(mesh, vel) - ref_c).max() < 1e-13
-            assert np.abs(forms.convection(mesh, vel, rho_q) - ref_cw).max() < 1e-13
-            assert np.abs(forms.convection_from_quad(mesh, wq) - ref_cw).max() < 1e-13
 
 
 class TestStructureSharing:

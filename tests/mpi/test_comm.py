@@ -80,10 +80,6 @@ class TestPointToPoint:
 
 
 class TestCollectives:
-    def test_gather(self):
-        out = run_spmd(4, lambda c: c.gather(c.rank**2, root=1))
-        assert out == [None, [0, 1, 4, 9], None, None]
-
     def test_allgather(self):
         out = run_spmd(3, lambda c: c.allgather(c.rank + 1))
         assert out == [[1, 2, 3]] * 3

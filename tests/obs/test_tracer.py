@@ -166,25 +166,6 @@ class TestWorldReport:
         assert a.phase_seconds("phase") > 0
         assert a.phase_seconds("missing") == 0.0
 
-    def test_format_table(self):
-        text = obs.world_report(self._two_rank_snaps()).format()
-        assert "span" in text and "imbal" in text
-        assert "phase" in text
-        assert "counter items: total=30" in text
-
-    def test_gather_world_inside_spmd(self):
-        from repro.mpi.comm import run_spmd
-
-        def fn(comm):
-            with obs.span("rankwork"):
-                pass
-            rep = obs.gather_world(comm)
-            return None if rep is None else rep.span_tree_signature()
-
-        with obs.tracing():
-            out = run_spmd(3, fn)
-        assert out[0] == [("rankwork", (1, 1, 1))]
-        assert out[1] is None and out[2] is None
 
 
 class TestExport:

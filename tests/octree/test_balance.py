@@ -13,8 +13,8 @@ from repro.octree.build import build_tree, uniform_tree
 from repro.octree.domain import BoxDomain
 from repro.octree.neighbors import (
     direction_stencil,
-    face_neighbor_anchors,
     leaf_neighbors,
+    neighbor_sample_points,
 )
 from repro.octree.refine import refine
 from repro.octree.tree import Octree
@@ -49,10 +49,11 @@ class TestNeighbors:
 
     def test_face_neighbor_anchors(self):
         t = uniform_tree(2, 1)
-        out, inside = face_neighbor_anchors(t.anchors, t.levels, 2)
-        assert out.shape == (4, 4, 2)
+        out, inside = neighbor_sample_points(t.anchors, t.levels, 2)
+        assert out.shape == (4, 8, 2)
+        face = np.abs(direction_stencil(2)).sum(axis=1) == 1
         # Each level-1 cell has exactly 2 in-cube face neighbors.
-        assert np.all(inside.sum(axis=1) == 2)
+        assert np.all(inside[:, face].sum(axis=1) == 2)
 
     def test_neighbor_of_coarse_cell_is_fine(self):
         # Refine one quadrant only; its coarse siblings see the fine leaves.

@@ -102,15 +102,6 @@ class TestHierarchy:
         k = morton.keys(ca[0], cl[0], dim)
         assert np.all(k[:-1] < k[1:])
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_child_index_roundtrip(self, dim):
-        rng = np.random.default_rng(5)
-        anchors, levels = rand_octants(rng, 100, dim, max_level=6)
-        ca, cl = morton.children(anchors, levels, dim)
-        for c in range(1 << dim):
-            idx = morton.child_index(ca[:, c], cl[:, c], dim)
-            assert np.all(idx == c)
-
     def test_is_ancestor_not_strict_includes_self(self):
         a = np.array([[0, 0]])
         l = np.array([3])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi.comm import run_spmd
+from repro.mpi.sort import kway_sort
 from repro.octree import morton
 from repro.octree.build import build_tree, uniform_tree
 from repro.octree.coarsen import coarsen
@@ -18,8 +19,6 @@ from repro.octree.overlap import (
 )
 from repro.octree.parcoarsen import par_coarsen
 from repro.octree.partition import (
-    distributed_sort_tree,
-    gather_tree,
     partition_endpoints,
     repartition,
     scatter_tree,
@@ -47,7 +46,14 @@ class TestScatterGather:
         parts = scatter_tree(t, 3)
 
         def fn(comm):
-            return gather_tree(comm, parts[comm.rank])
+            local = parts[comm.rank]
+            pieces = comm.allgather((local.anchors, local.levels))
+            return Octree(
+                np.concatenate([a for a, _ in pieces]),
+                np.concatenate([l for _, l in pieces]),
+                local.dim,
+                presorted=True,
+            )
 
         outs = run_spmd(3, fn)
         for g in outs:
@@ -261,7 +267,8 @@ class TestDistributedSortTree:
         ]
 
         def fn(comm):
-            return distributed_sort_tree(comm, parts[comm.rank], k=2)
+            keys = kway_sort(comm, parts[comm.rank].keys(), k=2)
+            return Octree(*morton.decode_key(keys, 2), 2, presorted=True)
 
         outs = run_spmd(4, fn)
         merged = Octree(

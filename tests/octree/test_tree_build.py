@@ -34,7 +34,8 @@ class TestOctreeBasics:
         a = np.array([[0, 0], [1 << (morton.MAX_DEPTH - 1), 0], [0, 0]])
         l = np.array([1, 1, 3])
         t = Octree(a, l, 2)
-        assert t.is_sorted()
+        k = t.keys()
+        assert np.all(k[:-1] <= k[1:])
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_uniform_tree_counts(self, dim):
@@ -146,12 +147,6 @@ class TestLocate:
         assert t.locate_points(np.array([[half, half]]))[0] == -1
         assert t.locate_points(np.array([[10, 10]]))[0] == 0
 
-    def test_find_exact(self):
-        t = uniform_tree(2, 2)
-        idx = t.find(t.anchors, t.levels)
-        assert np.array_equal(idx, np.arange(len(t)))
-        missing = t.find(t.anchors[:1], np.array([3]))
-        assert missing[0] == -1
 
 
 class TestDomains:

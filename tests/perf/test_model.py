@@ -8,7 +8,6 @@ from repro.perf.model import (
     ApplicationModel,
     SolverCosts,
     fit_ghost_coeff,
-    fit_t_elem,
     iter_profile_from_obs,
     paper_fig5_solvers,
     phase_profile,
@@ -69,9 +68,6 @@ class TestFits:
         ghost = 8.0 * c_true * grains ** (2 / 3)
         c = fit_ghost_coeff(grains, ghost, dim=3)
         assert np.isclose(c, c_true, rtol=1e-12)
-
-    def test_fit_t_elem(self):
-        assert np.isclose(fit_t_elem(13e6, 224, 2.87), 2.87 * 224 / 13e6)
 
 
 class TestApplicationModel:

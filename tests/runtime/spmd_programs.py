@@ -48,7 +48,6 @@ def collectives_battery_program(comm, vecs):
     out = {
         "allreduce": comm.allreduce(v),
         "max": comm.allreduce(float(v[0]), max),
-        "gather": comm.gather(float(v.sum()), root=1),
         "allgather": comm.allgather(comm.rank * 2),
         "exscan": comm.exscan(comm.rank + 1),
         "alltoall": comm.alltoall([comm.rank * 10 + d for d in range(comm.size)]),

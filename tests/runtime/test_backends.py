@@ -116,6 +116,61 @@ class TestEquivalence:
         assert_equivalent(runs)
 
 
+def _mutate_received(comm, payload):
+    # Seeded bug: the receiver scales the received array in place.  On the
+    # zero-copy thread transport that array is the sender's own buffer.
+    buf = payload.copy()
+    if comm.rank == 0:
+        comm.send(buf, dest=1)
+    else:
+        got = comm.recv(source=0)
+        got *= 2.0
+    comm.barrier()
+    return buf
+
+
+def _mutate_collective_result(comm, vecs):
+    # Seeded bug: one rank edits the allreduce result every rank shares on
+    # the thread transport.
+    total = comm.allreduce(vecs[comm.rank])
+    if comm.rank == 1:
+        total[0] += 1.0
+    comm.barrier()
+    return total.copy()
+
+
+@pytest.mark.skipif(
+    not ProcessBackend.is_available(), reason="fork not available"
+)
+class TestAliasing:
+    """A rank that mutates a buffer it shares on the zero-copy thread
+    transport returns a different result there than on the copying process
+    backend, so the equivalence comparison flags it with no annotation in
+    the program."""
+
+    def _thread_vs_process(self, nprocs, fn, *args):
+        return {
+            name: (run_spmd(nprocs, fn, *args, backend=name, timeout=60), None)
+            for name in ("thread", "process")
+        }
+
+    def test_seeded_p2p_mutation_is_flagged(self):
+        payload = np.random.default_rng(11).standard_normal(64)
+        runs = self._thread_vs_process(2, _mutate_received, payload)
+        np.testing.assert_array_equal(runs["process"][0][0], payload)
+        np.testing.assert_array_equal(runs["thread"][0][0], 2.0 * payload)
+        with pytest.raises(AssertionError):
+            assert_equivalent(runs)
+
+    def test_seeded_collective_result_mutation_is_flagged(self):
+        rng = np.random.default_rng(12)
+        vecs = [rng.standard_normal(8) for _ in range(3)]
+        runs = self._thread_vs_process(3, _mutate_collective_result, vecs)
+        assert runs["process"][0][0][0] != runs["thread"][0][0][0]
+        with pytest.raises(AssertionError):
+            assert_equivalent(runs)
+
+
 class TestProcessBackend:
     @pytest.mark.skipif(
         not ProcessBackend.is_available(), reason="fork not available"

@@ -106,17 +106,16 @@ def test_free_energy_pointwise_properties(phi):
     seed=st.integers(0, 10**6),
 )
 def test_morton_neighbors_are_distinct(dim, lev, seed):
-    """Face-neighbor anchors of an octant never alias the octant itself."""
-    from repro.octree.neighbors import face_neighbor_anchors
+    """Neighbor sample points of an octant never fall inside the octant."""
+    from repro.octree.neighbors import neighbor_sample_points
 
     rng = np.random.default_rng(seed)
     cell = rng.integers(0, 1 << lev, size=dim)
     size = 1 << (morton.MAX_DEPTH - lev)
     anchor = (cell * size)[None]
-    out, inside = face_neighbor_anchors(anchor, np.array([lev]), dim)
-    for j in range(2 * dim):
-        if inside[0, j]:
-            assert not np.array_equal(out[0, j], anchor[0])
+    out, inside = neighbor_sample_points(anchor, np.array([lev]), dim)
+    offset = out[0][inside[0]] - anchor[0]
+    assert np.all(np.any((offset < 0) | (offset >= size), axis=1))
 
 
 @settings(max_examples=20, deadline=None)
