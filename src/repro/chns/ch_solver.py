@@ -68,7 +68,7 @@ class CHSolver:
     def __init__(self, mesh: Mesh, params: CHNSParams):
         self.mesh = mesh
         self.params = params
-        self.M = forms.mass(mesh)
+        self.M = forms.mesh_mass(mesh)
         self.K = forms.stiffness(mesh)
         self._factors = Factors()
 

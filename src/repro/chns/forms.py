@@ -100,6 +100,18 @@ def mass(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     return plan_assemble(mesh, mass_ke(mesh, coeff))
 
 
+def mesh_mass(mesh: Mesh) -> sp.csr_matrix:
+    """The mesh's unweighted mass matrix, assembled once per mesh and kept in
+    ``mesh.memo``: the CH block, the VU correction and the exact PP
+    projection read this one matrix.  Shared, so its ``data`` is
+    read-only."""
+    M = mesh.memo.get("mass")
+    if M is None:
+        M = mesh.memo["mass"] = mass(mesh)
+        M.data.setflags(write=False)
+    return M
+
+
 def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     return plan_assemble(mesh, stiffness_ke(mesh, coeff))
 

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..fem.assembly import eliminate_dirichlet
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner, make_preconditioner
 from ..mesh.mesh import Mesh
 from . import forms
 from .params import CHNSParams
+from .vu_solver import mass_system
 
 
 #: PP preconditions CG with a GMG V-cycle when
@@ -122,7 +122,8 @@ class PPSolver:
         correction), invert the (Dirichlet-clamped) consistent mass per
         component, take the weak divergence.  LU-factored mass solves keep
         the composition exact to round-off — this runs on verify-sized
-        meshes.
+        meshes.  The factors are the VU block's, one per (mesh, mask)
+        (:func:`repro.chns.vu_solver.mass_system`).
 
         The ``c h^2 K`` term is Brezzi-Pitkaranta pressure stabilization:
         equal-order Q1-Q1 makes the bare Schur complement near-singular on
@@ -132,33 +133,24 @@ class PPSolver:
         ``O(h^2)`` eigenvalue — the same size as the smoothest physical
         mode of ``K`` — at the cost of an O(h^2)-relative, dt-independent
         divergence residue that cancels in same-mesh temporal ladders."""
-        import scipy.sparse.linalg as spla
-
         mesh = self.mesh
         n, dim = mesh.n_dofs, mesh.dim
-        M = forms.mass(mesh)
         stab = 0.1 * float(np.max(mesh.elem_h())) ** 2
-        lus: dict = {}
 
-        def lu_for(mask):
-            key = None if mask is None else mask.tobytes()
-            if key not in lus:
-                A = M if mask is None else eliminate_dirichlet(M, mask)
-                lus[key] = spla.splu(A.tocsc())
-            return lus[key]
+        masks = [None] * dim if correction_masks is None else correction_masks
+        systems = [mass_system(mesh, mask) for mask in masks]
+        for system in systems:
+            system.factor()
 
         def matvec(delta):
             gq = forms.grad_at_quad(mesh, delta)  # (e, q, dim)
             w = np.empty((n, dim))
             for i in range(dim):
                 load = forms.source(mesh, inv_rho_q * gq[..., i])
-                mask = (
-                    None if correction_masks is None else correction_masks[i]
-                )
-                if mask is not None:
+                if masks[i] is not None:
                     load = load.copy()
-                    load[mask] = 0.0
-                w[:, i] = lu_for(mask).solve(load)
+                    load[masks[i]] = 0.0
+                w[:, i] = systems[i].lu.solve(load)
             wq = forms.field_at_quad(mesh, w)
             out = forms.flux_divergence_load(mesh, wq) + stab * (K @ delta)
             return out - out.mean()

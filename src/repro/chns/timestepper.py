@@ -105,16 +105,18 @@ class CHNSTimeStepper:
         self.last_newton: Optional[NewtonResult] = None
         #: cumulative nonlinear/linear work: Newton iterations (CH block),
         #: their line-search trials, BiCGStab iterations and LU
-        #: factorizations, and Krylov iterations (NS/PP/VU solves) — the
-        #: scenario results store reads these as the per-job solver cost,
-        #: with the Krylov count also split per block
-        #: (``krylov_ns``/``krylov_pp``/``krylov_vu``), and the NS/PP/VU
-        #: solves that returned ``converged=False``.
+        #: factorizations, the VU block's mass-matrix LU factorizations, and
+        #: Krylov iterations (NS/PP/VU solves) — the scenario results store
+        #: reads these as the per-job solver cost, with the Krylov count
+        #: also split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``;
+        #: a direct VU solve counts 0 there), and the NS/PP/VU solves that
+        #: returned ``converged=False``.
         self.iteration_counts = {
             "newton": 0,
             "line_search_trials": 0,
             "ch_linear": 0,
             "ch_factorizations": 0,
+            "vu_factorizations": 0,
             "krylov": 0,
             "krylov_ns": 0,
             "krylov_pp": 0,
@@ -193,8 +195,9 @@ class CHNSTimeStepper:
         """Resume from checkpointed state instead of :meth:`initialize`.
 
         The only solver state the evolution carries across steps is the
-        CH block's LU factors (assembly plans are pure functions of the
-        mesh), and a restored stepper starts without any: restoring
+        CH block's LU factors and the VU block's, with VU's first-block
+        count (assembly plans are pure functions of the mesh), and a
+        restored stepper starts without any: restoring
         :meth:`fields` and the step count reproduces, bit for bit, an
         uninterrupted run that called :meth:`drop_solver_state` after the
         step they were captured at — the contract the scenario
@@ -208,9 +211,12 @@ class CHNSTimeStepper:
         self.iteration_counts.update(iteration_counts or {})
 
     def drop_solver_state(self) -> None:
-        """Forget what the solvers carry from step to step (the CH LU
-        factors): the next step runs as on a freshly restored stepper."""
+        """Forget what the solvers carry from step to step (the CH and VU
+        LU factors, VU's first-block rule): the next step runs as on a
+        freshly restored stepper."""
         self.ch.drop_factors()
+        if self.flow:
+            self.vu.drop_factors()
 
     # -------------------------------------------------------------- step
 
@@ -303,6 +309,7 @@ class CHNSTimeStepper:
             )
         self.vel_old = self.vel
         self.vel = vu_res.vel
+        self.iteration_counts["vu_factorizations"] += vu_res.factorizations
         it_ns = sum(s.iterations for s in ns_res.solves)
         it_pp = pp_res.solve.iterations
         it_vu = sum(s.iterations for s in vu_res.solves)

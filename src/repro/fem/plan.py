@@ -12,11 +12,12 @@ i.e. for every operator of every Newton iteration of every timestep.
 * **symbolic phase** (``__init__``, once per mesh): expand
   every elemental COO entry through the rows of ``P`` touching it, sort the
   expanded entries into the final CSR layout of ``A = P^T A_nodes P``, and
-  record for each expanded entry its source slot in the raveled ``Ke`` batch,
-  its interpolation weight ``P[r,a] * P[c,b]``, and its destination slot in
-  ``csr.data``.
-* **numeric phase** (:meth:`AssemblyPlan.assemble`, every call): one gather,
-  one multiply, one ``bincount`` — no COO construction, no sparse matmul, no
+  store the expansion as one CSR scatter operator ``S`` of shape
+  ``(nnz, n_elems * nc * nc)``: row = destination slot in ``csr.data``,
+  column = source slot in the raveled ``Ke`` batch, value = interpolation
+  weight ``P[r,a] * P[c,b]``.
+* **numeric phase** (:meth:`AssemblyPlan.assemble`, every call): one CSR
+  mat-vec ``S @ Ke.ravel()`` — no COO construction, no sparse matmul, no
   ``sum_duplicates``.  The returned matrices share the plan's ``indptr`` /
   ``indices`` arrays; only ``data`` is fresh per call.
 * built lazily on first use (as ``assembly.symbolic`` time): the
@@ -34,13 +35,17 @@ own plan on first use.  A batch of another topology is refused by shape, and
 :meth:`AssemblyPlan.eliminate` raises :class:`StaleAssemblyPlanError` on a
 matrix the plan did not assemble.
 
-The numeric phase is deterministic (fixed summation order), so repeated
-``assemble`` calls with the same ``Ke`` are bitwise identical; against the
+The numeric phase is deterministic (each row of ``S`` keeps the stable
+order of its expanded entries, summed onto ``+0.0``: the summation of the
+``np.bincount`` scatter it replaced, bit for bit), so repeated ``assemble``
+calls with the same ``Ke`` are bitwise identical; against the
 reference path the result agrees to round-off (enforced at 1e-14 in
 ``tests/fem/test_assembly_plan.py``).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +70,15 @@ def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     A.indptr = indptr
     A.has_sorted_indices = True
     A.has_canonical_format = True
+    return A
+
+
+def _with_data(proto: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """``proto``'s structure (shared, with its canonical flags) around fresh
+    ``data``: a shallow copy, a tenth of what even an empty ``csr_matrix``
+    construction costs on the benchmark meshes."""
+    A = copy.copy(proto)
+    A.data = data
     return A
 
 
@@ -119,11 +133,20 @@ class AssemblyPlan:
         # Final CSR layout: sort expanded entries by (a, b), dedupe.
         key = a * np.int64(self.n_dofs) + b
         uniq, slot = np.unique(key, return_inverse=True)
-        order = np.argsort(slot, kind="stable")  # locality of the scatter
-        self._src = src[order]
-        self._weight = weight[order]
-        self._slot = slot[order]
+        order = np.argsort(slot, kind="stable")
         self.nnz = len(uniq)
+        # The expansion as one CSR operator, row = data slot, column = Ke
+        # slot: the numeric phase is ``S @ Ke.ravel()``.  Built directly, not
+        # through COO, so each row keeps the stable expansion order (and no
+        # duplicate is summed away).
+        self._S = sp.csr_matrix(
+            (
+                weight[order],
+                src[order],
+                np.concatenate(([0], np.cumsum(np.bincount(slot)))),
+            ),
+            shape=(self.nnz, n_elems * nc * nc),
+        )
 
         indices = (uniq % self.n_dofs).astype(np.int64)
         counts = np.bincount(
@@ -140,6 +163,7 @@ class AssemblyPlan:
         )
         self.indices = proto.indices
         self.indptr = proto.indptr
+        self._proto = _csr(proto.data, self.indices, self.indptr)
 
         # Lazily-built sub-plans: :meth:`scatter_loads` (from the node
         # table's ``P`` / ``elem_nodes``), one :meth:`eliminate` plan per
@@ -156,11 +180,7 @@ class AssemblyPlan:
         CSR layout.  ``Ke`` has shape ``(n_elems, nc, nc)``."""
         Ke = self._checked(Ke, self.ke_shape)
         with obs.span("assembly.numeric"):
-            data = np.bincount(
-                self._slot,
-                weights=Ke.ravel()[self._src] * self._weight,
-                minlength=self.nnz,
-            )
+            data = self._S @ Ke.ravel()
         obs.incr("assembly.numeric")
         return self._matrix(data)
 
@@ -178,7 +198,7 @@ class AssemblyPlan:
 
     def _matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """``data`` in the plan's CSR layout."""
-        return _csr(data, self.indices, self.indptr)
+        return _with_data(self._proto, data)
 
     def block_2x2(self, d11, d12, d21, d22) -> sp.csr_matrix:
         """``sp.bmat([[A11, A12], [A21, A22]], format="csr")`` of four
@@ -191,10 +211,11 @@ class AssemblyPlan:
                 slots = np.arange(1, 4 * self.nnz + 1, dtype=np.int64)
                 A = [self._matrix(s) for s in np.split(slots, 4)]
                 B = sp.bmat([A[:2], A[2:]], format="csr")
-                self._block_2x2 = (B.data - 1, B.indices, B.indptr)
-        order, indices, indptr = self._block_2x2
+                proto = _csr(B.data, B.indices, B.indptr)
+                self._block_2x2 = (B.data - 1, proto)
+        order, proto = self._block_2x2
         data = np.concatenate([d11, d12, d21, d22])[order]
-        return _csr(data, indices, indptr)
+        return _with_data(proto, data)
 
     def _slot_rows(self) -> np.ndarray:
         """The row of every ``data`` slot of the plan's CSR layout."""

@@ -70,8 +70,9 @@ ETA_GAMMA = 0.9
 #: All CH Jacobian blocks share the mesh pattern, so the symmetric-pattern
 #: ordering with diagonal pivots has 2-4x less fill than COLAMD + partial
 #: pivoting.  Diagonal pivoting is not backward stable: these factors are
-#: only used behind a residual check or as a preconditioner.
-_STATIC_PIVOT = dict(
+#: only used behind a residual check or as a preconditioner (here and in
+#: :mod:`repro.chns.vu_solver`, on the symmetric mass matrix).
+STATIC_PIVOT = dict(
     permc_spec="MMD_AT_PLUS_A",
     diag_pivot_thresh=0.0,
     options={"SymmetricMode": True},
@@ -146,7 +147,7 @@ class Factors:
                 return res.x
             # J moved too far from the factored iterate: factor the current one.
         Jc = J.tocsc()
-        dx = self._factor(Jc, b, out, **_STATIC_PIVOT)
+        dx = self._factor(Jc, b, out, **STATIC_PIVOT)
         if (
             dx is not None
             and float(np.linalg.norm(J @ dx + F)) <= linear_tol * norm_F

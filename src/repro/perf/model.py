@@ -50,7 +50,10 @@ def iter_profile_from_obs(report) -> dict:
     pooled ``krylov.*`` counters also hold the CH inner solves), and Newton
     (outer) iterations per step for CH — the quantity its
     :class:`SolverCosts` profile scales with.  A block the run never solved
-    is left out (its profile stays at paper defaults)."""
+    is left out (its profile stays at paper defaults).  A direct VU solve
+    (:mod:`repro.chns.vu_solver`) is a solve of 0 iterations, so the VU
+    figure is the run's mean, not the Jacobi-CG count the paper's block
+    would take."""
     out = {}
     for blk in ("ns", "pp", "vu"):
         solves = report.counter_total(f"krylov.solves.{blk}")

@@ -169,7 +169,7 @@ def cmd_report(args) -> int:
             r.family,
             {"jobs": 0, "succeeded": 0, "wall_s": 0.0, "newton": 0,
              "line_search_trials": 0, "ch_linear": 0, "ch_factorizations": 0,
-             "krylov": 0, "steps": 0},
+             "vu_factorizations": 0, "krylov": 0, "steps": 0},
         )
         f["jobs"] += 1
         f["succeeded"] += r.status == "succeeded"
@@ -178,6 +178,7 @@ def cmd_report(args) -> int:
         f["line_search_trials"] += r.line_search_trials
         f["ch_linear"] += r.ch_linear
         f["ch_factorizations"] += r.ch_factorizations
+        f["vu_factorizations"] += r.vu_factorizations
         f["krylov"] += r.krylov_iterations
         f["steps"] += r.steps_done
     total_wall = sum(f["wall_s"] for f in by_family.values())

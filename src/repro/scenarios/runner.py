@@ -13,11 +13,12 @@ without its flow blocks; it owns the mesh, the fields, the solvers and the
 work counts, and this module only drives it.
 
 Determinism contract: a run resumed from a checkpoint produces bit-identical
-final state and work counts to an uninterrupted run.  The one piece of
-solver state the serial numerics carry across steps, the CH block's LU
-factors, is dropped at every multiple of ``control.checkpoint_every``
-whether or not a file is written, so where factors exist is a function of
-the config alone (the scenario tests pin this down).  Checkpoints record a
+final state and work counts to an uninterrupted run.  The solver state the
+serial numerics carry across steps, the CH block's LU factors and the VU
+block's (with its first-block rule), is dropped at every multiple of
+``control.checkpoint_every`` whether or not a file is written, so where
+factors exist is a function of the config alone (the scenario tests pin
+this down).  Checkpoints record a
 config digest and refuse to resume a *different* scenario.
 
 Failure semantics: any exception inside the stepping loop — divergence,
@@ -89,6 +90,7 @@ class JobResult:
     krylov_iterations: int = 0  # NS + PP + VU
     ch_linear: int = 0  # BiCGStab iterations inside the CH Newton solves
     ch_factorizations: int = 0
+    vu_factorizations: int = 0  # LU factorizations of the VU mass matrix
     krylov_unconverged: int = 0  # NS / PP / VU solves with converged=False
     n_elems_final: int = 0
     diagnostics: dict = field(default_factory=dict)
@@ -309,6 +311,7 @@ def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
     result.krylov_iterations = counts["krylov"]
     result.ch_linear = counts["ch_linear"]
     result.ch_factorizations = counts["ch_factorizations"]
+    result.vu_factorizations = counts["vu_factorizations"]
     result.krylov_unconverged = counts["krylov_unconverged"]
     d = ts.diagnostics()
     result.diagnostics = {

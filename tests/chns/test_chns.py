@@ -45,6 +45,31 @@ def mesh8():
     return Mesh.from_tree(uniform_tree(2, 3))
 
 
+class _CountingSplu:
+    """Stands in for ``scipy.sparse.linalg`` in :mod:`repro.chns.vu_solver`:
+    counts its ``splu`` calls in ``counts["splu"]`` and returns ``lu``
+    instead of the factorization when one is given."""
+
+    def __init__(self, counts, lu=None):
+        self.counts, self.lu = counts, lu
+
+    def splu(self, *args, **kwargs):
+        import scipy.sparse.linalg as spla
+
+        self.counts["splu"] += 1
+        return spla.splu(*args, **kwargs) if self.lu is None else self.lu
+
+
+class _BadLU:
+    """Factors whose solves fail the residual check."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def solve(self, B):
+        return np.full(B.shape, self.fill)
+
+
 class TestParams:
     def test_mixture_limits(self):
         p = CHNSParams(rho_plus=1.0, rho_minus=0.2, eta_plus=1.0, eta_minus=0.5)
@@ -222,23 +247,30 @@ class TestNSPPVU:
         p = np.zeros(mesh16.n_dofs)
         vu.solve(phi, vel, p, 0.1)
         assert vu.M is M1  # assembled once, never rebuilt
+        # one mass matrix per mesh: the CH block reads the same one
+        assert CHSolver(mesh16, prm).M is M1 is forms.mesh_mass(mesh16)
+        assert not M1.data.flags.writeable
 
-    def test_vu_eliminates_once_per_mask(self, mesh16, monkeypatch):
-        """The mass matrix is constant: its Dirichlet elimination and Jacobi
-        preconditioner are built once per distinct mask, not per direction
-        per step — and the velocities are those of the per-step build, bit
-        for bit."""
+    def test_vu_eliminates_once_per_mask(self, monkeypatch):
+        """The mass matrix is constant: its Dirichlet elimination, Jacobi
+        preconditioner and LU factors are built once per distinct mask, not
+        per direction per step.  The first block is the CG solve, bit for
+        bit; every later one is one direct solve per mask, equal to a fresh
+        sparse direct solve to 1e-12."""
+        import scipy.sparse.linalg as spla
+
         from repro.chns import vu_solver
         from repro.fem.assembly import apply_dirichlet, eliminate_dirichlet
         from repro.la.krylov import cg
         from repro.la.precond import JacobiPreconditioner
 
+        mesh = Mesh.from_tree(uniform_tree(2, 4))  # a memo of its own
         prm = CHNSParams(We=1.0, rho_minus=0.5)
-        masks, values = lid_driven_bc(mesh16)  # one mask, two sets of values
-        xy = mesh16.dof_xy()
+        masks, values = lid_driven_bc(mesh)  # one mask, two sets of values
+        xy = mesh.dof_xy()
         phi = np.tanh((xy[:, 0] - 0.5) / 0.1)
         p = np.sin(3 * xy[:, 0]) * xy[:, 1]
-        builds = {"eliminate": 0, "jacobi": 0}
+        builds = {"eliminate": 0, "jacobi": 0, "splu": 0}
 
         def counting(name, fn):
             def wrapper(*a, **k):
@@ -252,26 +284,38 @@ class TestNSPPVU:
         monkeypatch.setattr(
             vu_solver, "JacobiPreconditioner",
             counting("jacobi", JacobiPreconditioner))
-        vu = VUSolver(mesh16, prm)
+        monkeypatch.setattr(vu_solver, "spla", _CountingSplu(builds))
+        vu = VUSolver(mesh, prm)
         rng = np.random.default_rng(0)
-        for _ in range(3):
-            vel = rng.standard_normal((mesh16.n_dofs, 2))
+        factorizations = []
+        for block in range(3):
+            vel = rng.standard_normal((mesh.n_dofs, 2))
             out = vu.solve(phi, vel, p, 0.05, dirichlet_masks=masks,
                            dirichlet_values=values)
-            inv_rho_q = 1.0 / prm.rho_clamped(forms.field_at_quad(mesh16, phi))
-            gq = forms.grad_at_quad(mesh16, p)
+            factorizations.append(out.factorizations)
+            inv_rho_q = 1.0 / prm.rho_clamped(forms.field_at_quad(mesh, phi))
+            gq = forms.grad_at_quad(mesh, p)
             for i in range(2):
                 rhs = vu.M @ vel[:, i] - (0.05 / prm.We) * forms.source(
-                    mesh16, inv_rho_q * gq[..., i])
+                    mesh, inv_rho_q * gq[..., i])
                 A_i, rhs_i = apply_dirichlet(vu.M, rhs, masks[i], values[i])
-                ref = cg(A_i, rhs_i, x0=vel[:, i].copy(),
-                         M=JacobiPreconditioner(A_i), tol=1e-10, maxiter=3000)
-                assert np.array_equal(out.vel[:, i], ref.x)
-                assert out.solves[i].iterations == ref.iterations
-        assert builds == {"eliminate": 1, "jacobi": 1}
+                if block == 0:
+                    ref = cg(A_i, rhs_i, x0=vel[:, i].copy(),
+                             M=JacobiPreconditioner(A_i), tol=1e-10,
+                             maxiter=3000)
+                    assert np.array_equal(out.vel[:, i], ref.x)
+                    assert out.solves[i].iterations == ref.iterations > 0
+                else:
+                    ref = spla.spsolve(A_i.tocsc(), rhs_i)
+                    err = np.abs(out.vel[:, i] - ref).max()
+                    assert err <= 1e-12 * np.abs(ref).max()
+                    assert out.solves[i].iterations == 0
+                    assert out.solves[i].converged
+        assert factorizations == [0, 1, 0]
+        assert builds == {"eliminate": 1, "jacobi": 1, "splu": 1}
         vu.solve(phi, vel, p, 0.05)  # unconstrained: one more system, once
         vu.solve(phi, vel, p, 0.05)
-        assert builds == {"eliminate": 1, "jacobi": 2}
+        assert builds == {"eliminate": 1, "jacobi": 1, "splu": 2}
 
     def test_ns_rest_stays_at_rest(self, mesh16):
         prm = CHNSParams()
@@ -307,6 +351,88 @@ class TestNSPPVU:
         vel = np.stack([np.sin(xy[:, 0]), np.zeros(mesh16.n_dofs)], axis=1)
         res = pp.solve(phi, vel, 0.1)
         assert abs(res.p.mean()) < 1e-12
+
+
+class TestVUFactors:
+    """Which VU solves are direct: the mesh size and the solver's lifetime
+    decide, and a direct solve that fails its residual check is redone by
+    CG."""
+
+    @staticmethod
+    def _blocks(mesh, n, monkeypatch, lu=None):
+        from repro.chns import vu_solver
+
+        counts = {"splu": 0}
+        monkeypatch.setattr(vu_solver, "spla", _CountingSplu(counts, lu))
+        prm = CHNSParams(We=1.0, rho_minus=0.5)
+        masks, values = no_slip_bc(mesh)
+        xy = mesh.dof_xy()
+        phi = np.tanh((xy[:, 0] - 0.5) / 0.1)
+        p = np.sin(3 * xy[:, 0]) * xy[:, 1]
+        vu = VUSolver(mesh, prm)
+        rng = np.random.default_rng(1)
+        outs = [
+            vu.solve(phi, rng.standard_normal((mesh.n_dofs, 2)), p, 0.05,
+                     dirichlet_masks=masks, dirichlet_values=values)
+            for _ in range(n)
+        ]
+        return outs, counts["splu"]
+
+    def test_mesh_above_the_crossover_never_factors(self, monkeypatch):
+        from repro.chns.vu_solver import LU_MAX_DOFS
+
+        mesh = Mesh.from_tree(uniform_tree(2, 6))
+        assert mesh.n_dofs > LU_MAX_DOFS
+        outs, splu = self._blocks(mesh, 3, monkeypatch)
+        assert splu == 0
+        assert all(o.factorizations == 0 for o in outs)
+        assert all(s.iterations > 0 for o in outs for s in o.solves)
+
+    def test_mesh_below_the_crossover_factors_at_its_second_block(
+        self, monkeypatch
+    ):
+        mesh = Mesh.from_tree(uniform_tree(2, 4))
+        outs, splu = self._blocks(mesh, 3, monkeypatch)
+        assert splu == 1  # both directions share the no-slip mask
+        assert [o.factorizations for o in outs] == [0, 1, 0]
+        assert [[s.iterations for s in o.solves] for o in outs][1:] == [
+            [0, 0], [0, 0]]
+
+    def test_drop_factors_restarts_the_first_block_rule(self, monkeypatch):
+        mesh = Mesh.from_tree(uniform_tree(2, 4))
+        prm = CHNSParams(We=1.0)
+        vu = VUSolver(mesh, prm)
+        xy = mesh.dof_xy()
+        p = np.sin(3 * xy[:, 0]) * xy[:, 1]  # x0 = v* is not the solution
+        vel = np.ones((mesh.n_dofs, 2))
+        its = []
+        for drop in (False, False, True, False):
+            if drop:
+                vu.drop_factors()
+                (system,) = mesh.memo["mass_systems"].values()
+                assert system.lu is None  # the factors went with the rule
+            out = vu.solve(np.ones(mesh.n_dofs), vel, p, 0.1)
+            its.append(out.solves[0].iterations)
+        assert its[0] == its[2] > 0 and its[1] == its[3] == 0
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_failed_direct_solve_falls_back_to_cg(self, monkeypatch, fill):
+        """Factors whose solve misses the CG tolerance (or is not finite):
+        each direction is the CG solve, bit for bit the solve of a mesh
+        that never factors."""
+        from repro.chns import vu_solver
+
+        mesh = Mesh.from_tree(uniform_tree(2, 4))
+        outs, splu = self._blocks(mesh, 3, monkeypatch, _BadLU(fill))
+        assert splu == 1 and [o.factorizations for o in outs] == [0, 1, 0]
+        monkeypatch.setattr(vu_solver, "LU_MAX_DOFS", 0)
+        mesh = Mesh.from_tree(uniform_tree(2, 4))
+        refs, splu = self._blocks(mesh, 3, monkeypatch)
+        assert splu == 0
+        for out, ref in zip(outs, refs):
+            assert np.array_equal(out.vel, ref.vel)
+            for s, r in zip(out.solves, ref.solves):
+                assert s.iterations == r.iterations > 0 and s.converged
 
 
 class TestTimeStepper:

@@ -36,13 +36,18 @@ def stepper():
 def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     """One mesh, one factorization: the first step's LU
     preconditions every later CH solve, and the stepper's cumulative counts
-    say what the obs counters say."""
+    say what the obs counters say.  VU factors its one no-slip mask at the
+    second step and solves directly from then on (0 iterations)."""
     with obs.tracing():
+        its_vu = []
         for _ in range(4):
             stepper.step(5e-4)
+            its_vu.append(stepper.iteration_counts["krylov_vu"])
         counters = obs.snapshot()["counters"]
     counts = stepper.iteration_counts
     assert counters["newton.lu_factorizations"] == 1
+    assert counters["vu.lu_factorizations"] == counts["vu_factorizations"] == 1
+    assert its_vu[0] == its_vu[-1] > 0
     assert "newton.lu_fallbacks" not in counters
     assert counts["ch_factorizations"] == 1
     assert counts["newton"] == counters["newton.iterations"]

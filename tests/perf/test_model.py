@@ -166,7 +166,9 @@ class TestObsCalibration:
         """Traced quick ``rising_bubble_2d``: each linear block reports its
         own iterations per solve (the stepper's ``iteration_counts`` are
         the oracle) and the CH inner BiCGStab solves, present in the
-        pooled counters, leak into none of them."""
+        pooled counters, leak into none of them.  The second step's VU
+        solves are direct: they count as solves of 0 iterations, so the VU
+        figure is half the first block's CG count per component."""
         from repro import obs
         from repro.scenarios import build, run_scenario
 
@@ -187,6 +189,7 @@ class TestObsCalibration:
         assert prof["ns"] == pytest.approx(counts["krylov_ns"] / (dim * blocks))
         assert prof["pp"] == pytest.approx(counts["krylov_pp"] / blocks)
         assert prof["vu"] == pytest.approx(counts["krylov_vu"] / (dim * blocks))
+        assert counts["vu_factorizations"] == 1 and blocks == 2
         assert len({prof["ns"], prof["pp"], prof["vu"]}) == 3
         assert prof["ch"] == pytest.approx(counts["newton"] / cfg.time.n_steps)
         pooled = report.counter_total("krylov.iterations")

@@ -24,6 +24,25 @@ def _diverging_drop():
     return cfg
 
 
+def _count_vu_splu(monkeypatch, lu=None):
+    """Route :mod:`repro.chns.vu_solver`'s ``splu`` through a recorder (the
+    CH block's factorizations stay unseen); it returns ``lu`` instead of the
+    factors when one is given.  Returns the list of calls."""
+    import types
+
+    import repro.chns.vu_solver as vu_solver
+
+    calls, splu = [], vu_solver.spla.splu
+
+    def recording(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs) if lu is None else lu
+
+    monkeypatch.setattr(
+        vu_solver, "spla", types.SimpleNamespace(splu=recording))
+    return calls
+
+
 class TestRun:
     def test_ch_quick_succeeds_with_diagnostics(self):
         res = run_scenario(build("coalescence_2d", quick=True))
@@ -45,7 +64,8 @@ class TestRun:
     def test_unconverged_flow_solves_are_counted_not_fatal(self, monkeypatch):
         """A flow solve that reports ``converged=False`` is counted in the
         record and ends nothing: one unconverged VU solve is ``dim`` CG
-        solves, one per velocity component."""
+        solves, one per velocity component.  Only the mesh's first block
+        calls ``cg``; the second is one direct solve and the run goes on."""
         import repro.chns.vu_solver as vu_solver
 
         cfg = build("rising_bubble_2d", quick=True)
@@ -58,11 +78,58 @@ class TestRun:
 
         monkeypatch.setattr(vu_solver, "cg", first_vu_unconverged)
         res = run_scenario(cfg)
-        assert res.status == "succeeded" and len(calls) > dim
+        assert res.status == "succeeded" and res.steps_done == 2
+        assert len(calls) == dim and res.vu_factorizations == 1
         assert res.krylov_unconverged == dim
-        old = res.to_dict()  # a store written before the count existed
+        old = res.to_dict()  # a store written before the counts existed
         assert old.pop("krylov_unconverged") == dim
-        assert JobResult.from_dict(old).krylov_unconverged == 0
+        assert old.pop("vu_factorizations") == 1
+        loaded = JobResult.from_dict(old)
+        assert loaded.krylov_unconverged == loaded.vu_factorizations == 0
+
+    def test_failed_direct_vu_solve_falls_back_and_is_counted(
+        self, monkeypatch
+    ):
+        """Factors whose solves miss the residual check: every block after
+        the first factors once and then runs CG anyway, and a CG that does
+        not converge is counted, not fatal."""
+        import repro.chns.vu_solver as vu_solver
+
+        class BadLU:
+            def solve(self, B):
+                return np.zeros_like(B)
+
+        splu = _count_vu_splu(monkeypatch, BadLU())
+        cfg = build("rising_bubble_2d", quick=True)
+        cfg.time.n_steps = 3
+        dim, cg, calls = cfg.domain.dim, vu_solver.cg, []
+
+        def unconverged(*args, **kwargs):
+            calls.append(None)
+            return dataclasses.replace(cg(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(vu_solver, "cg", unconverged)
+        res = run_scenario(cfg)
+        assert res.status == "succeeded" and res.steps_done == 3
+        assert len(splu) == res.vu_factorizations == 1
+        assert len(calls) == res.krylov_unconverged == 3 * dim
+
+    def test_mesh_that_lives_one_block_never_factors(self, monkeypatch):
+        """Remeshing every step: each mesh runs one flow block, so VU
+        never factors; the same job on one mesh factors once."""
+        splu = _count_vu_splu(monkeypatch)
+        cfg = build("jet_2d", quick=True)
+        cfg.time.n_steps = 3
+        cfg.refinement.remesh_every = 1
+        meshes = []
+        res = run_scenario(cfg, on_step=lambda s: meshes.append(s.mesh))
+        assert res.status == "succeeded"
+        assert len({id(m) for m in meshes}) == 3
+        assert splu == [] and res.vu_factorizations == 0
+        cfg.refinement.remesh_every = 0
+        res = run_scenario(cfg)
+        assert res.status == "succeeded"
+        assert len(splu) == res.vu_factorizations == 1
 
     def test_divergence_reported_not_raised(self):
         res = run_scenario(_diverging_drop())
@@ -254,7 +321,8 @@ class TestInterruptRestart:
         return cfg
 
     COUNTS = ("newton_iterations", "line_search_trials", "krylov_iterations",
-              "ch_linear", "ch_factorizations", "n_elems_final", "diagnostics")
+              "ch_linear", "ch_factorizations", "vu_factorizations",
+              "krylov_unconverged", "n_elems_final", "diagnostics")
 
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
         """An uninterrupted run *without* a workdir against one cut at
@@ -307,8 +375,10 @@ class TestInterruptRestart:
 
     def test_bit_identical_resume(self, tmp_path):
         straight = self._straight_and_resumed(self._config(), tmp_path, 2)
-        # a checkpoint step is a factor boundary: one factorization a step
+        # a checkpoint step is a factor boundary: one factorization a step,
+        # and every VU solve is the first block of its factors' lifetime
         assert straight.ch_factorizations == straight.n_steps
+        assert straight.vu_factorizations == 0
         assert straight.ch_linear > 0 and straight.krylov_iterations > 0
         # the resumed record counts the trials before the cut too (COUNTS)
         assert straight.line_search_trials >= straight.newton_iterations > 0
@@ -317,13 +387,16 @@ class TestInterruptRestart:
     def test_factors_cross_the_steps_between_checkpoints(self, tmp_path, name):
         """``checkpoint_every = 2``: factors are dropped at steps 2, 4, 6
         whether or not a file is written, and carried across the steps in
-        between - on the coupled stepper and on the CH-only path."""
+        between - on the coupled stepper and on the CH-only path.  VU
+        factors at the second block after each drop."""
         cfg = build(name, quick=True)
         cfg.time.n_steps = 6
         cfg.control.checkpoint_every = 2
         cfg.control.backend = "serial"
         straight = self._straight_and_resumed(cfg, tmp_path, 4)
         assert 3 <= straight.ch_factorizations < cfg.time.n_steps
+        flow = cfg.solver == "chns"
+        assert straight.vu_factorizations == (3 if flow else 0)
 
     def test_checkpoint_without_counts_still_loads(self, tmp_path):
         """A checkpoint written before the counts were carried resumes with
