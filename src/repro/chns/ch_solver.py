@@ -42,7 +42,8 @@ import numpy as np
 
 from .. import obs
 from ..fem.plan import get_plan
-from ..la.newton import Factors, IterateCache, NewtonResult, newton_solve
+from ..la.factors import Factors
+from ..la.newton import IterateCache, NewtonResult, newton_solve
 from ..mesh.mesh import Mesh
 from . import forms
 from .free_energy import mobility, mobility_prime, psi_double_prime, psi_prime
@@ -59,8 +60,9 @@ class CHResult:
 class CHSolver:
     """Reusable CH block for a fixed mesh (re-created after remeshing).
 
-    The Newton LU factors live as long as the solver, i.e. one mesh: every
-    ``solve`` starts from the factors the last one left, as a
+    The Newton LU factors (single precision,
+    :class:`~repro.la.factors.Factors`) live as long as the solver, i.e. one
+    mesh: every ``solve`` starts from the factors the last one left, as a
     preconditioner behind the true-residual stopping test, so a ``dt``,
     ``theta`` or velocity change needs no invalidation.
     """

@@ -20,7 +20,7 @@ def psi(phi: np.ndarray) -> np.ndarray:
 def psi_prime(phi: np.ndarray) -> np.ndarray:
     """``psi'(phi) = phi^3 - phi`` (enters the chemical potential)."""
     phi = np.asarray(phi)
-    return phi**3 - phi
+    return phi * phi * phi - phi
 
 
 def psi_double_prime(phi: np.ndarray) -> np.ndarray:

@@ -24,19 +24,25 @@ one scatter; the explicit operator is never assembled —
 ``Ke_exp = 2 Ke_M/dt - Ke_imp`` multiplies the gathered ``v^n`` as a batched
 GEMV inside the same elemental load as the pressure-gradient, capillary and
 gravity terms, and all ``dim`` right-hand sides leave through one scatter.
-Components with the same Dirichlet mask share one eliminated matrix and one
-Jacobi preconditioner (the paper's choice for its blocks, Sec. III footnote).
+Components with the same Dirichlet mask share one eliminated matrix and its
+preconditioner.  The paper's is Jacobi (Sec. III footnote).  Here, on meshes
+of at most :data:`~repro.la.factors.LU_MAX_DOFS` DOFs and from a solver's
+second block on, it is single-precision LU factors of an earlier block's
+matrix, one :class:`~repro.la.factors.Factors` holder per mask, refreshed by
+its amortised-cost rule.  A solver's first block, larger meshes and a
+held-factor solve that fails run the Jacobi-BiCGStab solve of before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .. import obs
 from ..fem.assembly import assemble_vector, lift_dirichlet
 from ..fem.plan import get_plan
+from ..la.factors import LU_MAX_DOFS, Factors
 from ..la.krylov import bicgstab
 from ..la.precond import JacobiPreconditioner
 from ..mesh.mesh import Mesh
@@ -49,12 +55,24 @@ from .params import CHNSParams
 class NSResult:
     vel_star: np.ndarray  # (n_dofs, dim) tentative velocity
     solves: list
+    #: LU factorizations this solve made
+    factorizations: int = 0
+    #: held-factor solves that failed and were redone by Jacobi-BiCGStab
+    fallbacks: int = 0
 
 
 class NSSolver:
     def __init__(self, mesh: Mesh, params: CHNSParams):
         self.mesh = mesh
         self.params = params
+        self._factors: dict = {}  # held factors per distinct mask
+        self._blocks = 0  # solves since construction or drop_factors()
+
+    def drop_factors(self) -> None:
+        """Forget the held factors and restart the first-block rule: the
+        next solve runs as on a fresh solver."""
+        self._factors = {}
+        self._blocks = 0
 
     def solve(
         self,
@@ -69,9 +87,12 @@ class NSSolver:
         dirichlet_values=None,
         tol: float = 1e-9,
         forcing: np.ndarray | None = None,
+        last_block: bool = False,
     ) -> NSResult:
         """``forcing`` is a pre-assembled load vector (n_dofs, dim) added to
-        each component RHS — the MMS manufactured-solution hook."""
+        each component RHS — the MMS manufactured-solution hook.
+        ``last_block``: the mesh is replaced after this block, so held
+        factors are used but none are made."""
         mesh, prm = self.mesh, self.params
         dim = mesh.dim
         plan = get_plan(mesh)
@@ -127,28 +148,51 @@ class NSSolver:
             if forcing is not None:
                 rhs += forcing
 
+        held = self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS
+        self._blocks += 1
         vel_new = np.zeros_like(vel_n)
-        solves = []
-        systems: dict = {}  # (matrix, preconditioner) per distinct mask
+        out = NSResult(vel_star=vel_new, solves=[])
+        systems: dict = {}  # eliminated matrix per distinct mask
+        jacobi: dict = {}  # and its Jacobi preconditioner, built when used
         for i, mask in enumerate(masks):
             key = None if mask is None else mask.tobytes()
             if key not in systems:
-                A_i = A_imp if mask is None else plan.eliminate(A_imp, mask)
-                systems[key] = A_i, JacobiPreconditioner(A_i)
-            A_i, M_i = systems[key]
+                systems[key] = (
+                    A_imp if mask is None else plan.eliminate(A_imp, mask)
+                )
+            A_i = systems[key]
             rhs_i = rhs[:, i].copy()
             if mask is not None:
                 vals = None if dirichlet_values is None else dirichlet_values[i]
                 rhs_i = lift_dirichlet(A_imp, rhs_i, mask, vals)
-            res = bicgstab(
-                A_i,
-                rhs_i,
-                x0=vel_n[:, i].copy(),
-                M=M_i,
-                tol=tol,
-                maxiter=4000,
-            )
+            res = None
+            if held:
+                res, k = self._factors.setdefault(key, Factors()).solve(
+                    bicgstab, A_i, rhs_i, tol=tol, x0=vel_n[:, i],
+                    may_factor=not last_block,
+                )
+                if k:
+                    out.factorizations += k
+                    obs.incr("ns.lu_factorizations", k)
+            if res is None or not res.converged:
+                if key not in jacobi:
+                    jacobi[key] = JacobiPreconditioner(A_i)
+                krylov = bicgstab(
+                    A_i,
+                    rhs_i,
+                    x0=vel_n[:, i].copy(),
+                    M=jacobi[key],
+                    tol=tol,
+                    maxiter=4000,
+                )
+                if res is not None:  # the held factors failed
+                    out.fallbacks += 1
+                    obs.incr("ns.lu_fallbacks")
+                    krylov = replace(
+                        krylov, iterations=res.iterations + krylov.iterations
+                    )
+                res = krylov
             obs.incr("ns.krylov_iterations", res.iterations)
-            solves.append(res)
+            out.solves.append(res)
             vel_new[:, i] = res.x
-        return NSResult(vel_star=vel_new, solves=solves)
+        return out

@@ -11,14 +11,22 @@ discretized weakly (no-penetration boundaries make the flux term vanish):
     K_{1/rho} p = -(We/dt) ∫ N div(v*)  →  +(We/dt) ∫ grad N · v*
 
 The operator has the constant nullspace; we solve with CG and a mean-zero
-projection.  Below a measured mesh size the preconditioner is Jacobi, the
-iterative-solver choice the paper lands on after finding AMG setup too
-expensive at scale (Sec. III footnote); above it, one geometric-multigrid
-V-cycle on ``K_{1/rho}`` — the solver the paper names as future work for
-this block.  Jacobi-CG iterations grow like ``n_dofs ** (1/dim)``, V-cycle-CG
-stays at 6-13, so the choice is a pure function of the mesh
-(:data:`GMG_MIN_DOFS_PER_AXIS`): no option, and a restarted run takes the
-same path as the uninterrupted one.
+projection.  The preconditioner is a function of the mesh and of how long
+the solver has lived, with no option, so a restarted run takes the same
+path as the uninterrupted one:
+
+* on meshes of at most :data:`~repro.la.factors.LU_MAX_DOFS` DOFs, from a
+  solver's second block on, single-precision LU factors of an earlier
+  block's ``K_{1/rho}`` with one DOF pinned
+  (:class:`~repro.la.factors.Factors`), refreshed by their amortised-cost
+  rule;
+* otherwise, and behind a held-factor solve that fails: below a measured
+  mesh size Jacobi, the iterative-solver choice the paper lands on after
+  finding AMG setup too expensive at scale (Sec. III footnote); above it,
+  one geometric-multigrid V-cycle on ``K_{1/rho}`` — the solver the paper
+  names as future work for this block.  Jacobi-CG iterations grow like
+  ``n_dofs ** (1/dim)``, V-cycle-CG stays at 6-13
+  (:data:`GMG_MIN_DOFS_PER_AXIS`).
 
 The variable-coefficient stiffness is re-assembled every step (the density
 field moves), but only numerically: the symbolic scatter/projection pattern
@@ -30,11 +38,12 @@ filled, and the right-hand side leaves through the planned load scatter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .. import obs
+from ..la.factors import LU_MAX_DOFS, Factors
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner, make_preconditioner
 from ..mesh.mesh import Mesh
@@ -57,12 +66,24 @@ GMG_MIN_DOFS_PER_AXIS = 75.0
 class PPResult:
     p: np.ndarray
     solve: SolveResult
+    #: LU factorizations this solve made
+    factorizations: int = 0
+    #: 1 when a held-factor solve failed and was redone by the CG of before
+    fallbacks: int = 0
 
 
 class PPSolver:
     def __init__(self, mesh: Mesh, params: CHNSParams):
         self.mesh = mesh
         self.params = params
+        self._factors = Factors(constant_nullspace=True)
+        self._blocks = 0  # solves since construction or drop_factors()
+
+    def drop_factors(self) -> None:
+        """Forget the held factors and restart the first-block rule: the
+        next solve runs as on a fresh solver."""
+        self._factors.drop()
+        self._blocks = 0
 
     def solve(
         self,
@@ -74,6 +95,7 @@ class PPSolver:
         tol: float = 1e-9,
         exact_projection: bool = False,
         correction_masks=None,
+        last_block: bool = False,
     ) -> PPResult:
         """``exact_projection`` replaces the assembled Laplacian ``K_{1/rho}``
         with the *true* discrete Schur operator ``S = D M^{-1} G`` — the
@@ -83,7 +105,10 @@ class PPSolver:
         corrected velocity's weak divergence equals the projection target
         to solver tolerance, so no divergence residue survives to be
         re-amplified; the approximate ``K`` form leaves an O(h^2)-relative
-        residue per step.  ``K`` still serves as the CG preconditioner."""
+        residue per step.  ``K`` still serves as the CG preconditioner.
+
+        ``last_block``: the mesh is replaced after this block, so held
+        factors are used but none are made."""
         mesh, prm = self.mesh, self.params
         with obs.span("pp.assemble"):
             inv_rho_q = forms.phase_at_quad(mesh, prm, phi).inv_rho_q
@@ -93,28 +118,43 @@ class PPSolver:
             b = (prm.We / dt) * forms.flux_divergence_load(mesh, vq)
             b -= b.mean()  # compatibility with the constant nullspace
 
-        A_op = (
-            self._schur_operator(inv_rho_q, correction_masks, K)
-            if exact_projection
-            else K
+        held = (
+            not exact_projection
+            and self._blocks > 0
+            and mesh.n_dofs <= LU_MAX_DOFS
         )
-        if mesh.n_dofs ** (1.0 / mesh.dim) >= GMG_MIN_DOFS_PER_AXIS:
-            # One V-cycle on K itself, the exact pressure Schur operator of
-            # the projection step, mean-zero projected on both sides.
-            M = make_preconditioner("pcd", K, mesh=mesh, remove_mean=True)
-        else:
-            M = JacobiPreconditioner(K.diagonal() + 1e-12)
-        res = cg(
-            A_op,
-            b,
-            x0=p0,
-            M=M,
-            tol=tol,
-            maxiter=6000,
-        )
+        self._blocks += 1
+        res, factorizations, fallbacks = None, 0, 0
+        if held:
+            res, factorizations = self._factors.solve(
+                cg, K, b, tol=tol, x0=p0, may_factor=not last_block
+            )
+            if factorizations:
+                obs.incr("pp.lu_factorizations", factorizations)
+        if res is None or not res.converged:
+            A_op = (
+                self._schur_operator(inv_rho_q, correction_masks, K)
+                if exact_projection
+                else K
+            )
+            if mesh.n_dofs ** (1.0 / mesh.dim) >= GMG_MIN_DOFS_PER_AXIS:
+                # One V-cycle on K itself, the exact pressure Schur operator
+                # of the projection step, mean-zero projected on both sides.
+                M = make_preconditioner("pcd", K, mesh=mesh, remove_mean=True)
+            else:
+                M = JacobiPreconditioner(K.diagonal() + 1e-12)
+            krylov = cg(A_op, b, x0=p0, M=M, tol=tol, maxiter=6000)
+            if res is not None:  # the held factors failed
+                fallbacks = 1
+                obs.incr("pp.lu_fallbacks")
+                krylov = replace(
+                    krylov, iterations=res.iterations + krylov.iterations
+                )
+            res = krylov
         obs.incr("pp.krylov_iterations", res.iterations)
         p = res.x - res.x.mean()  # fix the nullspace component
-        return PPResult(p=p, solve=res)
+        return PPResult(p=p, solve=res, factorizations=factorizations,
+                        fallbacks=fallbacks)
 
     def _schur_operator(self, inv_rho_q, correction_masks, K):
         """Matrix-free ``S = D M^{-1} G + c h^2 K``: apply the

@@ -62,9 +62,9 @@ class CHNSTimeStepper:
         are built, ``vel``, ``vel_old`` and ``p`` stay ``None`` and each
         block is the CH solve with no advecting velocity.
 
-        ``precond`` is a vestigial key: ``None`` / ``"jacobi"``, the one NS
-        momentum preconditioner, is its only legal value (PP picks its own
-        from the mesh size, :data:`repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`).
+        ``precond`` is a vestigial key: ``None`` / ``"jacobi"`` is its only
+        legal value (NS and PP pick their preconditioners from the mesh size
+        and the solver's lifetime, DESIGN.md section 12).
         ``ns_forcing`` is a manufactured momentum forcing ``f(x, t)`` (vector
         valued) — the MMS hook; the CH block is backward Euler.
 
@@ -105,7 +105,8 @@ class CHNSTimeStepper:
         self.last_newton: Optional[NewtonResult] = None
         #: cumulative nonlinear/linear work: Newton iterations (CH block),
         #: their line-search trials, BiCGStab iterations and LU
-        #: factorizations, the VU block's mass-matrix LU factorizations, and
+        #: factorizations, the NS and PP blocks' held-factor and the VU
+        #: block's mass-matrix LU factorizations, and
         #: Krylov iterations (NS/PP/VU solves) — the scenario results store
         #: reads these as the per-job solver cost, with the Krylov count
         #: also split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``;
@@ -116,6 +117,8 @@ class CHNSTimeStepper:
             "line_search_trials": 0,
             "ch_linear": 0,
             "ch_factorizations": 0,
+            "ns_factorizations": 0,
+            "pp_factorizations": 0,
             "vu_factorizations": 0,
             "krylov": 0,
             "krylov_ns": 0,
@@ -195,9 +198,9 @@ class CHNSTimeStepper:
         """Resume from checkpointed state instead of :meth:`initialize`.
 
         The only solver state the evolution carries across steps is the
-        CH block's LU factors and the VU block's, with VU's first-block
-        count (assembly plans are pure functions of the mesh), and a
-        restored stepper starts without any: restoring
+        LU factors the CH, NS, PP and VU blocks hold, with the flow
+        blocks' first-block counts (assembly plans are pure functions of
+        the mesh), and a restored stepper starts without any: restoring
         :meth:`fields` and the step count reproduces, bit for bit, an
         uninterrupted run that called :meth:`drop_solver_state` after the
         step they were captured at — the contract the scenario
@@ -211,12 +214,13 @@ class CHNSTimeStepper:
         self.iteration_counts.update(iteration_counts or {})
 
     def drop_solver_state(self) -> None:
-        """Forget what the solvers carry from step to step (the CH and VU
-        LU factors, VU's first-block rule): the next step runs as on a
-        freshly restored stepper."""
+        """Forget what the solvers carry from step to step (the LU factors
+        of every block, the flow blocks' first-block rule): the next step
+        runs as on a freshly restored stepper."""
         self.ch.drop_factors()
         if self.flow:
-            self.vu.drop_factors()
+            for solver in (self.ns, self.pp, self.vu):
+                solver.drop_factors()
 
     # -------------------------------------------------------------- step
 
@@ -238,6 +242,7 @@ class CHNSTimeStepper:
                     self.set_fields(new_fields)
 
             dt_b = dt / self.n_blocks
+            remeshes_next = self._remeshes_next()
             for k in range(self.n_blocks):
                 t_n = self.t + k * dt_b
                 with obs.span("chns.ch"):
@@ -251,15 +256,29 @@ class CHNSTimeStepper:
                 self.iteration_counts["ch_linear"] += newton.linear_iterations
                 self.iteration_counts["ch_factorizations"] += newton.factorizations
                 if self.flow:
-                    self._flow_block(dt_b, self._ns_load(t_n, dt_b))
+                    self._flow_block(
+                        dt_b, self._ns_load(t_n, dt_b),
+                        last_block=remeshes_next and k == self.n_blocks - 1,
+                    )
             obs.incr("chns.steps")
             obs.gauge("chns.n_elems", self.mesh.n_elems)
 
         self.t += dt
         self.step_count += 1
 
-    def _flow_block(self, dt_b: float, ns_forcing) -> None:
-        """NS -> PP -> VU of one block, from the block's new ``phi``/``mu``."""
+    def _remeshes_next(self) -> bool:
+        """The next step starts with a remesh: this step's last block is its
+        mesh's last, on which the flow blocks make no factors."""
+        return bool(
+            self.remesh_every
+            and self.remesh_config is not None
+            and (self.step_count + 1) % self.remesh_every == 0
+        )
+
+    def _flow_block(self, dt_b: float, ns_forcing, *,
+                    last_block: bool) -> None:
+        """NS -> PP -> VU of one block, from the block's new ``phi``/``mu``;
+        ``last_block``: the mesh's last."""
         with obs.span("chns.ns"):
             ns_res = self.ns.solve(
                 self.phi,
@@ -271,6 +290,7 @@ class CHNSTimeStepper:
                 dirichlet_masks=self.v_masks,
                 dirichlet_values=self.v_values,
                 forcing=ns_forcing,
+                last_block=last_block,
             )
         with obs.span("chns.pp"):
             # Splitting note ("split" mode): the momentum predictor
@@ -292,6 +312,7 @@ class CHNSTimeStepper:
                 p0=None if schur else self.p,
                 exact_projection=schur,
                 correction_masks=self.v_masks if schur else None,
+                last_block=last_block,
             )
             if schur:
                 self.p = self.p + pp_res.p
@@ -306,9 +327,12 @@ class CHNSTimeStepper:
                 dt_b,
                 dirichlet_masks=self.v_masks,
                 dirichlet_values=self.v_values,
+                last_block=last_block,
             )
         self.vel_old = self.vel
         self.vel = vu_res.vel
+        self.iteration_counts["ns_factorizations"] += ns_res.factorizations
+        self.iteration_counts["pp_factorizations"] += pp_res.factorizations
         self.iteration_counts["vu_factorizations"] += vu_res.factorizations
         it_ns = sum(s.iterations for s in ns_res.solves)
         it_pp = pp_res.solve.iterations

@@ -22,14 +22,18 @@ from :func:`repro.chns.forms.phase_at_quad`.
 The paper solves this block with Jacobi-preconditioned Krylov.  Here two
 properties of the input pick the solve, with no option:
 
-* **Mesh size.**  Up to :data:`LU_MAX_DOFS` DOFs the factored matrix solves
+* **Mesh size.**  Up to :data:`~repro.la.factors.LU_MAX_DOFS` DOFs (the
+  cap the NS and PP held factors share) the factored matrix solves
   every direction that shares a mask with one ``lu.solve`` on the
   ``(n_dofs, k)`` right-hand side; above it the factorization costs more
   peak memory than its solves save time, and VU stays on Jacobi-CG.
-* **Mesh lifetime.**  A solver's first block runs Jacobi-CG and factoring
-  starts at its second, so a mesh that lives one block never pays for a
-  factorization and a run's first step is the same with and without the
-  direct path.  :meth:`VUSolver.drop_factors` starts the count again.
+* **Mesh lifetime.**  A solver's first block runs Jacobi-CG, and factoring
+  happens on a block that is neither the mesh's first nor its last (the
+  stepper passes ``last_block`` when it remeshes after the block), so a
+  mesh that lives two blocks never pays for a factorization and a run's
+  first step is the same with and without the direct path.  Factors made
+  earlier are used on the last block too.  :meth:`VUSolver.drop_factors`
+  starts the count again.
 
 Every direct solve sits behind the CG stopping test (relative residual
 below ``tol``); a direction that fails it is solved by the CG path instead.
@@ -44,20 +48,12 @@ import scipy.sparse.linalg as spla
 
 from .. import obs
 from ..fem.assembly import eliminate_dirichlet, lift_dirichlet
+from ..la.factors import LU_MAX_DOFS, STATIC_PIVOT
 from ..la.krylov import SolveResult, cg
-from ..la.newton import STATIC_PIVOT
 from ..la.precond import JacobiPreconditioner
 from ..mesh.mesh import Mesh
 from . import forms
 from .params import CHNSParams
-
-
-#: VU solves with LU factors of its eliminated mass matrix when
-#: ``mesh.n_dofs`` is at most this, with Jacobi-CG above.  Measured
-#: (DESIGN.md section 12): the factors win every block on every mesh, but
-#: on ``cavity2d`` (7,265 DOFs) they buy 5 % of a step for +6-9 % peak
-#: memory; the 427- and 561-DOF bubbles gain 10-20 %.
-LU_MAX_DOFS = 2048
 
 
 class MassSystem:
@@ -132,7 +128,10 @@ class VUSolver:
         dirichlet_masks=None,
         dirichlet_values=None,
         tol: float = 1e-10,
+        last_block: bool = False,
     ) -> VUResult:
+        """``last_block``: the mesh is replaced after this block, so held
+        factors are used but none are made."""
         mesh, prm = self.mesh, self.params
         dim = mesh.dim
         with obs.span("vu.assemble"):
@@ -161,6 +160,8 @@ class VUSolver:
                 groups.setdefault(id(system), []).append(i)
             for cols in groups.values():
                 system = systems[cols[0]]
+                if system.lu is None and last_block:
+                    continue
                 factorizations += system.factor()
                 B = np.column_stack([rhs[i] for i in cols])
                 X = system.lu.solve(B)

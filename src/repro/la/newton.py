@@ -2,11 +2,11 @@
 
 Used by the fully-implicit Cahn-Hilliard block solve (paper Sec. II-A,
 step 1).  The residual/Jacobian callbacks assemble sparse operators.  The
-inner linear solve factors a Jacobian (sparse LU, symmetric ordering,
-diagonal pivots) and reuses those factors as the BiCGStab preconditioner
-for every later iterate - of the same solve and, when the caller keeps the
-:class:`Factors` holder, of later solves - until an amortised-cost rule
-refreshes them (DESIGN.md section 12).
+inner linear solve is BiCGStab preconditioned with single-precision sparse
+LU factors of a Jacobian (:class:`repro.la.factors.Factors`: symmetric
+ordering, diagonal pivots), reused for every later iterate - of the same
+solve and, when the caller keeps the holder, of later solves - until an
+amortised-cost rule refreshes them (DESIGN.md section 12).
 
 :class:`IterateCache` is the per-iterate operator cache the CH block plugs
 its callbacks into: Newton evaluates ``residual`` and ``jacobian`` at the
@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .. import obs
+from .factors import Factors
 from .krylov import bicgstab
 
 
@@ -51,14 +51,6 @@ class IterateCache:
         return self._vals[key]
 
 
-#: BiCGStab iterations allowed with an earlier iterate's LU factors as the
-#: preconditioner before the current Jacobian is re-factored (CH: 2-4).
-_PRECOND_MAXITER = 8
-
-#: One factorization in LU-preconditioned BiCGStab iterations: measured 8 to
-#: 13 on the benchmark CH Jacobians (DESIGN.md section 12).
-FACTOR_COST = 10
-
 #: Inexact-Newton forcing (Eisenstat-Walker choice 2): the first iterate's
 #: linear solve stops at relative residual ``ETA_MAX``, iterate ``k`` at
 #: ``min(ETA_MAX, ETA_GAMMA * (||F_k|| / ||F_{k-1}||)**2)``; the caller's
@@ -67,17 +59,6 @@ FACTOR_COST = 10
 ETA_MAX = 1e-4
 ETA_GAMMA = 0.9
 
-#: All CH Jacobian blocks share the mesh pattern, so the symmetric-pattern
-#: ordering with diagonal pivots has 2-4x less fill than COLAMD + partial
-#: pivoting.  Diagonal pivoting is not backward stable: these factors are
-#: only used behind a residual check or as a preconditioner (here and in
-#: :mod:`repro.chns.vu_solver`, on the symmetric mass matrix).
-STATIC_PIVOT = dict(
-    permc_spec="MMD_AT_PLUS_A",
-    diag_pivot_thresh=0.0,
-    options={"SymmetricMode": True},
-)
-
 
 @dataclass
 class NewtonResult:
@@ -85,9 +66,9 @@ class NewtonResult:
     iterations: int
     residual: float
     converged: bool
-    #: BiCGStab iterations of the LU-preconditioned iterates
+    #: BiCGStab iterations of the LU-preconditioned linear solves
     linear_iterations: int = 0
-    #: sparse LU factorizations, static-pivot and fallback together
+    #: sparse LU factorizations, single-precision and fallback together
     factorizations: int = 0
     #: factorizations that were the partial-pivoting safety net
     fallbacks: int = 0
@@ -95,67 +76,27 @@ class NewtonResult:
     line_search_trials: int = 0
 
 
-class Factors:
-    """The state of the Newton linear solve: sparse LU factors of an earlier
-    Jacobian and the iteration counts their refresh rule reads.  It lives as
-    long as whoever holds it: one ``newton_solve`` call by default, one mesh
-    on :class:`~repro.chns.ch_solver.CHSolver`."""
-
-    def __init__(self):
-        self.drop()
-
-    def drop(self) -> None:
-        self.lu = None
-        self.spent = 0  # BiCGStab iterations since the factorization
-        self.solves = 0  # linear solves since then, the factoring one included
-        self.last = 0  # BiCGStab iterations of the previous solve
-
-    def stale(self) -> bool:
-        """The previous solve cost at least the running average of this
-        factorization's solves, the factorization included: a fresh one
-        pays for itself.  Iteration counts only, never a clock."""
-        return self.last * self.solves >= FACTOR_COST + self.spent
-
-    def _factor(self, Jc, b, out: NewtonResult, **opts):
-        """``dx`` from a fresh sparse LU of ``Jc``, kept as ``self.lu``;
-        None when SuperLU reports an exactly singular factor or the solve
-        is not finite."""
-        self.drop()
-        self.solves = 1
-        out.factorizations += 1
-        obs.incr("newton.lu_factorizations")
-        try:
-            self.lu = spla.splu(Jc, **opts)
-        except RuntimeError:
-            return None
-        dx = self.lu.solve(b)
-        return dx if np.all(np.isfinite(dx)) else None
-
-    def solve(self, J, F, norm_F, linear_tol, out: NewtonResult):
-        """``dx`` with ``||J dx + F|| <= linear_tol ||F||``, None when ``J``
-        is singular."""
-        b = -F
-        if self.lu is not None and not self.stale():
-            res = bicgstab(
-                J, b, M=self.lu.solve, tol=linear_tol, maxiter=_PRECOND_MAXITER
-            )
-            out.linear_iterations += res.iterations
-            self.spent += res.iterations
-            self.solves += 1
-            self.last = res.iterations
-            if res.converged:
-                return res.x
-            # J moved too far from the factored iterate: factor the current one.
-        Jc = J.tocsc()
-        dx = self._factor(Jc, b, out, **STATIC_PIVOT)
-        if (
-            dx is not None
-            and float(np.linalg.norm(J @ dx + F)) <= linear_tol * norm_F
-        ):
-            return dx
-        out.fallbacks += 1
-        obs.incr("newton.lu_fallbacks")
-        return self._factor(Jc, b, out)
+def _linear_step(factors: Factors, J, F, norm_F, linear_tol, out):
+    """``dx`` with ``||J dx + F|| <= linear_tol ||F||``, None when ``J`` is
+    singular: BiCGStab preconditioned with the held (or fresh) factors, and
+    behind it a direct solve with double-precision partial-pivoting
+    factors, which are held from then on."""
+    b = -F
+    res, factored = factors.solve(bicgstab, J, b, tol=linear_tol)
+    out.linear_iterations += res.iterations
+    if factored:
+        out.factorizations += factored
+        obs.incr("newton.lu_factorizations", factored)
+    if res.converged:
+        return res.x
+    out.fallbacks += 1
+    out.factorizations += 1
+    obs.incr("newton.lu_fallbacks")
+    obs.incr("newton.lu_factorizations")
+    if not factors.factor(J, exact=True):
+        return None
+    dx = factors(b)
+    return dx if np.all(np.isfinite(dx)) else None
 
 
 def newton_solve(
@@ -174,13 +115,14 @@ def newton_solve(
     Converges when ``||F(x)|| < tol`` or drops by ``rtol`` relative to the
     initial residual.  Every Newton step ``dx`` satisfies
     ``||J dx + F|| <= max(linear_tol, eta_k) ||F||`` with the forcing term
-    ``eta_k`` of ``ETA_MAX`` / ``ETA_GAMMA``: by BiCGStab preconditioned with
-    the LU factors ``factors`` holds, or - when it holds none, they stopped
-    converging or :meth:`Factors.stale` says a refresh pays - by a direct
-    solve with static-pivot factors of the current Jacobian (checked,
-    partial-pivoting LU as the fallback).  ``factors`` outlives the call
-    when the caller passes one; it comes back empty from a solve that does
-    not converge.
+    ``eta_k`` of ``ETA_MAX`` / ``ETA_GAMMA`` in the true float64 residual:
+    by BiCGStab preconditioned with the LU factors ``factors`` holds, or -
+    when it holds none, they stopped converging or :meth:`Factors.stale`
+    says a refresh pays - with fresh single-precision static-pivot factors
+    of the current Jacobian, and behind those a direct solve with
+    double-precision partial-pivoting factors.  ``factors`` outlives the
+    call when the caller passes one; it comes back empty from a solve that
+    does not converge.
 
     A Jacobian SuperLU finds exactly singular ends the solve at the current
     iterate with ``converged=False``; no step is taken from it.
@@ -212,7 +154,7 @@ def _newton_body(
         with obs.span("newton.jacobian"):
             J = jacobian(x).tocsr()
         with obs.span("newton.linear"):
-            dx = factors.solve(J, F, norm_F, max(linear_tol, eta), out)
+            dx = _linear_step(factors, J, F, norm_F, max(linear_tol, eta), out)
         if dx is None:
             return out
         obs.incr("newton.iterations")

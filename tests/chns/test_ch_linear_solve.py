@@ -1,6 +1,6 @@
-"""The CH Newton linear solve (a static-pivot LU reused as the BiCGStab
-preconditioner, within a solve and from step to step on one ``CHSolver``)
-against an exact-LU Newton oracle.
+"""The CH Newton linear solve (a single-precision static-pivot LU reused as
+the BiCGStab preconditioner, within a solve and from step to step on one
+``CHSolver``) against an exact-LU Newton oracle.
 
 The solve is inexact by design: iterate ``k``'s BiCGStab stops at
 ``max(linear_tol, eta_k)``, the Eisenstat-Walker forcing term of
@@ -74,16 +74,16 @@ def linear_steps(monkeypatch):
     """Every linear solve of ``newton_solve`` as ``(relative true residual,
     tolerance asked for, ||F||)``."""
     steps = []
-    solve = newton.Factors.solve
+    linear_step = newton._linear_step
 
-    def recording(self, J, F, norm_F, linear_tol, out):
-        dx = solve(self, J, F, norm_F, linear_tol, out)
+    def recording(factors, J, F, norm_F, linear_tol, out):
+        dx = linear_step(factors, J, F, norm_F, linear_tol, out)
         if dx is not None:
             rel = float(np.linalg.norm(J @ dx + F)) / norm_F
             steps.append((rel, linear_tol, norm_F))
         return dx
 
-    monkeypatch.setattr(newton.Factors, "solve", recording)
+    monkeypatch.setattr(newton, "_linear_step", recording)
     return steps
 
 
@@ -123,7 +123,7 @@ def test_ch_step_matches_exact_lu_oracle(case, linear_steps):
     # Both stop at ||F|| < tol, so they are within 2 tol of each other.
     assert np.linalg.norm(res.x - want[-1]) <= 2 * tol
     assert res.factorizations == 1 and res.fallbacks == 0
-    assert 0 < res.linear_iterations <= 8 * (res.iterations - 1)
+    assert 0 < res.linear_iterations <= 8 * res.iterations
 
     # The public entry point takes the same path to the same answer.
     out = ch.solve(phi, mu, vel, dt)
@@ -164,3 +164,22 @@ def test_factors_carried_across_steps_match_the_oracle(
         phi, mu = out.phi, out.mu
     assert 1 <= factorizations < 6
     assert reusing_steps >= 3
+
+
+@pytest.mark.parametrize("case", [hanging_2d, uniform_3d])
+def test_single_precision_factors_meet_the_forcing_in_float64(
+    case, linear_steps
+):
+    """The held factors are float32; every step they precondition (all of
+    them: no fallback) meets ``max(linear_tol, eta_k)`` in the true float64
+    residual, over four steps through one ``CHSolver``."""
+    mesh, prm, phi, vel = case()
+    ch = CHSolver(mesh, prm)
+    mu = ch.initial_mu(phi)
+    for _ in range(4):
+        del linear_steps[:]
+        out = ch.solve(phi, mu, vel, 1e-3)
+        assert out.newton.converged and out.newton.fallbacks == 0
+        assert ch._factors.lu.L.dtype == np.float32
+        assert_forcing_met(linear_steps)
+        phi, mu = out.phi, out.mu

@@ -31,6 +31,7 @@ from repro.chns.timestepper import (
     no_slip_bc,
 )
 from repro.chns.vu_solver import VUSolver
+from repro.la.factors import PRECOND_MAXITER
 from repro.mesh.mesh import Mesh
 from repro.octree.build import uniform_tree
 
@@ -433,6 +434,133 @@ class TestVUFactors:
             assert np.array_equal(out.vel, ref.vel)
             for s, r in zip(out.solves, ref.solves):
                 assert s.iterations == r.iterations > 0 and s.converged
+
+
+class TestHeldFlowFactors:
+    """NS and PP precondition with held single-precision factors from a
+    solver's second block on, on meshes of at most ``LU_MAX_DOFS`` DOFs;
+    the first block, larger meshes and a held solve that fails run the
+    Jacobi path, bit for bit."""
+
+    @staticmethod
+    def _blocks(mesh, n, *, drop_each=False, last_block=()):
+        """``n`` NS + PP blocks with inputs that depend on the block index
+        only (the interface moves), never on earlier outputs."""
+        prm = CHNSParams(Re=20.0, We=1.0, rho_minus=0.5, eta_minus=0.5)
+        masks, values = no_slip_bc(mesh)
+        xy = mesh.dof_xy()
+        ns, pp = NSSolver(mesh, prm), PPSolver(mesh, prm)
+        vel = np.stack([np.sin(np.pi * xy[:, 1]), np.cos(xy[:, 0])], axis=1)
+        for i in range(2):
+            vel[masks[i], i] = 0.0
+        p = np.sin(3.0 * xy[:, 0]) * xy[:, 1]
+        outs = []
+        for k in range(n):
+            if drop_each:
+                ns.drop_factors()
+                pp.drop_factors()
+            phi = np.tanh((xy[:, 0] - 0.4 - 0.005 * k) / 0.1)
+            ns_res = ns.solve(
+                phi, np.zeros(mesh.n_dofs), vel, vel, p, 0.01,
+                dirichlet_masks=masks, dirichlet_values=values,
+                last_block=k in last_block,
+            )
+            pp_res = pp.solve(phi, ns_res.vel_star, 0.01, p0=p,
+                              last_block=k in last_block)
+            outs.append((ns_res, pp_res))
+        return outs
+
+    @staticmethod
+    def _same(a, b):
+        (ns_a, pp_a), (ns_b, pp_b) = a, b
+        return (
+            np.array_equal(ns_a.vel_star, ns_b.vel_star)
+            and np.array_equal(pp_a.p, pp_b.p)
+            and [s.iterations for s in ns_a.solves]
+            == [s.iterations for s in ns_b.solves]
+            and pp_a.solve.iterations == pp_b.solve.iterations
+        )
+
+    @staticmethod
+    def _cap(monkeypatch, n_dofs):
+        from repro.chns import ns_solver, pp_solver
+
+        for module in (ns_solver, pp_solver):
+            monkeypatch.setattr(module, "LU_MAX_DOFS", n_dofs)
+
+    def test_first_block_and_large_mesh_run_the_jacobi_path(
+        self, mesh16, monkeypatch
+    ):
+        held = self._blocks(mesh16, 3)
+        first_blocks = self._blocks(mesh16, 3, drop_each=True)
+        self._cap(monkeypatch, mesh16.n_dofs - 1)  # the mesh is above it
+        capped = self._blocks(mesh16, 3)
+        assert all(self._same(a, b) for a, b in zip(capped, first_blocks))
+        assert self._same(held[0], capped[0])
+        for ns_res, pp_res in capped:
+            assert ns_res.factorizations == pp_res.factorizations == 0
+        # one factorization per holder (both components share the no-slip
+        # mask), then reuse; a few iterations against Jacobi's many
+        assert [(n.factorizations, p.factorizations) for n, p in held] == [
+            (0, 0), (1, 1), (0, 0)]
+        for (ns_h, pp_h), (ns_c, pp_c) in zip(held[1:], capped[1:]):
+            assert ns_h.fallbacks == pp_h.fallbacks == 0
+            assert all(s.converged and 0 < s.iterations <= PRECOND_MAXITER
+                       for s in (*ns_h.solves, pp_h.solve))
+            assert pp_h.solve.iterations < pp_c.solve.iterations
+            scale = np.abs(ns_c.vel_star).max()
+            assert np.abs(ns_h.vel_star - ns_c.vel_star).max() < 1e-7 * scale
+            scale = np.abs(pp_c.p).max()
+            assert np.abs(pp_h.p - pp_c.p).max() < 1e-7 * scale
+
+    def test_failed_held_solve_falls_back_and_is_counted(
+        self, mesh16, monkeypatch
+    ):
+        """Factors that precondition nothing: every held solve fails, the
+        Jacobi path redoes it from the same start (bit for bit the capped
+        solve), and each fallback is counted."""
+        from repro.chns import ns_solver, pp_solver
+        from repro.la.factors import Factors
+
+        class Useless(Factors):
+            def __call__(self, r):
+                return np.zeros_like(r)
+
+        for module in (ns_solver, pp_solver):
+            monkeypatch.setattr(module, "Factors", Useless)
+        with obs.tracing():
+            outs = self._blocks(mesh16, 3)
+            counters = obs.snapshot()["counters"]
+        self._cap(monkeypatch, 0)
+        refs = self._blocks(mesh16, 3)
+        for k, ((ns_o, pp_o), (ns_r, pp_r)) in enumerate(zip(outs, refs)):
+            assert np.array_equal(ns_o.vel_star, ns_r.vel_star)
+            assert np.array_equal(pp_o.p, pp_r.p)
+            assert (ns_o.fallbacks, pp_o.fallbacks) == ((0, 0) if k == 0
+                                                        else (2, 1))
+            if k:
+                for s, r in zip((*ns_o.solves, pp_o.solve),
+                                (*ns_r.solves, pp_r.solve)):
+                    assert s.converged and s.iterations > r.iterations
+        assert counters["ns.lu_fallbacks"] == 4
+        assert counters["pp.lu_fallbacks"] == 2
+        assert counters["ns.lu_factorizations"] == sum(
+            o[0].factorizations for o in outs) > 0
+        assert counters["pp.lu_factorizations"] == sum(
+            o[1].factorizations for o in outs) > 0
+
+    def test_last_block_uses_held_factors_but_makes_none(
+        self, mesh16, monkeypatch
+    ):
+        outs = self._blocks(mesh16, 4, last_block=(1, 3))
+        self._cap(monkeypatch, 0)
+        refs = self._blocks(mesh16, 4)
+        assert self._same(outs[1], refs[1])  # nothing held yet: Jacobi
+        assert [(n.factorizations, p.factorizations) for n, p in outs] == [
+            (0, 0), (0, 0), (1, 1), (0, 0)]
+        ns_last, pp_last = outs[3]  # the factors of block 2, reused
+        assert all(0 < s.iterations <= PRECOND_MAXITER
+                   for s in (*ns_last.solves, pp_last.solve))
 
 
 class TestTimeStepper:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.la import newton
+from repro.la import factors as held, newton
+from repro.la.factors import Factors
 from repro.la.krylov import SolveResult, bicgstab, cg, gmres
-from repro.la.newton import Factors, newton_solve
+from repro.la.newton import newton_solve
 from repro.la.precond import JacobiPreconditioner
 
 
@@ -195,26 +196,32 @@ class TestNewton:
         assert res.factorizations == res.fallbacks == 0
 
     def test_tiny_diagonal_goes_through_fallback(self):
-        """Static diagonal pivoting on [[1e-20, 1], [1, 1e-20]] returns a
-        dx with relative residual ~0.45 (an exact zero would be pivoted
-        away by SuperLU and prove nothing): the residual check must reject
-        it and the partial-pivoting fallback must solve the step."""
+        """Static diagonal pivoting on 2x2 blocks [[1e-20, a], [a, 1e-20]]
+        loses each block's second equation (an exact zero would be pivoted
+        away by SuperLU and prove nothing).  With fifty distinct ``a`` the
+        preconditioned operator has more distinct eigenvalues than eight
+        BiCGStab iterations can resolve, so the partial-pivoting fallback
+        must solve the step."""
         from repro import obs
 
-        A = sp.csr_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
-        b = np.array([1.0, 2.0])
+        n = 50
+        A = sp.block_diag([
+            np.array([[1e-20, a], [a, 1e-20]]) for a in np.linspace(1, 3, n)
+        ]).tocsr()
+        b = np.linspace(1.0, 2.0, 2 * n)
         obs.enable()
         try:
             res = newton_solve(
-                lambda x: A @ x - b, lambda x: A, np.zeros(2), tol=1e-12
+                lambda x: A @ x - b, lambda x: A, np.zeros(2 * n), tol=1e-12
             )
             counters = obs.snapshot()["counters"]
         finally:
             obs.disable()
         assert res.converged and res.iterations == 1
-        assert np.allclose(res.x, [2.0, 1.0], atol=1e-12)
+        assert np.allclose(A @ res.x, b, atol=1e-12)
         assert res.fallbacks >= 1
         assert res.factorizations == res.fallbacks + 1
+        assert res.linear_iterations == held.PRECOND_MAXITER
         # the result's health fields are what the obs counters say
         assert counters["newton.iterations"] == res.iterations
         assert counters["newton.lu_factorizations"] == res.factorizations
@@ -264,17 +271,22 @@ class TestNewton:
 class TestFactors:
     """The holder of the Newton linear-solve state and its refresh rule."""
 
+    FRESH = 1  # BiCGStab iterations with factors of the current Jacobian
+
     def scripted(self, monkeypatch, script):
         """Run one linear solve per entry of ``script`` (the BiCGStab
         iteration count that solve would take with the held factors, read
-        only when the holder goes to BiCGStab) and return ``F`` or the
-        iteration count per solve."""
+        only when the holder goes to BiCGStab with them; a solve with fresh
+        factors takes ``FRESH``) and return ``F`` or the iteration count per
+        solve.  The holder counts in applications, two per iteration."""
         A = sp.identity(3, format="csr")
         todo = list(script)
 
-        def fake_bicgstab(J, b, *, M, tol, maxiter):
-            its = todo[0]
-            assert maxiter == newton._PRECOND_MAXITER
+        def fake_bicgstab(J, b, *, x0, M, tol, maxiter):
+            its = min(self.FRESH if M.solves == 0 else todo[0], 99)
+            assert maxiter == held.PRECOND_MAXITER
+            for _ in range(2 * min(its, maxiter) - 1):
+                M(b)
             return SolveResult(M(b), min(its, maxiter), 0.0, its <= maxiter)
 
         monkeypatch.setattr(newton, "bicgstab", fake_bicgstab)
@@ -282,12 +294,14 @@ class TestFactors:
         out = newton.NewtonResult(np.zeros(3), 0, 1.0, False)
         for _ in script:
             before = out.factorizations
-            dx = factors.solve(A, -np.ones(3), np.sqrt(3.0), 1e-10, out)
+            dx = newton._linear_step(
+                factors, A, -np.ones(3), np.sqrt(3.0), 1e-10, out)
             assert np.allclose(dx, 1.0)
             factored = out.factorizations > before
             seen.append("F" if factored else todo[0])
             if factored:
-                assert (factors.spent, factors.solves, factors.last) == (0, 1, 0)
+                assert (factors.spent, factors.solves, factors.last) == (
+                    2 * self.FRESH, 1, 2 * self.FRESH)
             todo.pop(0)
         assert out.fallbacks == 0
         return seen, out
@@ -295,7 +309,8 @@ class TestFactors:
     def test_no_refresh_while_counts_are_flat(self, monkeypatch):
         seen, out = self.scripted(monkeypatch, [0] + [3] * 60)
         assert seen == ["F"] + [3] * 60
-        assert out.factorizations == 1 and out.linear_iterations == 180
+        assert out.factorizations == 1
+        assert out.linear_iterations == self.FRESH + 180
 
     def test_refresh_on_the_first_uptick_once_amortised(self, monkeypatch):
         """An early up-tick (solve 3) is cheaper than a factorization spread
@@ -309,17 +324,18 @@ class TestFactors:
     def test_rule_is_the_documented_inequality(self):
         f = Factors()
         assert not f.stale()  # empty: solve() factors without asking
-        f.spent, f.solves, f.last = 20, 10, 3
-        assert f.last * f.solves >= newton.FACTOR_COST + f.spent and f.stale()
-        f.last = 2
+        f.spent, f.solves, f.last = 40, 10, 6  # applications
+        assert f.last * f.solves >= held.FACTOR_COST + f.spent and f.stale()
+        f.last = 5
         assert not f.stale()
 
     def test_hard_stop_is_unchanged(self, monkeypatch):
-        """More than ``_PRECOND_MAXITER`` iterations: the attempt is
+        """More than ``PRECOND_MAXITER`` iterations: the attempt is
         charged and the current Jacobian is factored in the same solve."""
         seen, out = self.scripted(monkeypatch, [0, 2, 99, 2])
         assert seen == ["F", 2, "F", 2]
-        assert out.linear_iterations == 2 + newton._PRECOND_MAXITER + 2
+        assert out.linear_iterations == (
+            self.FRESH + 2 + held.PRECOND_MAXITER + self.FRESH + 2)
 
     def test_held_factors_precondition_the_first_iterate(self):
         """A second solve through the same holder factors nothing and lands
@@ -360,3 +376,51 @@ class TestFactors:
         )
         assert not res.converged and res.iterations == 0
         assert factors.lu is None and factors.solves == 0
+
+
+class TestHeldFactors:
+    """The generic holder: single-precision factors inside the caller's
+    Krylov method, under its float64 stopping test."""
+
+    @staticmethod
+    def laplacian(n=40):
+        """1D Neumann Laplacian: singular, the constants its nullspace."""
+        main = np.full(n, 2.0)
+        main[[0, -1]] = 1.0
+        return sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)],
+                        [-1, 0, 1]).tocsr()
+
+    def test_constant_nullspace_by_pinning_a_dof(self):
+        K = self.laplacian()
+        b = np.sin(np.linspace(0.0, 3.0, K.shape[0]))
+        b -= b.mean()
+        f = Factors(constant_nullspace=True)
+        res, factored = f.solve(cg, K, b, tol=1e-10)
+        assert factored == 1 and f.lu.L.dtype == np.float32
+        assert res.converged and res.iterations <= 3
+        assert np.linalg.norm(K @ res.x - b) <= 1e-10 * np.linalg.norm(b)
+        # a nearby operator: the held factors, no new factorization
+        res, factored = f.solve(cg, 1.01 * K, b, tol=1e-10)
+        assert factored == 0 and res.converged and res.iterations <= 8
+
+    def test_without_may_factor_nothing_is_made(self):
+        A, b, _ = spd_system()
+        f = Factors()
+        assert f.solve(cg, A, b, tol=1e-10, may_factor=False) == (None, 0)
+        assert f.lu is None
+        res, factored = f.solve(cg, A, b, tol=1e-10)
+        assert factored == 1 and res.converged
+        res, factored = f.solve(cg, 2.0 * A, b, tol=1e-10, may_factor=False)
+        assert factored == 0 and res.converged
+
+    def test_acceptance_is_the_true_float64_residual(self, monkeypatch):
+        """A Krylov result that claims convergence is not taken on its word:
+        a solve whose true residual misses ``tol`` is a failed attempt."""
+        A, b, _ = spd_system()
+
+        def liar(A, b, *, x0, M, tol, maxiter):
+            M(b)
+            return SolveResult(np.zeros_like(b), 1, 0.0, True)
+
+        res, factored = Factors().solve(liar, A, b, tol=1e-10)
+        assert factored == 1 and not res.converged

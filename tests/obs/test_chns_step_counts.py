@@ -37,7 +37,8 @@ def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     """One mesh, one factorization: the first step's LU
     preconditions every later CH solve, and the stepper's cumulative counts
     say what the obs counters say.  VU factors its one no-slip mask at the
-    second step and solves directly from then on (0 iterations)."""
+    second step and solves directly from then on (0 iterations); NS and PP
+    factor at the second step too and precondition with those factors."""
     with obs.tracing():
         its_vu = []
         for _ in range(4):
@@ -47,12 +48,16 @@ def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     counts = stepper.iteration_counts
     assert counters["newton.lu_factorizations"] == 1
     assert counters["vu.lu_factorizations"] == counts["vu_factorizations"] == 1
+    assert counters["ns.lu_factorizations"] == counts["ns_factorizations"] == 1
+    assert counters["pp.lu_factorizations"] == counts["pp_factorizations"] == 1
+    assert "ns.lu_fallbacks" not in counters
+    assert "pp.lu_fallbacks" not in counters
     assert its_vu[0] == its_vu[-1] > 0
     assert "newton.lu_fallbacks" not in counters
     assert counts["ch_factorizations"] == 1
     assert counts["newton"] == counters["newton.iterations"]
-    # every Newton iterate but the factoring one is a BiCGStab solve
-    assert counts["ch_linear"] >= counts["newton"] - 1 > 0
+    # every Newton iterate is an LU-preconditioned BiCGStab solve
+    assert counts["ch_linear"] >= counts["newton"] > 0
     assert counts["ch_linear"] + counts["krylov"] == counters["krylov.iterations"]
 
 

@@ -93,6 +93,8 @@ class TestStatusReport:
             # CH-only jobs: no NS/PP/VU solve, but the CH linear work shows
             assert family["krylov"] == 0 < family["ch_linear"]
             assert family["vu_factorizations"] == 0
+            assert family["ns_factorizations"] == 0
+            assert family["pp_factorizations"] == 0
             assert 0 < family["ch_factorizations"] <= family["newton"]
             # one residual per full step, more when the line search backtracks
             assert family["line_search_trials"] >= family["newton"]

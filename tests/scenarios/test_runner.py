@@ -115,21 +115,60 @@ class TestRun:
         assert len(calls) == res.krylov_unconverged == 3 * dim
 
     def test_mesh_that_lives_one_block_never_factors(self, monkeypatch):
-        """Remeshing every step: each mesh runs one flow block, so VU
-        never factors; the same job on one mesh factors once."""
+        """Remeshing every step: each mesh runs one flow block, so no flow
+        block factors and every flow solve is the one of a mesh above the
+        size cap, bit for bit; the same job on one mesh factors once."""
+        from repro.chns import ns_solver, pp_solver, vu_solver
+
         splu = _count_vu_splu(monkeypatch)
         cfg = build("jet_2d", quick=True)
         cfg.time.n_steps = 3
         cfg.refinement.remesh_every = 1
-        meshes = []
-        res = run_scenario(cfg, on_step=lambda s: meshes.append(s.mesh))
-        assert res.status == "succeeded"
-        assert len({id(m) for m in meshes}) == 3
+
+        def run():
+            steps = []
+            res = run_scenario(cfg, on_step=lambda s: steps.append(
+                (s.mesh, s.vel.copy(), s.p.copy())))
+            assert res.status == "succeeded"
+            return res, steps
+
+        res, steps = run()
+        assert len({id(m) for m, _, _ in steps}) == 3
         assert splu == [] and res.vu_factorizations == 0
+        assert res.ns_factorizations == res.pp_factorizations == 0
+        for module in (ns_solver, pp_solver, vu_solver):
+            monkeypatch.setattr(module, "LU_MAX_DOFS", 0)
+        capped, capped_steps = run()
+        assert capped.krylov_iterations == res.krylov_iterations
+        for (_, vel, p), (_, vel_c, p_c) in zip(steps, capped_steps):
+            assert np.array_equal(vel, vel_c) and np.array_equal(p, p_c)
+        monkeypatch.undo()  # the cap and the splu recorder
+        splu = _count_vu_splu(monkeypatch)
         cfg.refinement.remesh_every = 0
         res = run_scenario(cfg)
         assert res.status == "succeeded"
         assert len(splu) == res.vu_factorizations == 1
+        assert res.ns_factorizations == res.pp_factorizations == 1
+
+    def test_flow_blocks_factor_only_between_first_and_last_block(self):
+        """Full ``jet_2d`` remeshes every 2 steps: each mesh lives two
+        blocks, its first and its last, so no flow block factors.  With a
+        remesh every 3 steps each mesh factors once, at its middle block."""
+        res = run_scenario(build("jet_2d", quick=False))
+        assert res.status == "succeeded" and res.steps_done >= 4
+        assert res.ns_factorizations == res.pp_factorizations == 0
+        assert res.vu_factorizations == 0
+        cfg = build("jet_2d", quick=True)
+        cfg.time.n_steps = 6
+        cfg.refinement.remesh_every = 3
+        res = run_scenario(cfg)
+        assert res.status == "succeeded"
+        assert res.ns_factorizations == res.pp_factorizations == 2
+        assert res.vu_factorizations == 2
+        old = res.to_dict()  # a store written before the counts existed
+        assert old.pop("ns_factorizations") == old.pop("pp_factorizations")
+        loaded = JobResult.from_dict(old)
+        assert loaded.ns_factorizations == loaded.pp_factorizations == 0
 
     def test_divergence_reported_not_raised(self):
         res = run_scenario(_diverging_drop())
@@ -321,7 +360,8 @@ class TestInterruptRestart:
         return cfg
 
     COUNTS = ("newton_iterations", "line_search_trials", "krylov_iterations",
-              "ch_linear", "ch_factorizations", "vu_factorizations",
+              "ch_linear", "ch_factorizations", "ns_factorizations",
+              "pp_factorizations", "vu_factorizations",
               "krylov_unconverged", "n_elems_final", "diagnostics")
 
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
@@ -379,6 +419,7 @@ class TestInterruptRestart:
         # and every VU solve is the first block of its factors' lifetime
         assert straight.ch_factorizations == straight.n_steps
         assert straight.vu_factorizations == 0
+        assert straight.ns_factorizations == straight.pp_factorizations == 0
         assert straight.ch_linear > 0 and straight.krylov_iterations > 0
         # the resumed record counts the trials before the cut too (COUNTS)
         assert straight.line_search_trials >= straight.newton_iterations > 0
@@ -387,8 +428,8 @@ class TestInterruptRestart:
     def test_factors_cross_the_steps_between_checkpoints(self, tmp_path, name):
         """``checkpoint_every = 2``: factors are dropped at steps 2, 4, 6
         whether or not a file is written, and carried across the steps in
-        between - on the coupled stepper and on the CH-only path.  VU
-        factors at the second block after each drop."""
+        between - on the coupled stepper and on the CH-only path.  NS, PP
+        and VU factor at the second block after each drop."""
         cfg = build(name, quick=True)
         cfg.time.n_steps = 6
         cfg.control.checkpoint_every = 2
@@ -397,6 +438,8 @@ class TestInterruptRestart:
         assert 3 <= straight.ch_factorizations < cfg.time.n_steps
         flow = cfg.solver == "chns"
         assert straight.vu_factorizations == (3 if flow else 0)
+        assert straight.ns_factorizations == (3 if flow else 0)
+        assert straight.pp_factorizations == (3 if flow else 0)
 
     def test_checkpoint_without_counts_still_loads(self, tmp_path):
         """A checkpoint written before the counts were carried resumes with
@@ -468,7 +511,7 @@ def test_refresh_rule_end_to_end(monkeypatch):
     once, and in its own units the run costs no more than one that drops
     its factors every step (the per-call lifetime, ``checkpoint_every=1``)."""
     import repro.chns.ch_solver as ch_solver
-    from repro.la.newton import FACTOR_COST
+    from repro.la.factors import FACTOR_COST
 
     solves = []
     newton_solve = ch_solver.newton_solve
@@ -501,8 +544,8 @@ def test_refresh_rule_end_to_end(monkeypatch):
     assert not any(s[3] for s in sequence)
     assert carried.newton_iterations == per_call.newton_iterations
 
-    def cost(res):
-        return FACTOR_COST * res.ch_factorizations + res.ch_linear
+    def cost(res):  # in applications of the factors, two per iteration
+        return FACTOR_COST * res.ch_factorizations + 2 * res.ch_linear
 
     assert cost(carried) <= cost(per_call)
 
