@@ -13,7 +13,13 @@ in 2D and 3D.
 The table is where ``repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS`` comes
 from: Jacobi-CG iterations grow like ``n_dofs ** (1/dim)``, V-cycle-CG
 iterations do not, so the mesh size per axis at which "build + solve" beats
-Jacobi-CG is the crossover.  Regenerate with
+Jacobi-CG is the crossover.  The held-factor columns are the solve
+``PPSolver`` runs from its second block on a mesh within
+``repro.la.factors.PP_LU_MAX_DOFS``: CG preconditioned by float32 LU
+factors, with the factorization and the storage of its ``L + U``.  The
+system here is static, so the factors are those of ``K`` itself; in a run
+they are an earlier step's, which costs a few more iterations.
+Regenerate with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_gmg.py -q
 """
@@ -25,6 +31,7 @@ import pytest
 
 from repro.chns import forms
 from repro.chns.pp_solver import GMG_MIN_DOFS_PER_AXIS
+from repro.la.factors import PP_LU_MAX_DOFS, Factors
 from repro.la.krylov import cg
 from repro.la.precond import JacobiPreconditioner, make_preconditioner
 from repro.mesh.mesh import Mesh, mesh_from_field
@@ -92,6 +99,14 @@ def gmg_build(mesh, K):
     return make_preconditioner("pcd", K, mesh=mesh, remove_mean=True)
 
 
+def factor_mb(factors):
+    """Storage of the held ``L + U``: values, indices and pointers."""
+    return sum(
+        m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        for m in (factors.lu.L, factors.lu.U)
+    ) / 1e6
+
+
 def best_ms(fn, repeats=3):
     """``(best wall time in ms, last result)`` of ``repeats`` calls."""
     best = np.inf
@@ -128,22 +143,33 @@ def test_ablation_gmg_report(benchmark):
         gmg_build(mesh, K)  # the hierarchy is per mesh: build it once
         t_build, gmg = best_ms(lambda: gmg_build(mesh, K))
         t_solve, pre = best_ms(lambda: cg(K, b, M=gmg, tol=TOL, maxiter=400))
-        assert plain.converged and pre.converged
+        factors = Factors(constant_nullspace=True)
+        t_factor, _ = best_ms(lambda: factors.factor(K))
+        t_held, (held, _) = best_ms(
+            lambda: factors.solve(cg, K, b, tol=TOL, may_factor=False)
+        )
+        assert plain.converged and pre.converged and held.converged
         x_j, x_g = plain.x - plain.x.mean(), pre.x - pre.x.mean()
         assert np.linalg.norm(x_g - x_j) <= 1e-6 * np.linalg.norm(x_j)
+        x_h = held.x - held.x.mean()
+        assert np.linalg.norm(x_h - x_j) <= 1e-6 * np.linalg.norm(x_j)
         per_axis = mesh.n_dofs ** (1.0 / mesh.dim)
+        first = "gmg" if per_axis >= GMG_MIN_DOFS_PER_AXIS else "jacobi"
         rows.append([
             label, mesh.n_dofs, round(per_axis, 1),
             plain.iterations, round(t_jac, 1),
             round(t_build, 1), pre.iterations, round(t_solve, 1),
             round(t_jac / (t_build + t_solve), 2),
-            "gmg" if per_axis >= GMG_MIN_DOFS_PER_AXIS else "jacobi",
+            held.iterations, round(t_held, 1), round(t_factor, 1),
+            round(factor_mb(factors), 1),
+            "held" if mesh.n_dofs <= PP_LU_MAX_DOFS[mesh.dim] else first,
         ])
     benchmark.pedantic(lambda: pp_system(uniform(2, 4)), rounds=1)
     table = format_table(
         ["mesh", "DOFs", "DOFs^(1/dim)", "Jacobi-CG its", "Jacobi-CG ms",
          "GMG build ms", "GMG-CG its", "GMG-CG ms",
-         "Jacobi / (build + solve)", "PPSolver picks"],
+         "Jacobi / (build + solve)", "held its", "held ms", "factor ms",
+         "factor MB", "PPSolver picks"],
         rows,
     )
     report(
@@ -157,9 +183,18 @@ def test_ablation_gmg_report(benchmark):
         "GMG-CG stays nearly mesh-independent — the speedup the paper "
         "anticipates for its dominant PP-solve (it used Jacobi-type "
         "iterative solvers in production after rejecting AMG setup costs).  "
-        "GMG wins in milliseconds where the last-but-one column exceeds 1; "
-        f"PPSolver switches at DOFs^(1/dim) >= {GMG_MIN_DOFS_PER_AXIS:g} "
-        "(repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS).",
+        "GMG wins in milliseconds where 'Jacobi / (build + solve)' exceeds "
+        f"1; PPSolver switches at DOFs^(1/dim) >= {GMG_MIN_DOFS_PER_AXIS:g} "
+        "(repro.chns.pp_solver.GMG_MIN_DOFS_PER_AXIS).  'held' is CG "
+        "preconditioned by float32 LU factors of K with one DOF pinned (in "
+        "a run they are an earlier step's K: traced cavity2d takes about 3 "
+        "iterations a step); 'factor MB' is their L + U storage.  PPSolver "
+        "holds factors from a solver's "
+        "second block on meshes of at most "
+        f"{PP_LU_MAX_DOFS[2]} DOFs in 2D and {PP_LU_MAX_DOFS[3]} in 3D "
+        "(repro.la.factors.PP_LU_MAX_DOFS, memory-bound in 2D, time-bound "
+        "in 3D); its first block takes the GMG or Jacobi path by the rule "
+        "above, as does every block on a larger mesh.",
     )
     # Mesh-independence of GMG vs growth of Jacobi-CG (2D uniform ladder).
     ladder = [r for r in rows if r[0].startswith("2D uniform")]

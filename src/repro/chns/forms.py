@@ -160,7 +160,9 @@ def source_at(mesh: Mesh, f: Callable, t: float = 0.0) -> np.ndarray:
 
 
 def flux_divergence_be(mesh: Mesh, flux_q: np.ndarray) -> np.ndarray:
-    """Elemental ``∫ F · grad N_i`` (n_elems, nc) of a quad-point flux."""
+    """Elemental ``∫ F · grad N_i`` (n_elems, nc) of a quad-point flux
+    (n_elems, nq, dim); ``k`` fluxes at once as (n_elems, nq, dim, k) ->
+    (n_elems, nc, k)."""
     return gradient_load_vector(mesh.elem_h(), mesh.dim, flux_q)
 
 

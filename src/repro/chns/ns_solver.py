@@ -139,11 +139,11 @@ class NSSolver:
                 if gcoef and g_i:
                     src_q[..., i] += (gcoef * g_i) * ph.rho_q
             be += forms.source_be(mesh, src_q)
-            for i in range(dim):
-                flux = ph.grad_phi_q[..., i : i + 1] * ph.grad_phi_q  # (e,q,dim)
-                be[..., i] += (prm.Cn / prm.We) * forms.flux_divergence_be(
-                    mesh, flux
-                )
+            g = ph.grad_phi_q
+            flux = g[..., :, None] * g[..., None, :]  # (e, q, dim, dim)
+            cap = forms.flux_divergence_be(mesh, flux)  # (e, nc, dim)
+            cap *= prm.Cn / prm.We
+            be += cap
             rhs = assemble_vector(mesh, be)  # (n_dofs, dim)
             if forcing is not None:
                 rhs += forcing

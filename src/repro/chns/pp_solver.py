@@ -15,11 +15,11 @@ projection.  The preconditioner is a function of the mesh and of how long
 the solver has lived, with no option, so a restarted run takes the same
 path as the uninterrupted one:
 
-* on meshes of at most :data:`~repro.la.factors.LU_MAX_DOFS` DOFs, from a
-  solver's second block on, single-precision LU factors of an earlier
-  block's ``K_{1/rho}`` with one DOF pinned
-  (:class:`~repro.la.factors.Factors`), refreshed by their amortised-cost
-  rule;
+* on meshes of at most :data:`~repro.la.factors.PP_LU_MAX_DOFS` DOFs
+  for their dimension (8,192 in 2D, 2,048 in 3D), from a solver's second
+  block on, single-precision LU factors of an earlier block's ``K_{1/rho}``
+  with one DOF pinned (:class:`~repro.la.factors.Factors`), refreshed by
+  their amortised-cost rule;
 * otherwise, and behind a held-factor solve that fails: below a measured
   mesh size Jacobi, the iterative-solver choice the paper lands on after
   finding AMG setup too expensive at scale (Sec. III footnote); above it,
@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import obs
-from ..la.factors import LU_MAX_DOFS, Factors
+from ..la.factors import PP_LU_MAX_DOFS, Factors
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner, make_preconditioner
 from ..mesh.mesh import Mesh
@@ -121,7 +121,7 @@ class PPSolver:
         held = (
             not exact_projection
             and self._blocks > 0
-            and mesh.n_dofs <= LU_MAX_DOFS
+            and mesh.n_dofs <= PP_LU_MAX_DOFS[mesh.dim]
         )
         self._blocks += 1
         res, factorizations, fallbacks = None, 0, 0

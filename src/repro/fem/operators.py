@@ -16,10 +16,15 @@ applied as a broadcast multiply:
 All functions return arrays of shape ``(n_elems, nc, nc)`` (matrices) or
 ``(n_elems, nc)`` (vectors), with ``nc = 2**dim`` corners in Morton order.
 Coefficient arguments are sampled at quadrature points, shape
-``(n_elems, nq)`` (or scalars / per-element vectors, broadcast).
+``(n_elems, nq)`` (or scalars / per-element vectors, broadcast).  The
+vector kernels (loads and fields at quadrature points) also take ``k``
+columns at once in a trailing axis; they are still one 2D GEMM, on the
+Kronecker table ``kron(table, I_k)``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,40 +71,63 @@ def convection_matrix(
 def load_vector(h: np.ndarray, dim: int, f_q) -> np.ndarray:
     """``∫ f N_i`` per element (GEMV formulation: ``b_e = B q_e``); ``k``
     sources at once as (n_elems, nq, k) -> (n_elems, nc, k)."""
-    if np.ndim(f_q) == 3:
-        be = np.matmul(reference_tensors(dim).load.T, f_q)
-        be *= (np.asarray(h, dtype=np.float64) ** dim)[:, None, None]
-        return be
-    return _contract(f_q, reference_tensors(dim).load, h, dim)
+    k = _columns(f_q, 3)
+    be = _contract(f_q, _table(dim, "load", k), h, dim)
+    return be if k is None else be.reshape(len(be), 1 << dim, k)
 
 
 def gradient_load_vector(h: np.ndarray, dim: int, flux_q: np.ndarray) -> np.ndarray:
-    """``∫ F · ∇N_i`` per element; ``flux_q`` shape (n_elems, nq, dim).
+    """``∫ F · ∇N_i`` per element; ``flux_q`` shape (n_elems, nq, dim), or
+    ``k`` fluxes at once as (n_elems, nq, dim, k) -> (n_elems, nc, k).
 
     Used for weak divergence terms, e.g. the capillary stress
     ``(Cn/We) ∂_j(∂_iφ ∂_jφ)`` integrated by parts.
     """
-    return _contract(flux_q, reference_tensors(dim).grad_load, h, dim - 1)
+    k = _columns(flux_q, 4)
+    be = _contract(flux_q, _table(dim, "grad_load", k), h, dim - 1)
+    return be if k is None else be.reshape(len(be), 1 << dim, k)
 
 
 def value_at_quad(elem_vals: np.ndarray, dim: int) -> np.ndarray:
     """Field values at quadrature points from corner values
     (n_elems, nc[, k]) -> (n_elems, nq[, k])."""
-    _, _, N, _ = tabulate(dim)
-    if elem_vals.ndim == 3:
-        return np.matmul(N, elem_vals)
-    return elem_vals @ N.T
+    k = _columns(elem_vals, 3)
+    table = _table(dim, "value", k)
+    vq = elem_vals.reshape(len(elem_vals), len(table)) @ table
+    return vq if k is None else vq.reshape(len(vq), 1 << dim, k)
 
 
 def gradient_at_quad(elem_vals: np.ndarray, h: np.ndarray, dim: int) -> np.ndarray:
     """Field gradients at quadrature points, (n_elems, nq, dim[, k])."""
-    D = reference_tensors(dim).grad
-    h = np.asarray(h, dtype=np.float64)
-    nq = len(D) // dim
-    if elem_vals.ndim == 3:
-        g = np.matmul(D, elem_vals)
-        g /= h[:, None, None]
-        return g.reshape(len(h), nq, dim, elem_vals.shape[2])
-    g = elem_vals @ D.T
-    g /= h[:, None]
-    return g.reshape(len(h), nq, dim)
+    k = _columns(elem_vals, 3)
+    table = _table(dim, "grad", k)
+    g = elem_vals.reshape(len(elem_vals), len(table)) @ table
+    g /= np.asarray(h, dtype=np.float64)[:, None]
+    shape = (len(g), 1 << dim, dim) + (() if k is None else (k,))
+    return g.reshape(shape)
+
+
+def _columns(x, ndim: int) -> int | None:
+    """``k`` of an input that carries a trailing axis of ``k`` columns (an
+    ``ndim``-dimensional batch), else None."""
+    return np.shape(x)[-1] if np.ndim(x) == ndim else None
+
+
+@lru_cache(maxsize=None)
+def _table(dim: int, name: str, k: int | None) -> np.ndarray:
+    """The ``name`` table of ``dim`` acting on ``k`` columns at once.  A
+    batch with a trailing column axis is row-major ``(..., k)``, so
+    ``x.reshape(e, n * k) @ kron(table, I_k)`` is the operator applied to
+    every column: one 2D GEMM, as for one column (``k`` None: the table
+    itself).  Read-only."""
+    if name == "value":
+        table = tabulate(dim)[2].T
+    elif name == "grad":
+        table = reference_tensors(dim).grad.T
+    else:
+        table = getattr(reference_tensors(dim), name)
+    if k is None:
+        return table
+    out = np.kron(table, np.eye(k))
+    out.setflags(write=False)
+    return out

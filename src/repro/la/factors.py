@@ -38,13 +38,20 @@ PRECOND_MAXITER = 8
 #: BiCGStab iteration applies them twice, a CG iteration once.
 FACTOR_COST = 20
 
-#: The NS, PP and VU blocks use held factors on meshes of at most this
-#: many DOFs, and their Krylov solves of before above it.  Measured
-#: (DESIGN.md section 12): on the 427- and 561-DOF bubbles every block wins;
-#: from 2D L6 on, NS's Jacobi-BiCGStab is faster than its held factors, and
-#: VU's factors on ``cavity2d`` (7,265 DOFs) bought 5 % of a step for +6-9 %
+#: The NS and VU blocks use held factors on meshes of at most this many
+#: DOFs, and their Krylov solves of before above it.  Measured (DESIGN.md
+#: section 12): on the 427- and 561-DOF bubbles every block wins; from 2D L6
+#: on, NS's Jacobi-BiCGStab is faster than its held factors, and VU's
+#: factors on ``cavity2d`` (7,265 DOFs) bought 5 % of a step for +6-9 %
 #: peak memory.
 LU_MAX_DOFS = 2048
+
+#: The PP block's cap, per dimension.  In 2D its held factors beat every
+#: other PP solve at every measured size and memory bounds them: 8,192 DOFs
+#: keeps the factors near 3 MB and leaves 2D L7 uniform (16,641 DOFs,
+#: 9.1 MB) on GMG-CG.  In 3D, L4 pays a 61 ms factorization and 13.6 MB of
+#: factors to save about 1 ms a solve, so 3D keeps :data:`LU_MAX_DOFS`.
+PP_LU_MAX_DOFS = {2: 8192, 3: LU_MAX_DOFS}
 
 #: The CH Jacobian blocks share the mesh pattern, so the symmetric-pattern
 #: ordering with diagonal pivots has 2-4x less fill than COLAMD + partial
@@ -57,13 +64,20 @@ STATIC_PIVOT = dict(
 )
 
 
-def _pin_first(A: sp.spmatrix) -> sp.spmatrix:
+def _pin_first(A: sp.spmatrix) -> sp.csr_matrix:
     """``A`` with its first row and column those of the identity: a
-    constant-nullspace operator made nonsingular by fixing one DOF."""
-    keep = np.ones(A.shape[0])
-    keep[0] = 0.0
-    D = sp.diags(keep)
-    return D @ A @ D + sp.diags(1.0 - keep)
+    constant-nullspace operator made nonsingular by fixing one DOF.  One
+    canonical CSR copy of ``A``, edited and compacted in place, with no
+    sparse-product temporaries.  Without stored zeros, as ``D A D + (I -
+    D)`` with ``D = diag(0, 1, ..., 1)`` built it, so SuperLU orders and
+    factors the same matrix."""
+    P = A.tocsr(copy=True)
+    P.sum_duplicates()
+    P.data[P.indptr[0] : P.indptr[1]] = 0.0
+    P.data[P.indices == 0] = 0.0
+    P[0, 0] = 1.0
+    P.eliminate_zeros()
+    return P
 
 
 class Factors:

@@ -117,7 +117,7 @@ class Mesh:
         receive interpolated values automatically through ``P``.
         """
         nv = self.nodes.node_values(u)
-        return nv[self.nodes.elem_nodes]
+        return nv.take(self.nodes.elem_nodes, axis=0)
 
     def elem_scatter(self, contrib: np.ndarray) -> np.ndarray:
         """Accumulate per-element corner contributions into a DOF vector

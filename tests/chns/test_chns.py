@@ -31,8 +31,8 @@ from repro.chns.timestepper import (
     no_slip_bc,
 )
 from repro.chns.vu_solver import VUSolver
-from repro.la.factors import PRECOND_MAXITER
-from repro.mesh.mesh import Mesh
+from repro.la.factors import LU_MAX_DOFS, PP_LU_MAX_DOFS, PRECOND_MAXITER
+from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
 
 
@@ -483,10 +483,10 @@ class TestHeldFlowFactors:
 
     @staticmethod
     def _cap(monkeypatch, n_dofs):
-        from repro.chns import ns_solver, pp_solver
+        from repro.chns import ns_solver
 
-        for module in (ns_solver, pp_solver):
-            monkeypatch.setattr(module, "LU_MAX_DOFS", n_dofs)
+        monkeypatch.setattr(ns_solver, "LU_MAX_DOFS", n_dofs)
+        cap_pp(monkeypatch, n_dofs)
 
     def test_first_block_and_large_mesh_run_the_jacobi_path(
         self, mesh16, monkeypatch
@@ -561,6 +561,113 @@ class TestHeldFlowFactors:
         ns_last, pp_last = outs[3]  # the factors of block 2, reused
         assert all(0 < s.iterations <= PRECOND_MAXITER
                    for s in (*ns_last.solves, pp_last.solve))
+
+
+def cavity_mesh():
+    """The ``cavity2d`` benchmark mesh: levels 5-7 graded to the walls,
+    7,265 DOFs, past both ``LU_MAX_DOFS`` and the GMG crossover."""
+    return mesh_from_field(
+        lambda x: np.minimum(x, 1.0 - x).min(axis=-1) / 0.1,
+        2, max_level=7, min_level=5,
+    )
+
+
+def cap_pp(monkeypatch, n_dofs):
+    from repro.chns import pp_solver
+
+    monkeypatch.setattr(pp_solver, "PP_LU_MAX_DOFS", {2: n_dofs, 3: n_dofs})
+
+
+class TestPPFactorCap:
+    """PP has its own cap, per dimension: 2D meshes past ``LU_MAX_DOFS``
+    and up to ``PP_LU_MAX_DOFS[2]`` hold PP factors; 3D keeps
+    ``LU_MAX_DOFS``."""
+
+    @staticmethod
+    def _blocks(mesh, n):
+        """``n`` PP blocks whose inputs depend on the block index only."""
+        prm = CHNSParams(We=1.0, rho_minus=0.5)
+        xy = mesh.dof_xy()
+        pp = PPSolver(mesh, prm)
+        p = np.sin(3.0 * xy[:, 0]) * xy[:, 1]
+        outs = []
+        for k in range(n):
+            phi = np.tanh((xy[:, 0] - 0.4 - 0.005 * k) / 0.1)
+            vel = np.sin(np.pi * (1.0 + 0.01 * k) * xy)
+            outs.append(pp.solve(phi, vel, 0.01, p0=p))
+        return outs
+
+    def test_2d_mesh_past_the_shared_cap_holds_pp_factors(self, monkeypatch):
+        from repro.chns import pp_solver
+
+        mesh = cavity_mesh()
+        assert LU_MAX_DOFS < mesh.n_dofs <= PP_LU_MAX_DOFS[2]
+        assert mesh.n_dofs ** 0.5 >= pp_solver.GMG_MIN_DOFS_PER_AXIS
+        with obs.tracing():
+            held = self._blocks(mesh, 4)
+            counters = obs.snapshot()["counters"]
+        cap_pp(monkeypatch, 0)
+        gmg = self._blocks(mesh, 4)
+        # block 0 is the GMG-CG solve, bit for bit
+        assert np.array_equal(held[0].p, gmg[0].p)
+        assert held[0].solve.iterations == gmg[0].solve.iterations
+        # one factorization at block 1, then reuse, never a fallback
+        assert [o.factorizations for o in held] == [0, 1, 0, 0]
+        assert counters["pp.lu_factorizations"] == 1
+        assert "pp.lu_fallbacks" not in counters
+        for h, g in zip(held[1:], gmg[1:]):
+            assert h.fallbacks == 0
+            assert h.solve.converged
+            assert 0 < h.solve.iterations <= PRECOND_MAXITER
+            assert np.linalg.norm(h.p - g.p) <= 1e-7 * np.linalg.norm(g.p)
+
+    def test_3d_mesh_past_the_shared_cap_stays_on_jacobi(self, monkeypatch):
+        mesh = Mesh.from_tree(uniform_tree(3, 4))
+        assert PP_LU_MAX_DOFS[3] == LU_MAX_DOFS < mesh.n_dofs
+        outs = self._blocks(mesh, 3)
+        cap_pp(monkeypatch, 0)
+        refs = self._blocks(mesh, 3)
+        for o, r in zip(outs, refs):
+            assert o.factorizations == o.fallbacks == 0
+            assert np.array_equal(o.p, r.p)
+            assert o.solve.iterations == r.solve.iterations > PRECOND_MAXITER
+
+
+@pytest.mark.slow
+def test_lid_driven_cavity_holds_one_pp_factorization(monkeypatch):
+    """Four NS -> PP -> VU blocks of the lid-driven cavity on the
+    ``cavity2d`` mesh through the public solvers: PP factors once (block 1)
+    and never falls back; pressure and divergence match a run with the PP
+    factors capped away (GMG-CG every block)."""
+
+    def run():
+        mesh = cavity_mesh()
+        prm = CHNSParams(Re=100.0, We=1.0)
+        ns, pp, vu = NSSolver(mesh, prm), PPSolver(mesh, prm), VUSolver(mesh, prm)
+        masks, values = lid_driven_bc(mesh)
+        bc = dict(dirichlet_masks=masks, dirichlet_values=values)
+        n = mesh.n_dofs
+        phi, mu, p = np.ones(n), np.zeros(n), np.zeros(n)
+        vel = np.zeros((n, 2))
+        for i in range(2):
+            vel[masks[i], i] = values[i][masks[i]]
+        vel_old, pp_outs = vel.copy(), []
+        for _ in range(4):
+            ns_res = ns.solve(phi, mu, vel, vel_old, p, 0.002, **bc)
+            pp_res = pp.solve(phi, ns_res.vel_star, 0.002, p0=p)
+            vu_res = vu.solve(phi, ns_res.vel_star, pp_res.p, 0.002, **bc)
+            p, vel_old, vel = pp_res.p, vel, vu_res.vel
+            pp_outs.append(pp_res)
+        return p, forms.divergence_l2(mesh, vel), pp_outs
+
+    p, div, outs = run()
+    cap_pp(monkeypatch, 0)
+    p_ref, div_ref, refs = run()
+    assert [o.factorizations for o in outs] == [0, 1, 0, 0]
+    assert all(o.fallbacks == 0 and o.solve.converged for o in outs)
+    assert all(r.factorizations == 0 for r in refs)
+    assert np.linalg.norm(p - p_ref) <= 1e-6 * np.linalg.norm(p_ref)
+    assert abs(div - div_ref) <= 1e-6 * div_ref
 
 
 class TestTimeStepper:

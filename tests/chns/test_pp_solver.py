@@ -134,6 +134,9 @@ def drop_stepper(mesh):
 
 
 def test_stepper_builds_one_hierarchy_per_mesh(monkeypatch):
+    """PP's held factors are capped away, so every block takes the GMG path
+    (without the cap the second block runs on held factors instead)."""
+    monkeypatch.setattr(pp_solver, "PP_LU_MAX_DOFS", {2: 0, 3: 0})
     calls = count_hierarchy_builds(monkeypatch)
     ts = drop_stepper(drop_mesh(7))  # a new mesh: nothing cached
     ts.step(1e-3)

@@ -345,6 +345,86 @@ class TestOperatorsAgainstLoopOracle:
         assert convection_matrix(h0, dim, np.zeros((0, nq, dim))).shape == (0, nq, nq)
         assert load_vector(h0, dim, np.zeros((0, nq))).shape == (0, nq)
         assert gradient_at_quad(np.zeros((0, nq, 2)), h0, dim).shape == (0, nq, dim, 2)
+        for k in (1, 2, 3):  # column inputs
+            assert value_at_quad(np.zeros((0, nq, k)), dim).shape == (0, nq, k)
+            assert load_vector(h0, dim, np.zeros((0, nq, k))).shape == (0, nq, k)
+            flux = np.zeros((0, nq, dim, k))
+            assert gradient_load_vector(h0, dim, flux).shape == (0, nq, k)
+
+
+def matmul_oracle(kind, x, h, dim):
+    """The batched ``np.matmul`` form the column kernels of
+    ``value_at_quad``, ``gradient_at_quad`` and ``load_vector`` replaced:
+    the table times each element's ``(n, k)`` block."""
+    ref = reference_tensors(dim)
+    e, k, nq = len(x), x.shape[-1], 1 << dim
+    h = np.asarray(h, dtype=np.float64)
+    if kind == "value":
+        return np.matmul(tabulate(dim)[2], x)
+    if kind == "gradient":
+        g = np.matmul(ref.grad, x)
+        g /= h[:, None, None]
+        return g.reshape(e, nq, dim, k)
+    be = np.matmul(ref.load.T, x)
+    be *= (h**dim)[:, None, None]
+    return be
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+class TestColumnKernels:
+    """``k`` columns in a trailing axis are one GEMM on ``kron(table, I_k)``:
+    bit for bit the batched ``matmul`` for ``k >= 2``; for ``k = 1`` (the
+    table itself, the one-column path) within 1e-13.  ``gradient_load_vector``
+    had no column form: its columns are the one-column kernel per column
+    (the loop NS's capillary term ran), to rounding."""
+
+    @staticmethod
+    def _check(out, ref, k):
+        assert out.shape == ref.shape
+        if k == 1:
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        else:
+            assert np.array_equal(out, ref)
+
+    def test_against_batched_matmul(self, dim, k):
+        nq = nc = 1 << dim
+        rng = np.random.default_rng(50 + 10 * dim + k)
+        vals = rng.standard_normal((N_ELEMS, nc, k)) * 50.0
+        f_q = rng.standard_normal((N_ELEMS, nq, k)) * 50.0
+        flux = rng.standard_normal((N_ELEMS, nq, dim, k)) * 50.0
+        self._check(value_at_quad(vals, dim), matmul_oracle("value", vals, H, dim), k)
+        self._check(
+            gradient_at_quad(vals, H, dim), matmul_oracle("gradient", vals, H, dim), k
+        )
+        self._check(load_vector(H, dim, f_q), matmul_oracle("load", f_q, H, dim), k)
+
+    def test_columns_are_the_one_column_kernel(self, dim, k):
+        rng = np.random.default_rng(60 + 10 * dim + k)
+        nq = nc = 1 << dim
+        vals = rng.standard_normal((N_ELEMS, nc, k)) * 50.0
+        flux = rng.standard_normal((N_ELEMS, nq, dim, k)) * 50.0
+        vq, gq = value_at_quad(vals, dim), gradient_at_quad(vals, H, dim)
+        be = gradient_load_vector(H, dim, flux)
+        assert be.shape == (N_ELEMS, nc, k)
+        for c in range(k):
+            col = np.ascontiguousarray(vals[..., c])
+            assert_batch_close(vq[..., c], value_at_quad(col, dim))
+            assert_batch_close(gq[..., c], gradient_at_quad(col, H, dim))
+            flux_c = np.ascontiguousarray(flux[..., c])
+            assert_batch_close(be[..., c], gradient_load_vector(H, dim, flux_c))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [None, 2, 3])
+def test_elem_gather_is_fancy_indexing(dim, k):
+    m = random_mesh(7, dim, max_level=3)
+    assert m.nodes.is_hanging.any()
+    shape = (m.n_dofs,) + (() if k is None else (k,))
+    u = np.random.default_rng(8).standard_normal(shape)
+    ref = m.nodes.node_values(u)[m.nodes.elem_nodes]
+    out = m.elem_gather(u)
+    assert out.shape == ref.shape and np.array_equal(out, ref)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -403,6 +403,20 @@ class TestHeldFactors:
         res, factored = f.solve(cg, 1.01 * K, b, tol=1e-10)
         assert factored == 0 and res.converged and res.iterations <= 8
 
+    def test_pinning_is_the_projected_product_and_leaves_its_input(self):
+        """Row and column 0 become the identity's: bit for bit the sparse
+        product ``D K D + (I - D)``, stored entries included, so SuperLU
+        factors the same matrix; the input is not touched."""
+        K = self.laplacian(6)
+        before = K.copy()
+        P = held._pin_first(K)
+        D = sp.diags(np.r_[0.0, np.ones(5)])
+        ref = (D @ K @ D + sp.diags(np.r_[1.0, np.zeros(5)])).tocsr()
+        ref.sort_indices()
+        for a, b in ((P.indptr, ref.indptr), (P.indices, ref.indices),
+                     (P.data, ref.data), (K.data, before.data)):
+            assert np.array_equal(a, b)
+
     def test_without_may_factor_nothing_is_made(self):
         A, b, _ = spd_system()
         f = Factors()

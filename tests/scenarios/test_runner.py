@@ -136,8 +136,9 @@ class TestRun:
         assert len({id(m) for m, _, _ in steps}) == 3
         assert splu == [] and res.vu_factorizations == 0
         assert res.ns_factorizations == res.pp_factorizations == 0
-        for module in (ns_solver, pp_solver, vu_solver):
+        for module in (ns_solver, vu_solver):
             monkeypatch.setattr(module, "LU_MAX_DOFS", 0)
+        monkeypatch.setattr(pp_solver, "PP_LU_MAX_DOFS", {2: 0, 3: 0})
         capped, capped_steps = run()
         assert capped.krylov_iterations == res.krylov_iterations
         for (_, vel, p), (_, vel_c, p_c) in zip(steps, capped_steps):
