@@ -35,7 +35,7 @@ held-factor solve that fails run the Jacobi-BiCGStab solve of before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,9 @@ class NSSolver:
             if forcing is not None:
                 rhs += forcing
 
-        held = self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS
+        may_factor = (
+            self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS and not last_block
+        )
         self._blocks += 1
         vel_new = np.zeros_like(vel_n)
         out = NSResult(vel_star=vel_new, solves=[])
@@ -165,34 +167,26 @@ class NSSolver:
             if mask is not None:
                 vals = None if dirichlet_values is None else dirichlet_values[i]
                 rhs_i = lift_dirichlet(A_imp, rhs_i, mask, vals)
-            res = None
-            if held:
-                res, k = self._factors.setdefault(key, Factors()).solve(
-                    bicgstab, A_i, rhs_i, tol=tol, x0=vel_n[:, i],
-                    may_factor=not last_block,
-                )
-                if k:
-                    out.factorizations += k
-                    obs.incr("ns.lu_factorizations", k)
-            if res is None or not res.converged:
+
+            def jacobi_bicgstab():
                 if key not in jacobi:
                     jacobi[key] = JacobiPreconditioner(A_i)
-                krylov = bicgstab(
-                    A_i,
-                    rhs_i,
-                    x0=vel_n[:, i].copy(),
-                    M=jacobi[key],
-                    tol=tol,
-                    maxiter=4000,
-                )
-                if res is not None:  # the held factors failed
-                    out.fallbacks += 1
-                    obs.incr("ns.lu_fallbacks")
-                    krylov = replace(
-                        krylov, iterations=res.iterations + krylov.iterations
-                    )
-                res = krylov
-            obs.incr("ns.krylov_iterations", res.iterations)
+                return bicgstab(A_i, rhs_i, x0=vel_n[:, i].copy(),
+                                M=jacobi[key], tol=tol, maxiter=4000)
+
+            factors = self._factors.setdefault(key, Factors())
+            res, factored, fell_back = factors.solve(
+                bicgstab, A_i, rhs_i, tol=tol, x0=vel_n[:, i],
+                fallback=jacobi_bicgstab, may_factor=may_factor,
+            )
+            if factored:
+                out.factorizations += factored
+                obs.incr("ns.lu_factorizations", factored)
+            if fell_back:
+                out.fallbacks += fell_back
+                obs.incr("ns.lu_fallbacks")
+            obs.incr("krylov.iterations.ns", res.iterations)
+            obs.incr("krylov.solves.ns")
             out.solves.append(res)
             vel_new[:, i] = res.x
         return out

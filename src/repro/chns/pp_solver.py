@@ -38,7 +38,7 @@ filled, and the right-hand side leaves through the planned load scatter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,40 +118,37 @@ class PPSolver:
             b = (prm.We / dt) * forms.flux_divergence_load(mesh, vq)
             b -= b.mean()  # compatibility with the constant nullspace
 
-        held = (
-            not exact_projection
-            and self._blocks > 0
+        may_factor = (
+            self._blocks > 0
             and mesh.n_dofs <= PP_LU_MAX_DOFS[mesh.dim]
+            and not last_block
+            and not exact_projection
         )
         self._blocks += 1
-        res, factorizations, fallbacks = None, 0, 0
-        if held:
-            res, factorizations = self._factors.solve(
-                cg, K, b, tol=tol, x0=p0, may_factor=not last_block
-            )
-            if factorizations:
-                obs.incr("pp.lu_factorizations", factorizations)
-        if res is None or not res.converged:
+        if exact_projection:  # held factors are K's, not the Schur operator's
+            self._factors.drop()
+
+        def krylov_cg():
             A_op = (
                 self._schur_operator(inv_rho_q, correction_masks, K)
                 if exact_projection
                 else K
             )
             if mesh.n_dofs ** (1.0 / mesh.dim) >= GMG_MIN_DOFS_PER_AXIS:
-                # One V-cycle on K itself, the exact pressure Schur operator
-                # of the projection step, mean-zero projected on both sides.
-                M = make_preconditioner("pcd", K, mesh=mesh, remove_mean=True)
+                M = make_preconditioner(mesh, K)
             else:
                 M = JacobiPreconditioner(K.diagonal() + 1e-12)
-            krylov = cg(A_op, b, x0=p0, M=M, tol=tol, maxiter=6000)
-            if res is not None:  # the held factors failed
-                fallbacks = 1
-                obs.incr("pp.lu_fallbacks")
-                krylov = replace(
-                    krylov, iterations=res.iterations + krylov.iterations
-                )
-            res = krylov
-        obs.incr("pp.krylov_iterations", res.iterations)
+            return cg(A_op, b, x0=p0, M=M, tol=tol, maxiter=6000)
+
+        res, factorizations, fallbacks = self._factors.solve(
+            cg, K, b, tol=tol, x0=p0, fallback=krylov_cg, may_factor=may_factor
+        )
+        if factorizations:
+            obs.incr("pp.lu_factorizations", factorizations)
+        if fallbacks:
+            obs.incr("pp.lu_fallbacks")
+        obs.incr("krylov.iterations.pp", res.iterations)
+        obs.incr("krylov.solves.pp")
         p = res.x - res.x.mean()  # fix the nullspace component
         return PPResult(p=p, solve=res, factorizations=factorizations,
                         fallbacks=fallbacks)

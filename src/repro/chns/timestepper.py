@@ -345,15 +345,6 @@ class CHNSTimeStepper:
             not s.converged
             for s in (*ns_res.solves, pp_res.solve, *vu_res.solves)
         )
-        # Per-block Krylov counters: the pooled krylov.* ones also
-        # hold the CH inner solves (perf.model reads these instead).
-        for blk, its, n_solves in (
-            ("ns", it_ns, len(ns_res.solves)),
-            ("pp", it_pp, 1),
-            ("vu", it_vu, len(vu_res.solves)),
-        ):
-            obs.incr(f"krylov.iterations.{blk}", its)
-            obs.incr(f"krylov.solves.{blk}", n_solves)
 
     def _ns_load(self, t_n: float, dt_b: float):
         """Assembled ``ns_forcing`` load for one block starting at ``t_n``

@@ -19,21 +19,26 @@ assembled at once (one ``M @ v*`` on the ``(n_dofs, dim)`` array, one
 ``dim``-column load scatter), with ``1/rho`` at the quadrature points read
 from :func:`repro.chns.forms.phase_at_quad`.
 
-The paper solves this block with Jacobi-preconditioned Krylov.  Here two
-properties of the input pick the solve, with no option:
+The paper solves this block with Jacobi-preconditioned Krylov.  Here the
+matrix is constant on a mesh, so its factors are exact: whenever they are
+held, every direction that shares a mask is one float64 ``lu.solve`` on the
+``(n_dofs, k)`` right-hand side, with no Krylov iteration.  A block may make
+them under the predicate every flow block states (DESIGN.md section 12),
+with no option:
 
-* **Mesh size.**  Up to :data:`~repro.la.factors.LU_MAX_DOFS` DOFs (the
-  cap the NS and PP held factors share) the factored matrix solves
-  every direction that shares a mask with one ``lu.solve`` on the
-  ``(n_dofs, k)`` right-hand side; above it the factorization costs more
-  peak memory than its solves save time, and VU stays on Jacobi-CG.
-* **Mesh lifetime.**  A solver's first block runs Jacobi-CG, and factoring
-  happens on a block that is neither the mesh's first nor its last (the
-  stepper passes ``last_block`` when it remeshes after the block), so a
-  mesh that lives two blocks never pays for a factorization and a run's
-  first step is the same with and without the direct path.  Factors made
-  earlier are used on the last block too.  :meth:`VUSolver.drop_factors`
-  starts the count again.
+* the solver has run a block before, so a run's first step is the same
+  with and without the direct path;
+* the mesh has at most :data:`~repro.la.factors.LU_MAX_DOFS` DOFs (NS's
+  cap; PP has its own); above it the factorization costs more peak memory
+  than its solves save time, and VU stays on Jacobi-CG;
+* the block is not the mesh's last (the stepper passes ``last_block`` when
+  it remeshes after the block), so a mesh that lives two blocks never pays
+  for a factorization.
+
+Factors already held are used on any block.  They live in the mesh's
+``memo``, so in ``pp_mode="schur"`` VU uses those the exact PP projection
+made from the first block on.  :meth:`VUSolver.drop_factors` drops them and
+starts the count again.
 
 Every direct solve sits behind the CG stopping test (relative residual
 below ``tol``); a direction that fails it is solved by the CG path instead.
@@ -152,27 +157,29 @@ class VUSolver:
             rhs.append(rhs_i)
             systems.append(mass_system(mesh, mask))
 
+        may_factor = (
+            self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS and not last_block
+        )
+        self._blocks += 1
         solves = [None] * dim
         factorizations = 0
-        if self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS:
-            groups: dict = {}
-            for i, system in enumerate(systems):
-                groups.setdefault(id(system), []).append(i)
-            for cols in groups.values():
-                system = systems[cols[0]]
-                if system.lu is None and last_block:
-                    continue
-                factorizations += system.factor()
-                B = np.column_stack([rhs[i] for i in cols])
-                X = system.lu.solve(B)
-                bnorm = np.linalg.norm(B, axis=0)
-                res = np.linalg.norm(B - system.A @ X, axis=0) / np.where(
-                    bnorm > 0.0, bnorm, 1.0
-                )
-                for j, i in enumerate(cols):
-                    if res[j] < tol:  # False for NaN: CG takes over
-                        solves[i] = SolveResult(X[:, j], 0, res[j], True)
-        self._blocks += 1
+        groups: dict = {}
+        for i, system in enumerate(systems):
+            groups.setdefault(id(system), []).append(i)
+        for cols in groups.values():
+            system = systems[cols[0]]
+            if system.lu is None and not may_factor:
+                continue
+            factorizations += system.factor()
+            B = np.column_stack([rhs[i] for i in cols])
+            X = system.lu.solve(B)
+            bnorm = np.linalg.norm(B, axis=0)
+            res = np.linalg.norm(B - system.A @ X, axis=0) / np.where(
+                bnorm > 0.0, bnorm, 1.0
+            )
+            for j, i in enumerate(cols):
+                if res[j] < tol:  # False for NaN: CG takes over
+                    solves[i] = SolveResult(X[:, j], 0, res[j], True)
 
         vel = np.zeros_like(vel_star)
         for i, system in enumerate(systems):
@@ -181,5 +188,7 @@ class VUSolver:
                     system.A, rhs[i], x0=vel_star[:, i].copy(),
                     M=system.jacobi(), tol=tol, maxiter=3000,
                 )
+            obs.incr("krylov.iterations.vu", solves[i].iterations)
+            obs.incr("krylov.solves.vu")
             vel[:, i] = solves[i].x
         return VUResult(vel=vel, solves=solves, factorizations=factorizations)

@@ -11,9 +11,11 @@ sparse matmuls, duplicate summation) on every call.  The solver hot path
 goes through :mod:`repro.fem.plan` instead, which precomputes all of that
 once per mesh; this module stays as the slow, obviously-correct
 reference the plan is validated against (``tests/fem/test_assembly_plan.py``
-cross-checks them at 1e-14).  The same holds for :func:`eliminate_dirichlet`
-(reference of :meth:`repro.fem.plan.AssemblyPlan.eliminate`);
-:func:`assemble_vector` is the one function here that is the fast path."""
+cross-checks them at 1e-14).  :func:`eliminate_dirichlet` is the reference
+of :meth:`repro.fem.plan.AssemblyPlan.eliminate` and also a solve-path
+function: the VU block's :class:`repro.chns.vu_solver.MassSystem` eliminates
+the mesh's mass matrix with it, once per (mesh, mask).
+:func:`assemble_vector` is the other fast-path function here."""
 
 from __future__ import annotations
 

@@ -172,31 +172,37 @@ class Factors:
         b: np.ndarray,
         *,
         tol: float,
+        fallback: Callable[[], SolveResult],
+        may_factor: bool,
         x0: Optional[np.ndarray] = None,
-        may_factor: bool = True,
-    ) -> Tuple[Optional[SolveResult], int]:
+    ) -> Tuple[SolveResult, int, int]:
         """``A x = b`` by ``krylov`` (``cg`` / ``bicgstab``), preconditioned
         with the held factors, at most :data:`PRECOND_MAXITER` iterations,
-        accepted when ``||b - A x|| <= tol ||b||`` in float64.
+        accepted when ``||b - A x|| <= tol ||b||`` in float64; behind it the
+        block's own solve, ``fallback()``.
 
         With ``may_factor``, ``A`` itself is factored first when nothing is
         held or :meth:`stale` says a refresh pays, and after a held-factor
         attempt that fails; without it the held factors are all there is.
-        Returns the last attempt, its iterations those of every attempt
-        (None when nothing was held and nothing could be factored), and the
-        number of factorizations made (0 or 1).
+        ``fallback`` runs when no attempt was made or the last one failed.
+        Returns ``(result, factorizations, fallbacks)``: the final result,
+        its iterations those of every attempt; the factorizations made (0
+        or 1); 1 when an attempt was made and ``fallback`` redid it, else 0.
         """
-        held = None
+        attempted, its, factored = False, 0, 0
         if self.lu is not None and not (may_factor and self.stale()):
-            held = self._attempt(krylov, A, b, tol, x0)
-            if held.converged:
-                return held, 0
-        if not may_factor:
-            return held, 0
-        if not self.factor(A):
-            failed = SolveResult(np.zeros_like(b), 0, np.inf, False)
-            return held or failed, 1
-        res = self._attempt(krylov, A, b, tol, x0)
-        if held is not None:
-            res = replace(res, iterations=held.iterations + res.iterations)
-        return res, 1
+            res = self._attempt(krylov, A, b, tol, x0)
+            if res.converged:
+                return res, 0, 0
+            attempted, its = True, res.iterations
+        if may_factor:
+            attempted, factored = True, 1
+            if self.factor(A):
+                res = self._attempt(krylov, A, b, tol, x0)
+                res = replace(res, iterations=its + res.iterations)
+                if res.converged:
+                    return res, 1, 0
+                its = res.iterations
+        res = fallback()
+        return (replace(res, iterations=its + res.iterations), factored,
+                int(attempted))

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .. import obs
 from .factors import Factors
-from .krylov import bicgstab
+from .krylov import SolveResult, bicgstab
 
 
 class IterateCache:
@@ -82,21 +82,24 @@ def _linear_step(factors: Factors, J, F, norm_F, linear_tol, out):
     behind it a direct solve with double-precision partial-pivoting
     factors, which are held from then on."""
     b = -F
-    res, factored = factors.solve(bicgstab, J, b, tol=linear_tol)
+
+    def direct() -> SolveResult:
+        if not factors.factor(J, exact=True):
+            return SolveResult(b, 0, np.inf, False)
+        dx = factors(b)
+        return SolveResult(dx, 0, np.nan, bool(np.all(np.isfinite(dx))))
+
+    res, factored, fell_back = factors.solve(
+        bicgstab, J, b, tol=linear_tol, fallback=direct, may_factor=True
+    )
     out.linear_iterations += res.iterations
-    if factored:
-        out.factorizations += factored
-        obs.incr("newton.lu_factorizations", factored)
-    if res.converged:
-        return res.x
-    out.fallbacks += 1
-    out.factorizations += 1
-    obs.incr("newton.lu_fallbacks")
-    obs.incr("newton.lu_factorizations")
-    if not factors.factor(J, exact=True):
-        return None
-    dx = factors(b)
-    return dx if np.all(np.isfinite(dx)) else None
+    out.fallbacks += fell_back
+    out.factorizations += factored + fell_back
+    if factored + fell_back:
+        obs.incr("newton.lu_factorizations", factored + fell_back)
+    if fell_back:
+        obs.incr("newton.lu_fallbacks")
+    return res.x if res.converged else None
 
 
 def newton_solve(

@@ -1,20 +1,22 @@
-"""Preconditioners for the Krylov solvers.
+"""Preconditioners of the block solves that run without held LU factors.
 
-Jacobi is what every block solve of the CHNS step uses (the paper's choice,
-Sec. III footnote).  :class:`PCDPreconditioner` is one geometric-multigrid
-V-cycle on an elliptic operator with nullspace handling: for the
-pressure-Poisson solve ``K_{1/rho}`` is the exact pressure Schur complement
-of the projection step, and :class:`repro.chns.pp_solver.PPSolver` applies
-it by itself on every mesh past its measured size crossover (Jacobi below
-it).
+The paper preconditions every block with Jacobi (Sec. III footnote).  Here
+Jacobi serves the NS, VU and small-mesh PP solves that run without held
+factors (:mod:`repro.la.factors`: a solver's first block, meshes past a
+block's cap, a held-factor solve that fails).  On meshes past its measured
+size crossover, :class:`repro.chns.pp_solver.PPSolver` uses
+:func:`make_preconditioner` instead: one geometric-multigrid V-cycle on
+``K_{1/rho}``, the exact pressure Schur complement of the projection step.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+
+from .gmg import GeometricMultigrid
 
 
 class JacobiPreconditioner:
@@ -36,70 +38,32 @@ class JacobiPreconditioner:
     __call__ = matvec
 
 
-#: Coarsest GMG level of :class:`PCDPreconditioner` (one below the mesh's
-#: finest level when that is coarser).
-PCD_COARSEST_LEVEL = 2
-
-
-class PCDPreconditioner:
-    """One geometric-multigrid V-cycle on an elliptic (symmetric) operator.
-
-    ``remove_mean`` handles the pure-Neumann pressure-Poisson nullspace:
-    both the residual handed to the cycle and the returned correction are
-    projected onto the mean-zero subspace, keeping the Krylov iteration in
-    the range of the singular operator.
-
-    The prolongation chain lives in the mesh's ``memo``
-    (:func:`repro.la.gmg.hierarchy_for`), so per-timestep rebuilds (the
-    density coefficient moves every step) pay only the Galerkin triple
-    products.
-    """
-
-    def __init__(
-        self,
-        mesh,
-        A_elliptic: sp.spmatrix,
-        *,
-        remove_mean: bool = False,
-    ):
-        from .gmg import GeometricMultigrid
-
-        finest = int(mesh.tree.levels.max())
-        coarsest_level = min(PCD_COARSEST_LEVEL, finest - 1)
-        self._gmg = GeometricMultigrid(
-            mesh, A_elliptic.tocsr(), coarsest_level=coarsest_level
-        )
-        self.remove_mean = remove_mean
-
-    def matvec(self, r: np.ndarray) -> np.ndarray:
-        if self.remove_mean:
-            r = r - r.mean()
-        z = self._gmg.v_cycle(r)
-        if self.remove_mean:
-            z = z - z.mean()
-        return z
-
-    __call__ = matvec
+#: Coarsest level of the V-cycle (one below the mesh's finest level when
+#: that is coarser).
+GMG_COARSEST_LEVEL = 2
 
 
 def make_preconditioner(
-    name: Optional[str],
-    A: sp.spmatrix,
-    *,
-    mesh=None,
-    remove_mean: bool = False,
-):
-    """Resolve a preconditioner name to an instance (or None).
+    mesh, K: sp.spmatrix
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One geometric-multigrid V-cycle on the pressure-Poisson operator
+    ``K`` of ``mesh``.  ``K`` is singular with the constants as its
+    nullspace, so both the residual handed to the cycle and the correction
+    it returns are projected onto the mean-zero subspace, keeping CG in the
+    range of ``K``.
 
-    ``name``: ``"jacobi"`` | ``"pcd"`` | ``"none"``/None.  PCD runs its
-    V-cycle on ``A`` itself and needs ``mesh`` for the hierarchy.
+    The prolongation chain lives in the mesh's ``memo``
+    (:func:`repro.la.gmg.hierarchy_for`), so a rebuild for a new ``K`` on
+    the same mesh (the density coefficient moves every step) pays only the
+    Galerkin triple products.
     """
-    if name is None or name == "none":
-        return None
-    if name == "jacobi":
-        return JacobiPreconditioner(A)
-    if name == "pcd":
-        if mesh is None:
-            raise ValueError("precond='pcd' needs the mesh for the GMG hierarchy")
-        return PCDPreconditioner(mesh, A, remove_mean=remove_mean)
-    raise ValueError(f"unknown preconditioner {name!r}")
+    finest = int(mesh.tree.levels.max())
+    gmg = GeometricMultigrid(
+        mesh, K.tocsr(), coarsest_level=min(GMG_COARSEST_LEVEL, finest - 1)
+    )
+
+    def v_cycle(r: np.ndarray) -> np.ndarray:
+        z = gmg.v_cycle(r - r.mean())
+        return z - z.mean()
+
+    return v_cycle

@@ -46,7 +46,7 @@ def iter_profile_from_obs(report) -> dict:
     """Measured iteration counts for :func:`paper_fig5_solvers` from obs
     counters of a traced CHNS run: mean Krylov iterations per solve for each
     linear block, read from the per-block ``krylov.iterations.<blk>`` /
-    ``krylov.solves.<blk>`` counters ``CHNSTimeStepper.step`` emits (the
+    ``krylov.solves.<blk>`` counters the NS, PP and VU solvers emit (the
     pooled ``krylov.*`` counters also hold the CH inner solves), and Newton
     (outer) iterations per step for CH — the quantity its
     :class:`SolverCosts` profile scales with.  A block the run never solved

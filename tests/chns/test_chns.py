@@ -443,13 +443,15 @@ class TestHeldFlowFactors:
     Jacobi path, bit for bit."""
 
     @staticmethod
-    def _blocks(mesh, n, *, drop_each=False, last_block=()):
-        """``n`` NS + PP blocks with inputs that depend on the block index
-        only (the interface moves), never on earlier outputs."""
+    def _blocks(mesh, n, *, drop_each=False, last_block=(), vu=False):
+        """``n`` NS + PP blocks (NS + PP + VU with ``vu``) with inputs that
+        depend on the block index only (the interface moves), never on
+        earlier outputs."""
         prm = CHNSParams(Re=20.0, We=1.0, rho_minus=0.5, eta_minus=0.5)
         masks, values = no_slip_bc(mesh)
         xy = mesh.dof_xy()
         ns, pp = NSSolver(mesh, prm), PPSolver(mesh, prm)
+        vus = VUSolver(mesh, prm)
         vel = np.stack([np.sin(np.pi * xy[:, 1]), np.cos(xy[:, 0])], axis=1)
         for i in range(2):
             vel[masks[i], i] = 0.0
@@ -468,6 +470,12 @@ class TestHeldFlowFactors:
             pp_res = pp.solve(phi, ns_res.vel_star, 0.01, p0=p,
                               last_block=k in last_block)
             outs.append((ns_res, pp_res))
+            if vu:
+                outs[-1] += (vus.solve(
+                    phi, ns_res.vel_star, pp_res.p, 0.01,
+                    dirichlet_masks=masks, dirichlet_values=values,
+                    last_block=k in last_block,
+                ),)
         return outs
 
     @staticmethod
@@ -483,9 +491,10 @@ class TestHeldFlowFactors:
 
     @staticmethod
     def _cap(monkeypatch, n_dofs):
-        from repro.chns import ns_solver
+        from repro.chns import ns_solver, vu_solver
 
         monkeypatch.setattr(ns_solver, "LU_MAX_DOFS", n_dofs)
+        monkeypatch.setattr(vu_solver, "LU_MAX_DOFS", n_dofs)
         cap_pp(monkeypatch, n_dofs)
 
     def test_first_block_and_large_mesh_run_the_jacobi_path(
@@ -549,18 +558,24 @@ class TestHeldFlowFactors:
         assert counters["pp.lu_factorizations"] == sum(
             o[1].factorizations for o in outs) > 0
 
-    def test_last_block_uses_held_factors_but_makes_none(
-        self, mesh16, monkeypatch
-    ):
-        outs = self._blocks(mesh16, 4, last_block=(1, 3))
+    def test_last_block_uses_held_factors_but_makes_none(self, monkeypatch):
+        """NS, PP and VU alike.  VU's mass factors live in the mesh's
+        ``memo``, so each run gets its own mesh."""
+        def mesh():
+            return Mesh.from_tree(uniform_tree(2, 4))
+
+        outs = self._blocks(mesh(), 4, last_block=(1, 3), vu=True)
         self._cap(monkeypatch, 0)
-        refs = self._blocks(mesh16, 4)
-        assert self._same(outs[1], refs[1])  # nothing held yet: Jacobi
-        assert [(n.factorizations, p.factorizations) for n, p in outs] == [
-            (0, 0), (0, 0), (1, 1), (0, 0)]
-        ns_last, pp_last = outs[3]  # the factors of block 2, reused
+        refs = self._blocks(mesh(), 4, vu=True)
+        assert self._same(outs[1][:2], refs[1][:2])  # nothing held yet
+        assert np.array_equal(outs[1][2].vel, refs[1][2].vel)
+        assert [tuple(r.factorizations for r in o) for o in outs] == [
+            (0, 0, 0), (0, 0, 0), (1, 1, 1), (0, 0, 0)]
+        ns_last, pp_last, vu_last = outs[3]  # the factors of block 2, reused
         assert all(0 < s.iterations <= PRECOND_MAXITER
                    for s in (*ns_last.solves, pp_last.solve))
+        assert all(s.converged and s.iterations == 0 for s in vu_last.solves)
+        assert all(s.iterations > 0 for s in refs[3][2].solves)  # CG
 
 
 def cavity_mesh():

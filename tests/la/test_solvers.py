@@ -395,12 +395,14 @@ class TestHeldFactors:
         b = np.sin(np.linspace(0.0, 3.0, K.shape[0]))
         b -= b.mean()
         f = Factors(constant_nullspace=True)
-        res, factored = f.solve(cg, K, b, tol=1e-10)
+        res, factored, _ = f.solve(cg, K, b, tol=1e-10, fallback=unused,
+                                   may_factor=True)
         assert factored == 1 and f.lu.L.dtype == np.float32
         assert res.converged and res.iterations <= 3
         assert np.linalg.norm(K @ res.x - b) <= 1e-10 * np.linalg.norm(b)
         # a nearby operator: the held factors, no new factorization
-        res, factored = f.solve(cg, 1.01 * K, b, tol=1e-10)
+        res, factored, _ = f.solve(cg, 1.01 * K, b, tol=1e-10,
+                                   fallback=unused, may_factor=True)
         assert factored == 0 and res.converged and res.iterations <= 8
 
     def test_pinning_is_the_projected_product_and_leaves_its_input(self):
@@ -418,23 +420,45 @@ class TestHeldFactors:
             assert np.array_equal(a, b)
 
     def test_without_may_factor_nothing_is_made(self):
+        """Nothing held and nothing to be made: the fallback alone runs,
+        and that is not a fallback from held factors."""
         A, b, _ = spd_system()
-        f = Factors()
-        assert f.solve(cg, A, b, tol=1e-10, may_factor=False) == (None, 0)
+        f, ran = Factors(), []
+
+        def fallback():
+            ran.append(True)
+            return cg(A, b, tol=1e-10)
+
+        res, factored, fell_back = f.solve(cg, A, b, tol=1e-10,
+                                           fallback=fallback, may_factor=False)
+        assert (factored, fell_back, ran) == (0, 0, [True]) and res.converged
         assert f.lu is None
-        res, factored = f.solve(cg, A, b, tol=1e-10)
+        res, factored, _ = f.solve(cg, A, b, tol=1e-10, fallback=unused,
+                                   may_factor=True)
         assert factored == 1 and res.converged
-        res, factored = f.solve(cg, 2.0 * A, b, tol=1e-10, may_factor=False)
+        res, factored, _ = f.solve(cg, 2.0 * A, b, tol=1e-10, fallback=unused,
+                                   may_factor=False)
         assert factored == 0 and res.converged
 
     def test_acceptance_is_the_true_float64_residual(self, monkeypatch):
         """A Krylov result that claims convergence is not taken on its word:
-        a solve whose true residual misses ``tol`` is a failed attempt."""
+        a solve whose true residual misses ``tol`` is a failed attempt, the
+        fallback redoes it, and the result counts both attempts'
+        iterations."""
         A, b, _ = spd_system()
 
         def liar(A, b, *, x0, M, tol, maxiter):
             M(b)
             return SolveResult(np.zeros_like(b), 1, 0.0, True)
 
-        res, factored = Factors().solve(liar, A, b, tol=1e-10)
-        assert factored == 1 and not res.converged
+        def gave_up():
+            return SolveResult(np.zeros_like(b), 5, np.inf, False)
+
+        res, factored, fell_back = Factors().solve(
+            liar, A, b, tol=1e-10, fallback=gave_up, may_factor=True)
+        assert factored == fell_back == 1 and not res.converged
+        assert res.iterations == 1 + 5
+
+
+def unused():
+    raise AssertionError("the held factors were to solve this")

@@ -59,6 +59,34 @@ def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     # every Newton iterate is an LU-preconditioned BiCGStab solve
     assert counts["ch_linear"] >= counts["newton"] > 0
     assert counts["ch_linear"] + counts["krylov"] == counters["krylov.iterations"]
+    for blk in ("ns", "pp", "vu"):
+        assert counters[f"krylov.iterations.{blk}"] == counts[f"krylov_{blk}"]
+
+
+def test_flow_solvers_count_their_own_krylov_work(stepper):
+    """The per-block Krylov counters come from the solvers themselves, so a
+    caller driving NS -> PP -> VU without the stepper records them too."""
+    ts, expected = stepper, {}
+    with obs.tracing():
+        for _ in range(2):
+            ns = ts.ns.solve(ts.phi, ts.mu, ts.vel, ts.vel_old, ts.p, 1e-3,
+                             dirichlet_masks=ts.v_masks,
+                             dirichlet_values=ts.v_values)
+            pp = ts.pp.solve(ts.phi, ns.vel_star, 1e-3, p0=ts.p)
+            vu = ts.vu.solve(ts.phi, ns.vel_star, pp.p, 1e-3,
+                             dirichlet_masks=ts.v_masks,
+                             dirichlet_values=ts.v_values)
+            ts.p, ts.vel_old, ts.vel = pp.p, ts.vel, vu.vel
+            for blk, solves in (("ns", ns.solves), ("pp", [pp.solve]),
+                                ("vu", vu.solves)):
+                expected.setdefault(blk, [0, 0])
+                expected[blk][0] += sum(s.iterations for s in solves)
+                expected[blk][1] += len(solves)
+        counters = obs.snapshot()["counters"]
+    for blk, (its, n_solves) in expected.items():
+        assert counters[f"krylov.iterations.{blk}"] == its
+        assert counters[f"krylov.solves.{blk}"] == n_solves
+    assert expected["ns"][0] > 0 and expected["pp"][0] > 0
 
 
 def test_assembly_counters_of_one_coupled_step(stepper):
