@@ -37,8 +37,8 @@ EXPERIMENTS = [
      "bench_ksort.py"),
     ("A1", "ablation: multi-level vs level-by-level AMR",
      "ablation_multilevel", "bench_ablation_multilevel_refine.py"),
-    ("A2", "ablation: GMG vs Jacobi-CG pressure Poisson", "ablation_gmg",
-     "bench_ablation_gmg.py"),
+    ("A2", "ablation: each flow block's solver by mesh size (NS, PP, VU)",
+     "block_solvers", "bench_block_solvers.py"),
     ("A3", "ablation: level-aware erosion counter on/off",
      "ablation_erosion_counter", "bench_ablation_erosion_counter.py"),
     ("A4", "ablation: erosion/dilation vs connected components",

@@ -25,11 +25,11 @@ one scatter; the explicit operator is never assembled —
 GEMV inside the same elemental load as the pressure-gradient, capillary and
 gravity terms, and all ``dim`` right-hand sides leave through one scatter.
 Components with the same Dirichlet mask share one eliminated matrix and its
-preconditioner.  The paper's is Jacobi (Sec. III footnote).  Here, on meshes
-of at most :data:`~repro.la.factors.LU_MAX_DOFS` DOFs and from a solver's
-second block on, it is single-precision LU factors of an earlier block's
-matrix, one :class:`~repro.la.factors.Factors` holder per mask, refreshed by
-its amortised-cost rule.  A solver's first block, larger meshes and a
+preconditioner.  The paper's is Jacobi (Sec. III footnote).  Here, where
+:func:`repro.la.factors.may_factor` allows it (the NS row of the solver
+table), it is single-precision LU factors of an earlier block's matrix, one
+:class:`~repro.la.factors.Factors` holder per mask, refreshed by its
+amortised-cost rule.  A solver's first block, larger meshes and a
 held-factor solve that fails run the Jacobi-BiCGStab solve of before.
 """
 
@@ -42,7 +42,7 @@ import numpy as np
 from .. import obs
 from ..fem.assembly import assemble_vector, lift_dirichlet
 from ..fem.plan import get_plan
-from ..la.factors import LU_MAX_DOFS, Factors
+from ..la.factors import Factors, may_factor
 from ..la.krylov import bicgstab
 from ..la.precond import JacobiPreconditioner
 from ..mesh.mesh import Mesh
@@ -148,8 +148,8 @@ class NSSolver:
             if forcing is not None:
                 rhs += forcing
 
-        may_factor = (
-            self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS and not last_block
+        factoring = may_factor(
+            "ns", mesh, blocks_run=self._blocks, last_block=last_block
         )
         self._blocks += 1
         vel_new = np.zeros_like(vel_n)
@@ -177,7 +177,7 @@ class NSSolver:
             factors = self._factors.setdefault(key, Factors())
             res, factored, fell_back = factors.solve(
                 bicgstab, A_i, rhs_i, tol=tol, x0=vel_n[:, i],
-                fallback=jacobi_bicgstab, may_factor=may_factor,
+                fallback=jacobi_bicgstab, may_factor=factoring,
             )
             if factored:
                 out.factorizations += factored

@@ -15,18 +15,16 @@ projection.  The preconditioner is a function of the mesh and of how long
 the solver has lived, with no option, so a restarted run takes the same
 path as the uninterrupted one:
 
-* on meshes of at most :data:`~repro.la.factors.PP_LU_MAX_DOFS` DOFs
-  for their dimension (8,192 in 2D, 2,048 in 3D), from a solver's second
-  block on, single-precision LU factors of an earlier block's ``K_{1/rho}``
-  with one DOF pinned (:class:`~repro.la.factors.Factors`), refreshed by
-  their amortised-cost rule;
-* otherwise, and behind a held-factor solve that fails: below a measured
-  mesh size Jacobi, the iterative-solver choice the paper lands on after
-  finding AMG setup too expensive at scale (Sec. III footnote); above it,
-  one geometric-multigrid V-cycle on ``K_{1/rho}`` — the solver the paper
-  names as future work for this block.  Jacobi-CG iterations grow like
-  ``n_dofs ** (1/dim)``, V-cycle-CG stays at 6-13
-  (:data:`GMG_MIN_DOFS_PER_AXIS`).
+* where :func:`repro.la.factors.may_factor` allows, single-precision LU
+  factors of an earlier block's ``K_{1/rho}`` with one DOF pinned
+  (:class:`~repro.la.factors.Factors`), refreshed by their amortised-cost
+  rule;
+* otherwise, and behind a held-factor solve that fails, Jacobi (the
+  paper's choice after AMG setup proved too expensive at scale, Sec. III
+  footnote) or, where :func:`repro.la.factors.pp_gmg` says so, one
+  geometric-multigrid V-cycle on ``K_{1/rho}`` (the paper's future work
+  for this block): Jacobi-CG iterations grow like ``n_dofs ** (1/dim)``,
+  V-cycle-CG stays at 6-13.
 
 The variable-coefficient stiffness is re-assembled every step (the density
 field moves), but only numerically: the symbolic scatter/projection pattern
@@ -43,23 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..la.factors import PP_LU_MAX_DOFS, Factors
+from ..la.factors import Factors, may_factor, pp_gmg
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner, make_preconditioner
 from ..mesh.mesh import Mesh
 from . import forms
 from .params import CHNSParams
 from .vu_solver import mass_system
-
-
-#: PP preconditions CG with a GMG V-cycle when
-#: ``mesh.n_dofs ** (1 / mesh.dim)`` reaches this, with Jacobi below.
-#: Measured, ``EXPERIMENTS.md`` (ablation_gmg; Jacobi-CG ms over GMG
-#: build + solve ms): 3.8x at 129 (2D level 7), 2.2x at 85 (the 5-7 graded
-#: cavity mesh), 1.16x at 65 (2D level 6, before the one-off hierarchy
-#: build), 0.7x at 60 and 33, 0.25-0.7x on every 3D mesh this repo reaches
-#: (<= 18 per axis).
-GMG_MIN_DOFS_PER_AXIS = 75.0
 
 
 @dataclass
@@ -118,12 +106,9 @@ class PPSolver:
             b = (prm.We / dt) * forms.flux_divergence_load(mesh, vq)
             b -= b.mean()  # compatibility with the constant nullspace
 
-        may_factor = (
-            self._blocks > 0
-            and mesh.n_dofs <= PP_LU_MAX_DOFS[mesh.dim]
-            and not last_block
-            and not exact_projection
-        )
+        factoring = may_factor(
+            "pp", mesh, blocks_run=self._blocks, last_block=last_block
+        ) and not exact_projection
         self._blocks += 1
         if exact_projection:  # held factors are K's, not the Schur operator's
             self._factors.drop()
@@ -134,14 +119,14 @@ class PPSolver:
                 if exact_projection
                 else K
             )
-            if mesh.n_dofs ** (1.0 / mesh.dim) >= GMG_MIN_DOFS_PER_AXIS:
+            if pp_gmg(mesh):
                 M = make_preconditioner(mesh, K)
             else:
                 M = JacobiPreconditioner(K.diagonal() + 1e-12)
             return cg(A_op, b, x0=p0, M=M, tol=tol, maxiter=6000)
 
         res, factorizations, fallbacks = self._factors.solve(
-            cg, K, b, tol=tol, x0=p0, fallback=krylov_cg, may_factor=may_factor
+            cg, K, b, tol=tol, x0=p0, fallback=krylov_cg, may_factor=factoring
         )
         if factorizations:
             obs.incr("pp.lu_factorizations", factorizations)

@@ -23,17 +23,11 @@ The paper solves this block with Jacobi-preconditioned Krylov.  Here the
 matrix is constant on a mesh, so its factors are exact: whenever they are
 held, every direction that shares a mask is one float64 ``lu.solve`` on the
 ``(n_dofs, k)`` right-hand side, with no Krylov iteration.  A block may make
-them under the predicate every flow block states (DESIGN.md section 12),
-with no option:
-
-* the solver has run a block before, so a run's first step is the same
-  with and without the direct path;
-* the mesh has at most :data:`~repro.la.factors.LU_MAX_DOFS` DOFs (NS's
-  cap; PP has its own); above it the factorization costs more peak memory
-  than its solves save time, and VU stays on Jacobi-CG;
-* the block is not the mesh's last (the stepper passes ``last_block`` when
-  it remeshes after the block), so a mesh that lives two blocks never pays
-  for a factorization.
+them under the predicate every flow block states,
+:func:`repro.la.factors.may_factor`, with no option: not the solver's first
+block (a run's first step is the same with and without the direct path),
+the mesh within VU's cap (above it the factors cost more peak memory than
+their solves save time), and not the mesh's last block.
 
 Factors already held are used on any block.  They live in the mesh's
 ``memo``, so in ``pp_mode="schur"`` VU uses those the exact PP projection
@@ -53,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from .. import obs
 from ..fem.assembly import eliminate_dirichlet, lift_dirichlet
-from ..la.factors import LU_MAX_DOFS, STATIC_PIVOT
+from ..la.factors import STATIC_PIVOT, may_factor
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner
 from ..mesh.mesh import Mesh
@@ -157,8 +151,8 @@ class VUSolver:
             rhs.append(rhs_i)
             systems.append(mass_system(mesh, mask))
 
-        may_factor = (
-            self._blocks > 0 and mesh.n_dofs <= LU_MAX_DOFS and not last_block
+        factoring = may_factor(
+            "vu", mesh, blocks_run=self._blocks, last_block=last_block
         )
         self._blocks += 1
         solves = [None] * dim
@@ -168,7 +162,7 @@ class VUSolver:
             groups.setdefault(id(system), []).append(i)
         for cols in groups.values():
             system = systems[cols[0]]
-            if system.lu is None and not may_factor:
+            if system.lu is None and not factoring:
                 continue
             factorizations += system.factor()
             B = np.column_stack([rhs[i] for i in cols])

@@ -14,11 +14,13 @@ memory and, on the 3D Jacobians, nearly halves the factorization time.
 An amortised-cost rule on counts of factor applications alone
 (:meth:`Factors.stale`) decides when fresh factors of the current matrix pay
 for themselves; no clock is read, so two runs of one input take the same
-path (DESIGN.md section 12).
+path.  Which solver each block runs is one table, :data:`SOLVERS`, read by
+:func:`may_factor` and :func:`pp_gmg` (DESIGN.md section 12).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Callable, Optional, Tuple
 
@@ -38,20 +40,31 @@ PRECOND_MAXITER = 8
 #: BiCGStab iteration applies them twice, a CG iteration once.
 FACTOR_COST = 20
 
-#: The NS and VU blocks use held factors on meshes of at most this many
-#: DOFs, and their Krylov solves of before above it.  Measured (DESIGN.md
-#: section 12): on the 427- and 561-DOF bubbles every block wins; from 2D L6
-#: on, NS's Jacobi-BiCGStab is faster than its held factors, and VU's
-#: factors on ``cavity2d`` (7,265 DOFs) bought 5 % of a step for +6-9 %
-#: peak memory.
-LU_MAX_DOFS = 2048
+#: The solver table.  ``lu``: the most DOFs on which a block factors, per
+#: dimension where they differ.  Otherwise NS runs Jacobi-BiCGStab, VU
+#: Jacobi-CG, PP CG with one GMG V-cycle from ``gmg`` DOFs per axis and
+#: Jacobi below, CH the exact LU.  Why each value: DESIGN.md section 12.
+SOLVERS = {
+    "ch": {"lu": math.inf},
+    "ns": {"lu": 2048},
+    "pp": {"lu": {2: 8192, 3: 2048}, "gmg": 75.0},
+    "vu": {"lu": 2048},
+}
 
-#: The PP block's cap, per dimension.  In 2D its held factors beat every
-#: other PP solve at every measured size and memory bounds them: 8,192 DOFs
-#: keeps the factors near 3 MB and leaves 2D L7 uniform (16,641 DOFs,
-#: 9.1 MB) on GMG-CG.  In 3D, L4 pays a 61 ms factorization and 13.6 MB of
-#: factors to save about 1 ms a solve, so 3D keeps :data:`LU_MAX_DOFS`.
-PP_LU_MAX_DOFS = {2: 8192, 3: LU_MAX_DOFS}
+
+def may_factor(block: str, mesh, *, blocks_run: int, last_block: bool) -> bool:
+    """The flow blocks' factoring predicate: not the solver's first block
+    on ``mesh``, the mesh within the block's cap, and not its last block."""
+    cap = SOLVERS[block]["lu"]
+    if isinstance(cap, dict):
+        cap = cap[mesh.dim]
+    return blocks_run > 0 and mesh.n_dofs <= cap and not last_block
+
+
+def pp_gmg(mesh) -> bool:
+    """PP's CG takes one GMG V-cycle on ``mesh`` (else Jacobi)."""
+    return mesh.n_dofs ** (1.0 / mesh.dim) >= SOLVERS["pp"]["gmg"]
+
 
 #: The CH Jacobian blocks share the mesh pattern, so the symmetric-pattern
 #: ordering with diagonal pivots has 2-4x less fill than COLAMD + partial

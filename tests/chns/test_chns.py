@@ -31,9 +31,12 @@ from repro.chns.timestepper import (
     no_slip_bc,
 )
 from repro.chns.vu_solver import VUSolver
-from repro.la.factors import LU_MAX_DOFS, PP_LU_MAX_DOFS, PRECOND_MAXITER
-from repro.mesh.mesh import Mesh, mesh_from_field
+from repro.la import factors
+from repro.la.factors import PRECOND_MAXITER
+from repro.mesh.mesh import Mesh
 from repro.octree.build import uniform_tree
+
+from ..la.test_solver_table import cavity_mesh, patch_table
 
 
 @pytest.fixture(scope="module")
@@ -380,10 +383,8 @@ class TestVUFactors:
         return outs, counts["splu"]
 
     def test_mesh_above_the_crossover_never_factors(self, monkeypatch):
-        from repro.chns.vu_solver import LU_MAX_DOFS
-
         mesh = Mesh.from_tree(uniform_tree(2, 6))
-        assert mesh.n_dofs > LU_MAX_DOFS
+        assert mesh.n_dofs > factors.SOLVERS["vu"]["lu"]
         outs, splu = self._blocks(mesh, 3, monkeypatch)
         assert splu == 0
         assert all(o.factorizations == 0 for o in outs)
@@ -421,12 +422,10 @@ class TestVUFactors:
         """Factors whose solve misses the CG tolerance (or is not finite):
         each direction is the CG solve, bit for bit the solve of a mesh
         that never factors."""
-        from repro.chns import vu_solver
-
         mesh = Mesh.from_tree(uniform_tree(2, 4))
         outs, splu = self._blocks(mesh, 3, monkeypatch, _BadLU(fill))
         assert splu == 1 and [o.factorizations for o in outs] == [0, 1, 0]
-        monkeypatch.setattr(vu_solver, "LU_MAX_DOFS", 0)
+        patch_table(monkeypatch, vu={"lu": 0})
         mesh = Mesh.from_tree(uniform_tree(2, 4))
         refs, splu = self._blocks(mesh, 3, monkeypatch)
         assert splu == 0
@@ -438,9 +437,9 @@ class TestVUFactors:
 
 class TestHeldFlowFactors:
     """NS and PP precondition with held single-precision factors from a
-    solver's second block on, on meshes of at most ``LU_MAX_DOFS`` DOFs;
-    the first block, larger meshes and a held solve that fails run the
-    Jacobi path, bit for bit."""
+    solver's second block on, on meshes within their row of the solver
+    table; the first block, larger meshes and a held solve that fails run
+    the Jacobi path, bit for bit."""
 
     @staticmethod
     def _blocks(mesh, n, *, drop_each=False, last_block=(), vu=False):
@@ -491,11 +490,8 @@ class TestHeldFlowFactors:
 
     @staticmethod
     def _cap(monkeypatch, n_dofs):
-        from repro.chns import ns_solver, vu_solver
-
-        monkeypatch.setattr(ns_solver, "LU_MAX_DOFS", n_dofs)
-        monkeypatch.setattr(vu_solver, "LU_MAX_DOFS", n_dofs)
-        cap_pp(monkeypatch, n_dofs)
+        patch_table(monkeypatch, **{blk: {"lu": n_dofs}
+                                    for blk in ("ns", "pp", "vu")})
 
     def test_first_block_and_large_mesh_run_the_jacobi_path(
         self, mesh16, monkeypatch
@@ -578,25 +574,13 @@ class TestHeldFlowFactors:
         assert all(s.iterations > 0 for s in refs[3][2].solves)  # CG
 
 
-def cavity_mesh():
-    """The ``cavity2d`` benchmark mesh: levels 5-7 graded to the walls,
-    7,265 DOFs, past both ``LU_MAX_DOFS`` and the GMG crossover."""
-    return mesh_from_field(
-        lambda x: np.minimum(x, 1.0 - x).min(axis=-1) / 0.1,
-        2, max_level=7, min_level=5,
-    )
-
-
 def cap_pp(monkeypatch, n_dofs):
-    from repro.chns import pp_solver
-
-    monkeypatch.setattr(pp_solver, "PP_LU_MAX_DOFS", {2: n_dofs, 3: n_dofs})
+    patch_table(monkeypatch, pp={"lu": n_dofs})
 
 
 class TestPPFactorCap:
-    """PP has its own cap, per dimension: 2D meshes past ``LU_MAX_DOFS``
-    and up to ``PP_LU_MAX_DOFS[2]`` hold PP factors; 3D keeps
-    ``LU_MAX_DOFS``."""
+    """PP has its own cap, per dimension: 2D meshes past the NS / VU cap
+    and up to PP's 2D cap hold PP factors; 3D keeps the NS / VU cap."""
 
     @staticmethod
     def _blocks(mesh, n):
@@ -613,11 +597,10 @@ class TestPPFactorCap:
         return outs
 
     def test_2d_mesh_past_the_shared_cap_holds_pp_factors(self, monkeypatch):
-        from repro.chns import pp_solver
-
+        table = factors.SOLVERS
         mesh = cavity_mesh()
-        assert LU_MAX_DOFS < mesh.n_dofs <= PP_LU_MAX_DOFS[2]
-        assert mesh.n_dofs ** 0.5 >= pp_solver.GMG_MIN_DOFS_PER_AXIS
+        assert table["ns"]["lu"] < mesh.n_dofs <= table["pp"]["lu"][2]
+        assert mesh.n_dofs ** 0.5 >= table["pp"]["gmg"]
         with obs.tracing():
             held = self._blocks(mesh, 4)
             counters = obs.snapshot()["counters"]
@@ -638,7 +621,8 @@ class TestPPFactorCap:
 
     def test_3d_mesh_past_the_shared_cap_stays_on_jacobi(self, monkeypatch):
         mesh = Mesh.from_tree(uniform_tree(3, 4))
-        assert PP_LU_MAX_DOFS[3] == LU_MAX_DOFS < mesh.n_dofs
+        table = factors.SOLVERS
+        assert table["pp"]["lu"][3] == table["ns"]["lu"] < mesh.n_dofs
         outs = self._blocks(mesh, 3)
         cap_pp(monkeypatch, 0)
         refs = self._blocks(mesh, 3)

@@ -1,23 +1,28 @@
 """The pressure-Poisson solve picks its preconditioner from the mesh size.
 
-Past ``GMG_MIN_DOFS_PER_AXIS`` one GMG V-cycle on ``K_{1/rho}`` preconditions
-the CG; below it Jacobi does.  The rule reads nothing but the mesh, so it
-cannot differ between a restarted run and the uninterrupted one.
+From the mesh size per axis in PP's row of the solver table on
+(``repro.la.factors.pp_gmg``), one GMG V-cycle on ``K_{1/rho}``
+preconditions the CG; below it Jacobi does.  The rule reads nothing but
+the mesh, so it cannot differ between a restarted run and the
+uninterrupted one.
 """
 
 import numpy as np
 import pytest
 
-from repro.chns import forms, pp_solver
+from repro.chns import forms
 from repro.chns.initial_conditions import drop
 from repro.chns.params import CHNSParams
-from repro.chns.pp_solver import GMG_MIN_DOFS_PER_AXIS, PPSolver
+from repro.chns.pp_solver import PPSolver
 from repro.chns.timestepper import CHNSTimeStepper, no_slip_bc
 from repro.la import gmg
+from repro.la.factors import pp_gmg
 from repro.la.krylov import cg
 from repro.la.precond import JacobiPreconditioner
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
+
+from ..la.test_solver_table import patch_table
 
 CN = 0.03
 
@@ -36,14 +41,10 @@ def drop_mesh(max_level):
     return mesh
 
 
-def past_crossover(mesh):
-    return mesh.n_dofs ** (1.0 / mesh.dim) >= GMG_MIN_DOFS_PER_AXIS
-
-
 @pytest.fixture(scope="module")
 def big_mesh():
     mesh = drop_mesh(7)
-    assert past_crossover(mesh)
+    assert pp_gmg(mesh)
     return mesh
 
 
@@ -96,7 +97,7 @@ def test_gmg_path_matches_jacobi_cg_oracle(big_mesh, monkeypatch):
 
 
 def test_gmg_iterations_do_not_grow_with_refinement(big_mesh, monkeypatch):
-    monkeypatch.setattr(pp_solver, "GMG_MIN_DOFS_PER_AXIS", 0.0)
+    patch_table(monkeypatch, pp={"gmg": 0.0})
     its = []
     for mesh in (drop_mesh(6), big_mesh):
         prm, phi, vel = projection_problem(mesh)
@@ -109,7 +110,7 @@ def test_gmg_iterations_do_not_grow_with_refinement(big_mesh, monkeypatch):
 
 @pytest.mark.parametrize("crossover", [0.0, np.inf], ids=["gmg", "jacobi"])
 def test_schur_projection_converges_with_either(crossover, monkeypatch):
-    monkeypatch.setattr(pp_solver, "GMG_MIN_DOFS_PER_AXIS", crossover)
+    patch_table(monkeypatch, pp={"gmg": crossover})
     mesh = Mesh.from_tree(uniform_tree(2, 4))
     prm = CHNSParams(We=1.0)
     xy = mesh.dof_xy()
@@ -136,7 +137,7 @@ def drop_stepper(mesh):
 def test_stepper_builds_one_hierarchy_per_mesh(monkeypatch):
     """PP's held factors are capped away, so every block takes the GMG path
     (without the cap the second block runs on held factors instead)."""
-    monkeypatch.setattr(pp_solver, "PP_LU_MAX_DOFS", {2: 0, 3: 0})
+    patch_table(monkeypatch, pp={"lu": 0})
     calls = count_hierarchy_builds(monkeypatch)
     ts = drop_stepper(drop_mesh(7))  # a new mesh: nothing cached
     ts.step(1e-3)
@@ -144,7 +145,7 @@ def test_stepper_builds_one_hierarchy_per_mesh(monkeypatch):
     ts.step(1e-3)
     assert calls == [True, False]  # second step: the cached chain
     small = drop_mesh(6)
-    assert not past_crossover(small)
+    assert not pp_gmg(small)
     del calls[:]
     ts = drop_stepper(small)
     ts.step(1e-3)

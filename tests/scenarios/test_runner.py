@@ -15,6 +15,8 @@ from repro.scenarios import build, run_scenario
 from repro.scenarios.runner import JobResult, config_digest
 from repro.scenarios.schema import ScenarioError
 
+from ..la.test_solver_table import patch_table
+
 
 def _diverging_drop():
     """A config that reliably blows up at step 0 (huge dt, huge Pe)."""
@@ -118,8 +120,6 @@ class TestRun:
         """Remeshing every step: each mesh runs one flow block, so no flow
         block factors and every flow solve is the one of a mesh above the
         size cap, bit for bit; the same job on one mesh factors once."""
-        from repro.chns import ns_solver, pp_solver, vu_solver
-
         splu = _count_vu_splu(monkeypatch)
         cfg = build("jet_2d", quick=True)
         cfg.time.n_steps = 3
@@ -136,9 +136,7 @@ class TestRun:
         assert len({id(m) for m, _, _ in steps}) == 3
         assert splu == [] and res.vu_factorizations == 0
         assert res.ns_factorizations == res.pp_factorizations == 0
-        for module in (ns_solver, vu_solver):
-            monkeypatch.setattr(module, "LU_MAX_DOFS", 0)
-        monkeypatch.setattr(pp_solver, "PP_LU_MAX_DOFS", {2: 0, 3: 0})
+        patch_table(monkeypatch, ns={"lu": 0}, pp={"lu": 0}, vu={"lu": 0})
         capped, capped_steps = run()
         assert capped.krylov_iterations == res.krylov_iterations
         for (_, vel, p), (_, vel_c, p_c) in zip(steps, capped_steps):
