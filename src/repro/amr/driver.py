@@ -8,7 +8,8 @@ phases coarsen toward ``coarse_level``.  The identifier counts its erosion
 widths at ``feature_level``, so it measures the same physical width whatever
 mesh the run is on.  Refinement and coarsening may jump several levels at
 once (Algorithms 5-6), after which balance is restored and all fields
-transfer to the new grid in a single multi-level pass.
+transfer to the new grid in a single multi-level pass.  A cycle whose
+balanced tree is the current one keeps the current mesh.
 """
 
 from __future__ import annotations
@@ -107,7 +108,10 @@ def remesh(
     """One adaptation cycle.  Returns ``(new_mesh, new_fields, info)``.
 
     ``fields`` maps names to DOF vectors ``(n_dofs,)`` on ``mesh``; the
-    targets are computed from ``fields["phi"]``.
+    targets are computed from ``fields["phi"]``.  When the balanced tree is
+    ``mesh``'s own (``info.unchanged``), ``new_mesh`` is ``mesh`` itself and
+    ``new_fields`` are copies of ``fields``: no ``Mesh`` is built and
+    nothing is transferred.
     """
     with obs.span("remesh"):
         phi = fields["phi"]
@@ -137,13 +141,19 @@ def remesh(
 
         unchanged = balanced == tree
 
-        with obs.span("remesh.transfer"):
-            new_mesh = Mesh(balanced, check_balance=False)
-            # one located, weighted pass for every field
-            block = transfer_node_centered(
-                mesh, np.column_stack(list(fields.values())), new_mesh
-            )
-            new_fields = dict(zip(fields, block.T))
+        if unchanged:
+            # Transfer onto the same tree is the identity, bit for bit: the
+            # mesh (with everything its memo holds) survives the cycle.
+            new_mesh = mesh
+            new_fields = {name: np.array(vec) for name, vec in fields.items()}
+        else:
+            with obs.span("remesh.transfer"):
+                new_mesh = Mesh(balanced, check_balance=False)
+                # one located, weighted pass for every field
+                block = transfer_node_centered(
+                    mesh, np.column_stack(list(fields.values())), new_mesh
+                )
+                new_fields = dict(zip(fields, block.T))
         obs.incr("remesh.cycles")
         obs.incr("remesh.unchanged_cycles", int(unchanged))
         obs.gauge("remesh.n_refined", n_refined)

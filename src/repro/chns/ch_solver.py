@@ -58,7 +58,8 @@ class CHResult:
 
 
 class CHSolver:
-    """Reusable CH block for a fixed mesh (re-created after remeshing).
+    """Reusable CH block for a fixed mesh (re-created when a remesh
+    changes the mesh).
 
     The Newton LU factors (single precision,
     :class:`~repro.la.factors.Factors`) live as long as the solver, i.e. one

@@ -9,6 +9,8 @@ its flow blocks — a Cahn-Hilliard-only run.  Per-block wall time is the
 Optional AMR: every ``remesh_every`` steps the local-Cahn identifier and the
 multi-level refine/coarsen/balance/transfer pipeline rebuild the mesh, after
 which the block solvers are reconstructed (operators depend on the mesh).
+A cycle that reproduces the tree returns the same mesh, and the stepper
+keeps its fields and its solvers, held factors included.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ class CHNSTimeStepper:
         #: Krylov iterations (NS/PP/VU solves) — the scenario results store
         #: reads these as the per-job solver cost, with the Krylov count
         #: also split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``;
-        #: a direct VU solve counts 0 there), and the NS/PP/VU solves that
-        #: returned ``converged=False``.
+        #: a direct VU solve counts 0 there), the NS/PP/VU solves that
+        #: returned ``converged=False``, and the remesh cycles with those
+        #: of them that kept the mesh.
         self.iteration_counts = {
             "newton": 0,
             "line_search_trials": 0,
@@ -125,6 +128,8 @@ class CHNSTimeStepper:
             "krylov_pp": 0,
             "krylov_vu": 0,
             "krylov_unconverged": 0,
+            "remesh_cycles": 0,
+            "remesh_unchanged": 0,
         }
         self._bind_mesh(mesh)
 
@@ -235,11 +240,14 @@ class CHNSTimeStepper:
                 and self.step_count % self.remesh_every == 0
             ):
                 with obs.span("chns.remesh"):
-                    new_mesh, new_fields, _ = remesh(
+                    new_mesh, new_fields, info = remesh(
                         self.mesh, self.fields(), self.remesh_config
                     )
-                    self._bind_mesh(new_mesh)
-                    self.set_fields(new_fields)
+                    if not info.unchanged:
+                        self._bind_mesh(new_mesh)
+                        self.set_fields(new_fields)
+                self.iteration_counts["remesh_cycles"] += 1
+                self.iteration_counts["remesh_unchanged"] += int(info.unchanged)
 
             dt_b = dt / self.n_blocks
             remeshes_next = self._remeshes_next()

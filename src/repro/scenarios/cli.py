@@ -170,7 +170,8 @@ def cmd_report(args) -> int:
             {"jobs": 0, "succeeded": 0, "wall_s": 0.0, "newton": 0,
              "line_search_trials": 0, "ch_linear": 0, "ch_factorizations": 0,
              "ns_factorizations": 0, "pp_factorizations": 0,
-             "vu_factorizations": 0, "krylov": 0, "steps": 0},
+             "vu_factorizations": 0, "krylov": 0, "remesh_cycles": 0,
+             "remesh_unchanged": 0, "steps": 0},
         )
         f["jobs"] += 1
         f["succeeded"] += r.status == "succeeded"
@@ -183,6 +184,8 @@ def cmd_report(args) -> int:
         f["pp_factorizations"] += r.pp_factorizations
         f["vu_factorizations"] += r.vu_factorizations
         f["krylov"] += r.krylov_iterations
+        f["remesh_cycles"] += r.remesh_cycles
+        f["remesh_unchanged"] += r.remesh_unchanged
         f["steps"] += r.steps_done
     total_wall = sum(f["wall_s"] for f in by_family.values())
     payload = {

@@ -18,7 +18,9 @@ serial numerics carry across steps, the LU factors the CH, NS, PP and VU
 blocks hold (with the flow blocks' first-block rule), is dropped at every multiple of
 ``control.checkpoint_every`` whether or not a file is written, so where
 factors exist is a function of the config alone (the scenario tests pin
-this down).  Checkpoints record a
+this down).  A remesh cycle that keeps the mesh keeps the factors too; it
+does so on the fields alone, so a resumed run takes the same cycles.
+Checkpoints record a
 config digest and refuse to resume a *different* scenario.
 
 Failure semantics: any exception inside the stepping loop — divergence,
@@ -94,6 +96,8 @@ class JobResult:
     pp_factorizations: int = 0  # held-factor LU factorizations of PP
     vu_factorizations: int = 0  # LU factorizations of the VU mass matrix
     krylov_unconverged: int = 0  # NS / PP / VU solves with converged=False
+    remesh_cycles: int = 0
+    remesh_unchanged: int = 0  # remesh cycles that kept the mesh
     n_elems_final: int = 0
     diagnostics: dict = field(default_factory=dict)
     error: Optional[str] = None
@@ -317,6 +321,8 @@ def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
     result.pp_factorizations = counts["pp_factorizations"]
     result.vu_factorizations = counts["vu_factorizations"]
     result.krylov_unconverged = counts["krylov_unconverged"]
+    result.remesh_cycles = counts["remesh_cycles"]
+    result.remesh_unchanged = counts["remesh_unchanged"]
     d = ts.diagnostics()
     result.diagnostics = {
         "mass": float(d.mass),

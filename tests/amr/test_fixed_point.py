@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.amr import driver
 from repro.amr.driver import RemeshConfig, remesh
 from repro.chns.initial_conditions import drop, jet_column
 from repro.core.identifier import IdentifierConfig
-from repro.mesh.mesh import mesh_from_field
+from repro.mesh.intergrid import transfer_node_centered
+from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.scenarios.registry import build
 from repro.scenarios.runner import run_scenario
 
@@ -56,15 +58,67 @@ STATES = {"jet_2d": jet_2d_state, "two_balls_3d": two_balls_3d_state}
 @pytest.mark.parametrize("identifier", [True, False], ids=["ident", "plain"])
 @pytest.mark.parametrize("state", sorted(STATES))
 def test_frozen_field_remesh_is_a_fixed_point(state, identifier):
+    """The cycle that reproduces the tree returns its input mesh and copies
+    of the fields, bit for bit the values and not the arrays."""
     mesh, phi, rc = STATES[state](identifier)
     first, fields, info = remesh(mesh, {"phi": phi}, rc)
     if identifier:
         assert info.identifier is not None
     for _ in range(4):
-        again, fields, info = remesh(first, fields, rc)
+        again, moved, info = remesh(first, fields, rc)
         assert info.unchanged
-        assert again.tree == first.tree
-        first = again
+        assert again is first
+        assert np.array_equal(moved["phi"], fields["phi"])
+        assert not np.shares_memory(moved["phi"], fields["phi"])
+        fields = moved
+
+
+class _Counted:
+    """Counts ``Mesh.__init__`` and the driver's ``transfer_node_centered``
+    calls; the originals still run."""
+
+    def __init__(self, monkeypatch):
+        self.meshes = self.transfers = 0
+        init, transfer = Mesh.__init__, driver.transfer_node_centered
+
+        def counting_init(mesh, *args, **kwargs):
+            self.meshes += 1
+            init(mesh, *args, **kwargs)
+
+        def counting_transfer(*args, **kwargs):
+            self.transfers += 1
+            return transfer(*args, **kwargs)
+
+        monkeypatch.setattr(Mesh, "__init__", counting_init)
+        monkeypatch.setattr(driver, "transfer_node_centered",
+                            counting_transfer)
+
+
+def test_unchanged_cycle_builds_and_transfers_nothing(monkeypatch):
+    """The 3D two-ball scene: its first cycle changes the tree (one new
+    ``Mesh``, one transfer), its second reproduces it (neither)."""
+    mesh, phi, rc = two_balls_3d_state(True)
+    counted = _Counted(monkeypatch)
+    first, fields, info = remesh(mesh, {"phi": phi}, rc)
+    assert not info.unchanged and first is not mesh
+    assert (counted.meshes, counted.transfers) == (1, 1)
+    again, _, info = remesh(first, fields, rc)
+    assert info.unchanged and again is first
+    assert (counted.meshes, counted.transfers) == (1, 1)
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_transfer_onto_the_same_tree_is_the_identity(state):
+    """What a cycle that keeps the mesh skips: the transfer onto a new
+    ``Mesh`` of the same tree returns every field bit for bit."""
+    mesh, phi, rc = STATES[state](True)
+    first, fields, _ = remesh(mesh, {"phi": phi}, rc)
+    rng = np.random.default_rng(0)
+    block = np.column_stack([fields["phi"],
+                             rng.standard_normal((first.n_dofs, 2))])
+    twin = Mesh(first.tree, check_balance=False)
+    moved = transfer_node_centered(first, block, twin)
+    assert np.array_equal(moved, block)
 
 
 @settings(max_examples=8, deadline=None)

@@ -23,6 +23,8 @@ from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
 from repro.scenarios import build
 
+from ..scenarios.test_runner import _jet2d_amr_levels
+
 DT = 0.01
 
 
@@ -152,10 +154,8 @@ def test_phase_cache_hit_is_bitwise_the_recomputed_value(cavity):
         ph.rho_q[0, 0] = 0.0  # shared between the three solvers
 
 
-def test_coupled_and_remesh_steps_run_clean():
-    """Coupled steps before and after a remesh through every guard the
-    planned paths carry (shape / shared-structure checks are always on)."""
-    cfg = build("jet_2d", quick=True)
+def _jet_stepper(cfg):
+    """``cfg``'s initial mesh and a coupled stepper initialised on it."""
     dom, phi0 = cfg.domain, cfg.build_ic()
     mesh = mesh_from_field(phi0, dom.dim, max_level=dom.max_level,
                            min_level=dom.min_level, threshold=dom.threshold)
@@ -165,8 +165,52 @@ def test_coupled_and_remesh_steps_run_clean():
         remesh_every=cfg.refinement.remesh_every,
     )
     stepper.initialize(phi0)
+    return mesh, stepper
+
+
+def test_coupled_and_remesh_steps_run_clean():
+    """Coupled steps before and after a remesh through every guard the
+    planned paths carry (shape / shared-structure checks are always on).
+    Full ``jet_2d`` at the ``jet2d_amr`` benchmark's levels (interface 5,
+    feature 6, a remesh every step): the first cycle coarsens the level-6
+    start.  The cycle that keeps the mesh is the next test's."""
+    cfg = _jet2d_amr_levels(build("jet_2d", quick=False))
+    mesh, stepper = _jet_stepper(cfg)
     for _ in range(cfg.refinement.remesh_every + 1):
         stepper.step(cfg.time.dt)
     assert stepper.mesh is not mesh  # it did remesh
+    assert stepper.iteration_counts["remesh_cycles"] == 1
+    assert stepper.iteration_counts["remesh_unchanged"] == 0
     assert stepper.iteration_counts["krylov_ns"] > 0
+    assert np.all(np.isfinite(stepper.vel)) and np.all(np.isfinite(stepper.p))
+
+
+def test_unchanged_cycle_keeps_the_solvers_and_their_factors(monkeypatch):
+    """Quick ``jet_2d``'s cycle at step 2 reproduces the tree: the stepper
+    keeps its mesh (with the plan in its memo), its four solvers and the CH
+    factors of steps 0-1, which the next CH solve starts from, and the
+    coupled step after the cycle runs clean."""
+    cfg = build("jet_2d", quick=True)
+    mesh, stepper = _jet_stepper(cfg)
+    for _ in range(cfg.refinement.remesh_every):
+        stepper.step(cfg.time.dt)
+    solvers = [stepper.ch, stepper.ns, stepper.pp, stepper.vu]
+    plan = get_plan(mesh)
+    lu = stepper.ch._factors.lu
+    assert lu is not None
+    seen = []
+    solve = stepper.ch.solve
+
+    def entry(*args, **kwargs):
+        seen.append(stepper.ch._factors.lu)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(stepper.ch, "solve", entry)
+    stepper.step(cfg.time.dt)  # the remesh, then the CH solve
+    assert stepper.iteration_counts["remesh_cycles"] == 1
+    assert stepper.iteration_counts["remesh_unchanged"] == 1
+    assert stepper.mesh is mesh and get_plan(mesh) is plan
+    assert all(a is b for a, b in zip(
+        [stepper.ch, stepper.ns, stepper.pp, stepper.vu], solvers))
+    assert len(seen) == 1 and seen[0] is lu
     assert np.all(np.isfinite(stepper.vel)) and np.all(np.isfinite(stepper.p))

@@ -98,3 +98,15 @@ class TestStatusReport:
             assert 0 < family["ch_factorizations"] <= family["newton"]
             # one residual per full step, more when the line search backtracks
             assert family["line_search_trials"] >= family["newton"]
+            # the quick profiles stop before their first remesh
+            assert family["remesh_cycles"] == family["remesh_unchanged"] == 0
+
+    def test_report_sums_remesh_cycles(self, tmp_path, capsys):
+        """Full ``jet_2d`` remeshes at steps 2 and 4, and the first cycle
+        keeps the mesh: the family row sums both counts."""
+        assert main(["run", "jet_2d", "--backend", "serial",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        family = json.loads(capsys.readouterr().out)["families"]["jet"]
+        assert (family["remesh_cycles"], family["remesh_unchanged"]) == (2, 1)

@@ -45,6 +45,34 @@ def _count_vu_splu(monkeypatch, lu=None):
     return calls
 
 
+def _jet2d_amr_levels(cfg):
+    """Full ``jet_2d`` at the ``jet2d_amr`` benchmark's remesh levels
+    (interface 5, feature 6, a remesh every step): its cycles coarsen the
+    level-6 start and change the tree most steps."""
+    cfg.refinement.remesh["interface_level"] = 5
+    cfg.refinement.remesh["feature_level"] = 6
+    cfg.refinement.remesh_every = 1
+    return cfg
+
+
+def _run_with_factoring_blocks(cfg):
+    """Run ``cfg`` and count, from its cycle record (the mesh of every
+    step), the meshes that have a block on which a flow block may factor:
+    not the mesh's first, and not followed by a remesh.  Returns the result
+    and that count."""
+    meshes = []
+    res = run_scenario(cfg, on_step=lambda s: meshes.append(s.mesh))
+    assert res.status == "succeeded"
+    every = cfg.refinement.remesh_every
+    factoring = set()
+    for step, mesh in enumerate(meshes):
+        first = step == 0 or meshes[step - 1] is not mesh
+        if not first and (step + 1) % every != 0:
+            factoring.add(id(mesh))
+    assert res.remesh_cycles == (len(meshes) - 1) // every
+    return res, len(factoring)
+
+
 class TestRun:
     def test_ch_quick_succeeds_with_diagnostics(self):
         res = run_scenario(build("coalescence_2d", quick=True))
@@ -117,13 +145,15 @@ class TestRun:
         assert len(calls) == res.krylov_unconverged == 3 * dim
 
     def test_mesh_that_lives_one_block_never_factors(self, monkeypatch):
-        """Remeshing every step: each mesh runs one flow block, so no flow
-        block factors and every flow solve is the one of a mesh above the
-        size cap, bit for bit; the same job on one mesh factors once."""
+        """Remeshing every step, and every cycle changes the tree: each mesh
+        runs one flow block, so no flow block factors and every flow solve
+        is the one of a mesh above the size cap, bit for bit; the same job
+        on one mesh factors once.  (Quick ``jet_2d`` keeps its first mesh
+        through such cycles; full ``jet_2d`` at the ``jet2d_amr``
+        benchmark's levels changes it in both.)"""
         splu = _count_vu_splu(monkeypatch)
-        cfg = build("jet_2d", quick=True)
+        cfg = _jet2d_amr_levels(build("jet_2d", quick=False))
         cfg.time.n_steps = 3
-        cfg.refinement.remesh_every = 1
 
         def run():
             steps = []
@@ -133,6 +163,7 @@ class TestRun:
             return res, steps
 
         res, steps = run()
+        assert res.remesh_cycles == 2 and res.remesh_unchanged == 0
         assert len({id(m) for m, _, _ in steps}) == 3
         assert splu == [] and res.vu_factorizations == 0
         assert res.ns_factorizations == res.pp_factorizations == 0
@@ -150,24 +181,50 @@ class TestRun:
         assert res.ns_factorizations == res.pp_factorizations == 1
 
     def test_flow_blocks_factor_only_between_first_and_last_block(self):
-        """Full ``jet_2d`` remeshes every 2 steps: each mesh lives two
-        blocks, its first and its last, so no flow block factors.  With a
-        remesh every 3 steps each mesh factors once, at its middle block."""
-        res = run_scenario(build("jet_2d", quick=False))
-        assert res.status == "succeeded" and res.steps_done >= 4
-        assert res.ns_factorizations == res.pp_factorizations == 0
-        assert res.vu_factorizations == 0
-        cfg = build("jet_2d", quick=True)
+        """A flow block factors on a block that is neither its mesh's first
+        nor one a remesh follows, once per mesh (no refresh this short).
+        Full ``jet_2d`` remeshes every 2 steps; its cycle at step 2 keeps
+        the mesh, which so lives four blocks and factors at step 2, while
+        the mesh of step 4 lives two.  At the ``jet2d_amr`` levels with a
+        remesh every 3 steps, the one cycle changes the tree and each mesh
+        factors once, at its middle block."""
+        cfg = build("jet_2d", quick=False)
+        res, expected = _run_with_factoring_blocks(cfg)
+        assert res.steps_done >= 4 and res.remesh_unchanged == 1
+        assert expected == 1
+        assert res.ns_factorizations == res.pp_factorizations == expected
+        assert res.vu_factorizations == expected
+        cfg = _jet2d_amr_levels(build("jet_2d", quick=False))
         cfg.time.n_steps = 6
         cfg.refinement.remesh_every = 3
-        res = run_scenario(cfg)
-        assert res.status == "succeeded"
-        assert res.ns_factorizations == res.pp_factorizations == 2
-        assert res.vu_factorizations == 2
+        res, expected = _run_with_factoring_blocks(cfg)
+        assert res.remesh_cycles == 1 and res.remesh_unchanged == 0
+        assert expected == 2
+        assert res.ns_factorizations == res.pp_factorizations == expected
+        assert res.vu_factorizations == expected
         old = res.to_dict()  # a store written before the counts existed
         assert old.pop("ns_factorizations") == old.pop("pp_factorizations")
         loaded = JobResult.from_dict(old)
         assert loaded.ns_factorizations == loaded.pp_factorizations == 0
+
+    def test_remesh_cycles_reach_the_record(self):
+        """Full ``jet_2d``: two cycles, the first keeps the mesh.  The record
+        counts what the tracer counts; a store written before the remesh
+        counts existed loads 0."""
+        cfg = build("jet_2d", quick=False)
+        cfg.outputs.obs = True
+        res = run_scenario(cfg)
+        assert res.status == "succeeded"
+        assert (res.remesh_cycles, res.remesh_unchanged) == (2, 1)
+        counters = res.obs_summary["counters"]
+        assert counters["remesh.cycles"]["total"] == res.remesh_cycles
+        assert (counters["remesh.unchanged_cycles"]["total"]
+                == res.remesh_unchanged)
+        old = res.to_dict()
+        assert old.pop("remesh_cycles") == 2
+        assert old.pop("remesh_unchanged") == 1
+        loaded = JobResult.from_dict(old)
+        assert loaded.remesh_cycles == loaded.remesh_unchanged == 0
 
     def test_divergence_reported_not_raised(self):
         res = run_scenario(_diverging_drop())
@@ -303,8 +360,8 @@ class TestRun:
 
 def _ch_only_by_hand(cfg):
     """The CH-only evolution written out: ``CHSolver.solve`` with no
-    velocity, a new solver after each ``remesh``.  The oracle for the
-    stepper built without flow."""
+    velocity, a new solver after each ``remesh`` that returns a new mesh.
+    The oracle for the stepper built without flow."""
     prm, phi0, dom = cfg.build_params(), cfg.build_ic(), cfg.domain
     mesh = mesh_from_field(phi0, dom.dim, max_level=dom.max_level,
                            min_level=dom.min_level, threshold=dom.threshold)
@@ -314,10 +371,11 @@ def _ch_only_by_hand(cfg):
     every = cfg.refinement.remesh_every
     for step in range(cfg.time.n_steps):
         if every and step > 0 and step % every == 0:
-            mesh, moved, _ = remesh(mesh, {"phi": phi, "mu": mu},
-                                    cfg.refinement.build())
+            new_mesh, moved, _ = remesh(mesh, {"phi": phi, "mu": mu},
+                                        cfg.refinement.build())
             phi, mu = moved["phi"], moved["mu"]
-            solver = CHSolver(mesh, prm)
+            if new_mesh is not mesh:
+                mesh, solver = new_mesh, CHSolver(new_mesh, prm)
         res = solver.solve(phi, mu, None, cfg.time.dt)
         phi, mu = res.phi, res.mu
         yield mesh.n_elems, phi, mu
@@ -361,7 +419,8 @@ class TestInterruptRestart:
     COUNTS = ("newton_iterations", "line_search_trials", "krylov_iterations",
               "ch_linear", "ch_factorizations", "ns_factorizations",
               "pp_factorizations", "vu_factorizations",
-              "krylov_unconverged", "n_elems_final", "diagnostics")
+              "krylov_unconverged", "remesh_cycles", "remesh_unchanged",
+              "n_elems_final", "diagnostics")
 
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
         """An uninterrupted run *without* a workdir against one cut at
@@ -440,6 +499,28 @@ class TestInterruptRestart:
         assert straight.ns_factorizations == (3 if flow else 0)
         assert straight.pp_factorizations == (3 if flow else 0)
 
+    def test_resume_across_a_cycle_that_keeps_the_mesh(self, tmp_path):
+        """Full ``jet_2d`` for 12 steps, a remesh every 2 and a checkpoint
+        every 3: resumed at step 6, the run remeshes at steps 6 (new tree),
+        8 (the same tree: mesh, plans and the CH factors of steps 6-7 carry
+        over) and 10.  Whether a cycle keeps the mesh is a function of the
+        fields, so the resumed run takes the same cycles and ends bit for
+        bit where the straight one does."""
+        cfg = build("jet_2d", quick=False)
+        cfg.time.n_steps = 12
+        cfg.control.checkpoint_every = 3
+        cfg.control.backend = "serial"
+        meshes = []
+        run_scenario(cfg, on_step=lambda s: meshes.append(s.mesh))
+        kept = [step for step in range(6, cfg.time.n_steps)
+                if step % cfg.refinement.remesh_every == 0
+                and meshes[step] is meshes[step - 1]]
+        assert kept == [8]  # an unchanged cycle after the resume point
+        cut = run_scenario(cfg, interrupt_after_step=6)
+        straight = self._straight_and_resumed(cfg, tmp_path, 6)
+        assert straight.remesh_cycles == 5
+        assert straight.remesh_unchanged == cut.remesh_unchanged + 1
+
     def test_checkpoint_without_counts_still_loads(self, tmp_path):
         """A checkpoint written before the counts were carried resumes with
         zeros: the record then counts the steps after the resume only."""
@@ -455,6 +536,25 @@ class TestInterruptRestart:
         resumed = run_scenario(cfg, workdir=str(wd))
         assert resumed.status == "succeeded" and resumed.resumed_from_step == 2
         assert 0 < resumed.newton_iterations < run_scenario(cfg).newton_iterations
+
+    def test_checkpoint_without_remesh_counts_loads_zero(self, tmp_path):
+        """A checkpoint whose counts predate the remesh counts resumes with
+        them at 0: full ``jet_2d`` cut at step 3 then counts only its
+        cycle at step 4, the one that changes the tree."""
+        from repro.amr.checkpoint import load_checkpoint_meta, save_checkpoint
+
+        cfg = build("jet_2d", quick=False)
+        cfg.control.checkpoint_every = 3
+        wd = tmp_path / "wd"
+        run_scenario(cfg, workdir=str(wd), interrupt_after_step=3)
+        path = str(wd / "checkpoint.npz")
+        tree, fields, nprocs, meta = load_checkpoint_meta(path)
+        assert meta["counts"].pop("remesh_cycles") == 1
+        assert meta["counts"].pop("remesh_unchanged") == 1
+        save_checkpoint(path, tree, fields, nprocs=nprocs, meta=meta)
+        resumed = run_scenario(cfg, workdir=str(wd))
+        assert resumed.status == "succeeded" and resumed.resumed_from_step == 3
+        assert (resumed.remesh_cycles, resumed.remesh_unchanged) == (1, 0)
 
     def test_ch_only_checkpoint_of_the_two_path_runner_resumes(self, tmp_path):
         """Before the runner drove one stepper a CH-only checkpoint held
@@ -484,11 +584,14 @@ class TestInterruptRestart:
         assert final["resumed"][0] == final["straight"][0] == cfg.time.n_steps
         for a, b in zip(final["resumed"][1:], final["straight"][1:]):
             assert np.array_equal(a, b)
+        later = ("line_search_trials", "remesh_cycles", "remesh_unchanged")
         for name in self.COUNTS:
-            if name != "line_search_trials":
+            if name not in later:
                 assert getattr(resumed, name) == getattr(straight, name), name
         # not in a checkpoint that old: loads as 0, counted from the resume on
         assert 0 < resumed.line_search_trials < straight.line_search_trials
+        assert (resumed.remesh_cycles, straight.remesh_cycles) == (2, 3)
+        assert resumed.remesh_unchanged == straight.remesh_unchanged == 0
 
     def test_checkpoint_refuses_foreign_config(self, tmp_path):
         wd = str(tmp_path / "wd")
