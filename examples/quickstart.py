@@ -45,8 +45,8 @@ def main() -> int:
 
     t = result.wall_s
     print(f"\n{result.steps_done} steps in {t:.2f}s "
-          f"({result.newton_iterations} Newton / "
-          f"{result.krylov_iterations} Krylov iterations, "
+          f"({result.counts['newton']} Newton / "
+          f"{result.counts['krylov']} Krylov iterations, "
           f"{result.n_elems_final} elements)")
     print("done: buoyant bubble drifts upward while mass stays conserved.")
     return 0

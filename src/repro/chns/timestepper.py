@@ -105,16 +105,15 @@ class CHNSTimeStepper:
         #: solve (the last block's when ``n_blocks > 1``); callers decide
         #: what a non-converged one means.
         self.last_newton: Optional[NewtonResult] = None
-        #: cumulative nonlinear/linear work: Newton iterations (CH block),
-        #: their line-search trials, BiCGStab iterations and LU
-        #: factorizations, the NS and PP blocks' held-factor and the VU
-        #: block's mass-matrix LU factorizations, and
-        #: Krylov iterations (NS/PP/VU solves) — the scenario results store
-        #: reads these as the per-job solver cost, with the Krylov count
-        #: also split per block (``krylov_ns``/``krylov_pp``/``krylov_vu``;
-        #: a direct VU solve counts 0 there), the NS/PP/VU solves that
-        #: returned ``converged=False``, and the remesh cycles with those
-        #: of them that kept the mesh.
+        #: cumulative work, one key per count: the CH block's Newton
+        #: iterations, line-search trials, BiCGStab iterations, LU
+        #: factorizations and fallbacks; the NS/PP held-factor and the VU
+        #: mass-matrix LU factorizations; the NS/PP fallbacks (held factors
+        #: that failed, the solve redone by the block's own solver); Krylov
+        #: iterations (NS/PP/VU, also per block; a direct VU solve counts
+        #: 0) and the NS/PP/VU solves that returned ``converged=False``;
+        #: the remesh cycles and those that kept the mesh.  This dict is
+        #: the job record's ``counts`` and the checkpoint's.
         self.iteration_counts = {
             "newton": 0,
             "line_search_trials": 0,
@@ -123,6 +122,9 @@ class CHNSTimeStepper:
             "ns_factorizations": 0,
             "pp_factorizations": 0,
             "vu_factorizations": 0,
+            "ch_fallbacks": 0,
+            "ns_fallbacks": 0,
+            "pp_fallbacks": 0,
             "krylov": 0,
             "krylov_ns": 0,
             "krylov_pp": 0,
@@ -263,6 +265,7 @@ class CHNSTimeStepper:
                 )
                 self.iteration_counts["ch_linear"] += newton.linear_iterations
                 self.iteration_counts["ch_factorizations"] += newton.factorizations
+                self.iteration_counts["ch_fallbacks"] += newton.fallbacks
                 if self.flow:
                     self._flow_block(
                         dt_b, self._ns_load(t_n, dt_b),
@@ -342,6 +345,8 @@ class CHNSTimeStepper:
         self.iteration_counts["ns_factorizations"] += ns_res.factorizations
         self.iteration_counts["pp_factorizations"] += pp_res.factorizations
         self.iteration_counts["vu_factorizations"] += vu_res.factorizations
+        self.iteration_counts["ns_fallbacks"] += ns_res.fallbacks
+        self.iteration_counts["pp_fallbacks"] += pp_res.fallbacks
         it_ns = sum(s.iterations for s in ns_res.solves)
         it_pp = pp_res.solve.iterations
         it_vu = sum(s.iterations for s in vu_res.solves)

@@ -46,7 +46,7 @@ def _print_results_table(results: dict) -> None:
                 r.status,
                 f"{r.steps_done}/{r.n_steps}",
                 f"{r.wall_s:.2f}",
-                r.newton_iterations,
+                r.counts.get("newton", 0),
                 (r.error or "")[:48],
             )
         )
@@ -166,27 +166,13 @@ def cmd_report(args) -> int:
     by_family: dict = {}
     for r in results.values():
         f = by_family.setdefault(
-            r.family,
-            {"jobs": 0, "succeeded": 0, "wall_s": 0.0, "newton": 0,
-             "line_search_trials": 0, "ch_linear": 0, "ch_factorizations": 0,
-             "ns_factorizations": 0, "pp_factorizations": 0,
-             "vu_factorizations": 0, "krylov": 0, "remesh_cycles": 0,
-             "remesh_unchanged": 0, "steps": 0},
-        )
+            r.family, {"jobs": 0, "succeeded": 0, "wall_s": 0.0, "steps": 0})
         f["jobs"] += 1
         f["succeeded"] += r.status == "succeeded"
         f["wall_s"] += r.wall_s
-        f["newton"] += r.newton_iterations
-        f["line_search_trials"] += r.line_search_trials
-        f["ch_linear"] += r.ch_linear
-        f["ch_factorizations"] += r.ch_factorizations
-        f["ns_factorizations"] += r.ns_factorizations
-        f["pp_factorizations"] += r.pp_factorizations
-        f["vu_factorizations"] += r.vu_factorizations
-        f["krylov"] += r.krylov_iterations
-        f["remesh_cycles"] += r.remesh_cycles
-        f["remesh_unchanged"] += r.remesh_unchanged
         f["steps"] += r.steps_done
+        for name, n in r.counts.items():
+            f[name] = f.get(name, 0) + n
     total_wall = sum(f["wall_s"] for f in by_family.values())
     payload = {
         "store": args.out,

@@ -64,6 +64,19 @@ class _CountingSplu:
         return spla.splu(*args, **kwargs) if self.lu is None else self.lu
 
 
+def useless_flow_factors(monkeypatch):
+    """NS and PP hold ``Factors`` that precondition nothing: every held
+    solve fails its residual check and the block's own solve redoes it."""
+    from repro.chns import ns_solver, pp_solver
+
+    class Useless(factors.Factors):
+        def __call__(self, r):
+            return np.zeros_like(r)
+
+    for module in (ns_solver, pp_solver):
+        monkeypatch.setattr(module, "Factors", Useless)
+
+
 class _BadLU:
     """Factors whose solves fail the residual check."""
 
@@ -524,15 +537,7 @@ class TestHeldFlowFactors:
         """Factors that precondition nothing: every held solve fails, the
         Jacobi path redoes it from the same start (bit for bit the capped
         solve), and each fallback is counted."""
-        from repro.chns import ns_solver, pp_solver
-        from repro.la.factors import Factors
-
-        class Useless(Factors):
-            def __call__(self, r):
-                return np.zeros_like(r)
-
-        for module in (ns_solver, pp_solver):
-            monkeypatch.setattr(module, "Factors", Useless)
+        useless_flow_factors(monkeypatch)
         with obs.tracing():
             outs = self._blocks(mesh16, 3)
             counters = obs.snapshot()["counters"]

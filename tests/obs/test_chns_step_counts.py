@@ -17,9 +17,10 @@ from repro.chns.params import CHNSParams
 from repro.chns.timestepper import CHNSTimeStepper, no_slip_bc
 from repro.mesh.mesh import mesh_from_field
 
+from ..chns.test_chns import useless_flow_factors
 
-@pytest.fixture
-def stepper():
+
+def _drop_stepper():
     prm = CHNSParams(Re=40.0, We=2.0, Pe=100.0, Cn=0.08, Fr=1.0,
                      rho_minus=0.4, eta_minus=0.5)
 
@@ -31,6 +32,11 @@ def stepper():
     ts = CHNSTimeStepper(mesh, prm, velocity_bc=no_slip_bc)
     ts.initialize(phi0)
     return ts
+
+
+@pytest.fixture
+def stepper():
+    return _drop_stepper()
 
 
 def test_ch_linear_work_of_four_static_mesh_steps(stepper):
@@ -54,6 +60,10 @@ def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     assert "pp.lu_fallbacks" not in counters
     assert its_vu[0] == its_vu[-1] > 0
     assert "newton.lu_fallbacks" not in counters
+    # the record's fallback counts are the counters: 0 on a healthy run
+    for blk, counter in (("ch", "newton"), ("ns", "ns"), ("pp", "pp")):
+        assert (counts[f"{blk}_fallbacks"]
+                == counters.get(f"{counter}.lu_fallbacks", 0) == 0)
     assert counts["ch_factorizations"] == 1
     assert counts["newton"] == counters["newton.iterations"]
     # every Newton iterate is an LU-preconditioned BiCGStab solve
@@ -61,6 +71,22 @@ def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     assert counts["ch_linear"] + counts["krylov"] == counters["krylov.iterations"]
     for blk in ("ns", "pp", "vu"):
         assert counters[f"krylov.iterations.{blk}"] == counts[f"krylov_{blk}"]
+
+
+def test_fallbacks_reach_the_stepper_counts(monkeypatch):
+    """NS and PP hold factors that precondition nothing: every held solve
+    falls back to the block's own solve, and the stepper counts each
+    fallback the tracer counts."""
+    useless_flow_factors(monkeypatch)
+    ts = _drop_stepper()
+    with obs.tracing():
+        for _ in range(3):
+            ts.step(5e-4)
+        counters = obs.snapshot()["counters"]
+    counts = ts.iteration_counts
+    assert counts["ns_fallbacks"] == counters["ns.lu_fallbacks"] > 0
+    assert counts["pp_fallbacks"] == counters["pp.lu_fallbacks"] > 0
+    assert counts["ch_fallbacks"] == counters.get("newton.lu_fallbacks", 0)
 
 
 def test_flow_solvers_count_their_own_krylov_work(stepper):

@@ -15,6 +15,7 @@ from repro.scenarios import build, run_scenario
 from repro.scenarios.runner import JobResult, config_digest
 from repro.scenarios.schema import ScenarioError
 
+from ..chns.test_chns import useless_flow_factors
 from ..la.test_solver_table import patch_table
 
 
@@ -45,6 +46,18 @@ def _count_vu_splu(monkeypatch, lu=None):
     return calls
 
 
+def newton_never_converges(monkeypatch):
+    """Every CH Newton solve runs as usual and reports ``converged=False``."""
+    import repro.chns.ch_solver as ch_solver
+
+    newton_solve = ch_solver.newton_solve
+    monkeypatch.setattr(
+        ch_solver, "newton_solve",
+        lambda *a, **k: dataclasses.replace(
+            newton_solve(*a, **k), converged=False),
+    )
+
+
 def _jet2d_amr_levels(cfg):
     """Full ``jet_2d`` at the ``jet2d_amr`` benchmark's remesh levels
     (interface 5, feature 6, a remesh every step): its cycles coarsen the
@@ -69,8 +82,31 @@ def _run_with_factoring_blocks(cfg):
         first = step == 0 or meshes[step - 1] is not mesh
         if not first and (step + 1) % every != 0:
             factoring.add(id(mesh))
-    assert res.remesh_cycles == (len(meshes) - 1) // every
+    assert res.counts["remesh_cycles"] == (len(meshes) - 1) // every
     return res, len(factoring)
+
+
+#: The counts a record held before ``JobResult.counts``, one flat field
+#: each, under the field names of that store.
+FLAT_FIELDS = {
+    "newton": "newton_iterations", "line_search_trials": "line_search_trials",
+    "krylov": "krylov_iterations", "ch_linear": "ch_linear",
+    "ch_factorizations": "ch_factorizations",
+    "ns_factorizations": "ns_factorizations",
+    "pp_factorizations": "pp_factorizations",
+    "vu_factorizations": "vu_factorizations",
+    "krylov_unconverged": "krylov_unconverged",
+    "remesh_cycles": "remesh_cycles", "remesh_unchanged": "remesh_unchanged",
+}
+
+
+def _flat_record(res):
+    """``res`` as a store written before ``JobResult.counts`` held it: the
+    counts of that store as flat fields, the later ones absent."""
+    d = res.to_dict()
+    counts = d.pop("counts")
+    d.update({flat: counts[name] for name, flat in FLAT_FIELDS.items()})
+    return d
 
 
 class TestRun:
@@ -78,7 +114,7 @@ class TestRun:
         res = run_scenario(build("coalescence_2d", quick=True))
         assert res.status == "succeeded"
         assert res.steps_done == res.n_steps > 0
-        assert res.newton_iterations > 0
+        assert res.counts["newton"] > 0
         assert res.n_elems_final > 0
         assert np.isfinite(res.diagnostics["energy"])
         assert "div_l2" not in res.diagnostics  # no velocity
@@ -87,9 +123,9 @@ class TestRun:
     def test_chns_quick_succeeds(self):
         res = run_scenario(build("rising_bubble_2d", quick=True))
         assert res.status == "succeeded"
-        assert res.krylov_iterations > 0  # velocity/pressure solves ran
+        assert res.counts["krylov"] > 0  # velocity/pressure solves ran
         assert 0.0 <= res.diagnostics["div_l2"] < np.inf
-        assert res.krylov_unconverged == 0
+        assert res.counts["krylov_unconverged"] == 0
 
     def test_unconverged_flow_solves_are_counted_not_fatal(self, monkeypatch):
         """A flow solve that reports ``converged=False`` is counted in the
@@ -109,13 +145,14 @@ class TestRun:
         monkeypatch.setattr(vu_solver, "cg", first_vu_unconverged)
         res = run_scenario(cfg)
         assert res.status == "succeeded" and res.steps_done == 2
-        assert len(calls) == dim and res.vu_factorizations == 1
-        assert res.krylov_unconverged == dim
-        old = res.to_dict()  # a store written before the counts existed
+        assert len(calls) == dim and res.counts["vu_factorizations"] == 1
+        assert res.counts["krylov_unconverged"] == dim
+        old = _flat_record(res)  # a store written before the counts existed
         assert old.pop("krylov_unconverged") == dim
         assert old.pop("vu_factorizations") == 1
-        loaded = JobResult.from_dict(old)
-        assert loaded.krylov_unconverged == loaded.vu_factorizations == 0
+        loaded = JobResult.from_dict(old).counts
+        assert loaded.get("krylov_unconverged", 0) == 0
+        assert loaded.get("vu_factorizations", 0) == 0
 
     def test_failed_direct_vu_solve_falls_back_and_is_counted(
         self, monkeypatch
@@ -141,8 +178,8 @@ class TestRun:
         monkeypatch.setattr(vu_solver, "cg", unconverged)
         res = run_scenario(cfg)
         assert res.status == "succeeded" and res.steps_done == 3
-        assert len(splu) == res.vu_factorizations == 1
-        assert len(calls) == res.krylov_unconverged == 3 * dim
+        assert len(splu) == res.counts["vu_factorizations"] == 1
+        assert len(calls) == res.counts["krylov_unconverged"] == 3 * dim
 
     def test_mesh_that_lives_one_block_never_factors(self, monkeypatch):
         """Remeshing every step, and every cycle changes the tree: each mesh
@@ -163,13 +200,14 @@ class TestRun:
             return res, steps
 
         res, steps = run()
-        assert res.remesh_cycles == 2 and res.remesh_unchanged == 0
+        c = res.counts
+        assert c["remesh_cycles"] == 2 and c["remesh_unchanged"] == 0
         assert len({id(m) for m, _, _ in steps}) == 3
-        assert splu == [] and res.vu_factorizations == 0
-        assert res.ns_factorizations == res.pp_factorizations == 0
+        assert splu == [] and c["vu_factorizations"] == 0
+        assert c["ns_factorizations"] == c["pp_factorizations"] == 0
         patch_table(monkeypatch, ns={"lu": 0}, pp={"lu": 0}, vu={"lu": 0})
         capped, capped_steps = run()
-        assert capped.krylov_iterations == res.krylov_iterations
+        assert capped.counts["krylov"] == res.counts["krylov"]
         for (_, vel, p), (_, vel_c, p_c) in zip(steps, capped_steps):
             assert np.array_equal(vel, vel_c) and np.array_equal(p, p_c)
         monkeypatch.undo()  # the cap and the splu recorder
@@ -177,8 +215,9 @@ class TestRun:
         cfg.refinement.remesh_every = 0
         res = run_scenario(cfg)
         assert res.status == "succeeded"
-        assert len(splu) == res.vu_factorizations == 1
-        assert res.ns_factorizations == res.pp_factorizations == 1
+        c = res.counts
+        assert len(splu) == c["vu_factorizations"] == 1
+        assert c["ns_factorizations"] == c["pp_factorizations"] == 1
 
     def test_flow_blocks_factor_only_between_first_and_last_block(self):
         """A flow block factors on a block that is neither its mesh's first
@@ -190,22 +229,25 @@ class TestRun:
         factors once, at its middle block."""
         cfg = build("jet_2d", quick=False)
         res, expected = _run_with_factoring_blocks(cfg)
-        assert res.steps_done >= 4 and res.remesh_unchanged == 1
+        c = res.counts
+        assert res.steps_done >= 4 and c["remesh_unchanged"] == 1
         assert expected == 1
-        assert res.ns_factorizations == res.pp_factorizations == expected
-        assert res.vu_factorizations == expected
+        assert c["ns_factorizations"] == c["pp_factorizations"] == expected
+        assert c["vu_factorizations"] == expected
         cfg = _jet2d_amr_levels(build("jet_2d", quick=False))
         cfg.time.n_steps = 6
         cfg.refinement.remesh_every = 3
         res, expected = _run_with_factoring_blocks(cfg)
-        assert res.remesh_cycles == 1 and res.remesh_unchanged == 0
+        c = res.counts
+        assert c["remesh_cycles"] == 1 and c["remesh_unchanged"] == 0
         assert expected == 2
-        assert res.ns_factorizations == res.pp_factorizations == expected
-        assert res.vu_factorizations == expected
-        old = res.to_dict()  # a store written before the counts existed
+        assert c["ns_factorizations"] == c["pp_factorizations"] == expected
+        assert c["vu_factorizations"] == expected
+        old = _flat_record(res)  # a store written before the counts existed
         assert old.pop("ns_factorizations") == old.pop("pp_factorizations")
-        loaded = JobResult.from_dict(old)
-        assert loaded.ns_factorizations == loaded.pp_factorizations == 0
+        loaded = JobResult.from_dict(old).counts
+        assert loaded.get("ns_factorizations", 0) == 0
+        assert loaded.get("pp_factorizations", 0) == 0
 
     def test_remesh_cycles_reach_the_record(self):
         """Full ``jet_2d``: two cycles, the first keeps the mesh.  The record
@@ -215,16 +257,18 @@ class TestRun:
         cfg.outputs.obs = True
         res = run_scenario(cfg)
         assert res.status == "succeeded"
-        assert (res.remesh_cycles, res.remesh_unchanged) == (2, 1)
+        c = res.counts
+        assert (c["remesh_cycles"], c["remesh_unchanged"]) == (2, 1)
         counters = res.obs_summary["counters"]
-        assert counters["remesh.cycles"]["total"] == res.remesh_cycles
+        assert counters["remesh.cycles"]["total"] == c["remesh_cycles"]
         assert (counters["remesh.unchanged_cycles"]["total"]
-                == res.remesh_unchanged)
-        old = res.to_dict()
+                == c["remesh_unchanged"])
+        old = _flat_record(res)
         assert old.pop("remesh_cycles") == 2
         assert old.pop("remesh_unchanged") == 1
-        loaded = JobResult.from_dict(old)
-        assert loaded.remesh_cycles == loaded.remesh_unchanged == 0
+        loaded = JobResult.from_dict(old).counts
+        assert loaded.get("remesh_cycles", 0) == 0
+        assert loaded.get("remesh_unchanged", 0) == 0
 
     def test_divergence_reported_not_raised(self):
         res = run_scenario(_diverging_drop())
@@ -246,8 +290,8 @@ class TestRun:
         res = run_scenario(_diverging_drop())
         assert res.status == "failed" and "step 0" in res.error
         assert res.steps_done == 0
-        assert res.newton_iterations > 0 and res.ch_linear > 0
-        assert res.ch_factorizations > 0 and res.n_elems_final > 0
+        assert res.counts["newton"] > 0 and res.counts["ch_linear"] > 0
+        assert res.counts["ch_factorizations"] > 0 and res.n_elems_final > 0
         assert np.isfinite(res.diagnostics["mass"])
         assert JobResult.from_dict(json.loads(json.dumps(res.to_dict()))) == res
 
@@ -278,13 +322,12 @@ class TestRun:
         assert res.steps_done == (1 if how == "interrupted" else 0)
         assert res.n_elems_final > 0
         assert np.isfinite(res.diagnostics["mass"])
-        for name in ("newton_iterations", "krylov_iterations", "ch_linear",
-                     "ch_factorizations"):
-            assert type(getattr(res, name)) is int and getattr(res, name) >= 0
+        for name in ("newton", "krylov", "ch_linear", "ch_factorizations"):
+            assert type(res.counts[name]) is int and res.counts[name] >= 0
         if how == "timeout":  # stopped before any solve
-            assert res.newton_iterations == 0
+            assert res.counts["newton"] == 0
         if how == "interrupted":
-            assert res.newton_iterations > 0 and res.krylov_iterations > 0
+            assert res.counts["newton"] > 0 and res.counts["krylov"] > 0
             assert "vel_max" in res.diagnostics
         assert JobResult.from_dict(json.loads(json.dumps(res.to_dict()))) == res
 
@@ -292,18 +335,11 @@ class TestRun:
     def test_nonconverged_newton_fails_either_solver(self, monkeypatch, name):
         """One policy for both solver values: a CH Newton solve that
         reports ``converged=False`` ends the job as ``failed``."""
-        import repro.chns.ch_solver as ch_solver
-
-        newton_solve = ch_solver.newton_solve
-        monkeypatch.setattr(
-            ch_solver, "newton_solve",
-            lambda *a, **k: dataclasses.replace(
-                newton_solve(*a, **k), converged=False),
-        )
+        newton_never_converges(monkeypatch)
         res = run_scenario(build(name, quick=True))
         assert res.status == "failed" and res.steps_done == 0
         assert "CH Newton failed to converge at step 0" in res.error
-        assert res.newton_iterations > 0
+        assert res.counts["newton"] > 0
 
     def test_on_step_sees_live_state(self):
         seen = []
@@ -344,18 +380,49 @@ class TestRun:
         res = run_scenario(cfg)
         assert res.status == "succeeded"
         counters = res.obs_summary["counters"]
-        assert (res.line_search_trials
+        assert (res.counts["line_search_trials"]
                 == counters["newton.line_search_trials"]["total"]
-                >= res.newton_iterations > 0)
+                >= res.counts["newton"] > 0)
 
     def test_result_roundtrips_through_dict(self):
         res = run_scenario(build("drop_2d", quick=True))
         assert JobResult.from_dict(res.to_dict()) == res
-        old = res.to_dict()  # a store written before the CH counts existed
+        old = _flat_record(res)  # a store before the CH counts existed
         assert old.pop("ch_linear") > 0 and old.pop("ch_factorizations") > 0
         assert old.pop("line_search_trials") > 0
-        loaded = JobResult.from_dict(old)
-        assert loaded.ch_factorizations == loaded.line_search_trials == 0
+        loaded = JobResult.from_dict(old).counts
+        assert loaded.get("ch_factorizations", 0) == 0
+        assert loaded.get("line_search_trials", 0) == 0
+
+    def test_flat_record_loads_into_counts(self):
+        """A record as the store held it before ``JobResult.counts``: one
+        flat field per count, ``newton`` and ``krylov`` under their old
+        names.  It loads with the same values in ``counts``, and the two
+        names the benchmark harness reads still read them."""
+        old = {
+            "job_id": "jet_2d", "name": "jet_2d", "family": "jet",
+            "status": "succeeded", "steps_done": 6, "n_steps": 6,
+            "wall_s": 1.25, "newton_iterations": 13, "line_search_trials": 14,
+            "krylov_iterations": 502, "ch_linear": 31, "ch_factorizations": 2,
+            "ns_factorizations": 1, "pp_factorizations": 1,
+            "vu_factorizations": 1, "krylov_unconverged": 0,
+            "remesh_cycles": 2, "remesh_unchanged": 1, "n_elems_final": 412,
+            "diagnostics": {"mass": 0.5}, "error": None,
+            "resumed_from_step": None, "seed": 0, "backend": "serial",
+            "obs_summary": None,
+        }
+        res = JobResult.from_dict(json.loads(json.dumps(old)))
+        assert res.counts == {
+            "newton": 13, "line_search_trials": 14, "krylov": 502,
+            "ch_linear": 31, "ch_factorizations": 2, "ns_factorizations": 1,
+            "pp_factorizations": 1, "vu_factorizations": 1,
+            "krylov_unconverged": 0, "remesh_cycles": 2,
+            "remesh_unchanged": 1,
+        }
+        assert (res.newton_iterations, res.krylov_iterations) == (13, 502)
+        assert (res.job_id, res.status, res.n_elems_final) == (
+            "jet_2d", "succeeded", 412)
+        assert JobResult.from_dict(res.to_dict()) == res
 
 
 def _ch_only_by_hand(cfg):
@@ -416,12 +483,6 @@ class TestInterruptRestart:
         cfg.control.backend = "serial"
         return cfg
 
-    COUNTS = ("newton_iterations", "line_search_trials", "krylov_iterations",
-              "ch_linear", "ch_factorizations", "ns_factorizations",
-              "pp_factorizations", "vu_factorizations",
-              "krylov_unconverged", "remesh_cycles", "remesh_unchanged",
-              "n_elems_final", "diagnostics")
-
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
         """An uninterrupted run *without* a workdir against one cut at
         ``interrupt_after`` and resumed: every field bit-identical, every
@@ -464,8 +525,9 @@ class TestInterruptRestart:
             assert np.array_equal(a[key], b[key]), (
                 f"{key} not bit-identical after resume"
             )
-        for name in self.COUNTS:
-            assert getattr(resumed, name) == getattr(straight, name), name
+        assert resumed.counts == straight.counts
+        assert resumed.n_elems_final == straight.n_elems_final
+        assert resumed.diagnostics == straight.diagnostics
         assert cfg.time.n_steps in clock["resumed"]
         for step, t in clock["resumed"].items():  # k * dt vs dt + ... + dt
             assert t == pytest.approx(clock["straight"][step], rel=1e-12)
@@ -475,12 +537,13 @@ class TestInterruptRestart:
         straight = self._straight_and_resumed(self._config(), tmp_path, 2)
         # a checkpoint step is a factor boundary: one factorization a step,
         # and every VU solve is the first block of its factors' lifetime
-        assert straight.ch_factorizations == straight.n_steps
-        assert straight.vu_factorizations == 0
-        assert straight.ns_factorizations == straight.pp_factorizations == 0
-        assert straight.ch_linear > 0 and straight.krylov_iterations > 0
-        # the resumed record counts the trials before the cut too (COUNTS)
-        assert straight.line_search_trials >= straight.newton_iterations > 0
+        c = straight.counts
+        assert c["ch_factorizations"] == straight.n_steps
+        assert c["vu_factorizations"] == 0
+        assert c["ns_factorizations"] == c["pp_factorizations"] == 0
+        assert c["ch_linear"] > 0 and c["krylov"] > 0
+        # the resumed record counts the trials before the cut too (counts)
+        assert c["line_search_trials"] >= c["newton"] > 0
 
     @pytest.mark.parametrize("name", ["rising_bubble_2d", "spinodal_2d"])
     def test_factors_cross_the_steps_between_checkpoints(self, tmp_path, name):
@@ -493,11 +556,11 @@ class TestInterruptRestart:
         cfg.control.checkpoint_every = 2
         cfg.control.backend = "serial"
         straight = self._straight_and_resumed(cfg, tmp_path, 4)
-        assert 3 <= straight.ch_factorizations < cfg.time.n_steps
+        assert 3 <= straight.counts["ch_factorizations"] < cfg.time.n_steps
         flow = cfg.solver == "chns"
-        assert straight.vu_factorizations == (3 if flow else 0)
-        assert straight.ns_factorizations == (3 if flow else 0)
-        assert straight.pp_factorizations == (3 if flow else 0)
+        assert straight.counts["vu_factorizations"] == (3 if flow else 0)
+        assert straight.counts["ns_factorizations"] == (3 if flow else 0)
+        assert straight.counts["pp_factorizations"] == (3 if flow else 0)
 
     def test_resume_across_a_cycle_that_keeps_the_mesh(self, tmp_path):
         """Full ``jet_2d`` for 12 steps, a remesh every 2 and a checkpoint
@@ -518,8 +581,9 @@ class TestInterruptRestart:
         assert kept == [8]  # an unchanged cycle after the resume point
         cut = run_scenario(cfg, interrupt_after_step=6)
         straight = self._straight_and_resumed(cfg, tmp_path, 6)
-        assert straight.remesh_cycles == 5
-        assert straight.remesh_unchanged == cut.remesh_unchanged + 1
+        assert straight.counts["remesh_cycles"] == 5
+        assert (straight.counts["remesh_unchanged"]
+                == cut.counts["remesh_unchanged"] + 1)
 
     def test_checkpoint_without_counts_still_loads(self, tmp_path):
         """A checkpoint written before the counts were carried resumes with
@@ -535,7 +599,8 @@ class TestInterruptRestart:
         save_checkpoint(path, tree, fields, nprocs=nprocs, meta=meta)
         resumed = run_scenario(cfg, workdir=str(wd))
         assert resumed.status == "succeeded" and resumed.resumed_from_step == 2
-        assert 0 < resumed.newton_iterations < run_scenario(cfg).newton_iterations
+        straight = run_scenario(cfg)
+        assert 0 < resumed.counts["newton"] < straight.counts["newton"]
 
     def test_checkpoint_without_remesh_counts_loads_zero(self, tmp_path):
         """A checkpoint whose counts predate the remesh counts resumes with
@@ -554,7 +619,45 @@ class TestInterruptRestart:
         save_checkpoint(path, tree, fields, nprocs=nprocs, meta=meta)
         resumed = run_scenario(cfg, workdir=str(wd))
         assert resumed.status == "succeeded" and resumed.resumed_from_step == 3
-        assert (resumed.remesh_cycles, resumed.remesh_unchanged) == (1, 0)
+        c = resumed.counts
+        assert (c["remesh_cycles"], c["remesh_unchanged"]) == (1, 0)
+
+    def test_checkpoint_without_fallback_counts_loads_zero(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint whose counts predate the fallback counts resumes
+        with them at 0.  NS and PP hold factors that precondition nothing,
+        so every factoring block (steps 1, 3, 5 with a checkpoint every 2)
+        falls back once per velocity component and once for PP; cut at
+        step 4, the resumed record counts only step 5's."""
+        from repro.amr.checkpoint import load_checkpoint_meta, save_checkpoint
+
+        useless_flow_factors(monkeypatch)
+        cfg = build("rising_bubble_2d", quick=True)
+        cfg.time.n_steps = 6
+        cfg.control.checkpoint_every = 2
+        dim = cfg.domain.dim
+        straight = run_scenario(cfg)
+        assert straight.status == "succeeded"
+        assert straight.counts["ns_fallbacks"] == 3 * dim
+        assert straight.counts["pp_fallbacks"] == 3
+        wd = tmp_path / "wd"
+        run_scenario(cfg, workdir=str(wd), interrupt_after_step=4)
+        path = str(wd / "checkpoint.npz")
+        tree, fields, nprocs, meta = load_checkpoint_meta(path)
+        assert meta["counts"].pop("ns_fallbacks") == 2 * dim
+        assert meta["counts"].pop("pp_fallbacks") == 2
+        assert meta["counts"].pop("ch_fallbacks") == 0
+        save_checkpoint(path, tree, fields, nprocs=nprocs, meta=meta)
+        resumed = run_scenario(cfg, workdir=str(wd))
+        assert resumed.status == "succeeded" and resumed.resumed_from_step == 4
+        c = resumed.counts
+        assert (c["ns_fallbacks"], c["pp_fallbacks"], c["ch_fallbacks"]) == (
+            dim, 1, 0)
+        fallbacks = ("ns_fallbacks", "pp_fallbacks", "ch_fallbacks")
+        for name, n in straight.counts.items():
+            if name not in fallbacks:
+                assert c[name] == n, name
 
     def test_ch_only_checkpoint_of_the_two_path_runner_resumes(self, tmp_path):
         """Before the runner drove one stepper a CH-only checkpoint held
@@ -585,13 +688,16 @@ class TestInterruptRestart:
         for a, b in zip(final["resumed"][1:], final["straight"][1:]):
             assert np.array_equal(a, b)
         later = ("line_search_trials", "remesh_cycles", "remesh_unchanged")
-        for name in self.COUNTS:
+        for name, n in straight.counts.items():
             if name not in later:
-                assert getattr(resumed, name) == getattr(straight, name), name
+                assert resumed.counts[name] == n, name
+        assert resumed.n_elems_final == straight.n_elems_final
+        assert resumed.diagnostics == straight.diagnostics
         # not in a checkpoint that old: loads as 0, counted from the resume on
-        assert 0 < resumed.line_search_trials < straight.line_search_trials
-        assert (resumed.remesh_cycles, straight.remesh_cycles) == (2, 3)
-        assert resumed.remesh_unchanged == straight.remesh_unchanged == 0
+        c, s = resumed.counts, straight.counts
+        assert 0 < c["line_search_trials"] < s["line_search_trials"]
+        assert (c["remesh_cycles"], s["remesh_cycles"]) == (2, 3)
+        assert c["remesh_unchanged"] == s["remesh_unchanged"] == 0
 
     def test_checkpoint_refuses_foreign_config(self, tmp_path):
         wd = str(tmp_path / "wd")
@@ -633,21 +739,22 @@ def test_refresh_rule_end_to_end(monkeypatch):
         del solves[:]
         res = run_scenario(cfg)
         assert res.status == "succeeded"
-        assert res.ch_factorizations == sum(s[0] for s in solves)
-        assert res.ch_linear == sum(s[1] for s in solves)
+        assert res.counts["ch_factorizations"] == sum(s[0] for s in solves)
+        assert res.counts["ch_linear"] == sum(s[1] for s in solves)
         return res, list(solves)
 
     carried, sequence = run(0)
     again, sequence_again = run(0)
     per_call, per_call_sequence = run(1)
     assert sequence == sequence_again and len(sequence) == 40
-    assert 2 <= carried.ch_factorizations < 40 // 4
+    assert 2 <= carried.counts["ch_factorizations"] < 40 // 4
     assert [s[0] for s in per_call_sequence] == [1] * 40
     assert not any(s[3] for s in sequence)
-    assert carried.newton_iterations == per_call.newton_iterations
+    assert carried.counts["newton"] == per_call.counts["newton"]
 
     def cost(res):  # in applications of the factors, two per iteration
-        return FACTOR_COST * res.ch_factorizations + 2 * res.ch_linear
+        c = res.counts
+        return FACTOR_COST * c["ch_factorizations"] + 2 * c["ch_linear"]
 
     assert cost(carried) <= cost(per_call)
 

@@ -47,15 +47,15 @@ KEPT = {
     "octree.tree:Octree.linearize": PAPER,
     "octree.partition:partition_endpoints": PAPER,
     # Decided by another ROADMAP item.
-    "chns.analysis:breakup_detected": "ROADMAP item 5 (horizons)",
-    "chns.analysis:droplet_statistics": "ROADMAP item 5 (horizons)",
-    "chns.analysis:interface_measure": "ROADMAP item 5 (horizons)",
-    "chns.analysis:phase_volume": "ROADMAP item 5 (horizons)",
-    "octree.domain:BoxDomain": "ROADMAP item 5, Branch A or B",
-    "octree.domain:SphereDomain": "ROADMAP item 5, Branch A or B",
-    "octree.domain:ComplementDomain": "ROADMAP item 5, Branch A or B",
-    "perf.model:phase_profile": "ROADMAP item 8 (one span tree)",
-    "perf.model:iter_profile_from_obs": "ROADMAP item 8 (one span tree)",
+    "chns.analysis:breakup_detected": "ROADMAP 'Horizons'",
+    "chns.analysis:droplet_statistics": "ROADMAP 'Horizons'",
+    "chns.analysis:interface_measure": "ROADMAP 'Horizons'",
+    "chns.analysis:phase_volume": "ROADMAP 'Horizons'",
+    "octree.domain:BoxDomain": "ROADMAP 'Horizons', Branch A or B",
+    "octree.domain:SphereDomain": "ROADMAP 'Horizons', Branch A or B",
+    "octree.domain:ComplementDomain": "ROADMAP 'Horizons', Branch A or B",
+    "perf.model:phase_profile": "ROADMAP 'One span tree'",
+    "perf.model:iter_profile_from_obs": "ROADMAP 'One span tree'",
     # Test hooks and fixtures.
     "analysis.runtime_check:force_checks": HOOK,
     "octree.partition:scatter_tree": HOOK + ": distributes a fixture tree",
