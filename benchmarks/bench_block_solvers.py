@@ -338,10 +338,14 @@ def test_block_solvers_report(benchmark):
         "they are an earlier step's and both solves start from v^n, where "
         "Jacobi-BiCGStab takes 4-20 iterations and wins past "
         f"{SOLVERS['ns']['lu']} DOFs (DESIGN.md section 12).  VU: the "
-        "constant mass matrix is solved directly, float64, up to "
-        f"{vu_cap} DOFs; the direct solve wins every block on every mesh, "
-        "and the cap is memory: above it the factors cost more peak memory "
-        "than their solves save time.",
+        "constant mass matrix is solved directly, float64, on meshes of at "
+        f"most {vu_cap[2]} DOFs in 2D and {vu_cap[3]} in 3D; the direct "
+        "solve of all directions takes less time than their Jacobi-CG "
+        "solves on every mesh.  The caps are memory, as PP's: in 2D "
+        "the factors take about the 'factor MB' of PP's held factors on the "
+        "same mesh, paid once per mesh; in 3D the fill grows faster with "
+        "the mesh, and past the 3D cap the factors cost several times the "
+        "memory of the 2D ones for a few milliseconds a block.",
     )
 
     # PP: mesh-independence of GMG vs growth of Jacobi-CG (2D uniform).

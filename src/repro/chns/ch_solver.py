@@ -162,7 +162,9 @@ class CHSolver:
             # d(Km mu)/dphi = ∫ m'(phi) N_j grad N_i · grad mu: the transpose
             # of the convection Ke advected by m'(phi) grad mu.
             flux = forms.grad_at_quad(mesh, mu)
-            flux *= mobility_prime(phi_q, m_q)[..., None]
+            m_prime = mobility_prime(phi_q, m_q)
+            for i in range(mesh.dim):  # per component, in place
+                flux[..., i] *= m_prime
             D_m = plan.assemble(forms.convection_ke(mesh, flux, transpose=True))
             return plan.block_2x2(
                 a11 + (theta * c) * D_m.data, (theta * c) * Km.data,

@@ -105,13 +105,17 @@ class NSSolver:
             # Advecting field: rho times the extrapolated velocity (CN
             # linearization) plus the diffusive mass flux J = J_coeff *
             # m(phi) grad(mu) (paper Eq. 1) with coefficient 1/Pe.
-            vq = forms.field_at_quad(mesh, 2.0 * vel_n - vel_nm1)  # (e, q, dim)
-            J_q = (
-                prm.J_coeff()
-                * mobility(ph.phi_q)[..., None]
-                * forms.grad_at_quad(mesh, mu)
-            )
-            adv_q = ph.rho_q[..., None] * vq + (1.0 / prm.Pe) * J_q
+            # Products of an (e, q) coefficient with a (e, q, dim) field run
+            # per component in place: the same products as a trailing-axis
+            # broadcast, whose inner loop would be dim long.
+            adv_q = forms.field_at_quad(mesh, 2.0 * vel_n - vel_nm1)
+            J_q = forms.grad_at_quad(mesh, mu)  # (e, q, dim)
+            m_q = prm.J_coeff() * mobility(ph.phi_q)
+            for i in range(dim):
+                np.multiply(m_q, J_q[..., i], out=J_q[..., i])
+                np.multiply(ph.rho_q, adv_q[..., i], out=adv_q[..., i])
+            J_q *= 1.0 / prm.Pe
+            adv_q += J_q
 
             # Every Ke batch is fresh, so the sums run in place.
             Ke_M = forms.mass_ke(mesh, ph.rho_q)
@@ -140,7 +144,10 @@ class NSSolver:
                     src_q[..., i] += (gcoef * g_i) * ph.rho_q
             be += forms.source_be(mesh, src_q)
             g = ph.grad_phi_q
-            flux = g[..., :, None] * g[..., None, :]  # (e, q, dim, dim)
+            flux = np.empty(g.shape + (dim,))  # (e, q, dim, dim)
+            for i in range(dim):
+                for j in range(dim):
+                    np.multiply(g[..., i], g[..., j], out=flux[..., i, j])
             cap = forms.flux_divergence_be(mesh, flux)  # (e, nc, dim)
             cap *= prm.Cn / prm.We
             be += cap

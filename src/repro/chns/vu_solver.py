@@ -26,8 +26,9 @@ held, every direction that shares a mask is one float64 ``lu.solve`` on the
 them under the predicate every flow block states,
 :func:`repro.la.factors.may_factor`, with no option: not the solver's first
 block (a run's first step is the same with and without the direct path),
-the mesh within VU's cap (above it the factors cost more peak memory than
-their solves save time), and not the mesh's last block.
+the mesh within VU's cap (per dimension: in 2D the factors cost the memory
+PP's held factors already do, in 3D their fill grows several times faster
+than the time their solves save), and not the mesh's last block.
 
 Factors already held are used on any block.  They live in the mesh's
 ``memo``, so in ``pp_mode="schur"`` VU uses those the exact PP projection
@@ -136,8 +137,10 @@ class VUSolver:
         with obs.span("vu.assemble"):
             inv_rho_q = forms.phase_at_quad(mesh, prm, phi).inv_rho_q
             grad_p_q = forms.grad_at_quad(mesh, p)  # (e, q, dim)
+            for i in range(dim):  # per component: no dim-long inner loop
+                np.multiply(inv_rho_q, grad_p_q[..., i], out=grad_p_q[..., i])
             rhs_all = self.M @ vel_star - (dt / prm.We) * forms.source(
-                mesh, inv_rho_q[..., None] * grad_p_q
+                mesh, grad_p_q
             )
 
         rhs, systems = [], []

@@ -48,7 +48,7 @@ SOLVERS = {
     "ch": {"lu": math.inf},
     "ns": {"lu": 2048},
     "pp": {"lu": {2: 8192, 3: 2048}, "gmg": 75.0},
-    "vu": {"lu": 2048},
+    "vu": {"lu": {2: 8192, 3: 2048}},
 }
 
 

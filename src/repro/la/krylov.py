@@ -6,17 +6,35 @@ so matrix-free elemental operators and assembled CSR matrices share solvers.
 The paper uses PETSc's iterative solvers (it found AMG setup too costly at
 scale, Sec. III footnote 5); we provide CG, BiCGStab and restarted GMRES
 with Jacobi preconditioning.
+
+``cg`` and ``bicgstab`` allocate their work vectors once per solve and
+write every vector update into them with ``out=``: a mat-vec or a
+preconditioner result, the ``alpha * p``-style products and the sums.  Two
+operators write straight into a work vector (:func:`_apply_into`): a
+float64 CSR matrix runs the compiled kernel behind ``A @ x`` on a zeroed
+buffer, and :class:`~repro.la.precond.JacobiPreconditioner` multiplies by
+its inverse diagonal in place.  Every other operator and preconditioner
+(matvec objects, callables, held LU factors, a multigrid cycle) is called
+as before and its result copied in.  Each update keeps the order of
+operations of the textbook loop it replaces (``p = r + beta (p - omega
+v)`` is ``p -= omega v; p *= beta; p += r``), and a norm is ``sqrt(r @
+r)``, which is what ``np.linalg.norm`` computes: the iterates, counts and
+residuals are bit for bit those of the allocating loops
+(``tests/la/test_krylov_oracle.py`` keeps them as the reference).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .. import obs
+from .precond import JacobiPreconditioner
 
 
 def _as_matvec(A) -> Callable[[np.ndarray], np.ndarray]:
@@ -27,6 +45,46 @@ def _as_matvec(A) -> Callable[[np.ndarray], np.ndarray]:
     if callable(A):
         return A
     raise TypeError(f"cannot interpret {type(A)} as an operator")
+
+
+def _apply_into(A, dtype) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``(x, out) -> None`` writing ``A x`` into ``out``, for an operator or
+    preconditioner ``A`` and work vectors ``x`` and ``out`` of ``dtype``,
+    C-contiguous and owned by the solver.  A float64 CSR matrix runs
+    ``csr_matvec``, the kernel ``A @ x`` runs, which adds ``A x`` to its
+    output: on a zeroed ``out`` it is bit for bit ``A @ x``, without the
+    dispatch and the fresh result.  Jacobi multiplies in place.  Anything
+    else is applied as :func:`_as_matvec` does and copied in."""
+    if (sp.issparse(A) and A.format == "csr" and len(A.shape) == 2
+            and A.dtype == np.float64 and dtype == np.float64
+            and A.indptr.dtype == A.indices.dtype):
+        n_row, n_col = A.shape
+
+        def csr_into(x, out):
+            out.fill(0.0)
+            _sparsetools.csr_matvec(
+                n_row, n_col, A.indptr, A.indices, A.data, x, out
+            )
+
+        return csr_into
+    if isinstance(A, JacobiPreconditioner):
+        inv_diag = A.inv_diag
+
+        def jacobi_into(x, out):
+            np.multiply(inv_diag, x, out=out)
+
+        return jacobi_into
+    mv = _as_matvec(A)
+
+    def copy_into(x, out):
+        np.copyto(out, mv(x))
+
+    return copy_into
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a work vector, bit for bit."""
+    return math.sqrt(v @ v)
 
 
 @dataclass
@@ -55,33 +113,50 @@ def cg(
 
 
 def _cg_body(A, b, x0, M, tol, maxiter) -> SolveResult:
-    mv = _as_matvec(A)
-    pc = _as_matvec(M) if M is not None else (lambda r: r)
     x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b.copy() if x0 is None else b - mv(x)  # A @ 0 is not worth a mat-vec
-    z = pc(r)
+    mv = _apply_into(A, x.dtype)
+    r = np.empty_like(x)
+    if x0 is None:
+        np.copyto(r, b)  # A @ 0 is not worth a mat-vec
+    else:
+        mv(x, r)
+        np.subtract(b, r, out=r)
+    if M is None:
+        z = r  # the identity preconditioner
+    else:
+        pc = _apply_into(M, x.dtype)
+        z = np.empty_like(x)
+        pc(r, z)
     p = z.copy()
+    Ap = np.empty_like(x)
+    tmp = np.empty_like(x)
     rz = float(r @ z)
     bnorm = float(np.linalg.norm(b)) or 1.0
-    if float(np.linalg.norm(r)) / bnorm < tol:
-        return SolveResult(x, 0, float(np.linalg.norm(r)) / bnorm, True)
+    if _norm(r) / bnorm < tol:
+        return SolveResult(x, 0, _norm(r) / bnorm, True)
     for it in range(1, maxiter + 1):
-        Ap = mv(p)
+        mv(p, Ap)
         pAp = float(p @ Ap)
         if pAp <= 0:
             # Not SPD (or breakdown); bail out with current iterate.
-            return SolveResult(x, it, float(np.linalg.norm(r)) / bnorm, False)
+            return SolveResult(x, it, _norm(r) / bnorm, False)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        res = float(np.linalg.norm(r)) / bnorm
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(Ap, alpha, out=tmp)
+        r -= tmp
+        res = _norm(r) / bnorm
         if res < tol:
             return SolveResult(x, it, res, True)
-        z = pc(r)
+        if M is not None:
+            pc(r, z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    return SolveResult(x, maxiter, float(np.linalg.norm(b - mv(x))) / bnorm, False)
+    mv(x, tmp)
+    np.subtract(b, tmp, out=tmp)
+    return SolveResult(x, maxiter, _norm(tmp) / bnorm, False)
 
 
 def bicgstab(
@@ -94,11 +169,14 @@ def bicgstab(
     maxiter: int = 2000,
 ) -> SolveResult:
     """BiCGStab for nonsymmetric systems (momentum / convection blocks)."""
-    mv = _as_matvec(A)
-    pc = _as_matvec(M) if M is not None else (lambda r: r)
     x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b.copy() if x0 is None else b - mv(x)
-    r0 = r.copy()
+    mv = _apply_into(A, x.dtype)
+    r = np.empty_like(x)
+    if x0 is None:
+        np.copyto(r, b)
+    else:
+        mv(x, r)
+        np.subtract(b, r, out=r)
     bnorm = float(np.linalg.norm(b)) or 1.0
     # Divergence on ill-conditioned systems shows up as overflow before the
     # breakdown checks trip; the caller (e.g. Newton's re-factorization)
@@ -106,7 +184,7 @@ def bicgstab(
     _old_err = np.seterr(over="ignore", invalid="ignore")
     try:
         with obs.span("krylov.bicgstab"):
-            res = _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b)
+            res = _bicgstab_body(mv, M, x, r, bnorm, tol, maxiter, b)
     finally:
         np.seterr(**_old_err)
     obs.incr("krylov.solves")
@@ -114,37 +192,56 @@ def bicgstab(
     return res
 
 
-def _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b):
-    res = float(np.linalg.norm(r)) / bnorm
+def _bicgstab_body(mv, M, x, r, bnorm, tol, maxiter, b):
+    res = _norm(r) / bnorm
     if res < tol:  # nothing to do (e.g. zero RHS and guess): not a breakdown
         return SolveResult(x, 0, res, True)
+    r0 = r.copy()
+    v, p, s, t, tmp = (np.zeros_like(x) for _ in range(5))
+    if M is None:
+        ph, sh = p, s  # the identity preconditioner
+    else:
+        pc = _apply_into(M, x.dtype)
+        ph, sh = np.empty_like(x), np.empty_like(x)
     rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
     it = 0
     for it in range(1, maxiter + 1):
         rho_new = float(r0 @ r)
         if rho_new == 0.0:
             break
-        beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
-        p = r + beta * (p - omega * v) if it > 1 else r.copy()
-        ph = pc(p)
-        v = mv(ph)
+        if it > 1:
+            beta = (rho_new / rho) * (alpha / omega)
+            np.multiply(v, omega, out=tmp)
+            p -= tmp
+            p *= beta
+            p += r
+        else:
+            np.copyto(p, r)
+        if M is not None:
+            pc(p, ph)
+        mv(ph, v)
         denom = float(r0 @ v)
         if denom == 0.0:
             break
         alpha = rho_new / denom
-        s = r - alpha * v
-        if float(np.linalg.norm(s)) / bnorm < tol:
-            x += alpha * ph
-            return SolveResult(x, it, float(np.linalg.norm(s)) / bnorm, True)
-        sh = pc(s)
-        t = mv(sh)
+        np.multiply(v, alpha, out=s)
+        np.subtract(r, s, out=s)
+        if _norm(s) / bnorm < tol:
+            np.multiply(ph, alpha, out=tmp)
+            x += tmp
+            return SolveResult(x, it, _norm(s) / bnorm, True)
+        if M is not None:
+            pc(s, sh)
+        mv(sh, t)
         tt = float(t @ t)
         omega = float(t @ s) / tt if tt > 0 else 0.0
-        x += alpha * ph + omega * sh
-        r = s - omega * t
-        res = float(np.linalg.norm(r)) / bnorm
+        np.multiply(ph, alpha, out=tmp)
+        np.multiply(sh, omega, out=r)  # r is free until its update below
+        tmp += r
+        x += tmp
+        np.multiply(t, omega, out=r)
+        np.subtract(s, r, out=r)
+        res = _norm(r) / bnorm
         if res < tol:
             return SolveResult(x, it, res, True)
         if omega == 0.0:
@@ -152,7 +249,9 @@ def _bicgstab_body(mv, pc, x, r, r0, bnorm, tol, maxiter, b):
         rho = rho_new
         if not np.all(np.isfinite(x)):
             break  # diverged; report non-convergence
-    res = float(np.linalg.norm(b - mv(x))) / bnorm
+    mv(x, tmp)
+    np.subtract(b, tmp, out=tmp)
+    res = _norm(tmp) / bnorm
     if not np.isfinite(res):
         res = np.inf
     # ``it`` is the iteration a breakdown stopped in, maxiter otherwise.

@@ -395,13 +395,30 @@ class TestVUFactors:
         ]
         return outs, counts["splu"]
 
+    @staticmethod
+    def _cap(mesh):
+        return factors.SOLVERS["vu"]["lu"][mesh.dim]
+
     def test_mesh_above_the_crossover_never_factors(self, monkeypatch):
-        mesh = Mesh.from_tree(uniform_tree(2, 6))
-        assert mesh.n_dofs > factors.SOLVERS["vu"]["lu"]
+        mesh = Mesh.from_tree(uniform_tree(2, 7))
+        assert mesh.n_dofs > self._cap(mesh)
         outs, splu = self._blocks(mesh, 3, monkeypatch)
         assert splu == 0
         assert all(o.factorizations == 0 for o in outs)
         assert all(s.iterations > 0 for o in outs for s in o.solves)
+
+    def test_2d_mesh_within_the_2d_cap_factors_at_its_second_block(
+        self, monkeypatch
+    ):
+        """2D uniform L6 (4,225 DOFs) is above the 3D cap and within the
+        2D one."""
+        mesh = Mesh.from_tree(uniform_tree(2, 6))
+        assert factors.SOLVERS["vu"]["lu"][3] < mesh.n_dofs <= self._cap(mesh)
+        outs, splu = self._blocks(mesh, 3, monkeypatch)
+        assert splu == 1
+        assert [o.factorizations for o in outs] == [0, 1, 0]
+        assert [[s.iterations for s in o.solves] for o in outs][1:] == [
+            [0, 0], [0, 0]]
 
     def test_mesh_below_the_crossover_factors_at_its_second_block(
         self, monkeypatch
