@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from ..mesh.mesh import Mesh
-from .threshold import interface_elements
+from .threshold import interface_of_nodal
 
 
 class Stage(Enum):
@@ -64,7 +64,7 @@ def erode_dilate(
 
     for _ in range(num_steps):
         nodal = mesh.node_values(vec)  # GhostRead (hanging interpolated)
-        has_if = interface_elements(mesh, vec)
+        has_if = interface_of_nodal(nodal, en)
         trigger = has_if & (counters >= wait)
         counters[has_if & ~trigger] += 1
         counters[trigger] = 0

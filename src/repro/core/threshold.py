@@ -23,6 +23,14 @@ def interface_elements(mesh: Mesh, bw: np.ndarray, tol: float = 1e-9) -> np.ndar
     """Mask of elements containing interface: ``|Σ_nodes phi_BW,o| != nodes``
     (paper Eq. 5).  Hanging corners carry interpolated (fractional) values,
     which correctly flag their elements too."""
-    ev = mesh.elem_gather(bw)  # (n_elems, nc)
+    return interface_of_nodal(mesh.node_values(bw), mesh.nodes.elem_nodes, tol)
+
+
+def interface_of_nodal(
+    nodal: np.ndarray, elem_nodes: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """:func:`interface_elements` from all-node values ``P @ bw`` a caller
+    already holds, so a sweep reads its nodes once."""
+    ev = nodal.take(elem_nodes, axis=0)  # (n_elems, nc)
     nc = ev.shape[1]
     return np.abs(np.abs(ev.sum(axis=1)) - nc) > tol

@@ -10,8 +10,10 @@ i.e. for every operator of every Newton iteration of every timestep.
 :class:`AssemblyPlan` splits that work once and for all per mesh:
 
 * **symbolic phase** (``__init__``, once per mesh): expand
-  every elemental COO entry through the rows of ``P`` touching it, sort the
-  expanded entries into the final CSR layout of ``A = P^T A_nodes P``, and
+  every elemental COO entry through the rows of ``P`` touching it (a slot
+  with no hanging node is its own single entry; only the others go through
+  ``P``), sort the expanded entries once into the final CSR layout of
+  ``A = P^T A_nodes P``, and
   store the expansion as one CSR scatter operator ``S`` of shape
   ``(nnz, n_elems * nc * nc)``: row = destination slot in ``csr.data``,
   column = source slot in the raveled ``Ke`` batch, value = interpolation
@@ -52,6 +54,7 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..mesh.mesh import Mesh
+from ..mesh.nodes import expand_ragged
 
 class StaleAssemblyPlanError(RuntimeError):
     """An :class:`AssemblyPlan` was applied to a matrix it did not assemble."""
@@ -82,20 +85,6 @@ def _with_data(proto: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     return A
 
 
-def _expand_ragged(indptr: np.ndarray, sel: np.ndarray):
-    """Flattened CSR-row expansion: for each ``k``, the data offsets of row
-    ``sel[k]`` of a CSR matrix.  Returns ``(offsets, group)`` where ``group``
-    maps each expanded slot back to its ``k``."""
-    cnt = indptr[sel + 1] - indptr[sel]
-    total = int(cnt.sum())
-    group = np.repeat(np.arange(len(sel), dtype=np.int64), cnt)
-    starts = np.repeat(indptr[sel], cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(cnt) - cnt, cnt
-    )
-    return starts + within, group
-
-
 class AssemblyPlan:
     """One-time symbolic assembly for a fixed mesh; cheap numeric updates.
 
@@ -121,19 +110,47 @@ class AssemblyPlan:
         cols = np.tile(en, (1, nc)).ravel()
 
         # Expand each COO entry through the touching rows of P:
-        #   A[a, b] += Ke_k * P[rows_k, a] * P[cols_k, b].
+        #   A[a, b] += Ke_k * P[rows_k, a] * P[cols_k, b],
+        # k-major, then row-P entries, then col-P entries.  A slot whose two
+        # nodes each carry one P entry (neither hangs) expands to that one
+        # entry, read from per-node tables; only the slots that touch a
+        # hanging node go through the ragged expansions.  ``key`` is the
+        # entry's (a, b) position in the final layout.
         P = mesh.nodes.P.tocsr()
-        r_off, k1 = _expand_ragged(P.indptr, rows)  # over row-P entries
-        c_off, s1 = _expand_ragged(P.indptr, cols[k1])  # then col-P entries
-        a = P.indices[r_off[s1]].astype(np.int64)
-        b = P.indices[c_off].astype(np.int64)
-        weight = P.data[r_off[s1]] * P.data[c_off]
-        src = k1[s1]  # raveled Ke slot feeding each expanded entry
+        n = np.int64(self.n_dofs)
+        nr = np.diff(P.indptr)
+        cnt = nr[rows] * nr[cols]
+        one = cnt == 1
+        at_one = np.repeat(one, cnt)  # expanded entries of single slots
+        first = P.indptr[:-1]
+        col1, w1 = P.indices[first].astype(np.int64), P.data[first]
+        r1, c1 = rows[one], cols[one]
+        key = np.empty(len(at_one), dtype=np.int64)
+        weight = np.empty(len(at_one), dtype=np.float64)
+        src = np.empty(len(at_one), dtype=np.int64)
+        key[at_one] = col1[r1] * n + col1[c1]
+        weight[at_one] = w1[r1] * w1[c1]
+        src[at_one] = np.flatnonzero(one)
 
-        # Final CSR layout: sort expanded entries by (a, b), dedupe.
-        key = a * np.int64(self.n_dofs) + b
-        uniq, slot = np.unique(key, return_inverse=True)
-        order = np.argsort(slot, kind="stable")
+        many = np.flatnonzero(~one)
+        rm = rows[many]
+        r_off, k1 = expand_ragged(P.indptr[rm], nr[rm])
+        cm = cols[many[k1]]
+        c_off, s1 = expand_ragged(P.indptr[cm], nr[cm])
+        r_off = r_off[s1]
+        at_many = ~at_one
+        key[at_many] = P.indices[r_off].astype(np.int64) * n + P.indices[c_off]
+        weight[at_many] = P.data[r_off] * P.data[c_off]
+        src[at_many] = many[k1[s1]]  # raveled Ke slot feeding each entry
+
+        # Final CSR layout: one stable sort by (a, b); each run of equal keys
+        # is one data slot and keeps the expansion order.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        run_start = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=run_start[1:])
+        head = np.flatnonzero(run_start)
+        uniq = key[head]
         self.nnz = len(uniq)
         # The expansion as one CSR operator, row = data slot, column = Ke
         # slot: the numeric phase is ``S @ Ke.ravel()``.  Built directly, not
@@ -143,7 +160,7 @@ class AssemblyPlan:
             (
                 weight[order],
                 src[order],
-                np.concatenate(([0], np.cumsum(np.bincount(slot)))),
+                np.concatenate((head, [len(key)])),
             ),
             shape=(self.nnz, n_elems * nc * nc),
         )

@@ -8,8 +8,9 @@ paper, Sec. II-B2, challenge 3: thresholded fields take values strictly
 between the binary limits exactly at these nodes).
 
 The enumeration is mesh-free in the paper's sense: nodes are identified by
-their location code only, and hangingness is decided by point-location
-queries against the leaf set — no neighbor lists are stored.
+their location code only, and hangingness is decided by a corner count and,
+where the count leaves it open, by point-location queries against the leaf
+set — no neighbor lists are stored.
 
 The central product is the interpolation matrix ``P`` with shape
 ``(n_nodes, n_dofs)``: for any vector of independent DOFs ``u``, ``P @ u``
@@ -84,8 +85,33 @@ class NodeTable:
         return self.P.T @ node_accum
 
 
+def expand_ragged(starts: np.ndarray, counts: np.ndarray):
+    """Concatenated ranges ``arange(starts[k], starts[k] + counts[k])`` over
+    ``k``, without a Python loop.  Returns ``(offsets, group)`` where
+    ``group`` maps each expanded slot back to its ``k``."""
+    total = int(counts.sum())
+    group = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    within = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(starts, counts) + within, group
+
+
 def enumerate_nodes(tree: Octree) -> NodeTable:
-    """Enumerate CG nodes of a 2:1-balanced linear octree."""
+    """Enumerate CG nodes of a 2:1-balanced linear octree.
+
+    A node is hanging when a leaf touching it does not have it as a corner.
+    The leaves touching a node are found by point location at its ``2**dim``
+    probes ``p + off``, ``off`` in ``{0, -1}**dim``, but only where a count
+    leaves the question open: a leaf with ``p`` as a corner holds exactly
+    one of the probes inside the root, and leaves are disjoint, so a node
+    that is a corner of as many leaves as it has in-root probes
+    (``2**(dim - b)`` with ``b`` axes on the root boundary) is regular.  Only
+    the nodes with fewer corner incidences are probed: hanging nodes, and
+    nodes next to a carved void.  The probes of those nodes also give each
+    hanging node's interpolation parents: the corners of the coarsest
+    touching leaf that does not have the node as a corner.
+    """
     dim = tree.dim
     nc = 1 << dim
     corners = tree.corners()  # (N, nc, dim)
@@ -95,28 +121,32 @@ def enumerate_nodes(tree: Octree) -> NodeTable:
     coords = unpack_points(uniq, dim)
     n_nodes = len(coords)
 
-    # --- find touching leaves via probe points p + off, off in {0,-1}^dim ---
-    probes = coords[:, None, :] - morton.corner_bits(dim)  # (M, nc, dim)
+    # --- regular by count: one corner incidence per in-root probe ----------
     bound = 1 << morton.MAX_DEPTH
+    on_root = np.count_nonzero((coords == 0) | (coords == bound), axis=1)
+    incidences = np.bincount(elem_nodes.ravel(), minlength=n_nodes)
+    cand = np.flatnonzero(incidences < (1 << (dim - on_root)))
+
+    # --- the others: touching leaves via probe points p + off ---------------
+    c_coords = coords[cand]
+    probes = c_coords[:, None, :] - morton.corner_bits(dim)  # (M, nc, dim)
     valid = np.all((probes >= 0) & (probes < bound), axis=-1)
-    touch = np.full((n_nodes, nc), -1, dtype=np.int64)
-    flat_ok = valid.reshape(-1)
-    flat_pts = probes.reshape(-1, dim)
-    loc = np.full(len(flat_pts), -1, dtype=np.int64)
-    if np.any(flat_ok):
-        loc[flat_ok] = tree.locate_points(flat_pts[flat_ok])
-    touch = loc.reshape(n_nodes, nc)
+    touch = np.full(valid.shape, -1, dtype=np.int64)
+    if np.any(valid):
+        touch[valid] = tree.locate_points(probes[valid])
 
     # --- hangingness: p must be a corner of every touching leaf -------------
     t_idx = np.where(touch >= 0, touch, 0)
     t_anchor = tree.anchors[t_idx]  # (M, nc, dim)
     t_size = tree.sizes()[t_idx]  # (M, nc)
-    rel = coords[:, None, :] - t_anchor
+    rel = c_coords[:, None, :] - t_anchor
     is_corner = np.all(
         (rel == 0) | (rel == t_size[..., None]), axis=-1
     )  # (M, nc)
     non_corner = (touch >= 0) & ~is_corner
-    is_hanging = np.any(non_corner, axis=1)
+    c_hanging = np.any(non_corner, axis=1)
+    is_hanging = np.zeros(n_nodes, dtype=bool)
+    is_hanging[cand] = c_hanging
 
     # --- interpolation parents for hanging nodes ----------------------------
     # Use the coarsest touching leaf for which the node is interior to a
@@ -135,13 +165,14 @@ def enumerate_nodes(tree: Octree) -> NodeTable:
     cols.append(dof_of_node[nh])
     vals.append(np.ones(n_dofs))
 
-    h_idx = np.nonzero(is_hanging)[0]
+    hc = np.flatnonzero(c_hanging)
+    h_idx = cand[hc]
     if len(h_idx):
         # Pick per hanging node the touching leaf with minimum level among
         # the non-corner ones.
-        lev = np.where(non_corner[h_idx], tree.levels[t_idx[h_idx]], 10**9)
+        lev = np.where(non_corner[hc], tree.levels[t_idx[hc]], 10**9)
         pick = np.argmin(lev, axis=1)
-        leaf = touch[h_idx, pick]
+        leaf = touch[hc, pick]
         a = tree.anchors[leaf]
         s = tree.sizes()[leaf].astype(np.float64)
         xi = (coords[h_idx] - a) / s[:, None]  # in [0,1]^dim
@@ -150,47 +181,29 @@ def enumerate_nodes(tree: Octree) -> NodeTable:
         # Corner node ids of the chosen leaves.
         corner_nodes = elem_nodes[leaf]  # works because leaf is an element idx
         keep = w > 1e-12
-        r = np.repeat(h_idx, keep.sum(axis=1))
+        r = np.repeat(h_idx, keep.sum(axis=1))  # sorted: h_idx ascends
         c_nodes = corner_nodes[keep]
         weights = w[keep]
         # Resolve chains: parents that are themselves hanging get substituted
-        # until only DOF-carrying nodes remain (bounded by MAX_DEPTH).
-        entries = {"r": r, "n": c_nodes, "w": weights}
+        # until only DOF-carrying nodes remain (bounded by MAX_DEPTH).  Each
+        # hanging parent's first-level expansion is its run of rows in r.
+        pr, pn, pw = r, c_nodes, weights
         for _ in range(morton.MAX_DEPTH + 1):
-            hang_par = is_hanging[entries["n"]]
-            if not np.any(hang_par):
+            hang = is_hanging[pn]
+            if not np.any(hang):
                 break
             # Keep resolved entries; expand hanging parents one level.
-            keep_r = entries["r"][~hang_par]
-            keep_n = entries["n"][~hang_par]
-            keep_w = entries["w"][~hang_par]
-            er = entries["r"][hang_par]
-            en = entries["n"][hang_par]
-            ew = entries["w"][hang_par]
-            # Each hanging parent en has its own first-level expansion,
-            # recorded in (r, c_nodes, weights) rows where r == en.
-            order = np.argsort(r, kind="stable")
-            rs, ns, ws = r[order], c_nodes[order], weights[order]
-            starts = np.searchsorted(rs, en, side="left")
-            ends = np.searchsorted(rs, en, side="right")
-            counts = ends - starts
-            new_r = np.repeat(er, counts)
-            new_w_scale = np.repeat(ew, counts)
-            gather = np.concatenate(
-                [np.arange(s0, e0) for s0, e0 in zip(starts, ends)]
-            ) if len(en) else np.zeros(0, np.int64)
-            new_n = ns[gather]
-            new_w = new_w_scale * ws[gather]
-            entries = {
-                "r": np.concatenate([keep_r, new_r]),
-                "n": np.concatenate([keep_n, new_n]),
-                "w": np.concatenate([keep_w, new_w]),
-            }
-        else:  # pragma: no cover - would indicate an unbalanced tree
+            starts = np.searchsorted(r, pn[hang], side="left")
+            ends = np.searchsorted(r, pn[hang], side="right")
+            gather, group = expand_ragged(starts, ends - starts)
+            pr = np.concatenate([pr[~hang], pr[hang][group]])
+            pn = np.concatenate([pn[~hang], c_nodes[gather]])
+            pw = np.concatenate([pw[~hang], pw[hang][group] * weights[gather]])
+        else:  # pragma: no cover - a chain deeper than the tree
             raise RuntimeError("hanging-node chain did not resolve")
-        rows.append(entries["r"])
-        cols.append(dof_of_node[entries["n"]])
-        vals.append(entries["w"])
+        rows.append(pr)
+        cols.append(dof_of_node[pn])
+        vals.append(pw)
 
     P = sp.csr_matrix(
         (

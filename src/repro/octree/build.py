@@ -31,8 +31,9 @@ def build_tree(
     """Grow a linear octree from the root.
 
     Every octant below ``min_level`` is always subdivided; octants at
-    ``max_level`` never are.  ``refine`` decides everything in between.
-    Void octants (per ``domain``) are discarded.
+    ``max_level`` never are.  ``refine`` decides everything in between, and
+    is asked about nothing else: an octant whose fate the level bounds fix is
+    never passed to it.  Void octants (per ``domain``) are discarded.
     """
     if not 0 <= min_level <= max_level <= morton.MAX_DEPTH:
         raise ValueError("bad level bounds")
@@ -45,9 +46,10 @@ def build_tree(
             anchors, levels = anchors[keep], levels[keep]
             if not len(levels):
                 break
-        want = refine(anchors, levels) if len(levels) else np.zeros(0, bool)
-        want = np.asarray(want, dtype=bool) | (levels < min_level)
-        want &= levels < max_level
+        want = levels < min_level
+        ask = ~want & (levels < max_level)
+        if np.any(ask):
+            want[ask] = np.asarray(refine(anchors[ask], levels[ask]), dtype=bool)
         if np.any(~want):
             done_a.append(anchors[~want])
             done_l.append(levels[~want])
