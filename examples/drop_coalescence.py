@@ -23,14 +23,14 @@ from repro.scenarios import build, run_scenario
 _m0 = None
 
 
-def print_step(state) -> None:
+def print_step(ts) -> None:
     global _m0
-    mesh, phi = state.mesh, state.phi
+    mesh, phi = ts.mesh, ts.phi
     mass = total_mass(mesh, phi)
     if _m0 is None:
         _m0 = mass
     neck = float(mesh.evaluate_at(phi, np.array([[0.52, 0.5]]))[0])
-    print(f"{state.step:>4} {mesh.n_elems:>6} {mass - _m0:>11.2e} "
+    print(f"{ts.step_count:>4} {mesh.n_elems:>6} {mass - _m0:>11.2e} "
           f"{ginzburg_landau_energy(mesh, phi, 0.04):>9.5f} {neck:>19.3f}")
 
 

@@ -21,17 +21,17 @@ from repro.amr.driver import level_fractions, uniform_equivalent_points
 from repro.scenarios import build, run_scenario
 
 
-def print_step(state) -> None:
-    d = state.stepper.diagnostics()
-    fr = level_fractions(state.mesh)
+def print_step(ts) -> None:
+    d = ts.diagnostics()
+    fr = level_fractions(ts.mesh)
     hist = " ".join(
         f"L{l}:{f:.0%}"
         for l, f in zip(fr["levels"], fr["element_fraction"])
         if f > 0
     )
-    print(f"step {state.step - 1}: {d.n_elems:5d} elems | phi in "
+    print(f"step {ts.step_count - 1}: {d.n_elems:5d} elems | phi in "
           f"[{d.phi_min:+.2f}, {d.phi_max:+.2f}] | "
-          f"|v|max {np.abs(state.vel).max():.2f} | {hist}")
+          f"|v|max {np.abs(ts.vel).max():.2f} | {hist}")
 
 
 def main() -> int:
@@ -42,9 +42,9 @@ def main() -> int:
 
     last = {}
 
-    def on_step(state):
-        print_step(state)
-        last["mesh"] = state.mesh
+    def on_step(ts):
+        print_step(ts)
+        last["mesh"] = ts.mesh
 
     result = run_scenario(
         config, on_step=on_step, workdir="jet_output" if write_vtk else None

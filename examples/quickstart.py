@@ -19,13 +19,13 @@ import numpy as np
 from repro.scenarios import build, run_scenario
 
 
-def print_step(state) -> None:
-    d = state.stepper.diagnostics()
-    w = np.maximum(-state.phi, 0.0)
-    y_com = float((state.mesh.dof_xy()[:, 1] * w).sum() / w.sum())
+def print_step(ts) -> None:
+    d = ts.diagnostics()
+    w = np.maximum(-ts.phi, 0.0)
+    y_com = float((ts.mesh.dof_xy()[:, 1] * w).sum() / w.sum())
     print(
-        f"{state.step:>4} {d.mass:>10.6f} {d.energy:>10.6f} "
-        f"{np.abs(state.vel).max():>8.4f} "
+        f"{ts.step_count:>4} {d.mass:>10.6f} {d.energy:>10.6f} "
+        f"{np.abs(ts.vel).max():>8.4f} "
         f"[{d.phi_min:>7.3f}, {d.phi_max:>6.3f}] {y_com:>9.4f}"
     )
 

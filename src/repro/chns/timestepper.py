@@ -1,10 +1,11 @@
-"""Two-block projection time stepper for CHNS (paper Sec. II-A).
+"""Projection time stepper for CHNS (paper Sec. II-A).
 
-Each block performs the four solves in order — CH, NS, PP, VU — and each
-timestep runs ``n_blocks`` blocks (the paper's scheme, from Khanwale et al.,
-uses two).  Built with ``flow=False`` the stepper is the same loop without
-its flow blocks — a Cahn-Hilliard-only run.  Per-block wall time is the
-:mod:`repro.obs` span tree ``chns.step/{remesh,ch,ns,pp,vu}``.
+A timestep is one pass of the four solves in order — CH, NS, PP, VU — the
+scheme of Khanwale et al.  Built with ``flow=False`` the stepper is the
+same pass without its flow solves — a Cahn-Hilliard-only run.  Per-solve
+wall time is the :mod:`repro.obs` span tree ``chns.step/{remesh,ch,ns,pp,vu}``.
+The stepper is the run's one clock: only ``step`` and ``restore`` write
+``t`` and ``step_count``; callers, the scenario runner included, read them.
 
 Optional AMR: every ``remesh_every`` steps the local-Cahn identifier and the
 multi-level refine/coarsen/balance/transfer pipeline rebuild the mesh, after
@@ -62,17 +63,18 @@ class CHNSTimeStepper:
     ):
         """``flow=False`` is a Cahn-Hilliard-only run: no NS/PP/VU solvers
         are built, ``vel``, ``vel_old`` and ``p`` stay ``None`` and each
-        block is the CH solve with no advecting velocity.
+        step is the CH solve with no advecting velocity.
 
-        ``precond`` is a vestigial key: ``None`` / ``"jacobi"`` is its only
-        legal value (NS and PP pick their preconditioners from the mesh size
-        and the solver's lifetime, DESIGN.md section 12).
+        ``precond`` and ``n_blocks`` are vestigial keys: ``None`` /
+        ``"jacobi"`` and ``1`` are their only legal values (NS and PP pick
+        their preconditioners from the mesh size and the solver's lifetime,
+        DESIGN.md section 12).
         ``ns_forcing`` is a manufactured momentum forcing ``f(x, t)`` (vector
         valued) — the MMS hook; the CH block is backward Euler.
 
         ``pp_mode`` selects the pressure-splitting flavor:
 
-        * ``"split"`` (default, historical): each block's Poisson solve
+        * ``"split"`` (default, historical): each step's Poisson solve
           rebuilds the pressure from ``div v*`` and the stored field is the
           splitting variable — the momentum predictor's explicit ``grad p^n``
           plus the correction's ``grad p^{n+1}`` make the *effective*
@@ -88,12 +90,16 @@ class CHNSTimeStepper:
         """
         self.params = params
         self.flow = flow
-        self.n_blocks = n_blocks
         self.velocity_bc = velocity_bc
         self.remesh_config = remesh_config
         self.remesh_every = remesh_every
         if precond not in (None, "jacobi"):
             raise ValueError(f"unknown precond {precond!r}")
+        if n_blocks != 1:
+            raise ValueError(
+                f"n_blocks={n_blocks} is gone: n_blocks=k was the run with "
+                "n_blocks=1, dt / k and k times the steps and remesh_every"
+            )
         if pp_mode not in ("split", "schur"):
             raise ValueError(f"unknown pp_mode {pp_mode!r}")
         self.pp_mode = pp_mode
@@ -102,8 +108,7 @@ class CHNSTimeStepper:
         self.step_count = 0
         self.vel = self.vel_old = self.p = None
         #: :class:`~repro.la.newton.NewtonResult` of the most recent CH
-        #: solve (the last block's when ``n_blocks > 1``); callers decide
-        #: what a non-converged one means.
+        #: solve; callers decide what a non-converged one means.
         self.last_newton: Optional[NewtonResult] = None
         #: cumulative work, one key per count: the CH block's Newton
         #: iterations, line-search trials, BiCGStab iterations, LU
@@ -153,7 +158,6 @@ class CHNSTimeStepper:
         """Set phi from a function of unit-cube coordinates; velocity and
         pressure start at rest; mu is made consistent with phi."""
         mesh = self.mesh
-        self.t = 0.0
         self.phi = mesh.interpolate(phi0)
         self.mu = self.ch.initial_mu(self.phi)
         if not self.flow:
@@ -199,7 +203,7 @@ class CHNSTimeStepper:
         fields: Dict[str, np.ndarray],
         *,
         step_count: int,
-        t: Optional[float] = None,
+        t: float,
         iteration_counts: Optional[Dict[str, int]] = None,
     ) -> None:
         """Resume from checkpointed state instead of :meth:`initialize`.
@@ -208,16 +212,16 @@ class CHNSTimeStepper:
         LU factors the CH, NS, PP and VU blocks hold, with the flow
         blocks' first-block counts (assembly plans are pure functions of
         the mesh), and a restored stepper starts without any: restoring
-        :meth:`fields` and the step count reproduces, bit for bit, an
-        uninterrupted run that called :meth:`drop_solver_state` after the
-        step they were captured at — the contract the scenario
+        :meth:`fields`, the step count and ``t`` (the value of :attr:`t`
+        when they were captured, not ``step_count * dt``) reproduces, bit
+        for bit, an uninterrupted run that called :meth:`drop_solver_state`
+        after the step they were captured at — the contract the scenario
         checkpoint/restart test pins down.  ``iteration_counts`` carries
         the cumulative work counts over.
         """
         self.set_fields(fields)
         self.step_count = int(step_count)
-        if t is not None:
-            self.t = float(t)
+        self.t = float(t)
         self.iteration_counts.update(iteration_counts or {})
 
     def drop_solver_state(self) -> None:
@@ -232,15 +236,10 @@ class CHNSTimeStepper:
     # -------------------------------------------------------------- step
 
     def step(self, dt: float) -> None:
-        """One timestep: remesh when due, then ``n_blocks`` blocks of CH
-        (followed by NS -> PP -> VU with flow)."""
+        """One timestep: remesh when due, then CH (followed by NS -> PP ->
+        VU with flow); ``t`` advances by ``dt`` and ``step_count`` by one."""
         with obs.span("chns.step"):
-            if (
-                self.remesh_every
-                and self.remesh_config is not None
-                and self.step_count > 0
-                and self.step_count % self.remesh_every == 0
-            ):
+            if self._remesh_due(self.step_count):
                 with obs.span("chns.remesh"):
                     new_mesh, new_fields, info = remesh(
                         self.mesh, self.fields(), self.remesh_config
@@ -251,44 +250,42 @@ class CHNSTimeStepper:
                 self.iteration_counts["remesh_cycles"] += 1
                 self.iteration_counts["remesh_unchanged"] += int(info.unchanged)
 
-            dt_b = dt / self.n_blocks
-            remeshes_next = self._remeshes_next()
-            for k in range(self.n_blocks):
-                t_n = self.t + k * dt_b
-                with obs.span("chns.ch"):
-                    ch_res = self.ch.solve(self.phi, self.mu, self.vel, dt_b)
-                    self.phi, self.mu = ch_res.phi, ch_res.mu
-                self.last_newton = newton = ch_res.newton
-                self.iteration_counts["newton"] += newton.iterations
-                self.iteration_counts["line_search_trials"] += (
-                    newton.line_search_trials
+            with obs.span("chns.ch"):
+                ch_res = self.ch.solve(self.phi, self.mu, self.vel, dt)
+                self.phi, self.mu = ch_res.phi, ch_res.mu
+            self.last_newton = newton = ch_res.newton
+            self.iteration_counts["newton"] += newton.iterations
+            self.iteration_counts["line_search_trials"] += (
+                newton.line_search_trials
+            )
+            self.iteration_counts["ch_linear"] += newton.linear_iterations
+            self.iteration_counts["ch_factorizations"] += newton.factorizations
+            self.iteration_counts["ch_fallbacks"] += newton.fallbacks
+            if self.flow:
+                # the step before a remesh is its mesh's last, on which the
+                # flow blocks make no factors
+                self._flow_block(
+                    dt, self._ns_load(dt),
+                    last_block=self._remesh_due(self.step_count + 1),
                 )
-                self.iteration_counts["ch_linear"] += newton.linear_iterations
-                self.iteration_counts["ch_factorizations"] += newton.factorizations
-                self.iteration_counts["ch_fallbacks"] += newton.fallbacks
-                if self.flow:
-                    self._flow_block(
-                        dt_b, self._ns_load(t_n, dt_b),
-                        last_block=remeshes_next and k == self.n_blocks - 1,
-                    )
             obs.incr("chns.steps")
             obs.gauge("chns.n_elems", self.mesh.n_elems)
 
         self.t += dt
         self.step_count += 1
 
-    def _remeshes_next(self) -> bool:
-        """The next step starts with a remesh: this step's last block is its
-        mesh's last, on which the flow blocks make no factors."""
+    def _remesh_due(self, k: int) -> bool:
+        """Step ``k`` starts with a remesh cycle."""
         return bool(
             self.remesh_every
             and self.remesh_config is not None
-            and (self.step_count + 1) % self.remesh_every == 0
+            and k > 0
+            and k % self.remesh_every == 0
         )
 
-    def _flow_block(self, dt_b: float, ns_forcing, *,
+    def _flow_block(self, dt: float, ns_forcing, *,
                     last_block: bool) -> None:
-        """NS -> PP -> VU of one block, from the block's new ``phi``/``mu``;
+        """NS -> PP -> VU of one step, from the step's new ``phi``/``mu``;
         ``last_block``: the mesh's last."""
         with obs.span("chns.ns"):
             ns_res = self.ns.solve(
@@ -297,7 +294,7 @@ class CHNSTimeStepper:
                 self.vel,
                 self.vel_old,
                 self.p,
-                dt_b,
+                dt,
                 dirichlet_masks=self.v_masks,
                 dirichlet_values=self.v_values,
                 forcing=ns_forcing,
@@ -319,7 +316,7 @@ class CHNSTimeStepper:
             # step, so nothing survives to be re-amplified.
             schur = self.pp_mode == "schur"
             pp_res = self.pp.solve(
-                self.phi, ns_res.vel_star, dt_b,
+                self.phi, ns_res.vel_star, dt,
                 p0=None if schur else self.p,
                 exact_projection=schur,
                 correction_masks=self.v_masks if schur else None,
@@ -335,7 +332,7 @@ class CHNSTimeStepper:
                 self.phi,
                 ns_res.vel_star,
                 pp_res.p,
-                dt_b,
+                dt,
                 dirichlet_masks=self.v_masks,
                 dirichlet_values=self.v_values,
                 last_block=last_block,
@@ -359,16 +356,16 @@ class CHNSTimeStepper:
             for s in (*ns_res.solves, pp_res.solve, *vu_res.solves)
         )
 
-    def _ns_load(self, t_n: float, dt_b: float):
-        """Assembled ``ns_forcing`` load for one block starting at ``t_n``
-        (None without forcing): the trapezoidal average matching the CN
-        predictor."""
+    def _ns_load(self, dt: float):
+        """Assembled ``ns_forcing`` load for the step from ``t`` to
+        ``t + dt`` (None without forcing): the trapezoidal average matching
+        the CN predictor."""
         f = self.ns_forcing
         if f is None:
             return None
         return 0.5 * (
-            forms.source_at(self.mesh, f, t_n)
-            + forms.source_at(self.mesh, f, t_n + dt_b)
+            forms.source_at(self.mesh, f, self.t)
+            + forms.source_at(self.mesh, f, self.t + dt)
         )
 
     # -------------------------------------------------------- diagnostics

@@ -22,7 +22,6 @@ from .runner import (  # noqa: F401
     JobTimeout,
     ScenarioInterrupt,
     SolverDivergence,
-    StepState,
     run_scenario,
 )
 from .schema import (  # noqa: F401

@@ -6,22 +6,25 @@ Executes one :class:`~repro.scenarios.schema.ScenarioConfig` to completion
 
 * ``solver="ch"`` runs the advective Cahn-Hilliard block alone (interface
   dynamics without flow — coalescence, spinodal, drop relaxation);
-* ``solver="chns"`` runs the full two-block projection stepper.
+* ``solver="chns"`` runs the full projection stepper.
 
 Both are one :class:`~repro.chns.timestepper.CHNSTimeStepper`, built with or
-without its flow blocks; it owns the mesh, the fields, the solvers and the
-work counts, and this module only drives it.
+without its flow blocks; it owns the mesh, the fields, the solvers, the
+work counts and the clock (``step_count`` and ``t``), and this module only
+drives it: the loop runs while ``step_count < time.n_steps``.
 
 Determinism contract: a run resumed from a checkpoint produces bit-identical
-final state and work counts to an uninterrupted run.  The solver state the
-serial numerics carry across steps, the LU factors the CH, NS, PP and VU
-blocks hold (with the flow blocks' first-block rule), is dropped at every multiple of
-``control.checkpoint_every`` whether or not a file is written, so where
-factors exist is a function of the config alone (the scenario tests pin
-this down).  A remesh cycle that keeps the mesh keeps the factors too; it
-does so on the fields alone, so a resumed run takes the same cycles.
-Checkpoints record a
-config digest and refuse to resume a *different* scenario.
+final state, work counts and clock to an uninterrupted run.  The solver
+state the serial numerics carry across steps, the LU factors the CH, NS, PP
+and VU blocks hold (with the flow blocks' first-block rule), is dropped at
+every multiple of ``control.checkpoint_every`` whether or not a file is
+written, so where factors exist is a function of the config alone (the
+scenario tests pin this down).  A remesh cycle that keeps the mesh keeps
+the factors too; it does so on the fields alone, so a resumed run takes the
+same cycles.
+Checkpoints record the step, the stepper's ``t`` (one written without it
+resumes at ``step * dt``) and a config digest, and refuse to resume a
+*different* scenario.
 
 Failure semantics: any exception inside the stepping loop — divergence,
 non-finite state, solver errors — is caught and reported as a ``failed``
@@ -61,19 +64,6 @@ class SolverDivergence(RuntimeError):
 
 class JobTimeout(RuntimeError):
     """Cooperative per-job wall-clock budget exceeded between steps."""
-
-
-@dataclass
-class StepState:
-    """Live view handed to ``on_step`` callbacks (examples print from it)."""
-
-    step: int
-    mesh: Mesh
-    phi: np.ndarray
-    mu: np.ndarray
-    vel: Optional[np.ndarray]  # None for solver="ch"
-    p: Optional[np.ndarray]  # None for solver="ch"
-    stepper: CHNSTimeStepper
 
 
 #: The flat count fields of records written before ``JobResult.counts``,
@@ -141,17 +131,23 @@ def config_digest(config: ScenarioConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _check_finite(step: int, *arrays: np.ndarray) -> None:
-    for a in arrays:
+def _check_step(ts: CHNSTimeStepper) -> None:
+    """Raise :class:`SolverDivergence` unless the step ``ts`` just took is
+    one to keep: its CH Newton solve converged and its state is finite, with
+    a bounded phase field."""
+    step = ts.step_count - 1
+    if not ts.last_newton.converged:
+        raise SolverDivergence(
+            f"CH Newton failed to converge at step {step} "
+            f"(residual {ts.last_newton.residual:.2e})"
+        )
+    for a in (ts.phi, ts.mu, ts.vel, ts.p):
         if a is not None and not np.all(np.isfinite(a)):
             raise SolverDivergence(f"non-finite state after step {step}")
-
-
-def _phi_sane(step: int, phi: np.ndarray) -> None:
-    if np.abs(phi).max() > 10.0:
+    if np.abs(ts.phi).max() > 10.0:
         raise SolverDivergence(
             f"phase field blew up after step {step} "
-            f"(|phi|max = {np.abs(phi).max():.2e})"
+            f"(|phi|max = {np.abs(ts.phi).max():.2e})"
         )
 
 
@@ -190,7 +186,7 @@ def run_scenario(
     *,
     job_id: Optional[str] = None,
     workdir: Optional[str] = None,
-    on_step: Optional[Callable[[StepState], None]] = None,
+    on_step: Optional[Callable[[CHNSTimeStepper], None]] = None,
     interrupt_after_step: Optional[int] = None,
 ) -> JobResult:
     """Run one scenario job; never raises for in-simulation failures.
@@ -198,7 +194,9 @@ def run_scenario(
     ``workdir`` (required for checkpoints / VTK output) receives
     ``checkpoint.npz`` every ``control.checkpoint_every`` steps; when a
     valid checkpoint for *this* config already exists there, the run
-    resumes from it.  ``interrupt_after_step=k`` raises
+    resumes from it.  ``on_step(stepper)`` is called with the live
+    :class:`~repro.chns.timestepper.CHNSTimeStepper` every
+    ``outputs.diagnostics_every`` steps.  ``interrupt_after_step=k`` raises
     :class:`ScenarioInterrupt` once step ``k`` has completed (checkpoint
     included) — the hook the interrupt/resume tests drive.
     """
@@ -255,19 +253,17 @@ def _make_stepper(config: ScenarioConfig, mesh: Mesh) -> CHNSTimeStepper:
         mesh,
         config.build_params(),
         flow=config.solver == "chns",
-        n_blocks=config.time.n_blocks,
         velocity_bc=config.build_bc(),
         remesh_config=config.refinement.build(),
         remesh_every=config.refinement.remesh_every,
-        precond=config.precond,
     )
 
 
 def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
     ckpt_path = os.path.join(workdir, "checkpoint.npz") if workdir else None
     digest = config_digest(config)
+    dt = config.time.dt
 
-    start_step = 0
     if ckpt_path and os.path.exists(ckpt_path):
         tree, fields, _, meta = load_checkpoint_meta(ckpt_path)
         if meta.get("config_digest") != digest:
@@ -275,12 +271,11 @@ def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
                 f"checkpoint in {workdir} belongs to a different scenario "
                 f"(digest {meta.get('config_digest')} != {digest})"
             )
-        start_step = int(meta["step"])
         ts = _make_stepper(config, Mesh(tree, check_balance=False))
-        ts.restore(fields, step_count=start_step,
-                   t=start_step * config.time.dt,
+        ts.restore(fields, step_count=meta["step"],
+                   t=meta.get("t", meta["step"] * dt),
                    iteration_counts=meta.get("counts", {}))
-        result.resumed_from_step = start_step
+        result.resumed_from_step = ts.step_count
     else:
         phi0 = config.build_ic()
         dom = config.domain
@@ -289,39 +284,35 @@ def _run_loop(config, result, clock, workdir, on_step, interrupt_after_step):
             threshold=dom.threshold,
         ))
         ts.initialize(phi0)
+    result.steps_done = ts.step_count
 
     try:
-        for step in range(start_step, config.time.n_steps):
-            clock.check(step)
-            ts.step(config.time.dt)
-            if not ts.last_newton.converged:
-                raise SolverDivergence(
-                    f"CH Newton failed to converge at step {step} "
-                    f"(residual {ts.last_newton.residual:.2e})"
-                )
-            done = step + 1
-            result.steps_done = done
-            _check_finite(step, ts.phi, ts.mu, ts.vel, ts.p)
-            _phi_sane(step, ts.phi)
+        while ts.step_count < config.time.n_steps:
+            clock.check(ts.step_count)
+            ts.step(dt)
+            _check_step(ts)
+            result.steps_done = ts.step_count
             every = config.outputs.diagnostics_every
-            if on_step is not None and every and done % every == 0:
-                on_step(StepState(done, ts.mesh, ts.phi, ts.mu, ts.vel, ts.p,
-                                  ts))
+            if on_step is not None and every and ts.step_count % every == 0:
+                on_step(ts)
             if config.outputs.vtk and workdir:
-                _write_vtk(config, ts, workdir, done)
+                _write_vtk(config, ts, workdir)
             ck_every = config.control.checkpoint_every
-            if ck_every and done % ck_every == 0:
+            if ck_every and ts.step_count % ck_every == 0:
                 # A resumed run starts here without factors; so does this one.
                 ts.drop_solver_state()
                 if ckpt_path:
                     save_checkpoint(
                         ckpt_path, ts.mesh.tree, ts.fields(),
                         nprocs=config.control.nprocs,
-                        meta={"step": done, "config_digest": digest,
+                        meta={"step": ts.step_count, "t": ts.t,
+                              "config_digest": digest,
                               "counts": ts.iteration_counts},
                     )
-            if interrupt_after_step is not None and done >= interrupt_after_step:
-                raise ScenarioInterrupt(f"injected interrupt after step {done}")
+            if (interrupt_after_step is not None
+                    and ts.step_count >= interrupt_after_step):
+                raise ScenarioInterrupt(
+                    f"injected interrupt after step {ts.step_count}")
     finally:
         _record_work(result, ts)
 
@@ -344,11 +335,11 @@ def _record_work(result: JobResult, ts: CHNSTimeStepper) -> None:
         result.diagnostics["div_l2"] = float(d.div_l2)
 
 
-def _write_vtk(config, ts, workdir, done):
+def _write_vtk(config, ts, workdir):
     from ..io.vtk import write_time_series
 
     write_time_series(
-        os.path.join(workdir, "vtk"), config.name, done, ts.mesh,
+        os.path.join(workdir, "vtk"), config.name, ts.step_count, ts.mesh,
         point_data={"phi": ts.phi},
         cell_data={"level": ts.mesh.tree.levels.astype(float)},
     )

@@ -155,15 +155,13 @@ class RefinementPolicy:
 class TimeConfig:
     dt: float = 1e-3
     n_steps: int = 4
-    n_blocks: int = 1  # projection blocks per step (CHNS only)
+    n_blocks: int = 1  # vestigial, 1 only: the frozen benchmark specs spell it
 
     def validate(self) -> None:
         if self.dt <= 0:
             raise ScenarioError("time.dt must be positive")
         if self.n_steps < 1:
             raise ScenarioError("time.n_steps must be >= 1")
-        if self.n_blocks < 1:
-            raise ScenarioError("time.n_blocks must be >= 1")
 
 
 @dataclass
@@ -254,8 +252,12 @@ class ScenarioConfig:
             )
         if self.precond is not None and self.solver != "chns":
             raise ScenarioError("precond only applies to solver='chns'")
-        if self.time.n_blocks != 1 and self.solver != "chns":
-            raise ScenarioError("time.n_blocks != 1 requires solver='chns'")
+        if self.time.n_blocks != 1:
+            raise ScenarioError(
+                f"time.n_blocks={self.time.n_blocks} is gone: n_blocks=k was "
+                "the run with n_blocks=1, dt / k and k times n_steps, "
+                "remesh_every and checkpoint_every"
+            )
         self.build_params()  # CHNSParams validates positivity
         rm = self.refinement.build()
         if rm is not None and rm.feature_level < self.domain.max_level:

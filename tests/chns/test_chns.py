@@ -738,21 +738,19 @@ class TestTimeStepper:
 
     def test_timers_populated(self, mesh8):
         """The per-block timers are the obs span tree: one ``chns.step``
-        with each block once per projection block, and nothing else."""
+        with each block once, and nothing else."""
         prm = CHNSParams(Pe=50.0, Cn=0.1, rho_minus=0.5, eta_minus=0.5)
-        for n_blocks in (1, 2):
-            ts = CHNSTimeStepper(mesh8, prm, n_blocks=n_blocks,
-                                 velocity_bc=no_slip_bc)
-            ts.initialize(lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn))
-            with obs.tracing():
-                assert ts.step(1e-3) is None
-                snap = obs.snapshot()
-            (step,) = snap["spans"]
-            assert (step["name"], step["count"]) == ("chns.step", 1)
-            assert [(c["name"], c["count"]) for c in step["children"]] == [
-                (f"chns.{b}", n_blocks) for b in ("ch", "ns", "pp", "vu")
-            ]
-            assert snap["counters"]["chns.steps"] == 1
+        ts = CHNSTimeStepper(mesh8, prm, velocity_bc=no_slip_bc)
+        ts.initialize(lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn))
+        with obs.tracing():
+            assert ts.step(1e-3) is None
+            snap = obs.snapshot()
+        (step,) = snap["spans"]
+        assert (step["name"], step["count"]) == ("chns.step", 1)
+        assert [(c["name"], c["count"]) for c in step["children"]] == [
+            (f"chns.{b}", 1) for b in ("ch", "ns", "pp", "vu")
+        ]
+        assert snap["counters"]["chns.steps"] == 1
 
     def test_ch_only_step(self, mesh8):
         """Built without flow the stepper is the CH block alone: no flow
@@ -785,18 +783,35 @@ class TestTimeStepper:
         fields = ts.fields()
         assert sorted(fields) == ["mu", "p", "phi", "v0", "v1", "vold0", "vold1"]
         ts2 = CHNSTimeStepper(mesh8, prm, velocity_bc=no_slip_bc)
-        ts2.restore(fields, step_count=1,
+        ts2.restore(fields, step_count=1, t=ts.t,
                     iteration_counts=ts.iteration_counts)
         for name in ("phi", "mu", "p", "vel", "vel_old"):
             assert np.array_equal(getattr(ts2, name), getattr(ts, name)), name
-        assert ts2.step_count == 1
+        assert (ts2.step_count, ts2.t) == (ts.step_count, ts.t) == (1, 1e-3)
         assert ts2.iteration_counts == ts.iteration_counts
         with pytest.raises(ValueError, match="v1 has shape"):
-            ts2.restore({**fields, "v1": fields["v1"][:-1]}, step_count=1)
+            ts2.restore({**fields, "v1": fields["v1"][:-1]}, step_count=1,
+                        t=ts.t)
 
-    def test_two_blocks_per_step(self, mesh8):
-        prm = CHNSParams(Pe=50.0, Cn=0.1, rho_minus=0.5, eta_minus=0.5)
-        ts = CHNSTimeStepper(mesh8, prm, n_blocks=2, velocity_bc=no_slip_bc)
-        ts.initialize(lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn))
+    def test_initialize_keeps_the_clock(self, mesh8):
+        """Only ``step`` and ``restore`` move the clock: ``initialize``
+        sets the fields and leaves ``t`` and ``step_count`` alone."""
+        prm = CHNSParams(Pe=50.0, Cn=0.1)
+        ts = CHNSTimeStepper(mesh8, prm, flow=False)
+        phi0 = lambda x: drop(x, (0.5, 0.5), 0.25, prm.Cn)  # noqa: E731
+        ts.initialize(phi0)
+        assert (ts.step_count, ts.t) == (0, 0.0)
         ts.step(1e-3)
-        assert ts.step_count == 1
+        ts.step(1e-3)
+        ts.initialize(phi0)
+        assert (ts.step_count, ts.t) == (2, 2e-3)
+
+    @pytest.mark.parametrize("n_blocks", [0, 2])
+    def test_n_blocks_other_than_one_rejected(self, mesh8, n_blocks):
+        """``n_blocks`` is a vestigial key: a value other than 1 is an
+        error naming the run ``n_blocks = k`` meant."""
+        with pytest.raises(ValueError, match=(
+                f"n_blocks={n_blocks} is gone: n_blocks=k was the run with "
+                "n_blocks=1, dt / k and k times the steps and remesh_every")):
+            CHNSTimeStepper(mesh8, CHNSParams(), n_blocks=n_blocks)
+        CHNSTimeStepper(mesh8, CHNSParams(), n_blocks=1)

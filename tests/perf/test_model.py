@@ -183,8 +183,8 @@ class TestObsCalibration:
         assert result.status == "succeeded"
         report = obs.world_report([snap])
         prof = iter_profile_from_obs(report)
-        counts = seen[-1].stepper.iteration_counts
-        blocks = cfg.time.n_steps * cfg.time.n_blocks
+        counts = seen[-1].iteration_counts
+        blocks = cfg.time.n_steps
         dim = cfg.domain.dim  # NS and VU solve one system per component
         assert prof["ns"] == pytest.approx(counts["krylov_ns"] / (dim * blocks))
         assert prof["pp"] == pytest.approx(counts["krylov_pp"] / blocks)

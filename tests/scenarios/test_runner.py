@@ -74,7 +74,7 @@ def _run_with_factoring_blocks(cfg):
     not the mesh's first, and not followed by a remesh.  Returns the result
     and that count."""
     meshes = []
-    res = run_scenario(cfg, on_step=lambda s: meshes.append(s.mesh))
+    res = run_scenario(cfg, on_step=lambda ts: meshes.append(ts.mesh))
     assert res.status == "succeeded"
     every = cfg.refinement.remesh_every
     factoring = set()
@@ -194,8 +194,8 @@ class TestRun:
 
         def run():
             steps = []
-            res = run_scenario(cfg, on_step=lambda s: steps.append(
-                (s.mesh, s.vel.copy(), s.p.copy())))
+            res = run_scenario(cfg, on_step=lambda ts: steps.append(
+                (ts.mesh, ts.vel.copy(), ts.p.copy())))
             assert res.status == "succeeded"
             return res, steps
 
@@ -341,26 +341,42 @@ class TestRun:
         assert "CH Newton failed to converge at step 0" in res.error
         assert res.counts["newton"] > 0
 
+    def test_rejected_step_is_not_done(self, monkeypatch):
+        """A step whose Newton solve converged to a non-finite state fails
+        the job and is not counted in ``steps_done``."""
+        solve = CHSolver.solve
+
+        def nan_phi(self, *args, **kwargs):
+            res = solve(self, *args, **kwargs)
+            return dataclasses.replace(res, phi=np.full_like(res.phi, np.nan))
+
+        monkeypatch.setattr(CHSolver, "solve", nan_phi)
+        res = run_scenario(build("drop_2d", quick=True))
+        assert res.status == "failed"
+        assert "non-finite state after step 0" in res.error
+        assert res.steps_done == 0
+
     def test_on_step_sees_live_state(self):
         seen = []
         cfg = build("drop_2d", quick=True)
         cfg.outputs.diagnostics_every = 1
-        run_scenario(cfg, on_step=lambda s: seen.append(
-            (s.step, float(s.phi.min()), float(s.phi.max()))))
+        run_scenario(cfg, on_step=lambda ts: seen.append(
+            (ts.step_count, ts.t, float(ts.phi.min()), float(ts.phi.max()))))
         assert [s[0] for s in seen] == list(range(1, cfg.time.n_steps + 1))
-        assert all(-1.5 < lo <= hi < 1.5 for _, lo, hi in seen)
+        t = 0.0
+        for _, t_seen, lo, hi in seen:
+            t += cfg.time.dt
+            assert t_seen == t and -1.5 < lo <= hi < 1.5
 
     def test_on_step_gets_the_stepper_without_flow_too(self):
         seen = []
         cfg = build("spinodal_2d", quick=True)
-        run_scenario(cfg, on_step=seen.append)
-        assert len(seen) == cfg.time.n_steps
-        for state in seen:
-            ts = state.stepper
-            assert ts.mesh is state.mesh and ts.step_count >= state.step
-            assert state.vel is None and state.p is None
-            assert ts.vel is None and ts.p is None
-            assert ts.diagnostics().n_elems == state.mesh.n_elems
+        run_scenario(cfg, on_step=lambda ts: seen.append(
+            (ts.step_count, ts.vel, ts.p, ts.diagnostics().n_elems,
+             ts.mesh.n_elems)))
+        assert [s[0] for s in seen] == list(range(1, cfg.time.n_steps + 1))
+        for _, vel, p, n_diag, n_mesh in seen:
+            assert vel is None and p is None and n_diag == n_mesh
 
     def test_ch_only_job_records_the_step_span(self):
         cfg = build("coalescence_2d", quick=True)
@@ -458,8 +474,8 @@ class TestOnePath:
         cfg = build(name, quick=quick)
         assert cfg.solver == "ch" and cfg.control.checkpoint_every == 0
         seen = []
-        res = run_scenario(cfg, on_step=lambda s: seen.append(
-            (s.mesh.n_elems, s.phi.copy(), s.mu.copy())))
+        res = run_scenario(cfg, on_step=lambda ts: seen.append(
+            (ts.mesh.n_elems, ts.phi.copy(), ts.mu.copy())))
         assert res.status == "succeeded"
         oracle = list(_ch_only_by_hand(cfg))
         assert len(seen) == len(oracle) == cfg.time.n_steps
@@ -485,23 +501,17 @@ class TestInterruptRestart:
 
     def _straight_and_resumed(self, cfg, tmp_path, interrupt_after):
         """An uninterrupted run *without* a workdir against one cut at
-        ``interrupt_after`` and resumed: every field bit-identical, every
-        work count of the job record equal, the stepper clock the same at
-        every common step.  Returns the straight result."""
-        final, clock = {}, {}
+        ``interrupt_after`` and resumed: every field bit-identical at every
+        step after the cut, every work count of the job record equal, the
+        stepper clock equal (``==``) at every common step.  Returns the
+        straight result."""
+        fields, clock = {}, {}
 
         def capture(tag):
-            def cb(state):
-                clock.setdefault(tag, {})[state.step] = state.stepper.t
-                if state.step == cfg.time.n_steps:
-                    final[tag] = {
-                        k: v.copy()
-                        for k, v in (
-                            ("phi", state.phi), ("mu", state.mu),
-                            ("vel", state.vel), ("p", state.p),
-                            ("vel_old", getattr(state.stepper, "vel_old", None)),
-                        ) if v is not None
-                    }
+            def cb(ts):
+                clock.setdefault(tag, {})[ts.step_count] = ts.t
+                fields.setdefault(tag, {})[ts.step_count] = {
+                    k: v.copy() for k, v in ts.fields().items()}
             return cb
 
         straight = run_scenario(cfg, on_step=capture("straight"))
@@ -512,25 +522,28 @@ class TestInterruptRestart:
                            interrupt_after_step=interrupt_after)
         assert cut.status == "interrupted"
         assert cut.steps_done == interrupt_after
-        assert "cut" not in final  # never reached the last step
+        assert max(clock["cut"]) == interrupt_after  # never got further
 
         resumed = run_scenario(cfg, workdir=wd, on_step=capture("resumed"))
         assert resumed.status == "succeeded"
         assert resumed.resumed_from_step == interrupt_after
         assert resumed.steps_done == cfg.time.n_steps
 
-        a, b = final["straight"], final["resumed"]
-        assert a.keys() == b.keys() and "phi" in a
-        for key in a:
-            assert np.array_equal(a[key], b[key]), (
-                f"{key} not bit-identical after resume"
-            )
+        assert sorted(fields["resumed"]) == list(
+            range(interrupt_after + 1, cfg.time.n_steps + 1))
+        for step, b in fields["resumed"].items():
+            a = fields["straight"][step]
+            assert a.keys() == b.keys() and "phi" in a
+            for key in a:
+                assert np.array_equal(a[key], b[key]), (
+                    f"{key} not bit-identical at step {step} after resume"
+                )
         assert resumed.counts == straight.counts
         assert resumed.n_elems_final == straight.n_elems_final
         assert resumed.diagnostics == straight.diagnostics
-        assert cfg.time.n_steps in clock["resumed"]
-        for step, t in clock["resumed"].items():  # k * dt vs dt + ... + dt
-            assert t == pytest.approx(clock["straight"][step], rel=1e-12)
+        for tag in ("cut", "resumed"):
+            for step, t in clock[tag].items():
+                assert t == clock["straight"][step], (tag, step)
         return straight
 
     def test_bit_identical_resume(self, tmp_path):
@@ -544,6 +557,35 @@ class TestInterruptRestart:
         assert c["ch_linear"] > 0 and c["krylov"] > 0
         # the resumed record counts the trials before the cut too (counts)
         assert c["line_search_trials"] >= c["newton"] > 0
+
+    def test_late_cut_resumes_the_same_clock(self, tmp_path):
+        """Cut at step 10 of 12: ``t`` is a sum of ``dt``s, which
+        ``10 * dt`` is not (0.011 against 0.011000000000000003 at step 11);
+        the resumed stepper continues from the checkpoint's ``t``."""
+        cfg = self._config()
+        cfg.time.n_steps = 12
+        self._straight_and_resumed(cfg, tmp_path, 10)
+
+    def test_checkpoint_without_t_resumes_at_step_times_dt(self, tmp_path):
+        """A checkpoint written before ``meta`` carried ``t`` resumes with
+        ``t = step * dt``: cut at step 10, that is not the sum of ten
+        ``dt``s the checkpoint now holds."""
+        from repro.amr.checkpoint import load_checkpoint_meta, save_checkpoint
+
+        cfg = self._config()
+        cfg.time.n_steps = 11
+        dt, wd = cfg.time.dt, tmp_path / "wd"
+        run_scenario(cfg, workdir=str(wd), interrupt_after_step=10)
+        path = str(wd / "checkpoint.npz")
+        tree, fields, nprocs, meta = load_checkpoint_meta(path)
+        assert meta.pop("t") == sum([dt] * 10) != 10 * dt
+        save_checkpoint(path, tree, fields, nprocs=nprocs, meta=meta)
+        clock = {}
+        resumed = run_scenario(cfg, workdir=str(wd), on_step=lambda ts:
+                               clock.setdefault(ts.step_count, ts.t))
+        assert resumed.status == "succeeded"
+        assert resumed.resumed_from_step == 10
+        assert clock == {11: 10 * dt + dt}
 
     @pytest.mark.parametrize("name", ["rising_bubble_2d", "spinodal_2d"])
     def test_factors_cross_the_steps_between_checkpoints(self, tmp_path, name):
@@ -574,7 +616,7 @@ class TestInterruptRestart:
         cfg.control.checkpoint_every = 3
         cfg.control.backend = "serial"
         meshes = []
-        run_scenario(cfg, on_step=lambda s: meshes.append(s.mesh))
+        run_scenario(cfg, on_step=lambda ts: meshes.append(ts.mesh))
         kept = [step for step in range(6, cfg.time.n_steps)
                 if step % cfg.refinement.remesh_every == 0
                 and meshes[step] is meshes[step - 1]]
@@ -584,6 +626,18 @@ class TestInterruptRestart:
         assert straight.counts["remesh_cycles"] == 5
         assert (straight.counts["remesh_unchanged"]
                 == cut.counts["remesh_unchanged"] + 1)
+
+    def test_resumed_job_that_fails_keeps_its_done_steps(self, tmp_path,
+                                                          monkeypatch):
+        """Resumed at step 2, a job whose first step fails has done the two
+        steps of its checkpoint."""
+        cfg = self._config()
+        wd = str(tmp_path / "wd")
+        run_scenario(cfg, workdir=wd, interrupt_after_step=2)
+        newton_never_converges(monkeypatch)
+        res = run_scenario(cfg, workdir=wd)
+        assert res.status == "failed" and "at step 2" in res.error
+        assert res.steps_done == res.resumed_from_step == 2
 
     def test_checkpoint_without_counts_still_loads(self, tmp_path):
         """A checkpoint written before the counts were carried resumes with
@@ -669,8 +723,8 @@ class TestInterruptRestart:
         final = {}
 
         def keep(tag):
-            def cb(state):
-                final[tag] = (state.step, state.phi.copy(), state.mu.copy())
+            def cb(ts):
+                final[tag] = (ts.step_count, ts.phi.copy(), ts.mu.copy())
             return cb
 
         straight = run_scenario(cfg, on_step=keep("straight"))

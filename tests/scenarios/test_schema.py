@@ -109,15 +109,21 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="chns"):
             cfg.validate()
 
-    def test_n_blocks_requires_chns(self):
-        """Projection blocks without a projection were accepted and
-        ignored; every registry variant carries ``n_blocks == 1``."""
-        cfg = self._base(solver="ch", time=TimeConfig(n_blocks=2))
-        with pytest.raises(ScenarioError, match="n_blocks.*chns"):
+    @pytest.mark.parametrize("solver", ["ch", "chns"])
+    @pytest.mark.parametrize("n_blocks", [0, 2])
+    def test_n_blocks_is_one_or_names_the_run_it_meant(self, solver,
+                                                       n_blocks):
+        """``time.n_blocks`` is a vestigial key the frozen benchmark specs
+        spell: ``n_blocks = k`` was, bit for bit, the run with ``dt / k``
+        and ``k`` times the steps, the remesh and checkpoint intervals."""
+        cfg = self._base(solver=solver, time=TimeConfig(n_blocks=n_blocks))
+        with pytest.raises(ScenarioError, match=(
+                f"time.n_blocks={n_blocks} is gone: n_blocks=k was the run "
+                "with n_blocks=1, dt / k and k times n_steps, remesh_every "
+                "and checkpoint_every")):
             cfg.validate()
-        self._base(solver="chns", time=TimeConfig(n_blocks=2)).validate()
-        from repro.scenarios import build, variants
-
+        cfg.time.n_blocks = 1
+        cfg.validate()
         for name in variants():
             for quick in (True, False):
                 assert build(name, quick=quick).time.n_blocks == 1
@@ -173,11 +179,20 @@ class TestBuilders:
 
 class TestRepoBenchmarkContract:
     """``benchmarks/perf`` is frozen between re-baselines: the scenario
-    dicts of its workload specs must keep loading and every name its tracer
-    wraps must keep resolving, or a simplification here breaks it silently.
-    Read-only: nothing under ``benchmarks/perf`` is run or written."""
+    dicts of its workload specs must keep loading, every name its tracer
+    wraps must keep resolving and its stepped drivers must keep stepping,
+    or a simplification here breaks it silently.  Read-only: nothing under
+    ``benchmarks/perf`` is written."""
 
     PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+
+    def _load(self, module):
+        spec = importlib.util.spec_from_file_location(
+            f"perf_{module}", self.PERF / f"{module}.py"
+        )
+        loaded = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loaded)
+        return loaded
 
     def test_workload_scenarios_load_and_build(self):
         specs = sorted((self.PERF / "workloads").glob("*.json"))
@@ -195,13 +210,29 @@ class TestRepoBenchmarkContract:
                 cfg.refinement.build()
 
     def test_traced_names_resolve(self):
-        spec = importlib.util.spec_from_file_location(
-            "perf_trace", self.PERF / "trace.py"
-        )
-        trace = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(trace)
+        trace = self._load("trace")
         for modname, attr, *_ in trace.FUNCTIONS:
             assert callable(getattr(importlib.import_module(modname), attr))
         for modname, clsname, attr, *_ in trace.METHODS:
             cls = getattr(importlib.import_module(modname), clsname)
             assert attr in cls.__dict__, (modname, clsname, attr)
+
+    def test_stepped_workload_drivers_step(self):
+        """Every stepped workload driver, built as the harness builds it
+        (smoke inputs, seed 0), sets up and takes one step its own checks
+        pass: a change to what the frozen drivers call on the stepper (its
+        constructor, ``step(dt)``, ``iteration_counts``) fails here, not
+        only in the benchmark's smoke run."""
+        W = self._load("workloads")
+        stepped = [n for n in W.NAMES if W.load_spec(n)["kind"] in W.DRIVERS]
+        assert len(stepped) == 5
+        for name in stepped:
+            spec = W.generate(name, 0, smoke=True)
+            sim = W.make_sim(spec)
+            sim.setup()
+            first = sim.diagnostics()
+            sim.step()
+            diag = sim.diagnostics()
+            assert W.step_failure(spec, sim.fields(), diag, first,
+                                  first) is None, name
+            assert sim.counts() and sim.mesh.n_dofs > 0, name
