@@ -6,12 +6,14 @@ completed, the 2:1-balance condition must be restored").  The algorithm here
 iterates to a global fixed point:
 
 1. each rank ripple-balances its local (incomplete) chunk;
-2. leaves whose balance stencil reaches outside the local chunk route their
-   sample points to the owning rank (found from allgathered partition
-   endpoint ranges) via the NBX sparse exchange; owners reply with the level
-   of the containing leaf;
-3. local leaves more than one level coarser than a remote neighbor are
-   refined (multi-level, directly to the required level);
+2. sample points of the local balance stencil (one per direction of every
+   complete sibling family's parent, and of every other leaf; see
+   :func:`~repro.octree.neighbors.balance_stencil`) that fall outside the
+   local chunk are routed to the owning rank (found from allgathered
+   partition endpoint ranges) via the NBX sparse exchange, with the level
+   the leaf there must reach;
+3. a leaf more than one level coarser than a remote neighbor is refined by
+   one level per round (the serial balance's minimal +1 ripple);
 4. an allreduce detects global convergence.
 
 Levels only increase and are bounded, so termination is guaranteed; the
@@ -26,7 +28,7 @@ from ..mpi.comm import Comm
 from ..mpi.sparse_exchange import nbx_exchange
 from . import morton
 from .balance import balance
-from .neighbors import neighbor_sample_points
+from .neighbors import balance_stencil
 from .refine import refine
 from .tree import Octree
 
@@ -41,7 +43,6 @@ def _owner_of_points(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def par_balance(comm: Comm, local: Octree) -> Octree:
     """Restore global 2:1 balance on an SFC-partitioned linear octree."""
-    dim = local.dim
     current = local
 
     for _ in range(_MAX_ROUNDS):
@@ -55,25 +56,14 @@ def par_balance(comm: Comm, local: Octree) -> Octree:
             [firsts[r] for r in owners], dtype=np.uint64
         )
 
-        # Sample points outside my coverage -> query their owners.
-        if len(current):
-            pts, inside = neighbor_sample_points(
-                current.anchors, current.levels, dim
-            )
-            flat = pts.reshape(-1, dim)
-            ok = inside.reshape(-1)
-            located = np.full(len(flat), -1, dtype=np.int64)
-            if np.any(ok):
-                located[ok] = current.locate_points(flat[ok])
-            remote_sel = ok & (located < 0)
-            remote_pts = flat[remote_sel]
-            # Level each remote point must satisfy: my leaf level - 1.
-            need = np.repeat(
-                current.levels, pts.shape[1]
-            )[remote_sel] - 1
-        else:
-            remote_pts = np.zeros((0, dim), np.int64)
-            need = np.zeros(0, np.int64)
+        # Stencil points outside my coverage -> query their owners, with
+        # the level the leaf there must reach.
+        stencil = balance_stencil(current)
+        remote_sel = stencil.inside & (stencil.found < 0)
+        remote_pts = stencil.points[remote_sel]
+        need = np.broadcast_to(
+            stencil.required[:, None], remote_sel.shape
+        )[remote_sel]
 
         outgoing = {}
         if len(remote_pts):

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from repro.octree import morton
 from repro.octree.balance import balance, is_balanced
 from repro.octree.build import build_tree, uniform_tree
-from repro.octree.domain import BoxDomain
 from repro.octree.neighbors import (
+    balance_stencil,
     direction_stencil,
-    leaf_neighbors,
     neighbor_sample_points,
 )
 from repro.octree.refine import refine
 from repro.octree.tree import Octree
+
+from .test_balance_oracles import CARVED, jumpy_tree, leaf_neighbors
 
 
 def random_leaf_tree(seed, dim, max_level=5, p=0.4):
@@ -166,26 +167,6 @@ def ripple_balance(tree, domain=None):
         current = refine(current, np.minimum(targets, levels + 1), domain=domain)
 
 
-def jumpy_tree(seed, dim, domain=None):
-    """A random leaf tree with a few leaves refined 2-4 levels in one go."""
-    rng = np.random.default_rng(seed)
-
-    def pred(anchors, levels):
-        return rng.random(len(levels)) < 0.4
-
-    t = build_tree(dim, pred, max_level=4 if dim == 2 else 3, min_level=1,
-                   domain=domain)
-    targets = t.levels.copy()
-    picks = rng.choice(len(t), size=min(3, len(t)), replace=False)
-    targets[picks] += rng.integers(2, 5, size=len(picks))
-    return refine(t, targets, domain=domain)
-
-
-#: a box whose faces cut octants at every level, so refine drops void children
-CARVED = {2: BoxDomain([0.0, 0.1], [0.7, 0.55]),
-          3: BoxDomain([0.0, 0.1, 0.2], [0.7, 0.55, 0.9])}
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]),
        carved=st.booleans())
@@ -216,19 +197,34 @@ def test_carved_balance_drops_void_children(dim):
 def test_later_passes_check_only_what_changed(monkeypatch):
     checked = []
 
-    def counting(tree, indices=None):
-        checked.append((len(tree), len(tree) if indices is None else len(indices)))
-        return leaf_neighbors(tree, indices)
+    def counting(tree, check=None):
+        stencil = balance_stencil(tree, check)
+        # (leaves, leaves the pass covers, octants it queries)
+        checked.append((len(tree), int(stencil.span.sum()), len(stencil.first)))
+        return stencil
 
     # (the package re-exports the function under the module's name)
     module = importlib.import_module("repro.octree.balance")
-    monkeypatch.setattr(module, "leaf_neighbors", counting)
+    monkeypatch.setattr(module, "balance_stencil", counting)
     t = uniform_tree(2, 3)
     targets = t.levels.copy()
     targets[0] = 8  # a 5-level jump: several ripple passes
     b = balance(refine(t, targets))
     passes = list(checked)
     assert len(passes) >= 3
-    assert passes[0][1] == passes[0][0]  # the first pass checks every leaf
-    assert all(n_check < n_leaves for n_leaves, n_check in passes[1:])
+    assert passes[0][1] == passes[0][0]  # the first pass covers every leaf
+    assert all(n_covered < n_leaves for n_leaves, n_covered, _ in passes[1:])
+    assert all(n_query <= n_covered for _, n_covered, n_query in passes)
     assert is_balanced(b)
+
+
+def test_uniform_check_queries_one_parent_per_family():
+    """A uniform level-5 2D tree is 256 complete sibling families: its 2:1
+    check queries 256 parents, not 1,024 leaves, and still finds it
+    balanced."""
+    t = uniform_tree(2, 5)
+    stencil = balance_stencil(t)
+    assert len(t) == 1024
+    assert len(stencil.first) == 256
+    assert np.all(stencil.span == 4)
+    assert is_balanced(t)
