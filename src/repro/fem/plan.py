@@ -51,6 +51,7 @@ import copy
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .. import obs
 from ..mesh.mesh import Mesh
@@ -220,16 +221,29 @@ class AssemblyPlan:
     def block_2x2(self, d11, d12, d21, d22) -> sp.csr_matrix:
         """``sp.bmat([[A11, A12], [A21, A22]], format="csr")`` of four
         matrices of this plan, given only their ``data`` vectors: one gather
-        into a ``(2 n, 2 n)`` layout built on first use.  The layout is what
-        ``sp.bmat`` makes of the slot numbers, so the result is bit for bit
-        ``sp.bmat`` of the four matrices."""
+        into a ``(2 n, 2 n)`` layout built on first use.  The layout is
+        ``sp.bmat``'s, built from the plan's ``indptr`` / ``indices``: row
+        ``r`` is A11's row ``r`` then A12's with its columns shifted by
+        ``n``, row ``n + r`` the same of A21 and A22.  So the result is bit
+        for bit ``sp.bmat`` of the four matrices."""
         if self._block_2x2 is None:
             with obs.span("assembly.symbolic"):
-                slots = np.arange(1, 4 * self.nnz + 1, dtype=np.int64)
-                A = [self._matrix(s) for s in np.split(slots, 4)]
-                B = sp.bmat([A[:2], A[2:]], format="csr")
-                proto = _csr(B.data, B.indices, B.indptr)
-                self._block_2x2 = (B.data - 1, proto)
+                nnz, n = self.nnz, self.n_dofs
+                k = np.arange(nnz, dtype=np.int64)
+                rows = self._slot_rows()
+                left = k + self.indptr[rows]  # A11's slot k in the top half
+                right = k + self.indptr[rows + 1]  # A12's slot k
+                order = np.empty(4 * nnz, dtype=np.int64)
+                order[left] = k
+                order[right] = k + nnz
+                order[2 * nnz:] = order[:2 * nnz] + 2 * nnz
+                top = np.concatenate((self.indices, self.indices + n))
+                indices = np.tile(top[order[:2 * nnz]], 2)
+                indptr = np.concatenate(
+                    (2 * self.indptr, 2 * nnz + 2 * self.indptr[1:])
+                )
+                proto = _csr(np.zeros(4 * nnz), indices, indptr)
+                self._block_2x2 = (order, proto)
         order, proto = self._block_2x2
         data = np.concatenate([d11, d12, d21, d22])[order]
         return _with_data(proto, data)
@@ -249,10 +263,36 @@ class AssemblyPlan:
         be = self._checked(be, self.ke_shape[:2])
         if self._scatter is None:
             with obs.span("assembly.symbolic"):
-                # column j of S = row elem_nodes.ravel()[j] of P
-                self._scatter = self._P[self._en.ravel()].T.tocsr()
+                self._scatter = self._load_scatter()
         obs.incr("assembly.vector")
         return self._scatter @ be.reshape(-1, *be.shape[2:])
+
+    def _load_scatter(self) -> sp.csr_matrix:
+        """``P[elem_nodes.ravel()].T.tocsr()``, the CSR whose column ``j``
+        is row ``elem_nodes.ravel()[j]`` of ``P``, built from the arrays by
+        the two compiled kernels that expression runs, without its sparse
+        objects in between."""
+        P = self._P
+        idx = P.indices.dtype
+        slots = self._en.ravel().astype(idx)
+        ptr = np.zeros(len(slots) + 1, dtype=idx)
+        np.cumsum(np.diff(P.indptr)[slots], out=ptr[1:])
+        nnz = int(ptr[-1])
+        cols, vals = np.empty(nnz, dtype=idx), np.empty(nnz)
+        # the P row of every element slot, slot-major
+        _sparsetools.csr_row_index(
+            len(slots), slots, P.indptr, P.indices, P.data, cols, vals
+        )
+        # grouped by DOF: a stable counting sort, slots ascending in a row
+        indptr = np.empty(self.n_dofs + 1, dtype=idx)
+        indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
+        _sparsetools.csr_tocsc(
+            len(slots), self.n_dofs, ptr, cols, vals, indptr, indices, data
+        )
+        S = sp.csr_matrix((data, indices, indptr),
+                          shape=(self.n_dofs, len(slots)))
+        S.has_sorted_indices = True
+        return S
 
     def eliminate(self, A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
         """:func:`repro.fem.assembly.eliminate_dirichlet` for a matrix of

@@ -21,7 +21,7 @@ the tests' oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,9 +65,18 @@ def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
 @dataclass
 class _Level:
     A: sp.csr_matrix
-    P: Optional[sp.csr_matrix]  # from the next coarser level (None on coarsest)
-    R: Optional[sp.csr_matrix]  # its transpose, CSR
-    inv_diag: np.ndarray
+    damped_inv_diag: np.ndarray  # OMEGA / diag(A)
+    # work vectors: the level's iterate, a mat-vec / residual temporary and
+    # the right-hand side the level above restricts to it
+    x: np.ndarray
+    t: np.ndarray
+    b: np.ndarray
+    # ``(v, out)`` writing ``A v`` / ``P v`` / ``R v`` into ``out``; ``P``
+    # interpolates from the next coarser level, ``R = P.T`` (None on the
+    # coarsest level)
+    apply_A: Callable
+    apply_P: Optional[Callable]
+    apply_R: Optional[Callable]
 
 
 def _interp_1d(level: int) -> sp.csr_matrix:
@@ -105,8 +114,10 @@ def _mesh_prolongation(mesh: Mesh, level: int) -> sp.csr_matrix:
     cell = np.minimum(xyz >> shift, n - 2)
     xi = (xyz - (cell << shift)) / float(1 << shift)
     w = shape_functions(xi, dim)
-    # lexicographic index of each corner's grid point, x fastest
-    col = (cell[:, None, :] + morton.corner_bits(dim)) @ n ** np.arange(dim)
+    # lexicographic index of each corner's grid point, x fastest: the
+    # cell's own plus the corner's offset
+    stride = n ** np.arange(dim)
+    col = (cell @ stride)[:, None] + morton.corner_bits(dim) @ stride
     keep = (w > 0.0).T  # corner-major
     rows = np.broadcast_to(np.arange(mesh.n_dofs), keep.shape)[keep]
     return sp.csr_matrix(
@@ -117,7 +128,10 @@ def _mesh_prolongation(mesh: Mesh, level: int) -> sp.csr_matrix:
 def _prune_columns(P: sp.csr_matrix):
     """``P`` without the columns no row interpolates from, and the indices
     of the columns kept."""
-    used = np.unique(P.indices)
+    # ``np.unique`` would give the same sorted columns, but NumPy 2.4 takes
+    # a hash path for it that is 10-40x slower than this count (DESIGN.md
+    # section 12)
+    used = np.flatnonzero(np.bincount(P.indices, minlength=P.shape[1]))
     renumber = np.empty(P.shape[1], dtype=P.indices.dtype)
     renumber[used] = np.arange(len(used), dtype=P.indices.dtype)
     pruned = sp.csr_matrix(
@@ -151,7 +165,15 @@ def hierarchy_for(fine_mesh: Mesh, coarsest_level: int) -> list:
         if kept is None:
             P = _mesh_prolongation(fine_mesh, level)
         else:
-            P = _uniform_prolongation(fine_mesh.dim, level + 1)[kept]
+            P = _uniform_prolongation(fine_mesh.dim, level + 1)
+            if len(kept) == P.shape[0]:
+                # the whole grid is in use: every coarse point k is fine
+                # point 2k's one parent, so every column is used and
+                # neither the row slice nor pruning would change anything
+                chain.append((P, P.T.tocsr()))
+                kept = np.arange(P.shape[1])
+                continue
+            P = P[kept]
         P, kept = _prune_columns(P)
         chain.append((P, P.T.tocsr()))
     fine_mesh.memo[key] = chain
@@ -170,6 +192,14 @@ class GeometricMultigrid:
     (:func:`hierarchy_for`), and the geometric FE interpolation handles the
     nonconforming transfer (every fine DOF evaluates the coarse multilinear
     field at its location, wherever it sits).
+
+    A cycle allocates nothing but its result: each level keeps its damped
+    inverse diagonal and three work vectors, and every mat-vec runs the
+    compiled CSR kernel into one of them (:func:`repro.la.krylov.
+    _apply_into`).  Each update keeps the operation order of the textbook
+    cycle (``x + (OMEGA / diag) (b - A x)``), so the cycles are bit for bit
+    those of the allocating form.  The work vectors make an instance
+    serve one solve at a time.
     """
 
     def __init__(
@@ -179,33 +209,67 @@ class GeometricMultigrid:
         *,
         coarsest_level: int = 2,
     ):
+        # krylov imports precond, which imports this module
+        from .krylov import _apply_into
+
         self.levels: list[_Level] = []
         A = A_fine.tocsr()
         for P, R in [*hierarchy_for(fine_mesh, coarsest_level), (None, None)]:
             d = A.diagonal()
             d = np.where(np.abs(d) > 1e-300, d, 1.0)
-            self.levels.append(_Level(A=A, P=P, R=R, inv_diag=1.0 / d))
+            n = A.shape[0]
+            apply_P, apply_R = (
+                (None, None) if P is None
+                else (_apply_into(P, np.float64), _apply_into(R, np.float64))
+            )
+            self.levels.append(_Level(
+                A=A, damped_inv_diag=OMEGA * (1.0 / d),
+                x=np.empty(n), t=np.empty(n), b=np.empty(n),
+                apply_A=_apply_into(A, np.float64),
+                apply_P=apply_P, apply_R=apply_R,
+            ))
             if P is not None:
                 A = R @ A @ P
         self._coarse_lu = spla.splu(self.levels[-1].A.tocsc() + 1e-12 * sp.eye(
             self.levels[-1].A.shape[0], format="csc"
         ))
 
-    def _smooth(self, lvl: _Level, x: np.ndarray, b: np.ndarray, n: int):
-        for _ in range(n):
-            x = x + OMEGA * lvl.inv_diag * (b - lvl.A @ x)
-        return x
+    @staticmethod
+    def _smooth(lvl: _Level, b: np.ndarray, n: int, *, from_zero: bool):
+        """``n`` damped-Jacobi sweeps on ``lvl.x``.  From ``x = 0`` the first
+        sweep skips its mat-vec: for a finite ``A``, ``A @ 0`` is +0.0 in
+        every entry, and ``b - 0.0`` is ``b``."""
+        x, t = lvl.x, lvl.t
+        if from_zero:
+            x.fill(0.0)
+        for sweep in range(n):
+            if from_zero and sweep == 0:
+                np.multiply(lvl.damped_inv_diag, b, out=t)
+            else:
+                lvl.apply_A(x, t)
+                np.subtract(b, t, out=t)
+                t *= lvl.damped_inv_diag
+            x += t
 
-    def v_cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
-        lvl = self.levels[level]
+    def _cycle(self, b: np.ndarray, level: int) -> np.ndarray:
+        """The V-cycle's correction for ``b`` from ``level`` down, in that
+        level's ``x`` (a fresh array on the coarsest level)."""
         if level == len(self.levels) - 1:
             return self._coarse_lu.solve(b)
-        x = self._smooth(lvl, np.zeros_like(b), b, SMOOTH_STEPS)
-        r = b - lvl.A @ x
-        rc = lvl.R @ r
-        ec = self.v_cycle(rc, level + 1)
-        x = x + lvl.P @ ec
-        return self._smooth(lvl, x, b, SMOOTH_STEPS)
+        lvl, coarse = self.levels[level], self.levels[level + 1]
+        self._smooth(lvl, b, SMOOTH_STEPS, from_zero=True)
+        lvl.apply_A(lvl.x, lvl.t)
+        np.subtract(b, lvl.t, out=lvl.t)  # r = b - A x
+        lvl.apply_R(lvl.t, coarse.b)
+        ec = self._cycle(coarse.b, level + 1)
+        lvl.apply_P(ec, lvl.t)
+        lvl.x += lvl.t
+        self._smooth(lvl, b, SMOOTH_STEPS, from_zero=False)
+        return lvl.x
+
+    def v_cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        """One V-cycle on ``b`` from ``level`` down, as a fresh array."""
+        return self._cycle(b, level).copy()
 
     # Preconditioner protocol.
     def matvec(self, r: np.ndarray) -> np.ndarray:

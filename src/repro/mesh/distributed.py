@@ -81,7 +81,11 @@ class DistributedField:
         )
         self.node_owner = np.searchsorted(bounds, first_elem, side="right") - 1
 
-        self.needed = np.unique(self.local_elem_nodes)
+        # the sorted distinct nodes; plain ``np.unique`` takes a hash path
+        # on NumPy 2.4, ~20x slower than this count (DESIGN.md section 12)
+        self.needed = np.flatnonzero(
+            np.bincount(self.local_elem_nodes.ravel())
+        )
         self.owned = self.needed[self.node_owner[self.needed] == comm.rank]
         self.ghosts = self.needed[self.node_owner[self.needed] != comm.rank]
         self.local_conn = np.searchsorted(self.needed, self.local_elem_nodes)
