@@ -154,11 +154,6 @@ def remesh(
                     mesh, np.column_stack(list(fields.values())), new_mesh
                 )
                 new_fields = dict(zip(fields, block.T))
-        obs.incr("remesh.cycles")
-        obs.incr("remesh.unchanged_cycles", int(unchanged))
-        obs.gauge("remesh.n_refined", n_refined)
-        obs.gauge("remesh.n_coarsened", n_coarsened)
-        obs.gauge("remesh.n_elems", new_mesh.n_elems)
         hist = np.bincount(balanced.levels, minlength=cfg.feature_level + 1)
         info = RemeshInfo(
             target_levels=targets,

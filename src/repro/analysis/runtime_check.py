@@ -135,7 +135,6 @@ def verify_collective(comm, op: str, value: Any, symmetric: bool) -> None:
     with obs.span("spmdcheck.collective"):
         fp = collective_fingerprint(op, value, symmetric)
         all_fps = comm._world.exchange(comm.rank, fp, list)
-        obs.incr("spmdcheck.collectives")
         ref = all_fps[0]
         bad = [r for r, got in enumerate(all_fps) if got != ref]
         if not bad:

@@ -99,8 +99,8 @@ class CHSolver:
         ``residual`` and ``jacobian`` at one Newton iterate need the same
         mesh-wide products, the quad-point phi, the mobility there and the
         mobility stiffness: an :class:`IterateCache` keyed on the phi
-        component builds them once per distinct phi (obs counters
-        ``ch.phi_quad_evals`` / ``ch.mobility_assemblies``).  The Jacobian
+        component builds them once per distinct phi (obs counter
+        ``ch.mobility_assemblies``).  The Jacobian
         adds one ``psi''`` mass and one ``D_m`` scatter of its own.
         """
         mesh, prm = self.mesh, self.params
@@ -116,7 +116,6 @@ class CHSolver:
 
         def at_quad(phi):
             def build():
-                obs.incr("ch.phi_quad_evals")
                 obs.incr("ch.mobility_assemblies")
                 phi_q = forms.field_at_quad(mesh, phi)
                 m_q = mobility(phi_q)

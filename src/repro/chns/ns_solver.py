@@ -186,14 +186,8 @@ class NSSolver:
                 bicgstab, A_i, rhs_i, tol=tol, x0=vel_n[:, i],
                 fallback=jacobi_bicgstab, may_factor=factoring,
             )
-            if factored:
-                out.factorizations += factored
-                obs.incr("ns.lu_factorizations", factored)
-            if fell_back:
-                out.fallbacks += fell_back
-                obs.incr("ns.lu_fallbacks")
-            obs.incr("krylov.iterations.ns", res.iterations)
-            obs.incr("krylov.solves.ns")
+            out.factorizations += factored
+            out.fallbacks += fell_back
             out.solves.append(res)
             vel_new[:, i] = res.x
         return out

@@ -128,12 +128,6 @@ class PPSolver:
         res, factorizations, fallbacks = self._factors.solve(
             cg, K, b, tol=tol, x0=p0, fallback=krylov_cg, may_factor=factoring
         )
-        if factorizations:
-            obs.incr("pp.lu_factorizations", factorizations)
-        if fallbacks:
-            obs.incr("pp.lu_fallbacks")
-        obs.incr("krylov.iterations.pp", res.iterations)
-        obs.incr("krylov.solves.pp")
         p = res.x - res.x.mean()  # fix the nullspace component
         return PPResult(p=p, solve=res, factorizations=factorizations,
                         fallbacks=fallbacks)

@@ -268,8 +268,6 @@ class CHNSTimeStepper:
                     dt, self._ns_load(dt),
                     last_block=self._remesh_due(self.step_count + 1),
                 )
-            obs.incr("chns.steps")
-            obs.gauge("chns.n_elems", self.mesh.n_elems)
 
         self.t += dt
         self.step_count += 1

@@ -79,7 +79,6 @@ class MassSystem:
         if self.lu is not None:
             return 0
         self.lu = spla.splu(self.A.tocsc(), **STATIC_PIVOT)
-        obs.incr("vu.lu_factorizations")
         return 1
 
 
@@ -185,7 +184,5 @@ class VUSolver:
                     system.A, rhs[i], x0=vel_star[:, i].copy(),
                     M=system.jacobi(), tol=tol, maxiter=3000,
                 )
-            obs.incr("krylov.iterations.vu", solves[i].iterations)
-            obs.incr("krylov.solves.vu")
             vel[:, i] = solves[i].x
         return VUResult(vel=vel, solves=solves, factorizations=factorizations)

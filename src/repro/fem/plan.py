@@ -199,7 +199,6 @@ class AssemblyPlan:
         Ke = self._checked(Ke, self.ke_shape)
         with obs.span("assembly.numeric"):
             data = self._S @ Ke.ravel()
-        obs.incr("assembly.numeric")
         return self._matrix(data)
 
     @staticmethod

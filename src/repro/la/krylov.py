@@ -107,8 +107,6 @@ def cg(
     """Preconditioned conjugate gradients (SPD systems)."""
     with obs.span("krylov.cg"):
         res = _cg_body(A, b, x0, M, tol, maxiter)
-    obs.incr("krylov.solves")
-    obs.incr("krylov.iterations", res.iterations)
     return res
 
 
@@ -187,8 +185,6 @@ def bicgstab(
             res = _bicgstab_body(mv, M, x, r, bnorm, tol, maxiter, b)
     finally:
         np.seterr(**_old_err)
-    obs.incr("krylov.solves")
-    obs.incr("krylov.iterations", res.iterations)
     return res
 
 
@@ -271,8 +267,6 @@ def gmres(
     """Restarted GMRES with left preconditioning."""
     with obs.span("krylov.gmres"):
         res = _gmres_body(A, b, x0, M, tol, restart, maxiter)
-    obs.incr("krylov.solves")
-    obs.incr("krylov.iterations", res.iterations)
     return res
 
 

@@ -95,10 +95,6 @@ def _linear_step(factors: Factors, J, F, norm_F, linear_tol, out):
     out.linear_iterations += res.iterations
     out.fallbacks += fell_back
     out.factorizations += factored + fell_back
-    if factored + fell_back:
-        obs.incr("newton.lu_factorizations", factored + fell_back)
-    if fell_back:
-        obs.incr("newton.lu_fallbacks")
     return res.x if res.converged else None
 
 
@@ -160,12 +156,10 @@ def _newton_body(
             dx = _linear_step(factors, J, F, norm_F, max(linear_tol, eta), out)
         if dx is None:
             return out
-        obs.incr("newton.iterations")
         # Backtracking line search on the residual norm (computed once per
         # trial; the reference norm is hoisted out of the loop).
         step = 1.0
         for _ in range(8):
-            obs.incr("newton.line_search_trials")
             out.line_search_trials += 1
             x_new = x + step * dx
             with obs.span("newton.residual"):

@@ -157,7 +157,6 @@ class DistributedField:
         """Values over all `needed` nodes: owned locally, ghosts fetched."""
         plan = self.plan
         with obs.span("ghost.read"):
-            obs.incr("ghost.reads")
             outgoing = {
                 q: (ids, owned_values[plan.send_pos[q]])
                 for q, ids in plan.send_ids.items()
@@ -185,7 +184,6 @@ class DistributedField:
         unwritten ghosts carry stale reads and must not travel."""
         plan = self.plan
         with obs.span("ghost.write"):
-            obs.incr("ghost.writes")
             outgoing = {}
             for q, pos in plan.ghost_pos_by_owner.items():
                 ids = plan.ghost_ids_by_owner[q]

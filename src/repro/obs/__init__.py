@@ -2,7 +2,7 @@
 
 The instrument panel behind the reproduction's performance claims:
 hierarchical :func:`span` timers with inclusive/exclusive attribution,
-named :func:`incr` counters and :func:`gauge` values, per-rank in-memory
+a few named :func:`incr` work counters, per-rank in-memory
 trace buffers, and SPMD-aware reduction of per-rank traces into world-level
 reports (min/max/mean/imbalance per span).
 
@@ -44,7 +44,6 @@ from .tracer import (  # noqa: F401
     disable,
     enable,
     end_rank,
-    gauge,
     incr,
     is_enabled,
     rank_armed,
@@ -82,7 +81,6 @@ __all__ = [
     "current",
     "span",
     "incr",
-    "gauge",
     "snapshot",
     "tracing",
     "world_report",

@@ -96,19 +96,8 @@ class WorldReport:
             self.counters[k] = [
                 snap.get("counters", {}).get(k, 0) for snap in self.snapshots
             ]
-        self.gauges: dict[str, list] = {}
-        for snap in self.snapshots:
-            for k in snap.get("gauges", {}):
-                self.gauges.setdefault(k, [])
-        for k in self.gauges:
-            self.gauges[k] = [
-                snap.get("gauges", {}).get(k) for snap in self.snapshots
-            ]
 
     # ------------------------------------------------------------- queries
-
-    def counter_total(self, name: str) -> float:
-        return sum(self.counters.get(name, []))
 
     def span_tree_signature(self) -> list:
         """Schedule-independent identity of the trace: every span path with
@@ -153,7 +142,6 @@ class WorldReport:
                 k: {"per_rank": v, "total": sum(v)}
                 for k, v in self.counters.items()
             },
-            "gauges": dict(self.gauges),
         }
 
 def world_report(snapshots) -> WorldReport:

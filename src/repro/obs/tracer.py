@@ -1,4 +1,4 @@
-"""Per-rank tracing and metrics: hierarchical spans, counters, gauges.
+"""Per-rank tracing: hierarchical spans and a few work counters.
 
 The tracer is the measurement substrate behind every timing claim in
 EXPERIMENTS.md: the paper's scaling study (Fig. 5) attributes cost to
@@ -41,7 +41,6 @@ __all__ = [
     "current",
     "span",
     "incr",
-    "gauge",
     "snapshot",
     "tracing",
 ]
@@ -108,15 +107,14 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Span/counter/gauge recorder for one rank (one thread of execution)."""
+    """Span/counter recorder for one rank (one thread of execution)."""
 
-    __slots__ = ("_root", "_stack", "counters", "gauges")
+    __slots__ = ("_root", "_stack", "counters")
 
     def __init__(self) -> None:
         self._root = _Node("")
         self._stack: list[_Node] = [self._root]
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
 
     # ------------------------------------------------------------- recording
 
@@ -129,9 +127,6 @@ class Tracer:
 
     def incr(self, name: str, amount: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     # ------------------------------------------------------------- snapshot
 
@@ -148,7 +143,6 @@ class Tracer:
         return {
             "spans": [c.snapshot() for c in self._root.children.values()],
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
         }
 
 
@@ -210,13 +204,6 @@ def incr(name: str, amount: float = 1) -> None:
     tr = getattr(_tls, "tracer", None)
     if tr is not None:
         tr.incr(name, amount)
-
-
-def gauge(name: str, value: float) -> None:
-    """Record the latest value of a named gauge (no-op while disabled)."""
-    tr = getattr(_tls, "tracer", None)
-    if tr is not None:
-        tr.gauge(name, value)
 
 
 def snapshot() -> Optional[dict]:

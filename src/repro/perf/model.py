@@ -1,9 +1,10 @@
 """Calibration utilities and the full-application scaling model (Fig. 5).
 
 ``fit_ghost_coeff`` turns simulator ghost-exchange measurements into a
-model constant.  ``ApplicationModel`` composes per-solver models out of measured
-iteration counts and the machine model; it produces the NS/PP/VU/CH and
-remeshing curves of the paper's application-scaling study.
+model constant.  ``ApplicationModel`` composes per-solver models out of the
+paper's iteration counts and the machine model; it produces the NS/PP/VU/CH
+and remeshing curves of the paper's application-scaling study.
+``phase_profile`` reads the per-step block times of a traced run.
 """
 
 from __future__ import annotations
@@ -30,47 +31,23 @@ def phase_profile(report, blocks=("ch", "ns", "pp", "vu", "remesh")) -> dict:
     """Per-step mean seconds of each CHNS solver block, read off an
     ``repro.obs`` :class:`~repro.obs.report.WorldReport` of a traced run.
 
-    The timestepper nests one span per block under ``chns.step`` and counts
-    steps in the ``chns.steps`` counter, so each block's mean inclusive time
-    divided by steps-per-rank is its per-step cost.  Blocks the run never
+    The timestepper nests one span per block under ``chns.step``, whose call
+    count is the steps each rank entered, so each block's mean inclusive
+    time divided by that count is its per-step cost.  Blocks the run never
     entered report 0.0.
     """
-    steps = report.counter_total("chns.steps") / max(report.n_ranks, 1)
-    div = max(steps, 1.0)
+    step = report.spans.get("chns.step")
+    div = step.count if step is not None else 1
     return {
         b: report.phase_seconds(f"chns.step/chns.{b}") / div for b in blocks
     }
 
 
-def iter_profile_from_obs(report) -> dict:
-    """Measured iteration counts for :func:`paper_fig5_solvers` from obs
-    counters of a traced CHNS run: mean Krylov iterations per solve for each
-    linear block, read from the per-block ``krylov.iterations.<blk>`` /
-    ``krylov.solves.<blk>`` counters the NS, PP and VU solvers emit (the
-    pooled ``krylov.*`` counters also hold the CH inner solves), and Newton
-    (outer) iterations per step for CH — the quantity its
-    :class:`SolverCosts` profile scales with.  A block the run never solved
-    is left out (its profile stays at paper defaults).  A direct VU solve
-    (:mod:`repro.chns.vu_solver`) is a solve of 0 iterations, so the VU
-    figure is the run's mean, not the Jacobi-CG count the paper's block
-    would take."""
-    out = {}
-    for blk in ("ns", "pp", "vu"):
-        solves = report.counter_total(f"krylov.solves.{blk}")
-        if solves:
-            out[blk] = report.counter_total(f"krylov.iterations.{blk}") / solves
-    steps = report.counter_total("chns.steps")
-    newton = report.counter_total("newton.iterations")
-    if steps and newton:
-        out["ch"] = newton / steps
-    return out
-
-
 @dataclass
 class SolverCosts:
-    """Per-timestep Krylov profile of one solver block, measured from the
-    small-scale CHNS run: average iterations and MATVEC-equivalent passes
-    per iteration (dot products count as collectives)."""
+    """Per-timestep Krylov profile of one solver block: average iterations
+    and MATVEC-equivalent passes per iteration (dot products count as
+    collectives)."""
 
     iterations: float
     matvecs_per_iter: float = 1.0
@@ -138,10 +115,12 @@ class ApplicationModel:
         return self.solver_time(name, p_lo) / self.solver_time(name, p_hi)
 
 
-def paper_fig5_solvers(iter_profile: dict | None = None) -> dict:
-    """Default Fig. 5 solver profiles.  ``iter_profile`` overrides measured
-    iteration counts (from the benchmark's small-scale CHNS run)."""
-    base = {
+def paper_fig5_solvers() -> dict:
+    """The Fig. 5 solver profiles: iteration counts of the paper's
+    Jacobi-Krylov blocks.  They are not measured here: this repo's blocks
+    solve with held LU factors in 0-3 iterations, so its counts cannot
+    calibrate the paper's."""
+    return {
         # CH: Newton x Krylov on a 2-dof block system: norms, line-search
         # evaluations and re-assembly every iteration make it collective-
         # heavy; worst-scaling block (paper: 4x for 8x procs).
@@ -159,8 +138,3 @@ def paper_fig5_solvers(iter_profile: dict | None = None) -> dict:
         "vu": SolverCosts(iterations=45, matvecs_per_iter=1.0,
                           collectives_per_iter=4.5, assembly_passes=0.0),
     }
-    if iter_profile:
-        for k, v in iter_profile.items():
-            if k in base:
-                base[k].iterations = v
-    return base

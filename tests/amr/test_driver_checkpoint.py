@@ -125,12 +125,15 @@ class TestRemesh:
             m1, f1, info1 = remesh(m, {"phi": m.interpolate(phi_f)}, cfg)
             m2, f2, info2 = remesh(m1, f1, cfg)
             m3, _, info3 = remesh(m2, f2, cfg)
-            counters = obs.snapshot()["counters"]
+            spans = obs.flatten_spans(obs.snapshot())
         assert not info1.unchanged and m1.tree != m.tree
         assert info2.unchanged == (m2.tree == m1.tree)
         assert info3.unchanged and m3.tree == m2.tree
-        assert counters["remesh.cycles"] == 3
-        assert counters["remesh.unchanged_cycles"] == 1 + info2.unchanged
+        unchanged = sum(i.unchanged for i in (info1, info2, info3))
+        assert unchanged == 1 + info2.unchanged
+        assert spans["remesh"]["count"] == 3
+        # an unchanged cycle keeps its mesh: it transfers nothing
+        assert spans["remesh/remesh.transfer"]["count"] == 3 - unchanged
 
     @pytest.mark.parametrize("dim,n_fields", [(2, 7), (3, 11)])
     def test_transfer_locates_once_for_every_field(self, monkeypatch, dim,

@@ -202,32 +202,20 @@ class TestNewton:
         preconditioned operator has more distinct eigenvalues than eight
         BiCGStab iterations can resolve, so the partial-pivoting fallback
         must solve the step."""
-        from repro import obs
-
         n = 50
         A = sp.block_diag([
             np.array([[1e-20, a], [a, 1e-20]]) for a in np.linspace(1, 3, n)
         ]).tocsr()
         b = np.linspace(1.0, 2.0, 2 * n)
-        obs.enable()
-        try:
-            res = newton_solve(
-                lambda x: A @ x - b, lambda x: A, np.zeros(2 * n), tol=1e-12
-            )
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.disable()
+        res = newton_solve(
+            lambda x: A @ x - b, lambda x: A, np.zeros(2 * n), tol=1e-12
+        )
         assert res.converged and res.iterations == 1
         assert np.allclose(A @ res.x, b, atol=1e-12)
         assert res.fallbacks >= 1
         assert res.factorizations == res.fallbacks + 1
         assert res.linear_iterations == held.PRECOND_MAXITER
-        # the result's health fields are what the obs counters say
-        assert counters["newton.iterations"] == res.iterations
-        assert counters["newton.lu_factorizations"] == res.factorizations
-        assert counters["newton.lu_fallbacks"] == res.fallbacks
-        assert counters["newton.line_search_trials"] == res.line_search_trials
-        assert "newton.lu_solves" not in counters
+        assert res.line_search_trials == 1
 
     def test_refactors_when_old_factors_stop_preconditioning(self):
         """x^3 = b over four decades of b: between the first iterates the

@@ -1,11 +1,12 @@
 """What one coupled 2D step records in ``repro.obs``: the assembly counters
-per block and the ``{ns,pp,vu}.assemble`` spans; what four record of the CH
-block's linear work.
+per block and the ``{ns,pp,vu}.assemble`` spans; what four count of the CH
+and flow blocks' linear work in the stepper's ``iteration_counts``.
 
-The CH block's share follows its Newton iteration count, so it is expressed
-through the ``newton`` spans and the ``ch.*`` counters; what NS, PP and VU add is
-fixed: one operator scatter each for NS and PP, one load scatter each for
-NS, PP and VU, one Dirichlet elimination per distinct velocity mask.
+The CH block's assembly share follows its Newton iteration count, so it is
+expressed through the ``newton`` spans and the ``ch.*`` counter; what NS, PP
+and VU add is fixed: one operator scatter each for NS and PP, one load
+scatter each for NS, PP and VU, one Dirichlet elimination per distinct
+velocity mask.
 """
 
 import numpy as np
@@ -41,77 +42,64 @@ def stepper():
 
 def test_ch_linear_work_of_four_static_mesh_steps(stepper):
     """One mesh, one factorization: the first step's LU
-    preconditions every later CH solve, and the stepper's cumulative counts
-    say what the obs counters say.  VU factors its one no-slip mask at the
-    second step and solves directly from then on (0 iterations); NS and PP
-    factor at the second step too and precondition with those factors."""
-    with obs.tracing():
-        its_vu = []
-        for _ in range(4):
-            stepper.step(5e-4)
-            its_vu.append(stepper.iteration_counts["krylov_vu"])
-        counters = obs.snapshot()["counters"]
+    preconditions every later CH solve, as the stepper's cumulative counts
+    say.  VU factors its one no-slip mask at the second step and solves
+    directly from then on (0 iterations); NS and PP factor at the second
+    step too and precondition with those factors."""
+    its_vu = []
+    for _ in range(4):
+        stepper.step(5e-4)
+        its_vu.append(stepper.iteration_counts["krylov_vu"])
     counts = stepper.iteration_counts
-    assert counters["newton.lu_factorizations"] == 1
-    assert counters["vu.lu_factorizations"] == counts["vu_factorizations"] == 1
-    assert counters["ns.lu_factorizations"] == counts["ns_factorizations"] == 1
-    assert counters["pp.lu_factorizations"] == counts["pp_factorizations"] == 1
-    assert "ns.lu_fallbacks" not in counters
-    assert "pp.lu_fallbacks" not in counters
+    assert counts["vu_factorizations"] == 1
+    assert counts["ns_factorizations"] == 1
+    assert counts["pp_factorizations"] == 1
     assert its_vu[0] == its_vu[-1] > 0
-    assert "newton.lu_fallbacks" not in counters
-    # the record's fallback counts are the counters: 0 on a healthy run
-    for blk, counter in (("ch", "newton"), ("ns", "ns"), ("pp", "pp")):
-        assert (counts[f"{blk}_fallbacks"]
-                == counters.get(f"{counter}.lu_fallbacks", 0) == 0)
+    # 0 fallbacks on a healthy run
+    for blk in ("ch", "ns", "pp"):
+        assert counts[f"{blk}_fallbacks"] == 0
     assert counts["ch_factorizations"] == 1
-    assert counts["newton"] == counters["newton.iterations"]
     # every Newton iterate is an LU-preconditioned BiCGStab solve
     assert counts["ch_linear"] >= counts["newton"] > 0
-    assert counts["ch_linear"] + counts["krylov"] == counters["krylov.iterations"]
-    for blk in ("ns", "pp", "vu"):
-        assert counters[f"krylov.iterations.{blk}"] == counts[f"krylov_{blk}"]
+    assert counts["krylov"] == sum(counts[f"krylov_{b}"]
+                                   for b in ("ns", "pp", "vu"))
 
 
 def test_fallbacks_reach_the_stepper_counts(monkeypatch):
     """NS and PP hold factors that precondition nothing: every held solve
-    falls back to the block's own solve, and the stepper counts each
-    fallback the tracer counts."""
+    after the first block falls back to the block's own solve (one per
+    velocity component for NS), and the stepper counts each fallback."""
     useless_flow_factors(monkeypatch)
     ts = _drop_stepper()
-    with obs.tracing():
-        for _ in range(3):
-            ts.step(5e-4)
-        counters = obs.snapshot()["counters"]
+    for _ in range(3):
+        ts.step(5e-4)
     counts = ts.iteration_counts
-    assert counts["ns_fallbacks"] == counters["ns.lu_fallbacks"] > 0
-    assert counts["pp_fallbacks"] == counters["pp.lu_fallbacks"] > 0
-    assert counts["ch_fallbacks"] == counters.get("newton.lu_fallbacks", 0)
+    assert counts["ns_fallbacks"] == 4
+    assert counts["pp_fallbacks"] == 2
+    assert counts["ch_fallbacks"] == 0
 
 
 def test_flow_solvers_count_their_own_krylov_work(stepper):
-    """The per-block Krylov counters come from the solvers themselves, so a
-    caller driving NS -> PP -> VU without the stepper records them too."""
+    """The flow solvers return their own Krylov work, so a caller driving
+    NS -> PP -> VU without the stepper reads it off their results: one
+    solve per velocity component for NS and VU, one for PP."""
     ts, expected = stepper, {}
-    with obs.tracing():
-        for _ in range(2):
-            ns = ts.ns.solve(ts.phi, ts.mu, ts.vel, ts.vel_old, ts.p, 1e-3,
-                             dirichlet_masks=ts.v_masks,
-                             dirichlet_values=ts.v_values)
-            pp = ts.pp.solve(ts.phi, ns.vel_star, 1e-3, p0=ts.p)
-            vu = ts.vu.solve(ts.phi, ns.vel_star, pp.p, 1e-3,
-                             dirichlet_masks=ts.v_masks,
-                             dirichlet_values=ts.v_values)
-            ts.p, ts.vel_old, ts.vel = pp.p, ts.vel, vu.vel
-            for blk, solves in (("ns", ns.solves), ("pp", [pp.solve]),
-                                ("vu", vu.solves)):
-                expected.setdefault(blk, [0, 0])
-                expected[blk][0] += sum(s.iterations for s in solves)
-                expected[blk][1] += len(solves)
-        counters = obs.snapshot()["counters"]
-    for blk, (its, n_solves) in expected.items():
-        assert counters[f"krylov.iterations.{blk}"] == its
-        assert counters[f"krylov.solves.{blk}"] == n_solves
+    for _ in range(2):
+        ns = ts.ns.solve(ts.phi, ts.mu, ts.vel, ts.vel_old, ts.p, 1e-3,
+                         dirichlet_masks=ts.v_masks,
+                         dirichlet_values=ts.v_values)
+        pp = ts.pp.solve(ts.phi, ns.vel_star, 1e-3, p0=ts.p)
+        vu = ts.vu.solve(ts.phi, ns.vel_star, pp.p, 1e-3,
+                         dirichlet_masks=ts.v_masks,
+                         dirichlet_values=ts.v_values)
+        ts.p, ts.vel_old, ts.vel = pp.p, ts.vel, vu.vel
+        for blk, solves in (("ns", ns.solves), ("pp", [pp.solve]),
+                            ("vu", vu.solves)):
+            expected.setdefault(blk, [0, 0])
+            expected[blk][0] += sum(s.iterations for s in solves)
+            expected[blk][1] += len(solves)
+    assert {blk: n for blk, (_, n) in expected.items()} == {
+        "ns": 4, "pp": 2, "vu": 4}
     assert expected["ns"][0] > 0 and expected["pp"][0] > 0
 
 
@@ -127,15 +115,17 @@ def test_assembly_counters_of_one_coupled_step(stepper):
     newton = "chns.step/chns.ch/newton/newton."
     residual_evals = spans[newton + "residual"]["count"]
     jacobian_evals = spans[newton + "jacobian"]["count"]
-    assert residual_evals == 1 + counters["newton.line_search_trials"]
-    assert jacobian_evals == counters["newton.iterations"] > 0
+    assert residual_evals == 1 + ts.last_newton.line_search_trials
+    assert jacobian_evals == ts.last_newton.iterations > 0
 
     # CH: one convection operator per solve, one mobility stiffness per
     # iterate, one psi'' mass and one mobility-derivative block per
     # Jacobian; one load per residual.
     assert counters["ch.mobility_assemblies"] == residual_evals
     ch_numeric = 1 + counters["ch.mobility_assemblies"] + 2 * jacobian_evals
-    assert counters["assembly.numeric"] == ch_numeric + 2  # + NS, PP
+    numeric = sum(node["count"] for path, node in spans.items()
+                  if path.rsplit("/", 1)[-1] == "assembly.numeric")
+    assert numeric == ch_numeric + 2  # + NS, PP
     assert counters["assembly.vector"] == residual_evals + 3  # + NS, PP, VU
     assert counters["assembly.dirichlet"] == 1  # no-slip: one shared mask
     assert "assembly.symbolic" not in counters  # warm mesh

@@ -8,7 +8,6 @@ from repro.perf.model import (
     ApplicationModel,
     SolverCosts,
     fit_ghost_coeff,
-    iter_profile_from_obs,
     paper_fig5_solvers,
     phase_profile,
 )
@@ -107,14 +106,10 @@ class TestApplicationModel:
         assert r[1] < r[0]  # initially scales down
         assert r[3] > min(r)  # upturn past the sweet spot
 
-    def test_iter_profile_override(self):
-        solvers = paper_fig5_solvers({"pp": 500})
-        assert solvers["pp"].iterations == 500
-        assert solvers["ns"].iterations == 90
 
 
 class TestObsCalibration:
-    """Span timings and counters from a traced run feed the Fig. 5 model."""
+    """Span timings from a traced run give the per-step block times."""
 
     def _traced_report(self):
         import time
@@ -122,75 +117,45 @@ class TestObsCalibration:
         from repro import obs
 
         obs.begin_rank()
-        with obs.span("chns.step"):
-            with obs.span("chns.ch"):
-                time.sleep(0.002)
-            with obs.span("chns.pp"):
-                time.sleep(0.001)
-        obs.incr("chns.steps")
-        # pooled counters: 3 PP solves + 1 CH inner solve of 60 iterations
-        obs.incr("krylov.solves", 4)
-        obs.incr("krylov.iterations", 150)
-        obs.incr("krylov.solves.pp", 3)
-        obs.incr("krylov.iterations.pp", 90)
-        obs.incr("newton.iterations", 5)
+        for _ in range(2):
+            with obs.span("chns.step"):
+                with obs.span("chns.ch"):
+                    time.sleep(0.002)
+                with obs.span("chns.pp"):
+                    time.sleep(0.001)
         snap = obs.end_rank()
         obs.disable()
         return obs.world_report([snap])
 
     def test_phase_profile_reads_step_spans(self):
-        prof = phase_profile(self._traced_report())
+        report = self._traced_report()
+        prof = phase_profile(report)
         assert prof["ch"] >= 0.002
         assert prof["pp"] >= 0.001
         assert prof["ns"] == 0.0 and prof["remesh"] == 0.0
+        # per step: divided by the ``chns.step`` span's call count
+        assert prof["ch"] == report.phase_seconds("chns.step/chns.ch") / 2
 
-    def test_iter_profile_from_obs(self):
-        prof = iter_profile_from_obs(self._traced_report())
-        # 90 PP iters / 3 PP solves; the CH inner solve stays out of it
-        assert prof["pp"] == pytest.approx(30.0)
-        assert prof["ch"] == pytest.approx(5.0)  # Newton iters per step
-        assert "ns" not in prof and "vu" not in prof  # never solved
-        # And it plugs straight into the Fig. 5 profile override.
-        solvers = paper_fig5_solvers(prof)
-        assert solvers["pp"].iterations == pytest.approx(30.0)
-
-    def test_iter_profile_empty_without_solves(self):
-        from repro import obs
-
-        obs.begin_rank()
-        snap = obs.end_rank()
-        obs.disable()
-        assert iter_profile_from_obs(obs.world_report([snap])) == {}
-
-    def test_iter_profile_is_per_block_on_a_traced_run(self):
-        """Traced quick ``rising_bubble_2d``: each linear block reports its
-        own iterations per solve (the stepper's ``iteration_counts`` are
-        the oracle) and the CH inner BiCGStab solves, present in the
-        pooled counters, leak into none of them.  The second step's VU
-        solves are direct: they count as solves of 0 iterations, so the VU
-        figure is half the first block's CG count per component."""
+    def test_phase_profile_of_a_traced_scenario(self):
+        """Traced quick ``rising_bubble_2d``: the ``chns.step`` span counts
+        the job's steps, and each block's per-step time is its span's
+        inclusive time over that count."""
         from repro import obs
         from repro.scenarios import build, run_scenario
 
         cfg = build("rising_bubble_2d", quick=True)
-        seen = []
         obs.begin_rank()
         try:
-            result = run_scenario(cfg, on_step=seen.append)
+            result = run_scenario(cfg)
             snap = obs.end_rank()
         finally:
             obs.disable()
         assert result.status == "succeeded"
         report = obs.world_report([snap])
-        prof = iter_profile_from_obs(report)
-        counts = seen[-1].iteration_counts
-        blocks = cfg.time.n_steps
-        dim = cfg.domain.dim  # NS and VU solve one system per component
-        assert prof["ns"] == pytest.approx(counts["krylov_ns"] / (dim * blocks))
-        assert prof["pp"] == pytest.approx(counts["krylov_pp"] / blocks)
-        assert prof["vu"] == pytest.approx(counts["krylov_vu"] / (dim * blocks))
-        assert counts["vu_factorizations"] == 1 and blocks == 2
-        assert len({prof["ns"], prof["pp"], prof["vu"]}) == 3
-        assert prof["ch"] == pytest.approx(counts["newton"] / cfg.time.n_steps)
-        pooled = report.counter_total("krylov.iterations")
-        assert pooled > counts["krylov"]  # CH inner solves are in the pool
+        steps = cfg.time.n_steps
+        assert report.spans["chns.step"].count == steps == 2
+        prof = phase_profile(report)
+        for blk in ("ch", "ns", "pp", "vu"):
+            spent = report.phase_seconds(f"chns.step/chns.{blk}")
+            assert prof[blk] == spent / steps > 0.0
+        assert prof["remesh"] == 0.0

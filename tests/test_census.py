@@ -8,6 +8,12 @@ package ``__init__`` re-export does not count, nor does a reference inside
 the definition itself), or as one of the name strings
 ``benchmarks/perf/trace.py`` wraps.  Docstrings and comments never count.
 Anything else must be in :data:`KEPT` with the reason it stays.
+
+Beside it, the counter census: ``repro.obs`` records time and structure,
+and an ``obs.incr`` counts only work that no span's call count, no
+returned result and no ``iteration_counts`` key already holds.  Those
+counters are :data:`COUNTERS`, each a row of the DESIGN.md §6 table, and
+there are no gauges.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "examples")
 TRACE = ROOT / "benchmarks" / "perf" / "trace.py"
+DESIGN = ROOT / "DESIGN.md"
 
 ORACLE = "test oracle"
 PAPER = "paper algorithm (Sec. II-C, arXiv:2209.12130)"
@@ -54,8 +61,6 @@ KEPT = {
     "octree.domain:BoxDomain": "ROADMAP 'Horizons', Branch A or B",
     "octree.domain:SphereDomain": "ROADMAP 'Horizons', Branch A or B",
     "octree.domain:ComplementDomain": "ROADMAP 'Horizons', Branch A or B",
-    "perf.model:phase_profile": "ROADMAP 'One span tree'",
-    "perf.model:iter_profile_from_obs": "ROADMAP 'One span tree'",
     # Test hooks and fixtures.
     "analysis.runtime_check:force_checks": HOOK,
     "octree.partition:scatter_tree": HOOK + ": distributes a fixture tree",
@@ -170,3 +175,53 @@ def test_kept_names_exist_and_still_need_their_entry():
     assert not absent, f"KEPT names that no longer exist: {absent}"
     stale = sorted(set(KEPT) - set(unreferenced()))
     assert not stale, f"KEPT names that now have a caller: {stale}"
+
+
+#: Every ``obs.incr`` name in ``src/``.
+COUNTERS = {
+    "assembly.symbolic",
+    "assembly.vector",
+    "assembly.dirichlet",
+    "ch.mobility_assemblies",
+    "comm.send_bytes",
+    "comm.collective_bytes",
+}
+
+
+def obs_calls(attr: str) -> list[tuple[str, ast.Call]]:
+    """``(file, call)`` for every ``obs.<attr>(...)`` call in ``src/``."""
+    return [
+        (path.name, node)
+        for path in _src_files()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "obs"
+    ]
+
+
+def design_counter_rows() -> list[str]:
+    """First-cell names of the table rows in DESIGN.md §6."""
+    text = DESIGN.read_text()
+    section = text.split("\n## 6.", 1)[1].split("\n## 7.", 1)[0]
+    rows = [line.strip() for line in section.splitlines()]
+    return [row.split("|")[1].strip().strip("`")
+            for row in rows if row.startswith("| `")]
+
+
+def test_obs_counters_are_the_six_of_design():
+    from repro import obs
+
+    names = []
+    for where, call in obs_calls("incr"):
+        first = call.args[0] if call.args else None
+        assert isinstance(first, ast.Constant) and isinstance(
+            first.value, str), f"{where}: a counter name is a string literal"
+        names.append(first.value)
+    assert set(names) == COUNTERS
+    rows = design_counter_rows()
+    assert sorted(rows) == sorted(COUNTERS), "one DESIGN §6 row per counter"
+    assert not obs_calls("gauge")
+    assert not hasattr(obs, "gauge") and not hasattr(obs.Tracer, "gauge")
