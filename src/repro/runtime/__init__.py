@@ -1,16 +1,18 @@
 """SPMD execution backends.
 
-``repro.mpi.comm.run_spmd`` delegates rank execution and message transport
-to one of three backends, looked up by name in a fixed table:
+``repro.mpi.comm.run_spmd`` delegates rank execution to one of three
+backends, looked up by name in a fixed table.  All three run the one world
+contract (:class:`~repro.runtime.base.World`); they differ only in how a
+record reaches a rank, how a rank waits and what a hang reports:
 
 ``thread`` (default)
-    one thread per rank, zero-copy mailboxes — fastest startup, exact
+    one thread per rank, records by reference — fastest startup, exact
     communication metering, but the GIL serializes rank compute.
 ``process``
     one forked OS process per rank with shared-memory ndarray transport —
     real core-level parallelism for NumPy-heavy ranks (POSIX only).
 ``serial``
-    deterministic single-threaded round-robin scheduler — reproducible
+    the thread transport under a round-robin baton — reproducible
     interleavings and structural deadlock reports for debugging.
 
 Select per call (``run_spmd(..., backend="process")``) or globally via the

@@ -6,11 +6,12 @@ small control records; ndarray payloads ship through shared-memory blocks
 (:mod:`repro.runtime.shm`).  ``fork`` keeps the SPMD closure and its captured
 arrays out of pickle entirely — children inherit them copy-on-write.
 
-Sub-communicators never allocate new OS resources: a split derives a
-*context id* (deterministically, because splits are collective) and routes
-through the top-level inboxes with world-local ranks translated to global
-ones — the same context-id trick real MPI uses.  Collectives are
-root-gather-then-broadcast over the same transport.
+Each rank process holds its own :class:`~repro.runtime.base.World` per
+communicator.  Sub-communicators never allocate new OS resources: a split
+derives a *context id* (deterministically, because splits are collective)
+and routes through the top-level inboxes with world-local ranks translated
+to global ones — the same context-id trick real MPI uses.  A waiting rank
+pumps its inbox until the record it waits for has been filed.
 
 Counters live in a shared array (:class:`repro.mpi.stats.SharedCommStats`),
 so ``comm.stats`` shows the same global live view as the thread backend; the
@@ -23,21 +24,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_mod
+import threading
 import time
 import traceback
-from typing import Any, Callable
 
 from . import shm
-from .base import Backend, format_rank_states
-from .thread import ANY_SOURCE, ANY_TAG
+from .base import Backend, DeadlockError, World, format_rank_states
 
 _STATE_SLOT = 200  # bytes of last-known-state per rank
-
-# Record kinds on the wire.
-_USER = "u"
-_CONTRIB = "c"
-_RESULT = "r"
-_IBARRIER = "b"
 
 
 class _StateBoard:
@@ -64,235 +58,79 @@ class _StateBoard:
         )
 
 
-class _ProcessRuntime:
-    """Per-child shared handles: inbox queues, stats, state board, registry."""
+class _Inboxes:
+    """Process transport: one queue inbox per top-level rank.
 
-    def __init__(self, inboxes, my_global: int, stats, board, timeout: float) -> None:
+    A record carries its communicator's context id and is filed into this
+    rank's world of that context; payloads go through :mod:`.shm`.
+    """
+
+    def __init__(self, inboxes, me: int, stats, board, timeout: float) -> None:
         self.inboxes = inboxes
-        self.my_global = my_global
+        self.me = me
         self.stats = stats
         self.board = board
         self.timeout = timeout
-        self.registry: dict = {}
-        self.orphans: dict = {}
+        self.lock = threading.Lock()
+        self._worlds: dict = {}
+        self._orphans: dict = {}
 
-    def register(self, world: "ProcessWorld") -> None:
-        self.registry[world.ctx] = world
-        for rec in self.orphans.pop(world.ctx, []):
-            world._deliver(rec)
+    def register(self, world: World) -> None:
+        self._worlds[world.ctx] = world
+        for rec in self._orphans.pop(world.ctx, []):
+            self._file(rec)
 
-    def send(self, dest_global: int, record: tuple) -> None:
-        self.inboxes[dest_global].put(record)
+    def send(self, world: World, dest: int, record: tuple) -> None:
+        kind, src, key, payload = record
+        # Encoded per send: each receiver consumes (and unlinks) its own
+        # shared-memory block.
+        self.inboxes[world.members[dest]].put(
+            (world.ctx, dest, kind, src, key, shm.encode(payload))
+        )
 
-    def _dispatch(self, record: tuple) -> None:
-        ctx = record[1]
-        world = self.registry.get(ctx)
+    def _file(self, rec: tuple) -> None:
+        ctx, dest, kind, src, key, enc = rec
+        world = self._worlds.get(ctx)
         if world is None:
-            # Message for a sub-communicator this rank has not created yet
-            # (sender raced ahead); hold it until the split completes here.
-            self.orphans.setdefault(ctx, []).append(record)
+            # For a sub-communicator this rank has not created yet (the
+            # sender raced ahead); held until the split completes here.
+            self._orphans.setdefault(ctx, []).append(rec)
         else:
-            world._deliver(record)
+            world.deliver(dest, kind, src, key, shm.decode(enc))
 
-    def pump(self, block: bool, deadline: float, waiting_for: str) -> None:
-        """Drain available records; optionally block for one (up to deadline)."""
-        from repro.mpi.comm import SpmdError
-
-        inbox = self.inboxes[self.my_global]
-        got = False
-        while True:
-            try:
-                self._dispatch(inbox.get_nowait())
-                got = True
-            except queue_mod.Empty:
-                break
-        if got or not block:
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise SpmdError(self._timeout_report(waiting_for))
+    def _take(self, seconds: float) -> None:
+        """File every queued record, first waiting up to ``seconds`` for one."""
+        inbox = self.inboxes[self.me]
         try:
-            self._dispatch(inbox.get(timeout=min(remaining, 0.5)))
-        except queue_mod.Empty:
-            if time.monotonic() >= deadline:
-                raise SpmdError(self._timeout_report(waiting_for)) from None
-
-    def _timeout_report(self, waiting_for: str) -> str:
-        """Per-op timeout message with the structural per-rank table
-        (deadlock reporter parity with the thread/serial backends)."""
-        return f"{waiting_for} timed out — deadlock?\n" + self.board.dump()
-
-    def pump_briefly(self, seconds: float) -> None:
-        """Blocking drain bounded by ``seconds``; no deadlock accounting."""
-        inbox = self.inboxes[self.my_global]
-        try:
-            self._dispatch(inbox.get(timeout=seconds))
+            self._file(inbox.get(timeout=max(seconds, 0.0)))
+            while True:
+                self._file(inbox.get_nowait())
         except queue_mod.Empty:
             return
-        while True:
-            try:
-                self._dispatch(inbox.get_nowait())
-            except queue_mod.Empty:
-                return
 
-
-class ProcessWorld:
-    """One communicator's view inside one rank process.
-
-    ``ctx`` is the communicator's context id (a tuple, identical on every
-    member); ``members`` maps world-local ranks to top-level global ranks.
-    """
-
-    def __init__(self, runtime: _ProcessRuntime, ctx: tuple, members) -> None:
-        self.runtime = runtime
-        self.ctx = ctx
-        self.members = list(members)
-        self.size = len(self.members)
-        self.stats = runtime.stats
-        self.timeout = runtime.timeout
-        self._pending: list = []  # delivered user messages (src, tag, payload)
-        self._contribs: dict = {}
-        self._results: dict = {}
-        self._ibar: dict = {}
-        self._coll_seq = 0
-        self.split_cache: dict = {}
-        self.attrs: dict = {}
-        runtime.register(self)
-
-    # -------------------------------------------------------- record intake
-
-    def _deliver(self, rec: tuple) -> None:
-        kind = rec[0]
-        if kind == _USER:
-            _, _, src, tag, enc = rec
-            self._pending.append((src, tag, shm.decode(enc)))
-        elif kind == _CONTRIB:
-            _, _, seq, src, enc = rec
-            self._contribs.setdefault(seq, {})[src] = shm.decode(enc)
-        elif kind == _RESULT:
-            _, _, seq, enc = rec
-            self._results[seq] = shm.decode(enc)
-        elif kind == _IBARRIER:
-            _, _, key = rec
-            self._ibar[key] = self._ibar.get(key, 0) + 1
-
-    def _match(self, source: int, tag: int):
-        for i, (s, t, _) in enumerate(self._pending):
-            if (source == ANY_SOURCE or s == source) and (tag == ANY_TAG or t == tag):
-                return i
-        return None
-
-    def _wait(self, rank: int, ready, desc: str):
-        """Pump the inbox until ``ready()`` is truthy; board shows ``desc``."""
-        rt = self.runtime
-        rt.board.set(rt.my_global, desc)
-        deadline = time.monotonic() + self.timeout
-        while True:
+    def poll(self, world: World, rank: int, ready):
+        self._take(0.0)
+        if (out := ready()) is None:
+            # A miss waits up to ~2 ms for the next record instead of
+            # spinning: probe loops (NBX drains) would otherwise burn the
+            # core while peers are trying to get scheduled to send.
+            self._take(0.002)
             out = ready()
-            if out is not None:
-                # On failure the board keeps `desc` as the last-known state.
-                rt.board.set(rt.my_global, "running")
-                return out
-            rt.pump(block=True, deadline=deadline, waiting_for=desc)
+        return out
 
-    # Transport interface (see repro.runtime.base) -------------------------
-
-    def post(self, dest: int, src: int, tag: int, payload: Any) -> None:
-        self.runtime.send(
-            self.members[dest], (_USER, self.ctx, src, tag, shm.encode(payload))
-        )
-
-    def wait_recv(self, rank: int, source: int, tag: int):
-        def ready():
-            i = self._match(source, tag)
-            return None if i is None else self._pending.pop(i)
-
-        return self._wait(
-            rank, ready, f"recv(source={source}, tag={tag}) ctx={self.ctx}"
-        )
-
-    def probe(self, rank: int, source: int, tag: int):
-        self.runtime.pump(block=False, deadline=0.0, waiting_for="probe")
-        i = self._match(source, tag)
-        if i is None:
-            # A miss costs a ~2ms blocking pump instead of a pure spin:
-            # probe loops (NBX drains) would otherwise burn the core while
-            # peers are trying to get scheduled to send.
-            self.runtime.pump_briefly(0.002)
-            i = self._match(source, tag)
-        if i is None:
-            return None
-        s, t, _ = self._pending[i]
-        return (s, t)
-
-    def exchange(self, rank: int, value: Any, combine: Callable[[list], Any]) -> Any:
-        seq = self._coll_seq
-        self._coll_seq += 1
-        if rank == 0:
-            def have_all():
-                got = self._contribs.get(seq, {})
-                return (got,) if len(got) >= self.size - 1 else None
-
-            got = self._wait(
-                rank, have_all, f"collective #{seq} (root) ctx={self.ctx}"
-            )[0] if self.size > 1 else {}
-            self._contribs.pop(seq, None)
-            vals = [value] + [got[r] for r in range(1, self.size)]
-            result = combine(vals)
-            for r in range(1, self.size):
-                # Fresh encoding per destination: each receiver consumes
-                # (and unlinks) its own shared-memory block.
-                self.runtime.send(
-                    self.members[r], (_RESULT, self.ctx, seq, shm.encode(result))
+    def wait(self, world: World, rank: int, ready, desc: str):
+        self.board.set(self.me, desc)
+        deadline = time.monotonic() + self.timeout
+        while (out := ready()) is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                # The board keeps `desc` as this rank's last-known state.
+                raise DeadlockError(
+                    f"{desc} timed out — deadlock?\n{self.board.dump()}"
                 )
-            return result
-        self.runtime.send(
-            self.members[0], (_CONTRIB, self.ctx, seq, rank, shm.encode(value))
-        )
-
-        def have_result():
-            # Boxed so a legitimate None result (e.g. a barrier) is not
-            # mistaken for "not ready yet".
-            if seq in self._results:
-                return (self._results.pop(seq),)
-            return None
-
-        return self._wait(
-            rank, have_result, f"collective #{seq} (awaiting root) ctx={self.ctx}"
-        )[0]
-
-    def ibarrier_arrive(self, rank: int, key) -> None:
-        # Everyone-tells-everyone: O(p^2) records per barrier, but the only
-        # correct shape over per-producer-FIFO queues.  NBX exits its drain
-        # loop when the barrier completes, i.e. once *every* member's
-        # arrival record has landed here — and each arrival rides the same
-        # FIFO as that member's earlier user messages, which are therefore
-        # already delivered.  A cheaper root-counted completion broadcast
-        # is NOT ordered behind other senders' messages and loses them.
-        for g in self.members:
-            self.runtime.send(g, (_IBARRIER, self.ctx, key))
-
-    def ibarrier_done(self, rank: int, key) -> bool:
-        self.runtime.pump(block=False, deadline=0.0, waiting_for="ibarrier")
-        return self._ibar.get(key, 0) >= self.size
-
-    def subworld(self, key, ranks: list[int]) -> "ProcessWorld":
-        # Splits are collective and `key` embeds (member tuple, split count),
-        # so appending it to the parent context gives every member the same
-        # fresh context id with no coordination.
-        if key not in self.split_cache:
-            self.split_cache[key] = ProcessWorld(
-                self.runtime,
-                self.ctx + (key,),
-                [self.members[r] for r in ranks],
-            )
-        return self.split_cache[key]
-
-    def set_attr(self, key, value) -> None:
-        self.attrs[key] = value  # rank-local; see repro.runtime.base
-
-    def get_attr(self, key, default=None):
-        return self.attrs.get(key, default)
+            self._take(min(remaining, 0.5))
+        self.board.set(self.me, "running")
+        return out
 
 
 def _child_main(rank, nprocs, fn, args, inboxes, result_q, shared, board_arr, timeout):
@@ -300,8 +138,8 @@ def _child_main(rank, nprocs, fn, args, inboxes, result_q, shared, board_arr, ti
     from repro.mpi.stats import SharedCommStats
 
     board = _StateBoard(board_arr, nprocs)
-    runtime = _ProcessRuntime(inboxes, rank, SharedCommStats(shared), board, timeout)
-    world = ProcessWorld(runtime, (), range(nprocs))
+    transport = _Inboxes(inboxes, rank, SharedCommStats(shared), board, timeout)
+    world = World(transport, range(nprocs))
     try:
         result = fn(Comm(world, rank), *args)
         try:

@@ -9,7 +9,7 @@ cross the process boundary through the page cache instead of a pipe.
 Lifecycle: the sender creates the block, copies the array in, closes its
 mapping and *unregisters* the block from its resource tracker; the receiver
 attaches, copies out, closes, and unlinks.  Each encoded descriptor is
-consumed exactly once (our mailboxes deliver every message exactly once), so
+consumed exactly once (every record is delivered exactly once), so
 ownership hand-off is unambiguous.  A receiver that dies before decoding can
 leak a block until reboot — acceptable for a simulator, and the parent
 process reaps any stragglers it observes on normal shutdown.
@@ -17,15 +17,14 @@ process reaps any stragglers it observes on normal shutdown.
 
 from __future__ import annotations
 
-import os
 from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
 
 #: Arrays at least this large (bytes) go through shared memory; smaller ones
-#: ride the queue pickle.  Overridable via REPRO_SPMD_SHM_MIN.
-SHM_MIN_BYTES = int(os.environ.get("REPRO_SPMD_SHM_MIN", 16384))
+#: ride the queue pickle.
+SHM_MIN_BYTES = 16384
 
 _PICKLED = 0
 _SHM_ARRAY = 1

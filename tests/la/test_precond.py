@@ -48,7 +48,7 @@ def _nonsym_problem():
 
 PRECONDS = {
     "jacobi": lambda mesh, A: JacobiPreconditioner(A),
-    "pcd": make_preconditioner,
+    "gmg": make_preconditioner,
 }
 
 
@@ -74,7 +74,7 @@ def test_reduces_gmres_iterations_nonsym(name):
     assert np.allclose(A @ pre.x, b, atol=1e-6)
 
 
-def test_pcd_matches_jacobi_solution():
+def test_gmg_matches_jacobi_solution():
     """Preconditioning changes the path, not the answer (up to the
     constant the PP solve projects out)."""
     mesh, K, b = _pp_problem()

@@ -267,6 +267,51 @@ class TestProcessBackend:
         assert res == [4, 4, 4, 4]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_recv_cycle_report_names_both_ranks(backend):
+    # Every backend's hang report carries the one world's wait
+    # descriptions, one line per rank.
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(
+            2,
+            lambda c: c.recv(source=1 - c.rank, tag=9),
+            backend=backend,
+            timeout=1.5,
+        )
+    msg = str(ei.value)
+    assert "per-rank state:" in msg
+    assert "rank 0: recv(source=1, tag=9)" in msg
+    assert "rank 1: recv(source=0, tag=9)" in msg
+
+
+def test_thread_world_under_fast_switching():
+    # More rank threads than cores and a 1 us switch interval: a lost update
+    # in the shared world (a message, a barrier arrival, a contribution or a
+    # sub-world built twice) shows as a wrong sum or source set, or a hang.
+    import sys
+
+    def fn(comm):
+        half = comm.split(comm.rank % 2)
+        got = []
+        for i in range(400):
+            out = {(comm.rank + k) % comm.size: i for k in (1, 3)}
+            srcs = sorted(nbx_exchange(comm, out))
+            got.append((srcs, comm.allreduce(comm.rank + i), half.allreduce(1)))
+        return got
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = run_spmd(8, fn, backend="thread", timeout=20)
+    finally:
+        sys.setswitchinterval(old)
+    for r, got in enumerate(res):
+        for i, (srcs, total, half_size) in enumerate(got):
+            assert srcs == sorted({(r - k) % 8 for k in (1, 3)})
+            assert total == sum(range(8)) + 8 * i
+            assert half_size == 4
+
+
 class TestSerialBackend:
     def test_two_runs_identical(self):
         def fn(comm):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.mpi.comm import run_spmd
 from repro.mpi.stats import CommStats
+from repro.runtime import ProcessBackend
 from repro.scenarios import ResultsStore, build, make_jobs, run_batch
 from repro.scenarios.batch import BatchJob, _batch_worker
 
@@ -132,6 +133,32 @@ class TestConcurrency:
         store = ResultsStore(str(tmp_path))
         report = run_batch(jobs, store, concurrency=4, backend="thread")
         assert report.statuses == {"succeeded": 4}
+
+    @pytest.mark.skipif(
+        not ProcessBackend.is_available(), reason="fork not available"
+    )
+    def test_process_workers_match_serial_records(self, tmp_path):
+        # The repo benchmark's batch path: forked worker ranks write the
+        # same records a serial batch does, up to timing and labels.
+        jobs = [BatchJob("drop", _quick("drop_2d")),
+                BatchJob("coal", _quick("coalescence_2d"))]
+        reports = {
+            backend: run_batch(jobs, ResultsStore(str(tmp_path / backend)),
+                               concurrency=2, backend=backend)
+            for backend in ("serial", "process")
+        }
+        assert reports["process"].statuses == {"succeeded": 2}
+
+        def record(report, jid):
+            d = report.results[jid].to_dict()
+            for key in ("wall_s", "backend", "obs_summary"):
+                d.pop(key)
+            return d
+
+        for jid in ("drop", "coal"):
+            assert record(reports["process"], jid) == record(
+                reports["serial"], jid
+            )
 
     def test_worker_is_communication_free(self, tmp_path):
         # Measured, not proved: two worker ranks run a job each and no p2p,
