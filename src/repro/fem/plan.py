@@ -9,15 +9,19 @@ i.e. for every operator of every Newton iteration of every timestep.
 
 :class:`AssemblyPlan` splits that work once and for all per mesh:
 
-* **symbolic phase** (``__init__``, once per mesh): expand
-  every elemental COO entry through the rows of ``P`` touching it (a slot
-  with no hanging node is its own single entry; only the others go through
-  ``P``), sort the expanded entries once into the final CSR layout of
-  ``A = P^T A_nodes P``, and
-  store the expansion as one CSR scatter operator ``S`` of shape
+* **symbolic phase** (``__init__``, once per mesh): a ``Ke`` slot whose
+  two nodes carry DOFs is one entry, placed by the element->DOF table
+  (``dof_of_node[elem_nodes]``) with weight 1.0; only the slots that touch
+  a hanging node expand through the rows of ``P``.  One sort of the int64
+  key ``(a n + b) << bits | slot`` (``bits`` for the slot numbers) puts
+  the entries into the final CSR layout of ``A = P^T A_nodes P``; a key
+  range past ``2**63`` is sorted in blocks of places, which no mesh below
+  some 7e5 elements (2D) or 5e5 (3D) needs.  The result is one CSR scatter
+  operator ``S`` of shape
   ``(nnz, n_elems * nc * nc)``: row = destination slot in ``csr.data``,
   column = source slot in the raveled ``Ke`` batch, value = interpolation
-  weight ``P[r,a] * P[c,b]``.
+  weight ``P[r,a] * P[c,b]``, assigned with the plan's layout on the
+  sorted arrays (no validating constructor).
 * **numeric phase** (:meth:`AssemblyPlan.assemble`, every call): one CSR
   mat-vec ``S @ Ke.ravel()`` — no COO construction, no sparse matmul, no
   ``sum_duplicates``.  The returned matrices share the plan's ``indptr`` /
@@ -51,7 +55,7 @@ import copy
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+from scipy.sparse import _sparsetools, get_index_dtype
 
 from .. import obs
 from ..mesh.mesh import Mesh
@@ -61,14 +65,16 @@ class StaleAssemblyPlanError(RuntimeError):
     """An :class:`AssemblyPlan` was applied to a matrix it did not assemble."""
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-    """A square CSR matrix on a precomputed canonical layout (rows sorted,
-    columns sorted within rows, duplicates summed).  The structure is
-    assigned directly: the validating constructor copies index arrays
-    (scipy >= 1.17), which would break both the zero-copy contract and the
-    structure-sharing property the tests pin down."""
+def _csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+         n_cols: int | None = None):
+    """A CSR matrix on a precomputed canonical layout (rows sorted, columns
+    sorted within rows, duplicates summed), square unless ``n_cols`` is
+    given.  The structure is assigned directly: the validating constructor
+    copies index arrays (scipy >= 1.17), which would break both the
+    zero-copy contract and the structure-sharing property the tests pin
+    down."""
     n = len(indptr) - 1
-    A = sp.csr_matrix((n, n), dtype=np.float64)
+    A = sp.csr_matrix((n, n if n_cols is None else n_cols), dtype=np.float64)
     A.data = data
     A.indices = indices
     A.indptr = indptr
@@ -86,6 +92,35 @@ def _with_data(proto: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     return A
 
 
+def _sort_pairs(pos: np.ndarray, src: np.ndarray, bits: int, n_pos: int) -> None:
+    """Sort distinct pairs ``0 <= pos < n_pos``, ``0 <= src < 2**bits`` in
+    place into the order of ``np.lexsort((src, pos))``: one ``np.sort`` of
+    the int64 key ``pos << bits | src``.  The key fits while ``pos`` spans
+    ``2**(63 - bits)`` places, so larger ranges go in blocks of that many
+    places, each sorted the same way.  For the plan's entries that is one
+    block up to some 7e5 elements in 2D and 5e5 in 3D."""
+    span = 63 - bits
+    n_blocks = ((n_pos - 1) >> span) + 1
+    if n_blocks > 1:
+        block = pos >> span
+        by_block = np.argsort(block, kind="stable")
+        pos[:], src[:] = pos[by_block], src[by_block]
+        ends = np.cumsum(np.bincount(block, minlength=n_blocks))
+    else:
+        ends = [len(pos)]
+    lo = 0
+    for b, hi in enumerate(ends):
+        base = b << span
+        key = pos[lo:hi] - base
+        key <<= bits
+        key |= src[lo:hi]
+        key.sort()
+        np.bitwise_and(key, (1 << bits) - 1, out=src[lo:hi], casting="unsafe")
+        key >>= bits
+        np.add(key, base, out=pos[lo:hi])
+        lo = hi
+
+
 class AssemblyPlan:
     """One-time symbolic assembly for a fixed mesh; cheap numeric updates.
 
@@ -100,88 +135,84 @@ class AssemblyPlan:
         obs.incr("assembly.symbolic")
 
     def _build(self, mesh: Mesh) -> None:
-        self.n_dofs = int(mesh.n_dofs)
-        en = mesh.nodes.elem_nodes
+        nodes = mesh.nodes
+        n = self.n_dofs = int(mesh.n_dofs)
+        en = nodes.elem_nodes
         n_elems, nc = en.shape
         self.ke_shape = (n_elems, nc, nc)
+        n_slots = n_elems * nc * nc
+        P = nodes.P.tocsr()
 
-        # Node-wise COO pattern of the elemental scatter (reference path's
-        # rows/cols), one entry per raveled Ke slot.
-        rows = np.repeat(en, nc, axis=1).ravel()
-        cols = np.tile(en, (1, nc)).ravel()
-
-        # Expand each COO entry through the touching rows of P:
-        #   A[a, b] += Ke_k * P[rows_k, a] * P[cols_k, b],
-        # k-major, then row-P entries, then col-P entries.  A slot whose two
-        # nodes each carry one P entry (neither hangs) expands to that one
-        # entry, read from per-node tables; only the slots that touch a
-        # hanging node go through the ragged expansions.  ``key`` is the
-        # entry's (a, b) position in the final layout.
-        P = mesh.nodes.P.tocsr()
-        n = np.int64(self.n_dofs)
+        # Ke slot s = (e nc + i) nc + j adds Ke_s P[en[e,i], a] P[en[e,j], b]
+        # to A[a, b]; an entry is a (pos, src) pair, pos = a n + b its place
+        # in the final layout, src its Ke slot.  A node that carries a DOF
+        # has the one P entry (its DOF, 1.0), so a slot whose two nodes do
+        # is one entry, read from the element->DOF table, of weight 1.0.
+        # Only the slots that touch a hanging node expand through P's rows
+        # (row-P entries, then col-P entries, slot by slot).
+        dof = nodes.dof_of_node[en]
+        hang = nodes.is_hanging[en]
+        he = np.flatnonzero(hang.any(axis=1))
+        k, i, j = np.nonzero(hang[he, :, None] | hang[he, None, :])
+        e = he[k]
+        h_slots = (e * nc + i) * nc + j  # ascending
         nr = np.diff(P.indptr)
-        cnt = nr[rows] * nr[cols]
-        one = cnt == 1
-        at_one = np.repeat(one, cnt)  # expanded entries of single slots
-        first = P.indptr[:-1]
-        col1, w1 = P.indices[first].astype(np.int64), P.data[first]
-        r1, c1 = rows[one], cols[one]
-        key = np.empty(len(at_one), dtype=np.int64)
-        weight = np.empty(len(at_one), dtype=np.float64)
-        src = np.empty(len(at_one), dtype=np.int64)
-        key[at_one] = col1[r1] * n + col1[c1]
-        weight[at_one] = w1[r1] * w1[c1]
-        src[at_one] = np.flatnonzero(one)
-
-        many = np.flatnonzero(~one)
-        rm = rows[many]
-        r_off, k1 = expand_ragged(P.indptr[rm], nr[rm])
-        cm = cols[many[k1]]
-        c_off, s1 = expand_ragged(P.indptr[cm], nr[cm])
+        rn, cn = en[e, i], en[e, j]
+        r_off, k1 = expand_ragged(P.indptr[rn], nr[rn])
+        cn = cn[k1]
+        c_off, s1 = expand_ragged(P.indptr[cn], nr[cn])
         r_off = r_off[s1]
-        at_many = ~at_one
-        key[at_many] = P.indices[r_off].astype(np.int64) * n + P.indices[c_off]
-        weight[at_many] = P.data[r_off] * P.data[c_off]
-        src[at_many] = many[k1[s1]]  # raveled Ke slot feeding each entry
+        h_pos = P.indices[r_off].astype(np.int64) * n
+        h_pos += P.indices[c_off]
+        h_weight = P.data[r_off] * P.data[c_off]
+        n_entries = n_slots - len(h_slots) + len(h_pos)
+        # S's index dtype: the one scipy's validating constructor picks
+        s_idx = get_index_dtype(maxval=max(n_slots, n_entries))
 
-        # Final CSR layout: one stable sort by (a, b); each run of equal keys
-        # is one data slot and keeps the expansion order.
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        run_start = np.ones(len(key), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=run_start[1:])
-        head = np.flatnonzero(run_start)
-        uniq = key[head]
+        pos = np.empty(n_slots + len(h_pos), dtype=np.int64)
+        np.add((dof * n)[:, :, None], dof[:, None, :],
+               out=pos[:n_slots].reshape(self.ke_shape))
+        pos[h_slots] = n * n  # past every real place: sorted last, cut
+        pos[n_slots:] = h_pos
+        src = np.empty(len(pos), dtype=s_idx)
+        src[:n_slots] = np.arange(n_slots, dtype=s_idx)
+        src[n_slots:] = h_slots[k1[s1]]
+        del dof, r_off, c_off, k1, s1
+
+        # One sort puts every entry in (pos, src) order: the order a stable
+        # sort of pos over the slot-major expansion gives.
+        _sort_pairs(pos, src, (n_slots - 1).bit_length(), n * n + 1)
+        pos, src = pos[:n_entries], src[:n_entries]
+
+        # Weights: 1.0 but where a hanging slot feeds the entry.  Those
+        # entries keep their (pos, src) order among themselves, which is
+        # their (pos, expansion index) order: the expansion is slot-major.
+        data = np.ones(n_entries)
+        touches = np.zeros(n_slots, dtype=bool)
+        touches[h_slots] = True
+        h_order = np.arange(len(h_pos))
+        _sort_pairs(h_pos, h_order, (len(h_pos) - 1).bit_length(), n * n)
+        data[np.flatnonzero(touches[src])] = h_weight[h_order]
+
+        # Each run of equal pos is one data slot: a row of the CSR scatter
+        # operator S (row = data slot, column = Ke slot), so the numeric
+        # phase is ``S @ Ke.ravel()``.
+        run = np.empty(n_entries, dtype=bool)
+        run[0] = True
+        np.not_equal(pos[1:], pos[:-1], out=run[1:])
+        head = np.flatnonzero(run)
+        uniq = pos[head]
         self.nnz = len(uniq)
-        # The expansion as one CSR operator, row = data slot, column = Ke
-        # slot: the numeric phase is ``S @ Ke.ravel()``.  Built directly, not
-        # through COO, so each row keeps the stable expansion order (and no
-        # duplicate is summed away).
-        self._S = sp.csr_matrix(
-            (
-                weight[order],
-                src[order],
-                np.concatenate((head, [len(key)])),
-            ),
-            shape=(self.nnz, n_elems * nc * nc),
-        )
+        S_indptr = np.empty(self.nnz + 1, dtype=s_idx)
+        S_indptr[:-1] = head
+        S_indptr[-1] = n_entries
+        self._S = _csr(data, src, S_indptr, n_slots)
 
-        indices = (uniq % self.n_dofs).astype(np.int64)
-        counts = np.bincount(
-            (uniq // self.n_dofs).astype(np.int64), minlength=self.n_dofs
-        )
-        indptr = np.zeros(self.n_dofs + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # Round-trip once through scipy so the shared index arrays already
-        # carry the canonical dtype — later constructions then share them
-        # by reference instead of copying.
-        proto = sp.csr_matrix(
-            (np.zeros(self.nnz), indices, indptr),
-            shape=(self.n_dofs, self.n_dofs),
-        )
-        self.indices = proto.indices
-        self.indptr = proto.indptr
-        self._proto = _csr(proto.data, self.indices, self.indptr)
+        row = uniq // n
+        idx = get_index_dtype(maxval=max(n, self.nnz))
+        self.indices = (uniq - row * n).astype(idx)
+        self.indptr = np.searchsorted(row, np.arange(n + 1)).astype(idx)
+        self._proto = _csr(np.zeros(self.nnz), self.indices, self.indptr)
 
         # Lazily-built sub-plans: :meth:`scatter_loads` (from the node
         # table's ``P`` / ``elem_nodes``), one :meth:`eliminate` plan per

@@ -71,6 +71,18 @@ class Comm:
         """Non-blocking probe; returns (source, tag) or None."""
         return self._world.probe(self.rank, source, tag)
 
+    def probe_until(self, bar: "_IBarrier", source: int = ANY_SOURCE,
+                    tag: int = ANY_TAG):
+        """Blocking probe that gives up once this rank's non-blocking
+        barrier ``bar`` completes: (source, tag) of a pending match, else
+        None.  Barrier arrivals travel behind the messages their senders
+        sent before them, so after None none of those is still to come."""
+        if bar._done:
+            return self.iprobe(source, tag)
+        status = self._world.probe_until(self.rank, source, tag, bar._key)
+        bar._done = status is None
+        return status
+
     # ----------------------------------------------------------- collectives
 
     def barrier(self) -> None:
@@ -82,7 +94,7 @@ class Comm:
     def ibarrier(self, key: int = 0) -> "_IBarrier":
         """Non-blocking barrier used by the NBX sparse exchange."""
         self._world.ibarrier_arrive(self.rank, key)
-        return _IBarrier(self._world, self.rank, key)
+        return _IBarrier(key)
 
     def _verify(self, op: str, value: Any, symmetric: bool) -> None:
         """Cross-rank collective-matching check (``REPRO_SPMD_CHECK=1``).
@@ -200,13 +212,14 @@ _ATTR_MISS = object()
 
 
 class _IBarrier:
-    def __init__(self, world, rank: int, key) -> None:
-        self._world = world
-        self._rank = rank
-        self._key = key
+    """A non-blocking barrier this rank has entered (:meth:`Comm.ibarrier`),
+    waited on by :meth:`Comm.probe_until`."""
 
-    def done(self) -> bool:
-        return self._world.ibarrier_done(self._rank, self._key)
+    def __init__(self, key) -> None:
+        self._key = key
+        # Remembered here: the world forgets a barrier once it has
+        # completed on this rank.
+        self._done = False
 
 
 def _sum_op(a, b):

@@ -13,10 +13,9 @@ volumes directly.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Mapping
 
-from .comm import ANY_SOURCE, ANY_TAG, Comm
+from .comm import ANY_SOURCE, Comm
 
 _NBX_TAG = 7_771
 
@@ -64,17 +63,9 @@ def nbx_exchange(comm: Comm, outgoing: Mapping[int, Any]) -> dict[int, Any]:
     # eagerly, so sends are complete here by construction.
     bar = comm.ibarrier(key=key)
     received: dict[int, Any] = {}
-    while True:
-        status = comm.iprobe(ANY_SOURCE, tag)
-        if status is not None:
-            src, _ = status
-            received[src] = comm.recv(src, tag=tag)
-            continue
-        if bar.done():
-            # Drain anything that raced the barrier completion.
-            status = comm.iprobe(ANY_SOURCE, tag)
-            if status is None:
-                break
-        else:
-            time.sleep(0)  # yield to other rank threads
+    # Blocks until a message is pending or the barrier has completed here;
+    # at completion every message sent to this rank has arrived.
+    while (status := comm.probe_until(bar, ANY_SOURCE, tag)) is not None:
+        src, _ = status
+        received[src] = comm.recv(src, tag=tag)
     return received

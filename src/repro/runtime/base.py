@@ -181,11 +181,28 @@ class World:
         for r in range(self.size):
             self.transport.send(self, r, (_ARRIVAL, rank, key, None))
 
-    def ibarrier_done(self, rank: int, key) -> bool:
+    def probe_until(self, rank: int, source: int, tag: int, key):
+        """Blocking probe that gives up once barrier ``key`` completes:
+        ``(src, tag)`` of the oldest pending match, else None when all
+        ``size`` arrivals have reached ``rank`` (and with them every message
+        sent to it before them).  The count is dropped then: no further
+        arrival for ``key`` can reach ``rank``."""
         arrived = self._arrivals[rank]
-        return self.transport.poll(
-            self, rank, lambda: arrived.get(key, 0) >= self.size or None
-        ) is not None
+
+        def ready():
+            i = self._match(rank, source, tag)
+            if i is not None:
+                return self._pending[rank][i][:2]
+            if arrived.get(key, 0) < self.size:
+                return None
+            del arrived[key]
+            return ()
+
+        return self.transport.wait(
+            self, rank, ready,
+            f"probe(source={source}, tag={tag}) until ibarrier {key!r} "
+            f"on comm of size {self.size}",
+        ) or None
 
     def subworld(self, key, ranks: list[int]) -> "World":
         """The world of the subgroup ``ranks`` (local indices).

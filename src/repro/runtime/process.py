@@ -112,7 +112,7 @@ class _Inboxes:
         self._take(0.0)
         if (out := ready()) is None:
             # A miss waits up to ~2 ms for the next record instead of
-            # spinning: probe loops (NBX drains) would otherwise burn the
+            # spinning: an iprobe loop would otherwise burn the
             # core while peers are trying to get scheduled to send.
             self._take(0.002)
             out = ready()

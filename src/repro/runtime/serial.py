@@ -9,9 +9,10 @@ reproducing heisenbugs found under the thread backend.
 
 Deadlocks are detected *structurally*: the moment every unfinished rank is
 blocked with no possible wake-up, the run aborts with a report naming what
-each rank was waiting for (no timeout needed).  A poll-loop livelock (e.g. an
-NBX drain loop whose barrier can never complete) is caught by a bounded count
-of consecutive unproductive handoffs.
+each rank was waiting for (no timeout needed); an NBX drain whose barrier
+can never complete is such a wait.  A poll-loop livelock (e.g. an ``iprobe``
+loop for a message that never comes) is caught by a bounded count of
+consecutive unproductive handoffs.
 
 Implementation note: this is the thread backend's transport and launcher
 under a baton — ranks are OS threads and records pass by reference, but

@@ -29,7 +29,9 @@ from ..chns.ch_solver import CHSolver
 from ..chns.params import CHNSParams
 from ..chns.timestepper import CHNSTimeStepper, no_slip_bc
 from ..mesh.mesh import Mesh
-from ..octree.build import uniform_tree
+from ..octree import morton
+from ..octree.build import build_tree, uniform_tree
+from ..octree.tree import Octree
 from .manufactured import ch_manufactured, ns_manufactured
 
 # ----------------------------------------------------------------- norms
@@ -109,8 +111,23 @@ class CaseResult:
         )
 
 
-def _ch_final_state(level: int, dt: float, nsteps: int, prm, mms, theta=0.5):
-    mesh = Mesh.from_tree(uniform_tree(2, level))
+def quadrant_tree(dim: int, level: int) -> Octree:
+    """A level-``level`` tree one level finer where ``x < 1/2`` and
+    ``y < 1/2``: hanging nodes along two coarse/fine interfaces."""
+    half = 1 << (morton.MAX_DEPTH - 1)
+    return build_tree(
+        dim, lambda a, _: (a[:, 0] < half) & (a[:, 1] < half),
+        min_level=level, max_level=level + 1,
+    )
+
+
+#: the meshes a ladder runs on, by name: ``tree(dim, level)``
+TREES = {"uniform": uniform_tree, "quadrant": quadrant_tree}
+
+
+def _ch_final_state(level: int, dt: float, nsteps: int, prm, mms, theta=0.5,
+                    tree="uniform"):
+    mesh = Mesh.from_tree(TREES[tree](2, level))
     ch = CHSolver(mesh, prm)
     phi = mesh.interpolate(lambda xx: mms.phi(xx, 0.0))
     mu = ch.initial_mu(phi)
@@ -124,7 +141,10 @@ def _ch_final_state(level: int, dt: float, nsteps: int, prm, mms, theta=0.5):
     return mesh, phi, mu
 
 
-def run_ch_spatial(levels, *, T=0.2, cfl=0.5, prm=None) -> CaseResult:
+def run_ch_spatial(levels, *, T=0.2, cfl=0.5, prm=None,
+                   tree="uniform") -> CaseResult:
+    """CH spatial ladder; ``tree`` names the mesh (:data:`TREES`), and
+    ``h`` is a level's coarsest element size."""
     prm = prm or CHNSParams(Pe=10.0, Cn=0.2)
     mms = ch_manufactured(prm.Pe, prm.Cn)
     hs, e_phi, e_mu, g_phi = [], [], [], []
@@ -132,13 +152,14 @@ def run_ch_spatial(levels, *, T=0.2, cfl=0.5, prm=None) -> CaseResult:
         h = 1.0 / (1 << lev)
         nsteps = max(2, int(round(T / (cfl * h))))
         dt = T / nsteps
-        mesh, phi, mu = _ch_final_state(lev, dt, nsteps, prm, mms)
+        mesh, phi, mu = _ch_final_state(lev, dt, nsteps, prm, mms,
+                                        tree=tree)
         hs.append(h)
         e_phi.append(l2_error(mesh, phi, mms.phi, T))
         e_mu.append(l2_error(mesh, mu, mms.mu, T))
         g_phi.append(h1_error(mesh, phi, mms.grad_phi, T))
     return CaseResult(
-        name="ch_spatial",
+        name="ch_spatial" if tree == "uniform" else f"ch_spatial_{tree}",
         ladder=hs,
         fields={
             "phi": FieldOrders(e_phi, fit_order(hs, e_phi),
@@ -319,6 +340,7 @@ def run_all(quick: bool = True) -> dict:
     if quick:
         cases = [
             run_ch_spatial((2, 3, 4)),
+            run_ch_spatial((2, 3, 4), tree="quadrant"),
             run_ch_temporal(3, (0.1, 0.05, 0.025)),
             run_ns_spatial((2, 3, 4)),
             run_ns_temporal(3, (0.08, 0.04, 0.02)),
@@ -326,6 +348,7 @@ def run_all(quick: bool = True) -> dict:
     else:
         cases = [
             run_ch_spatial((3, 4, 5)),
+            run_ch_spatial((3, 4, 5), tree="quadrant"),
             run_ch_temporal(4, (0.1, 0.05, 0.025, 0.0125)),
             run_ns_spatial((3, 4, 5)),
             run_ns_temporal(4, (0.08, 0.04, 0.02, 0.01)),

@@ -2,35 +2,43 @@
 
 The GMG hierarchy takes a wholly used uniform level as it is and prunes
 columns by a count, the V-cycle smooths into per-level work vectors, the
-plan's 2x2 block layout is built from the plan's ``indptr`` / ``indices``
-and its load scatter from ``P``'s arrays.  The references below are those
-builders as they were before, kept verbatim (the hierarchy without its
-``memo`` lookup, so it is built afresh): each new form must give the same
-arrays, bit for bit, and the same dtypes.  Meshes: 2D and 3D meshes with
-hanging nodes, the seed-0 ``cavity2d`` workload mesh (graded to its walls)
-and uniform meshes, whose every coarse level is used whole.  Arrays
-and counts only, no timing.
+plan's symbolic phase reads the element->DOF table and expands only the
+slots that touch a hanging node, its 2x2 block layout is built from the
+plan's ``indptr`` / ``indices`` and its load scatter from ``P``'s arrays.
+The references below are those builders as they were before, kept
+verbatim (the hierarchy without its ``memo`` lookup, so it is built
+afresh): each new form must give the same arrays, bit for bit, and the
+same dtypes.  Meshes: 2D and 3D meshes with hanging nodes, the seed-0
+``cavity2d`` workload mesh (graded to its walls) and uniform meshes, whose
+every coarse level is used whole; the plan also on every stepping
+workload's mesh, carved trees, the ``jet2d_amr`` cycle meshes and random
+balanced trees.  Arrays and counts only, no timing.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.chns import forms
 from repro.fem.basis import quad_point_coords, shape_functions
-from repro.fem.plan import AssemblyPlan, get_plan
+from repro.fem.plan import AssemblyPlan, _csr, _sort_pairs, get_plan
 from repro.la import gmg
 from repro.la.gmg import GeometricMultigrid, hierarchy_for
 from repro.la.krylov import cg
 from repro.la.precond import GMG_COARSEST_LEVEL, make_preconditioner
+from repro.mesh.nodes import expand_ragged
 from repro.mesh.distributed import DistributedField
 from repro.mesh.mesh import Mesh
 from repro.mpi.comm import run_spmd
 from repro.octree import morton
-from repro.octree.build import uniform_tree
+from repro.octree.balance import balance
+from repro.octree.build import build_tree, uniform_tree
+from repro.octree.refine import refine
 
-from ..mesh.test_build_oracles import graded, workload_mesh
+from ..mesh.test_build_oracles import _workloads, carved, graded, workload_mesh
 
 OMEGA, SMOOTH_STEPS = gmg.OMEGA, gmg.SMOOTH_STEPS
 
@@ -145,6 +153,108 @@ def reference_block_2x2(plan: AssemblyPlan, d11, d12, d21, d22):
 
 def reference_scatter(plan: AssemblyPlan) -> sp.csr_matrix:
     return plan._P[plan._en.ravel()].T.tocsr()
+
+
+class ReferencePlan:
+    """``AssemblyPlan``'s symbolic phase as it was: ``P``-row counts per
+    slot, boolean-mask fills of the one-entry and expanded slots, one
+    stable ``argsort`` of the ``(a, b)`` key and a round trip through
+    scipy's validating constructor."""
+
+    def __init__(self, mesh: Mesh):
+        self._build(mesh)
+
+    def _build(self, mesh: Mesh) -> None:
+        self.n_dofs = int(mesh.n_dofs)
+        en = mesh.nodes.elem_nodes
+        n_elems, nc = en.shape
+        self.ke_shape = (n_elems, nc, nc)
+
+        # Node-wise COO pattern of the elemental scatter (reference path's
+        # rows/cols), one entry per raveled Ke slot.
+        rows = np.repeat(en, nc, axis=1).ravel()
+        cols = np.tile(en, (1, nc)).ravel()
+
+        # Expand each COO entry through the touching rows of P:
+        #   A[a, b] += Ke_k * P[rows_k, a] * P[cols_k, b],
+        # k-major, then row-P entries, then col-P entries.  A slot whose two
+        # nodes each carry one P entry (neither hangs) expands to that one
+        # entry, read from per-node tables; only the slots that touch a
+        # hanging node go through the ragged expansions.  ``key`` is the
+        # entry's (a, b) position in the final layout.
+        P = mesh.nodes.P.tocsr()
+        n = np.int64(self.n_dofs)
+        nr = np.diff(P.indptr)
+        cnt = nr[rows] * nr[cols]
+        one = cnt == 1
+        at_one = np.repeat(one, cnt)  # expanded entries of single slots
+        first = P.indptr[:-1]
+        col1, w1 = P.indices[first].astype(np.int64), P.data[first]
+        r1, c1 = rows[one], cols[one]
+        key = np.empty(len(at_one), dtype=np.int64)
+        weight = np.empty(len(at_one), dtype=np.float64)
+        src = np.empty(len(at_one), dtype=np.int64)
+        key[at_one] = col1[r1] * n + col1[c1]
+        weight[at_one] = w1[r1] * w1[c1]
+        src[at_one] = np.flatnonzero(one)
+
+        many = np.flatnonzero(~one)
+        rm = rows[many]
+        r_off, k1 = expand_ragged(P.indptr[rm], nr[rm])
+        cm = cols[many[k1]]
+        c_off, s1 = expand_ragged(P.indptr[cm], nr[cm])
+        r_off = r_off[s1]
+        at_many = ~at_one
+        key[at_many] = P.indices[r_off].astype(np.int64) * n + P.indices[c_off]
+        weight[at_many] = P.data[r_off] * P.data[c_off]
+        src[at_many] = many[k1[s1]]  # raveled Ke slot feeding each entry
+
+        # Final CSR layout: one stable sort by (a, b); each run of equal keys
+        # is one data slot and keeps the expansion order.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        run_start = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=run_start[1:])
+        head = np.flatnonzero(run_start)
+        uniq = key[head]
+        self.nnz = len(uniq)
+        # The expansion as one CSR operator, row = data slot, column = Ke
+        # slot: the numeric phase is ``S @ Ke.ravel()``.  Built directly, not
+        # through COO, so each row keeps the stable expansion order (and no
+        # duplicate is summed away).
+        self._S = sp.csr_matrix(
+            (
+                weight[order],
+                src[order],
+                np.concatenate((head, [len(key)])),
+            ),
+            shape=(self.nnz, n_elems * nc * nc),
+        )
+
+        indices = (uniq % self.n_dofs).astype(np.int64)
+        counts = np.bincount(
+            (uniq // self.n_dofs).astype(np.int64), minlength=self.n_dofs
+        )
+        indptr = np.zeros(self.n_dofs + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        # Round-trip once through scipy so the shared index arrays already
+        # carry the canonical dtype — later constructions then share them
+        # by reference instead of copying.
+        proto = sp.csr_matrix(
+            (np.zeros(self.nnz), indices, indptr),
+            shape=(self.n_dofs, self.n_dofs),
+        )
+        self.indices = proto.indices
+        self.indptr = proto.indptr
+        self._proto = _csr(proto.data, self.indices, self.indptr)
+
+        # Lazily-built sub-plans: :meth:`scatter_loads` (from the node
+        # table's ``P`` / ``elem_nodes``), one :meth:`eliminate` plan per
+        # mask, the :meth:`block_2x2` layout.
+        self._P, self._en = P, en
+        self._scatter = None
+        self._dirichlet: dict = {}
+        self._block_2x2 = None
 
 
 # ----------------------------------------------------------------- meshes
@@ -277,3 +387,87 @@ def test_needed_nodes_match_unique(mesh, nprocs):
         return same_bits(df.needed, ref)
 
     assert all(run_spmd(nprocs, fn))
+
+
+# ------------------------------------------------------------ plan build
+
+
+def jet_cycle_meshes() -> list:
+    """The initial mesh and every mesh a remesh cycle builds in 7 steps of
+    the seed-0 ``jet2d_amr`` workload."""
+    wl = _workloads()
+    sim = wl.make_sim(wl.generate("jet2d_amr", 0))
+    sim.setup()
+    meshes = [sim.mesh]
+    for _ in range(7):
+        sim.step()
+        if sim.mesh is not meshes[-1]:
+            meshes.append(sim.mesh)
+    return meshes
+
+
+PLAN_MESHES = {
+    **{name: (lambda name=name: workload_mesh(name)) for name in (
+        "bubble2d", "spinodal2d", "cavity2d", "bubble3d", "jet2d_amr")},
+    "graded2d": lambda: graded(2),
+    "graded3d": lambda: graded(3),
+    "uniform2d": lambda: Mesh.from_tree(uniform_tree(2, 5)),
+    "uniform3d": lambda: Mesh.from_tree(uniform_tree(3, 3)),
+    "carved2d": lambda: Mesh(carved(2)),
+    "carved3d": lambda: Mesh(carved(3)),
+}
+
+
+def assert_same_plan(mesh: Mesh) -> None:
+    new, ref = AssemblyPlan(mesh), ReferencePlan(mesh)
+    assert new.nnz == ref.nnz
+    assert_same_csr(new._S, ref._S)
+    assert_same_csr(new._proto, ref._proto)
+    assert same_bits(new.indices, ref.indices)
+    assert same_bits(new.indptr, ref.indptr)
+    assert new._proto.indices is new.indices
+    assert new._proto.indptr is new.indptr
+
+
+class TestPlanBuild:
+    @pytest.mark.parametrize("name", sorted(PLAN_MESHES))
+    def test_plan_matches_reference(self, name):
+        assert_same_plan(PLAN_MESHES[name]())
+
+    def test_jet_cycle_meshes_match_reference(self):
+        meshes = jet_cycle_meshes()
+        assert len(meshes) == 6  # 5 of the 6 cycles change the tree
+        for mesh in meshes:
+            assert_same_plan(mesh)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]))
+    def test_property_random_balanced_trees(self, seed, dim):
+        """A random tree, a few leaves refined 2-3 levels in one go, then
+        2:1-balanced: hanging nodes of every kind, edge and face."""
+        rng = np.random.default_rng(seed)
+        t = build_tree(dim, lambda a, lv: rng.random(len(lv)) < 0.4,
+                       max_level=4 if dim == 2 else 3, min_level=1)
+        targets = t.levels.copy()
+        picks = rng.choice(len(t), size=min(2, len(t)), replace=False)
+        targets[picks] += rng.integers(2, 4, size=len(picks))
+        assert_same_plan(Mesh(balance(refine(t, targets))))
+
+    @pytest.mark.parametrize("bits, n_pos", [(40, 1 << 30), (3, 1 << 62),
+                                             (62, 1 << 4), (20, 5)])
+    def test_sort_pairs_is_lexsort(self, bits, n_pos):
+        """Past 2**63 the key range is cut into blocks of places; the order
+        is still ``np.lexsort``'s (one block in the last case)."""
+        rng = np.random.default_rng(bits)
+        pos = rng.integers(0, n_pos, 4000, dtype=np.int64)
+        src = rng.integers(0, 1 << bits, 4000, dtype=np.int64)
+        pos[:2], src[:2] = n_pos - 1, (1 << bits) - 1  # both ends
+        keep = np.unique(np.stack([pos, src]), axis=1, return_index=True)[1]
+        pos, src = pos[np.sort(keep)], src[np.sort(keep)]
+        order = np.lexsort((src, pos))
+        want_pos, want_src = pos[order], src[order]
+        _sort_pairs(pos, src, bits, n_pos)
+        assert np.array_equal(pos, want_pos)
+        assert np.array_equal(src, want_src)
+        past_int64 = bits + (n_pos - 1).bit_length() > 63
+        assert past_int64 == ((bits, n_pos) != (20, 5))

@@ -138,6 +138,17 @@ class TestSparseExchange:
             assert a == [(r - 1) % 4]
             assert b == [(r - 2) % 4]
 
+    def test_nbx_rounds_leave_no_barrier_arrivals(self):
+        """A rank drops a barrier's arrival count once the barrier has
+        completed there: 500 rounds leave no key behind (one per round
+        stayed for the communicator's life before)."""
+        def fn(comm):
+            for i in range(500):
+                nbx_exchange(comm, {(comm.rank + 1 + i % 3) % comm.size: i})
+            return len(comm._world._arrivals[comm.rank])
+
+        assert run_spmd(4, fn, backend="thread") == [0] * 4
+
     def test_nbx_cheaper_than_dense_for_sparse_pattern(self):
         """The paper's point: dense Alltoall costs Omega(p) per rank even
         when the pattern is sparse; NBX costs only the actual messages."""

@@ -284,6 +284,26 @@ def test_recv_cycle_report_names_both_ranks(backend):
     assert "rank 1: recv(source=0, tag=9)" in msg
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_nbx_drain_that_never_completes_reports_its_wait(backend):
+    # Rank 1 never enters the exchange, so rank 0's drain waits for a
+    # barrier that cannot complete: it times out (serial: is found stuck)
+    # naming the message it probes for and the barrier it waits on.  Rank
+    # 1's recv, entered first, may time out first and read as finished.
+    def fn(comm):
+        if comm.rank == 0:
+            nbx_exchange(comm, {1: b"m"})
+        else:
+            comm.recv(source=0, tag=9)
+
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(2, fn, backend=backend, timeout=1.5)
+    msg = str(ei.value)
+    assert "per-rank state:" in msg
+    assert ("rank 0: probe(source=-1, tag=7772) until ibarrier ('nbx', 1) "
+            "on comm of size 2") in msg
+
+
 def test_thread_world_under_fast_switching():
     # More rank threads than cores and a 1 us switch interval: a lost update
     # in the shared world (a message, a barrier arrival, a contribution or a

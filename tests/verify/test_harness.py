@@ -148,6 +148,22 @@ def test_coupled_stepper_dt_halving_regression():
     assert errs[0] / errs[1] > 2.0**1.5
 
 
+# ------------------------------------------------------- graded ladder
+
+
+def test_ch_spatial_quadrant_ladder_passes():
+    """The quick set's graded rung: the CH ladder on meshes with hanging
+    nodes (so the plan's hanging-slot expansion runs end to end) keeps
+    its second order."""
+    for level in (2, 3, 4):
+        nodes = Mesh.from_tree(H.quadrant_tree(2, level)).nodes
+        assert nodes.is_hanging.sum() == 1 << level  # 2 ** (level - 1) a side
+    case = run_ch_spatial((2, 3, 4), tree="quadrant")
+    assert case.name == "ch_spatial_quadrant"
+    assert case.thresholds == {"phi": 1.9}
+    assert case.passed, case.fields
+
+
 # ------------------------------------------------ slow full ladders
 
 
