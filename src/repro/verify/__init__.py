@@ -4,8 +4,8 @@ The projection-based semi-implicit CHNS scheme we reproduce (Khanwale et
 al., arXiv:2107.05123) claims second-order accuracy in space and time;
 the fully-coupled framework (arXiv:2009.06628) demonstrates the MMS
 methodology for pinning those orders.  This package makes both claims
-falsifiable: :mod:`manufactured` derives exact solutions + forcing terms
-symbolically (sympy), :mod:`harness` runs refinement ladders through the
+falsifiable: :mod:`manufactured` gives exact solutions + forcing terms in
+closed form (NumPy), :mod:`harness` runs refinement ladders through the
 production solvers and fits convergence orders, and ``python -m
 repro.verify --quick`` is the CI gate (non-zero exit on an order miss).
 """

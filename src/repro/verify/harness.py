@@ -31,7 +31,6 @@ from ..chns.timestepper import CHNSTimeStepper, no_slip_bc
 from ..mesh.mesh import Mesh
 from ..octree import morton
 from ..octree.build import build_tree, uniform_tree
-from ..octree.tree import Octree
 from .manufactured import ch_manufactured, ns_manufactured
 
 # ----------------------------------------------------------------- norms
@@ -111,18 +110,24 @@ class CaseResult:
         )
 
 
-def quadrant_tree(dim: int, level: int) -> Octree:
-    """A level-``level`` tree one level finer where ``x < 1/2`` and
-    ``y < 1/2``: hanging nodes along two coarse/fine interfaces."""
-    half = 1 << (morton.MAX_DEPTH - 1)
-    return build_tree(
-        dim, lambda a, _: (a[:, 0] < half) & (a[:, 1] < half),
-        min_level=level, max_level=level + 1,
-    )
+_HALF = 1 << (morton.MAX_DEPTH - 1)  # the anchor coordinate of 1/2
 
 
-#: the meshes a ladder runs on, by name: ``tree(dim, level)``
-TREES = {"uniform": uniform_tree, "quadrant": quadrant_tree}
+def _graded_tree(finer: Callable) -> Callable:
+    """``tree(dim, level)``, one level finer where the ``build_tree``
+    predicate ``finer`` holds: hanging nodes line the interfaces."""
+    return lambda dim, level: build_tree(dim, finer, min_level=level,
+                                         max_level=level + 1)
+
+
+#: the meshes a ladder runs on, by name: ``tree(dim, level)``.  The graded
+#: trees are finer where ``x, y < 1/2`` (two interfaces) or ``x >= 1/2``.
+TREES = {
+    "uniform": uniform_tree,
+    "quadrant": _graded_tree(
+        lambda a, _: (a[:, 0] < _HALF) & (a[:, 1] < _HALF)),
+    "half": _graded_tree(lambda a, _: a[:, 0] >= _HALF),
+}
 
 
 def _ch_final_state(level: int, dt: float, nsteps: int, prm, mms, theta=0.5,
@@ -341,6 +346,7 @@ def run_all(quick: bool = True) -> dict:
         cases = [
             run_ch_spatial((2, 3, 4)),
             run_ch_spatial((2, 3, 4), tree="quadrant"),
+            run_ch_spatial((2, 3, 4), tree="half"),
             run_ch_temporal(3, (0.1, 0.05, 0.025)),
             run_ns_spatial((2, 3, 4)),
             run_ns_temporal(3, (0.08, 0.04, 0.02)),
@@ -349,6 +355,7 @@ def run_all(quick: bool = True) -> dict:
         cases = [
             run_ch_spatial((3, 4, 5)),
             run_ch_spatial((3, 4, 5), tree="quadrant"),
+            run_ch_spatial((3, 4, 5), tree="half"),
             run_ch_temporal(4, (0.1, 0.05, 0.025, 0.0125)),
             run_ns_spatial((3, 4, 5)),
             run_ns_temporal(4, (0.08, 0.04, 0.02, 0.01)),

@@ -1,16 +1,17 @@
-"""Symbolically-derived manufactured solutions for the CHNS blocks.
+"""Manufactured solutions for the CHNS blocks, in closed form.
 
 Each factory picks an exact solution that satisfies the discrete boundary
 conditions *exactly* (so no BC-inconsistency error pollutes the measured
-order), substitutes it into the continuous PDE with sympy, and lambdifies
-the residual as the forcing term the solvers inject through
-``chns.forms.source_at``:
+order), substitutes it into the continuous PDE by hand, and returns the
+fields and the residual as NumPy functions ``f(pts, t)``; the residual is
+the forcing the solvers inject through ``chns.forms.source_at``.
+``tests/verify/test_harness.py`` checks each against its PDE by central
+differences.
 
 * CH: ``phi* = (1/2) cos(pi x) cos(pi y) cos(t)`` — no-flux on every wall
-  (the natural CH boundary condition), and ``|phi*| <= 1/2`` keeps the
-  degenerate mobility ``sqrt(1 - phi^2)`` away from its clamp floor.  The
-  chemical potential is defined *as* ``mu* = psi'(phi*) - Cn^2 lap(phi*)``
-  so the constraint equation needs no source at all.
+  (the natural CH boundary condition).  The forcing uses the paper's
+  ``psi'(phi) = phi^3 - phi`` and mobility ``m = sqrt(1 - phi^2)``
+  unclamped; ``|phi*| <= 1/2`` keeps the code's mobility clamp inactive.
 * NS: divergence-free velocity from the streamfunction
   ``sin^2(pi x) sin^2(pi y) cos(t)`` — identically zero on the whole
   boundary, matching the no-slip masks — with pressure
@@ -24,43 +25,11 @@ the residual as the forcing term the solvers inject through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import sympy as sym
 
-_X, _Y, _T = sym.symbols("x y t")
-_SYMS = (_X, _Y, _T)
-
-
-def _scalar(expr) -> Callable:
-    """Lambdify a scalar expr as ``f(pts, t) -> (npts,)``."""
-    fn = sym.lambdify(_SYMS, expr, "numpy")
-
-    def call(pts: np.ndarray, t: float) -> np.ndarray:
-        out = np.asarray(fn(pts[:, 0], pts[:, 1], t), dtype=float)
-        return np.broadcast_to(out, (len(pts),)).copy()
-
-    return call
-
-
-def _vector(exprs) -> Callable:
-    """Lambdify component exprs as ``f(pts, t) -> (npts, k)``."""
-    fns = [_scalar(e) for e in exprs]
-
-    def call(pts: np.ndarray, t: float) -> np.ndarray:
-        return np.stack([f(pts, t) for f in fns], axis=1)
-
-    return call
-
-
-def _grad(expr):
-    return [sym.diff(expr, _X), sym.diff(expr, _Y)]
-
-
-def _lap(expr):
-    return sym.diff(expr, _X, 2) + sym.diff(expr, _Y, 2)
+PI = np.pi
 
 
 @dataclass(frozen=True)
@@ -83,7 +52,12 @@ class NSManufactured:
     forcing: Callable  # (npts, 2)
 
 
-@lru_cache(maxsize=None)
+def _waves(pts: np.ndarray, k: float = PI):
+    """``sin(k x), cos(k x), sin(k y), cos(k y)`` at ``pts``."""
+    x, y = k * pts[:, 0], k * pts[:, 1]
+    return np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+
+
 def ch_manufactured(Pe: float, Cn: float) -> CHManufactured:
     """Manufactured advection-free Cahn-Hilliard problem on [0,1]^2.
 
@@ -92,52 +66,69 @@ def ch_manufactured(Pe: float, Cn: float) -> CHManufactured:
 
         d phi/dt - (1/(Pe Cn)) div( m(phi) grad mu ) = f_phi
         mu = psi'(phi) - Cn^2 lap(phi)        (exact, no source)
+
+    ``lap phi* = -2 pi^2 phi*``, so ``mu* = phi*^3 + a phi*`` with
+    ``a = 2 pi^2 Cn^2 - 1``, ``grad mu* = (3 phi*^2 + a) grad phi*`` and
+    ``div(m grad mu*) = -(phi/m)(3 phi^2 + a)|grad phi|^2
+    + m (6 phi |grad phi|^2 - 2 pi^2 (3 phi^2 + a) phi)``.
     """
-    phi = sym.Rational(1, 2) * sym.cos(sym.pi * _X) * sym.cos(sym.pi * _Y) \
-        * sym.cos(_T)
-    mu = phi**3 - phi - Cn**2 * _lap(phi)
-    m = sym.sqrt(1 - phi**2)
-    flux_div = sym.diff(m * sym.diff(mu, _X), _X) + sym.diff(
-        m * sym.diff(mu, _Y), _Y
-    )
-    f_phi = sym.diff(phi, _T) - flux_div / (Pe * Cn)
-    return CHManufactured(
-        phi=_scalar(phi),
-        mu=_scalar(mu),
-        grad_phi=_vector(_grad(phi)),
-        f_phi=_scalar(sym.simplify(f_phi)),
-    )
+    a = 2.0 * PI**2 * Cn**2 - 1.0
+
+    def phi(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        return 0.5 * cx * cy * np.cos(t)
+
+    def mu(pts, t):
+        f = phi(pts, t)
+        return f**3 + a * f
+
+    def grad_phi(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        return -0.5 * PI * np.cos(t) * np.stack([sx * cy, cx * sy], axis=1)
+
+    def f_phi(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        f = phi(pts, t)
+        g2 = np.sum(grad_phi(pts, t) ** 2, axis=1)
+        m = np.sqrt(1.0 - f**2)
+        dmu = 3.0 * f**2 + a  # d mu / d phi
+        div = -(f / m) * dmu * g2 + m * (6.0 * f * g2 - 2.0 * PI**2 * dmu * f)
+        return -0.5 * cx * cy * np.sin(t) - div / (Pe * Cn)
+
+    return CHManufactured(phi=phi, mu=mu, grad_phi=grad_phi, f_phi=f_phi)
 
 
-@lru_cache(maxsize=None)
 def ns_manufactured(Re: float, We: float) -> NSManufactured:
-    """Manufactured single-phase NS + projection problem on [0,1]^2."""
-    g = sym.cos(_T)
-    psi_s = sym.sin(sym.pi * _X) ** 2 * sym.sin(sym.pi * _Y) ** 2 * g
-    u = sym.diff(psi_s, _Y)
-    v = -sym.diff(psi_s, _X)
-    p = sym.cos(sym.pi * _X) * sym.cos(sym.pi * _Y) * g
-    f = []
-    for comp in (u, v):
-        adv = u * sym.diff(comp, _X) + v * sym.diff(comp, _Y)
-        press = sym.diff(p, _X if comp is u else _Y) / We
-        f.append(sym.diff(comp, _T) + adv + press - _lap(comp) / Re)
-    return NSManufactured(
-        vel=_vector([u, v]),
-        p=_scalar(p),
-        grad_vel=_tensor22([_grad(u), _grad(v)]),
-        forcing=_vector([sym.simplify(fi) for fi in f]),
-    )
+    """Manufactured single-phase NS + projection problem on [0,1]^2:
+    ``u = pi sin^2(pi x) sin(2 pi y) cos(t)``,
+    ``v = -pi sin(2 pi x) sin^2(pi y) cos(t)``."""
 
+    def vel(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        s2x, _, s2y, _ = _waves(pts, 2 * PI)
+        return PI * np.cos(t) * np.stack([sx**2 * s2y, -s2x * sy**2], axis=1)
 
-def _tensor22(rows) -> Callable:
-    """Lambdify a 2x2 list-of-lists as ``f(pts, t) -> (npts, 2, 2)``."""
-    fns = [[_scalar(e) for e in row] for row in rows]
+    def p(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        return cx * cy * np.cos(t)
 
-    def call(pts: np.ndarray, t: float) -> np.ndarray:
-        return np.stack(
-            [np.stack([f(pts, t) for f in row], axis=1) for row in fns],
-            axis=1,
+    def grad_vel(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        s2x, c2x, s2y, c2y = _waves(pts, 2 * PI)
+        du = np.stack([s2x * s2y, 2.0 * sx**2 * c2y], axis=1)
+        dv = np.stack([-2.0 * c2x * sy**2, -s2x * s2y], axis=1)
+        return PI**2 * np.cos(t) * np.stack([du, dv], axis=1)
+
+    def forcing(pts, t):
+        sx, cx, sy, cy = _waves(pts)
+        s2x, c2x, s2y, c2y = _waves(pts, 2 * PI)
+        v = vel(pts, t)
+        dv_dt = PI * np.sin(t) * np.stack([-sx**2 * s2y, s2x * sy**2], axis=1)
+        adv = np.sum(grad_vel(pts, t) * v[:, None, :], axis=2)
+        grad_p = -PI * np.cos(t) * np.stack([sx * cy, cx * sy], axis=1)
+        lap_v = 2.0 * PI**3 * np.cos(t) * np.stack(
+            [(2.0 * c2x - 1.0) * s2y, (1.0 - 2.0 * c2y) * s2x], axis=1
         )
+        return dv_dt + adv + grad_p / We - lap_v / Re
 
-    return call
+    return NSManufactured(vel=vel, p=p, grad_vel=grad_vel, forcing=forcing)

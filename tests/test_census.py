@@ -14,11 +14,16 @@ and an ``obs.incr`` counts only work that no span's call count, no
 returned result and no ``iteration_counts`` key already holds.  Those
 counters are :data:`COUNTERS`, each a row of the DESIGN.md §6 table, and
 there are no gauges.
+
+Last, the dependency census: every third-party module ``src/`` imports is
+one ``pyproject.toml`` declares, and every declared one is imported.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +32,7 @@ SRC = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "examples")
 TRACE = ROOT / "benchmarks" / "perf" / "trace.py"
 DESIGN = ROOT / "DESIGN.md"
+PYPROJECT = ROOT / "pyproject.toml"
 
 ORACLE = "test oracle"
 PAPER = "paper algorithm (Sec. II-C, arXiv:2209.12130)"
@@ -225,3 +231,30 @@ def test_obs_counters_are_the_six_of_design():
     assert sorted(rows) == sorted(COUNTERS), "one DESIGN §6 row per counter"
     assert not obs_calls("gauge")
     assert not hasattr(obs, "gauge") and not hasattr(obs.Tracer, "gauge")
+
+
+def imported_modules() -> set[str]:
+    """Top-level names of every absolute import in ``src/``, function-level
+    imports included."""
+    names = set()
+    for path in _src_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_dependencies() -> set[str]:
+    """Names in ``[project] dependencies`` of pyproject.toml (read without
+    ``tomllib``, which Python 3.10 lacks)."""
+    text = PYPROJECT.read_text()
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
+    return set(re.findall(r"[\"']([A-Za-z0-9_.-]+)", block.group(1)))
+
+
+def test_src_imports_only_declared_dependencies():
+    third_party = (imported_modules() - {"repro", "__future__"}
+                   - set(sys.stdlib_module_names))
+    assert third_party == declared_dependencies()

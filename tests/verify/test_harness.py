@@ -100,6 +100,36 @@ def test_write_report_round_trips(tmp_path):
 
 
 # ------------------------------------- manufactured solutions sanity
+#
+# The closed forms are checked against their PDEs by central differences
+# (step ``_H``, error O(_H^2) ~ 1e-6 relative) at interior random points.
+
+_H = 1e-3
+_E = np.eye(2)
+
+
+def _points(n=200, seed=0):
+    return np.random.default_rng(seed).uniform(0.02, 0.98, (n, 2))
+
+
+def _d(f, x, t, k):
+    """Central difference of ``f(pts, t)`` along ``x_k``."""
+    return (f(x + _H * _E[k], t) - f(x - _H * _E[k], t)) / (2 * _H)
+
+
+def _dt(f, x, t):
+    return (f(x, t + _H) - f(x, t - _H)) / (2 * _H)
+
+
+def _lap(f, x, t):
+    return sum(
+        f(x + _H * _E[k], t) - 2 * f(x, t) + f(x - _H * _E[k], t)
+        for k in range(2)
+    ) / _H**2
+
+
+def _close(got, want, rtol=1e-4):
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 def test_ch_manufactured_satisfies_bcs():
@@ -115,6 +145,29 @@ def test_ch_manufactured_satisfies_bcs():
         assert np.allclose(g[on, axis], 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_ch_manufactured_satisfies_its_pde(t):
+    """``mu = phi^3 - phi - Cn^2 lap phi`` and ``f_phi = d phi/dt -
+    div(m grad mu) / (Pe Cn)``, the flux divergence in flux form with
+    ``m = sqrt(1 - phi^2)`` at the half points."""
+    Pe, Cn = 10.0, 0.2
+    mms = ch_manufactured(Pe, Cn)
+    x = _points()
+    phi = mms.phi(x, t)
+    assert _close(mms.mu(x, t), phi**3 - phi - Cn**2 * _lap(mms.phi, x, t))
+    grad = np.stack([_d(mms.phi, x, t, k) for k in range(2)], axis=1)
+    assert _close(mms.grad_phi(x, t), grad)
+    m = lambda y: np.sqrt(1.0 - mms.phi(y, t) ** 2)
+    flux_div = 0.0
+    for k in range(2):
+        up, dn = x + _H * _E[k], x - _H * _E[k]
+        flux_div = flux_div + (
+            m(x + 0.5 * _H * _E[k]) * (mms.mu(up, t) - mms.mu(x, t))
+            - m(x - 0.5 * _H * _E[k]) * (mms.mu(x, t) - mms.mu(dn, t))
+        ) / _H**2
+    assert _close(mms.f_phi(x, t), _dt(mms.phi, x, t) - flux_div / (Pe * Cn))
+
+
 def test_ns_manufactured_is_divergence_free_and_no_slip():
     mms = ns_manufactured(1.0, 1.0)
     mesh = _mesh()
@@ -124,6 +177,24 @@ def test_ns_manufactured_is_divergence_free_and_no_slip():
     assert np.allclose(v[on_boundary], 0.0, atol=1e-12)
     g = mms.grad_vel(xy, 0.2)  # (npts, i, j) = d v_i / d x_j
     assert np.allclose(g[:, 0, 0] + g[:, 1, 1], 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2])
+@pytest.mark.parametrize("Re, We", [(1.0, 1.0), (2.0, 0.5)])
+def test_ns_manufactured_satisfies_its_pde(t, Re, We):
+    """``grad_vel``, ``div v = 0`` and ``forcing = dv/dt + (v.grad)v +
+    grad p / We - lap v / Re``."""
+    mms = ns_manufactured(Re, We)
+    x = _points()
+    grad = np.stack([_d(mms.vel, x, t, k) for k in range(2)], axis=2)
+    assert _close(mms.grad_vel(x, t), grad)
+    assert np.max(np.abs(grad[:, 0, 0] + grad[:, 1, 1])) <= 1e-4 * np.max(
+        np.abs(grad))
+    grad_p = np.stack([_d(mms.p, x, t, k) for k in range(2)], axis=1)
+    adv = np.einsum("nij,nj->ni", grad, mms.vel(x, t))
+    momentum = (_dt(mms.vel, x, t) + adv + grad_p / We
+                - _lap(mms.vel, x, t) / Re)
+    assert _close(mms.forcing(x, t), momentum)
 
 
 # ------------------------- fast coupled temporal regression (2-point)
@@ -152,28 +223,27 @@ def test_coupled_stepper_dt_halving_regression():
 
 
 def test_ch_spatial_quadrant_ladder_passes():
-    """The quick set's graded rung: the CH ladder on meshes with hanging
-    nodes (so the plan's hanging-slot expansion runs end to end) keeps
-    its second order."""
-    for level in (2, 3, 4):
-        nodes = Mesh.from_tree(H.quadrant_tree(2, level)).nodes
-        assert nodes.is_hanging.sum() == 1 << level  # 2 ** (level - 1) a side
-    case = run_ch_spatial((2, 3, 4), tree="quadrant")
-    assert case.name == "ch_spatial_quadrant"
-    assert case.thresholds == {"phi": 1.9}
-    assert case.passed, case.fields
+    """The quick set's graded rungs, on the quadrant and the half-graded
+    tree: the CH ladder on meshes with hanging nodes (so the plan's
+    hanging-slot expansion runs end to end) keeps its second order."""
+    for tree in ("quadrant", "half"):
+        for level in (2, 3, 4):
+            nodes = Mesh.from_tree(H.TREES[tree](2, level)).nodes
+            assert nodes.is_hanging.sum() == 1 << level
+        case = run_ch_spatial((2, 3, 4), tree=tree)
+        assert case.name == f"ch_spatial_{tree}"
+        assert case.thresholds == {"phi": 1.9}
+        assert case.passed, (tree, case.fields)
 
 
-# ------------------------------------------------ slow full ladders
+# ------------------------------------------------ quick spatial ladders
 
 
-@pytest.mark.slow
 def test_ch_spatial_quick_ladder_passes():
     case = run_ch_spatial((2, 3, 4))
     assert case.passed, case.fields
 
 
-@pytest.mark.slow
 def test_ns_spatial_quick_ladder_passes():
     case = H.run_ns_spatial((2, 3, 4))
     assert case.passed, case.fields
