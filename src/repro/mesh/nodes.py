@@ -108,9 +108,10 @@ def enumerate_nodes(tree: Octree) -> NodeTable:
     that is a corner of as many leaves as it has in-root probes
     (``2**(dim - b)`` with ``b`` axes on the root boundary) is regular.  Only
     the nodes with fewer corner incidences are probed: hanging nodes, and
-    nodes next to a carved void.  The probes of those nodes also give each
-    hanging node's interpolation parents: the corners of the coarsest
-    touching leaf that does not have the node as a corner.
+    nodes on the uncovered edge of an incomplete tree (a partition chunk).
+    The probes of those nodes also give each hanging node's interpolation
+    parents: the corners of the coarsest touching leaf that does not have
+    the node as a corner.
     """
     dim = tree.dim
     nc = 1 << dim

@@ -7,4 +7,4 @@ Rank execution is pluggable (thread / process / serial) — see
 from .comm import ANY_SOURCE, ANY_TAG, Comm, SpmdError, run_spmd  # noqa: F401
 from .sort import kway_sort, sample_sort  # noqa: F401
 from .sparse_exchange import dense_exchange, nbx_exchange  # noqa: F401
-from .stats import CommStats, SharedCommStats  # noqa: F401
+from .stats import CommStats  # noqa: F401

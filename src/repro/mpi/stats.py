@@ -13,7 +13,6 @@ import pickle
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,68 +54,14 @@ def payload_bytes(obj) -> int:
         return size
 
 
-@dataclass
 class CommStats:
-    """Per-world aggregate communication counters (thread-safe)."""
+    """Per-world aggregate communication counters (thread-safe).
 
-    messages: int = 0
-    bytes_sent: int = 0
-    collectives: int = 0
-    collective_bytes: int = 0
-    barriers: int = 0
-    comm_splits: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record_p2p(self, nbytes: int) -> None:
-        with self._lock:
-            self.messages += 1
-            self.bytes_sent += nbytes
-
-    def record_collective(self, nbytes: int) -> None:
-        with self._lock:
-            self.collectives += 1
-            self.collective_bytes += nbytes
-
-    def record_barrier(self) -> None:
-        with self._lock:
-            self.barriers += 1
-
-    def record_split(self) -> None:
-        with self._lock:
-            self.comm_splits += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "messages": self.messages,
-                "bytes_sent": self.bytes_sent,
-                "collectives": self.collectives,
-                "collective_bytes": self.collective_bytes,
-                "barriers": self.barriers,
-                "comm_splits": self.comm_splits,
-            }
-
-    def merge(self, snap: dict) -> None:
-        """Fold another recorder's snapshot into these counters.
-
-        Used by the process backend to aggregate the cross-process shared
-        counters back into the caller's ``CommStats`` after a run."""
-        with self._lock:
-            self.messages += snap.get("messages", 0)
-            self.bytes_sent += snap.get("bytes_sent", 0)
-            self.collectives += snap.get("collectives", 0)
-            self.collective_bytes += snap.get("collective_bytes", 0)
-            self.barriers += snap.get("barriers", 0)
-            self.comm_splits += snap.get("comm_splits", 0)
-
-
-class SharedCommStats:
-    """``CommStats``-compatible recorder over a ``multiprocessing.Array``.
-
-    All rank processes of the process backend share one array, so
-    ``comm.stats.snapshot()`` inside SPMD code sees the same global live
-    totals a thread-backend run would.  Construct the array as
-    ``ctx.Array("q", len(SharedCommStats.FIELDS), lock=True)``.
+    The six counters (``FIELDS``) are one integer slot array under one lock:
+    a list and a ``threading.Lock`` by default, or a shared
+    ``ctx.Array("q", len(CommStats.FIELDS), lock=True)`` and its own lock,
+    which is how every rank process of the process backend counts into the
+    same totals.
     """
 
     FIELDS = (
@@ -128,27 +73,46 @@ class SharedCommStats:
         "comm_splits",
     )
 
-    def __init__(self, array) -> None:
-        self._a = array
+    def __init__(self, slots=None) -> None:
+        if slots is None:
+            self._slots, self._lock = [0] * len(self.FIELDS), threading.Lock()
+        else:
+            self._slots, self._lock = slots, slots.get_lock()
+
+    def _add(self, i: int, nbytes: int) -> None:
+        """Count one event in slot ``i`` and its bytes in slot ``i + 1``."""
+        with self._lock:
+            self._slots[i] += 1
+            self._slots[i + 1] += nbytes
 
     def record_p2p(self, nbytes: int) -> None:
-        with self._a.get_lock():
-            self._a[0] += 1
-            self._a[1] += nbytes
+        self._add(0, nbytes)
 
     def record_collective(self, nbytes: int) -> None:
-        with self._a.get_lock():
-            self._a[2] += 1
-            self._a[3] += nbytes
+        self._add(2, nbytes)
 
     def record_barrier(self) -> None:
-        with self._a.get_lock():
-            self._a[4] += 1
+        with self._lock:
+            self._slots[4] += 1
 
     def record_split(self) -> None:
-        with self._a.get_lock():
-            self._a[5] += 1
+        with self._lock:
+            self._slots[5] += 1
+
+    def __getattr__(self, name: str) -> int:
+        if name in CommStats.FIELDS:
+            return self._slots[CommStats.FIELDS.index(name)]
+        raise AttributeError(name)
 
     def snapshot(self) -> dict:
-        with self._a.get_lock():
-            return dict(zip(self.FIELDS, list(self._a)))
+        with self._lock:
+            return dict(zip(self.FIELDS, list(self._slots)))
+
+    def merge(self, snap: dict) -> None:
+        """Fold another recorder's snapshot into these counters.
+
+        Used by the process backend to aggregate the cross-process shared
+        counters back into the caller's ``CommStats`` after a run."""
+        with self._lock:
+            for i, name in enumerate(self.FIELDS):
+                self._slots[i] += snap.get(name, 0)

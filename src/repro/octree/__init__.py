@@ -3,7 +3,6 @@
 from .balance import balance, is_balanced  # noqa: F401
 from .build import build_tree, tree_from_function, uniform_tree  # noqa: F401
 from .coarsen import coarsen, coarsen_recursive  # noqa: F401
-from .domain import BoxDomain, ComplementDomain, Domain, SphereDomain  # noqa: F401
 from .level_by_level import (  # noqa: F401
     coarsen_level_by_level,
     refine_level_by_level,

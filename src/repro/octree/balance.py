@@ -22,23 +22,23 @@ Refinement only raises levels, so the leaf found across any face / edge /
 corner of a leaf that was not refined can only get finer, and a leaf without
 a violation cannot gain one: each later pass re-checks just the leaves the
 previous pass flagged (every child of a flagged family) and the leaves it
-created.  The result is the full ripple's, bit for bit.
+created.  Both are counted from the pass's targets: a pass refines each
+target by one level, and ``refine`` keeps every child, so leaf ``i`` becomes
+``2**dim`` consecutive leaves or stays one, at the offset its predecessors'
+counts give.  The result is the full ripple's, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .domain import Domain
 from . import morton
 from .neighbors import balance_stencil
 from .refine import refine
 from .tree import Octree
 
 
-def balance(tree: Octree, *, domain: Optional[Domain] = None) -> Octree:
+def balance(tree: Octree) -> Octree:
     """Return the minimal 2:1-balanced refinement of a linear octree."""
     if not tree.is_linear():
         raise ValueError("balance requires a linear (leaf) octree")
@@ -58,15 +58,14 @@ def balance(tree: Octree, *, domain: Optional[Domain] = None) -> Octree:
         # over-resolving the parts far from the fine neighbor).
         targets = np.minimum(targets, levels + 1)
         violators = stencil.leaves(np.any(viol, axis=1))
-        old_keys = current.keys()
-        current = refine(current, targets, domain=domain)
-        # Found by key, not by counting: under ``domain`` refine drops void
-        # children.  New leaves are the ones whose key the old tree lacks.
-        keys = current.keys()
-        check = np.nonzero(
-            ~np.isin(keys, old_keys, assume_unique=True)
-            | np.isin(keys, old_keys[violators], assume_unique=True)
-        )[0]
+        current = refine(current, targets)
+        # Old leaf i is now counts[i] consecutive leaves: re-check every new
+        # child and each violator (its first child if refined, else itself).
+        refined = targets > levels
+        counts = np.where(refined, 1 << current.dim, 1)
+        fresh = np.repeat(refined, counts)
+        fresh[(np.cumsum(counts) - counts)[violators]] = True
+        check = np.nonzero(fresh)[0]
     raise RuntimeError("2:1 balance did not converge")  # pragma: no cover
 
 

@@ -1,19 +1,16 @@
 """Octree construction.
 
 Trees are grown top-down from a refinement predicate (e.g. "refine while the
-diffuse interface crosses this octant"), optionally restricted to a carved
-:class:`~repro.octree.domain.Domain` — void octants are discarded as they are
-produced, yielding an incomplete octree exactly as in the paper.
+diffuse interface crosses this octant"), always over the whole root cube.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import morton
-from .domain import Domain
 from .tree import Octree
 
 RefinePredicate = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -26,14 +23,13 @@ def build_tree(
     *,
     max_level: int,
     min_level: int = 0,
-    domain: Optional[Domain] = None,
 ) -> Octree:
     """Grow a linear octree from the root.
 
     Every octant below ``min_level`` is always subdivided; octants at
     ``max_level`` never are.  ``refine`` decides everything in between, and
     is asked about nothing else: an octant whose fate the level bounds fix is
-    never passed to it.  Void octants (per ``domain``) are discarded.
+    never passed to it.
     """
     if not 0 <= min_level <= max_level <= morton.MAX_DEPTH:
         raise ValueError("bad level bounds")
@@ -41,11 +37,6 @@ def build_tree(
     levels = np.zeros(1, dtype=np.int64)
     done_a, done_l = [], []
     while len(levels):
-        if domain is not None:
-            keep = domain.retain(anchors, levels)
-            anchors, levels = anchors[keep], levels[keep]
-            if not len(levels):
-                break
         want = levels < min_level
         ask = ~want & (levels < max_level)
         if np.any(ask):
@@ -65,13 +56,13 @@ def build_tree(
     return out
 
 
-def uniform_tree(dim: int, level: int, domain: Optional[Domain] = None) -> Octree:
-    """Complete uniform tree at the given level (restricted to ``domain``)."""
+def uniform_tree(dim: int, level: int) -> Octree:
+    """Complete uniform tree at the given level."""
 
     def never(anchors, levels):
         return np.zeros(len(levels), dtype=bool)
 
-    return build_tree(dim, never, max_level=level, min_level=level, domain=domain)
+    return build_tree(dim, never, max_level=level, min_level=level)
 
 
 def tree_from_function(
@@ -81,7 +72,6 @@ def tree_from_function(
     max_level: int,
     min_level: int = 2,
     threshold: float = 1.0,
-    domain: Optional[Domain] = None,
 ) -> Octree:
     """Refine octants crossed by (or near) the zero set of ``field``.
 
@@ -107,7 +97,5 @@ def tree_from_function(
         crossing = (vals.min(axis=1) < 0) & (vals.max(axis=1) > 0)
         return near | crossing
 
-    return build_tree(
-        dim, pred, max_level=max_level, min_level=min_level, domain=domain
-    )
+    return build_tree(dim, pred, max_level=max_level, min_level=min_level)
 

@@ -5,8 +5,9 @@ Each input leaf *votes* the coarsest level it can accept being promoted to
 iff (i) no input leaf under ``A`` votes a level finer than ``level(A)``, and
 (ii) the same cannot be said of ``A``'s parent — i.e. the output is the
 *coarsest* set of ancestors consistent with every vote.  Incomplete subtrees
-are allowed: a parent with missing (void) children may still be emitted, as
-in the paper.
+are allowed: a parent whose children are not all in the input (a partition
+chunk that starts or ends inside the family) may still be emitted, as in the
+paper.
 
 Two implementations:
 

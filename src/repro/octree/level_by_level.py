@@ -11,22 +11,14 @@ ablation benchmark can compare cost at equal results.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .coarsen import coarsen
-from .domain import Domain
 from .refine import refine
 from .tree import Octree
 
 
-def refine_level_by_level(
-    tree: Octree,
-    target_levels: np.ndarray,
-    *,
-    domain: Optional[Domain] = None,
-):
+def refine_level_by_level(tree: Octree, target_levels: np.ndarray):
     """Reach per-leaf targets one level per pass (prior-art baseline).
 
     Returns ``(tree, n_passes)``.  Each pass refines every leaf still above
@@ -41,7 +33,7 @@ def refine_level_by_level(
     passes = 0
     while np.any(targets > current.levels):
         step = np.minimum(targets, current.levels + 1)
-        nxt = refine(current, step, domain=domain)
+        nxt = refine(current, step)
         # Re-derive targets for the new leaves (the intermediate-grid cost
         # the paper's single-pass algorithm avoids).
         orig = current.locate_points(nxt.centers().astype(np.int64))

@@ -96,8 +96,8 @@ def balance_stencil(
     every child that would see a violation there sees that same leaf; a
     region holding no leaf coarser than the parent holds no violation for
     any child (siblings share a level).  Families are found from anchors and
-    levels, not by counting blocks: a carved domain drops void children, and
-    an incomplete family falls back to one row per leaf.
+    levels, not by counting blocks: a partition chunk can start or end inside
+    a family, and an incomplete family falls back to one row per leaf.
     """
     dim = tree.dim
     if check is None:

@@ -17,12 +17,9 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import morton
-from .domain import Domain
 from .tree import Octree
 
 
@@ -37,17 +34,12 @@ def _morton_offsets(depth: int, dim: int) -> np.ndarray:
     return out
 
 
-def refine(
-    tree: Octree,
-    target_levels: np.ndarray,
-    *,
-    domain: Optional[Domain] = None,
-) -> Octree:
+def refine(tree: Octree, target_levels: np.ndarray) -> Octree:
     """Replace each leaf by its descendants at ``target_levels[i]``.
 
-    ``target_levels[i] >= tree.levels[i]`` is required (equal = keep).  Void
-    descendants (per ``domain``) are discarded, matching the paper's handling
-    of boundary-intercepted octants.
+    ``target_levels[i] >= tree.levels[i]`` is required (equal = keep).  Every
+    descendant is kept: a leaf refined by ``d`` levels becomes ``2**(dim*d)``
+    consecutive leaves.
     """
     target_levels = np.asarray(target_levels, dtype=np.int64).reshape(-1)
     if len(target_levels) != len(tree):
@@ -91,11 +83,7 @@ def refine(
     # leaves are sorted and disjoint, so sorting by (leaf index, block pos) is
     # enough — cheaper than re-keying.
     perm = np.lexsort((tags[:, 1], tags[:, 0]))
-    out = Octree(anchors[perm], levels[perm], tree.dim, presorted=True)
-    if domain is not None:
-        keep = domain.retain(out.anchors, out.levels)
-        out = Octree(out.anchors[keep], out.levels[keep], tree.dim, presorted=True)
-    return out
+    return Octree(anchors[perm], levels[perm], tree.dim, presorted=True)
 
 
 def refine_recursive(tree: Octree, target_levels: np.ndarray) -> Octree:

@@ -4,8 +4,9 @@ A :class:`Octree` stores a set of octants as flat NumPy arrays of anchors and
 levels, in pre-order SFC order (see :mod:`repro.octree.morton`).  A *linear*
 octree additionally contains no duplicate and no overlapping (ancestor /
 descendant) pairs, i.e. it is a set of leaves.  Incomplete octrees — leaf sets
-that do not cover the whole root cube, used for carved domains (Sec. II-C1a of
-the paper) — are fully supported; nothing in this module assumes coverage.
+that do not cover the whole root cube, such as the SFC partition chunks each
+rank holds (Sec. II-C of the paper) — are fully supported; nothing in this
+module assumes coverage.
 
 An ``Octree`` never mutates: ``anchors`` and ``levels`` are read-only views,
 and the SFC keys every search bisects are computed once per tree (taken from
@@ -184,6 +185,7 @@ class Octree:
         return np.where(contains, idx, -1)
 
     def coverage(self) -> float:
-        """Total covered volume as a fraction of the root cube."""
+        """Total covered volume as a fraction of the root cube (below 1 for
+        a partition chunk)."""
         total = float((1 << morton.MAX_DEPTH)) ** self.dim
         return float(self.volumes().sum()) / total

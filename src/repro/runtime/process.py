@@ -13,10 +13,10 @@ and routes through the top-level inboxes with world-local ranks translated
 to global ones — the same context-id trick real MPI uses.  A waiting rank
 pumps its inbox until the record it waits for has been filed.
 
-Counters live in a shared array (:class:`repro.mpi.stats.SharedCommStats`),
-so ``comm.stats`` shows the same global live view as the thread backend; the
-parent folds the totals back into the caller's ``CommStats`` when the run
-completes.  Each rank also writes its last-known blocking state into a
+Counters live in a shared array that every rank's
+:class:`~repro.mpi.stats.CommStats` counts into, so ``comm.stats`` shows the
+same global live view as the thread backend; the parent folds the totals
+back into the caller's ``CommStats`` when the run completes.  Each rank also writes its last-known blocking state into a
 shared board that the parent dumps if the run times out.
 """
 
@@ -135,10 +135,10 @@ class _Inboxes:
 
 def _child_main(rank, nprocs, fn, args, inboxes, result_q, shared, board_arr, timeout):
     from repro.mpi.comm import Comm
-    from repro.mpi.stats import SharedCommStats
+    from repro.mpi.stats import CommStats
 
     board = _StateBoard(board_arr, nprocs)
-    transport = _Inboxes(inboxes, rank, SharedCommStats(shared), board, timeout)
+    transport = _Inboxes(inboxes, rank, CommStats(shared), board, timeout)
     world = World(transport, range(nprocs))
     try:
         result = fn(Comm(world, rank), *args)
@@ -165,7 +165,7 @@ class ProcessBackend(Backend):
 
     def run(self, nprocs, fn, args, timeout, stats) -> list:
         from repro.mpi.comm import SpmdError
-        from repro.mpi.stats import SharedCommStats
+        from repro.mpi.stats import CommStats
 
         if not self.is_available():
             raise SpmdError(
@@ -175,7 +175,7 @@ class ProcessBackend(Backend):
         ctx = mp.get_context("fork")
         inboxes = [ctx.Queue() for _ in range(nprocs)]
         result_q = ctx.Queue()
-        shared = ctx.Array("q", len(SharedCommStats.FIELDS), lock=True)
+        shared = ctx.Array("q", len(CommStats.FIELDS), lock=True)
         board_arr = ctx.Array("c", nprocs * _STATE_SLOT, lock=False)
         board = _StateBoard(board_arr, nprocs)
         procs = [
@@ -233,5 +233,5 @@ class ProcessBackend(Backend):
                 q.cancel_join_thread()
             # Fold the shared counters into the caller's stats object so the
             # aggregate matches the thread backend exactly.
-            stats.merge(SharedCommStats(shared).snapshot())
+            stats.merge(CommStats(shared).snapshot())
         return results

@@ -9,13 +9,13 @@ functions as they were before, kept verbatim: every node probed, every
 slot pushed through ``P`` and sorted twice, the predicate asked about every
 octant.  The fast forms must give the same arrays, values and dtypes, on
 uniform and graded meshes in 2D and 3D, on unbalanced trees whose
-hanging nodes chain, on a carved incomplete tree, on every benchmark
+hanging nodes chain, on a Morton slice (an incomplete tree, as a partition
+chunk is), on every benchmark
 workload's initial mesh and on a remeshed ``jet2d_amr`` mesh.  Counts and arrays only, no timing.
 """
 
 import importlib.util
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from repro.mesh.nodes import NodeTable, enumerate_nodes, pack_points, unpack_poi
 from repro.octree import morton
 from repro.octree.balance import balance
 from repro.octree.build import build_tree, tree_from_function, uniform_tree
-from repro.octree.domain import BoxDomain, ComplementDomain, Domain, SphereDomain
+from repro.octree.neighbors import balance_stencil
 from repro.octree.tree import Octree
 from repro.scenarios import ScenarioConfig
 
@@ -236,13 +236,11 @@ def reference_build_tree(
     *,
     max_level: int,
     min_level: int = 0,
-    domain: Optional[Domain] = None,
 ) -> Octree:
     """Grow a linear octree from the root.
 
     Every octant below ``min_level`` is always subdivided; octants at
     ``max_level`` never are.  ``refine`` decides everything in between.
-    Void octants (per ``domain``) are discarded.
     """
     if not 0 <= min_level <= max_level <= morton.MAX_DEPTH:
         raise ValueError("bad level bounds")
@@ -250,11 +248,6 @@ def reference_build_tree(
     levels = np.zeros(1, dtype=np.int64)
     done_a, done_l = [], []
     while len(levels):
-        if domain is not None:
-            keep = domain.retain(anchors, levels)
-            anchors, levels = anchors[keep], levels[keep]
-            if not len(levels):
-                break
         want = refine(anchors, levels) if len(levels) else np.zeros(0, bool)
         want = np.asarray(want, dtype=bool) | (levels < min_level)
         want &= levels < max_level
@@ -348,21 +341,24 @@ def spike(dim: int, level: int) -> Octree:
     return build_tree(dim, contains_p, max_level=level, min_level=1)
 
 
+def morton_slice(tree: Octree, start: int, stop: int) -> Octree:
+    """Leaves ``start:stop`` of ``tree``: an incomplete tree, as the SFC
+    partition chunk a rank holds is."""
+    return Octree(tree.anchors[start:stop], tree.levels[start:stop], tree.dim,
+                  presorted=True)
+
+
 def carved(dim: int) -> Octree:
-    """A balanced incomplete tree: a graded drop in a box with a hole."""
-    box = BoxDomain([0.0, 0.1, 0.2][:dim], [0.7, 0.85, 0.9][:dim])
-    hole = SphereDomain([0.55] * dim, 0.12)
-
-    class Carved(Domain):
-        def retain(self, anchors, levels):
-            return (box.retain(anchors, levels)
-                    & ComplementDomain(hole).retain(anchors, levels))
-
-    dom = Carved()
-    t = tree_from_function(dim, lambda x: drop(x, (0.3,) * dim, 0.15, 0.04),
-                           max_level=5 if dim == 2 else 4, min_level=2,
-                           threshold=0.9, domain=dom)
-    return balance(t, domain=dom)
+    """A balanced incomplete tree: the middle of a graded drop's balanced
+    tree, carved out along the Morton curve so that both ends cut a sibling
+    family."""
+    t = balance(tree_from_function(
+        dim, lambda x: drop(x, (0.3,) * dim, 0.15, 0.04),
+        max_level=5 if dim == 2 else 4, min_level=2, threshold=0.9))
+    s = balance_stencil(t)
+    family = s.first[s.span == 1 << dim]  # each complete family's first leaf
+    return morton_slice(t, family[len(family) // 4] + 1,
+                        family[len(family) // 2] + 1)
 
 
 MESHES = {
@@ -446,9 +442,9 @@ def test_hanging_chains_resolve_through_the_ragged_expansion(
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_incomplete_tree_falls_back_to_probing(dim):
-    """Nodes beside a carved void have fewer corner incidences than in-root
-    probes without hanging: the count leaves them open, and probing must
-    find them regular."""
+    """Nodes on the uncovered edge of a Morton slice have fewer corner
+    incidences than in-root probes without hanging: the count leaves them
+    open, and probing must find them regular."""
     t = carved(dim)
     got, ref = enumerate_nodes(t), reference_enumerate_nodes(t)
     _same_table(got, ref)
@@ -482,30 +478,32 @@ def _recording(dim, field, threshold):
     return pred, asked
 
 
-@pytest.mark.parametrize("dim,min_level,max_level,domain", [
+@pytest.mark.parametrize("dim,min_level,max_level,cut_drop", [
     (2, 2, 6, None),
     (2, 0, 5, None),
     (2, 4, 4, None),
     (3, 1, 4, None),
-    (2, 2, 6, SphereDomain([0.5, 0.5], 0.3)),
-    (3, 2, 4, BoxDomain([0.0, 0.1, 0.2], [0.7, 0.55, 0.9])),
+    # (centre, radius) of a drop the root's faces cut
+    (2, 2, 6, ((0.1, 0.85), 0.3)),
+    (3, 2, 4, ((0.9, 0.2, 0.5), 0.35)),
 ])
 def test_build_tree_asks_only_about_undecided_octants(
-    dim, min_level, max_level, domain
+    dim, min_level, max_level, cut_drop
 ):
+    centre, radius = cut_drop or ((0.45,) * dim, 0.2)
+
     def field(x):
-        return drop(x, (0.45,) * dim, 0.2, 0.03)
+        return drop(x, centre, radius, 0.03)
 
     pred, asked = _recording(dim, field, 0.9)
-    tree = build_tree(dim, pred, max_level=max_level, min_level=min_level,
-                      domain=domain)
+    tree = build_tree(dim, pred, max_level=max_level, min_level=min_level)
     levels = np.concatenate(asked) if asked else np.zeros(0, np.int64)
     assert np.all(levels >= min_level) and np.all(levels < max_level)
     assert (len(levels) > 0) == (min_level < max_level)
 
     ref_pred, ref_asked = _recording(dim, field, 0.9)
     ref = reference_build_tree(dim, ref_pred, max_level=max_level,
-                               min_level=min_level, domain=domain)
+                               min_level=min_level)
     _same(tree.anchors, ref.anchors)
     _same(tree.levels, ref.levels)
     assert tree == ref

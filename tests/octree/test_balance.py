@@ -18,7 +18,7 @@ from repro.octree.neighbors import (
 from repro.octree.refine import refine
 from repro.octree.tree import Octree
 
-from .test_balance_oracles import CARVED, jumpy_tree, leaf_neighbors
+from .test_balance_oracles import jumpy_tree, leaf_neighbors
 
 
 def random_leaf_tree(seed, dim, max_level=5, p=0.4):
@@ -148,7 +148,7 @@ def test_property_balance(seed, dim):
 # ------------------------------------------- incremental passes vs the oracle
 
 
-def ripple_balance(tree, domain=None):
+def ripple_balance(tree):
     """The full ripple, the oracle: every pass checks every leaf."""
     current = tree
     while True:
@@ -164,34 +164,18 @@ def ripple_balance(tree, domain=None):
         np.maximum.at(
             targets, nbr[viol], np.broadcast_to(required, viol.shape)[viol]
         )
-        current = refine(current, np.minimum(targets, levels + 1), domain=domain)
+        current = refine(current, np.minimum(targets, levels + 1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]),
-       carved=st.booleans())
-def test_property_balance_equals_full_ripple(seed, dim, carved):
-    domain = CARVED[dim] if carved else None
-    t = jumpy_tree(seed, dim, domain)
-    b = balance(t, domain=domain)
-    oracle = ripple_balance(t, domain=domain)
+       chunk=st.booleans())
+def test_property_balance_equals_full_ripple(seed, dim, chunk):
+    t = jumpy_tree(seed, dim, chunk)
+    b = balance(t)
+    oracle = ripple_balance(t)
     assert np.array_equal(b.anchors, oracle.anchors)
     assert np.array_equal(b.levels, oracle.levels)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_carved_balance_drops_void_children(dim):
-    """The domain case the key lookup exists for: refinement inside balance
-    drops void children, so the leaf count is not a sum of 2**dim blocks."""
-    domain = CARVED[dim]
-    t = uniform_tree(dim, 2, domain=domain)
-    targets = t.levels.copy()
-    targets[len(t) // 2] = 6 if dim == 2 else 5
-    t = refine(t, targets, domain=domain)
-    b = balance(t, domain=domain)
-    assert is_balanced(b)
-    assert np.all(domain.retain(b.anchors, b.levels))
-    assert b == ripple_balance(t, domain=domain)
 
 
 def test_later_passes_check_only_what_changed(monkeypatch):

@@ -12,10 +12,13 @@ tree, and re-check at least the leaves the per-leaf form re-checks; the
 final trees must be equal in anchors, levels and dtypes.  Trees: every
 benchmark workload's seed-0 tree as ``balance`` first sees it, the
 remesh cycles of the seed-0 ``jet2d_amr`` unit, uniform and graded trees in
-2D and 3D, spike trees, carved trees whose refinement drops void children
-(incomplete families fall back to per-leaf queries), and a hypothesis
-property over ``jumpy_tree``.  ``par_balance`` on 2-4 ranks must equal the
-serial ``balance`` and send fewer NBX query points than its per-leaf form.
+2D and 3D, spike trees, Morton slices (incomplete trees, as partition chunks
+are, whose cut families fall back to per-leaf queries), and a hypothesis
+property over ``jumpy_tree``.  ``balance`` counts each pass's re-check set
+from the pass's targets; ``key_balance`` is the form that looked the set up
+by key, and the two sets must be equal, pass for pass.  ``par_balance`` on
+2-4 ranks must equal the serial ``balance`` and send fewer NBX query points
+than its per-leaf form.
 Counts and arrays only, no timing.
 """
 
@@ -33,7 +36,6 @@ from repro.mpi.sparse_exchange import nbx_exchange
 from repro.octree import morton
 from repro.octree.balance import balance, is_balanced
 from repro.octree.build import build_tree, tree_from_function, uniform_tree
-from repro.octree.domain import BoxDomain
 from repro.octree.neighbors import balance_stencil, neighbor_sample_points
 from repro.octree.parbalance import _owner_of_points, _MAX_ROUNDS, par_balance
 from repro.octree.partition import scatter_tree
@@ -41,7 +43,7 @@ from repro.octree.refine import refine
 from repro.octree.tree import Octree
 from repro.scenarios import ScenarioConfig
 
-from ..mesh.test_build_oracles import _workloads, spike
+from ..mesh.test_build_oracles import _workloads, morton_slice, spike
 
 BALANCE = importlib.import_module("repro.octree.balance")
 PARBALANCE = importlib.import_module("repro.octree.parbalance")
@@ -70,7 +72,7 @@ def leaf_neighbors(tree: Octree, indices: np.ndarray | None = None):
     return out.reshape(points.shape[:2])
 
 
-def reference_balance(tree: Octree, *, domain=None) -> Octree:
+def reference_balance(tree: Octree) -> Octree:
     """Return the minimal 2:1-balanced refinement of a linear octree."""
     if not tree.is_linear():
         raise ValueError("balance requires a linear (leaf) octree")
@@ -97,15 +99,37 @@ def reference_balance(tree: Octree, *, domain=None) -> Octree:
         targets = np.minimum(targets, levels + 1)
         rows = np.any(viol, axis=1)
         violators = np.nonzero(rows)[0] if check is None else check[rows]
-        old_keys = current.keys()
-        current = refine(current, targets, domain=domain)
-        # Found by key, not by counting: under ``domain`` refine drops void
-        # children.  New leaves are the ones whose key the old tree lacks.
-        keys = current.keys()
-        check = np.nonzero(
-            ~np.isin(keys, old_keys, assume_unique=True)
-            | np.isin(keys, old_keys[violators], assume_unique=True)
-        )[0]
+        current, check = _key_lookup(current, targets, violators)
+    raise RuntimeError("2:1 balance did not converge")  # pragma: no cover
+
+
+def _key_lookup(current: Octree, targets, violators):
+    """Refine, and find the leaves to re-check by key: the new leaves are
+    the ones whose key the old tree lacks."""
+    old_keys = current.keys()
+    current = refine(current, targets)
+    keys = current.keys()
+    return current, np.nonzero(
+        ~np.isin(keys, old_keys, assume_unique=True)
+        | np.isin(keys, old_keys[violators], assume_unique=True)
+    )[0]
+
+
+def key_balance(tree: Octree) -> Octree:
+    """``balance`` with its re-check set looked up by key."""
+    current, check = tree, None
+    for _ in range(4 * morton.MAX_DEPTH):
+        stencil = balance_stencil(current, check)
+        levels = current.levels
+        viol = stencil.violations(levels)
+        if not np.any(viol):
+            return current
+        targets = levels.copy()
+        flat_req = np.broadcast_to(stencil.required[:, None], viol.shape)[viol]
+        np.maximum.at(targets, stencil.found[viol], flat_req)
+        targets = np.minimum(targets, levels + 1)
+        violators = stencil.leaves(np.any(viol, axis=1))
+        current, check = _key_lookup(current, targets, violators)
     raise RuntimeError("2:1 balance did not converge")  # pragma: no cover
 
 
@@ -196,10 +220,10 @@ def reference_par_balance(comm: Comm, local: Octree) -> Octree:
 # ------------------------------------------------------------ pass records
 
 
-def _passes(monkeypatch, fn, tree, domain, module, query):
-    """Run ``fn(tree, domain=domain)``, recording the leaves each pass checks
-    (``None`` = all) and the tree and targets of each refinement.  ``query``
-    is the name ``module`` locates with."""
+def _passes(monkeypatch, fn, tree, module, query):
+    """Run ``fn(tree)``, recording the leaves each pass checks (``None`` =
+    all) and the tree and targets of each refinement.  ``query`` is the name
+    ``module`` locates with."""
     checks, refines = [], []
     located, refined = getattr(module, query), module.refine
 
@@ -207,14 +231,14 @@ def _passes(monkeypatch, fn, tree, domain, module, query):
         checks.append(check)
         return located(current, check)
 
-    def refining(current, targets, *, domain=None):
+    def refining(current, targets):
         refines.append((current, np.array(targets)))
-        return refined(current, targets, domain=domain)
+        return refined(current, targets)
 
     with monkeypatch.context() as m:
         m.setattr(module, query, locating)
         m.setattr(module, "refine", refining)
-        out = fn(tree, domain=domain)
+        out = fn(tree)
     assert len(checks) == len(refines) + 1  # the last pass finds nothing
     return out, checks, refines
 
@@ -223,13 +247,20 @@ def _check_set(check, n):
     return set(range(n)) if check is None else set(check.tolist())
 
 
-def assert_same_passes(monkeypatch, tree, domain=None):
+def assert_same_passes(monkeypatch, tree):
     """``balance`` and ``reference_balance`` refine the same trees to the
-    same targets pass for pass, the family form re-checking a superset."""
+    same targets pass for pass, the family form re-checking a superset, and
+    ``balance`` counts the re-check set ``key_balance`` looks up."""
     got, g_checks, g_refines = _passes(
-        monkeypatch, balance, tree, domain, BALANCE, "balance_stencil")
+        monkeypatch, balance, tree, BALANCE, "balance_stencil")
     ref, r_checks, r_refines = _passes(
-        monkeypatch, reference_balance, tree, domain, ORACLE, "leaf_neighbors")
+        monkeypatch, reference_balance, tree, ORACLE, "leaf_neighbors")
+    _, k_checks, _ = _passes(
+        monkeypatch, key_balance, tree, ORACLE, "balance_stencil")
+    assert len(k_checks) == len(g_checks)
+    for g, k in zip(g_checks[1:], k_checks[1:]):
+        assert g.dtype == k.dtype
+        assert np.array_equal(g, k)
     assert len(g_refines) == len(r_refines)
     for (g_tree, g_t), (r_tree, r_t) in zip(g_refines, r_refines):
         assert g_tree == r_tree
@@ -251,30 +282,28 @@ def assert_same_passes(monkeypatch, tree, domain=None):
 # ------------------------------------------------------------------ trees
 
 
-def jumpy_tree(seed, dim, domain=None):
-    """A random leaf tree with a few leaves refined 2-4 levels in one go."""
+def jumpy_tree(seed, dim, chunk=False):
+    """A random leaf tree with a few leaves refined 2-4 levels in one go;
+    with ``chunk``, a random Morton slice of it."""
     rng = np.random.default_rng(seed)
 
     def pred(anchors, levels):
         return rng.random(len(levels)) < 0.4
 
-    t = build_tree(dim, pred, max_level=4 if dim == 2 else 3, min_level=1,
-                   domain=domain)
+    t = build_tree(dim, pred, max_level=4 if dim == 2 else 3, min_level=1)
     targets = t.levels.copy()
     picks = rng.choice(len(t), size=min(3, len(t)), replace=False)
     targets[picks] += rng.integers(2, 5, size=len(picks))
-    return refine(t, targets, domain=domain)
-
-
-#: a box whose faces cut octants at every level, so refine drops void children
-CARVED = {2: BoxDomain([0.0, 0.1], [0.7, 0.55]),
-          3: BoxDomain([0.0, 0.1, 0.2], [0.7, 0.55, 0.9])}
+    t = refine(t, targets)
+    if chunk:
+        t = morton_slice(t, *np.sort(rng.choice(len(t) + 1, 2, replace=False)))
+    return t
 
 
 def _recording_balance(record):
-    def recording(tree, *, domain=None):
+    def recording(tree):
         record.append(tree)
-        return balance(tree, domain=domain)
+        return balance(tree)
     return recording
 
 
@@ -346,23 +375,24 @@ def graded(dim: int) -> Octree:
                               threshold=0.9)
 
 
-def carved_spike(dim: int) -> tuple:
-    """A carved level-2 tree with one leaf refined 3-4 levels in one go:
-    balancing it refines leaves the box cuts, which drops void children."""
-    domain = CARVED[dim]
-    t = uniform_tree(dim, 2, domain=domain)
+def carved_spike(dim: int) -> Octree:
+    """A level-2 tree without its last leaf, which cuts the last sibling
+    family, and with one leaf refined 3-4 levels in one go: the ripple
+    stays clear of the cut family."""
+    t = uniform_tree(dim, 2)
+    t = morton_slice(t, 0, len(t) - 1)
     targets = t.levels.copy()
     targets[len(t) // 2] = 6 if dim == 2 else 5
-    return refine(t, targets, domain=domain), domain
+    return refine(t, targets)
 
 
 TREES = {
-    "uniform_2d": lambda: (uniform_tree(2, 5), None),
-    "uniform_3d": lambda: (uniform_tree(3, 3), None),
-    "graded_2d": lambda: (graded(2), None),
-    "graded_3d": lambda: (graded(3), None),
-    "spike_2d": lambda: (spike(2, 8), None),
-    "spike_3d": lambda: (spike(3, 6), None),
+    "uniform_2d": lambda: uniform_tree(2, 5),
+    "uniform_3d": lambda: uniform_tree(3, 3),
+    "graded_2d": lambda: graded(2),
+    "graded_3d": lambda: graded(3),
+    "spike_2d": lambda: spike(2, 8),
+    "spike_3d": lambda: spike(3, 6),
     "carved_2d": lambda: carved_spike(2),
     "carved_3d": lambda: carved_spike(3),
 }
@@ -370,18 +400,17 @@ TREES = {
 
 @pytest.mark.parametrize("name", list(TREES))
 def test_tree_passes(monkeypatch, name):
-    tree, domain = TREES[name]()
-    _, n_passes = assert_same_passes(monkeypatch, tree, domain)
+    tree = TREES[name]()
+    _, n_passes = assert_same_passes(monkeypatch, tree)
     if name.startswith(("spike", "carved")):
         assert n_passes >= 2  # the ripple runs more than one pass
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_carved_families_fall_back_to_leaves(dim):
-    """Where the box drops void children, the family is incomplete and its
+    """Where the slice cuts a family, the family is incomplete and its
     leaves are queried one by one; complete families still collapse."""
-    tree, domain = carved_spike(dim)
-    b = balance(tree, domain=domain)
+    b = balance(carved_spike(dim))
     s = balance_stencil(b)
     m = 1 << dim
     assert np.all(np.isin(s.span, (1, m)))
@@ -402,11 +431,10 @@ def test_carved_families_fall_back_to_leaves(dim):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]),
-       carved=st.booleans())
-def test_property_passes_equal_per_leaf(seed, dim, carved):
-    domain = CARVED[dim] if carved else None
+       chunk=st.booleans())
+def test_property_passes_equal_per_leaf(seed, dim, chunk):
     with pytest.MonkeyPatch.context() as m:
-        assert_same_passes(m, jumpy_tree(seed, dim, domain), domain)
+        assert_same_passes(m, jumpy_tree(seed, dim, chunk))
 
 
 # ----------------------------------------------------------- par_balance

@@ -248,10 +248,9 @@ class TestParCoarsen:
         self._check(t, t.levels.copy(), 3)
 
     def test_incomplete_tree(self):
-        from repro.octree.domain import BoxDomain
-
-        dom = BoxDomain([0.0, 0.0], [0.6, 0.6])
-        t = uniform_tree(2, 3, domain=dom)
+        # a Morton prefix that ends inside a family
+        full = uniform_tree(2, 3)
+        t = Octree(full.anchors[:25], full.levels[:25], 2)
         votes = np.maximum(t.levels - 2, 0)
         self._check(t, votes, 3)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.octree import morton
 from repro.octree.build import build_tree, uniform_tree
 from repro.octree.coarsen import coarsen, coarsen_recursive
-from repro.octree.domain import BoxDomain
 from repro.octree.refine import refine, refine_recursive
 from repro.octree.tree import Octree
 
@@ -53,15 +52,6 @@ class TestRefine:
         t = uniform_tree(2, 2)
         with pytest.raises(ValueError):
             refine(t, t.levels - 1)
-
-    def test_domain_discards_void_descendants(self):
-        dom = BoxDomain([0.0, 0.0], [0.26, 0.26])
-        t = uniform_tree(2, 2, domain=dom)  # cells covering [0,.25]^2 + cut cells
-        out = refine(t, t.levels + 2, domain=dom)
-        assert out.is_linear()
-        assert np.all(dom.retain(out.anchors, out.levels))
-        # Refinement cannot increase covered volume.
-        assert out.coverage() <= t.coverage() + 1e-15
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_recursive_reference(self, dim):
@@ -120,8 +110,8 @@ class TestCoarsen:
         assert np.all(out.levels == 1)
 
     def test_incomplete_tree_coarsens_partial_families(self):
-        dom = BoxDomain([0.0, 0.0], [0.4, 0.4])
-        t = uniform_tree(2, 3, domain=dom)
+        full = uniform_tree(2, 3)
+        t = Octree(full.anchors[:16], full.levels[:16], 2)  # first quadrant
         out = coarsen(t, np.zeros(len(t), np.int64))
         # Everything collapses to the root even though the input is incomplete.
         assert len(out) == 1

@@ -1,4 +1,4 @@
-"""Tests for the Octree container, construction, and domains."""
+"""Tests for the Octree container and its construction."""
 
 import pickle
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.octree import morton
 from repro.octree.build import build_tree, tree_from_function, uniform_tree
-from repro.octree.domain import BoxDomain, ComplementDomain, SphereDomain
 from repro.octree.tree import Octree
 
 
@@ -57,6 +56,22 @@ class TestOctreeBasics:
         t = uniform_tree(2, 2)
         assert t == uniform_tree(2, 2)
         assert t != uniform_tree(2, 3)
+
+    def test_tree_from_function_refines_interface(self):
+        def phi(x):
+            return np.linalg.norm(x - 0.5, axis=1) - 0.3
+
+        t = tree_from_function(2, phi, max_level=6, min_level=2, threshold=0.05)
+        assert t.is_linear()
+        assert t.coverage() == pytest.approx(1.0)
+        # The finest cells hug the circle; coarse cells exist away from it.
+        assert t.levels.max() == 6
+        assert t.levels.min() == 2
+        fine = t.levels == 6
+        centers = t.centers()[fine] / (1 << morton.MAX_DEPTH)
+        d = np.abs(np.linalg.norm(centers - 0.5, axis=1) - 0.3)
+        # Fine cells sit within a cell-diagonal reach of the interface.
+        assert np.all(d < 0.1)
 
 
 class TestImmutable:
@@ -146,52 +161,6 @@ class TestLocate:
         t = Octree(np.array([[0, 0]]), np.array([1]), 2)
         assert t.locate_points(np.array([[half, half]]))[0] == -1
         assert t.locate_points(np.array([[10, 10]]))[0] == 0
-
-
-
-class TestDomains:
-    def test_box_domain_incomplete(self):
-        dom = BoxDomain([0.0, 0.0], [0.5, 0.5])
-        t = uniform_tree(2, 2, domain=dom)
-        # Only the 4 level-2 cells in the lower-left quadrant survive.
-        assert len(t) == 4
-        assert t.coverage() == pytest.approx(0.25)
-
-    def test_sphere_domain_conservative(self):
-        dom = SphereDomain([0.5, 0.5], 0.25)
-        t = uniform_tree(2, 4, domain=dom)
-        assert 0 < len(t) < 16**2
-        # All retained cells intersect the disk (conservative box test).
-        centers = t.centers() / (1 << morton.MAX_DEPTH)
-        half = t.sizes() / (1 << morton.MAX_DEPTH) / 2
-        dist = np.linalg.norm(centers - 0.5, axis=1)
-        assert np.all(dist <= 0.25 + np.sqrt(2) * half + 1e-12)
-
-    def test_complement_domain(self):
-        hole = SphereDomain([0.5, 0.5], 0.2)
-        dom = ComplementDomain(hole)
-        t = uniform_tree(2, 4, domain=dom)
-        centers = t.centers() / (1 << morton.MAX_DEPTH)
-        dist = np.linalg.norm(centers - 0.5, axis=1)
-        # No cell fully inside the hole survives.
-        half = t.sizes()[0] / (1 << morton.MAX_DEPTH) / 2
-        assert np.all(dist > 0.2 - np.sqrt(2) * half - 1e-12)
-
-    def test_tree_from_function_refines_interface(self):
-        def phi(x):
-            return np.linalg.norm(x - 0.5, axis=1) - 0.3
-
-        t = tree_from_function(2, phi, max_level=6, min_level=2, threshold=0.05)
-        assert t.is_linear()
-        assert t.coverage() == pytest.approx(1.0)
-        # The finest cells hug the circle; coarse cells exist away from it.
-        assert t.levels.max() == 6
-        assert t.levels.min() == 2
-        fine = t.levels == 6
-        centers = t.centers()[fine] / (1 << morton.MAX_DEPTH)
-        d = np.abs(np.linalg.norm(centers - 0.5, axis=1) - 0.3)
-        # Fine cells sit within a cell-diagonal reach of the interface.
-        assert np.all(d < 0.1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -555,13 +555,47 @@ class TestDeterministicPeerOrder:
 
 
 def test_stats_merge():
-    a = CommStats()
-    a.record_p2p(10)
-    b = CommStats()
-    b.record_p2p(5)
-    b.record_barrier()
-    a.merge(b.snapshot())
-    snap = a.snapshot()
-    assert snap["messages"] == 2
-    assert snap["bytes_sent"] == 15
-    assert snap["barriers"] == 1
+    """The recorder counts the same into its own slots and into the shared
+    array the process backend gives it, and loses no update when threads
+    record at once."""
+    import multiprocessing as mp
+    import sys
+    import threading
+
+    for slots in (None, mp.Array("q", len(CommStats.FIELDS))):
+        a = CommStats()
+        a.record_p2p(10)
+        b = CommStats(slots)
+        b.record_p2p(5)
+        b.record_barrier()
+        b.record_collective(7)
+        b.record_split()
+        assert b.snapshot() == {
+            "messages": 1, "bytes_sent": 5, "collectives": 1,
+            "collective_bytes": 7, "barriers": 1, "comm_splits": 1,
+        }
+        a.merge(b.snapshot())
+        snap = a.snapshot()
+        assert snap["messages"] == 2
+        assert snap["bytes_sent"] == 15
+        assert snap["barriers"] == 1
+        assert (a.messages, a.bytes_sent, a.collective_bytes) == (2, 15, 7)
+
+        busy = CommStats(mp.Array("q", len(CommStats.FIELDS))
+                         if slots is not None else None)
+        threads = [
+            threading.Thread(target=lambda: [busy.record_p2p(3)
+                                             for _ in range(2000)])
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (busy.messages, busy.bytes_sent) == (8000, 24000)

@@ -64,9 +64,6 @@ KEPT = {
     "chns.analysis:droplet_statistics": "ROADMAP 'Horizons'",
     "chns.analysis:interface_measure": "ROADMAP 'Horizons'",
     "chns.analysis:phase_volume": "ROADMAP 'Horizons'",
-    "octree.domain:BoxDomain": "ROADMAP 'Horizons', Branch A or B",
-    "octree.domain:SphereDomain": "ROADMAP 'Horizons', Branch A or B",
-    "octree.domain:ComplementDomain": "ROADMAP 'Horizons', Branch A or B",
     # Test hooks and fixtures.
     "analysis.runtime_check:force_checks": HOOK,
     "octree.partition:scatter_tree": HOOK + ": distributes a fixture tree",

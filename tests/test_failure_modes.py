@@ -20,10 +20,17 @@ from repro.mpi.comm import Comm, SpmdError, run_spmd
 from repro.octree import morton
 from repro.octree.build import build_tree, uniform_tree
 from repro.octree.coarsen import coarsen
-from repro.octree.domain import BoxDomain
 from repro.octree.parcoarsen import par_coarsen
 from repro.octree.refine import refine
 from repro.octree.tree import Octree
+
+
+def quadrant(level: int) -> Octree:
+    """The lower-left quadrant of ``uniform_tree(2, level)``: its Morton
+    prefix of ``4**(level - 1)`` leaves, an incomplete tree."""
+    full = uniform_tree(2, level)
+    n = 4 ** (level - 1)
+    return Octree(full.anchors[:n], full.levels[:n], 2, presorted=True)
 
 
 class TestOctreeContracts:
@@ -55,8 +62,7 @@ class TestOctreeContracts:
             uniform_tree(2, 1).merged(uniform_tree(3, 1))
 
     def test_locate_outside_domain(self):
-        dom = BoxDomain([0, 0], [0.5, 0.5])
-        t = uniform_tree(2, 2, domain=dom)
+        t = quadrant(2)
         far = np.array([[(1 << morton.MAX_DEPTH) - 1] * 2])
         assert t.locate_points(far)[0] == -1
 
@@ -179,23 +185,19 @@ class TestSolverContracts:
 
 class TestMeshAndTransferContracts:
     def test_evaluate_outside_domain(self):
-        dom = BoxDomain([0, 0], [0.5, 0.5])
-        t = uniform_tree(2, 3, domain=dom)
-        m = Mesh.from_tree(t)
+        m = Mesh.from_tree(quadrant(3))
         u = np.zeros(m.n_dofs)
         with pytest.raises(ValueError):
             m.evaluate_at(u, np.array([[0.9, 0.9]]))
 
     def test_transfer_onto_noncovering_grid(self):
-        dom = BoxDomain([0, 0], [0.5, 0.5])
-        old = uniform_tree(2, 2, domain=dom)
+        old = quadrant(2)
         new = uniform_tree(2, 2)  # full cube: not covered by old
         with pytest.raises(ValueError):
             transfer_cell_centered(old, np.ones(len(old)), new)
 
     def test_node_transfer_noncovering_source(self):
-        dom = BoxDomain([0, 0], [0.5, 0.5])
-        m_old = Mesh.from_tree(uniform_tree(2, 3, domain=dom))
+        m_old = Mesh.from_tree(quadrant(3))
         m_new = Mesh.from_tree(uniform_tree(2, 2))
         with pytest.raises(ValueError):
             transfer_node_centered(m_old, np.zeros(m_old.n_dofs), m_new)
