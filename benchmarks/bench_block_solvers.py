@@ -40,7 +40,6 @@ import scipy.sparse.linalg as spla
 from repro.chns import forms
 from repro.chns.timestepper import no_slip_bc
 from repro.chns.vu_solver import mass_system
-from repro.fem.assembly import lift_dirichlet
 from repro.fem.plan import get_plan
 from repro.la.factors import (
     PRECOND_MAXITER,
@@ -69,7 +68,7 @@ def adaptive(dim, min_level, max_level, band):
     """Refined to ``max_level`` within ``band`` of the drop interface."""
     return mesh_from_field(
         lambda x: (np.linalg.norm(x - 0.5, axis=-1) - 0.25) / band,
-        dim, max_level=max_level, min_level=min_level,
+        dim, max_level=max_level, min_level=min_level, threshold=1.0,
     )
 
 
@@ -78,7 +77,7 @@ def wall_graded(dim, min_level, max_level, band):
     the ``cavity2d`` benchmark workload)."""
     return mesh_from_field(
         lambda x: np.minimum(x, 1.0 - x).min(axis=-1) / band,
-        dim, max_level=max_level, min_level=min_level,
+        dim, max_level=max_level, min_level=min_level, threshold=1.0,
     )
 
 
@@ -126,7 +125,7 @@ def ns_system(mesh, dt=0.01, Re=50.0):
     plan = get_plan(mesh)
     A = plan.assemble(Ke)
     mask = no_slip_bc(mesh)[0][0]
-    b = lift_dirichlet(A, forms.source(mesh, rho), mask)
+    b = plan.lift(A, forms.source(mesh, rho), mask)
     return plan.eliminate(A, mask), b
 
 

@@ -25,7 +25,10 @@ one scatter; the explicit operator is never assembled —
 GEMV inside the same elemental load as the pressure-gradient, capillary and
 gravity terms, and all ``dim`` right-hand sides leave through one scatter.
 Components with the same Dirichlet mask share one eliminated matrix and its
-preconditioner.  The paper's is Jacobi (Sec. III footnote).  Here, where
+preconditioner, eliminated and lifted through the plan's layout of the mask
+(:meth:`repro.fem.plan.AssemblyPlan.eliminate` / ``lift``): the factors,
+mat-vecs and residual checks see only the couplings elimination keeps.
+The paper's preconditioner is Jacobi (Sec. III footnote).  Here, where
 :func:`repro.la.factors.may_factor` allows it (the NS row of the solver
 table), it is single-precision LU factors of an earlier block's matrix, one
 :class:`~repro.la.factors.Factors` holder per mask, refreshed by its
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..fem.assembly import assemble_vector, lift_dirichlet
+from ..fem.assembly import assemble_vector
 from ..fem.plan import get_plan
 from ..la.factors import Factors, may_factor
 from ..la.krylov import bicgstab
@@ -170,10 +173,11 @@ class NSSolver:
                     A_imp if mask is None else plan.eliminate(A_imp, mask)
                 )
             A_i = systems[key]
-            rhs_i = rhs[:, i].copy()
-            if mask is not None:
+            if mask is None:
+                rhs_i = rhs[:, i].copy()
+            else:
                 vals = None if dirichlet_values is None else dirichlet_values[i]
-                rhs_i = lift_dirichlet(A_imp, rhs_i, mask, vals)
+                rhs_i = plan.lift(A_imp, rhs[:, i], mask, vals)
 
             def jacobi_bicgstab():
                 if key not in jacobi:

@@ -13,11 +13,13 @@ the matrix is :func:`repro.chns.forms.mesh_mass`, the one the CH block reads.
 
 The Dirichlet-eliminated matrix is constant too, so everything built from it
 is built once per (mesh, mask) and kept in ``mesh.memo``
-(:func:`mass_system`): the Jacobi preconditioner and the sparse LU factors.
-A step only lifts its right-hand sides.  Those of all directions are
-assembled at once (one ``M @ v*`` on the ``(n_dofs, dim)`` array, one
-``dim``-column load scatter), with ``1/rho`` at the quadrature points read
-from :func:`repro.chns.forms.phase_at_quad`.
+(:func:`mass_system`): the matrix itself, eliminated through the plan's
+layout of the mask (the one NS uses), the Jacobi preconditioner and the
+sparse LU factors.  A step only lifts its right-hand sides (through the
+same layout); those of all directions are assembled at once (one ``M @
+v*`` on the ``(n_dofs, dim)`` array, one ``dim``-column load scatter),
+with ``1/rho`` at the quadrature points read from
+:func:`repro.chns.forms.phase_at_quad`.
 
 The paper solves this block with Jacobi-preconditioned Krylov.  Here the
 matrix is constant on a mesh, so its factors are exact: whenever they are
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .. import obs
-from ..fem.assembly import eliminate_dirichlet, lift_dirichlet
+from ..fem.plan import get_plan
 from ..la.factors import STATIC_PIVOT, may_factor
 from ..la.krylov import SolveResult, cg
 from ..la.precond import JacobiPreconditioner
@@ -57,13 +59,14 @@ from .params import CHNSParams
 
 
 class MassSystem:
-    """The mesh's mass matrix with one Dirichlet mask eliminated — the
-    constant system of every VU direction (and every exact PP projection)
-    that shares the mask.  Its Jacobi preconditioner and its sparse LU
-    factors are built on first request."""
+    """The mesh's mass matrix with one Dirichlet mask eliminated through
+    the mesh's plan — the constant system of every VU direction (and every
+    exact PP projection) that shares the mask.  Its Jacobi preconditioner
+    and its sparse LU factors are built on first request."""
 
-    def __init__(self, M, mask):
-        self.A = M if mask is None else eliminate_dirichlet(M, mask)
+    def __init__(self, mesh: Mesh, mask):
+        M = forms.mesh_mass(mesh)
+        self.A = M if mask is None else get_plan(mesh).eliminate(M, mask)
         self._jacobi = None
         self.lu = None
 
@@ -89,7 +92,7 @@ def mass_system(mesh: Mesh, mask) -> MassSystem:
     systems = mesh.memo.setdefault("mass_systems", {})
     key = None if mask is None else np.asarray(mask, dtype=bool).tobytes()
     if key not in systems:
-        systems[key] = MassSystem(forms.mesh_mass(mesh), mask)
+        systems[key] = MassSystem(mesh, mask)
     return systems[key]
 
 
@@ -142,14 +145,16 @@ class VUSolver:
                 mesh, grad_p_q
             )
 
+        plan = get_plan(mesh)
         rhs, systems = [], []
         for i in range(dim):
-            rhs_i = rhs_all[:, i].copy()
             mask = None
-            if dirichlet_masks is not None:
+            if dirichlet_masks is None:
+                rhs_i = rhs_all[:, i].copy()
+            else:
                 mask = np.asarray(dirichlet_masks[i], dtype=bool)
                 vals = None if dirichlet_values is None else dirichlet_values[i]
-                rhs_i = lift_dirichlet(self.M, rhs_i, mask, vals)
+                rhs_i = plan.lift(self.M, rhs_all[:, i], mask, vals)
             rhs.append(rhs_i)
             systems.append(mass_system(mesh, mask))
 

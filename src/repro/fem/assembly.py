@@ -11,11 +11,12 @@ sparse matmuls, duplicate summation) on every call.  The solver hot path
 goes through :mod:`repro.fem.plan` instead, which precomputes all of that
 once per mesh; this module stays as the slow, obviously-correct
 reference the plan is validated against (``tests/fem/test_assembly_plan.py``
-cross-checks them at 1e-14).  :func:`eliminate_dirichlet` is the reference
-of :meth:`repro.fem.plan.AssemblyPlan.eliminate` and also a solve-path
-function: the VU block's :class:`repro.chns.vu_solver.MassSystem` eliminates
-the mesh's mass matrix with it, once per (mesh, mask).
-:func:`assemble_vector` is the other fast-path function here."""
+cross-checks them at 1e-14).  :func:`eliminate_dirichlet` and
+:func:`lift_dirichlet` are the references of
+:meth:`repro.fem.plan.AssemblyPlan.eliminate` and
+:meth:`repro.fem.plan.AssemblyPlan.lift`, through which the NS and VU blocks
+eliminate and lift (``tests/fem/test_apply_dirichlet.py``).
+:func:`assemble_vector` is the one fast-path function here."""
 
 from __future__ import annotations
 

@@ -28,9 +28,11 @@ i.e. for every operator of every Newton iteration of every timestep.
   ``indices`` arrays; only ``data`` is fresh per call.
 * built lazily on first use (as ``assembly.symbolic`` time): the
   **load-vector scatter** (:meth:`AssemblyPlan.scatter_loads`, ``P^T`` folded
-  into one CSR mat-vec), one **Dirichlet plan** per distinct mask
-  (:meth:`AssemblyPlan.eliminate`: the ``data`` slots to zero and to set to
-  one, so elimination is a copy that keeps the shared structure) and the
+  into one CSR mat-vec), one **Dirichlet layout** per distinct mask (the
+  couplings elimination keeps, in a compact CSR without stored zeros, and
+  the free-row / constrained-column couplings the boundary data is lifted
+  through, so :meth:`AssemblyPlan.eliminate` is one gather and
+  :meth:`AssemblyPlan.lift` touches only the boundary couplings) and the
   **2x2 block layout** (:meth:`AssemblyPlan.block_2x2`: where each of four
   ``data`` vectors goes in the block matrix ``sp.bmat`` would build, so a
   coupled two-field Jacobian is one gather).
@@ -38,8 +40,8 @@ i.e. for every operator of every Newton iteration of every timestep.
 :func:`get_plan` keeps the plan in its mesh's ``memo``, so it lives exactly
 as long as the mesh: an AMR remesh builds a new ``Mesh``, which builds its
 own plan on first use.  A batch of another topology is refused by shape, and
-:meth:`AssemblyPlan.eliminate` raises :class:`StaleAssemblyPlanError` on a
-matrix the plan did not assemble.
+:meth:`AssemblyPlan.eliminate` / :meth:`AssemblyPlan.lift` raise
+:class:`StaleAssemblyPlanError` on a matrix the plan did not assemble.
 
 The numeric phase is deterministic (each row of ``S`` keeps the stable
 order of its expanded entries, summed onto ``+0.0``: the summation of the
@@ -215,8 +217,8 @@ class AssemblyPlan:
         self._proto = _csr(np.zeros(self.nnz), self.indices, self.indptr)
 
         # Lazily-built sub-plans: :meth:`scatter_loads` (from the node
-        # table's ``P`` / ``elem_nodes``), one :meth:`eliminate` plan per
-        # mask, the :meth:`block_2x2` layout.
+        # table's ``P`` / ``elem_nodes``), one Dirichlet layout per mask,
+        # the :meth:`block_2x2` layout.
         self._P, self._en = P, en
         self._scatter = None
         self._dirichlet: dict = {}
@@ -279,9 +281,11 @@ class AssemblyPlan:
         return _with_data(proto, data)
 
     def _slot_rows(self) -> np.ndarray:
-        """The row of every ``data`` slot of the plan's CSR layout."""
+        """The row of every ``data`` slot of the plan's CSR layout, in the
+        plan's index dtype."""
         return np.repeat(
-            np.arange(self.n_dofs, dtype=np.int64), np.diff(self.indptr)
+            np.arange(self.n_dofs, dtype=self.indptr.dtype),
+            np.diff(self.indptr),
         )
 
     def scatter_loads(self, be: np.ndarray) -> np.ndarray:
@@ -326,17 +330,56 @@ class AssemblyPlan:
 
     def eliminate(self, A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
         """:func:`repro.fem.assembly.eliminate_dirichlet` for a matrix of
-        this plan: a copy of ``A.data`` with the slots in a constrained row
-        or column zeroed and the constrained diagonal set to one.  The zeros
-        stay stored, so the result shares the plan's ``indptr`` / ``indices``
-        and ``A_bc @ x`` adds ``0.0 * x_j`` where the compacted matrix adds
-        nothing — the same bits for finite ``x``.  The slot lists are built
-        once per distinct mask."""
+        this plan: one gather of the couplings elimination keeps into the
+        mask's compact CSR layout, then a unit diagonal on the constrained
+        rows.  No eliminated coupling stays as a stored zero: SuperLU
+        orders and factors every stored entry as structure and every
+        mat-vec walks it (on ``bubble3d``'s NS matrix, 6,476 of the plan's
+        12,185 entries; without them a float32 factorization and an LU
+        solve take about half the time, DESIGN.md section 10).  A coupling
+        that is zero by value (the 3D stiffness has some) is kept: the
+        layout is the pattern's."""
+        layout = self._layout(A, mask)
+        data = A.data[layout.keep]
+        data[layout.diag] = 1.0
+        obs.incr("assembly.dirichlet")
+        A_bc = _with_data(self._proto, data)
+        A_bc.indices, A_bc.indptr = layout.indices, layout.indptr
+        return A_bc
+
+    def lift(self, A: sp.csr_matrix, b: np.ndarray, mask: np.ndarray,
+             values=None) -> np.ndarray:
+        """:func:`repro.fem.assembly.lift_dirichlet` for a matrix of this
+        plan, bit for bit: ``b - A[:, B] g_B`` through the couplings of the
+        free rows to the constrained columns ``B`` alone, then ``g_B`` on
+        the constrained rows.  Zero boundary data (no-slip) applies
+        nothing.  ``values`` is ``None`` (zero), a scalar, a value per
+        constrained DOF or a full-length vector, as there."""
+        layout = self._layout(A, mask)
+        mask, n = layout.mask, self.n_dofs
+        b_bc = np.array(b, dtype=np.float64)
+        g = np.zeros(n)
+        if values is not None:
+            vals = np.asarray(values)
+            g[mask] = vals[mask] if vals.shape == g.shape else vals
+            if g.any():
+                Ag = np.zeros(n)
+                _sparsetools.csr_matvec(
+                    n, n, layout.lift_indptr, layout.lift_indices,
+                    np.take(A.data, layout.lift), g, Ag,
+                )
+                b_bc -= Ag
+        b_bc[mask] = g[mask]
+        return b_bc
+
+    def _layout(self, A: sp.csr_matrix, mask: np.ndarray) -> "_DirichletLayout":
+        """The Dirichlet layout of ``mask`` for a matrix of this plan, built
+        on first use per distinct mask."""
         if A.indptr is not self.indptr or A.indices is not self.indices:
             raise StaleAssemblyPlanError(
-                "eliminate() needs a matrix assembled by this plan (shared "
-                "indptr / indices); use repro.fem.assembly."
-                "eliminate_dirichlet for any other"
+                "eliminate() / lift() need a matrix assembled by this plan "
+                "(shared indptr / indices); use repro.fem.assembly."
+                "eliminate_dirichlet / lift_dirichlet for any other"
             )
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n_dofs,):
@@ -344,20 +387,54 @@ class AssemblyPlan:
                 f"mask shape {mask.shape} does not match plan ({self.n_dofs},)"
             )
         key = mask.tobytes()
-        if key not in self._dirichlet:
+        layout = self._dirichlet.get(key)
+        if layout is None:
             with obs.span("assembly.symbolic"):
-                rows = self._slot_rows()
-                hit = mask[rows] | mask[self.indices]
-                self._dirichlet[key] = (
-                    np.flatnonzero(hit),
-                    np.flatnonzero(hit & (rows == self.indices)),
-                )
-        zero, diag = self._dirichlet[key]
-        data = A.data.copy()
-        data[zero] = 0.0
-        data[diag] = 1.0
-        obs.incr("assembly.dirichlet")
-        return self._matrix(data)
+                layout = self._dirichlet[key] = _DirichletLayout(self, mask)
+        return layout
+
+
+class _DirichletLayout:
+    """One Dirichlet mask's split of a plan's ``data`` slots:
+
+    * ``keep``: a mask of the slots elimination keeps, the couplings among
+      free DOFs and the diagonal of each constrained row, whose compact CSR
+      layout is ``indptr`` / ``indices`` (``diag``: where the constrained
+      diagonals sit in it);
+    * ``lift``: the slots coupling a free row to a constrained column, in
+      the CSR layout ``lift_indptr`` / ``lift_indices``.
+
+    Built in O(nnz) from one count per row of the constrained columns.
+    Every DOF couples to itself in a plan's pattern, so no row is empty and
+    the diagonal is the one slot a constrained row keeps.  ``keep`` is a
+    byte a slot, a quarter of the int32 slot list, and gathers faster on
+    all but half-eliminated patterns; the other arrays take the plan's
+    index dtype."""
+
+    def __init__(self, plan: AssemblyPlan, mask: np.ndarray):
+        indptr, indices = plan.indptr, plan.indices
+        idx = indices.dtype
+        self.mask = mask
+        per_row = np.diff(indptr)
+        bc_row = np.repeat(mask, per_row)
+        bc_col = np.take(mask, indices)
+        n_bc_cols = np.add.reduceat(bc_col, indptr[:-1], dtype=idx)
+
+        self.lift = np.flatnonzero(bc_col & ~bc_row).astype(idx)
+        keep = self.keep = bc_row & (plan._slot_rows() == indices)
+        keep |= ~(bc_row | bc_col)
+
+        self.indptr = self._indptr(np.where(mask, 1, per_row - n_bc_cols), idx)
+        self.indices = indices[keep]
+        self.diag = self.indptr[:-1][mask]
+        self.lift_indptr = self._indptr(np.where(mask, 0, n_bc_cols), idx)
+        self.lift_indices = np.take(indices, self.lift)
+
+    @staticmethod
+    def _indptr(per_row: np.ndarray, dtype) -> np.ndarray:
+        out = np.zeros(len(per_row) + 1, dtype=dtype)
+        np.cumsum(per_row, out=out[1:])
+        return out
 
 
 def get_plan(mesh: Mesh) -> AssemblyPlan:

@@ -158,7 +158,7 @@ def mesh_from_field(
     *,
     max_level: int,
     min_level: int = 2,
-    threshold: float = 1.0,
+    threshold: float,
 ) -> Mesh:
     """Convenience: interface-refined, balanced mesh from a level-set-like
     field (see :func:`repro.octree.build.tree_from_function`)."""

@@ -71,7 +71,7 @@ def tree_from_function(
     *,
     max_level: int,
     min_level: int = 2,
-    threshold: float = 1.0,
+    threshold: float,
 ) -> Octree:
     """Refine octants crossed by (or near) the zero set of ``field``.
 
@@ -79,7 +79,10 @@ def tree_from_function(
     values; the canonical use is a phase field ``phi`` with ``|phi| < 1`` near
     the interface (the paper refines where ``|phi| < delta``).  An octant is
     subdivided when the field changes sign across its corners/center or any
-    sample magnitude falls below ``threshold``.
+    sample magnitude falls below ``threshold``.  It has no default: a tanh
+    phase field is below 1 in magnitude everywhere, so the value that suits
+    band-scaled distance fields (1.0) would refine it to ``max_level``
+    everywhere.
     """
     scale = float(1 << morton.MAX_DEPTH)
     nc = 1 << dim

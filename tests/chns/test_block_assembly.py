@@ -88,6 +88,77 @@ def test_ns_builds_one_system_per_distinct_mask(monkeypatch, cavity):
     assert (len(builds), len(eliminations)) == (4, 3)
 
 
+def test_ns_and_vu_share_one_dirichlet_layout_per_mask(cavity):
+    """The layout is the plan's, one per distinct mask: NS's operator and
+    VU's mass matrix eliminate and lift through it, and the lifts count
+    as no elimination."""
+    from repro import obs
+    from repro.chns.vu_solver import mass_system
+
+    mesh, prm, masks, values, state = cavity
+    plan = get_plan(mesh)
+    plan.scatter_loads(np.zeros((mesh.n_elems, 1 << mesh.dim)))  # warm
+    bc = dict(dirichlet_masks=masks, dirichlet_values=values)
+    split = [masks[0], masks[1] & ~mesh.face_dof_mask(0, 1)]
+    bc_split = dict(dirichlet_masks=split, dirichlet_values=values)
+    phi, vel, p = state["phi"], state["vel"], state["p"]
+    ns, vu = NSSolver(mesh, prm), VUSolver(mesh, prm)
+    with obs.tracing():
+        for kw in (bc, bc, bc_split):
+            ns.solve(phi, state["mu"], vel, vel, p, DT, **kw)
+            vu.solve(phi, vel, p, DT, **kw)
+        snap = obs.snapshot()
+    layouts = sum(node["count"] for path, node in obs.flatten_spans(snap).items()
+                  if path.rsplit("/", 1)[-1] == "assembly.symbolic")
+    assert layouts == 2  # lid-driven's one mask, then the split's new one
+    # NS: one elimination per distinct mask and block (1 + 1 + 2); VU: one
+    # per mass system (the lid mask, the split's new mask); lifts: none
+    assert snap["counters"]["assembly.dirichlet"] == 4 + 2
+    A = plan.assemble(forms.mass_ke(mesh))
+    for mask in (masks[0], split[1]):
+        assert mass_system(mesh, mask).A.indices is plan.eliminate(A, mask).indices
+
+
+def test_held_factors_see_only_stored_couplings(monkeypatch):
+    """On the ``bubble3d`` benchmark config every matrix factored, held
+    (CH, NS, PP) or direct (VU), stores no zero: the eliminated couplings
+    are gone from the NS and VU layouts.  NS factors on this mesh (561
+    DOFs, within its cap)."""
+    from repro.chns import vu_solver
+    from repro.la.factors import Factors
+
+    from ..mesh.test_build_oracles import _workloads
+
+    factored = []
+    real_factor = Factors.factor
+
+    def factor(self, A, **kwargs):
+        factored.append((A.nnz, np.count_nonzero(A.data)))
+        return real_factor(self, A, **kwargs)
+
+    real_splu = vu_solver.spla.splu
+
+    class Splu:
+        @staticmethod
+        def splu(A, **kwargs):
+            factored.append((A.nnz, np.count_nonzero(A.data)))
+            return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(Factors, "factor", factor)
+    monkeypatch.setattr(vu_solver, "spla", Splu)
+    wl = _workloads()
+    sim = wl.make_sim(wl.generate("bubble3d", 0))
+    sim.setup()
+    for _ in range(4):
+        sim.step()
+    counts = sim.counts()
+    assert sim.mesh.n_dofs == 561
+    assert counts["ns_factorizations"] > 0 and counts["vu_factorizations"] > 0
+    assert len(factored) == sum(counts[f"{blk}_factorizations"]
+                                for blk in ("ch", "ns", "pp", "vu"))
+    assert all(nnz == stored for nnz, stored in factored), factored
+
+
 def test_ns_never_sums_csr_matrices(monkeypatch, cavity):
     mesh, prm, masks, values, state = cavity
 

@@ -277,7 +277,8 @@ class TestNSPPVU:
         import scipy.sparse.linalg as spla
 
         from repro.chns import vu_solver
-        from repro.fem.assembly import apply_dirichlet, eliminate_dirichlet
+        from repro.fem.assembly import apply_dirichlet
+        from repro.fem.plan import AssemblyPlan
         from repro.la.krylov import cg
         from repro.la.precond import JacobiPreconditioner
 
@@ -296,8 +297,8 @@ class TestNSPPVU:
             return wrapper
 
         monkeypatch.setattr(
-            vu_solver, "eliminate_dirichlet",
-            counting("eliminate", eliminate_dirichlet))
+            AssemblyPlan, "eliminate",
+            counting("eliminate", AssemblyPlan.eliminate))
         monkeypatch.setattr(
             vu_solver, "JacobiPreconditioner",
             counting("jacobi", JacobiPreconditioner))

@@ -35,7 +35,7 @@ def drop_mesh(max_level):
     """Interface-refined mesh, two levels of grading, hanging nodes."""
     mesh = mesh_from_field(
         lambda x: (np.linalg.norm(x - 0.5, axis=-1) - 0.25) / 0.1,
-        2, max_level=max_level, min_level=max_level - 2,
+        2, max_level=max_level, min_level=max_level - 2, threshold=1.0,
     )
     assert mesh.nodes.is_hanging.any()
     return mesh

@@ -6,9 +6,10 @@ for bit, operand untouched — on plan-assembled operators of 2D/3D
 hanging-node meshes (whose index arrays are shared with every other matrix
 of the plan) and on operands the mask cannot take the shortcut for.
 
-``AssemblyPlan.eliminate`` — the same elimination with the slot lists
-precomputed per mask and the zeros left stored — is in turn checked against
-``eliminate_dirichlet`` (second half of the file).
+``AssemblyPlan.eliminate`` / ``AssemblyPlan.lift`` — the same elimination
+and lift through a layout built once per mask, the eliminated couplings
+gone from it — are in turn checked against ``eliminate_dirichlet`` /
+``lift_dirichlet`` (second half of the file).
 """
 
 import numpy as np
@@ -149,7 +150,7 @@ def test_operands_without_the_shortcut():
     assert dup.nnz == 5  # the operand kept its duplicates
 
 
-# ------------------------------------------------- AssemblyPlan.eliminate
+# ------------------------------------ AssemblyPlan.eliminate / .lift
 
 
 def plan_operator(mesh, operator, rng):
@@ -171,46 +172,119 @@ def plan_operator(mesh, operator, rng):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("operator", ["mass", "stiffness", "momentum"])
 def test_planned_elimination_is_the_reference_elimination(dim, operator):
+    """The compact layout is the reference's: indices, indptr and data bit
+    for bit.  The reference drops every zero, the plan the eliminated
+    couplings only, so a coupling that is zero by value (the 3D stiffness
+    has a few: Q1 edge neighbours) is the one difference, and the
+    reference of the pattern (every coupling 1) pins the structure."""
     mesh = hanging_mesh(dim)
     plan = get_plan(mesh)
     rng = np.random.default_rng(20 + dim)
     A = plan_operator(mesh, operator, rng)
     before = A.data.copy()
+    valued_zeros = np.count_nonzero(A.data == 0.0)
+    assert (valued_zeros > 0) == (dim == 3 and operator == "stiffness")
+    pattern = plan.assemble(np.ones(plan.ke_shape))
     for mask in (mesh.boundary_dof_mask(), mesh.face_dof_mask(0, 0),
                  np.zeros(mesh.n_dofs, dtype=bool)):
         A_ref = eliminate_dirichlet(A, mask)
         A_bc = plan.eliminate(A, mask)
 
-        assert np.array_equal(A_bc.toarray(), A_ref.toarray())
-        # the zeros stay stored: same structure as every matrix of the plan
-        assert A_bc.indices is plan.indices and A_bc.indptr is plan.indptr
-        assert A_bc.data is not A.data and np.array_equal(A.data, before)
-        compact = A_bc.copy()
-        compact.eliminate_zeros()
-        assert_same_csr(compact, A_ref)
-        assert A_bc.indices is plan.indices  # the copy was compacted, not us
+        kept = eliminate_dirichlet(pattern, mask)
+        assert np.array_equal(A_bc.indptr, kept.indptr)
+        assert np.array_equal(A_bc.indices, kept.indices)
+        assert A_bc.has_canonical_format
+        assert A_bc.indices.dtype == A_bc.indptr.dtype == plan.indices.dtype
+        if valued_zeros:
+            compact = A_bc.copy()
+            compact.eliminate_zeros()
+            assert_same_csr(compact, A_ref)
+        else:
+            assert_same_csr(A_bc, A_ref)
+        assert not np.shares_memory(A_bc.data, A.data)
+        assert np.array_equal(A.data, before)
         for x in (rng.standard_normal(mesh.n_dofs),
                   rng.standard_normal((mesh.n_dofs, dim))):
             assert np.array_equal(A_bc @ x, A_ref @ x)  # bit for bit
         assert np.array_equal(A_bc.diagonal(), A_ref.diagonal())
 
 
+def lid_mask_and_values(mesh):
+    """``lid_driven_bc``'s mask (every wall) and the x component's values
+    (1 on the lid, 0 elsewhere)."""
+    from repro.chns.timestepper import lid_driven_bc
+
+    masks, values = lid_driven_bc(mesh)
+    return masks[0], values[0]
+
+
+def jet_mask_and_values(mesh):
+    """``jet_inflow_bc``'s mask (every wall but the outflow) and the
+    normal component's values (the inflow speed on the inlet, 0
+    elsewhere)."""
+    from repro.chns.timestepper import jet_inflow_bc
+
+    masks, values = jet_inflow_bc(mesh, 0.2, 2.0)
+    return masks[0], values[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("operator", ["mass", "momentum"])
+def test_planned_lift_is_the_reference_lift(dim, operator):
+    """Bit for bit ``lift_dirichlet``: zero, scalar, full-length and
+    per-constrained-DOF values, on hanging-node meshes and on the masks of
+    the lid-driven cavity and the jet inflow."""
+    mesh = hanging_mesh(dim)
+    plan = get_plan(mesh)
+    rng = np.random.default_rng(30 + dim)
+    A = plan_operator(mesh, operator, rng)
+    before = A.data.copy()
+    b = rng.standard_normal(mesh.n_dofs)
+    cases = [(mesh.boundary_dof_mask(), None), (mesh.face_dof_mask(0, 0), None),
+             lid_mask_and_values(mesh), jet_mask_and_values(mesh)]
+    for mask, given in cases:
+        n_bc = int(mask.sum())
+        for values in (None, 0.0, np.zeros(mesh.n_dofs), 2.5, -0.0,
+                       rng.standard_normal(mesh.n_dofs),
+                       rng.standard_normal(n_bc), given):
+            got = plan.lift(A, b, mask, values)
+            want = lift_dirichlet(A, b, mask, values)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert all(np.any(f(mesh)[1] != 0.0)
+               for f in (lid_mask_and_values, jet_mask_and_values))
+    assert np.array_equal(A.data, before)
+    # the operand vector is left alone, a column view is taken as it is
+    B = rng.standard_normal((mesh.n_dofs, dim))
+    copy = B.copy()
+    mask, values = lid_mask_and_values(mesh)
+    assert np.array_equal(plan.lift(A, B[:, 1], mask, values),
+                          lift_dirichlet(A, B[:, 1].copy(), mask, values))
+    assert np.array_equal(B, copy)
+
+
 def test_one_dirichlet_plan_per_distinct_mask():
     """Keyed on the coerced mask bytes: an int 0/1 mask or a list reuses the
-    slot lists of its bool twin (no second symbolic build)."""
+    layout of its bool twin (no second symbolic build), and a lift shares
+    the layout of its elimination without counting as one."""
     from repro import obs
 
     mesh = hanging_mesh(2)
     plan = AssemblyPlan(mesh)
     A = plan.assemble(forms.stiffness_ke(mesh))
     mask = mesh.boundary_dof_mask()
+    b = np.ones(mesh.n_dofs)
     with obs.tracing():
         first = plan.eliminate(A, mask)
         for twin in (mask.copy(), mask.astype(np.int64), mask.tolist()):
             assert np.array_equal(plan.eliminate(A, twin).data, first.data)
+            plan.lift(A, b, twin, 1.0)
         plan.eliminate(A, ~mask)
+        plan.lift(A, b, ~mask)
+        plan.lift(A, b, mesh.face_dof_mask(0, 0), 2.0)  # a lift builds too
         snap = obs.snapshot()
-    assert obs.flatten_spans(snap)["assembly.symbolic"]["count"] == 2
+    assert obs.flatten_spans(snap)["assembly.symbolic"]["count"] == 3
     assert snap["counters"]["assembly.dirichlet"] == 5
 
 
@@ -228,9 +302,14 @@ def test_planned_elimination_refuses_foreign_matrices():
         eliminate_dirichlet(A, mask),
         AssemblyPlan(mesh).assemble(forms.mass_ke(mesh)),  # equal, not shared
     )
+    b = np.ones(mesh.n_dofs)
     for B in foreign:
         with pytest.raises(StaleAssemblyPlanError):
             plan.eliminate(B, mask)
+        with pytest.raises(StaleAssemblyPlanError):
+            plan.lift(B, b, mask, 1.0)
     for bad_mask in (mask[:-1], other.boundary_dof_mask(), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             plan.eliminate(A, bad_mask)
+        with pytest.raises(ValueError):
+            plan.lift(A, b, bad_mask)

@@ -31,7 +31,7 @@ def cavity_mesh():
     VU's 2D caps."""
     return mesh_from_field(
         lambda x: np.minimum(x, 1.0 - x).min(axis=-1) / 0.1,
-        2, max_level=7, min_level=5,
+        2, max_level=7, min_level=5, threshold=1.0,
     )
 
 

@@ -73,6 +73,21 @@ class TestOctreeBasics:
         # Fine cells sit within a cell-diagonal reach of the interface.
         assert np.all(d < 0.1)
 
+    def test_threshold_is_required(self):
+        """No default: 1.0 refines a tanh phase field (|phi| < 1 everywhere)
+        to the uniform ``max_level`` tree, so a call must name its band."""
+        from repro.mesh.mesh import mesh_from_field
+
+        def phi(x):
+            return np.tanh((np.linalg.norm(x - 0.5, axis=1) - 0.3) / 0.05)
+
+        with pytest.raises(TypeError, match="threshold"):
+            tree_from_function(2, phi, max_level=4, min_level=2)
+        with pytest.raises(TypeError, match="threshold"):
+            mesh_from_field(phi, 2, max_level=4, min_level=2)
+        t = tree_from_function(2, phi, max_level=4, min_level=2, threshold=0.9)
+        assert len(t) < 4 ** 4
+
 
 class TestImmutable:
     @pytest.mark.parametrize("dim", [2, 3])
