@@ -235,8 +235,8 @@ def run_spmd(
     backend: Optional[str] = None,
 ) -> list:
     """Run ``fn(comm, *args)`` on ``nprocs`` simulated ranks; return per-rank
-    results.  Any rank exception (or a deadlock past ``timeout``) raises
-    :class:`SpmdError` with the failing rank identified.
+    results.  Any rank exception, a deadlock, or a run still going past
+    ``timeout`` raises :class:`SpmdError` with the failing rank identified.
 
     ``backend`` names how ranks execute: ``"thread"`` (default, zero-copy,
     GIL-bound), ``"process"`` (forked OS processes + shared-memory payloads,

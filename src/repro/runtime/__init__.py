@@ -7,13 +7,16 @@ record reaches a rank, how a rank waits and what a hang reports:
 
 ``thread`` (default)
     one thread per rank, records by reference — fastest startup, exact
-    communication metering, but the GIL serializes rank compute.
+    communication metering, but the GIL serializes rank compute.  A
+    deadlock is found from structure (every live rank blocked) and
+    reported at once; ``timeout`` only stops a rank stuck computing.
 ``process``
     one forked OS process per rank with shared-memory ndarray transport —
-    real core-level parallelism for NumPy-heavy ranks (POSIX only).
+    real core-level parallelism for NumPy-heavy ranks (POSIX only).  Each
+    wait times out on its own, since no structure is visible in its queues.
 ``serial``
-    the thread transport under a round-robin baton — reproducible
-    interleavings and structural deadlock reports for debugging.
+    the thread transport, its deadlock rule and table included, under a
+    round-robin baton — reproducible interleavings for debugging.
 
 Select per call (``run_spmd(..., backend="process")``) or globally via the
 ``REPRO_SPMD_BACKEND`` environment variable.  See ``docs/API.md`` ("Choosing

@@ -12,8 +12,7 @@ name (``backend=``) or from the ``REPRO_SPMD_BACKEND`` environment
 variable, defaulting to the zero-copy thread simulator.
 
 A transport provides ``stats`` (a :class:`~repro.mpi.stats.CommStats`-
-compatible recorder), ``timeout`` (seconds), ``lock`` (guards a shared
-split cache) and:
+compatible recorder), ``lock`` (guards a shared split cache) and:
 
 ``send(world, dest, record)``
     hand ``record`` (:meth:`World.deliver`'s arguments after ``rank``) to
@@ -40,7 +39,7 @@ DEFAULT_TIMEOUT = 120.0
 #: Environment variable naming the default backend ("thread"|"process"|"serial").
 BACKEND_ENV = "REPRO_SPMD_BACKEND"
 
-#: Environment variable overriding the default deadlock timeout (seconds).
+#: Environment variable overriding the default run timeout (seconds).
 TIMEOUT_ENV = "REPRO_SPMD_TIMEOUT"
 
 # Record kinds: (kind, src, key, payload), key being the tag, the
@@ -54,7 +53,7 @@ class DeadlockError(SpmdError):
 
 def format_rank_states(states: dict[int, Optional[str]]) -> str:
     """The per-rank "waiting on" table every backend emits on a deadlock
-    timeout — one line per rank:
+    or a timeout — one line per rank:
 
         per-rank state:
           rank 0: recv(source=1, tag=0) on comm of size 4
@@ -86,7 +85,6 @@ class World:
         self.members = list(members)
         self.size = len(self.members)
         self.stats = transport.stats
-        self.timeout = transport.timeout
         self.ctx = ctx
         self._pending: list[list] = [[] for _ in self.members]
         self._results: list[dict] = [{} for _ in self.members]
@@ -246,9 +244,9 @@ class Backend:
         """Run ``fn(Comm(world, r), *args)`` for ranks ``r in range(nprocs)``
         and return the per-rank results in rank order.
 
-        Must raise :class:`repro.mpi.comm.SpmdError` on any rank failure or
-        on a deadlock past ``timeout``, and must meter all traffic into
-        ``stats`` so counters agree across backends.
+        Must raise :class:`repro.mpi.comm.SpmdError` on any rank failure,
+        on a deadlock, and on a run still going past ``timeout``, and must
+        meter all traffic into ``stats`` so counters agree across backends.
         """
         raise NotImplementedError
 

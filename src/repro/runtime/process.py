@@ -192,9 +192,10 @@ class ProcessBackend(Backend):
 
         results: list = [None] * nprocs
         done = [False] * nprocs
-        # Grace margin: ranks detect their own recv timeouts at `timeout` and
-        # report a precise error; the parent backstop only fires for waits
-        # that have no per-operation deadline (e.g. a stuck collective root).
+        # Grace margin: every wait (a collective root's too) times out in
+        # `_Inboxes.wait` at `timeout` and reports a precise error; the
+        # parent backstop only fires for a rank that never waits (a rank
+        # stuck computing).
         deadline = time.monotonic() + timeout + 2.0
         try:
             while not all(done):

@@ -7,12 +7,13 @@ schedule depends only on the program's communication structure, two runs of
 the same program interleave identically — ideal for debugging and for
 reproducing heisenbugs found under the thread backend.
 
-Deadlocks are detected *structurally*: the moment every unfinished rank is
-blocked with no possible wake-up, the run aborts with a report naming what
-each rank was waiting for (no timeout needed); an NBX drain whose barrier
-can never complete is such a wait.  A poll-loop livelock (e.g. an ``iprobe``
-loop for a message that never comes) is caught by a bounded count of
-consecutive unproductive handoffs.
+Deadlocks are detected by the thread transport's structural rule and table:
+a rank whose wait reads false is skipped by the baton until a record
+reaches it, and the moment every unfinished rank is blocked the run aborts
+with the report naming what each rank waits for (no timeout needed); an NBX
+drain whose barrier can never complete is such a wait.  A poll-loop
+livelock (e.g. an ``iprobe`` loop for a message that never comes) is caught
+by a bounded count of consecutive unproductive polls.
 
 Implementation note: this is the thread backend's transport and launcher
 under a baton — ranks are OS threads and records pass by reference, but
@@ -21,156 +22,50 @@ only the baton holder runs, so the interleaving is fully deterministic.
 
 from __future__ import annotations
 
-import threading
-from typing import Optional
-
-from repro.mpi.comm import Comm
-
-from .base import DeadlockError, World, format_rank_states
+from .base import World
 from .thread import ThreadBackend, _Threads
 
 
-class _Aborted(BaseException):
-    """Internal: unwind a rank after another rank failed or timed out."""
-
-
-class _Scheduler:
-    """Round-robin baton over the top-level ranks."""
-
-    def __init__(self, n: int) -> None:
-        self.cv = threading.Condition()
-        self.n = n
-        self.current = 0
-        self.finished = [False] * n
-        # blocked[r] is a wait description while r cannot progress, else None.
-        self.blocked: list[Optional[str]] = [None] * n
-        self.blocked_at = [0] * n
-        self.progress = 1  # bumped on every event that could unblock a rank
-        self.abort: Optional[str] = None
-        self._idle_spins = 0
-        self._last_spin_progress = -1
-        self.spin_limit = 20_000 * n
-
-    # All public methods acquire self.cv; user code never holds it.
-
-    def wait_initial(self, rank: int) -> None:
-        with self.cv:
-            self._wait_for_turn(rank)
-
-    def bump(self) -> None:
-        with self.cv:
-            self.progress += 1
-
-    def yield_turn(self, rank: int, desc: Optional[str] = None) -> None:
-        """Hand the baton to the next runnable rank.
-
-        ``desc`` marks a hard block (only re-runnable after progress);
-        ``None`` is a polling yield (always re-runnable).
-        """
-        with self.cv:
-            if desc is not None:
-                self.blocked[rank] = desc
-                self.blocked_at[rank] = self.progress
-            else:
-                if self.progress == self._last_spin_progress:
-                    self._idle_spins += 1
-                    if self._idle_spins > self.spin_limit:
-                        raise self._deadlock(
-                            "livelock: ranks polling with no progress"
-                        )
-                else:
-                    self._idle_spins = 0
-                    self._last_spin_progress = self.progress
-            self._handoff(rank)
-            self._wait_for_turn(rank)
-            self.blocked[rank] = None
-
-    def finish(self, rank: int) -> None:
-        with self.cv:
-            self.finished[rank] = True
-            self.blocked[rank] = None
-            if self.abort is None and not all(self.finished):
-                self._handoff(rank)
-            self.cv.notify_all()
-
-    def fail(self, reason: str) -> None:
-        with self.cv:
-            if self.abort is None:
-                self.abort = reason
-            self.cv.notify_all()
-
-    # ------------------------------------------------------------ internals
-
-    def _runnable(self, r: int) -> bool:
-        if self.finished[r]:
-            return False
-        return self.blocked[r] is None or self.progress > self.blocked_at[r]
-
-    def _handoff(self, rank: int) -> None:
-        for step in range(1, self.n + 1):
-            c = (rank + step) % self.n
-            if self._runnable(c):
-                self.current = c
-                self.cv.notify_all()
-                return
-        if all(self.finished):
-            return
-        raise self._deadlock("all ranks blocked")
-
-    def rank_table(self) -> str:
-        """The per-rank state table every backend emits (``self.cv`` held)."""
-        return format_rank_states(
-            {
-                r: "finished" if self.finished[r] else self.blocked[r]
-                for r in range(self.n)
-            }
-        )
-
-    def _deadlock(self, why: str) -> DeadlockError:
-        self.abort = f"SPMD deadlock ({why}); {self.rank_table()}"
-        self.cv.notify_all()
-        return DeadlockError(self.abort)
-
-    def _wait_for_turn(self, rank: int) -> None:
-        while self.current != rank:
-            if self.abort is not None:
-                raise _Aborted()
-            self.cv.wait(0.2)
-        if self.abort is not None:
-            raise _Aborted()
-
-
-
-
 class _Baton(_Threads):
-    """The thread transport, but a rank waits by handing the baton on."""
+    """The thread transport, but only the baton holder runs: a rank that
+    stops hands the baton to the next rank round-robin that may run."""
 
-    def __init__(self, nprocs: int, stats, timeout: float) -> None:
-        super().__init__(nprocs, stats, timeout)
-        self.sched = _Scheduler(nprocs)
+    def __init__(self, nprocs: int, stats) -> None:
+        super().__init__(nprocs, stats)
+        self.current = 0
+        self._idle = 0  # polls that found nothing since the last send
+        self.spin_limit = 20_000 * nprocs
 
     def send(self, world: World, dest: int, record: tuple) -> None:
+        self._idle = 0
         super().send(world, dest, record)
-        self.sched.bump()
-
-    def wait(self, world: World, rank: int, ready, desc: str):
-        while (out := ready()) is None:
-            self.sched.yield_turn(world.members[rank], desc)
-        return out
 
     def poll(self, world: World, rank: int, ready):
-        if (out := ready()) is None:
-            # Give peers a deterministic chance to send before reporting no.
-            self.sched.yield_turn(world.members[rank])
-            out = ready()
-        return out
+        me = world.members[rank]
+        with self.lock:
+            if (out := ready()) is None:
+                self._idle += 1
+                if self._idle > self.spin_limit:
+                    self._file(
+                        "SPMD deadlock (livelock: ranks polling with no progress); "
+                    )
+                # Give peers a deterministic chance to send before reporting no.
+                self._handoff(me)
+                self._await(me)
+                out = ready()
+            return out
 
-    def hang_report(self) -> str:
-        """The structural table; also stops every rank (a wall timeout)."""
-        with self.sched.cv:
-            table = self.sched.rank_table()
-        self.sched.fail("wall timeout")
-        return table
+    def _runs(self, me: int) -> bool:
+        return self.current == me
+
+    def _handoff(self, me: int) -> None:
+        n = len(self._wakeup)
+        for step in range(1, n + 1):
+            c = (me + step) % n
+            if c not in self.finished and c not in self.blocked:
+                self.current = c
+                self._wakeup[c].notify()
+                return
 
 
 class SerialBackend(ThreadBackend):
@@ -178,19 +73,5 @@ class SerialBackend(ThreadBackend):
 
     name = "serial"
 
-    def _transport(self, nprocs: int, stats, timeout: float) -> _Baton:
-        return _Baton(nprocs, stats, timeout)
-
-    def _rank(self, transport: _Baton, world: World, r: int, fn, args):
-        sched = transport.sched
-        try:
-            sched.wait_initial(r)
-            return fn(Comm(world, r), *args)
-        except _Aborted:
-            return None  # another rank's failure is the one reported
-        except BaseException as exc:
-            sched.fail(f"rank {r} failed: {exc!r}")
-            raise
-        finally:
-            # Raises DeadlockError if this rank finished and its peers never can.
-            sched.finish(r)
+    def _transport(self, nprocs: int, stats) -> _Baton:
+        return _Baton(nprocs, stats)

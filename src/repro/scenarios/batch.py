@@ -23,7 +23,7 @@ Failure isolation is layered:
 
 Per-job wall budgets are cooperative (checked between steps by the runner),
 which keeps them deterministic and backend-independent; a solver stuck
-*inside* one step is bounded only by the SPMD deadlock timeout.
+*inside* one step is bounded only by the SPMD run timeout.
 """
 
 from __future__ import annotations

@@ -282,14 +282,16 @@ def test_recv_cycle_report_names_both_ranks(backend):
     assert "per-rank state:" in msg
     assert "rank 0: recv(source=1, tag=9)" in msg
     assert "rank 1: recv(source=0, tag=9)" in msg
+    if backend != "process":  # in-process: found from structure, no timeout
+        assert "SPMD deadlock" in msg and "timed out" not in msg
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_nbx_drain_that_never_completes_reports_its_wait(backend):
     # Rank 1 never enters the exchange, so rank 0's drain waits for a
-    # barrier that cannot complete: it times out (serial: is found stuck)
-    # naming the message it probes for and the barrier it waits on.  Rank
-    # 1's recv, entered first, may time out first and read as finished.
+    # barrier that cannot complete: it is found stuck (process: times out)
+    # naming the message it probes for and the barrier it waits on, next
+    # to rank 1's recv.
     def fn(comm):
         if comm.rank == 0:
             nbx_exchange(comm, {1: b"m"})
@@ -302,6 +304,49 @@ def test_nbx_drain_that_never_completes_reports_its_wait(backend):
     assert "per-rank state:" in msg
     assert ("rank 0: probe(source=-1, tag=7772) until ibarrier ('nbx', 1) "
             "on comm of size 2") in msg
+    assert "rank 1: recv(source=0, tag=9) on comm of size 2" in msg
+
+
+def _recv_cycle(comm):
+    return comm.recv(source=1 - comm.rank, tag=9)
+
+
+def test_thread_recv_cycle_report_has_no_race():
+    # Both ranks' lines, every time: the report is filed by the wait that
+    # closes the cycle while its peer still waits, not by whichever rank's
+    # clock runs out first.
+    misses = 0
+    for _ in range(200):
+        with pytest.raises(SpmdError) as ei:
+            run_spmd(2, _recv_cycle, backend="thread", timeout=0.2)
+        msg = str(ei.value)
+        misses += not (
+            "rank 0: recv(source=1, tag=9)" in msg
+            and "rank 1: recv(source=0, tag=9)" in msg
+        )
+    assert misses == 0
+
+
+@pytest.mark.parametrize("backend", ["thread", "serial"])
+def test_recv_cycle_is_found_before_the_timeout(backend):
+    # A timeout path could only report "timed out" here.
+    with pytest.raises(SpmdError, match=r"SPMD deadlock \(all ranks blocked\)"):
+        run_spmd(2, _recv_cycle, backend=backend, timeout=30)
+
+
+@pytest.mark.parametrize("backend", ["thread", "serial"])
+def test_rank_that_returns_without_sending_closes_the_cycle(backend):
+    # Rank 1's exit is what leaves every live rank blocked.
+    def fn(comm):
+        if comm.rank == 0:
+            comm.recv(source=1, tag=9)
+
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(2, fn, backend=backend, timeout=30)
+    msg = str(ei.value)
+    assert "SPMD deadlock (all ranks blocked)" in msg
+    assert "rank 0: recv(source=1, tag=9) on comm of size 2" in msg
+    assert "rank 1: finished" in msg
 
 
 def test_thread_world_under_fast_switching():
@@ -354,14 +399,29 @@ class TestSerialBackend:
                 timeout=30,
             )
 
-    def test_rank_failure(self):
+    def test_poll_livelock_report(self):
+        # No rank is blocked, so only the count of empty polls stops it.
+        def fn(comm):
+            if comm.rank == 0:
+                while not comm.iprobe(source=1, tag=3):
+                    pass
+
+        with pytest.raises(SpmdError) as ei:
+            run_spmd(2, fn, backend="serial", timeout=30)
+        msg = str(ei.value)
+        assert "SPMD deadlock (livelock: ranks polling with no progress)" in msg
+        assert "rank 0: running" in msg and "rank 1: finished" in msg
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rank_failure(self, backend):
+        # The failure is reported, not the deadlock it leaves its peers in.
         def boom(comm):
             if comm.rank == 2:
                 raise ValueError("kaboom")
             comm.barrier()
 
-        with pytest.raises(SpmdError, match="rank 2"):
-            run_spmd(4, boom, backend="serial", timeout=30)
+        with pytest.raises(SpmdError, match="rank 2 failed: .*kaboom"):
+            run_spmd(4, boom, backend=backend, timeout=30)
 
 
 class TestSelection:
