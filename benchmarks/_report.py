@@ -34,10 +34,10 @@ def provenance() -> str:
     """One-line measurement provenance: which SPMD backend produced the
     numbers below, on how many cores.  Benchmark honesty: wall-clock numbers
     from different backends are not comparable without this."""
-    from repro.runtime import default_backend_name
+    from repro.runtime import resolve_backend
 
     return (
-        f"(SPMD backend: {default_backend_name()}; "
+        f"(SPMD backend: {resolve_backend(None).name}; "
         f"host cores: {os.cpu_count()})"
     )
 

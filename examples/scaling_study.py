@@ -9,9 +9,9 @@ suite's scaling experiments.
 Run:  python examples/scaling_study.py [--backend thread|process|serial]
 
 The backend flag picks the SPMD execution backend (see ``repro.runtime``):
-threads (default, zero-copy), forked processes (true multi-core), or the
-deterministic serial scheduler.  Measured counters are identical on every
-backend; wall-clock differs.
+threads (default, zero-copy), forked processes (true multi-core, every
+message pickled through a queue), or the deterministic serial scheduler.
+Measured counters are identical on every backend; wall-clock differs.
 """
 
 import argparse
@@ -53,15 +53,14 @@ def measure_matvec(mesh, nprocs, n_iters=3, backend=None):
 
 
 def main() -> int:
-    from repro.runtime import available_backends, default_backend_name
+    from repro.runtime import available_backends
 
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--backend",
-        default=None,
-        choices=sorted(available_backends()),
-        help="SPMD execution backend (default: $REPRO_SPMD_BACKEND or "
-        "'thread')",
+        default="thread",
+        choices=available_backends(),
+        help="SPMD execution backend (default: thread)",
     )
     args = ap.parse_args()
     backend = args.backend
@@ -71,7 +70,7 @@ def main() -> int:
 
     mesh = mesh_from_field(phi, 2, max_level=7, min_level=4, threshold=0.03)
     print(f"simulator mesh: {mesh.n_elems} elements")
-    print(f"SPMD backend: {backend or default_backend_name()}\n")
+    print(f"SPMD backend: {backend}\n")
     print("-- simulator: distributed MATVEC (real kernels, metered) --")
     print(f"{'ranks':>5} {'ms/pass':>9} {'msgs':>6} {'bytes':>9}")
     for p in (1, 2, 4, 8):

@@ -51,10 +51,10 @@ class ExchangePlan:
     send_pos: dict = field(default_factory=dict)
     #: per-owner ghost node ids (GhostWrite sends, sorted within owner)
     ghost_ids_by_owner: dict = field(default_factory=dict)
-    #: per-owner positions of those ghosts within `needed`
+    #: per-owner positions of those ghosts within `needed`: where GhostWrite
+    #: reads them and where GhostRead files the owner's reply (the owner
+    #: sends exactly these ghosts, in this order)
     ghost_pos_by_owner: dict = field(default_factory=dict)
-    #: per-owner positions within `needed` of ids arriving in GhostRead
-    recv_needed_pos: dict = field(default_factory=dict)
     #: inverse ownership map: global node id -> position in `owned` (or -1)
     owned_lookup: np.ndarray = None
 
@@ -92,22 +92,10 @@ class DistributedField:
 
         # Exchange maps (setup allgather; see module docstring).
         all_needed = comm.allgather(self.needed)
-        self.send_map: dict[int, np.ndarray] = {}
-        for q in range(comm.size):
-            if q == comm.rank:
-                continue
-            theirs = all_needed[q]
-            mine = theirs[self.node_owner[theirs] == comm.rank]
-            if len(mine):
-                self.send_map[q] = mine
-        self.recv_from = sorted(
-            {int(q) for q in np.unique(self.node_owner[self.ghosts])}
-        )
-
         with obs.span("ghost.plan_build"):
-            self.plan = self._build_exchange_plan()
+            self.plan = self._build_exchange_plan(all_needed)
 
-    def _build_exchange_plan(self) -> ExchangePlan:
+    def _build_exchange_plan(self, all_needed: list) -> ExchangePlan:
         """Symbolic phase of the ghost exchange: all per-call index maps."""
         plan = ExchangePlan(
             own_pos=np.searchsorted(self.needed, self.owned),
@@ -115,9 +103,14 @@ class DistributedField:
         )
         # GhostRead send side: owned values each peer needs, and their
         # positions in the owned array.
-        for q, ids in self.send_map.items():
-            plan.send_ids[q] = ids
-            plan.send_pos[q] = np.searchsorted(self.owned, ids)
+        me = self.comm.rank
+        for q, theirs in enumerate(all_needed):
+            if q == me:
+                continue
+            mine = theirs[self.node_owner[theirs] == me]
+            if len(mine):
+                plan.send_ids[q] = mine
+                plan.send_pos[q] = np.searchsorted(self.owned, mine)
         # GhostWrite send side: ghosts grouped by owner, ascending node id
         # within each owner (stable sort of the already-sorted ghost array —
         # the exact order the per-node loop used to produce, so the wire
@@ -128,9 +121,6 @@ class DistributedField:
             sel = order[ghost_owner[order] == q]
             plan.ghost_ids_by_owner[int(q)] = self.ghosts[sel]
             plan.ghost_pos_by_owner[int(q)] = plan.ghost_pos[sel]
-            # GhostRead receive side: owner q sends exactly these ghosts, in
-            # this order (it filters its copy of our sorted `needed`).
-            plan.recv_needed_pos[int(q)] = plan.ghost_pos[sel]
         # GhostWrite receive side: global node id -> position in `owned`,
         # valid for any masked subset a peer chooses to push.
         plan.owned_lookup = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
@@ -165,7 +155,7 @@ class DistributedField:
             full = np.zeros(len(self.needed))
             full[plan.own_pos] = owned_values
             for q, (_, vals) in incoming.items():
-                full[plan.recv_needed_pos[q]] = vals
+                full[plan.ghost_pos_by_owner[q]] = vals
             return full
 
     def ghost_write(

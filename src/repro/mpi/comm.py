@@ -16,7 +16,8 @@ Payloads are passed by reference on the thread/serial backends for speed;
 SPMD code here follows the MPI discipline of never mutating a buffer it has
 sent (the test-suite exercises this contract).  NumPy arrays are the
 preferred payload, matching the mpi4py guidance of buffer-based messaging
-for performance — on the process backend they travel through shared memory.
+for performance — on the process backend every payload, array or not,
+travels pickled through the destination rank's queue.
 
 ``Comm`` is transport-agnostic: it talks to a duck-typed *world* object
 whose contract is documented in :mod:`repro.runtime.base`.
@@ -239,22 +240,21 @@ def run_spmd(
     ``timeout`` raises :class:`SpmdError` with the failing rank identified.
 
     ``backend`` names how ranks execute: ``"thread"`` (default, zero-copy,
-    GIL-bound), ``"process"`` (forked OS processes + shared-memory payloads,
-    real core parallelism), or ``"serial"`` (deterministic round-robin, for
-    debugging).  When omitted, the ``REPRO_SPMD_BACKEND`` environment
-    variable decides.  ``timeout`` defaults to ``REPRO_SPMD_TIMEOUT`` seconds
-    (else 120; a value that is not a number raises ``ValueError``).  All
-    backends meter traffic into ``stats`` identically.
+    GIL-bound), ``"process"`` (forked OS processes, payloads pickled through
+    queues, real core parallelism), or ``"serial"`` (deterministic
+    round-robin, for debugging); ``None`` means ``"thread"``.  ``timeout``
+    defaults to 120 seconds.  All backends meter traffic into ``stats``
+    identically.
 
     When the calling thread has :mod:`repro.obs` tracing enabled, every rank
     runs under its own tracer and the per-rank snapshots ride home on the
     result transport; read them afterwards via ``obs.last_spmd_report()``.
     """
     # Imported lazily: repro.runtime's backends import Comm from this module.
-    from repro.runtime import resolve_backend, resolve_timeout
+    from repro.runtime import DEFAULT_TIMEOUT, resolve_backend
 
     b = resolve_backend(backend)
-    timeout_s = resolve_timeout(timeout)
+    timeout_s = DEFAULT_TIMEOUT if timeout is None else float(timeout)
     stats = stats if stats is not None else CommStats()
     if not obs.rank_armed():
         return b.run(nprocs, fn, args, timeout_s, stats)

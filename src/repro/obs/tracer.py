@@ -232,8 +232,8 @@ class tracing:
 # run_spmd wraps the rank function with these when the *caller's* thread has
 # tracing enabled: each rank gets a fresh tracer for the duration of the run
 # and its snapshot rides home on the existing result transport (so the
-# process backend ships it through the same pipe/shared-memory path as user
-# results — no side channel).
+# process backend pickles it through the same result queue as user results
+# — no side channel).
 
 
 def rank_armed() -> bool:

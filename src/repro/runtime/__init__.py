@@ -11,28 +11,20 @@ record reaches a rank, how a rank waits and what a hang reports:
     deadlock is found from structure (every live rank blocked) and
     reported at once; ``timeout`` only stops a rank stuck computing.
 ``process``
-    one forked OS process per rank with shared-memory ndarray transport —
+    one forked OS process per rank, every record pickled through a queue —
     real core-level parallelism for NumPy-heavy ranks (POSIX only).  Each
     wait times out on its own, since no structure is visible in its queues.
 ``serial``
     the thread transport, its deadlock rule and table included, under a
     round-robin baton — reproducible interleavings for debugging.
 
-Select per call (``run_spmd(..., backend="process")``) or globally via the
-``REPRO_SPMD_BACKEND`` environment variable.  See ``docs/API.md`` ("Choosing
-an execution backend") for guidance and caveats.
+Select per call (``run_spmd(..., backend="process")``).  See ``docs/API.md``
+("Choosing an execution backend") for guidance and caveats.
 """
 
 from typing import Optional
 
-from .base import (  # noqa: F401
-    BACKEND_ENV,
-    DEFAULT_TIMEOUT,
-    TIMEOUT_ENV,
-    Backend,
-    default_backend_name,
-    resolve_timeout,
-)
+from .base import DEFAULT_TIMEOUT, Backend
 from .process import ProcessBackend
 from .serial import SerialBackend
 from .thread import ThreadBackend
@@ -49,9 +41,8 @@ def available_backends() -> list[str]:
 
 
 def resolve_backend(name: Optional[str]) -> Backend:
-    """The backend called ``name``; ``None`` means
-    :func:`default_backend_name`."""
-    name = default_backend_name() if name is None else name
+    """The backend called ``name``; ``None`` means ``"thread"``."""
+    name = "thread" if name is None else name
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown SPMD backend {name!r}; available: {available_backends()}"
@@ -65,10 +56,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "available_backends",
-    "default_backend_name",
     "resolve_backend",
-    "resolve_timeout",
-    "BACKEND_ENV",
-    "TIMEOUT_ENV",
     "DEFAULT_TIMEOUT",
 ]

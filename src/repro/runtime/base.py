@@ -8,8 +8,7 @@ receives, collectives, the non-blocking barrier, splits, attributes) lives
 in the one :class:`World` below, and a :class:`Backend` supplies only a
 *transport*: how a record reaches a rank, how a rank waits until a
 predicate holds, and what a hang reports.  ``run_spmd`` picks a backend by
-name (``backend=``) or from the ``REPRO_SPMD_BACKEND`` environment
-variable, defaulting to the zero-copy thread simulator.
+name (``backend=``), defaulting to the zero-copy thread simulator.
 
 A transport provides ``stats`` (a :class:`~repro.mpi.stats.CommStats`-
 compatible recorder), ``lock`` (guards a shared split cache) and:
@@ -29,18 +28,12 @@ compatible recorder), ``lock`` (guards a shared split cache) and:
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Optional
 
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, SpmdError
 
+#: Seconds ``run_spmd`` allows a run when no ``timeout`` is passed.
 DEFAULT_TIMEOUT = 120.0
-
-#: Environment variable naming the default backend ("thread"|"process"|"serial").
-BACKEND_ENV = "REPRO_SPMD_BACKEND"
-
-#: Environment variable overriding the default run timeout (seconds).
-TIMEOUT_ENV = "REPRO_SPMD_TIMEOUT"
 
 # Record kinds: (kind, src, key, payload), key being the tag, the
 # collective's sequence number or the barrier key.
@@ -250,26 +243,3 @@ class Backend:
         """
         raise NotImplementedError
 
-
-def default_backend_name() -> str:
-    """The backend ``run_spmd`` uses when none is passed explicitly."""
-    return os.environ.get(BACKEND_ENV, "thread")
-
-
-def resolve_timeout(timeout: Optional[float]) -> float:
-    """Explicit argument beats ``REPRO_SPMD_TIMEOUT`` beats the default.
-
-    A ``REPRO_SPMD_TIMEOUT`` that is not a number raises ``ValueError``
-    naming the variable and its value.
-    """
-    if timeout is not None:
-        return float(timeout)
-    env = os.environ.get(TIMEOUT_ENV)
-    if not env:
-        return DEFAULT_TIMEOUT
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError(
-            f"{TIMEOUT_ENV}={env!r} is not a number of seconds"
-        ) from None

@@ -1,10 +1,10 @@
 """Process-per-rank backend: true parallelism for NumPy-heavy ranks.
 
 Each rank is a forked OS process, so rank compute never shares a GIL.  The
-transport is one ``multiprocessing.Queue`` inbox per top-level rank carrying
-small control records; ndarray payloads ship through shared-memory blocks
-(:mod:`repro.runtime.shm`).  ``fork`` keeps the SPMD closure and its captured
-arrays out of pickle entirely — children inherit them copy-on-write.
+transport is one ``multiprocessing.Queue`` inbox per top-level rank; every
+record, payload included, crosses the process boundary pickled through it.
+``fork`` keeps the SPMD closure and its captured arrays out of pickle
+entirely — children inherit them copy-on-write.
 
 Each rank process holds its own :class:`~repro.runtime.base.World` per
 communicator.  Sub-communicators never allocate new OS resources: a split
@@ -16,7 +16,8 @@ pumps its inbox until the record it waits for has been filed.
 Counters live in a shared array that every rank's
 :class:`~repro.mpi.stats.CommStats` counts into, so ``comm.stats`` shows the
 same global live view as the thread backend; the parent folds the totals
-back into the caller's ``CommStats`` when the run completes.  Each rank also writes its last-known blocking state into a
+back into the caller's ``CommStats`` when the run completes.  Each rank also
+writes its last-known state (a wait, ``running`` or ``finished``) into a
 shared board that the parent dumps if the run times out.
 """
 
@@ -28,7 +29,6 @@ import threading
 import time
 import traceback
 
-from . import shm
 from .base import Backend, DeadlockError, World, format_rank_states
 
 _STATE_SLOT = 200  # bytes of last-known-state per rank
@@ -62,7 +62,7 @@ class _Inboxes:
     """Process transport: one queue inbox per top-level rank.
 
     A record carries its communicator's context id and is filed into this
-    rank's world of that context; payloads go through :mod:`.shm`.
+    rank's world of that context.
     """
 
     def __init__(self, inboxes, me: int, stats, board, timeout: float) -> None:
@@ -81,22 +81,17 @@ class _Inboxes:
             self._file(rec)
 
     def send(self, world: World, dest: int, record: tuple) -> None:
-        kind, src, key, payload = record
-        # Encoded per send: each receiver consumes (and unlinks) its own
-        # shared-memory block.
-        self.inboxes[world.members[dest]].put(
-            (world.ctx, dest, kind, src, key, shm.encode(payload))
-        )
+        self.inboxes[world.members[dest]].put((world.ctx, dest, *record))
 
     def _file(self, rec: tuple) -> None:
-        ctx, dest, kind, src, key, enc = rec
+        ctx, dest, kind, src, key, payload = rec
         world = self._worlds.get(ctx)
         if world is None:
             # For a sub-communicator this rank has not created yet (the
             # sender raced ahead); held until the split completes here.
             self._orphans.setdefault(ctx, []).append(rec)
         else:
-            world.deliver(dest, kind, src, key, shm.decode(enc))
+            world.deliver(dest, kind, src, key, payload)
 
     def _take(self, seconds: float) -> None:
         """File every queued record, first waiting up to ``seconds`` for one."""
@@ -142,6 +137,7 @@ def _child_main(rank, nprocs, fn, args, inboxes, result_q, shared, board_arr, ti
     world = World(transport, range(nprocs))
     try:
         result = fn(Comm(world, rank), *args)
+        board.set(rank, "finished")
         try:
             result_q.put(("ok", rank, result))
         except Exception as exc:  # result not picklable
@@ -149,13 +145,16 @@ def _child_main(rank, nprocs, fn, args, inboxes, result_q, shared, board_arr, ti
                 ("err", rank, f"result of rank {rank} not picklable: {exc!r}")
             )
     except BaseException as exc:  # noqa: BLE001 - serialized to the parent
+        # The message once, then the stack (format_exc would repeat it).
+        msg = f"{type(exc).__name__}: {exc}"
+        tb = "".join(traceback.format_tb(exc.__traceback__)).rstrip()
         result_q.put(
-            ("err", rank, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
+            ("err", rank, f"{msg}\nTraceback (most recent call last):\n{tb}")
         )
 
 
 class ProcessBackend(Backend):
-    """Rank-per-OS-process backend over fork + shared memory."""
+    """Rank-per-OS-process backend over fork and queues."""
 
     name = "process"
 

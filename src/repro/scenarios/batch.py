@@ -149,7 +149,7 @@ def run_batch(
     ``resume=True`` (default) skips every job that already has a final
     verdict (succeeded/failed/timeout) in ``store`` — re-running a killed
     batch picks up only the unfinished jobs.  ``concurrency`` worker ranks
-    execute on ``backend`` (default: ``REPRO_SPMD_BACKEND`` or thread).
+    execute on ``backend`` (default: thread).
     """
     t0 = time.perf_counter()
     store.prepare()
