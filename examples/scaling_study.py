@@ -12,6 +12,10 @@ The backend flag picks the SPMD execution backend (see ``repro.runtime``):
 threads (default, zero-copy), forked processes (true multi-core, every
 message pickled through a queue), or the deterministic serial scheduler.
 Measured counters are identical on every backend; wall-clock differs.
+
+Each MATVEC pass is timed between barriers; ``ms/pass`` is the median over
+passes of the slowest rank's time and ``spread`` the max - min of that time
+over the passes.
 """
 
 import argparse
@@ -37,19 +41,21 @@ def measure_matvec(mesh, nprocs, n_iters=3, backend=None):
     def fn(comm):
         df = DistributedField(comm, mesh)
         owned = df.from_global(u)
+        passes = []
         comm.barrier()
-        t0 = time.perf_counter()
         for _ in range(n_iters):
+            t0 = time.perf_counter()
             owned = df.matvec(Ke[df.elem_lo : df.elem_hi], owned)
-        comm.barrier()
+            comm.barrier()
+            passes.append(time.perf_counter() - t0)
         # A diverged/NaN kernel must fail the run, not print a time: the
         # rank exception surfaces as SpmdError and the script exits 1.
         if not np.all(np.isfinite(owned)):
             raise RuntimeError(f"non-finite MATVEC result on rank {comm.rank}")
-        return (time.perf_counter() - t0) / n_iters
+        return passes
 
-    times = run_spmd(nprocs, fn, stats=stats, backend=backend)
-    return max(times), stats.snapshot()
+    slowest = np.max(run_spmd(nprocs, fn, stats=stats, backend=backend), axis=0)
+    return float(np.median(slowest)), float(np.ptp(slowest)), stats.snapshot()
 
 
 def main() -> int:
@@ -72,11 +78,11 @@ def main() -> int:
     print(f"simulator mesh: {mesh.n_elems} elements")
     print(f"SPMD backend: {backend}\n")
     print("-- simulator: distributed MATVEC (real kernels, metered) --")
-    print(f"{'ranks':>5} {'ms/pass':>9} {'msgs':>6} {'bytes':>9}")
+    print(f"{'ranks':>5} {'ms/pass':>9} {'spread':>8} {'msgs':>6} {'bytes':>9}")
     for p in (1, 2, 4, 8):
-        t, snap = measure_matvec(mesh, p, backend=backend)
-        print(f"{p:>5} {t*1e3:>9.2f} {snap['messages']:>6} "
-              f"{snap['bytes_sent']:>9}")
+        t, spread, snap = measure_matvec(mesh, p, backend=backend)
+        print(f"{p:>5} {t*1e3:>9.2f} {spread*1e3:>8.2f} "
+              f"{snap['messages']:>6} {snap['bytes_sent']:>9}")
 
     model = MachineModel()
     print("\n-- model: Fig. 4a strong scaling (13M elements) --")

@@ -5,10 +5,10 @@ quadrature points and assembles the global sparse operators each solver
 block needs.  Every operator here is a GEMM-expressed batched elemental
 computation followed by a node-wise scatter (paper Sec. II-D).
 
-All matrix assembly routes through :func:`repro.fem.plan.plan_assemble`:
+All assembly routes through the mesh's plan (:func:`repro.fem.plan.get_plan`):
 the COO pattern and hanging-node projection are precomputed once per mesh,
 and each call here only performs the cheap numeric update.  The slow
-reference path lives in :func:`repro.fem.assembly.assemble_matrix`.
+reference path, ``assemble_matrix``, lives in ``tests/oracles.py``.
 
 The ``*_ke`` / ``*_be`` functions stop before the scatter and return the
 elemental batch, so a block solver can sum its operator (and its loads) at
@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from ..fem.assembly import assemble_vector
 from ..fem.basis import tabulate
-from ..fem.plan import plan_assemble
+from ..fem.plan import get_plan
 from ..fem.operators import (
     convection_matrix,
     gradient_at_quad,
@@ -97,7 +96,7 @@ def convection_ke(mesh: Mesh, vq: np.ndarray, *, transpose=False) -> np.ndarray:
 
 def mass(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     """Global (weighted) mass matrix; ``coeff`` may be a quad-point array."""
-    return plan_assemble(mesh, mass_ke(mesh, coeff))
+    return get_plan(mesh).assemble(mass_ke(mesh, coeff))
 
 
 def mesh_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -113,12 +112,13 @@ def mesh_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
-    return plan_assemble(mesh, stiffness_ke(mesh, coeff))
+    return get_plan(mesh).assemble(stiffness_ke(mesh, coeff))
 
 
 def convection(mesh: Mesh, vel_dofs: np.ndarray) -> sp.csr_matrix:
     """``∫ N_i (v · grad N_j)`` with velocity given as (n_dofs, dim)."""
-    return plan_assemble(mesh, convection_ke(mesh, field_at_quad(mesh, vel_dofs)))
+    Ke = convection_ke(mesh, field_at_quad(mesh, vel_dofs))
+    return get_plan(mesh).assemble(Ke)
 
 
 def source_be(mesh: Mesh, f_q) -> np.ndarray:
@@ -129,7 +129,7 @@ def source_be(mesh: Mesh, f_q) -> np.ndarray:
 
 def source(mesh: Mesh, f_q) -> np.ndarray:
     """Global load vector(s) of a quad-point (or constant) source."""
-    return assemble_vector(mesh, source_be(mesh, f_q))
+    return get_plan(mesh).scatter_loads(source_be(mesh, f_q))
 
 
 def quad_xy(mesh: Mesh) -> np.ndarray:
@@ -170,7 +170,7 @@ def flux_divergence_load(mesh: Mesh, flux_q: np.ndarray) -> np.ndarray:
     """Weak divergence of a quad-point flux: ``-∫ F · grad N_i`` appears in
     the equations as ``+∫ N_i div F`` integrated by parts; the caller picks
     the sign.  Returns ``∫ F · grad N_i``."""
-    return assemble_vector(mesh, flux_divergence_be(mesh, flux_q))
+    return get_plan(mesh).scatter_loads(flux_divergence_be(mesh, flux_q))
 
 
 def integrate(mesh: Mesh, dens_q: np.ndarray) -> float:

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..fem.assembly import assemble_vector
 from ..fem.plan import get_plan
 from ..la.factors import Factors, may_factor
 from ..la.krylov import bicgstab
@@ -154,7 +153,7 @@ class NSSolver:
             cap = forms.flux_divergence_be(mesh, flux)  # (e, nc, dim)
             cap *= prm.Cn / prm.We
             be += cap
-            rhs = assemble_vector(mesh, be)  # (n_dofs, dim)
+            rhs = plan.scatter_loads(be)  # (n_dofs, dim)
             if forcing is not None:
                 rhs += forcing
 

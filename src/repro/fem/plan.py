@@ -3,9 +3,9 @@
 The paper's Sec. II-D assembly strategy makes the elemental work pure batched
 GEMM — but the *global* half of assembly (COO scatter, hanging-node
 projection ``P^T A P``, duplicate summation) is topological: it depends only
-on the mesh, not on the coefficient values.  The reference path
-(:func:`repro.fem.assembly.assemble_matrix`) redoes all of it on every call,
-i.e. for every operator of every Newton iteration of every timestep.
+on the mesh, not on the coefficient values.  The reference path the tests
+keep (``assemble_matrix`` in ``tests/oracles.py``) redoes all of it on every
+call, i.e. for every operator of every Newton iteration of every timestep.
 
 :class:`AssemblyPlan` splits that work once and for all per mesh:
 
@@ -48,7 +48,9 @@ order of its expanded entries, summed onto ``+0.0``: the summation of the
 ``np.bincount`` scatter it replaced, bit for bit), so repeated ``assemble``
 calls with the same ``Ke`` are bitwise identical; against the
 reference path the result agrees to round-off (enforced at 1e-14 in
-``tests/fem/test_assembly_plan.py``).
+``tests/fem/test_assembly_plan.py``).  Every caller assembles through
+:func:`get_plan`: ``get_plan(mesh).assemble(Ke)`` /
+``get_plan(mesh).scatter_loads(be)``.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ def _sort_pairs(pos: np.ndarray, src: np.ndarray, bits: int, n_pos: int) -> None
 class AssemblyPlan:
     """One-time symbolic assembly for a fixed mesh; cheap numeric updates.
 
-    ``assemble(Ke)`` is the drop-in fast path for
-    ``assemble_matrix(mesh, Ke)``: same ``(n_dofs, n_dofs)`` CSR operator,
-    any coefficient batch ``Ke`` of shape ``(n_elems, nc, nc)``.
+    ``assemble(Ke)`` gives the operator of the reference
+    ``assemble_matrix(mesh, Ke)`` (``tests/oracles.py``): the same
+    ``(n_dofs, n_dofs)`` CSR operator, for any coefficient batch ``Ke`` of
+    shape ``(n_elems, nc, nc)``.
     """
 
     def __init__(self, mesh: Mesh):
@@ -290,8 +293,9 @@ class AssemblyPlan:
 
     def scatter_loads(self, be: np.ndarray) -> np.ndarray:
         """Elemental loads ``(n_elems, nc[, k])`` -> DOF vector(s)
-        ``(n_dofs[, k])``: :meth:`repro.mesh.mesh.Mesh.elem_scatter` as one
-        CSR mat-vec with the hanging-node projection ``P^T`` folded in.  Each
+        ``(n_dofs[, k])``: the ``np.add.at`` scatter ``elem_scatter`` of
+        ``tests/oracles.py`` as one CSR mat-vec with the hanging-node
+        projection ``P^T`` folded in.  Each
         DOF sums its contributions in element-major order, so repeated calls
         are bitwise identical."""
         be = self._checked(be, self.ke_shape[:2])
@@ -329,8 +333,8 @@ class AssemblyPlan:
         return S
 
     def eliminate(self, A: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
-        """:func:`repro.fem.assembly.eliminate_dirichlet` for a matrix of
-        this plan: one gather of the couplings elimination keeps into the
+        """Dirichlet elimination (``eliminate_dirichlet`` in
+        ``tests/oracles.py``) for a matrix of this plan: one gather of the couplings elimination keeps into the
         mask's compact CSR layout, then a unit diagonal on the constrained
         rows.  No eliminated coupling stays as a stored zero: SuperLU
         orders and factors every stored entry as structure and every
@@ -349,8 +353,8 @@ class AssemblyPlan:
 
     def lift(self, A: sp.csr_matrix, b: np.ndarray, mask: np.ndarray,
              values=None) -> np.ndarray:
-        """:func:`repro.fem.assembly.lift_dirichlet` for a matrix of this
-        plan, bit for bit: ``b - A[:, B] g_B`` through the couplings of the
+        """Dirichlet lifting (``lift_dirichlet`` in ``tests/oracles.py``)
+        for a matrix of this plan, bit for bit: ``b - A[:, B] g_B`` through the couplings of the
         free rows to the constrained columns ``B`` alone, then ``g_B`` on
         the constrained rows.  Zero boundary data (no-slip) applies
         nothing.  ``values`` is ``None`` (zero), a scalar, a value per
@@ -378,8 +382,8 @@ class AssemblyPlan:
         if A.indptr is not self.indptr or A.indices is not self.indices:
             raise StaleAssemblyPlanError(
                 "eliminate() / lift() need a matrix assembled by this plan "
-                "(shared indptr / indices); use repro.fem.assembly."
-                "eliminate_dirichlet / lift_dirichlet for any other"
+                "(shared indptr / indices); assemble the operator with "
+                "get_plan(mesh).assemble(Ke), not by CSR arithmetic"
             )
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n_dofs,):
@@ -444,9 +448,3 @@ def get_plan(mesh: Mesh) -> AssemblyPlan:
     if plan is None:
         plan = mesh.memo["plan"] = AssemblyPlan(mesh)
     return plan
-
-
-def plan_assemble(mesh: Mesh, Ke: np.ndarray) -> sp.csr_matrix:
-    """Fast-path equivalent of :func:`repro.fem.assembly.assemble_matrix`:
-    symbolic work once per mesh, numeric update per call."""
-    return get_plan(mesh).assemble(Ke)

@@ -1,3 +1,3 @@
 """I/O: VTK export for visualization, time-series snapshots."""
 
-from .vtk import read_vtk_summary, write_time_series, write_vtk  # noqa: F401
+from .vtk import write_time_series, write_vtk  # noqa: F401

@@ -98,28 +98,6 @@ def write_vtk(
     return path
 
 
-def read_vtk_summary(path: str) -> dict:
-    """Parse the structural header of a legacy VTK file (round-trip checks)."""
-    out = {"points": 0, "cells": 0, "point_fields": [], "cell_fields": []}
-    section = None
-    with open(path) as fh:
-        for line in fh:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "POINTS":
-                out["points"] = int(tok[1])
-            elif tok[0] == "CELLS":
-                out["cells"] = int(tok[1])
-            elif tok[0] == "POINT_DATA":
-                section = "point"
-            elif tok[0] == "CELL_DATA":
-                section = "cell"
-            elif tok[0] == "SCALARS":
-                out[f"{section}_fields"].append(tok[1])
-    return out
-
-
 def write_time_series(
     directory: str,
     basename: str,

@@ -13,9 +13,9 @@ measured crossover.
 
 The hierarchy (:func:`hierarchy_for`) is sparse matrices only, kept in the
 fine mesh's ``memo``: the coarse levels are uniform grids that exist as
-index arithmetic, never as ``Mesh`` objects.  :func:`prolongation` is the
-mesh-to-mesh form of the same interpolation, kept as the public helper and
-the tests' oracle.
+index arithmetic, never as ``Mesh`` objects.  The mesh-to-mesh form of the
+same interpolation, ``prolongation`` in ``tests/oracles.py``, is the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -35,31 +35,6 @@ from ..octree import morton
 #: coarse-grid correction.
 OMEGA = 2.0 / 3.0
 SMOOTH_STEPS = 2
-
-
-def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """FE interpolation matrix from coarse DOFs to fine DOFs.
-
-    Each fine node evaluates the coarse multilinear field at its location —
-    the same operation as the inter-grid transfer, materialized as a sparse
-    operator so it can participate in Galerkin products.
-    """
-    pts = fine.nodes.coords[fine.nodes.node_of_dof]
-    grid = np.clip(pts, 0, (1 << 19) - 1)
-    elems = coarse.tree.locate_points(grid)
-    a = coarse.tree.anchors[elems]
-    s = coarse.tree.sizes()[elems].astype(np.float64)
-    xi = np.clip((pts - a) / s[:, None], 0.0, 1.0)
-    w = shape_functions(xi, coarse.dim)
-    corner_dofs = coarse.nodes.elem_nodes[elems]  # uniform: nodes == dofs
-    keep = (w > 1e-12).T  # entries corner-major
-    rows = np.broadcast_to(np.arange(len(pts)), keep.shape)[keep]
-    P = sp.csr_matrix(
-        (w.T[keep], (rows, corner_dofs.T[keep])),
-        shape=(fine.n_dofs, coarse.n_dofs),
-    )
-    P.sum_duplicates()
-    return P
 
 
 @dataclass
@@ -106,7 +81,8 @@ def _mesh_prolongation(mesh: Mesh, level: int) -> sp.csr_matrix:
     """Multilinear interpolation from the lexicographically numbered uniform
     grid of ``level`` to the DOFs of ``mesh`` (adaptive or not, no octant
     finer than ``level + 1``), by integer arithmetic on the DOF coordinates:
-    what :func:`prolongation` computes, without a coarse ``Mesh`` to search."""
+    what the mesh-to-mesh ``prolongation`` of ``tests/oracles.py`` computes,
+    without a coarse ``Mesh`` to search."""
     dim = mesh.dim
     shift = morton.MAX_DEPTH - level
     n = (1 << level) + 1

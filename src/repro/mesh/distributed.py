@@ -33,6 +33,18 @@ from ..mpi.sparse_exchange import nbx_exchange
 from .mesh import Mesh
 
 
+def _elemental_pass(
+    Ke: np.ndarray, conn: np.ndarray, nv: np.ndarray
+) -> np.ndarray:
+    """Gather ``nv`` through the connectivity ``conn`` (n_elems, nc), apply
+    the elemental matrices ``Ke`` (n_elems, nc, nc) as one batched GEMV, and
+    scatter-add the results back (element-major, corner-minor order)."""
+    ve = np.einsum("eij,ej->ei", Ke, nv[conn])
+    acc = np.zeros(len(nv))
+    np.add.at(acc, conn.ravel(), ve.ravel())
+    return acc
+
+
 @dataclass
 class ExchangePlan:
     """Precomputed ghost-exchange schedule for one ``DistributedField``.
@@ -203,11 +215,9 @@ class DistributedField:
         """Distributed elemental MATVEC: GhostRead -> local pass -> GhostWrite.
 
         ``Ke``: elemental matrices for the *local* element chunk; the local
-        pass is :func:`repro.fem.matvec.elemental_pass` over ``local_conn``.
+        pass is :func:`_elemental_pass` over ``local_conn``.
         """
-        from ..fem.matvec import elemental_pass
-
-        acc = elemental_pass(Ke, self.local_conn, self.ghost_read(owned_values))
+        acc = _elemental_pass(Ke, self.local_conn, self.ghost_read(owned_values))
         return self.ghost_write(acc, acc[self.plan.own_pos], mode="add")
 
     def erode_dilate_step(

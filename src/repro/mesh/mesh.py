@@ -119,20 +119,6 @@ class Mesh:
         nv = self.nodes.node_values(u)
         return nv.take(self.nodes.elem_nodes, axis=0)
 
-    def elem_scatter(self, contrib: np.ndarray) -> np.ndarray:
-        """Accumulate per-element corner contributions into a DOF vector
-        (GhostWrite with ADD_VALUES semantics): ``P.T`` applied to the nodal
-        accumulation."""
-        en = self.nodes.elem_nodes
-        if contrib.ndim == 2:
-            acc = np.zeros(self.n_nodes)
-            np.add.at(acc, en.ravel(), contrib.ravel())
-        else:
-            k = contrib.shape[2]
-            acc = np.zeros((self.n_nodes, k))
-            np.add.at(acc, en.ravel(), contrib.reshape(-1, k))
-        return self.nodes.accumulate(acc)
-
     def evaluate_at(self, u: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the FE field at arbitrary unit-cube points."""
         points = np.asarray(points, dtype=np.float64)

@@ -80,10 +80,6 @@ class NodeTable:
         """
         return self.P @ dof_values
 
-    def accumulate(self, node_accum: np.ndarray) -> np.ndarray:
-        """Scatter-add nodal contributions back to DOFs: ``P.T @ a``."""
-        return self.P.T @ node_accum
-
 
 def expand_ragged(starts: np.ndarray, counts: np.ndarray):
     """Concatenated ranges ``arange(starts[k], starts[k] + counts[k])`` over

@@ -9,11 +9,9 @@ are allowed: a parent whose children are not all in the input (a partition
 chunk that starts or ends inside the family) may still be emitted, as in the
 paper.
 
-Two implementations:
-
-* :func:`coarsen` — vectorized bottom-up merge (production version).
-* :func:`coarsen_recursive` — literal post-order transcription of
-  Algorithm 6 with push/pop output semantics (oracle for tests).
+:func:`coarsen` is a vectorized bottom-up merge.  A literal post-order
+transcription of Algorithm 6 with push/pop output semantics,
+``coarsen_recursive`` in ``tests/oracles.py``, is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -80,53 +78,3 @@ def coarsen(tree: Octree, votes: np.ndarray) -> Octree:
         )
 
     return Octree(anchors, levels, tree.dim, presorted=True)
-
-
-def coarsen_recursive(tree: Octree, votes: np.ndarray) -> Octree:
-    """Literal Algorithm 6: post-order traversal, push/pop output stack.
-
-    Returns the coarsened tree; used as an oracle against :func:`coarsen`.
-    """
-    votes = np.asarray(votes, dtype=np.int64).reshape(-1)
-    if np.any(votes > tree.levels):
-        raise ValueError("votes must be at or coarser than current levels")
-    anchors, levels, dim = tree.anchors, tree.levels, tree.dim
-    out_a: list = []
-    out_l: list = []
-    cursor = [0]
-
-    def visit(r_anchor: np.ndarray, r_level: int) -> int:
-        """Returns coarsen_to: the finest vote among inputs in this subtree."""
-        coarsen_to = 0
-        i = cursor[0]
-        if i >= len(levels) or not morton.overlaps(
-            r_anchor, r_level, anchors[i], levels[i]
-        ):
-            return coarsen_to
-        if r_level < levels[i]:
-            pre_size = len(out_a)
-            ca, _ = morton.children(r_anchor, np.int64(r_level), dim)
-            for c in range(1 << dim):
-                lc = visit(ca[c], r_level + 1)
-                coarsen_to = max(coarsen_to, lc)
-            if coarsen_to <= r_level:
-                # Undo child emits and emit the subtree root instead.
-                del out_a[pre_size:]
-                del out_l[pre_size:]
-                out_a.append(r_anchor)
-                out_l.append(r_level)
-        else:
-            out_a.append(r_anchor)
-            out_l.append(r_level)
-            coarsen_to = int(votes[i])
-        while cursor[0] < len(levels) and (
-            levels[cursor[0]] == r_level
-            and np.array_equal(anchors[cursor[0]], r_anchor)
-        ):
-            cursor[0] += 1
-        return coarsen_to
-
-    if len(levels) == 0:
-        return Octree.empty(dim)
-    visit(np.zeros(dim, dtype=np.int64), 0)
-    return Octree(np.stack(out_a), np.asarray(out_l), dim, presorted=True)

@@ -6,13 +6,11 @@ order.  Unlike level-by-level AMR libraries, the jump may be arbitrarily
 large — the paper's motivation is interfaces whose required depth changes by
 many levels in one remeshing step.
 
-Two implementations are provided:
-
-* :func:`refine` — vectorized production version (groups leaves by level
-  jump; per-leaf descendant blocks are emitted in Morton order, so the
-  concatenation over sorted disjoint leaves is globally sorted).
-* :func:`refine_recursive` — a literal transcription of Algorithm 5's
-  SFC traversal, used as a cross-check oracle in the tests.
+:func:`refine` is the vectorized form: it groups leaves by level jump and
+emits each leaf's descendant block in Morton order, so the concatenation
+over sorted disjoint leaves is globally sorted.  A literal transcription of
+Algorithm 5's SFC traversal, ``refine_recursive`` in ``tests/oracles.py``,
+is the tests' cross-check oracle.
 """
 
 from __future__ import annotations
@@ -84,42 +82,3 @@ def refine(tree: Octree, target_levels: np.ndarray) -> Octree:
     # enough — cheaper than re-keying.
     perm = np.lexsort((tags[:, 1], tags[:, 0]))
     return Octree(anchors[perm], levels[perm], tree.dim, presorted=True)
-
-
-def refine_recursive(tree: Octree, target_levels: np.ndarray) -> Octree:
-    """Literal Algorithm 5: single-pass SFC traversal with an input cursor."""
-    target_levels = np.asarray(target_levels, dtype=np.int64).reshape(-1)
-    if np.any(target_levels < tree.levels):
-        raise ValueError("refine cannot coarsen")
-    out_a: list = []
-    out_l: list = []
-    cursor = [0]  # oct_in / level_in pointer, passed by reference
-
-    anchors, levels, dim = tree.anchors, tree.levels, tree.dim
-
-    def visit(r_anchor: np.ndarray, r_level: int) -> None:
-        i = cursor[0]
-        if i >= len(levels):
-            return
-        if not morton.overlaps(r_anchor, r_level, anchors[i], levels[i]):
-            return
-        if r_level < target_levels[i]:
-            ca, cl = morton.children(r_anchor, np.int64(r_level), dim)
-            for c in range(1 << dim):
-                visit(ca[c], int(cl[c]))
-        else:
-            out_a.append(r_anchor)
-            out_l.append(r_level)
-        # Advance past every input octant equal to the current subtree root.
-        while cursor[0] < len(levels) and (
-            levels[cursor[0]] == r_level
-            and np.array_equal(anchors[cursor[0]], r_anchor)
-        ):
-            cursor[0] += 1
-
-    # Traverse from each input leaf's coarsest enclosing start; simplest
-    # faithful choice is the root.
-    visit(np.zeros(dim, dtype=np.int64), 0)
-    if not out_a:
-        return Octree.empty(dim)
-    return Octree(np.stack(out_a), np.asarray(out_l), dim, presorted=True)

@@ -183,9 +183,3 @@ class Octree:
             k[np.maximum(idx, 0)], pk, self.dim
         )
         return np.where(contains, idx, -1)
-
-    def coverage(self) -> float:
-        """Total covered volume as a fraction of the root cube (below 1 for
-        a partition chunk)."""
-        total = float((1 << morton.MAX_DEPTH)) ** self.dim
-        return float(self.volumes().sum()) / total

@@ -62,6 +62,16 @@ BC_BUILDERS: Dict[str, Callable] = {
 }
 
 
+def _mapping(value, key: str) -> dict:
+    """``value`` if it is a dict; anything else (a JSON list, a number) is a
+    :class:`ScenarioError` naming ``key``, at load rather than at run."""
+    if not isinstance(value, dict):
+        raise ScenarioError(
+            f"{key} must be a mapping, got {type(value).__name__}"
+        )
+    return value
+
+
 def _from_known(cls, d: dict, what: str):
     known = {f.name for f in dc_fields(cls)}
     unknown = set(d) - known
@@ -112,6 +122,7 @@ class InitialCondition:
     params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        _mapping(self.params, "ic.params")
         if self.kind not in IC_BUILDERS:
             raise ScenarioError(
                 f"unknown initial condition {self.kind!r}; "
@@ -145,6 +156,7 @@ class RefinementPolicy:
                 "refinement.remesh is required when remesh_every > 0"
             )
         if self.remesh is not None:
+            _mapping(self.remesh, "refinement.remesh")
             self.build()  # RemeshConfig validates level ordering
 
     def build(self) -> Optional[RemeshConfig]:
@@ -236,6 +248,8 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"solver must be one of {SOLVERS}, got {self.solver!r}"
             )
+        _mapping(self.physics, "physics")
+        _mapping(self.bc_params, "bc_params")
         for section in (self.domain, self.ic, self.refinement, self.time,
                         self.outputs, self.control):
             section.validate()
@@ -305,7 +319,7 @@ class ScenarioConfig:
         unknown = set(d) - known
         if unknown:
             raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-        physics = dict(d.get("physics", {}))
+        physics = dict(_mapping(d.get("physics", {}), "physics"))
         if physics.get("Fr") == "inf":
             physics["Fr"] = np.inf
         d["physics"] = physics
@@ -317,6 +331,6 @@ class ScenarioConfig:
             ("outputs", OutputConfig),
             ("control", JobControl),
         ):
-            if key in d and isinstance(d[key], dict):
-                d[key] = _from_known(section, d[key], key)
+            if key in d and not isinstance(d[key], section):
+                d[key] = _from_known(section, _mapping(d[key], key), key)
         return cls(**d).validate()

@@ -17,7 +17,7 @@ from repro.chns.ch_solver import CHSolver
 from repro.chns.free_energy import (
     _MOBILITY_FLOOR, mobility, psi_double_prime, psi_prime,
 )
-from repro.fem.plan import get_plan, plan_assemble
+from repro.fem.plan import get_plan
 
 from .test_ch_linear_solve import hanging_2d, uniform_3d
 
@@ -48,8 +48,8 @@ def four_block_operators(ch, phi_n, mu_n, vel, dt, *, theta=1.0,
         with np.errstate(invalid="ignore"):  # sqrt of < 0 on the clamp
             dm = np.where(off_clamp, -phi_q / np.sqrt(1.0 - phi_q**2), 0.0)
         flux = dm[..., None] * forms.grad_at_quad(mesh, mu)
-        return plan_assemble(
-            mesh, np.swapaxes(forms.convection_ke(mesh, flux), 1, 2)
+        return get_plan(mesh).assemble(
+            np.swapaxes(forms.convection_ke(mesh, flux), 1, 2)
         )
 
     if theta != 1.0:

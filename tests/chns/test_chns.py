@@ -277,10 +277,11 @@ class TestNSPPVU:
         import scipy.sparse.linalg as spla
 
         from repro.chns import vu_solver
-        from repro.fem.assembly import apply_dirichlet
         from repro.fem.plan import AssemblyPlan
         from repro.la.krylov import cg
         from repro.la.precond import JacobiPreconditioner
+
+        from ..oracles import apply_dirichlet
 
         mesh = Mesh.from_tree(uniform_tree(2, 4))  # a memo of its own
         prm = CHNSParams(We=1.0, rho_minus=0.5)

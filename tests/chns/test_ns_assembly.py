@@ -1,8 +1,8 @@
 """``NSSolver.solve`` sums its operator at the element level and scatters
 once; this file rebuilds the same linear systems the way the solver did
-before — four ``fem.assembly.assemble_matrix`` reference operators, two CSR
-sums, one ``Mesh.elem_scatter`` per load term — and compares what reaches
-the Krylov solver, on 2D and 3D hanging-node meshes with variable density
+before — four ``assemble_matrix`` reference operators, two CSR sums, one
+``elem_scatter`` per load term (``tests/oracles.py``) — and compares what
+reaches the Krylov solver, on 2D and 3D hanging-node meshes with variable density
 and viscosity, a non-zero diffusive flux and gravity on.
 """
 
@@ -13,7 +13,6 @@ from repro.chns import forms, ns_solver
 from repro.chns.free_energy import mobility
 from repro.chns.ns_solver import NSSolver
 from repro.chns.params import CHNSParams
-from repro.fem.assembly import apply_dirichlet, assemble_matrix
 from repro.fem.operators import (
     convection_matrix,
     gradient_load_vector,
@@ -25,6 +24,7 @@ from repro.la.krylov import SolveResult
 from repro.la.precond import JacobiPreconditioner
 
 from ..fem.test_apply_dirichlet import hanging_mesh
+from ..oracles import apply_dirichlet, assemble_matrix, elem_scatter
 
 DT = 0.01
 
@@ -68,15 +68,15 @@ def reference_systems(mesh, prm, phi, mu, vel_n, vel_nm1, p_n, forcing=None):
         b = A_exp @ vel_n[:, i]
         if forcing is not None:
             b = b + forcing[:, i]
-        b -= (1.0 / prm.We) * mesh.elem_scatter(
-            load_vector(h, dim, grad_p_q[..., i])
+        b -= (1.0 / prm.We) * elem_scatter(
+            mesh, load_vector(h, dim, grad_p_q[..., i])
         )
         flux = grad_phi_q[..., i : i + 1] * grad_phi_q
-        b += (prm.Cn / prm.We) * mesh.elem_scatter(
-            gradient_load_vector(h, dim, flux)
+        b += (prm.Cn / prm.We) * elem_scatter(
+            mesh, gradient_load_vector(h, dim, flux)
         )
-        b += (prm.gravity_coeff() * prm.gravity_dir[i]) * mesh.elem_scatter(
-            load_vector(h, dim, rho_q)
+        b += (prm.gravity_coeff() * prm.gravity_dir[i]) * elem_scatter(
+            mesh, load_vector(h, dim, rho_q)
         )
         rhs[:, i] = b
     return A_imp, rhs

@@ -3,8 +3,8 @@
 Tier-1 must be deterministic, so the default ``ci`` profile derandomizes
 every ``@given`` test: each run draws the same examples.  ``explore``
 (``pytest --hypothesis-profile=explore``) draws fresh random examples on
-every run instead; the nightly CI job runs the octree, mesh, AMR and
-identifier property tests under it.  A test's own ``@settings(max_examples=...)`` applies under
+every run instead; the nightly CI job runs every file that uses hypothesis
+under it.  A test's own ``@settings(max_examples=...)`` applies under
 either profile.
 """
 

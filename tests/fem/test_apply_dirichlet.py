@@ -1,6 +1,6 @@
 """``apply_dirichlet`` against the sparse-product formulation it replaced.
 
-The production path masks ``A.data`` in one pass; the oracle below is the
+``apply_dirichlet`` (``tests/oracles.py``) masks ``A.data`` in one pass; the oracle below is the
 old three-line ``keep @ A @ keep + ident``.  Same pattern, same values bit
 for bit, operand untouched — on plan-assembled operators of 2D/3D
 hanging-node meshes (whose index arrays are shared with every other matrix
@@ -17,15 +17,12 @@ import pytest
 import scipy.sparse as sp
 
 from repro.chns import forms
-from repro.fem.assembly import (
-    apply_dirichlet,
-    eliminate_dirichlet,
-    lift_dirichlet,
-)
 from repro.fem.plan import AssemblyPlan, StaleAssemblyPlanError, get_plan
 from repro.mesh.mesh import Mesh
 from repro.octree.build import uniform_tree
 from repro.octree.refine import refine
+
+from ..oracles import apply_dirichlet, eliminate_dirichlet, lift_dirichlet
 
 
 def oracle(A, b, mask, values=None):

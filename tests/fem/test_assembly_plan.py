@@ -14,17 +14,13 @@ import pytest
 
 from repro import obs
 from repro.chns import forms
-from repro.fem.assembly import assemble_matrix, assemble_vector
 from repro.fem.operators import convection_matrix, mass_matrix, stiffness_matrix
-from repro.fem.plan import (
-    AssemblyPlan,
-    StaleAssemblyPlanError,
-    get_plan,
-    plan_assemble,
-)
+from repro.fem.plan import AssemblyPlan, StaleAssemblyPlanError, get_plan
 from repro.la.gmg import hierarchy_for
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
+
+from ..oracles import assemble_matrix, elem_scatter
 
 
 def interface(x):
@@ -161,21 +157,21 @@ class TestPlanLifetime:
         assert prolongation() is None
 
     def test_plan_assemble_matches_after_remesh(self):
-        """The module-level fast path keeps tracking the live mesh."""
+        """``get_plan`` keeps tracking the live mesh."""
         m1 = mesh_from_field(interface, 2, max_level=4, min_level=2, threshold=0.2)
-        _ = plan_assemble(m1, mass_matrix(m1.elem_h(), 2))
+        _ = get_plan(m1).assemble(mass_matrix(m1.elem_h(), 2))
         m2 = mesh_from_field(
             interface, 2, max_level=5, min_level=2, threshold=0.1
         )
         Ke = stiffness_matrix(m2.elem_h(), 2)
-        got = plan_assemble(m2, Ke)
+        got = get_plan(m2).assemble(Ke)
         ref = assemble_matrix(m2, Ke)
         assert np.abs(got - ref).max() < 1e-14
 
 
 class TestLoadScatter:
-    """``AssemblyPlan.scatter_loads`` (behind ``assemble_vector``) against
-    its reference ``Mesh.elem_scatter``."""
+    """``AssemblyPlan.scatter_loads`` against its reference
+    ``elem_scatter`` (``tests/oracles.py``)."""
 
     @pytest.mark.parametrize("k", [None, 1, 3])
     def test_matches_elem_scatter(self, mesh2d, mesh3d, k):
@@ -183,13 +179,13 @@ class TestLoadScatter:
         for mesh in (mesh2d, mesh3d):
             shape = (mesh.n_elems, 1 << mesh.dim) + (() if k is None else (k,))
             be = rng.standard_normal(shape)
-            ref = mesh.elem_scatter(be)
+            ref = elem_scatter(mesh, be)
             plan = AssemblyPlan(mesh)
             got = plan.scatter_loads(be)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
             assert np.array_equal(got, plan.scatter_loads(be))  # bitwise
-            assert np.array_equal(got, assemble_vector(mesh, be))
+            assert np.array_equal(got, get_plan(mesh).scatter_loads(be))
             if k is not None:  # columns are independent of their neighbours
                 assert np.array_equal(got[:, 0], plan.scatter_loads(be[..., 0]))
 

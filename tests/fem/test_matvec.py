@@ -1,15 +1,16 @@
-"""Regression coverage for repro.fem.matvec: ``apply_elemental`` (the
-oracle of the distributed MATVEC) pinned against the assembled matrix on
-uniform and hanging-node meshes."""
+"""``apply_elemental`` (``tests/oracles.py``, the oracle of the
+distributed MATVEC) pinned against the assembled matrix on uniform and
+hanging-node meshes."""
 
 import numpy as np
 import pytest
 
-from repro.fem.matvec import apply_elemental
 from repro.fem.operators import mass_matrix, stiffness_matrix
 from repro.fem.plan import get_plan
 from repro.mesh.mesh import Mesh
 from repro.octree.build import build_tree, uniform_tree
+
+from ..oracles import apply_elemental
 
 
 def random_mesh(seed, dim, max_level=4, p=0.45):

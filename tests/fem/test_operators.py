@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.fem.assembly import apply_dirichlet, assemble_matrix, assemble_vector
 from repro.fem.basis import (
     corner_bits,
     gauss_points,
@@ -13,7 +12,6 @@ from repro.fem.basis import (
     shape_gradients,
     tabulate,
 )
-from repro.fem.matvec import apply_elemental
 from repro.fem.operators import (
     convection_matrix,
     gradient_at_quad,
@@ -23,11 +21,14 @@ from repro.fem.operators import (
     stiffness_matrix,
     value_at_quad,
 )
+from repro.fem.plan import get_plan
 from repro.la.krylov import cg
 from repro.la.precond import JacobiPreconditioner
 from repro.mesh.mesh import Mesh
 from repro.octree.build import build_tree, uniform_tree
 from repro.octree.refine import refine
+
+from ..oracles import apply_dirichlet, apply_elemental, assemble_matrix
 
 
 def random_mesh(seed, dim, max_level=4, p=0.45):
@@ -478,7 +479,7 @@ class TestAssemblyAndMatvec:
     def test_dirichlet_elimination(self):
         m = Mesh.from_tree(uniform_tree(2, 2))
         A = assemble_matrix(m, stiffness_matrix(m.elem_h(), 2))
-        b = assemble_vector(m, load_vector(m.elem_h(), 2, 1.0))
+        b = get_plan(m).scatter_loads(load_vector(m.elem_h(), 2, 1.0))
         mask = m.boundary_dof_mask()
         gvals = np.zeros(m.n_dofs)
         A_bc, b_bc = apply_dirichlet(A, b, mask, gvals)
@@ -509,7 +510,7 @@ class TestPoissonConvergence:
         scale = float(1 << morton.MAX_DEPTH)
         qp = quad_point_coords(m.tree.anchors / scale, h, 2)
         f = 2 * np.pi**2 * np.sin(np.pi * qp[..., 0]) * np.sin(np.pi * qp[..., 1])
-        b = assemble_vector(m, load_vector(h, 2, f))
+        b = get_plan(m).scatter_loads(load_vector(h, 2, f))
         A = assemble_matrix(m, Ke)
         mask = m.boundary_dof_mask()
         A_bc, b_bc = apply_dirichlet(A, b, mask, np.zeros(m.n_dofs))
@@ -529,7 +530,7 @@ class TestPoissonConvergence:
         m = random_mesh(7, 2, max_level=5)
         h = m.elem_h()
         A = assemble_matrix(m, stiffness_matrix(h, 2))
-        b = assemble_vector(m, load_vector(h, 2, 1.0))
+        b = get_plan(m).scatter_loads(load_vector(h, 2, 1.0))
         mask = m.boundary_dof_mask()
         A_bc, b_bc = apply_dirichlet(A, b, mask, np.zeros(m.n_dofs))
         res = cg(A_bc, b_bc, M=JacobiPreconditioner(A_bc), tol=1e-11, maxiter=4000)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.io.vtk import read_vtk_summary, write_time_series, write_vtk
+from repro.io.vtk import write_time_series, write_vtk
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.octree.build import uniform_tree
+
+from ..oracles import read_vtk_summary
 
 
 def drop(x):

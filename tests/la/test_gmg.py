@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.fem.assembly import apply_dirichlet, assemble_matrix, assemble_vector
 from repro.fem.basis import quad_point_coords
 from repro.fem.operators import load_vector, stiffness_matrix
-from repro.la.gmg import GeometricMultigrid, hierarchy_for, prolongation
+from repro.fem.plan import get_plan
+from repro.la.gmg import GeometricMultigrid, hierarchy_for
 from repro.la.krylov import cg
 from repro.la.precond import JacobiPreconditioner
 from repro.mesh.mesh import Mesh
 from repro.octree import morton
 from repro.octree.build import uniform_tree
+
+from ..oracles import apply_dirichlet, assemble_matrix, prolongation
 
 
 def poisson_system(level, coeff=None):
@@ -25,7 +27,7 @@ def poisson_system(level, coeff=None):
         qp = quad_point_coords(m.tree.anchors / scale, h, 2)
         c = coeff(qp.reshape(-1, 2)).reshape(qp.shape[:2])
     A = assemble_matrix(m, stiffness_matrix(h, 2, c))
-    b = assemble_vector(m, load_vector(h, 2, 1.0))
+    b = get_plan(m).scatter_loads(load_vector(h, 2, 1.0))
     mask = m.boundary_dof_mask()
     A_bc, b_bc = apply_dirichlet(A, b, mask, np.zeros(m.n_dofs))
     return m, A_bc, b_bc

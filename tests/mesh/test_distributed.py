@@ -6,13 +6,14 @@ import pytest
 
 from repro.core.erode_dilate import Stage, erode_dilate
 from repro.core.threshold import threshold_octree
-from repro.fem.matvec import apply_elemental
 from repro.fem.operators import mass_matrix, stiffness_matrix
 from repro.mesh.distributed import DistributedField
 from repro.mesh.mesh import Mesh
 from repro.mpi.comm import run_spmd
 from repro.mpi.stats import CommStats
 from repro.octree.build import uniform_tree
+
+from ..oracles import apply_elemental
 
 
 def drop_phi(x, center=(0.5, 0.5), radius=0.25, eps=0.02):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from repro.octree import morton
 from repro.octree.build import build_tree, uniform_tree
-from repro.octree.coarsen import coarsen, coarsen_recursive
-from repro.octree.refine import refine, refine_recursive
+from repro.octree.coarsen import coarsen
+from repro.octree.refine import refine
 from repro.octree.tree import Octree
+
+from ..oracles import coarsen_recursive, coverage, refine_recursive
 
 
 def random_leaf_tree(seed, dim, max_level=4, p=0.5):
@@ -45,7 +47,7 @@ class TestRefine:
         targets = np.array([1, 3, 2, 4])
         out = refine(t, targets)
         assert out.is_linear()
-        assert out.coverage() == pytest.approx(1.0)
+        assert coverage(out) == pytest.approx(1.0)
         assert set(np.unique(out.levels)) == {1, 3, 2, 4}
 
     def test_rejects_coarsening_targets(self):
@@ -98,7 +100,7 @@ class TestCoarsen:
         # The quadrant containing leaf 0 stays at level 2; consensus cannot
         # produce the root, so the other three quadrants coarsen to level 1.
         assert out.is_linear()
-        assert out.coverage() == pytest.approx(1.0)
+        assert coverage(out) == pytest.approx(1.0)
         assert np.sum(out.levels == 2) == 4
         assert np.sum(out.levels == 1) == 3
 
@@ -153,7 +155,7 @@ def test_property_coarsen_consensus(seed, dim):
     ref = coarsen_recursive(t, votes)
     assert out == ref
     assert out.is_linear()
-    assert out.coverage() == pytest.approx(t.coverage())
+    assert coverage(out) == pytest.approx(coverage(t))
     # No output octant is finer than its input leaves, and every vote is
     # respected: the ancestor containing each input leaf has level >= vote.
     idx = out.locate_points(t.centers().astype(np.int64))
@@ -170,4 +172,4 @@ def test_property_refine_matches_reference(seed, dim):
     out = refine(t, targets)
     assert out == refine_recursive(t, targets)
     assert out.is_linear()
-    assert out.coverage() == pytest.approx(t.coverage())
+    assert coverage(out) == pytest.approx(coverage(t))

@@ -11,6 +11,8 @@ from repro.octree import morton
 from repro.octree.build import build_tree, tree_from_function, uniform_tree
 from repro.octree.tree import Octree
 
+from ..oracles import coverage
+
 
 def random_leaf_tree(rng, dim, max_level=5, p_refine=0.5):
     """Random linear tree by stochastic top-down refinement."""
@@ -27,7 +29,7 @@ class TestOctreeBasics:
         t = Octree.root(dim)
         assert len(t) == 1
         assert t.is_linear()
-        assert t.coverage() == pytest.approx(1.0)
+        assert coverage(t) == pytest.approx(1.0)
 
     def test_constructor_sorts(self):
         a = np.array([[0, 0], [1 << (morton.MAX_DEPTH - 1), 0], [0, 0]])
@@ -43,14 +45,14 @@ class TestOctreeBasics:
             assert len(t) == (1 << (dim * lev))
             assert t.is_linear()
             assert np.all(t.levels == lev)
-            assert t.coverage() == pytest.approx(1.0)
+            assert coverage(t) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_build_is_linear_and_complete(self, dim):
         rng = np.random.default_rng(0)
         t = random_leaf_tree(rng, dim)
         assert t.is_linear()
-        assert t.coverage() == pytest.approx(1.0)
+        assert coverage(t) == pytest.approx(1.0)
 
     def test_eq(self):
         t = uniform_tree(2, 2)
@@ -63,7 +65,7 @@ class TestOctreeBasics:
 
         t = tree_from_function(2, phi, max_level=6, min_level=2, threshold=0.05)
         assert t.is_linear()
-        assert t.coverage() == pytest.approx(1.0)
+        assert coverage(t) == pytest.approx(1.0)
         # The finest cells hug the circle; coarse cells exist away from it.
         assert t.levels.max() == 6
         assert t.levels.min() == 2
@@ -184,7 +186,7 @@ def test_property_build_always_linear_complete(seed, dim):
     rng = np.random.default_rng(seed)
     t = random_leaf_tree(rng, dim, max_level=4, p_refine=0.4)
     assert t.is_linear()
-    assert t.coverage() == pytest.approx(1.0)
+    assert coverage(t) == pytest.approx(1.0)
     # Volumes partition the cube: locate a random point uniquely.
     pts = rng.integers(0, 1 << morton.MAX_DEPTH, size=(20, dim))
     idx = t.locate_points(pts)

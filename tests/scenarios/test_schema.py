@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,20 @@ class TestValidation:
         d = build("drop_2d", quick=True).to_dict()
         d["time"]["dtt"] = 0.1
         with pytest.raises(ScenarioError, match="dtt"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key", [
+        "domain", "physics", "ic", "refinement", "time", "outputs", "control",
+        "bc_params", "ic.params", "refinement.remesh",
+    ])
+    def test_non_mapping_value_rejected_at_load(self, key):
+        """A list where a mapping belongs fails ``from_dict`` with a
+        ``ScenarioError`` naming the key, not an ``AttributeError`` /
+        ``TypeError`` there or in ``build_ic`` / ``build_bc`` later."""
+        d = {"name": "x", "family": "y", "solver": "chns"}
+        section, _, inner = key.partition(".")
+        d[section] = {inner: [1]} if inner else [1]
+        with pytest.raises(ScenarioError, match=re.escape(f"{key} must be")):
             ScenarioConfig.from_dict(d)
 
     def test_unknown_physics_key_rejected(self):

@@ -7,7 +7,12 @@ A listed name passes when code in ``src/``, ``benchmarks/`` or
 package ``__init__`` re-export does not count, nor does a reference inside
 the definition itself), or as one of the name strings
 ``benchmarks/perf/trace.py`` wraps.  Docstrings and comments never count.
-Anything else must be in :data:`KEPT` with the reason it stays.
+Anything else must be in :data:`KEPT` with the reason it stays, and that
+reason names one of the declared categories (:data:`CATEGORIES`): a paper
+algorithm (``PAPER``), a test hook (``HOOK``) or a ROADMAP item that
+decides the name (``ROADMAP '<title>'``).  A test oracle is none of these:
+a reference that only tests compare against lives in ``tests/oracles.py``
+(or beside its test), never in ``src/``.
 
 Beside it, the counter census: ``repro.obs`` records time and structure,
 and an ``obs.incr`` counts only work that no span's call count, no
@@ -34,22 +39,14 @@ TRACE = ROOT / "benchmarks" / "perf" / "trace.py"
 DESIGN = ROOT / "DESIGN.md"
 PYPROJECT = ROOT / "pyproject.toml"
 
-ORACLE = "test oracle"
 PAPER = "paper algorithm (Sec. II-C, arXiv:2209.12130)"
 HOOK = "test hook of the SPMD / obs contracts"
+#: The reasons a KEPT entry may give, as prefixes: ``ROADMAP`` is followed
+#: by the quoted title of the item that decides the name.
+CATEGORIES = (PAPER, HOOK, "ROADMAP '")
 
 #: ``module:qualname`` -> why it stays without a non-test caller.
 KEPT = {
-    # Oracles the fast paths are checked against.
-    "fem.assembly:assemble_matrix": ORACLE + ": plan assembly",
-    "fem.assembly:apply_dirichlet": ORACLE + ": plan elimination",
-    "fem.matvec:apply_elemental": ORACLE + ": DistributedField.matvec",
-    "mesh.mesh:Mesh.elem_scatter": ORACLE + ": plan load scatter",
-    "la.gmg:prolongation": ORACLE + ": the GMG hierarchy's transfer",
-    "octree.refine:refine_recursive": ORACLE + ": refine",
-    "octree.coarsen:coarsen_recursive": ORACLE + ": coarsen",
-    "io.vtk:read_vtk_summary": ORACLE + ": write_vtk round trip",
-    "octree.tree:Octree.coverage": ORACLE + ": completeness of a tree",
     # The paper's parallel algorithms, kept as SPMD entry points.
     "octree.parcoarsen:par_coarsen": PAPER,
     "octree.parbalance:par_balance": PAPER,
@@ -178,6 +175,17 @@ def test_kept_names_exist_and_still_need_their_entry():
     assert not absent, f"KEPT names that no longer exist: {absent}"
     stale = sorted(set(KEPT) - set(unreferenced()))
     assert not stale, f"KEPT names that now have a caller: {stale}"
+
+
+def test_kept_reasons_name_a_declared_category():
+    """No KEPT entry stays for a reason outside :data:`CATEGORIES`: a test
+    oracle in ``src/`` fails here instead of getting an entry."""
+    stray = {key: why for key, why in KEPT.items()
+             if not why.startswith(CATEGORIES)}
+    assert not stray, (
+        "KEPT reasons must start with PAPER, HOOK or ROADMAP '<title>'; "
+        f"move an oracle into tests/oracles.py instead: {stray}"
+    )
 
 
 #: Every ``obs.incr`` name in ``src/``.

@@ -17,7 +17,7 @@ from repro.chns.initial_conditions import drop, jet_column
 from repro.chns.params import CHNSParams
 from repro.chns.timestepper import CHNSTimeStepper, jet_inflow_bc, no_slip_bc
 from repro.core.identifier import IdentifierConfig, identify_local_cahn
-from repro.io.vtk import read_vtk_summary, write_vtk
+from repro.io.vtk import write_vtk
 from repro.mesh.intergrid import transfer_node_centered
 from repro.mesh.mesh import Mesh, mesh_from_field
 from repro.mpi.comm import run_spmd
@@ -27,6 +27,8 @@ from repro.octree.parbalance import par_balance
 from repro.octree.parcoarsen import par_coarsen
 from repro.octree.partition import repartition, scatter_tree
 from repro.octree.tree import Octree
+
+from .oracles import coverage, read_vtk_summary
 
 
 class TestFullAMRLoop:
@@ -134,7 +136,7 @@ class TestDistributedPipeline:
             2,
         )
         assert merged.is_linear()
-        assert merged.coverage() == pytest.approx(1.0)
+        assert coverage(merged) == pytest.approx(1.0)
         assert is_balanced(merged)
         sizes = [len(o) for o in outs]
         assert max(sizes) - min(sizes) <= 1

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chns import forms
-from repro.fem.assembly import assemble_vector
 from repro.fem.basis import tabulate, quad_point_coords
+from repro.fem.plan import get_plan
 from repro.mesh.mesh import Mesh
 from repro.octree import morton
 from repro.octree.build import uniform_tree
@@ -79,7 +79,7 @@ def test_load_vector_exact_for_quadratics(coeffs):
     be = np.einsum("q,eq,qi->ei", w, f, N) * (
         MESH.elem_h() ** MESH.dim
     )[:, None]
-    ref = assemble_vector(MESH, be)
+    ref = get_plan(MESH).scatter_loads(be)
     assert np.allclose(load, ref, rtol=0, atol=1e-13)
 
 
