@@ -14,7 +14,7 @@ balanced tree is the current one keeps the current mesh.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -43,15 +43,8 @@ class RemeshConfig:
         ):
             raise ValueError("levels must satisfy coarse <= interface <= feature")
 
-    # JSON round-trip: the declarative scenario registry (repro.scenarios)
-    # stores refinement policies as plain dicts inside scenario configs.
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.identifier is not None:
-            d["identifier"] = asdict(self.identifier)
-        return d
-
+    # The declarative scenario registry (repro.scenarios) stores refinement
+    # policies as plain dicts inside scenario configs.
     @classmethod
     def from_dict(cls, d: dict) -> "RemeshConfig":
         from ..core.identifier import IdentifierConfig

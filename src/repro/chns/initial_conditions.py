@@ -29,14 +29,6 @@ def two_drops(x, c1, r1, c2, r2, Cn, inside=-1.0):
     return tanh_profile(np.minimum(d1, d2), Cn, inside)
 
 
-def filament(x, y0: float, half_width: float, x0: float, x1: float, Cn, inside=-1.0):
-    """Horizontal filament (thin ligament) spanning [x0, x1]."""
-    x = np.asarray(x)
-    d_band = np.abs(x[..., 1] - y0) - half_width
-    d_span = np.maximum(x0 - x[..., 0], x[..., 0] - x1)
-    return tanh_profile(np.maximum(d_band, d_span), Cn, inside)
-
-
 def jet_column(
     x,
     y0: float = 0.5,

@@ -6,8 +6,8 @@ it used plain iterative solvers after finding AMG setup too costly at scale.
 This module implements the missing piece at laptop scale: a V-cycle on a
 hierarchy of uniform grids with FE interpolation for prolongation, Galerkin
 coarse operators (``A_c = P^T A_f P``), damped-Jacobi smoothing and a direct
-coarsest solve.  It is exposed both as a standalone solver and as a
-preconditioner for our CG — the ablation benchmark quantifies the iteration
+coarsest solve.  One V-cycle (:meth:`GeometricMultigrid.v_cycle`) is the
+preconditioner of our CG — the ablation benchmark quantifies the iteration
 savings the paper anticipated, and the PP solve uses it by default past the
 measured crossover.
 
@@ -246,24 +246,3 @@ class GeometricMultigrid:
     def v_cycle(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         """One V-cycle on ``b`` from ``level`` down, as a fresh array."""
         return self._cycle(b, level).copy()
-
-    # Preconditioner protocol.
-    def matvec(self, r: np.ndarray) -> np.ndarray:
-        return self.v_cycle(r)
-
-    __call__ = matvec
-
-    def solve(
-        self, b: np.ndarray, *, tol: float = 1e-10, maxiter: int = 50
-    ):
-        """Stationary V-cycle iteration (no Krylov wrapper)."""
-        x = np.zeros_like(b)
-        bnorm = float(np.linalg.norm(b)) or 1.0
-        for it in range(1, maxiter + 1):
-            r = b - self.levels[0].A @ x
-            res = float(np.linalg.norm(r)) / bnorm
-            if res < tol:
-                return x, it - 1, res
-            x = x + self.v_cycle(r)
-        r = b - self.levels[0].A @ x
-        return x, maxiter, float(np.linalg.norm(r)) / bnorm

@@ -6,11 +6,11 @@ per thread, OS process, or scheduler slot (see :mod:`repro.runtime`), and
 each rank talks to the others only through a :class:`Comm` whose semantics
 mirror mpi4py.  It carries what the octree, mesh, batch and obs layers call:
 ``send/recv``, ``gather``/``allgather``, ``allreduce``/``exscan``,
-``alltoallv``, ``split`` with memoization, and non-blocking probe/barrier
-for the NBX sparse exchange.  All traffic is metered (:mod:`repro.mpi.stats`)
-so the performance model can extrapolate to the paper's process counts; the
-counters are backend-independent because metering happens here, above the
-transport.
+``alltoallv``, ``split`` with memoization, and the non-blocking barrier
+with its blocking probe for the NBX sparse exchange.  All traffic is
+metered (:mod:`repro.mpi.stats`) so the performance model can extrapolate
+to the paper's process counts; the counters are backend-independent
+because metering happens here, above the transport.
 
 Payloads are passed by reference on the thread/serial backends for speed;
 SPMD code here follows the MPI discipline of never mutating a buffer it has
@@ -68,21 +68,15 @@ class Comm:
             _, _, payload = self._world.wait_recv(self.rank, source, tag)
         return payload
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Non-blocking probe; returns (source, tag) or None."""
-        return self._world.probe(self.rank, source, tag)
-
     def probe_until(self, bar: "_IBarrier", source: int = ANY_SOURCE,
                     tag: int = ANY_TAG):
         """Blocking probe that gives up once this rank's non-blocking
         barrier ``bar`` completes: (source, tag) of a pending match, else
         None.  Barrier arrivals travel behind the messages their senders
-        sent before them, so after None none of those is still to come."""
-        if bar._done:
-            return self.iprobe(source, tag)
-        status = self._world.probe_until(self.rank, source, tag, bar._key)
-        bar._done = status is None
-        return status
+        sent before them, so after None none of those is still to come.
+        The world forgets a barrier once it has completed here, so a call
+        after the None would wait forever: the drain stops at None."""
+        return self._world.probe_until(self.rank, source, tag, bar._key)
 
     # ----------------------------------------------------------- collectives
 
@@ -218,9 +212,6 @@ class _IBarrier:
 
     def __init__(self, key) -> None:
         self._key = key
-        # Remembered here: the world forgets a barrier once it has
-        # completed on this rank.
-        self._done = False
 
 
 def _sum_op(a, b):

@@ -99,11 +99,6 @@ class CommStats:
         with self._lock:
             self._slots[5] += 1
 
-    def __getattr__(self, name: str) -> int:
-        if name in CommStats.FIELDS:
-            return self._slots[CommStats.FIELDS.index(name)]
-        raise AttributeError(name)
-
     def snapshot(self) -> dict:
         with self._lock:
             return dict(zip(self.FIELDS, list(self._slots)))

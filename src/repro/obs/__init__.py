@@ -40,7 +40,6 @@ from .tracer import (  # noqa: F401
     NULL_SPAN,
     Tracer,
     begin_rank,
-    current,
     disable,
     enable,
     end_rank,
@@ -78,7 +77,6 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "current",
     "span",
     "incr",
     "snapshot",

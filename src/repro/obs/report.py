@@ -47,14 +47,6 @@ class SpanStat:
     exclusive_mean: float
     imbalance: float  # inclusive max/mean over participating ranks
 
-    @property
-    def depth(self) -> int:
-        return self.path.count("/")
-
-    @property
-    def name(self) -> str:
-        return self.path.rsplit("/", 1)[-1]
-
 
 class WorldReport:
     """Merged view over the per-rank snapshots of one run."""

@@ -38,7 +38,6 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "current",
     "span",
     "incr",
     "snapshot",
@@ -180,11 +179,6 @@ def disable() -> None:
 def is_enabled() -> bool:
     """True iff the *current thread* has an active tracer."""
     return getattr(_tls, "tracer", None) is not None
-
-
-def current() -> Optional[Tracer]:
-    """The current thread's tracer, or None when tracing is disabled."""
-    return getattr(_tls, "tracer", None)
 
 
 def span(name: str):

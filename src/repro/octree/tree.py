@@ -79,9 +79,6 @@ class Octree:
         # a key is (anchor, level) packed: equal keys are equal octants
         return self.dim == other.dim and np.array_equal(self.keys(), other.keys())
 
-    def __repr__(self) -> str:
-        return f"Octree(dim={self.dim}, n={len(self)})"
-
     def keys(self) -> np.ndarray:
         """The octants' SFC keys (read-only, computed on first use)."""
         if self._keys is None:

@@ -3,7 +3,9 @@
 ``repro.mpi.comm.run_spmd`` delegates rank execution to one of three
 backends, looked up by name in a fixed table.  All three run the one world
 contract (:class:`~repro.runtime.base.World`); they differ only in how a
-record reaches a rank, how a rank waits and what a hang reports:
+record reaches a rank, how a rank waits and what a hang reports.  Every
+receive, collective and probe blocks in that wait: no backend has a
+non-blocking probe.
 
 ``thread`` (default)
     one thread per rank, records by reference — fastest startup, exact

@@ -7,8 +7,10 @@ algorithmic one.  So everything ``Comm`` asks of a communicator (matched
 receives, collectives, the non-blocking barrier, splits, attributes) lives
 in the one :class:`World` below, and a :class:`Backend` supplies only a
 *transport*: how a record reaches a rank, how a rank waits until a
-predicate holds, and what a hang reports.  ``run_spmd`` picks a backend by
-name (``backend=``), defaulting to the zero-copy thread simulator.
+predicate holds, and what a hang reports.  Every receive, collective and
+probe blocks in that one wait; no transport offers a non-blocking test.
+``run_spmd`` picks a backend by name (``backend=``), defaulting to the
+zero-copy thread simulator.
 
 A transport provides ``stats`` (a :class:`~repro.mpi.stats.CommStats`-
 compatible recorder), ``lock`` (guards a shared split cache) and:
@@ -20,8 +22,6 @@ compatible recorder), ``lock`` (guards a shared split cache) and:
     block until ``ready()`` is not None and return it; a wait that can
     never complete raises :class:`DeadlockError` with the backend's report,
     in which this rank's line reads ``desc``.
-``poll(world, rank, ready)``
-    give peers a chance to progress, then return ``ready()``.
 ``register(world)``
     note a new communicator.
 """
@@ -125,15 +125,6 @@ class World:
             f"recv(source={source}, tag={tag}) on comm of size {self.size}",
         )
 
-    def probe(self, rank: int, source: int, tag: int):
-        """Non-blocking match test: ``(src, tag)`` or None."""
-
-        def ready():
-            i = self._match(rank, source, tag)
-            return None if i is None else self._pending[rank][i][:2]
-
-        return self.transport.poll(self, rank, ready)
-
     def exchange(self, rank: int, value: Any, combine: Callable[[list], Any]) -> Any:
         """One collective: rank 0 gathers every rank's ``value``, applies
         ``combine`` (identical on all ranks) to the rank-ordered list and
@@ -221,25 +212,16 @@ class World:
 
 
 class Backend:
-    """Executes an SPMD program: ``fn(comm)`` on every rank of a world."""
+    """Executes an SPMD program: ``fn(comm)`` on every rank of a world.
+
+    A subclass sets ``name`` and defines ``run(nprocs, fn, args, timeout,
+    stats)``: it runs ``fn(Comm(world, r), *args)`` for ranks ``r in
+    range(nprocs)`` and returns the per-rank results in rank order.  It
+    must raise :class:`repro.mpi.comm.SpmdError` on any rank failure, on a
+    deadlock and on a run still going past ``timeout``, and must meter all
+    traffic into ``stats`` so counters agree across backends.
+    """
 
     #: table name; subclasses set it ("thread", "process", "serial").
     name: str = "?"
-
-    def run(
-        self,
-        nprocs: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        timeout: float,
-        stats,
-    ) -> list:
-        """Run ``fn(Comm(world, r), *args)`` for ranks ``r in range(nprocs)``
-        and return the per-rank results in rank order.
-
-        Must raise :class:`repro.mpi.comm.SpmdError` on any rank failure,
-        on a deadlock, and on a run still going past ``timeout``, and must
-        meter all traffic into ``stats`` so counters agree across backends.
-        """
-        raise NotImplementedError
 

@@ -103,16 +103,6 @@ class _Inboxes:
         except queue_mod.Empty:
             return
 
-    def poll(self, world: World, rank: int, ready):
-        self._take(0.0)
-        if (out := ready()) is None:
-            # A miss waits up to ~2 ms for the next record instead of
-            # spinning: an iprobe loop would otherwise burn the
-            # core while peers are trying to get scheduled to send.
-            self._take(0.002)
-            out = ready()
-        return out
-
     def wait(self, world: World, rank: int, ready, desc: str):
         self.board.set(self.me, desc)
         deadline = time.monotonic() + self.timeout

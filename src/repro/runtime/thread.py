@@ -13,7 +13,7 @@ with no timeout.  The report is the "per-rank state" table (what each rank
 is blocked on, or ``finished``) followed by the per-rank stack traces, built
 while every peer still sits in its blocked frame; every blocked rank then
 raises it.  The run's ``timeout`` is only the launcher's backstop for a rank
-that never waits (stuck computing, or polling forever).
+that never waits (stuck computing).
 
 A rank that breaks that discipline - mutating a payload it sent or
 received, or a collective result - changes what its peers see here but not
@@ -62,10 +62,6 @@ class _Threads:
             world.deliver(dest, *record)
             self.blocked.pop(me, None)
             self._wakeup[me].notify()
-
-    def poll(self, world: World, rank: int, ready):
-        with self.lock:
-            return ready()
 
     def wait(self, world: World, rank: int, ready, desc: str):
         me = world.members[rank]

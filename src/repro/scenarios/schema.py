@@ -52,7 +52,6 @@ IC_BUILDERS: Dict[str, Callable] = {
     "jet_column": ic.jet_column,
     "rayleigh_taylor": ic.rayleigh_taylor,
     "spinodal": ic.spinodal,
-    "filament": ic.filament,
 }
 
 BC_BUILDERS: Dict[str, Callable] = {

@@ -16,7 +16,6 @@ from repro.chns.free_energy import (
 )
 from repro.chns.initial_conditions import (
     drop,
-    filament,
     jet_column,
     rising_bubble,
     tanh_profile,
@@ -151,13 +150,6 @@ class TestInitialConditions:
         x = np.array([[0.3, 0.5], [0.7, 0.5], [0.5, 0.1]])
         phi = two_drops(x, (0.3, 0.5), 0.1, (0.7, 0.5), 0.1, 0.02)
         assert phi[0] < -0.9 and phi[1] < -0.9 and phi[2] > 0.9
-
-    def test_filament_geometry(self):
-        x = np.array([[0.5, 0.5], [0.5, 0.8], [0.05, 0.5]])
-        phi = filament(x, 0.5, 0.05, 0.2, 0.8, 0.02)
-        assert phi[0] < -0.9
-        assert phi[1] > 0.9
-        assert phi[2] > 0.9  # outside the span
 
     def test_jet_column(self):
         x = np.array([[0.1, 0.5], [0.1, 0.9], [0.9, 0.5]])

@@ -50,11 +50,24 @@ class TestProlongation:
         assert np.allclose(P @ u, uf, atol=1e-12)
 
 
+def stationary(gmg, A, b, *, tol, maxiter=50):
+    """``x = x + v_cycle(b - A x)`` from ``x = 0`` until the relative
+    residual is below ``tol``: ``(x, cycles, residual)``."""
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b)) or 1.0
+    for it in range(maxiter + 1):
+        r = b - A @ x
+        res = float(np.linalg.norm(r)) / bnorm
+        if res < tol or it == maxiter:
+            return x, it, res
+        x = x + gmg.v_cycle(r)
+
+
 class TestVcycle:
     def test_standalone_solver_converges(self):
         m, A, b = poisson_system(5)
         gmg = GeometricMultigrid(m, A, coarsest_level=2)
-        x, iters, res = gmg.solve(b, tol=1e-10)
+        x, iters, res = stationary(gmg, A, b, tol=1e-10)
         assert res < 1e-10
         assert iters < 25
         assert np.allclose(A @ x, b, atol=1e-8)
@@ -65,7 +78,7 @@ class TestVcycle:
         for level in (4, 5, 6):
             m, A, b = poisson_system(level)
             gmg = GeometricMultigrid(m, A, coarsest_level=2)
-            _, iters, _ = gmg.solve(b, tol=1e-9)
+            _, iters, _ = stationary(gmg, A, b, tol=1e-9)
             counts.append(iters)
         assert max(counts) - min(counts) <= 3
 
@@ -79,7 +92,7 @@ class TestVcycle:
         m, A, b = poisson_system(5, coeff=lambda x: 1.0 / rho_jump(x))
         plain = cg(A, b, M=JacobiPreconditioner(A), tol=1e-9, maxiter=4000)
         gmg = GeometricMultigrid(m, A, coarsest_level=2)
-        pre = cg(A, b, M=gmg, tol=1e-9, maxiter=400)
+        pre = cg(A, b, M=gmg.v_cycle, tol=1e-9, maxiter=400)
         assert plain.converged and pre.converged
         assert pre.iterations < plain.iterations / 3
         assert np.allclose(pre.x, plain.x, atol=1e-5)
@@ -100,7 +113,7 @@ class TestVcycle:
         gmg = GeometricMultigrid(m, A, coarsest_level=2)
         b = np.sin(np.arange(m.n_dofs))
         plain = cg(A, b, tol=1e-10, maxiter=2000)
-        pre = cg(A, b, M=gmg, tol=1e-10, maxiter=200)
+        pre = cg(A, b, M=gmg.v_cycle, tol=1e-10, maxiter=200)
         assert pre.converged
         assert pre.iterations < plain.iterations
         assert np.allclose(pre.x, plain.x, atol=1e-6)
@@ -113,7 +126,7 @@ class TestVcycle:
     def test_as_preconditioner_spd_behavior(self):
         m, A, b = poisson_system(4)
         gmg = GeometricMultigrid(m, A, coarsest_level=2)
-        res = cg(A, b, M=gmg, tol=1e-10, maxiter=100)
+        res = cg(A, b, M=gmg.v_cycle, tol=1e-10, maxiter=100)
         assert res.converged
         assert res.iterations <= 15
 
@@ -234,13 +247,13 @@ class TestLeanHierarchy:
         A = assemble_matrix(fine, stiffness_matrix(h, fine.dim))
         A = (A + sp.eye(fine.n_dofs)).tocsr()
         b = np.sin(np.arange(fine.n_dofs))
-        pruned = cg(A, b, M=GeometricMultigrid(fine, A, coarsest_level=1),
-                    tol=1e-10, maxiter=200)
+        cycle = GeometricMultigrid(fine, A, coarsest_level=1).v_cycle
+        pruned = cg(A, b, M=cycle, tol=1e-10, maxiter=200)
         full = [(P, P.T.tocsr()) for P in _oracle_chain(fine, 1, prune=False)]
         assert full[0][0].shape[1] > hierarchy_for(fine, 1)[0][0].shape[1]
         monkeypatch.setattr(gmg, "hierarchy_for", lambda *a: full)
-        unpruned = cg(A, b, M=GeometricMultigrid(fine, A, coarsest_level=1),
-                      tol=1e-10, maxiter=200)
+        cycle = GeometricMultigrid(fine, A, coarsest_level=1).v_cycle
+        unpruned = cg(A, b, M=cycle, tol=1e-10, maxiter=200)
         assert pruned.converged and unpruned.converged
         assert pruned.iterations == unpruned.iterations
         assert np.allclose(pruned.x, unpruned.x, rtol=0, atol=1e-10)

@@ -23,7 +23,6 @@ class TestSpans:
     def test_disabled_by_default(self):
         # Importing repro.obs (already done above) must not enable tracing.
         assert not obs.is_enabled()
-        assert obs.current() is None
         assert obs.snapshot() is None
         assert obs.span("anything") is obs.NULL_SPAN
 
@@ -79,7 +78,8 @@ class TestSpans:
         assert not obs.is_enabled()
         with obs.tracing() as tr:
             assert obs.is_enabled()
-            assert obs.current() is tr
+            obs.incr("k")  # recorded by the tracer the block yields
+            assert tr.counters == {"k": 1}
         assert not obs.is_enabled()
 
     def test_thread_isolation(self):
@@ -115,13 +115,13 @@ class TestRankHooks:
     def test_begin_end_rank_roundtrip(self):
         obs.enable()
         assert obs.rank_armed()
-        tr = obs.begin_rank()
+        obs.begin_rank()
         with obs.span("work"):
             obs.incr("c")
         snap = obs.end_rank()
         assert snap["counters"] == {"c": 1}
         assert [s["name"] for s in snap["spans"]] == ["work"]
-        assert obs.current() is not tr
+        assert not obs.is_enabled()  # the rank tracer is uninstalled
 
     def test_end_rank_force_closes_open_spans(self):
         obs.begin_rank()
@@ -220,7 +220,7 @@ class TestOverhead:
         assert obs.span("assembly.numeric") is obs.NULL_SPAN
         with obs.span("outer") as sp_outer:
             assert obs.span("inner") is sp_outer is obs.NULL_SPAN
-        assert obs.current() is None and obs.snapshot() is None
+        assert not obs.is_enabled() and obs.snapshot() is None
 
         # Same kernel traced: the span the disabled run skipped.
         obs.enable()

@@ -408,19 +408,6 @@ class TestSerialBackend:
                 timeout=30,
             )
 
-    def test_poll_livelock_report(self):
-        # No rank is blocked, so only the count of empty polls stops it.
-        def fn(comm):
-            if comm.rank == 0:
-                while not comm.iprobe(source=1, tag=3):
-                    pass
-
-        with pytest.raises(SpmdError) as ei:
-            run_spmd(2, fn, backend="serial", timeout=30)
-        msg = str(ei.value)
-        assert "SPMD deadlock (livelock: ranks polling with no progress)" in msg
-        assert "rank 0: running" in msg and "rank 1: finished" in msg
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_rank_failure(self, backend):
         # The failure is reported, not the deadlock it leaves its peers in.
@@ -598,7 +585,7 @@ def test_stats_merge():
         assert snap["messages"] == 2
         assert snap["bytes_sent"] == 15
         assert snap["barriers"] == 1
-        assert (a.messages, a.bytes_sent, a.collective_bytes) == (2, 15, 7)
+        assert snap["collective_bytes"] == 7
 
         busy = CommStats(mp.Array("q", len(CommStats.FIELDS))
                          if slots is not None else None)
@@ -617,4 +604,5 @@ def test_stats_merge():
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert (busy.messages, busy.bytes_sent) == (8000, 24000)
+        snap = busy.snapshot()
+        assert (snap["messages"], snap["bytes_sent"]) == (8000, 24000)

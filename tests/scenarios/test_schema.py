@@ -93,6 +93,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="vortex"):
             cfg.validate()
 
+    def test_filament_ic_is_gone_at_load(self):
+        """No registry variant used the ``filament`` profile; a spec that
+        still names it fails ``from_dict``, not the run."""
+        d = build("drop_2d", quick=True).to_dict()
+        d["ic"] = {"kind": "filament", "params": {}}
+        with pytest.raises(ScenarioError, match="filament"):
+            ScenarioConfig.from_dict(d)
+
     def test_bad_dim_rejected(self):
         with pytest.raises(ScenarioError, match="dim"):
             self._base(domain=DomainConfig(dim=4)).validate()
@@ -171,8 +179,6 @@ class TestBuilders:
             "drop": {"center": [0.5, 0.5], "radius": 0.2, "Cn": 0.05},
             "two_drops": {"c1": [0.4, 0.5], "r1": 0.1, "c2": [0.6, 0.5],
                           "r2": 0.1, "Cn": 0.05},
-            "filament": {"y0": 0.5, "half_width": 0.1, "x0": 0.2,
-                         "x1": 0.8, "Cn": 0.05},
             "jet_column": {},
             "rising_bubble": {},
             "rayleigh_taylor": {},
